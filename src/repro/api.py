@@ -50,7 +50,8 @@ from repro.engine.database import Database
 from repro.engine.evaluator import EvaluationResult, evaluate
 from repro.engine.maintain import Invalidation
 from repro.errors import EvaluationError
-from repro.magic.evaluate import MagicResult, evaluate_magic
+from repro.magic.adornment import effective_adornment
+from repro.magic.evaluate import MagicResult, PreparedQuery, base_database
 from repro.observe import EngineHooks, MetricsCollector, TraceRecorder, compose_hooks
 from repro.parser.parser import parse_program, parse_query
 from repro.program.rule import Atom, Program, Query, canonical_atom
@@ -116,11 +117,18 @@ class LDL:
     ) -> None:
         self._lock = threading.RLock()
         self._program = Program()
+        self._compiled: Program | None = None  # LDL1.5 -> LDL1, per load
         self._edb: list[Atom] = []
         self._pending_queries: list[Query] = []
         self._ldl15 = ldl15
         self._alternative = alternative_semantics
         self._cached_result: EvaluationResult | None = None
+        # on-demand (magic) evaluation state: one PreparedQuery per
+        # (predicate, effective adornment), dropped when rules change,
+        # and — in-memory sessions only — the base database they run
+        # over, rebuilt per EDB version (see _invalidate).
+        self._prepared: dict[tuple[str, str], PreparedQuery] = {}
+        self._magic_base: Database | None = None
         self._trace: TraceRecorder | None = TraceRecorder() if trace else None
         self._hooks = compose_hooks(hooks, self._trace)
         self._path = path
@@ -220,12 +228,15 @@ class LDL:
         parsed = parse_program(source)
         with self._lock:
             self._program = self._program + parsed.program
+            self._compiled = None
             self._pending_queries.extend(parsed.queries)
             self._invalidate()
             if self._store is not None and len(parsed.program):
                 self._reopen_store()
             if len(parsed.program):
-                # rules changed: every cached answer is suspect
+                # rules changed: every prepared rewrite and every
+                # cached answer is suspect
+                self._prepared = {}
                 self._notify_delta(Invalidation(preds=None, precise=False))
         return self
 
@@ -284,18 +295,15 @@ class LDL:
 
     def _invalidate(self) -> None:
         self._cached_result = None
-
-    def _edb_atoms(self) -> list[Atom]:
-        """The session's base facts, wherever they live."""
-        with self._lock:
-            if self._store is not None:
-                return list(self._store.edb_facts)
-            return list(self._edb)
+        self._magic_base = None
 
     @property
     def edb_size(self) -> int:
         """How many base facts the session currently holds."""
-        return len(self._edb_atoms())
+        with self._lock:
+            if self._store is not None:
+                return self._store.model.edb_size
+            return len(self._edb)
 
     @property
     def pending_queries(self) -> tuple[Query, ...]:
@@ -308,7 +316,12 @@ class LDL:
         if self._ldl15:
             from repro.transform import compile_ldl15
 
-            return compile_ldl15(self._program, alternative=self._alternative)
+            with self._lock:
+                if self._compiled is None:
+                    self._compiled = compile_ldl15(
+                        self._program, alternative=self._alternative
+                    )
+                return self._compiled
         return self._program
 
     # -- evaluation --------------------------------------------------------
@@ -360,36 +373,49 @@ class LDL:
             for binding in bindings
         ]
 
+    def _on_demand(self, query: Query) -> tuple[PreparedQuery, Database]:
+        """The prepared form of ``query`` and the base database to run
+        it over: the durable model's live relations, or the in-memory
+        EDB loaded once per EDB version.  Runs only read the base, so
+        any number may share it (and the prepared form) concurrently."""
+        with self._lock:
+            program = self.program
+            key = (query.atom.pred, effective_adornment(program, query))
+            prepared = self._prepared.get(key)
+            if prepared is None:
+                prepared = self._prepared[key] = PreparedQuery(program, query)
+            if self._store is not None:
+                return prepared, self._store.database
+            if self._magic_base is None:
+                self._magic_base = base_database(program, self._edb)
+            return prepared, self._magic_base
+
     def query_magic(self, text: str | Query) -> MagicResult:
         """Answer a query by magic-sets rewriting; returns the full
         :class:`MagicResult` (database, stats, rewritten program)."""
         query = text if isinstance(text, Query) else parse_query(text)
-        return evaluate_magic(
-            self.program, query, edb=self._edb_atoms(), hooks=self._hooks
-        )
+        prepared, base = self._on_demand(query)
+        return prepared.answer(query, base, hooks=self._hooks)
 
     def on_demand_rows(self, text: str | Query) -> tuple[tuple, ...]:
         """Answer rows for a query, computed on demand via magic sets.
 
         The population path of the server's
-        :class:`~repro.server.cache.AnswerCache`: returns the sorted
-        ground argument rows of the matching answer atoms instead of
-        variable bindings (see
-        :func:`repro.magic.evaluate.on_demand_rows`).
+        :class:`~repro.server.cache.AnswerCache`: the sorted ground
+        argument rows of the matching answer facts rather than variable
+        bindings — rows for a relaxed pattern can answer any more-bound
+        query later by re-matching, which bindings cannot.
         """
-        from repro.magic.evaluate import on_demand_rows
-
         query = text if isinstance(text, Query) else parse_query(text)
-        return on_demand_rows(
-            self.program, query, edb=self._edb_atoms(), hooks=self._hooks
-        )
+        prepared, base = self._on_demand(query)
+        return prepared.rows(query, base, hooks=self._hooks)
 
     def add_delta_listener(self, listener) -> None:
         """Register ``listener(invalidation)`` for every state change.
 
         The listener receives an
         :class:`~repro.engine.maintain.Invalidation` after every
-        completed update: precise LSN-stamped predicate sets from the
+        completed update: precise version-stamped predicate sets from the
         durable model's delta maintenance, conservative predicate sets
         for in-memory updates, and a wholesale event (``preds=None``)
         when :meth:`load` changes the rules.  Registration survives the
@@ -440,6 +466,6 @@ class LDL:
         )
 
     def __repr__(self) -> str:
-        facts = len(self._edb_atoms()) if self._store is not None else len(self._edb)
+        facts = self.edb_size
         durable = f", durable at {self._path!r}" if self._path else ""
         return f"LDL({len(self._program)} rules, {facts} facts{durable})"

@@ -125,6 +125,23 @@ class EvalContext:
             self.hooks.on_plan_built(plan)
         return plan
 
+    def over(
+        self, db: Database, hooks: EngineHooks | None = None
+    ) -> "EvalContext":
+        """A context for another database sharing this one's plan cache.
+
+        Plans hold no database references, so one compiled (and
+        specialized) plan serves any number of databases, one context
+        each; the shared cache only ever gains entries under the
+        ``"sized-once"`` policy, so concurrent contexts may fill it.
+        """
+        clone = EvalContext(
+            db, planner=self.planner, hooks=hooks, metrics=self.metrics,
+            executor=self.executor,
+        )
+        clone._plans = self._plans
+        return clone
+
     def refresh_sizes(self) -> None:
         """Size-snapshot policy, called once per fixpoint iteration.
 

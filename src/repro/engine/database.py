@@ -163,6 +163,28 @@ class Database:
         }
         return clone
 
+    def overlay(
+        self, private: Iterable[tuple[str, int]], hidden=frozenset()
+    ) -> "Database":
+        """A database over this one's own :class:`Relation` objects.
+
+        Every relation except the ``hidden`` predicates is *shared*, not
+        copied — the overlay's readers probe (and lazily index) the very
+        relations this database holds, and no copy-on-write flag is set
+        on them.  ``private`` names the (predicate, arity) pairs the
+        caller will write: each gets a fresh empty relation that shadows
+        any shared one of the same name.  Writing any *other* predicate
+        through the overlay would mutate this database.
+        """
+        view = Database()
+        relations = view._relations
+        for pred, rel in self._relations.items():
+            if pred not in hidden:
+                relations[pred] = rel
+        for pred, arity in private:
+            relations[pred] = Relation(pred, arity)
+        return view
+
     def as_set(self) -> frozenset[Atom]:
         return frozenset(self.atoms())
 

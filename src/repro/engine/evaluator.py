@@ -46,7 +46,7 @@ from repro.program.dependency import SCCComponent, scc_schedule
 from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
 from repro.program.stratify import Layering, stratify, validate_layering
 from repro.program.wellformed import check_program
-from repro.terms.term import Term, evaluate_ground, id_table_size
+from repro.terms.term import Term, Var, evaluate_ground, id_table_size
 
 Strategy = TypingLiteral["naive", "seminaive"]
 Scheduler = TypingLiteral["scc", "layer"]
@@ -335,6 +335,25 @@ def _query_tuples(db: Database, query: Query) -> Iterable[tuple[Term, ...]]:
                 return ()
             positions.append(i)
     return db.lookup(query.atom.pred, tuple(positions), tuple(key_parts))
+
+
+def answer_rows(db: Database, query: Query) -> tuple[tuple[Term, ...], ...]:
+    """The stored argument tuples the query atom matches, sorted.
+
+    The row-valued sibling of :func:`answer_query` (one index probe,
+    one sort, no bindings): what the answer cache stores, because rows
+    for a pattern can answer any more-bound query later by re-matching.
+    """
+    atom = query.atom
+    rows = _query_tuples(db, query)
+    free = [arg for arg in atom.args if not arg.is_ground()]
+    if not all(isinstance(arg, Var) for arg in free) or len(set(free)) < len(free):
+        # compound patterns or repeated variables: match row by row
+        rows = [
+            args for args in rows
+            if next(iter(match_atom(atom, args, {})), None) is not None
+        ]
+    return tuple(sorted(rows, key=lambda r: tuple(t.sort_key() for t in r)))
 
 
 def answer_query(db: Database, query: Query) -> list[Binding]:

@@ -163,6 +163,10 @@ class IncrementalModel:
         self._maintainer = None
         self.last_delta: DeltaBatch | None = None
         self.maintenance = MaintenanceTotals()
+        #: monotone count of completed updates.  Caches stamp what they
+        #: read with it and every published Invalidation carries it;
+        #: unlike a WAL LSN it is untouched by checkpoints.
+        self.version = 0
         # delta listeners: called with an Invalidation after every
         # completed (non-no-op) update, inside the updating thread.
         self._delta_listeners: list = []
@@ -192,6 +196,11 @@ class IncrementalModel:
         """The current base facts (program facts included)."""
         return frozenset(self._edb_facts)
 
+    @property
+    def edb_size(self) -> int:
+        """How many base facts there are (no copy, unlike ``edb_facts``)."""
+        return len(self._edb_facts)
+
     def add_delta_listener(self, listener) -> None:
         """Register ``listener(invalidation)``, called after every
         completed update with the
@@ -203,6 +212,18 @@ class IncrementalModel:
     def _notify_delta(self, invalidation: Invalidation) -> None:
         for listener in self._delta_listeners:
             listener(invalidation)
+
+    def _publish_cone(self, cone: set[str], lsn: int | None) -> None:
+        """A non-differential update completed: bump the version and
+        publish the conservative invalidation of its cone."""
+        self.maintenance.record(self.last_update)
+        self.version += 1
+        self._notify_delta(
+            Invalidation(
+                lsn=lsn, preds=frozenset(cone), precise=False,
+                version=self.version,
+            )
+        )
 
     def add_facts(
         self, atoms: Iterable[Atom], lsn: int | None = None
@@ -242,10 +263,7 @@ class IncrementalModel:
         else:
             self.last_update = self._recompute(cone)
             self.last_update.lsn = lsn
-        self.maintenance.record(self.last_update)
-        self._notify_delta(
-            Invalidation(lsn=lsn, preds=frozenset(cone), precise=False)
-        )
+        self._publish_cone(cone, lsn)
         return self.last_update
 
     def remove_facts(
@@ -266,10 +284,7 @@ class IncrementalModel:
         cone = self._affected_cone(changed)
         self.last_update = self._recompute(cone)
         self.last_update.lsn = lsn
-        self.maintenance.record(self.last_update)
-        self._notify_delta(
-            Invalidation(lsn=lsn, preds=frozenset(cone), precise=False)
-        )
+        self._publish_cone(cone, lsn)
         return self.last_update
 
     def as_set(self) -> frozenset[Atom]:
@@ -316,7 +331,8 @@ class IncrementalModel:
                 metrics.incr("maint_rederived", stats.rederived)
             if stats.count_adjusted:
                 metrics.incr("maint_count_adjusted", stats.count_adjusted)
-        self._notify_delta(invalidation_of(batch))
+        self.version += 1
+        self._notify_delta(invalidation_of(batch, self.version))
         return stats
 
     def _install_program_facts(self) -> None:

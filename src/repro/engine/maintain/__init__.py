@@ -104,20 +104,29 @@ class Invalidation:
     signal came from a :class:`DeltaBatch`, ``precise`` is True and
     ``preds`` are exactly the net-changed predicates; the recompute
     paths and in-memory sessions publish a conservative superset
-    (``precise`` False).  ``lsn`` is the WAL LSN of the producing
-    mutation when there is one: a cache entry stamped at or after it
-    already reflects the update and survives.
+    (``precise`` False).  ``version`` is the publishing model's update
+    version *after* the update (see
+    :attr:`repro.engine.incremental.IncrementalModel.version`): a cache
+    entry stamped at or after it already reflects the update and
+    survives.  ``lsn`` is the WAL LSN of the producing mutation when
+    there is one — for ordering against the log only: LSNs are byte
+    offsets that restart at every checkpoint, so validity never
+    compares them.
     """
 
     lsn: int | None = None
     preds: frozenset[str] | None = None
     precise: bool = True
+    version: int | None = None
 
 
-def invalidation_of(batch: DeltaBatch) -> Invalidation:
+def invalidation_of(
+    batch: DeltaBatch, version: int | None = None
+) -> Invalidation:
     """The precise invalidation a maintained update's delta implies."""
     return Invalidation(
-        lsn=batch.lsn, preds=changed_predicates(batch), precise=True
+        lsn=batch.lsn, preds=changed_predicates(batch), precise=True,
+        version=version,
     )
 
 

@@ -7,7 +7,12 @@ from repro.magic.adornment import (
     adorned_name,
     atom_adornment,
 )
-from repro.magic.evaluate import MagicResult, MagicStats, evaluate_magic
+from repro.magic.evaluate import (
+    MagicResult,
+    MagicStats,
+    PreparedQuery,
+    evaluate_magic,
+)
 from repro.magic.rewrite import MagicProgram, magic_name, magic_rewrite
 from repro.magic.sips import (
     HEAD_NODE,
@@ -25,6 +30,7 @@ __all__ = [
     "MagicProgram",
     "MagicResult",
     "MagicStats",
+    "PreparedQuery",
     "adorn",
     "adorned_name",
     "atom_adornment",

@@ -75,6 +75,38 @@ def _builtin_produces(lit: Literal, bound: set[str]) -> set[str]:
     return set()
 
 
+def _grouped_positions(program: Program) -> dict[str, set[int]]:
+    """Per predicate, the positions that are grouped (``<X>``) in some
+    rule head.  They can never be bound: a binding there would restrict
+    the grouped set (footnote 6)."""
+    grouped: dict[str, set[int]] = {}
+    for rule in program.rules:
+        positions = rule.head.group_positions()
+        if positions:
+            grouped.setdefault(rule.head.pred, set()).update(positions)
+    return grouped
+
+
+def _force_free(adornment: str, forced: set[int] | None) -> str:
+    if not forced:
+        return adornment
+    return "".join(
+        "f" if i in forced else marker for i, marker in enumerate(adornment)
+    )
+
+
+def effective_adornment(program: Program, query: Query) -> str:
+    """The query's adornment with grouped head positions forced free.
+
+    Together with the predicate this is all of a query the magic
+    rewrite depends on — the constants enter only through the seed.
+    """
+    forced: set[int] = set()
+    for rule in program.rules_for(query.atom.pred):
+        forced.update(rule.head.group_positions())
+    return _force_free(query.adornment(), forced)
+
+
 @dataclass
 class AdornedRule:
     """One adorned rule plus sip bookkeeping.
@@ -130,22 +162,10 @@ def adorn(
                 f"predicate name {pred!r} clashes with adorned naming"
             )
 
-    # positions that are grouped (<X>) in some rule head can never be
-    # bound: a binding there would restrict the grouped set (footnote 6).
-    grouped_positions: dict[str, set[int]] = {}
-    for rule in program.rules:
-        positions = rule.head.group_positions()
-        if positions:
-            grouped_positions.setdefault(rule.head.pred, set()).update(positions)
+    grouped_positions = _grouped_positions(program)
 
     def effective(pred: str, adornment: str) -> str:
-        forced = grouped_positions.get(pred)
-        if not forced:
-            return adornment
-        return "".join(
-            "f" if i in forced else marker
-            for i, marker in enumerate(adornment)
-        )
+        return _force_free(adornment, grouped_positions.get(pred))
 
     query_adornment = effective(query.atom.pred, query.adornment())
     out: list[AdornedRule] = []
@@ -153,10 +173,10 @@ def adorn(
     worklist: list[tuple[str, str]] = []
 
     def demand(pred: str, adornment: str) -> str:
-        """Record a (pred, adornment) pair; return the adorned name."""
+        """Record a (pred, effective adornment) pair; return the
+        adorned name."""
         if pred not in idb:
             return pred
-        adornment = effective(pred, adornment)
         key = (pred, adornment)
         if key not in seen:
             seen.add(key)
@@ -181,7 +201,12 @@ def adorn(
             for index in sip.order:
                 lit = rule.body[index]
                 prefix_bound[index] = frozenset(bound)
-                lit_adornment = atom_adornment(lit.atom, bound)
+                # the recorded adornment is the effective one, so the
+                # magic rule for this occurrence passes exactly the
+                # arguments the demanded predicate's guard expects
+                lit_adornment = effective(
+                    lit.atom.pred, atom_adornment(lit.atom, bound)
+                )
                 body_adornments[index] = lit_adornment
                 derived_flags[index] = lit.atom.pred in idb
                 new_pred = demand(lit.atom.pred, lit_adornment)

@@ -23,22 +23,33 @@ The saturation step itself is SCC-condensed
 rules' dependency graph is condensed once, and each sweep evaluates the
 components in dependency order — non-recursive components with a single
 rule application, recursive ones as their own small fixpoint.
+
+Everything above except the seed fact depends only on the query's
+predicate and adornment, so it is built once, as a
+:class:`PreparedQuery`, and run per request over an overlay that
+*shares* the base database's relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.engine.context import EvalContext, ensure_context
 from repro.engine.database import Database
-from repro.engine.evaluator import answer_query
+from repro.engine.evaluator import answer_query, answer_rows
 from repro.engine.fixpoint import FixpointStats, seminaive_fixpoint, single_pass
 from repro.program.dependency import condense_program
 from repro.engine.exec import derive_facts
 from repro.engine.grouping import apply_grouping_rule
 from repro.engine.match import Binding
-from repro.errors import UnstableMagicEvaluationError
+from repro.engine.relation import ArgTuple
+from repro.errors import (
+    EvaluationError,
+    MagicRewriteError,
+    NotInUniverseError,
+    UnstableMagicEvaluationError,
+)
 from repro.observe import EngineHooks
 from repro.magic.rewrite import MagicProgram, magic_rewrite
 from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
@@ -57,7 +68,12 @@ class MagicStats:
 
 @dataclass
 class MagicResult:
-    """Outcome of evaluating a query by magic sets."""
+    """Outcome of evaluating a query by magic sets.
+
+    ``database`` holds the adorned / magic facts derived for this query
+    next to the base relations it read, which it shares with the base
+    database it ran over rather than copying.
+    """
 
     database: Database
     magic_program: MagicProgram
@@ -95,6 +111,186 @@ def _apply_deferred(
     return derive_facts(db, ctx.plan_for(rule), executor=ctx.executor)
 
 
+def base_database(program: Program, edb: Iterable[Atom] = ()) -> Database:
+    """The base a :class:`PreparedQuery` runs over: the canonicalized
+    EDB plus the program's own facts on non-derived predicates (facts
+    on derived ones are rewritten along with the rules)."""
+    db = Database(canonical_atom(a) for a in edb)
+    idb = program.idb_predicates()
+    for rule in program.facts():
+        if rule.head.pred not in idb:
+            db.add(canonical_atom(rule.head))
+    return db
+
+
+class PreparedQuery:
+    """One query *form*, rewritten and planned for repeated execution.
+
+    Section 6 makes the rewrite a function of the query predicate and
+    its adornment alone; the bound constants enter only through the
+    seed fact ``m_p__a(c)``.  So per (program, rewrite algorithm,
+    predicate, effective adornment) — :attr:`key`, within one program —
+    this object holds what does not depend on them: the checked and
+    rewritten rules, the condensed saturation schedule, the deferred
+    rules, and the plan cache every run compiles into and reads from.
+    It is never mutated after construction (the plan cache only gains
+    entries, each compiled once and then shared), so concurrent runs
+    may use one instance; drop it when the program's rules change.
+
+    :meth:`run` evaluates one seed over an *overlay* of a base database
+    (see :func:`base_database`): the base's relations are shared as they
+    are, read-only — no copy, no copy-on-write flag — and only the
+    adorned / magic / supplementary predicates get fresh relations.
+    """
+
+    __slots__ = (
+        "program", "rewrite", "magic_program", "schedule", "private", "context",
+    )
+
+    def __init__(
+        self,
+        program: Program,
+        query: Query,
+        rewrite=magic_rewrite,
+        check: bool = True,
+    ) -> None:
+        if check:
+            check_program(program)
+        mp = rewrite(program, query)
+        self.program = program
+        self.rewrite = rewrite
+        #: the rewritten program; its ``seed`` and ``adorned.query`` are
+        #: those of the query it was prepared from.
+        self.magic_program = mp
+        self.schedule = tuple(
+            c
+            for c in condense_program(
+                Program(mp.magic_rules + mp.modified_rules)
+            )
+            if c.rules
+        )
+        heads = {(r.head.pred, len(r.head.args)) for r in mp.all_rules()}
+        heads.add((mp.seed.pred, mp.seed.arity))
+        #: (predicate, arity) of every relation a run writes.
+        self.private = tuple(sorted(heads))
+        self.context = EvalContext()
+
+    @property
+    def key(self) -> tuple:
+        adorned = self.magic_program.adorned
+        return (self.rewrite, adorned.query.atom.pred, adorned.query_adornment)
+
+    def seed_for(self, query: Query) -> ArgTuple:
+        """The seed tuple of ``query``: its arguments at the bound
+        positions, evaluated to U-values."""
+        adorned = self.magic_program.adorned
+        atom = query.atom
+        if (
+            atom.pred != adorned.query.atom.pred
+            or len(atom.args) != len(adorned.query_adornment)
+        ):
+            raise MagicRewriteError(
+                f"{query!r} is not of the prepared form "
+                f"{adorned.query.atom.pred}/{adorned.query_adornment}"
+            )
+        try:
+            return tuple(
+                evaluate_ground(arg)
+                for marker, arg in zip(adorned.query_adornment, atom.args)
+                if marker == "b"
+            )
+        except (EvaluationError, NotInUniverseError) as exc:
+            raise MagicRewriteError(
+                f"cannot evaluate query constants: {exc}"
+            ) from exc
+
+    def run(
+        self,
+        seed: ArgTuple,
+        base: Database,
+        hooks: EngineHooks | None = None,
+        max_phases: int = 10_000,
+    ) -> tuple[Database, MagicStats]:
+        """Evaluate the rewritten program for one seed tuple over
+        ``base``; returns the overlay database and the work counters."""
+        mp = self.magic_program
+        db = base.overlay(self.private, hidden=mp.adorned.idb_predicates)
+        db.add(Atom(mp.seed.pred, seed))
+        derived_by_rule: dict[Rule, set[Atom]] = {
+            r: set() for r in mp.deferred_rules
+        }
+        stats = MagicStats()
+        ctx = self.context.over(db, hooks=hooks)
+
+        while True:
+            stats.phases += 1
+            if stats.phases > max_phases:
+                raise UnstableMagicEvaluationError(
+                    f"no fixpoint after {max_phases} phases"
+                )
+            for component in self.schedule:
+                if component.recursive:
+                    stats.saturation.merge(
+                        seminaive_fixpoint(db, component.rules, context=ctx)
+                    )
+                else:
+                    stats.saturation.merge(
+                        single_pass(db, component.rules, context=ctx)
+                    )
+            changed = False
+            for rule in mp.deferred_rules:
+                for fact in _apply_deferred(rule, db, context=ctx):
+                    derived_by_rule[rule].add(fact)
+                    if db.add(fact):
+                        stats.deferred_facts += 1
+                        changed = True
+            if not changed:
+                break
+
+        # stability validation: every deferred rule, recomputed now, must
+        # derive exactly what it derived during the run.
+        for rule in mp.deferred_rules:
+            final = set(_apply_deferred(rule, db, context=ctx))
+            if final != derived_by_rule[rule]:
+                raise UnstableMagicEvaluationError(
+                    "deferred rule derivations changed after fixpoint: "
+                    f"{rule!r}"
+                )
+        return db, stats
+
+    def answer(
+        self,
+        query: Query,
+        base: Database,
+        hooks: EngineHooks | None = None,
+        max_phases: int = 10_000,
+    ) -> MagicResult:
+        """Run for ``query``'s constants; the full :class:`MagicResult`."""
+        seed = self.seed_for(query)
+        db, stats = self.run(seed, base, hooks=hooks, max_phases=max_phases)
+        mp = self.magic_program
+        return MagicResult(
+            db,
+            replace(
+                mp,
+                seed=Atom(mp.seed.pred, seed),
+                adorned=replace(mp.adorned, query=query),
+            ),
+            stats,
+        )
+
+    def rows(
+        self, query: Query, base: Database, hooks: EngineHooks | None = None
+    ) -> tuple[ArgTuple, ...]:
+        """Run for ``query``'s constants; the sorted ground argument
+        rows of the matching answer facts, read straight off the
+        adorned answer relation."""
+        db, _ = self.run(self.seed_for(query), base, hooks=hooks)
+        return answer_rows(
+            db, Query(Atom(self.magic_program.answer_pred, query.atom.args))
+        )
+
+
 def evaluate_magic(
     program: Program,
     query: Query,
@@ -110,89 +306,10 @@ def evaluate_magic(
     matching the query, but restricted to facts relevant to the query's
     constants.  ``rewrite`` selects the rewriting algorithm (default:
     Generalized Magic Sets; see
-    :func:`repro.magic.supplementary.supplementary_rewrite`).
+    :func:`repro.magic.supplementary.supplementary_rewrite`).  One-shot
+    form of :class:`PreparedQuery`: prepare, build the base, run once.
     """
-    if check:
-        check_program(program)
-    mp = rewrite(program, query)
-
-    db = Database(canonical_atom(a) for a in edb)
-    idb = mp.adorned.idb_predicates
-    for rule in program.facts():
-        if rule.head.pred not in idb:
-            db.add(
-                Atom(
-                    rule.head.pred,
-                    tuple(evaluate_ground(a) for a in rule.head.args),
-                )
-            )
-    db.add(mp.seed)
-
-    phase1_rules = list(mp.magic_rules) + list(mp.modified_rules)
-    # condensed once: the saturation sweep walks the rewritten rules'
-    # SCCs in dependency order instead of one global fixpoint.
-    phase1_schedule = [
-        c for c in condense_program(Program(phase1_rules)) if c.rules
-    ]
-    derived_by_rule: dict[Rule, set[Atom]] = {r: set() for r in mp.deferred_rules}
-    stats = MagicStats()
-    # one context across all saturation/deferred phases: every rule in
-    # the rewritten program is planned exactly once for the whole run.
-    ctx = EvalContext(db, hooks=hooks)
-
-    while True:
-        stats.phases += 1
-        if stats.phases > max_phases:
-            raise UnstableMagicEvaluationError(
-                f"no fixpoint after {max_phases} phases"
-            )
-        for component in phase1_schedule:
-            if component.recursive:
-                stats.saturation.merge(
-                    seminaive_fixpoint(db, component.rules, context=ctx)
-                )
-            else:
-                stats.saturation.merge(
-                    single_pass(db, component.rules, context=ctx)
-                )
-        changed = False
-        for rule in mp.deferred_rules:
-            for fact in _apply_deferred(rule, db, context=ctx):
-                derived_by_rule[rule].add(fact)
-                if db.add(fact):
-                    stats.deferred_facts += 1
-                    changed = True
-        if not changed:
-            break
-
-    # stability validation: every deferred rule, recomputed now, must
-    # derive exactly what it derived during the run.
-    for rule in mp.deferred_rules:
-        final = set(_apply_deferred(rule, db, context=ctx))
-        if final != derived_by_rule[rule]:
-            raise UnstableMagicEvaluationError(
-                "deferred rule derivations changed after fixpoint: "
-                f"{rule!r}"
-            )
-
-    return MagicResult(db, mp, stats)
-
-
-def on_demand_rows(
-    program: Program,
-    query: Query,
-    edb: Iterable[Atom] = (),
-    hooks: EngineHooks | None = None,
-) -> tuple[tuple, ...]:
-    """Ground argument rows answering ``query``, computed on demand.
-
-    The magic pipeline as a demand-driven *row* producer: evaluate the
-    rewritten program (so only facts relevant to the query's bound
-    arguments are derived) and return the full argument tuples of the
-    matching answer atoms, sorted.  This is the population entry point
-    of the server's answer cache — rows for a relaxed pattern can
-    answer any more-bound query later by re-matching, which variable
-    bindings cannot.
-    """
-    result = evaluate_magic(program, query, edb=edb, hooks=hooks)
-    return tuple(atom.args for atom in result.answer_atoms())
+    prepared = PreparedQuery(program, query, rewrite=rewrite, check=check)
+    return prepared.answer(
+        query, base_database(program, edb), hooks=hooks, max_phases=max_phases
+    )

@@ -18,7 +18,7 @@ client used by the tests, the benchmarks, and the CLI smoke scripts.
         client.add_facts("parent", [("ann", "bob")])
         client.query("? anc(ann, X).")   # [{'X': 'bob'}]
 
-Queries are answered through a subsumption-aware, LSN-invalidated
+Queries are answered through a subsumption-aware, version-invalidated
 :class:`AnswerCache` by default (``REPRO_ANSWER_CACHE=off`` disables
 it), and :class:`HttpGateway` puts an HTTP/JSON facade — with
 connection limits, admission control, and backpressure — in front of

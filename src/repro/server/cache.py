@@ -21,21 +21,29 @@ and its session and memoizes query answers across clients:
 
 * **Population.**  Misses with at least one bound argument on an IDB
   predicate are computed *on demand* through the §6 magic-set pipeline
-  (:func:`repro.magic.evaluate.on_demand_rows` via
-  :meth:`repro.api.LDL.on_demand_rows`), so a bound query on a large
+  (:meth:`repro.api.LDL.on_demand_rows`: one
+  :class:`~repro.magic.evaluate.PreparedQuery` per query form, run
+  over the live EDB relations), so a bound query on a large
   database never materializes the full model.  Free queries and EDB
   predicates read the session's (already materialized or memoized)
-  model directly; any magic-side failure falls back to the model too.
+  model directly.  So does a bound query magic *does not apply to* —
+  the rewrite refuses the program (:class:`MagicRewriteError`) or the
+  constrained evaluation fails its stability check
+  (:class:`UnstableMagicEvaluationError`) — counted by reason as
+  ``magic_fallbacks``; any other failure propagates to the caller.
 
 * **Invalidation.**  Writes invalidate *precisely*: the session's
   delta listeners deliver an :class:`repro.engine.maintain.Invalidation`
   naming the predicates whose extensions (may have) changed, and an
   entry is dropped only when its **support set** — the query predicate
   plus everything it transitively depends on in the rule dependency
-  graph — intersects them.  Entries and invalidations both carry WAL
-  LSNs when the session is durable, so an entry filled at or after the
-  mutation that triggered an invalidation survives it.  A wholesale
-  event (``preds=None``, e.g. rules changed) clears everything.
+  graph — intersects them.  Entries and invalidations both carry the
+  durable model's monotone *update version*
+  (:attr:`~repro.engine.incremental.IncrementalModel.version`), so an
+  entry filled at or after the mutation that triggered an invalidation
+  survives it.  (WAL LSNs cannot play this role: they are byte offsets
+  that restart at every checkpoint.)  A wholesale event
+  (``preds=None``, e.g. rules changed) clears everything.
 
 The cache is thread-safe (one internal mutex) but relies on its caller
 for read/write ordering: the server fills entries while holding the
@@ -56,8 +64,14 @@ from typing import TYPE_CHECKING, Iterable
 
 import networkx as nx
 
+from repro.engine.evaluator import answer_rows
 from repro.engine.match import match_atom
-from repro.errors import EvaluationError, NotInUniverseError
+from repro.errors import (
+    EvaluationError,
+    MagicRewriteError,
+    NotInUniverseError,
+    UnstableMagicEvaluationError,
+)
 from repro.program.dependency import dependency_graph
 from repro.program.rule import Atom, Query
 from repro.terms.term import Term, Var, evaluate_ground
@@ -81,16 +95,17 @@ def cache_enabled(default: bool = True) -> bool:
 
 
 class _Entry:
-    """Rows for one relaxed pattern, stamped with their fill LSN."""
+    """Rows for one relaxed pattern, stamped with the model's update
+    version at fill time (None for in-memory sessions)."""
 
-    __slots__ = ("key", "rows", "lsn")
+    __slots__ = ("key", "rows", "version")
 
     def __init__(
-        self, key: Key, rows: tuple[tuple[Term, ...], ...], lsn: int | None
+        self, key: Key, rows: tuple[tuple[Term, ...], ...], version: int | None
     ) -> None:
         self.key = key
         self.rows = rows
-        self.lsn = lsn
+        self.version = version
 
 
 def _bindings(
@@ -118,7 +133,7 @@ def _bindings(
 
 
 class AnswerCache:
-    """An LRU answer cache with subsumption and LSN invalidation."""
+    """An LRU answer cache with subsumption and versioned invalidation."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
@@ -136,6 +151,8 @@ class AnswerCache:
         self.subsumed = 0
         self.invalidation_events = 0
         self.entries_invalidated = 0
+        # bound fills magic did not apply to, by exception class name
+        self.magic_fallbacks: dict[str, int] = {}
 
     def __len__(self) -> int:
         with self._mutex:
@@ -177,11 +194,11 @@ class AnswerCache:
                 self.subsumed += 1
                 return _bindings(pattern, donor.rows), "hit-subsumed"
         # miss: evaluate outside the mutex (possibly slow), then insert.
-        rows, lsn = self._load(key, relaxed)
+        rows, version = self._load(key, relaxed)
         with self._mutex:
             self.misses += 1
             if key not in self._entries:
-                self._entries[key] = _Entry(key, rows, lsn)
+                self._entries[key] = _Entry(key, rows, version)
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
         return _bindings(pattern, rows), "miss"
@@ -238,38 +255,24 @@ class AnswerCache:
     def _load(
         self, key: Key, relaxed: Query
     ) -> tuple[tuple[tuple[Term, ...], ...], int | None]:
-        """Rows for the relaxed pattern plus the LSN they reflect."""
+        """Rows for the relaxed pattern plus the version they reflect."""
         session = self._session
         if session is None:
             raise EvaluationError("AnswerCache.answers needs a bound session")
-        lsn = self._current_lsn(session)
+        store = getattr(session, "store", None)
+        version = store.model.version if store is not None else None
         pred, adornment, _ = key
         if "b" in adornment and pred in session.program.idb_predicates():
             try:
-                return tuple(session.on_demand_rows(relaxed)), lsn
-            except Exception:  # noqa: BLE001 - model fallback is always valid
-                pass
-        return self._rows_from_model(session, relaxed), lsn
-
-    @staticmethod
-    def _rows_from_model(
-        session: "LDL", relaxed: Query
-    ) -> tuple[tuple[Term, ...], ...]:
-        """Matching rows straight off the session's materialized model."""
-        from repro.engine.evaluator import _query_tuples
-
-        db = session.model().database
-        rows = {tuple(args) for args in _query_tuples(db, relaxed)}
-        return tuple(
-            sorted(rows, key=lambda r: tuple(t.sort_key() for t in r))
-        )
-
-    @staticmethod
-    def _current_lsn(session: "LDL") -> int | None:
-        store = getattr(session, "store", None)
-        if store is not None:
-            return store.model.maintenance.last_lsn
-        return None
+                return tuple(session.on_demand_rows(relaxed)), version
+            except (MagicRewriteError, UnstableMagicEvaluationError) as exc:
+                # magic does not apply here; the model always does
+                reason = type(exc).__name__
+                with self._mutex:
+                    self.magic_fallbacks[reason] = (
+                        self.magic_fallbacks.get(reason, 0) + 1
+                    )
+        return answer_rows(session.model().database, relaxed), version
 
     # -- invalidation ------------------------------------------------------
 
@@ -277,8 +280,8 @@ class AnswerCache:
         """Drop entries the update behind ``event`` may have staled.
 
         Returns how many entries were dropped.  An entry survives when
-        its support set misses the changed predicates, or when its LSN
-        shows it was filled at or after the invalidating mutation.
+        its support set misses the changed predicates, or when its
+        version shows it was filled at or after the invalidating update.
         """
         with self._mutex:
             self.invalidation_events += 1
@@ -297,9 +300,9 @@ class AnswerCache:
                 key
                 for key, entry in self._entries.items()
                 if not (
-                    event.lsn is not None
-                    and entry.lsn is not None
-                    and entry.lsn >= event.lsn
+                    event.version is not None
+                    and entry.version is not None
+                    and entry.version >= event.version
                 )
                 and self._support_of(key[0]) & changed
             ]
@@ -349,6 +352,7 @@ class AnswerCache:
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "invalidation_events": self.invalidation_events,
                 "entries_invalidated": self.entries_invalidated,
+                "magic_fallbacks": dict(self.magic_fallbacks),
             }
 
     def __repr__(self) -> str:

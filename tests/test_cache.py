@@ -1,5 +1,6 @@
 """Tests for the server answer cache (repro.server.cache)."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro import LDL
@@ -150,31 +151,113 @@ class TestInvalidation:
             assert cache.answers(qt)[1] == "hit"
             assert cache.answers(qs)[1] == "miss"
 
-    def test_lsn_stamps_make_invalidation_precise_in_time(self, tmp_path):
+    def test_version_stamps_make_invalidation_precise_in_time(self, tmp_path):
         with LDL(TWO_FAMILIES, path=str(tmp_path / "db")) as db:
             db.facts("e", [(1, 2)])
             cache = AnswerCache().bind_session(db)
             q = parse_query("? t(1, X).")
             cache.answers(q)
-            filled_at = db.store.model.maintenance.last_lsn
-            assert filled_at is not None
-            # a delta at (or before) the fill LSN is already reflected
-            stale = Invalidation(lsn=filled_at, preds=frozenset({"e"}))
+            filled_at = db.store.model.version
+            assert filled_at > 0
+            # an update at (or before) the fill version is already reflected
+            stale = Invalidation(version=filled_at, preds=frozenset({"e"}))
             assert cache.apply_invalidation(stale) == 0
             assert cache.answers(q)[1] == "hit"
-            # a later mutation's delta drops the entry
-            fresh = Invalidation(lsn=filled_at + 1, preds=frozenset({"e"}))
+            # a later update's invalidation drops the entry
+            fresh = Invalidation(version=filled_at + 1, preds=frozenset({"e"}))
             assert cache.apply_invalidation(fresh) == 1
             assert cache.answers(q)[1] == "miss"
+
+    @pytest.mark.parametrize("compact_every", [1024, 3])
+    def test_no_stale_read_after_checkpoint(self, tmp_path, compact_every):
+        """Regression: a checkpoint (explicit, or the automatic
+        compaction every ``compact_every`` records) resets the WAL, so
+        LSNs restart near 0; an entry filled before it must still be
+        invalidated by the writes after it."""
+        from repro.workloads.social import SOCIAL_PROGRAM
+
+        with LDL(
+            SOCIAL_PROGRAM, path=str(tmp_path / "db"),
+            compact_every=compact_every,
+        ) as db:
+            cache = AnswerCache().bind_session(db)
+            db.facts("follows", [(f"u{i}", "b") for i in range(20)])
+            q = parse_query("? audience(b, N).")
+            assert [b["N"].value for b in cache.answers(q)[0]] == [20]
+            if compact_every == 1024:
+                db.checkpoint()
+            else:
+                # unrelated writes until auto-compaction resets the log
+                while db.store.wal.record_count:
+                    db.fact("interest", "b", f"t{db.store.stats.compactions}")
+            assert db.store.wal.record_count == 0
+            db.fact("follows", "a", "b")
+            served, how = cache.answers(q)
+            assert served == db.model().answers(q)
+            assert [b["N"].value for b in served] == [21]
+            assert how == "miss"
 
     def test_unstamped_entries_always_drop_on_intersection(self):
         cache = AnswerCache().bind_session(tc_session())
         cache.answers(parse_query("? t(1, X)."))
-        event = Invalidation(lsn=10_000, preds=frozenset({"e"}))
+        event = Invalidation(version=10_000, preds=frozenset({"e"}))
         assert cache.apply_invalidation(event) == 1
+
+    def test_fill_falls_back_only_where_magic_does_not_apply(self):
+        """``MagicRewriteError`` / ``UnstableMagicEvaluationError`` mean
+        "use the model" and are counted; anything else is a bug in the
+        fill path and must reach the caller."""
+        from repro.errors import MagicRewriteError, UnstableMagicEvaluationError
+
+        class Failing(LDL):
+            failure = None
+
+            def on_demand_rows(self, text):
+                raise self.failure
+
+        db = Failing(TWO_FAMILIES)
+        db.facts("e", [(1, 2), (2, 3)])
+        cache = AnswerCache().bind_session(db)
+        db.failure = MagicRewriteError("not rewritable")
+        assert [b["X"].value for b in cache.answers(parse_query("? t(1, X)."))[0]] == [2, 3]
+        db.failure = UnstableMagicEvaluationError("unstable")
+        assert [b["X"].value for b in cache.answers(parse_query("? t(2, X)."))[0]] == [3]
+        cache.answers(parse_query("? t(3, X)."))
+        assert cache.report()["magic_fallbacks"] == {
+            "MagicRewriteError": 1, "UnstableMagicEvaluationError": 2,
+        }
+        db.failure = RuntimeError("a bug in the fill path")
+        with pytest.raises(RuntimeError):
+            cache.answers(parse_query("? t(4, X)."))
+        assert len(cache) == 3  # the failed fill cached nothing
 
 
 class TestCachedServer:
+    def test_fill_failure_is_a_clean_error_reply(self):
+        """No silent fallback: a fill-path exception that does not mean
+        "magic does not apply" reaches the client as an error reply, and
+        the server keeps serving."""
+        from repro.errors import MagicRewriteError, ServerError
+
+        class Failing(LDL):
+            failure = RuntimeError("a bug in the fill path")
+
+            def on_demand_rows(self, text):
+                raise self.failure
+
+        session = Failing(TWO_FAMILIES)
+        session.facts("e", [(1, 2), (2, 3)])
+        with ServerThread(session, cache=AnswerCache()) as st, st.client() as client:
+            with pytest.raises(ServerError, match="a bug in the fill path"):
+                client.query("? t(1, X).")
+            session.failure = MagicRewriteError("not rewritable")
+            assert client.query("? t(1, X).") == [{"X": 2}, {"X": 3}]
+            stats = client.stats()
+            assert stats["answer_cache"]["magic_fallbacks"] == {
+                "MagicRewriteError": 1
+            }
+            assert stats["server"]["errors_total"] == 1
+
     def test_hit_invalidate_hit_cycle_end_to_end(self):
         session = tc_session()
         cache = AnswerCache()

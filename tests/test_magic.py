@@ -239,3 +239,146 @@ class TestRelevanceRestriction:
             evaluate_magic(
                 program, parse_query("? young(mary, S)."), max_phases=0
             )
+
+
+class TestPreparedQuery:
+    """One rewrite per (predicate, adornment); the constants enter only
+    through the seed (section 6)."""
+
+    NUMBERS = """
+    succ(X, Y) <- num(X), num(Y), Y = X + 1.
+    up(X, Y) <- succ(X, Y).
+    up(X, Y) <- succ(X, Z), up(Z, Y).
+    tagged(S, X) <- tag(S), member(X, S).
+    """
+
+    @staticmethod
+    def prepared(src, query_text, edb=()):
+        from repro.magic.evaluate import PreparedQuery, base_database
+
+        program, _ = parse_program(src)
+        query = parse_query(query_text)
+        return program, PreparedQuery(program, query), base_database(program, edb)
+
+    def test_seed_absent_from_the_edb_answers_empty(self):
+        program, prepared, base = self.prepared(ANCESTOR, "? anc(a, X).")
+        nobody = parse_query("? anc(nobody, X).")
+        assert prepared.seed_for(nobody) == nobody.atom.args[:1]
+        assert prepared.answer(nobody, base).answer_atoms() == []
+        assert prepared.rows(nobody, base) == ()
+
+    def test_one_entry_serves_every_constant(self):
+        program, prepared, base = self.prepared(ANCESTOR, "? anc(a, X).")
+        full = evaluate(program)
+        for start in "abce":
+            query = parse_query(f"? anc({start}, X).")
+            result = prepared.answer(query, base)
+            assert result.answer_atoms() == full.answer_atoms(query)
+            assert format_atom(result.magic_program.seed) == f"m_anc__bf({start})"
+        # the preparing query's own seed is untouched by later runs
+        assert format_atom(prepared.magic_program.seed) == "m_anc__bf(a)"
+
+    def test_arithmetic_and_set_terms_are_evaluated_into_the_seed(self):
+        from repro.parser import parse_atom
+
+        edb = [parse_atom(f"num({i})") for i in range(5)]
+        edb.append(parse_atom("tag({1, 2})"))
+        program, prepared, base = self.prepared(self.NUMBERS, "? up(0, Y).", edb)
+        full = evaluate(program, edb=edb)
+        query = parse_query("? up(1 + 1, Y).")
+        assert [t.value for t in prepared.seed_for(query)] == [2]
+        assert prepared.answer(query, base).answer_atoms() == (
+            full.answer_atoms(query)
+        )
+        assert [r[1].value for r in prepared.rows(query, base)] == [3, 4]
+        _, tagged, _ = self.prepared(self.NUMBERS, "? tagged({2, 1}, X).", edb)
+        query = parse_query("? tagged({2, 1, 1}, X).")
+        assert tagged.seed_for(query) == parse_atom("tag({1, 2})").args
+        assert tagged.answer(query, base).answer_atoms() == (
+            full.answer_atoms(query)
+        )
+        assert len(tagged.rows(query, base)) == 2
+
+    def test_unevaluable_constants_are_a_rewrite_error(self):
+        program, prepared, base = self.prepared(self.NUMBERS, "? up(0, Y).")
+        with pytest.raises(MagicRewriteError):
+            prepared.seed_for(parse_query("? up(1 / 0, Y)."))
+        with pytest.raises(MagicRewriteError):
+            prepared.seed_for(parse_query("? anc(a, Y)."))
+
+    def test_grouped_head_position_is_forced_free(self):
+        """Footnote 6: a constant in a grouped position never reaches
+        the seed; it only filters the answers."""
+        from repro.magic.adornment import effective_adornment
+
+        program, prepared, base = self.prepared(YOUNG, "? young(mary, S).")
+        full = evaluate(program)
+        bound_set = parse_query("? young(mary, {john}).")
+        assert effective_adornment(program, bound_set) == "bf"
+        assert prepared.key[1:] == ("young", "bf")
+        assert len(prepared.seed_for(bound_set)) == 1
+        for query in (bound_set, parse_query("? young(mary, {bob}).")):
+            assert prepared.answer(query, base).answer_atoms() == (
+                full.answer_atoms(query)
+            )
+            assert len(prepared.rows(query, base)) == len(full.answer_atoms(query))
+
+    def test_demand_through_a_grouped_position_keeps_one_arity(self):
+        """A body occurrence bound at a grouped position is demanded
+        under the effective adornment, so every magic rule for it passes
+        the arguments its guard expects (seed 4373 of the generator)."""
+        program = parse_rules("""
+        r(X, Z) <- e(X, Y), r(Y, Z).
+        r(X, Z) <- e(X, Z).
+        g(X, <Y>) <- r(X, Y).
+        top(X, S) <- e(X, Y), g(X, S), top(Y, S).
+        top(X, S) <- e(X, X), g(X, S).
+        """)
+        mp = magic_rewrite(program, parse_query("? top(1, S)."))
+        arities = {}
+        for rule in mp.all_rules():
+            arities.setdefault(rule.head.pred, set()).add(rule.head.arity)
+        assert all(len(found) == 1 for found in arities.values()), arities
+
+    def test_program_facts_are_visible_exactly_once(self):
+        from repro.parser import parse_atom
+
+        # the program's own parent/2 facts, again as EDB, plus one more
+        edb = [parse_atom("parent(a, b)"), parse_atom("parent(d, g)")]
+        program, prepared, base = self.prepared(ANCESTOR, "? anc(a, X).", edb)
+        assert base.count("parent") == 5
+        query = parse_query("? anc(a, X).")
+        result = prepared.answer(query, base)
+        assert [format_atom(a) for a in result.answer_atoms()] == [
+            "anc(a, b)", "anc(a, c)", "anc(a, d)", "anc(a, g)",
+        ]
+        assert result.database.count("parent") == 5
+        assert result.database.get_relation("parent") is base.get_relation("parent")
+
+    def test_session_drops_prepared_entries_when_rules_change(self):
+        from repro import LDL
+
+        db = LDL(ANCESTOR)
+        assert len(db.query("? anc(a, X).", strategy="magic")) == 3
+        assert len(db.query("? anc(e, X).", strategy="magic")) == 1
+        (old,) = db._prepared.values()  # one form, two constants
+        db.load("anc(X, Y) <- parent(Y, X).")
+        assert db._prepared == {}
+        assert db.query("? anc(b, X).", strategy="magic") == db.query("? anc(b, X).")
+        (new,) = db._prepared.values()
+        assert new is not old and new.program is db.program
+
+    def test_in_memory_base_is_rebuilt_per_edb_version(self):
+        from repro import LDL
+
+        db = LDL(ANCESTOR)
+        db.query("? anc(a, X).", strategy="magic")
+        base = db._magic_base
+        db.query("? anc(b, X).", strategy="magic")
+        assert db._magic_base is base
+        db.fact("parent", "d", "g")
+        assert db._magic_base is None
+        assert len(db.query("? anc(a, X).", strategy="magic")) == 4
+        assert db.on_demand_rows("? anc(c, X).") == tuple(
+            a.args for a in db.model().answer_atoms(parse_query("? anc(c, X)."))
+        )

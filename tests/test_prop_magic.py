@@ -9,6 +9,7 @@ from repro.magic import evaluate_magic
 from repro.parser import parse_rules
 from repro.program.rule import Atom, Query
 from repro.terms.term import Const, Var
+from tests.strategies import generated_programs
 
 TC_RULES = """
 t(X, Y) <- e(X, Y).
@@ -179,3 +180,56 @@ def test_bound_first_sip_agrees(pairs, start):
         rewrite=lambda p, q: magic_rewrite(p, q, sip_strategy=bound_first_sip),
     ).answer_atoms()
     assert result == full
+
+
+# -- section 6 as a property: one rewrite per adornment, many seeds ----------
+
+
+def _assert_prepared_equivalence(generated, rewrite):
+    """One ``PreparedQuery`` per (predicate, adornment), run for several
+    bound constants against the *same* shared base database: answers
+    equal the full model's each time, and the base is left as it was."""
+    from repro.magic.evaluate import PreparedQuery, base_database
+
+    program, edb = generated.program, generated.edb
+    full = evaluate(program, edb=edb)
+    base = base_database(program, edb)
+    facts_before = base.as_set()
+    relations_before = {p: base.get_relation(p) for p in base.predicates()}
+    # constants of the generated EDB, plus one that occurs nowhere
+    constants = [Const(c) for c in (0, 1, 3, 5, 99)]
+    for pred in sorted(program.idb_predicates()):
+        free = Var("S" if program.rules_for(pred)[0].is_grouping() else "Y")
+        prepared = PreparedQuery(
+            program, Query(Atom(pred, (constants[0], free))), rewrite=rewrite
+        )
+        for constant in constants:
+            query = Query(Atom(pred, (constant, free)))
+            result = prepared.answer(query, base)
+            assert result.answer_atoms() == full.answer_atoms(query), query
+            assert result.magic_program.seed.args == (constant,)
+            rows = prepared.rows(query, base)
+            assert [Atom(pred, r) for r in rows] == full.answer_atoms(query)
+    # the base is as it was: same facts, the very same relation objects
+    # (Relation has no __eq__), no copy-on-write flag left on any
+    assert base.as_set() == facts_before
+    assert {p: base.get_relation(p) for p in base.predicates()} == (
+        relations_before
+    )
+    assert not any(rel._cow for rel in relations_before.values())
+
+
+@given(generated_programs)
+@settings(max_examples=25, deadline=None)
+def test_prepared_query_reused_across_seeds(generated):
+    from repro.magic import magic_rewrite
+
+    _assert_prepared_equivalence(generated, magic_rewrite)
+
+
+@given(generated_programs)
+@settings(max_examples=15, deadline=None)
+def test_prepared_supplementary_reused_across_seeds(generated):
+    from repro.magic import supplementary_rewrite
+
+    _assert_prepared_equivalence(generated, supplementary_rewrite)

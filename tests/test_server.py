@@ -315,6 +315,80 @@ class TestConcurrency:
         assert stats["server"]["errors_total"] == 0
 
 
+class TestConcurrentColdReads:
+    """Cold bound queries share one prepared rewrite and the live EDB
+    relations; nothing a read does may be visible to the next one."""
+
+    CLIENTS = 8
+
+    def test_cold_bound_queries_share_live_relations(self, tmp_path):
+        from repro.server.cache import AnswerCache
+        from repro.workloads.social import SOCIAL_PROGRAM, social_network
+
+        edb = social_network(users=24, follows_per_user=3, interests=3, seed=5)
+        session = LDL(SOCIAL_PROGRAM, path=str(tmp_path / "db"))
+        session.add_atoms(edb)
+        oracle = LDL(SOCIAL_PROGRAM)
+        oracle.add_atoms(edb)
+        follows = session.store.database.get_relation("follows")
+        rows_before = len(follows)
+        indexes_before = set(follows._id_indexes) | set(follows._indexes)
+        cow_before = follows._cow
+        errors, answers = [], {}
+        start = threading.Barrier(self.CLIENTS)
+
+        def reader(st, i):
+            try:
+                with st.client() as client:
+                    start.wait(10)
+                    for user in (f"u{i}", f"u{i + 8}", f"u{i + 16}"):
+                        for q in (
+                            f"? influences({user}, X).",
+                            f"? recommend({user}, X).",
+                            f"? audience({user}, N).",
+                        ):
+                            response = client.call("query", q=q)
+                            assert response["cache"] == "miss", q
+                            answers[q] = client.query(q)
+            except Exception as exc:  # noqa: BLE001 - reported by main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # an explicit cache: REPRO_ANSWER_CACHE=off must not bypass
+            # the fill path this test is about
+            with ServerThread(session, cache=AnswerCache(capacity=8)) as st:
+                threads = [
+                    threading.Thread(target=reader, args=(st, i))
+                    for i in range(self.CLIENTS)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                    assert not t.is_alive(), "reader never finished"
+                with st.client() as client:
+                    stats = client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+        assert not errors, errors
+        assert len(answers) == self.CLIENTS * 9
+        for q, served in answers.items():
+            assert norm(served) == norm(oracle.query(q)), q
+        # three query forms, however many users asked
+        assert sorted(session._prepared) == [
+            ("audience", "bf"), ("influences", "bf"), ("recommend", "bf"),
+        ]
+        assert stats["answer_cache"]["magic_fallbacks"] == {}
+        # the live relation: same rows, indexes only ever added, and no
+        # copy-on-write flag left behind by any reader
+        assert len(follows) == rows_before
+        assert set(follows._id_indexes) | set(follows._indexes) >= indexes_before
+        assert follows._cow == cow_before
+
+
 class SlowReadSession(LDL):
     """A session whose model access stalls — a deliberately slow query."""
 
