@@ -64,7 +64,11 @@ class UpdateStats:
     ``"delta"``/``"recompute"`` for the legacy semi-naive-continuation
     and cone-recompute paths, ``"restore"`` for snapshot adoption and
     ``"none"`` for no-ops.  The ``overdeleted``/``rederived``/
-    ``count_adjusted`` counters are only nonzero under ``"maintain"``;
+    ``count_adjusted``/``component_recomputes`` counters are only
+    nonzero under ``"maintain"``: ``overdeleted`` counts what DRed
+    condemned, up to the cost gate when it fired, and
+    ``component_recomputes`` how many recursive components the gate
+    re-derived instead (their facts count in ``fixpoint.facts_derived``).
     ``lsn`` is stamped when the update came through the durable store.
     """
 
@@ -74,6 +78,7 @@ class UpdateStats:
     overdeleted: int = 0
     rederived: int = 0
     count_adjusted: int = 0
+    component_recomputes: int = 0
     lsn: int | None = None
     fixpoint: FixpointStats = field(default_factory=FixpointStats)
 
@@ -90,6 +95,7 @@ class MaintenanceTotals:
     overdeleted: int = 0
     rederived: int = 0
     count_adjusted: int = 0
+    component_recomputes: int = 0
     last_lsn: int | None = None
 
     def record(self, stats: UpdateStats) -> None:
@@ -104,6 +110,7 @@ class MaintenanceTotals:
         self.overdeleted += stats.overdeleted
         self.rederived += stats.rederived
         self.count_adjusted += stats.count_adjusted
+        self.component_recomputes += stats.component_recomputes
         if stats.lsn is not None:
             self.last_lsn = stats.lsn
 
@@ -116,6 +123,7 @@ class MaintenanceTotals:
             "overdeleted": self.overdeleted,
             "rederived": self.rederived,
             "count_adjusted": self.count_adjusted,
+            "component_recomputes": self.component_recomputes,
             "last_lsn": self.last_lsn,
         }
 
@@ -331,6 +339,10 @@ class IncrementalModel:
                 metrics.incr("maint_rederived", stats.rederived)
             if stats.count_adjusted:
                 metrics.incr("maint_count_adjusted", stats.count_adjusted)
+            if stats.component_recomputes:
+                metrics.incr(
+                    "maint_component_recomputes", stats.component_recomputes
+                )
         self.version += 1
         self._notify_delta(invalidation_of(batch, self.version))
         return stats

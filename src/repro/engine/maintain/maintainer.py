@@ -44,6 +44,11 @@ a positive occurrence over Δ+ while the remaining negations read an
 old-state overlay.  Overdeletion may condemn too much (that is DRed);
 the rederive pass and the insertion propagation run against the final
 new state and reinstate everything still derivable.
+
+A *cost gate* bounds DRed: past :data:`GATE_FRACTION` of the extension
+condemned, the component is instead re-derived from its (final) lower
+strata in private overlay relations — by Theorem 1 one fixpoint — and
+only the net difference is applied to the live relations.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.engine.database import Database
+from repro.engine.evaluator import evaluate_component
 from repro.engine.exec import (
     RowBatch,
     as_row_batch,
@@ -58,7 +64,7 @@ from repro.engine.exec import (
     enumerate_bindings,
 )
 from repro.engine.incremental import IncrementalModel, UpdateStats
-from repro.engine.relation import encode_args
+from repro.engine.relation import decode_row, encode_args
 from repro.engine.maintain import DeltaBatch
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.names import is_builtin_predicate
@@ -70,6 +76,21 @@ from repro.terms.term import SetVal, Term, evaluate_ground, intern_term
 
 #: per-predicate fact deltas accumulated while walking the schedule.
 Deltas = dict[str, list[Atom]]
+
+#: The DRed cost gate: past this fraction of a recursive component's
+#: extension condemned, overdeletion stops and the component is
+#: re-derived.  DRed condemning ~all of it cost 9.35 recomputes on the
+#: ledger probe (``maintain.delete_over_recompute_ratio``): break-even
+#: near 1/9, rounded up since the condemning is paid either way.
+GATE_FRACTION = 1 / 8
+
+#: Floor on the extension the budget is a fraction of: tiny components
+#: keep DRed, which is cheaper there than the recompute's fixed cost.
+GATE_MIN_EXTENSION = 32
+
+
+class _OverBudget(Exception):
+    """Overdeletion condemned past the cost gate's budget."""
 
 
 def _delta_batch(atoms: list[Atom]) -> RowBatch:
@@ -621,6 +642,8 @@ class DeltaMaintainer:
 
         overdeleted: dict[Atom, None] = {}  # insertion-ordered set
         frontier: dict[str, RowBatch] = {}
+        extension = sum(db.count(pred) for pred in comp)
+        budget = GATE_FRACTION * max(GATE_MIN_EXTENSION, extension)
 
         def condemn(fact: Atom) -> None:
             if fact in overdeleted:
@@ -629,68 +652,79 @@ class DeltaMaintainer:
                 return
             overdeleted[fact] = None
             _frontier_add(frontier, fact)
+            if len(overdeleted) > budget:
+                raise _OverBudget
 
-        for fact in group_removed:
-            condemn(fact)
-        old_neg_db: Database | None = None
-        for rule in rules:
-            for i, lit in enumerate(rule.body):
-                pred = lit.atom.pred
-                if is_builtin_predicate(pred):
-                    continue
-                if lit.positive:
-                    atoms = minus.get(pred)
-                    if not atoms:
-                        continue
-                    plan = ctx.plan_for(rule, first=i)
-                    stats.fixpoint.rule_firings += 1
-                    for fact in self._run(
-                        rule, plan, overrides={i: _delta_batch(atoms)}
-                    ):
-                        condemn(fact)
-                else:
-                    # a negated predicate gained facts: derivations that
-                    # matched them through the negation died.  Seed them
-                    # by flipping the literal to a positive occurrence
-                    # over Δ+; the remaining negations must read the OLD
-                    # state (new-state negation could hide old bindings).
-                    atoms = plus.get(pred)
-                    if not atoms:
-                        continue
-                    if old_neg_db is None:
-                        old_neg_db = self._old_negation_db(rules, plus)
-                    flipped = _flip(rule, i)
-                    plan = ctx.plan_for(flipped, first=i)
-                    stats.fixpoint.rule_firings += 1
-                    for fact in self._run(
-                        flipped, plan,
-                        overrides={i: _delta_batch(atoms)},
-                        negation_db=old_neg_db,
-                    ):
-                        condemn(fact)
-
-        # semi-naive overdelete propagation within the component.  The
-        # database still holds every condemned fact, so each wave joins
-        # against full old-state support; negation reads old ∪ Δ+,
-        # which blocks at least what the old state blocked — anything
-        # it hides is exactly the flip-seeded case above.
         comp_occurrences = [
             (rule, i, lit.atom.pred)
             for rule in rules
             for i, lit in enumerate(rule.body)
             if lit.positive and lit.atom.pred in comp
         ]
-        while frontier:
-            wave, frontier = frontier, {}
-            stats.fixpoint.iterations += 1
-            for rule, i, pred in comp_occurrences:
-                source = wave.get(pred)
-                if not source:
-                    continue
-                plan = ctx.plan_for(rule, first=i)
-                stats.fixpoint.rule_firings += 1
-                for fact in self._run(rule, plan, overrides={i: source}):
-                    condemn(fact)
+        try:
+            for fact in group_removed:
+                condemn(fact)
+            old_neg_db: Database | None = None
+            for rule in rules:
+                for i, lit in enumerate(rule.body):
+                    pred = lit.atom.pred
+                    if is_builtin_predicate(pred):
+                        continue
+                    if lit.positive:
+                        atoms = minus.get(pred)
+                        if not atoms:
+                            continue
+                        plan = ctx.plan_for(rule, first=i)
+                        stats.fixpoint.rule_firings += 1
+                        for fact in self._run(
+                            rule, plan, overrides={i: _delta_batch(atoms)}
+                        ):
+                            condemn(fact)
+                    else:
+                        # a negated predicate gained facts: derivations
+                        # matching them through the negation died.  Seed
+                        # them by flipping the literal positive over Δ+;
+                        # the other negations must read the OLD state
+                        # (new-state negation could hide old bindings).
+                        atoms = plus.get(pred)
+                        if not atoms:
+                            continue
+                        if old_neg_db is None:
+                            old_neg_db = self._old_negation_db(rules, plus)
+                        flipped = _flip(rule, i)
+                        plan = ctx.plan_for(flipped, first=i)
+                        stats.fixpoint.rule_firings += 1
+                        for fact in self._run(
+                            flipped, plan,
+                            overrides={i: _delta_batch(atoms)},
+                            negation_db=old_neg_db,
+                        ):
+                            condemn(fact)
+
+            # semi-naive overdelete propagation within the component.
+            # The database still holds every condemned fact, so each
+            # wave joins against full old-state support; negation reads
+            # old ∪ Δ+, which blocks at least what the old state blocked
+            # — anything it hides is exactly the flip-seeded case above.
+            while frontier:
+                wave, frontier = frontier, {}
+                stats.fixpoint.iterations += 1
+                for rule, i, pred in comp_occurrences:
+                    source = wave.get(pred)
+                    if not source:
+                        continue
+                    plan = ctx.plan_for(rule, first=i)
+                    stats.fixpoint.rule_firings += 1
+                    for fact in self._run(rule, plan, overrides={i: source}):
+                        condemn(fact)
+        except _OverBudget:
+            # nothing is discarded yet and the step-A group state is
+            # final: re-derive over the lower strata's new state.
+            for atom in restored:
+                db.discard(atom)
+            stats.overdeleted += len(overdeleted)
+            self._recompute_component(component, plus, minus, stats)
+            return
 
         # C. apply: drop the condemned facts, un-restore the lower
         # deltas.  The database is now at the final new state for every
@@ -792,6 +826,43 @@ class DeltaMaintainer:
                 stats.facts_removed += len(removed_facts)
             if added_facts:
                 plus.setdefault(pred, []).extend(added_facts)
+
+    def _recompute_component(
+        self,
+        component: SCCComponent,
+        plus: Deltas,
+        minus: Deltas,
+        stats: UpdateStats,
+    ) -> None:
+        """Re-derive a recursive component from its final lower strata
+        into private overlay relations (old facts cannot support
+        themselves there), then apply only the ID-row diff in place:
+        the live relations and their indexes, which prepared queries
+        share, survive, and Atoms are built for the diff only."""
+        db = self._model.database
+        ctx = self._model._context
+        heads = {(r.head.pred, len(r.head.args)) for r in component.rules}
+        view = db.overlay(private=heads)
+        scc = evaluate_component(
+            view, component, ctx.over(view, hooks=ctx.hooks)
+        )
+        stats.component_recomputes += 1
+        stats.fixpoint.merge(scc.fixpoint)
+        stats.fixpoint.facts_derived += scc.grouping_facts
+        for pred, arity in heads:
+            live = db.relation(pred, arity)
+            old_rows, new_rows = live.id_rows(), view.id_rows(pred)
+            left = [Atom(pred, decode_row(row)) for row in old_rows - new_rows]
+            came = [Atom(pred, decode_row(row)) for row in new_rows - old_rows]
+            for fact in left:
+                live.discard(fact.args)
+            for fact in came:
+                live.add(fact.args)
+            if left:
+                minus.setdefault(pred, []).extend(left)
+                stats.facts_removed += len(left)
+            if came:
+                plus.setdefault(pred, []).extend(came)
 
     def _old_negation_db(self, rules, plus: Deltas) -> Database:
         """Old-state overlay for every negated predicate of the

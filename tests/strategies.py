@@ -4,8 +4,13 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.program.rule import Atom, Program, Rule
 from repro.terms.term import Const, Func, SetVal, Var
-from repro.workloads.generator import GeneratorConfig, random_program
+from repro.workloads.generator import (
+    GeneratedProgram,
+    GeneratorConfig,
+    random_program,
+)
 
 #: Symbols drawn from a small pool so collisions (and therefore
 #: interesting set overlaps) are common.
@@ -90,8 +95,33 @@ generated_programs = st.builds(
 )
 
 
+def dense_recursive_program(seed: int) -> GeneratedProgram:
+    """A generated program whose recursive predicates are non-empty and
+    dense.  The generator's recursive rule ``p(X, Z) <- b(X, Y), ...,
+    p(Y, Z)`` is the only rule for ``p``, so its least fixpoint is
+    empty; an exit rule ``p(X, Y) <- b(X, Y)`` on the same binder gives
+    it a base case, and a small constant pool with many base facts
+    makes the closures dense enough for one deletion to condemn a large
+    share of them."""
+    generated = random_program(
+        seed,
+        GeneratorConfig(
+            negation_probability=0.4, grouping_probability=0.35,
+            recursion_probability=0.9, constants=5, edb_facts=30,
+        ),
+    )
+    rules = list(generated.program.rules)
+    for rule in generated.program.rules:
+        if rule.body[-1].atom.pred == rule.head.pred:
+            binder = rule.body[0].atom
+            rules.append(
+                Rule(Atom(rule.head.pred, binder.args), [rule.body[0]])
+            )
+    return GeneratedProgram(Program(rules), generated.edb)
+
+
 @st.composite
-def update_scripts(draw, max_ops: int = 6):
+def update_scripts(draw, max_ops: int = 6, dense: bool = False):
     """A generated program plus an interleaved insert/delete script.
 
     Returns ``(generated, initial, ops)`` where ``initial`` is the
@@ -100,19 +130,20 @@ def update_scripts(draw, max_ops: int = 6):
     same fact pool.  Removals are drawn twice as often as insertions so
     deletion paths (overdelete/rederive, negation flips, group
     shrinkage) dominate; atoms repeat across steps on purpose, so
-    no-op inserts and deletes of absent facts occur too.
+    no-op inserts and deletes of absent facts occur too.  ``dense``
+    draws :func:`dense_recursive_program` programs instead, starts from
+    the whole fact pool and runs at least two steps, so deletions
+    inside recursive components are frequent and large.
     """
-    generated = draw(st.builds(
-        lambda seed: random_program(
-            seed,
-            GeneratorConfig(
-                negation_probability=0.4, grouping_probability=0.35
-            ),
-        ),
-        st.integers(min_value=0, max_value=100_000),
-    ))
-    pool = list(dict.fromkeys(generated.edb))
-    initial = pool[: draw(st.integers(min_value=0, max_value=len(pool)))]
+    if dense:
+        generated = draw(st.builds(
+            dense_recursive_program, st.integers(min_value=0, max_value=100_000)
+        ))
+        pool = initial = list(dict.fromkeys(generated.edb))
+    else:
+        generated = draw(generated_programs)
+        pool = list(dict.fromkeys(generated.edb))
+        initial = pool[: draw(st.integers(min_value=0, max_value=len(pool)))]
     ops = draw(
         st.lists(
             st.tuples(
@@ -124,6 +155,7 @@ def update_scripts(draw, max_ops: int = 6):
                     unique=True,
                 ),
             ),
+            min_size=2 if dense else 0,
             max_size=max_ops,
         )
     )

@@ -1,16 +1,19 @@
 """Tests for the differential maintenance engine (repro.engine.maintain).
 
 Unit coverage for the mode knob, the published :class:`DeltaBatch`,
-LSN stamping through the durable store, and the trace event — plus a
-hypothesis differential: random interleaved insert/delete scripts
-(deletion-heavy, through grouping and negation cones) must leave the
-delta-maintained model, the recompute-maintained model, and a
-from-scratch evaluation in exact agreement.
+LSN stamping through the durable store, the trace event and the DRed
+cost gate — plus a hypothesis differential: random interleaved
+insert/delete scripts (deletion-heavy, through grouping and negation
+cones) must leave the delta-maintained model, the recompute-maintained
+model, and a from-scratch evaluation in exact agreement, with the gate
+forced, disabled and at its default.
 """
+
+import math
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.engine import evaluate
 from repro.engine.incremental import IncrementalModel
@@ -19,11 +22,12 @@ from repro.engine.maintain import (
     maintain_mode,
     set_maintain_mode,
 )
+from repro.engine.maintain import maintainer
 from repro.errors import EvaluationError
 from repro.observe import TraceRecorder
 from repro.parser import parse_atom, parse_rules
 from repro.storage.store import DurableStore
-from tests.strategies import update_scripts
+from tests.strategies import dense_recursive_program, update_scripts
 
 ANCESTOR = parse_rules(
     """
@@ -210,25 +214,189 @@ class TestDurableLSN:
             assert stats.lsn is not None
 
 
-@given(update_scripts())
-@settings(max_examples=15, deadline=None)
-def test_property_delta_recompute_and_scratch_agree(script):
-    generated, initial, ops = script
-    delta = IncrementalModel(generated.program, initial, maintain="delta")
-    oracle = IncrementalModel(
-        generated.program, initial, maintain="recompute"
-    )
-    current = dict.fromkeys(initial)
-    for op, batch in ops:
-        if op == "add":
-            delta.add_facts(batch)
-            oracle.add_facts(batch)
-            current.update(dict.fromkeys(batch))
-        else:
-            delta.remove_facts(batch)
-            oracle.remove_facts(batch)
-            for atom in batch:
-                current.pop(atom, None)
-        expected = scratch_set(generated.program, current)
-        assert delta.as_set() == expected
-        assert oracle.as_set() == expected
+INFLUENCE = parse_rules(
+    """
+    influences(A, B) <- follows(B, A).
+    influences(A, B) <- influences(A, C), follows(B, C).
+    """
+)
+
+#: a 40-node ring plus chords i -> i+2 from every even node: strongly
+#: connected, so the closure holds all 1 600 pairs and every chord is
+#: redundant (i -> i+1 -> i+2 covers it).
+RING = [(i, (i + 1) % 40) for i in range(40)]
+CHORDS = [(i, (i + 2) % 40) for i in range(0, 40, 2)]
+
+
+def follows(*edges):
+    return [parse_atom(f"follows(u{a}, u{b})") for a, b in edges]
+
+
+def without(edb, gone):
+    return [a for a in edb if a not in gone]
+
+
+class TestCostGate:
+    def test_redundant_edge_fires_gate_and_changes_nothing_above(
+        self, monkeypatch
+    ):
+        edb = follows(*RING, *CHORDS)
+        chord = follows((0, 2))
+        published = []
+        model = IncrementalModel(INFLUENCE, edb, maintain="delta")
+        model.add_delta_listener(published.append)
+        stats = model.remove_facts(chord)
+        assert stats.component_recomputes == 1
+        # overdeleted counts what DRed condemned before the gate fired
+        assert stats.overdeleted == int(maintainer.GATE_FRACTION * 1600) + 1
+        assert stats.facts_removed == 0
+        batch = model.last_delta
+        assert "influences" not in batch.inserted
+        assert "influences" not in batch.deleted
+        assert model.as_set() == scratch_set(INFLUENCE, without(edb, chord))
+        # DRed run to completion invalidates exactly the same predicates
+        monkeypatch.setattr(maintainer, "GATE_FRACTION", math.inf)
+        dred = IncrementalModel(INFLUENCE, edb, maintain="delta")
+        dred.add_delta_listener(published.append)
+        assert dred.remove_facts(chord).component_recomputes == 0
+        assert published[0].preds == published[1].preds == {"follows"}
+
+    def test_bridge_edge_deletes_exactly_the_net_change(self):
+        ring = [(i, (i + 1) % 20) for i in range(20)]
+        bridge = follows((0, 20))
+        edb = follows(*ring, *[(a + 20, b + 20) for a, b in ring]) + bridge
+        model = IncrementalModel(INFLUENCE, edb, maintain="delta")
+        before = model.as_set()
+        stats = model.remove_facts(bridge)
+        after = scratch_set(INFLUENCE, without(edb, bridge))
+        assert stats.component_recomputes == 1
+        assert model.as_set() == after
+        lost = {a for a in before - after if a.pred == "influences"}
+        assert len(lost) == 400  # every second-ring node over the first
+        assert set(model.last_delta.deleted["influences"]) == lost
+        assert "influences" not in model.last_delta.inserted
+        assert stats.facts_removed == 400
+        assert stats.fixpoint.facts_derived == 800  # what was re-derived
+
+    def test_grouping_rule_in_the_component_agrees_with_group_state(
+        self, monkeypatch
+    ):
+        program = parse_rules(
+            """
+            adj(X, <Y>) <- edge(X, Y).
+            adj(X, S) <- alias(X, Y), adj(Y, S).
+            """
+        )
+        grouping = program.rules[0]
+        chain = [f"alias(n{i}, n{i + 1})" for i in range(39)]
+        edb = atoms(*chain, "edge(n39, a)", "edge(n39, b)", "edge(n5, c)")
+        model = IncrementalModel(program, edb, maintain="delta")
+        stats = model.remove_facts(atoms("edge(n39, b)"))
+        edb = without(edb, atoms("edge(n39, b)"))
+        assert stats.component_recomputes == 1
+        assert model.as_set() == scratch_set(program, edb)
+        state = model._maintainer._groups[grouping]
+        groups = scratch_set(parse_rules("adj(X, <Y>) <- edge(X, Y)."), edb)
+        assert set(state.facts.values()) == {
+            a for a in groups if a.pred == "adj"
+        }
+        # a later DRed update runs on that group state
+        monkeypatch.setattr(maintainer, "GATE_FRACTION", math.inf)
+        stats = model.remove_facts(atoms("edge(n5, c)"))
+        assert stats.component_recomputes == 0 and stats.overdeleted
+        edb = without(edb, atoms("edge(n5, c)"))
+        assert model.as_set() == scratch_set(program, edb)
+
+    def test_negation_below_the_component(self):
+        program = parse_rules(
+            """
+            reach(X, Y) <- follows(X, Y), ~banned(Y).
+            reach(X, Y) <- reach(X, Z), follows(Z, Y), ~banned(Y).
+            """
+        )
+        edb = follows(*RING, *CHORDS)
+        model = IncrementalModel(program, edb, maintain="delta")
+        # banning u5 kills every path through it: the flip-seeded
+        # overdeletion runs past the gate
+        stats = model.add_facts(atoms("banned(u5)"))
+        assert stats.component_recomputes == 1
+        expected = scratch_set(program, edb + atoms("banned(u5)"))
+        assert model.as_set() == expected
+        assert len([a for a in expected if a.pred == "reach"]) == 1560
+        model.remove_facts(atoms("banned(u5)"))
+        assert model.as_set() == scratch_set(program, edb)
+
+    def test_traced_model_equals_scratch(self):
+        recorder = TraceRecorder()
+        edb = follows(*RING, *CHORDS)
+        model = IncrementalModel(
+            INFLUENCE, edb, hooks=recorder, maintain="delta"
+        )
+        stats = model.remove_facts(follows((4, 6)))
+        assert stats.component_recomputes == 1
+        expected = scratch_set(INFLUENCE, without(edb, follows((4, 6))))
+        assert model.as_set() == expected
+        (event,) = [e for e in recorder.events if e.kind == "delta_batch"]
+        assert event.payload["deleted"] == 1
+
+    def test_counter_reaches_totals_and_report(self):
+        edb = follows(*RING, *CHORDS)
+        model = IncrementalModel(INFLUENCE, edb, maintain="delta")
+        model.remove_facts(follows((0, 2)))
+        assert model.maintenance.component_recomputes == 1
+        assert model.maintenance.report()["component_recomputes"] == 1
+
+
+def _pinned_dense_script():
+    """A dense script known to take both branches at the default gate,
+    so the branch assertion below never rests on what hypothesis drew."""
+    generated = dense_recursive_program(1)
+    pool = list(dict.fromkeys(generated.edb))
+    return generated, pool, [("remove", pool[i:i + 2]) for i in range(0, 12, 2)]
+
+
+def test_property_delta_recompute_and_scratch_agree(monkeypatch):
+    """delta == recompute == scratch with the DRed cost gate forced
+    (fraction 0), never firing (infinite fraction) and at its default;
+    dense-recursive scripts make the default gate fire, so the default
+    run must take both branches."""
+    for fraction, expected_branches in (
+        (0, {"gate"}),
+        (math.inf, {"dred"}),
+        (maintainer.GATE_FRACTION, {"gate", "dred"}),
+    ):
+        monkeypatch.setattr(maintainer, "GATE_FRACTION", fraction)
+        taken: set[str] = set()
+
+        @given(update_scripts(dense=True) | update_scripts())
+        @example(_pinned_dense_script())
+        @settings(max_examples=20, deadline=None)
+        def agree(script):
+            generated, initial, ops = script
+            delta = IncrementalModel(
+                generated.program, initial, maintain="delta"
+            )
+            oracle = IncrementalModel(
+                generated.program, initial, maintain="recompute"
+            )
+            current = dict.fromkeys(initial)
+            for op, batch in ops:
+                if op == "add":
+                    stats = delta.add_facts(batch)
+                    oracle.add_facts(batch)
+                    current.update(dict.fromkeys(batch))
+                else:
+                    stats = delta.remove_facts(batch)
+                    oracle.remove_facts(batch)
+                    for atom in batch:
+                        current.pop(atom, None)
+                if stats.component_recomputes:
+                    taken.add("gate")
+                elif stats.overdeleted:
+                    taken.add("dred")
+                expected = scratch_set(generated.program, current)
+                assert delta.as_set() == expected
+                assert oracle.as_set() == expected
+
+        agree()
+        assert taken == expected_branches, fraction
