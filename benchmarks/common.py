@@ -1133,78 +1133,3 @@ def e22_maintenance() -> list[dict]:
 
 EXPERIMENTS["E22"] = e22_maintenance
 EXPERIMENT_TITLES["E22"] = "differential maintenance vs cone recompute"
-
-
-# -- E23: partitioned evaluation — speedup vs worker count --------------------
-
-#: Worker counts for every E23 speedup curve.  ``workers=1`` is the
-#: byte-identical serial engine and the per-workload baseline the
-#: speedup column divides by.
-E23_WORKERS = (1, 2, 4)
-
-
-def e23_parallel() -> list[dict]:
-    """Speedup-vs-workers curves for the partitioned evaluator.
-
-    Three curves reuse the E1/E6/E21 workload shapes (recursive chain,
-    parts explosion, wide non-recursive join) so parallel numbers line
-    up with the serial tables; the fourth is a large random follows
-    graph under the linear reachability program — the one workload big
-    enough for partitioning to amortize its fork/shuffle overhead.
-    Its edge count defaults to one million and can be scaled with
-    ``REPRO_E23_EDGES`` (CI uses a smaller graph to keep the job
-    short).  Speedups are only meaningful on multi-core machines: on a
-    single CPU the curve measures pure partitioning overhead.
-    """
-    import os
-
-    from repro.terms.term import Const
-    from repro.workloads.social import REACH_PROGRAM, follow_graph
-
-    def parallel_case(workload, program, edb, workers):
-        def run():
-            from repro.observe import MetricsCollector
-
-            return evaluate(
-                program, edb=edb, workers=workers,
-                metrics=MetricsCollector(),
-            )
-
-        return case(workload, f"workers={workers}", run, lambda r: r.total_facts)
-
-    cases = []
-    anc = parse_rules(ANCESTOR_RULES)
-    anc_edb = chain_family(400)
-    for workers in E23_WORKERS:
-        cases.append(parallel_case("anc chain n=400", anc, anc_edb, workers))
-    scoped = parse_rules(TC_SCOPED_PROGRAM)
-    bom_edb, expected = bom(depth=3, fanout=2, seed=7)
-    for workers in E23_WORKERS:
-        cases.append(
-            parallel_case(f"scoped-tc {len(expected)} parts", scoped, bom_edb, workers)
-        )
-    wide = parse_rules("j(X, Y) <- r(K, X), s(K, Y).")
-    wide_edb = []
-    for k in range(40):
-        key = Const(f"k{k}")
-        for i in range(60):
-            wide_edb.append(Atom("r", (key, Const(f"x{k}_{i}"))))
-            wide_edb.append(Atom("s", (key, Const(f"y{k}_{i}"))))
-    for workers in E23_WORKERS:
-        cases.append(
-            parallel_case("wide join 40keys 60x60", wide, wide_edb, workers)
-        )
-    edges = int(os.environ.get("REPRO_E23_EDGES", "1000000"))
-    reach_edb = follow_graph(max(10, edges // 5), edges, seed=0)
-    reach = parse_rules(REACH_PROGRAM)
-    for workers in E23_WORKERS:
-        cases.append(
-            parallel_case(f"social reach {edges} edges", reach, reach_edb, workers)
-        )
-    return cases
-
-
-EXPERIMENTS["E23"] = e23_parallel
-EXPERIMENT_TITLES["E23"] = (
-    "partitioned evaluation: speedup vs worker count"
-)

@@ -16,7 +16,6 @@ Run:  python benchmarks/harness.py                 # all experiments
       python benchmarks/harness.py --executor tuple E1   # force an executor
       python benchmarks/harness.py --vector off E1       # disable vector kernels
       python benchmarks/harness.py --maintain recompute E22  # force a maintenance mode
-      python benchmarks/harness.py --workers 4 E1        # partitioned evaluation
 
 ``--out`` writes the regression-tracking payload (per-case wall time
 plus fixpoint counters); ``--check`` compares a fresh run against such
@@ -141,8 +140,6 @@ def _format_phases(report: dict) -> str:
         "kernel_calls",
         "kernel_rows",
         "rows_per_dispatch",
-        "shuffle_rows",
-        "shuffle_bytes",
         "maintain_dispatches",
         "maintain_rows",
         "maintain_rows_per_dispatch",
@@ -154,20 +151,6 @@ def _format_phases(report: dict) -> str:
     for name in sorted(counters):
         if name not in known:
             parts.append(f"{name}={counters[name]}")
-    # Partitioned runs attach one entry per worker; the counter families
-    # above are already the cross-worker aggregate (the collector folds
-    # them), so all the table needs per worker is its busy time — one
-    # compact bracket, not one counter line per worker.
-    worker_entries = report.get("workers", [])
-    if worker_entries:
-        parts.append(
-            "workers["
-            + " ".join(
-                f"{entry['worker']}:{entry['seconds'] * 1000:.0f}ms"
-                for entry in worker_entries
-            )
-            + "]"
-        )
     join_orders = report.get("join_orders", [])
     if join_orders:
         parts.append(f"join_orders={len(join_orders)}")
@@ -325,14 +308,6 @@ def main(argv: list[str]) -> None:
         from repro.engine.maintain import set_maintain_mode
 
         set_maintain_mode(maintain)
-    argv, workers = _take_flag_with_value(argv, "--workers")
-    if workers is not None:
-        # process-wide worker count for partitioned evaluation (same as
-        # REPRO_WORKERS); cases that pass an explicit workers=, like
-        # E23's speedup curves, keep their pin.
-        from repro.engine.shard import set_default_workers
-
-        set_default_workers(int(workers))
     repeats = 3
     if "--quick" in argv:
         argv = [a for a in argv if a != "--quick"]

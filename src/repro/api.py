@@ -113,7 +113,6 @@ class LDL:
         compact_every: int = 1024,
         metrics: MetricsCollector | None = None,
         maintain: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self._lock = threading.RLock()
         self._program = Program()
@@ -139,11 +138,6 @@ class LDL:
         # (differential maintenance) or "recompute" (cone recompute);
         # None defers to the process default (REPRO_MAINTAIN).
         self._maintain = maintain
-        # partitioned-evaluation worker count; None defers to the
-        # process default (REPRO_WORKERS, normally 1 — serial).  Only
-        # in-memory model computation parallelizes; a tracing session
-        # stays serial (per-fact hook order is serial-only).
-        self._workers = workers
         # invalidation listeners: registered on the durable model (and
         # re-registered whenever rules force it to reopen), notified
         # directly for in-memory updates and rule loads.
@@ -352,7 +346,6 @@ class LDL:
                     edb=self._edb,
                     strategy=strategy,
                     hooks=self._hooks,
-                    workers=self._workers,
                 )
             return self._cached_result
 

@@ -132,13 +132,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record engine events and print a per-layer trace summary",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="partitioned-evaluation worker processes "
-        "(default: REPRO_WORKERS or 1 — serial)",
-    )
     return parser
 
 
@@ -180,14 +173,6 @@ def run(argv: list[str] | None = None, out=None, stdin=None) -> int:
         from repro.engine.exec import set_vectorization
 
         set_vectorization(args.vector)
-    if args.workers is not None:
-        from repro.engine.shard import set_default_workers
-
-        try:
-            set_default_workers(args.workers)
-        except ValueError as exc:
-            echo(f"error: {exc}")
-            return 2
     try:
         source = Path(args.file).read_text()
     except OSError as exc:

@@ -213,16 +213,9 @@ def evaluate(
     — e.g. a :class:`~repro.observe.TraceRecorder`); ``metrics``
     collects per-phase, per-layer, and per-SCC wall-clock timings.
 
-    ``workers`` selects partitioned parallel evaluation (None reads the
-    process default — ``REPRO_WORKERS``, normally 1).  ``workers=1`` IS
-    the serial engine: the code path below is byte-for-byte the
-    single-process evaluator.  With ``workers > 1`` the SCC schedule is
-    driven through a forked :class:`~repro.engine.shard.pool.WorkerPool`
-    — the model computed is the same (the differential suite holds this)
-    but per-fact hook events and iteration counts are not part of the
-    contract, so the parallel path only engages for the default
-    observable surface: semi-naive strategy, SCC scheduler, no hooks,
-    and a fork-capable platform; anything else falls back to serial.
+    ``workers`` is accepted and ignored — evaluation is always serial;
+    the keyword stays only because the frozen ledger probe still passes
+    ``workers=2``, and goes with that probe.
     """
     if check:
         check_program(program)
@@ -245,37 +238,6 @@ def evaluate(
 
     run_fixpoint = naive_fixpoint if strategy == "naive" else seminaive_fixpoint
     schedule = scc_schedule(program, layering) if scheduler == "scc" else None
-
-    from repro.engine.shard import resolve_workers
-
-    nworkers = resolve_workers(workers)
-    if (
-        nworkers > 1
-        and strategy == "seminaive"
-        and scheduler == "scc"
-        and not ctx.observing
-    ):
-        from repro.engine.shard.pool import (
-            WorkerPool,
-            fork_available,
-            run_schedule,
-        )
-
-        if fork_available():
-            with WorkerPool(
-                nworkers,
-                db,
-                schedule,
-                planner=planner,
-                executor=executor,
-                metrics=metrics,
-            ) as pool:
-                layer_stats = run_schedule(db, schedule, ctx, pool, layering)
-            if metrics is not None:
-                metrics.record_id_table(id_table_size())
-            return EvaluationResult(
-                db, layering, layer_stats, strategy, metrics, ctx
-            )
 
     layer_stats: list[LayerStats] = []
     for i in range(len(layering)):

@@ -139,32 +139,6 @@ class DerivedRows:
         self.decode = decode
 
 
-def as_row_batch(pred: str, arity: int, atoms) -> RowBatch:
-    """Wrap ground atoms as an override-ready :class:`RowBatch`.
-
-    Override sources flow into every executor lane carrying both the ID
-    rows (the specialized lane reads ``batch.rows`` directly — zero
-    re-encoding) and the verbatim argument tuples (the term-lane
-    executors iterate them).  Atoms that already carry their ID row
-    (``_row``, attached by the fixpoint and the maintenance engine)
-    contribute it as-is; others encode once here.  This is the shape
-    the shard exchange re-partitions and the maintenance boundary
-    dispatches, instead of re-encoding to atoms per stage.
-    """
-    from repro.engine.relation import encode_args
-
-    batch = RowBatch(pred, arity)
-    rows = batch.rows
-    args_lane = batch.args
-    for atom in atoms:
-        row = getattr(atom, "_row", None)
-        if row is None:
-            row = encode_args(atom.args)
-        rows.append(row)
-        args_lane.append(atom.args)
-    return batch
-
-
 def enumerate_bindings(
     db: Database,
     plan: RulePlan,
@@ -271,7 +245,6 @@ __all__ = [
     "VECTOR_MODES",
     "DerivedRows",
     "RowBatch",
-    "as_row_batch",
     "default_executor",
     "set_default_executor",
     "specialization",

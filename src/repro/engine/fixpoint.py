@@ -51,9 +51,7 @@ class FixpointStats:
 
 def occurrence_index(rules: Sequence[Rule]) -> list[tuple[Rule, int]]:
     """The (rule, body occurrence) pairs semi-naive rounds iterate:
-    every positive non-builtin body literal of every rule.  Shared with
-    the partitioned evaluator, whose workers walk the same index so
-    parallel rounds fire the same rule applications."""
+    every positive non-builtin body literal of every rule."""
     index: list[tuple[Rule, int]] = []
     for rule in rules:
         for i, lit in enumerate(rule.body):

@@ -160,6 +160,9 @@ class IncrementalModel:
         self._schedule = scc_schedule(program, self.layering)
         self._idb = program.idb_predicates()
         self._edb_facts: set[Atom] = set()
+        # program facts of derived predicates (``anc(z, z).`` beside
+        # ``anc`` rules): unconditional derivations, never deleted.
+        self._idb_facts: set[Atom] = set()
         self.database = materialized if materialized is not None else Database()
         # one context for the model's lifetime: rule plans compiled for
         # the first update are reused by every later delta/recompute.
@@ -187,7 +190,8 @@ class IncrementalModel:
         else:
             # initial build is always a full layered evaluation: a delta
             # continuation would miss derivations from program facts,
-            # which are in ``_edb_facts`` but not yet in the database.
+            # which are in ``_edb_facts`` / ``_idb_facts`` but not yet in
+            # the database.
             for atom in edb:
                 fact = self._canonical(atom)
                 if fact.pred in self._idb:
@@ -350,8 +354,14 @@ class IncrementalModel:
     def _install_program_facts(self) -> None:
         for rule in self.program.facts():
             fact = self._canonical(rule.head)
-            if fact.pred not in self._idb:
+            if fact.pred in self._idb:
+                self._idb_facts.add(fact)
+            else:
                 self._edb_facts.add(fact)
+
+    def program_facts_of(self, preds) -> set[Atom]:
+        """The program facts of derived predicates among ``preds``."""
+        return {f for f in self._idb_facts if f.pred in preds}
 
     def _affected_cone(self, changed: set[str]) -> set[str]:
         """Changed predicates plus everything depending on them."""
@@ -395,6 +405,8 @@ class IncrementalModel:
                 stats.facts_removed += 1
             # changed EDB facts are reinstated from _edb_facts below
         for atom in self._edb_facts:
+            fresh.add(atom)
+        for atom in self._idb_facts:
             fresh.add(atom)
         self.database = fresh
         # cached plans stay valid across swaps: the sized-once policy

@@ -59,7 +59,6 @@ from repro.engine.database import Database
 from repro.engine.evaluator import evaluate_component
 from repro.engine.exec import (
     RowBatch,
-    as_row_batch,
     derive_facts,
     enumerate_bindings,
 )
@@ -96,8 +95,18 @@ class _OverBudget(Exception):
 def _delta_batch(atoms: list[Atom]) -> RowBatch:
     """A maintenance delta as an override-ready row batch: ID rows ride
     along with the argument tuples, so the specialized executors consume
-    the delta without re-encoding at the maintenance boundary."""
-    return as_row_batch(atoms[0].pred, len(atoms[0].args), atoms)
+    the delta without re-encoding at the maintenance boundary.  Atoms
+    that already carry their ID row (``_row``) contribute it as-is."""
+    batch = RowBatch(atoms[0].pred, len(atoms[0].args))
+    rows = batch.rows
+    args_lane = batch.args
+    for atom in atoms:
+        row = getattr(atom, "_row", None)
+        if row is None:
+            row = encode_args(atom.args)
+        rows.append(row)
+        args_lane.append(atom.args)
+    return batch
 
 
 def _frontier_add(frontier: dict, fact: Atom) -> None:
@@ -277,8 +286,11 @@ class DeltaMaintainer:
                 self._counts[rule] = counts
         if not component.recursive:
             # single predicate by construction (no self-loop): aggregate
-            # support is the sum over rules, one per current group fact.
-            agg: dict[Atom, int] = {}
+            # support is the sum over rules, one per current group fact,
+            # plus one that never goes away per program fact.
+            agg: dict[Atom, int] = dict.fromkeys(
+                model.program_facts_of(component.preds), 1
+            )
             for rule in component.rules:
                 if rule.is_grouping():
                     for fact in self._groups[rule].facts.values():
@@ -644,9 +656,11 @@ class DeltaMaintainer:
         frontier: dict[str, RowBatch] = {}
         extension = sum(db.count(pred) for pred in comp)
         budget = GATE_FRACTION * max(GATE_MIN_EXTENSION, extension)
+        # program facts hold unconditionally: never condemned
+        pinned = model.program_facts_of(comp)
 
         def condemn(fact: Atom) -> None:
-            if fact in overdeleted:
+            if fact in overdeleted or (pinned and fact in pinned):
                 return
             if not db.contains_tuple(fact.pred, fact.args):
                 return
@@ -843,6 +857,8 @@ class DeltaMaintainer:
         ctx = self._model._context
         heads = {(r.head.pred, len(r.head.args)) for r in component.rules}
         view = db.overlay(private=heads)
+        for fact in self._model.program_facts_of(component.preds):
+            view.add(fact)
         scc = evaluate_component(
             view, component, ctx.over(view, hooks=ctx.hooks)
         )

@@ -94,17 +94,11 @@ class Relation:
         "_indexes",
         "_decoded",
         "_cow",
-        "partition",
     )
 
     def __init__(self, pred: str, arity: int) -> None:
         self.pred = pred
         self.arity = arity
-        # (key_column, nparts, index) when this relation holds one hash
-        # partition of a larger extension (see :meth:`split`); None for
-        # an unpartitioned relation.  Metadata only — membership and
-        # join semantics never read it.
-        self.partition: tuple[int, int, int] | None = None
         self._rowpos: dict[IdRow, int] = {}
         self._columns: tuple[array, ...] = tuple(
             array("q") for _ in range(arity)
@@ -429,56 +423,6 @@ class Relation:
             self._indexes[positions] = index
         return index
 
-    def split(self, partitioner) -> list["Relation"]:
-        """Hash-partition this relation on the partitioner's key column.
-
-        Returns ``partitioner.nparts`` relations whose extensions are
-        disjoint and cover this one; each carries ``partition``
-        metadata.  The split reads one ``array('q')`` ID lane straight
-        through (``partitioner.split_indices`` — one consistent-hash
-        memo hit per row) and gathers rows and the verbatim term lane
-        by position, so the per-partition cost is the gather, not a
-        re-encode.  Relations of arity 0 land wholly in partition 0.
-        """
-        key = min(partitioner.key, self.arity - 1) if self.arity else 0
-        rows = list(self._rowpos)
-        decoded = self._decoded
-        parts: list[Relation] = []
-        if self.arity:
-            by_part = partitioner.split_indices(self._columns[key])
-        else:
-            by_part = [list(range(len(rows)))] + [
-                [] for _ in range(partitioner.nparts - 1)
-            ]
-        for index, positions in enumerate(by_part):
-            part = Relation(self.pred, self.arity)
-            part.partition = (key, partitioner.nparts, index)
-            for pos in positions:
-                part.add_row(rows[pos], decoded[pos])
-            parts.append(part)
-        return parts
-
-    @classmethod
-    def merge(cls, parts: Iterable["Relation"]) -> "Relation":
-        """Reassemble partitions into one unpartitioned relation — the
-        inverse of :meth:`split` up to row order (which is not part of
-        the relation contract)."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("cannot merge zero partitions")
-        merged = cls(parts[0].pred, parts[0].arity)
-        for part in parts:
-            if (part.pred, part.arity) != (merged.pred, merged.arity):
-                raise ValueError(
-                    f"cannot merge {part.pred}/{part.arity} into "
-                    f"{merged.pred}/{merged.arity}"
-                )
-            rows = list(part._rowpos)
-            decoded = part._decoded
-            for pos, row in enumerate(rows):
-                merged.add_row(row, decoded[pos])
-        return merged
-
     def copy(self) -> "Relation":
         """A logically independent clone, *including* already-built
         indexes of both families (columnar ID indexes and term-level
@@ -504,7 +448,6 @@ class Relation:
         clone._id_indexes = self._id_indexes
         clone._indexes = self._indexes
         clone._decoded = self._decoded
-        clone.partition = self.partition
         clone._cow = True
         self._cow = True
         return clone

@@ -33,6 +33,12 @@ def adorned_name(pred: str, adornment: str) -> str:
     return f"{pred}__{adornment}"
 
 
+def unadorned_name(name: str) -> str:
+    """The original predicate of an adorned name (inverse of
+    :func:`adorned_name`; adornments never contain ``__``)."""
+    return name.rpartition("__")[0]
+
+
 def atom_adornment(atom: Atom, bound_vars: set[str]) -> str:
     """b/f string for ``atom`` given the currently bound variables.
 

@@ -10,7 +10,10 @@ therefore alternates:
    non-deferred modified rules (all positive, so order-free);
 2. **deferred step** — one application of each deferred rule
    (grouping / negation on derived predicates) against the saturated
-   database;
+   database, lowest layer of the original program first; a layer that
+   derives anything new ends the step before any higher layer runs,
+   since a higher layer's rules may negate or group over what it
+   derived (and over the demand that derivation creates);
 
 repeating until the deferred step derives nothing new.  A final
 validation recomputes every deferred rule and checks it derives exactly
@@ -51,8 +54,10 @@ from repro.errors import (
     UnstableMagicEvaluationError,
 )
 from repro.observe import EngineHooks
+from repro.magic.adornment import unadorned_name
 from repro.magic.rewrite import MagicProgram, magic_rewrite
 from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
+from repro.program.stratify import stratify
 from repro.program.wellformed import check_program
 from repro.terms.term import evaluate_ground
 
@@ -144,7 +149,8 @@ class PreparedQuery:
     """
 
     __slots__ = (
-        "program", "rewrite", "magic_program", "schedule", "private", "context",
+        "program", "rewrite", "magic_program", "schedule", "deferred",
+        "private", "context",
     )
 
     def __init__(
@@ -168,6 +174,16 @@ class PreparedQuery:
                 Program(mp.magic_rules + mp.modified_rules)
             )
             if c.rules
+        )
+        #: the deferred rules grouped by the original program's layer
+        #: of their head predicate, lowest first.
+        layering = stratify(program)
+        by_layer: dict[int, list[Rule]] = {}
+        for rule in mp.deferred_rules:
+            layer = layering.index(unadorned_name(rule.head.pred))
+            by_layer.setdefault(layer, []).append(rule)
+        self.deferred = tuple(
+            tuple(by_layer[layer]) for layer in sorted(by_layer)
         )
         heads = {(r.head.pred, len(r.head.args)) for r in mp.all_rules()}
         heads.add((mp.seed.pred, mp.seed.arity))
@@ -238,12 +254,15 @@ class PreparedQuery:
                         single_pass(db, component.rules, context=ctx)
                     )
             changed = False
-            for rule in mp.deferred_rules:
-                for fact in _apply_deferred(rule, db, context=ctx):
-                    derived_by_rule[rule].add(fact)
-                    if db.add(fact):
-                        stats.deferred_facts += 1
-                        changed = True
+            for layer_rules in self.deferred:
+                for rule in layer_rules:
+                    for fact in _apply_deferred(rule, db, context=ctx):
+                        derived_by_rule[rule].add(fact)
+                        if db.add(fact):
+                            stats.deferred_facts += 1
+                            changed = True
+                if changed:
+                    break
             if not changed:
                 break
 

@@ -437,7 +437,6 @@ class MetricsCollector:
     layers: list[tuple[int, float]] = field(default_factory=list)
     sccs: list[dict] = field(default_factory=list)
     join_orders: list[dict] = field(default_factory=list)
-    workers: list[dict] = field(default_factory=list)
 
     def add_time(self, phase: str, seconds: float) -> None:
         self.phases[phase] = self.phases.get(phase, 0.0) + seconds
@@ -505,13 +504,6 @@ class MetricsCollector:
         counters["kernel_calls"] = counters.get("kernel_calls", 0) + calls
         counters["kernel_rows"] = counters.get("kernel_rows", 0) + rows
 
-    def record_shuffle(self, rows: int, nbytes: int) -> None:
-        """Exchange traffic: ``rows`` ID rows framed for the wire in
-        ``nbytes`` payload bytes (counted on the sending side)."""
-        counters = self.counters
-        counters["shuffle_rows"] = counters.get("shuffle_rows", 0) + rows
-        counters["shuffle_bytes"] = counters.get("shuffle_bytes", 0) + nbytes
-
     def record_maintain_dispatch(self, rows: int) -> None:
         """One maintenance delta dispatched as a row batch (``rows``
         rows); :meth:`report` derives ``maintain_rows_per_dispatch``."""
@@ -520,28 +512,6 @@ class MetricsCollector:
             counters.get("maintain_dispatches", 0) + 1
         )
         counters["maintain_rows"] = counters.get("maintain_rows", 0) + rows
-
-    def record_worker(self, wid: int, seconds: float, counters: dict) -> None:
-        """One worker's lifetime tallies, folded into the run's counter
-        families — a parallel run reports ONE ``kernel_calls`` /
-        ``shuffle_rows`` total, not one line per worker — with the
-        per-worker breakdown kept under ``workers`` for drill-down.
-        High-water-mark counters (``id_table_size``, ``batch_peak``)
-        fold by max, everything else by sum."""
-        self.workers.append(
-            {
-                "worker": wid,
-                "seconds": round(seconds, 6),
-                "counters": dict(counters),
-            }
-        )
-        own = self.counters
-        for name, value in counters.items():
-            if name in ("id_table_size", "batch_peak"):
-                if value > own.get(name, 0):
-                    own[name] = value
-            else:
-                own[name] = own.get(name, 0) + value
 
     def record_id_table(self, size: int) -> None:
         """Snapshot the dense term-ID table size (distinct interned
@@ -567,7 +537,7 @@ class MetricsCollector:
             counters["maintain_rows_per_dispatch"] = round(
                 counters.get("maintain_rows", 0) / dispatches, 1
             )
-        report = {
+        return {
             "phases": dict(self.phases),
             "counters": counters,
             "layers": [
@@ -577,9 +547,6 @@ class MetricsCollector:
             "sccs": [dict(entry) for entry in self.sccs],
             "join_orders": [dict(entry) for entry in self.join_orders],
         }
-        if self.workers:
-            report["workers"] = [dict(entry) for entry in self.workers]
-        return report
 
     def format(self) -> str:
         parts = [

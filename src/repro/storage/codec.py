@@ -198,92 +198,6 @@ def loads_atom(text: str | bytes) -> Atom:
     return decode_atom(loads(text))
 
 
-# -- batch wire framing (the partitioned evaluator's exchange format) --------
-#
-# A row batch crossing a process boundary is framed in two lanes: rows
-# whose IDs all sit below the intern-table *watermark* agreed at the
-# worker handshake travel as raw ints (dense IDs mean the same term on
-# both sides — see ``repro.terms.term.sync_intern_terms``), and rows
-# touching any fresher ID travel as self-describing codec lines
-# (:func:`dumps_id_row`) that re-intern on arrival.  The raw lane is
-# the overwhelmingly common case once the EDB is interned, so a shuffle
-# costs one flat int list per batch instead of a JSON tree per row.
-
-
-def encode_row_batch(
-    pred: str, arity: int, rows, watermark: int
-) -> tuple[str, int, list[int], list[str]]:
-    """Frame ID rows for the wire: ``(pred, arity, raw, coded)``.
-
-    ``raw`` is the flattened int lane of rows fully below ``watermark``;
-    ``coded`` holds one canonical atom line per remaining row.
-    """
-    raw: list[int] = []
-    coded: list[str] = []
-    for row in rows:
-        if row and max(row) < watermark:
-            raw.extend(row)
-        else:
-            coded.append(dumps_id_row(pred, row))
-    return (pred, arity, raw, coded)
-
-
-def decode_row_batch(
-    payload: tuple[str, int, list[int], list[str]]
-) -> tuple[str, int, list[tuple[int, ...]]]:
-    """Inverse of :func:`encode_row_batch` — ``(pred, arity, rows)``.
-
-    Raw-lane rows are reassembled directly; coded-lane rows re-intern
-    their terms bottom-up (fresh terms get local IDs), exactly as
-    :func:`decode_atom_row` does for persisted facts.
-    """
-    pred, arity, raw, coded = payload
-    if arity > 0:
-        rows = [
-            tuple(raw[i : i + arity]) for i in range(0, len(raw), arity)
-        ]
-    elif raw:
-        raise StorageError("raw lane carries no arity-0 rows")
-    else:
-        rows = []
-    for line in coded:
-        cpred, row = decode_atom_row(loads(line))
-        if cpred != pred or len(row) != arity:
-            raise StorageError(
-                f"row batch for {pred}/{arity} carries a {cpred}/{len(row)} line"
-            )
-        rows.append(row)
-    return pred, arity, rows
-
-
-def row_batch_bytes(payload: tuple[str, int, list[int], list[str]]) -> int:
-    """Approximate wire size of one framed batch (shuffle accounting)."""
-    _, _, raw, coded = payload
-    return 8 * len(raw) + sum(len(line) for line in coded)
-
-
-def intern_table_lines(start: int = 0) -> list[str]:
-    """Codec fragments of the dense-ID table from ``start``, in
-    assignment order — the handshake payload a fresh worker replays
-    through :func:`sync_intern_lines`."""
-    from repro.terms.term import intern_snapshot
-
-    return [term_fragment(term) for term in intern_snapshot(start)]
-
-
-def sync_intern_lines(lines: list[str], expect_start: int) -> None:
-    """Replay a coordinator's intern-table fragments (see
-    :func:`repro.terms.term.sync_intern_terms`)."""
-    from repro.terms.term import sync_intern_terms
-
-    try:
-        sync_intern_terms(
-            (decode_term(loads(line)) for line in lines), expect_start
-        )
-    except ValueError as exc:
-        raise StorageError(f"intern-table handshake failed: {exc}") from exc
-
-
 def check_version(version) -> None:
     """Reject payloads written by a codec newer than this module."""
     if not isinstance(version, int) or version < 1:

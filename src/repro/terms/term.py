@@ -558,11 +558,9 @@ def _assign_ids(term: Term) -> None:
 
     Composite terms assign their subterms first — Func args left to
     right, set elements in iteration order (the same walk
-    ``encode_term`` takes) — so the dense-ID table stays topological.
-    :func:`intern_snapshot` replay depends on that: a fresh process
-    re-interning the table's codec fragments bottom-up must land every
-    entry on the sender's exact ID, which fails if a subterm's first
-    table appearance is *inside* a composite entry.
+    ``encode_term`` takes) — so the dense-ID table stays topological:
+    every subterm of an entry has a lower ID than the entry, and a
+    quoted string's unquoted twin is registered before it.
     """
     if term._tid is None:
         if isinstance(term, Func):
@@ -725,75 +723,27 @@ def id_table_size() -> int:
     return len(_ID_TABLE)
 
 
-def intern_snapshot(start: int = 0) -> list[Term]:
-    """The dense-ID table slice ``[start:]``, in assignment order.
-
-    The partitioned evaluator ships this (as codec fragments) to fresh
-    worker processes so their dense IDs agree with the coordinator's:
-    assignment order is replayable because the table is topological —
-    every subterm of an entry was interned (and got its ID) before the
-    entry itself, and ``_assign_ids`` registers a quoted string's
-    unquoted twin eagerly, so the twin always precedes it.
-    """
-    return _ID_TABLE[start:]
-
-
-def sync_intern_terms(terms: Iterable[Term], expect_start: int) -> None:
-    """Replay another process's dense-ID assignments from ``expect_start``.
-
-    Interns each term in table order and verifies it lands on the exact
-    ID the sending process assigned — the intern-table handshake of the
-    partitioned evaluator.  After a successful sync every ID below the
-    sender's watermark denotes the same term in both processes, so ID
-    rows below the watermark can cross the process boundary as raw
-    ints.  Raises :class:`ValueError` when the local table diverges
-    (IDs assigned since the snapshot, or a non-topological snapshot);
-    callers surface that as an evaluation error.
-    """
-    table = _ID_TABLE
-    if len(table) < expect_start:
-        raise ValueError(
-            f"intern-table sync expects {expect_start} assigned IDs, "
-            f"have {len(table)}"
-        )
-    for offset, term in enumerate(terms):
-        expected = expect_start + offset
-        if expected < len(table):
-            local = table[expected]
-            if local is term or (
-                local == term
-                and getattr(local, "quoted", None) == getattr(term, "quoted", None)
-            ):
-                continue
-            raise ValueError(
-                f"intern-table sync diverged at ID {expected}: "
-                f"local {local!r} vs remote {term!r}"
-            )
-        assigned = term_id(intern_term(term))
-        if assigned != expected:
-            raise ValueError(
-                f"intern-table sync assigned ID {assigned} where the "
-                f"sender had {expected} ({term!r})"
-            )
-
-
 def clear_intern_table() -> None:
     """Release every interned representative (the shared constants below
-    are re-seeded).  Existing terms stay valid and keep their
-    ``_interned`` flag — they remain canonical for themselves; only
-    identity sharing with terms interned later is lost.  The dense ID
-    tables reset with the intern table: relations populated before a
+    are re-seeded).  Existing terms stay valid but lose their
+    ``_interned`` flag and dense IDs, so interning one again registers
+    it afresh instead of returning an ID that now names another term;
+    only identity sharing with terms interned later is lost.  The dense
+    ID tables reset with the intern table: relations populated before a
     clear must not outlive it (their row IDs would dangle), which holds
     for the intended use between independent server workloads."""
+    for term in _ID_TABLE:
+        term._interned = False
+        term._tid = None
+        term._rid = None
     _INTERN_TABLE.clear()
     _ID_TABLE.clear()
     _NUM_TABLE.clear()
     _EQ_IDS.clear()
     for term in (EMPTY_SET, BOTTOM):
         _INTERN_TABLE.setdefault(_intern_key(term), term)
-        term._tid = None
-        term._rid = None
         _assign_ids(term)
+        term._interned = True
     for listener in list(_CLEAR_LISTENERS):
         listener()
 

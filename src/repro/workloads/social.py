@@ -36,43 +36,6 @@ recommend(A, B) <- candidate(A, B), ~follows(A, B).
 """
 
 
-#: Bounded reachability from a seed user: linear in the edge count
-#: (unlike the full influences closure, which is quadratic on dense
-#: graphs).  This is the shape the E23 parallel-speedup benchmark runs
-#: over million-edge graphs from :func:`follow_graph`.
-REACH_PROGRAM = """
-reach(U) <- source(U).
-reach(V) <- reach(U), follows(U, V).
-"""
-
-
-def follow_graph(users: int, edges: int, seed: int = 0) -> list[Atom]:
-    """Exactly ``edges`` distinct random follows over ``users`` users.
-
-    Unlike :func:`social_network` (whose duplicate-discarding loop
-    makes the edge count only approximate), this generator is for
-    benchmarks that advertise an exact edge count ("a million-edge
-    graph"): it draws pairs until precisely ``edges`` distinct
-    ``follows(uA, uB)`` facts exist, plus one ``source(u0)`` seed fact
-    for :data:`REACH_PROGRAM`.  Deterministic for a given seed.
-    """
-    if edges > users * (users - 1):
-        raise ValueError(
-            f"cannot place {edges} distinct edges on {users} users"
-        )
-    rng = random.Random(seed)
-    consts = [Const(f"u{u}") for u in range(users)]
-    seen: set[tuple[int, int]] = set()
-    facts: list[Atom] = [Atom("source", (consts[0],))]
-    while len(seen) < edges:
-        u = rng.randrange(users)
-        v = rng.randrange(users)
-        if v != u and (u, v) not in seen:
-            seen.add((u, v))
-            facts.append(Atom("follows", (consts[u], consts[v])))
-    return facts
-
-
 def social_network(
     users: int, follows_per_user: int = 4, interests: int = 5, seed: int = 0
 ) -> list[Atom]:

@@ -37,6 +37,14 @@ def _extend_ground(children: st.SearchStrategy) -> st.SearchStrategy:
 #: Arbitrary canonical ground terms (members of the LDL1 universe).
 ground_terms = st.recursive(scalar_constants, _extend_ground, max_leaves=12)
 
+#: Ground terms whose leaves may also be quoted strings (equal to the
+#: bare symbol, interned as a distinct representative).
+quoted_ground_terms = st.recursive(
+    scalar_constants | symbols.map(lambda name: Const(name, quoted=True)),
+    _extend_ground,
+    max_leaves=12,
+)
+
 #: Ground sets only.
 ground_sets = st.builds(
     lambda items: SetVal(items), st.lists(ground_terms, max_size=5)
@@ -81,17 +89,23 @@ def _extend_python(children: st.SearchStrategy) -> st.SearchStrategy:
 #: scalars, non-empty tuples, and frozensets, nested freely.
 python_values = st.recursive(python_scalars, _extend_python, max_leaves=10)
 
+
+def generated_program(seed: int) -> GeneratedProgram:
+    """The program :data:`generated_programs` draws for ``seed`` (for
+    pinning a found example with ``@example``)."""
+    return random_program(
+        seed,
+        GeneratorConfig(negation_probability=0.4, grouping_probability=0.35),
+    )
+
+
 #: Random admissible programs (with their base facts), negation and
 #: grouping turned up so stratified features are exercised often.
 #: Backed by the seeded workload generator, so shrinking reduces to
 #: smaller seeds rather than structurally smaller programs — acceptable
 #: for differential tests whose failures are rerun by seed.
 generated_programs = st.builds(
-    lambda seed: random_program(
-        seed,
-        GeneratorConfig(negation_probability=0.4, grouping_probability=0.35),
-    ),
-    st.integers(min_value=0, max_value=100_000),
+    generated_program, st.integers(min_value=0, max_value=100_000)
 )
 
 

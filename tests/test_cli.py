@@ -76,6 +76,12 @@ class TestCli:
         assert code == 2
         assert "cannot read" in output
 
+    def test_workers_flag_rejected(self, family_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke([family_file, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "bad.ldl"
         path.write_text("p(1")

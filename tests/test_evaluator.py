@@ -50,6 +50,11 @@ class TestSimplePrograms:
         result = run("")
         assert result.total_facts == 0
 
+    def test_workers_keyword_is_ignored(self, ancestor_program):
+        # still accepted for callers that pass it; evaluation is serial
+        program, _ = parse_program(ancestor_program)
+        assert evaluate(program, workers=2).database == evaluate(program).database
+
 
 class TestNegation:
     def test_excl_ancestor(self):

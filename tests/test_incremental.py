@@ -179,6 +179,60 @@ class TestConeLocality:
         assert parse_atom("anc(seed, root)") in model.database
 
 
+class TestDerivedProgramFacts:
+    """A program fact of a derived predicate holds unconditionally."""
+
+    SOURCE = """
+    anc(z, z).
+    anc(X, Y) <- parent(X, Y).
+    anc(X, Y) <- parent(X, Z), anc(Z, Y).
+    named(z).
+    named(X) <- parent(X, _).
+    """
+    PROGRAM = parse_rules(SOURCE)
+    CHAIN = [f"parent(n{i}, n{i + 1})" for i in range(12)] + ["parent(n12, z)"]
+    #: each step adds or removes base facts whose cone contains ``anc``
+    #: (recursive: DRed below and above the cost gate) and ``named``
+    #: (non-recursive: support counting), and could condemn the facts.
+    SCRIPT = [
+        ("add", ["parent(z, y)", "parent(y, z)"]),
+        ("remove", ["parent(y, z)"]),
+        ("add", CHAIN),
+        ("remove", ["parent(n0, n1)"]),
+        ("remove", ["parent(z, y)"]),
+    ]
+
+    @pytest.mark.parametrize("mode", ["delta", "recompute"])
+    def test_model_equals_evaluate_through_updates(self, mode):
+        model = IncrementalModel(self.PROGRAM, maintain=mode)
+        assert fresh_model_equals(model)
+        edb: set = set()
+        for op, sources in self.SCRIPT:
+            facts = atoms(*sources)
+            if op == "add":
+                model.add_facts(facts)
+                edb.update(facts)
+            else:
+                model.remove_facts(facts)
+                edb.difference_update(facts)
+            assert model.as_set() == evaluate(self.PROGRAM, edb=edb).database.as_set()
+            assert parse_atom("anc(z, z)") in model.database
+            assert parse_atom("named(z)") in model.database
+
+    def test_durable_session_equals_in_memory(self, tmp_path):
+        from repro.api import LDL
+
+        with LDL(self.SOURCE, path=str(tmp_path / "db")) as dur:
+            mem = LDL(self.SOURCE)
+            for session in (mem, dur):
+                assert session.query("? anc(z, Y).") == [{"Y": "z"}]
+                session.facts("parent", [("y", "z"), ("x", "y")])
+                session.remove("parent", "y", "z")
+            for pred in ("anc", "named"):
+                assert dur.extension(pred) == mem.extension(pred)
+            assert dur.query("? anc(z, Y).") == mem.query("? anc(z, Y).")
+
+
 edge_lists = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6)),
     min_size=1,

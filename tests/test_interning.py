@@ -4,17 +4,25 @@ Interning is an identity fast path layered over structural equality:
 every canonicalization entry point (ground evaluation, the storage
 codec, and therefore the wire protocol, which reuses the codec) must
 hand back the one canonical representative, and nothing about a term's
-cached state may leak through serialization boundaries.
+cached state may leak through serialization boundaries.  The dense-ID
+table is topological (subterms and a quoted string's bare twin first),
+including after :func:`clear_intern_table`.
 """
 
 import pickle
+from contextlib import contextmanager
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.codec import decode_atom, decode_term, encode_atom, encode_term
+from repro.terms import term as term_module
 from repro.terms.term import (
     Const,
     Func,
     SetPattern,
     SetVal,
+    clear_intern_table,
     evaluate_ground,
     id_table_size,
     intern_const,
@@ -23,6 +31,62 @@ from repro.terms.term import (
     term_id,
     term_of_id,
 )
+
+from tests.strategies import quoted_ground_terms
+
+
+@contextmanager
+def isolated_intern_table():
+    """Let a block intern or clear freely, then restore the process-wide
+    intern table as it was.
+
+    Relations and memos built by other tests hold dense IDs of the
+    current table, so it must come back with every entry's cached IDs.
+    Terms the block interned must go too: sets and functors intern by
+    structural equality, which ignores quoting, so a canonical
+    ``{'c'}`` left behind would make a later test's ``{c}`` print quoted.
+    """
+    lists = (term_module._ID_TABLE, term_module._NUM_TABLE)
+    dicts = (term_module._INTERN_TABLE, term_module._EQ_IDS)
+    saved_lists = [list(table) for table in lists]
+    saved_dicts = [dict(table) for table in dicts]
+    entries = [(t, t._interned, t._tid, t._rid) for t in term_module._ID_TABLE]
+    try:
+        yield
+    finally:
+        for t in term_module._ID_TABLE:
+            t._interned, t._tid, t._rid = False, None, None
+        # mutate in place: other modules hold these very objects
+        for table, saved in zip(lists, saved_lists):
+            table[:] = saved
+        for table, saved in zip(dicts, saved_dicts):
+            table.clear()
+            table.update(saved)
+        for t, interned, tid, rid in entries:
+            t._interned, t._tid, t._rid = interned, tid, rid
+        for listener in term_module._CLEAR_LISTENERS:
+            listener()
+
+
+def assert_topological(start: int = 0) -> None:
+    """Every ID-table entry from ``start`` has lower-ID subterms, and a
+    quoted string's unquoted twin has a lower ID.  Checking registers
+    nothing new (each subterm is already in the table)."""
+    size = id_table_size()
+    for tid in range(start, size):
+        entry = term_of_id(tid)
+        assert entry._tid == tid
+        if isinstance(entry, Func):
+            children = entry.args
+        elif isinstance(entry, SetVal):
+            children = tuple(entry)
+        else:
+            children = ()
+        for child in children:
+            assert term_id(child) < tid, (entry, child)
+        if isinstance(entry, Const) and isinstance(entry.value, str) and entry.quoted:
+            assert term_id(Const(entry.value)) < tid, entry
+    assert id_table_size() == size
 
 
 def test_evaluate_ground_returns_interned_representative():
@@ -156,3 +220,45 @@ def test_id_assignment_covers_subterms():
     for element in nested.args[0]:
         assert term_of_id(term_id(element)) is intern_term(element)
         assert term_of_id(term_id(element)) == element
+
+
+def test_clear_drops_dense_ids_of_surviving_terms():
+    # a term interned before a clear must not keep an ID that the
+    # refilled table hands to a different term
+    with isolated_intern_table():
+        clear_intern_table()
+        b = intern_term(Const("b"))
+        g = intern_term(Func("g", (b,)))
+        clear_intern_table()
+        intern_term(Const("y"))
+        intern_term(Const("z"))
+        assert not b._interned and b._tid is None
+        assert term_of_id(term_id(b)) is b
+        assert term_of_id(row_id(b)) is b
+        assert intern_term(g) is g
+        assert term_of_id(term_id(g)) is g
+
+
+def test_id_table_is_topological():
+    assert_topological()
+
+
+@given(st.lists(quoted_ground_terms, min_size=1, max_size=6))
+@settings(max_examples=50)
+def test_id_table_stays_topological_for_new_terms(terms):
+    with isolated_intern_table():
+        start = id_table_size()
+        for term in terms:
+            term_id(term)
+        assert_topological(start)
+
+
+@given(st.lists(quoted_ground_terms, min_size=1, max_size=6))
+@settings(max_examples=25)
+def test_id_table_stays_topological_after_clear(terms):
+    with isolated_intern_table():
+        survivors = [intern_term(term) for term in terms]
+        clear_intern_table()
+        for term in survivors:
+            assert term_of_id(term_id(term)) == term
+        assert_topological()

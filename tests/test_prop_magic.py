@@ -1,6 +1,6 @@
 """Property-based equivalence tests for magic sets (Theorem 4)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import evaluate
@@ -9,7 +9,7 @@ from repro.magic import evaluate_magic
 from repro.parser import parse_rules
 from repro.program.rule import Atom, Query
 from repro.terms.term import Const, Var
-from tests.strategies import generated_programs
+from tests.strategies import generated_program, generated_programs
 
 TC_RULES = """
 t(X, Y) <- e(X, Y).
@@ -220,6 +220,9 @@ def _assert_prepared_equivalence(generated, rewrite):
 
 
 @given(generated_programs)
+# a deferred rule negating a predicate whose own rule is deferred one
+# layer lower: it must not fire before that layer has settled
+@example(generated_program(59833))
 @settings(max_examples=25, deadline=None)
 def test_prepared_query_reused_across_seeds(generated):
     from repro.magic import magic_rewrite
@@ -228,6 +231,7 @@ def test_prepared_query_reused_across_seeds(generated):
 
 
 @given(generated_programs)
+@example(generated_program(9548))  # the same, through supplementary rules
 @settings(max_examples=15, deadline=None)
 def test_prepared_supplementary_reused_across_seeds(generated):
     from repro.magic import supplementary_rewrite
