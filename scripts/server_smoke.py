@@ -5,7 +5,9 @@ Starts the server as a real subprocess on a temp durable store — line
 protocol plus HTTP gateway (``--http 0``) — runs a scripted client
 session (updates, queries under every strategy, an explain, stats),
 drives the answer cache through a full hit/invalidate/hit cycle over
-both protocols, SIGTERMs it, and then restarts to assert the graceful
+both protocols (plus a query whose variable names sort against their
+positions, whose hits must answer like its miss), SIGTERMs it, and then
+restarts to assert the graceful
 shutdown checkpointed: the second start must restore from the snapshot
 with zero WAL records replayed and still answer the same queries.
 
@@ -184,6 +186,27 @@ def main() -> None:
                     "cache stats",
                     cache_stats["hits"] >= 2
                     and cache_stats["entries_invalidated"] >= 1,
+                )
+
+                # variable names out of position order: answers sort by
+                # name, not by row; e(5, 0) makes the two orders differ
+                client.add_facts("e", [(5, 0)])
+                swapped = {"q": "? t(Y, X)."}
+                miss = client.call("query", **swapped)
+                hit = client.call("query", **swapped)
+                status, http_hit = http_call(
+                    http_port, "POST", "/v1/query", swapped
+                )
+                uncached = client.call("query", **swapped, cache=False)
+                check(
+                    "out-of-order names: hits answer like the miss",
+                    status == 200
+                    and [miss["cache"], hit["cache"], http_hit["cache"]]
+                    == ["miss", "hit", "hit"]
+                    and miss["answers"]
+                    == hit["answers"]
+                    == http_hit["answers"]
+                    == uncached["answers"],
                 )
         finally:
             out = stop_server(proc)

@@ -8,10 +8,27 @@ and its session and memoizes query answers across clients:
   recorded with its position, every non-ground argument is *relaxed* to
   a fresh, distinct variable.  ``? p(f(X), a)`` and ``? p(Y, a)`` thus
   share one entry — the cache stores full ground argument **rows** for
-  the relaxed pattern and re-derives each caller's bindings by matching
-  the caller's own atom against the rows (repeated variables, compound
-  patterns, and arithmetic in ground positions all fall out of
-  :func:`repro.engine.match.match_atom`).
+  the relaxed pattern, sorted and distinct, and derives each caller's
+  bindings from them.
+
+* **Binding.**  A *plain* query — every non-ground argument a distinct
+  variable, the shape of nearly every bound query — binds straight
+  from the rows: its bound positions are equal in every row, so row
+  order is binding order whenever its variable names sort in position
+  order, and one sort by the permuted key otherwise.  Other patterns
+  (repeated variables, compound arguments) and subsumed hits re-match
+  the caller's own atom against the rows through
+  :func:`repro.engine.match.match_atom`, deduplicating and sorting
+  like :func:`repro.engine.evaluator.answer_query`.
+
+* **Wire memo.**  The first exact hit of a plain query in wire form
+  (:meth:`AnswerCache.answers` with ``wire=True``) keeps the encoded
+  answers on the entry, keyed by the query's variable names;
+  :meth:`AnswerCache.memoized` then answers the same query with dict
+  lookups only, which is cheap enough for the server's event loop.
+  Fills never build it — most entries of a cold workload are evicted
+  unread, and ~300 B of tagged trees per row would tax every one of
+  them — and it goes wherever its entry goes.
 
 * **Subsumption.**  A miss on the exact key scans the predicate's other
   entries for a *broader* one — same predicate, bound positions a
@@ -74,6 +91,7 @@ from repro.errors import (
 )
 from repro.program.dependency import dependency_graph
 from repro.program.rule import Atom, Query
+from repro.server.protocol import encode_binding
 from repro.terms.term import Term, Var, evaluate_ground
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,9 +114,10 @@ def cache_enabled(default: bool = True) -> bool:
 
 class _Entry:
     """Rows for one relaxed pattern, stamped with the model's update
-    version at fill time (None for in-memory sessions)."""
+    version at fill time (None for in-memory sessions), plus the wire
+    answers of the plain queries that have hit it, by variable names."""
 
-    __slots__ = ("key", "rows", "version")
+    __slots__ = ("key", "rows", "version", "wire")
 
     def __init__(
         self, key: Key, rows: tuple[tuple[Term, ...], ...], version: int | None
@@ -106,6 +125,32 @@ class _Entry:
         self.key = key
         self.rows = rows
         self.version = version
+        self.wire: dict[tuple[str, ...], list[dict]] = {}
+
+
+def _plain_bindings(
+    adornment: str, names: tuple[str, ...], rows: tuple[tuple[Term, ...], ...]
+) -> list[dict]:
+    """Bindings of a plain query straight from its own entry's rows.
+
+    The rows are distinct, sorted, and equal at every bound position,
+    so each row yields one binding, no two alike, and row order sorts
+    them by the values of the free positions in position order.
+    ``answer_query`` sorts by variable name instead: the same order
+    when the names sort in position order, else one sort by the
+    permuted key.  Keys stay in position order, as ``match_atom``
+    inserts them.
+    """
+    if rows and len(rows[0]) != len(adornment):
+        return []  # an arity no row has: match_atom matches nothing
+    free = [i for i, a in enumerate(adornment) if a == "f"]
+    by_name = [i for _, i in sorted(zip(names, free))]
+    if by_name != free:
+        rows = sorted(rows, key=lambda r: [r[i].sort_key() for i in by_name])
+    if len(free) == 1:
+        (name,), (i,) = names, free
+        return [{name: row[i]} for row in rows]
+    return [dict(zip(names, [row[i] for i in free])) for row in rows]
 
 
 def _bindings(
@@ -173,35 +218,79 @@ class AnswerCache:
 
     # -- answering ---------------------------------------------------------
 
-    def answers(self, query: Query) -> tuple[list[dict], str]:
-        """Answer ``query``; returns ``(bindings, how)`` where ``how``
+    def answers(self, query: Query, wire: bool = False) -> tuple[list[dict], str]:
+        """Answer ``query``; returns ``(answers, how)`` where ``how``
         is ``"hit"``, ``"hit-subsumed"``, ``"miss"``, or
-        ``"unsatisfiable"`` (a ground argument fell outside U)."""
+        ``"unsatisfiable"`` (a ground argument fell outside U).
+
+        The answers are ``{variable: term}`` bindings or, with ``wire``,
+        their protocol encoding ``{variable: tagged tree}``
+        (:func:`repro.server.protocol.encode_binding`); an exact hit of
+        a plain query in wire form leaves that encoding on its entry
+        for :meth:`memoized`.
+        """
         try:
-            key, pattern, relaxed = self._analyze(query)
+            key, pattern, relaxed, names = self._analyze(query)
         except (NotInUniverseError, EvaluationError):
             return [], "unsatisfiable"
+        how = "miss"
         with self._mutex:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return _bindings(pattern, entry.rows), "hit"
-            donor = self._subsuming_entry(key)
-            if donor is not None:
-                self._entries.move_to_end(donor.key)
-                self.hits += 1
-                self.subsumed += 1
-                return _bindings(pattern, donor.rows), "hit-subsumed"
-        # miss: evaluate outside the mutex (possibly slow), then insert.
-        rows, version = self._load(key, relaxed)
+                how = "hit"
+            else:
+                entry = self._subsuming_entry(key)
+                if entry is not None:
+                    self._entries.move_to_end(entry.key)
+                    self.hits += 1
+                    self.subsumed += 1
+                    how = "hit-subsumed"
+        if entry is not None:
+            rows = entry.rows
+        else:
+            # miss: evaluate outside the mutex (possibly slow), then insert.
+            rows, version = self._load(key, relaxed)
+            with self._mutex:
+                self.misses += 1
+                if key not in self._entries:
+                    self._entries[key] = _Entry(key, rows, version)
+                    while len(self._entries) > self.capacity:
+                        self._entries.popitem(last=False)
+        if names is None or how == "hit-subsumed":
+            bindings = _bindings(pattern, rows)
+        else:
+            bindings = _plain_bindings(key[1], names, rows)
+        if not wire:
+            return bindings, how
+        encoded = [encode_binding(b) for b in bindings]
+        if how == "hit" and names is not None:
+            entry.wire[names] = encoded
+        return encoded, how
+
+    def memoized(self, query: Query) -> list[dict] | None:
+        """The wire answers an earlier exact hit left for ``query``, or
+        None when there are none (nothing is counted then).  The list
+        is the memo itself, shared by every reply: never mutate it.
+
+        Dict lookups only — no evaluation, matching or encoding — so
+        the server calls it on its event loop; the mutex it takes is
+        never held across more than dict operations.
+        """
+        try:
+            key, _, _, names = self._analyze(query)
+        except (NotInUniverseError, EvaluationError):
+            return None
+        if names is None:
+            return None
         with self._mutex:
-            self.misses += 1
-            if key not in self._entries:
-                self._entries[key] = _Entry(key, rows, version)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-        return _bindings(pattern, rows), "miss"
+            entry = self._entries.get(key)
+            encoded = None if entry is None else entry.wire.get(names)
+            if encoded is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return encoded
 
     def _subsuming_entry(self, key: Key) -> _Entry | None:
         """A broader entry able to answer ``key`` by filtering, if any.
@@ -220,20 +309,25 @@ class AnswerCache:
         return None
 
     @staticmethod
-    def _analyze(query: Query) -> tuple[Key, Atom, Query]:
-        """Key, match pattern, and relaxed load query for ``query``.
+    def _analyze(
+        query: Query,
+    ) -> tuple[Key, Atom, Query, tuple[str, ...] | None]:
+        """Key, match pattern, relaxed load query, and plain names.
 
         Ground arguments are evaluated to U-values (raising when one
         falls outside U — the query then has no answers); non-ground
         arguments relax to fresh distinct variables in the load query
         while the match pattern keeps them (preserving repeated
-        variables and compound shapes for filtering).
+        variables and compound shapes for filtering).  The names are
+        the variables in position order when every non-ground argument
+        is a distinct variable (the query is *plain*), else None.
         """
         atom = query.atom
         bound: list[tuple[int, Term]] = []
         adornment: list[str] = []
         pattern_args: list[Term] = []
         relaxed_args: list[Term] = []
+        names: list[str] | None = []
         for i, arg in enumerate(atom.args):
             if arg.is_ground():
                 value = evaluate_ground(arg)
@@ -245,11 +339,17 @@ class AnswerCache:
                 adornment.append("f")
                 pattern_args.append(arg)
                 relaxed_args.append(Var(f"_Ans{i}"))
+                if names is not None:
+                    if isinstance(arg, Var) and arg.name not in names:
+                        names.append(arg.name)
+                    else:
+                        names = None
         key: Key = (atom.pred, "".join(adornment), tuple(bound))
         return (
             key,
             Atom(atom.pred, tuple(pattern_args)),
             Query(Atom(atom.pred, tuple(relaxed_args))),
+            None if names is None else tuple(names),
         )
 
     def _load(

@@ -28,7 +28,8 @@ of tagged terms for one predicate) or ``facts`` (full tagged atoms,
 mixed predicates).
 
 ``query`` additionally accepts ``"cache": false`` to bypass the
-server's answer cache for that one request; query responses carry a
+server's answer cache for that one request (any value but a JSON
+boolean is a :class:`ProtocolError`); query responses carry a
 ``cache`` field reporting how they were served (``hit``,
 ``hit-subsumed``, ``miss``, ``unsatisfiable``, or ``off``).  The same
 requests travel verbatim as JSON bodies of the HTTP gateway
@@ -114,7 +115,8 @@ def atoms_of_request(request: dict) -> list[Atom]:
 
 
 def encode_binding(binding: dict) -> dict:
-    """One query answer ``{variable: term}`` as tagged trees."""
+    """One query answer ``{variable: term}`` as tagged trees, keys in
+    the binding's own order."""
     return {name: encode_term(term) for name, term in binding.items()}
 
 

@@ -4,8 +4,11 @@ One :class:`LDLServer` wraps one :class:`repro.api.LDL` session and
 serves the newline-delimited JSON protocol of
 :mod:`repro.server.protocol`.  Concurrency discipline:
 
-* every request runs the (blocking) session call in the event loop's
-  default executor, so slow evaluations never stall the accept loop;
+* a query whose exact cache entry already holds its wire answers is
+  answered on the event loop, under the read lock — a dict lookup and
+  a write; every other request runs its (blocking) session call in the
+  event loop's default executor, so slow evaluations never stall the
+  accept loop;
 * reads (``query``, ``explain``, ``stats``) hold the shared side of a
   :class:`~repro.server.rwlock.ReadWriteLock` and overlap freely;
 * writes (``add_facts``, ``remove_facts``, ``checkpoint``) hold the
@@ -49,6 +52,8 @@ from functools import partial
 from repro.api import LDL
 from repro.errors import ProtocolError
 from repro.observe import ServerMetrics
+from repro.parser.parser import parse_query
+from repro.program.rule import Query
 from repro.server import protocol
 from repro.server.cache import AnswerCache, cache_enabled
 from repro.server.rwlock import ReadWriteLock
@@ -258,7 +263,37 @@ class LDLServer:
 
     async def _dispatch_read(self, op: str, request: dict) -> dict:
         async with self._lock.read():
+            if op == "query":
+                return await self._query(request)
             return await self._run_op(op, request)
+
+    async def _query(self, request: dict) -> dict:
+        """Answer a query; called holding the read lock.
+
+        The query is parsed here, once.  A query whose wire answers an
+        earlier exact hit memoized is answered on the loop; everything
+        else goes to the executor with the parsed query.
+        """
+        text = request.get("q")
+        if not isinstance(text, str):
+            raise ProtocolError("query needs a 'q' string")
+        use_cache = request.get("cache", True)
+        if not isinstance(use_cache, bool):
+            raise ProtocolError(f"'cache' must be true or false, not {use_cache!r}")
+        strategy = request.get("strategy", "seminaive")
+        query = parse_query(text)
+        cache = self.cache if use_cache else None
+        answers = None if cache is None else cache.memoized(query)
+        if answers is not None:
+            served = "hit"
+            self.metrics.record_cache(served)
+        else:
+            answers, served = await self._in_executor(
+                self._answer, query, strategy, cache
+            )
+        return protocol.ok_response(
+            request, answers=answers, count=len(answers), cache=served
+        )
 
     async def _dispatch_write(self, op: str, request: dict) -> dict:
         """Run a mutation with torn-state-free timeout semantics.
@@ -297,62 +332,44 @@ class LDLServer:
         finally:
             await self._lock.release_write()
 
+    @staticmethod
+    async def _in_executor(func, *args):
+        """Run a blocking call in the loop's default executor."""
+        fut = asyncio.get_running_loop().run_in_executor(None, partial(func, *args))
+        try:
+            return await fut
+        except asyncio.CancelledError:
+            # a timed-out read abandons its executor thread; consume the
+            # eventual result so its exception is never logged as
+            # unretrieved.
+            fut.add_done_callback(lambda f: f.exception())
+            raise
+
     async def _run_op(self, op: str, request: dict) -> dict:
-        loop = asyncio.get_running_loop()
-
-        def run(func, *args):
-            fut = loop.run_in_executor(None, partial(func, *args))
-
-            async def wait():
-                try:
-                    return await fut
-                except asyncio.CancelledError:
-                    # a timed-out read abandons its executor thread;
-                    # consume the eventual result so its exception is
-                    # never logged as unretrieved.
-                    fut.add_done_callback(lambda f: f.exception())
-                    raise
-
-            return wait()
-
         if op == "ping":
             return protocol.ok_response(request, pong=True)
-        if op == "query":
-            text = request.get("q")
-            if not isinstance(text, str):
-                raise ProtocolError("query needs a 'q' string")
-            strategy = request.get("strategy", "seminaive")
-            use_cache = bool(request.get("cache", True))
-            bindings, served_by = await run(
-                self._query_terms, text, strategy, use_cache
-            )
-            return protocol.ok_response(
-                request,
-                answers=[protocol.encode_binding(b) for b in bindings],
-                count=len(bindings),
-                cache=served_by,
-            )
         if op == "explain":
             fact = request.get("fact")
             if not isinstance(fact, str):
                 raise ProtocolError("explain needs a 'fact' string")
-            derivation = await run(partial(self.session.explain, fact))
+            derivation = await self._in_executor(self.session.explain, fact)
             return protocol.ok_response(
                 request,
                 derivation=None if derivation is None else derivation.format(),
             )
         if op == "stats":
-            return protocol.ok_response(request, stats=await run(self._stats))
+            stats = await self._in_executor(self._stats)
+            return protocol.ok_response(request, stats=stats)
         if op == "add_facts":
             atoms = protocol.atoms_of_request(request)
-            await run(partial(self.session.add_atoms, atoms))
+            await self._in_executor(self.session.add_atoms, atoms)
             return protocol.ok_response(request, count=len(atoms))
         if op == "remove_facts":
             atoms = protocol.atoms_of_request(request)
-            await run(partial(self.session.remove_atoms, atoms))
+            await self._in_executor(self.session.remove_atoms, atoms)
             return protocol.ok_response(request, count=len(atoms))
         if op == "checkpoint":
-            nbytes = await run(self.session.checkpoint)
+            nbytes = await self._in_executor(self.session.checkpoint)
             return protocol.ok_response(request, bytes=nbytes)
         raise ProtocolError(f"unknown op {op!r}")  # unreachable after decode
 
@@ -365,26 +382,25 @@ class LDLServer:
         if dropped:
             self.metrics.record_cache("invalidated", dropped)
 
-    def _query_terms(
-        self, text: str, strategy: str, use_cache: bool = True
+    def _answer(
+        self, query: Query, strategy: str, cache: AnswerCache | None
     ) -> tuple[list[dict], str]:
-        """Answer a query as term-valued bindings (wire-encodable).
+        """Answer a query in wire form (``{variable: tagged tree}``).
 
-        Returns ``(bindings, how)`` where ``how`` reports the cache
+        Returns ``(answers, how)`` where ``how`` reports the cache
         outcome (``hit``/``hit-subsumed``/``miss``/``unsatisfiable``)
         or ``"off"`` when the cache was absent or bypassed — cached or
-        not, the bindings are identical (property-tested).
+        not, the answers are identical (property-tested).
         """
-        from repro.parser.parser import parse_query
-
-        query = parse_query(text)
-        if self.cache is not None and use_cache:
-            bindings, served = self.cache.answers(query)
+        if cache is not None:
+            answers, served = cache.answers(query, wire=True)
             self.metrics.record_cache(served)
-            return bindings, served
+            return answers, served
         if strategy == "magic":
-            return self.session.query_magic(query).answers(), "off"
-        return self.session.model(strategy).answers(query), "off"
+            bindings = self.session.query_magic(query).answers()
+        else:
+            bindings = self.session.model(strategy).answers(query)
+        return [protocol.encode_binding(b) for b in bindings], "off"
 
     def _stats(self) -> dict:
         session = self.session

@@ -1,5 +1,7 @@
 """Tests for the server answer cache (repro.server.cache)."""
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,10 +9,10 @@ from repro import LDL
 from repro.engine.maintain import Invalidation
 from repro.parser.parser import parse_query
 from repro.program.rule import Atom, Query
-from repro.server import LDLServer
-from repro.server.cache import AnswerCache, cache_enabled
-from repro.terms.term import Var
-from repro.terms.pretty import format_program
+from repro.server import LDLServer, protocol
+from repro.server.cache import AnswerCache, _bindings, cache_enabled
+from repro.terms.term import Const, Func, SetPattern, Var
+from repro.terms.pretty import format_program, format_query
 from tests.strategies import update_scripts
 from tests.test_server import ServerThread
 
@@ -83,13 +85,23 @@ class TestCacheBasics:
 
     def test_answers_match_uncached_strategies(self):
         db = tc_session()
+        db.facts("e", [(5, 0)])  # row order is not name order for t(Y, X)
         cache = AnswerCache().bind_session(db)
-        for text in ("? t(1, X).", "? t(X, Y).", "? s(X).", "? e(1, X)."):
+        for text in (
+            "? t(1, X).", "? t(X, Y).", "? t(Y, X).", "? t(_, X).",
+            "? s(X).", "? e(1, X).",
+        ):
             q = parse_query(text)
             cached, _ = cache.answers(q)
             assert cached == db.model().answers(q)
             if q.atom.pred in db.program.idb_predicates():
                 assert cached == db.query_magic(q).answers()
+        # an arity no stored row has matches nothing, missed or hit
+        q = parse_query("? t(X).")
+        fresh = AnswerCache().bind_session(db)
+        assert db.model().answers(q) == []
+        assert fresh.answers(q) == ([], "miss")
+        assert fresh.answers(q) == ([], "hit")
 
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANSWER_CACHE", "off")
@@ -284,7 +296,10 @@ class TestCachedServer:
 
 
 def _query_pool(generated):
-    """Deterministic queries covering the generated program's shapes."""
+    """Deterministic queries covering the generated program's shapes:
+    variables in and out of position order, ``_``, a repeated variable,
+    a set-pattern argument, and bound, fully bound and arithmetic
+    ground arguments."""
     arities: dict[str, int] = {}
     for rule in generated.program:
         for atom in [rule.head] + [lit.atom for lit in rule.body]:
@@ -296,21 +311,36 @@ def _query_pool(generated):
         queries.append(
             Query(Atom(pred, tuple(Var(f"Q{i}") for i in range(arity))))
         )
-        if arity >= 2:  # a repeated-variable pattern
-            queries.append(Query(Atom(pred, tuple(Var("Q") for _ in range(arity)))))
+        if arity >= 2:
+            free = tuple(Var(f"Q{i}") for i in range(1, arity))
+            queries += [
+                # names sorting against position order
+                Query(Atom(pred, tuple(Var(f"Q{arity - 1 - i}") for i in range(arity)))),
+                Query(Atom(pred, (Var("_"),) + free)),
+                Query(Atom(pred, tuple(Var("Q") for _ in range(arity)))),
+                Query(Atom(pred, free + (SetPattern((Var("Q0"),)),))),
+            ]
     for atom in list(dict.fromkeys(generated.edb))[:3]:
         queries.append(Query(atom))  # fully bound
         if len(atom.args) >= 2:  # partially bound
-            queries.append(
-                Query(
-                    Atom(
-                        atom.pred,
-                        (atom.args[0],)
-                        + tuple(Var(f"Q{i}") for i in range(1, len(atom.args))),
-                    )
-                )
-            )
+            free = tuple(Var(f"Q{i}") for i in range(1, len(atom.args)))
+            queries.append(Query(Atom(atom.pred, (atom.args[0],) + free)))
+            arithmetic = Func("+", (Const(-1), atom.args[0]))
+            queries.append(Query(Atom(atom.pred, (arithmetic,) + free)))
     return queries
+
+
+def _oracle_wire(oracle, query):
+    """``query``'s answers in wire form, matched from scratch against
+    every row of its predicate in the uncached oracle's model."""
+    rows = oracle.model().database.tuples(query.atom.pred)
+    return [protocol.encode_binding(b) for b in _bindings(query.atom, rows)]
+
+
+def _reply_bytes(answers, how):
+    return protocol.encode_message(
+        protocol.ok_response({}, answers=answers, count=len(answers), cache=how)
+    )
 
 
 @given(update_scripts())
@@ -318,28 +348,58 @@ def _query_pool(generated):
 def test_cached_answers_equal_uncached_oracle(script):
     """Random add/remove/query interleavings: a cached session must
     answer exactly like an uncached oracle at every step — any missed
-    invalidation or over-broad subsumption shows up as a stale answer."""
+    invalidation or over-broad subsumption shows up as a stale answer.
+
+    Server replies must be byte-identical to the oracle's on every way
+    a query can be served.  Each query is asked three times (miss or
+    subsumed hit, first exact hit, memoized hit), by one server asking
+    broad queries first (bound ones then hit subsumed) and one asking
+    bound queries first (they then hit their own entries)."""
     generated, initial, ops = script
     text = format_program(generated.program)
     cached_session = LDL(text).add_atoms(initial)
     oracle = LDL(text).add_atoms(initial)
     cache = AnswerCache().bind_session(cached_session)
     queries = _query_pool(generated)
+    servers = [LDLServer(cached_session, cache=AnswerCache()) for _ in range(2)]
+    loop = asyncio.new_event_loop()
+    served = set()
 
     def check():
         for query in queries:
             got, _ = cache.answers(query)
             assert got == oracle.model().answers(query)
+            wire, how = cache.answers(query, wire=True)
+            assert _reply_bytes(wire, how) == _reply_bytes(
+                _oracle_wire(oracle, query), how
+            )
+        for server, order in zip(servers, (queries, queries[::-1])):
+            for query in order:
+                text = format_query(query)
+                expected = _oracle_wire(oracle, parse_query(text))
+                for _ in range(3):
+                    reply = loop.run_until_complete(
+                        server.handle_request({"op": "query", "q": text})
+                    )
+                    served.add(reply["cache"])
+                    assert protocol.encode_message(reply) == _reply_bytes(
+                        expected, reply["cache"]
+                    ), text
 
-    check()
-    for kind, atoms in ops:
-        if kind == "add":
-            cached_session.add_atoms(atoms)
-            oracle.add_atoms(atoms)
-        else:
-            cached_session.remove_atoms(atoms)
-            oracle.remove_atoms(atoms)
+    try:
         check()
+        for kind, atoms in ops:
+            if kind == "add":
+                cached_session.add_atoms(atoms)
+                oracle.add_atoms(atoms)
+            else:
+                cached_session.remove_atoms(atoms)
+                oracle.remove_atoms(atoms)
+            check()
+    finally:
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()
     # the workload must actually exercise the cache, not just miss
     report = cache.report()
     assert report["hits"] + report["misses"] > 0
+    assert {"miss", "hit"} <= served

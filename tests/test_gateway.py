@@ -3,8 +3,11 @@
 import http.client
 import json
 
+import pytest
+
 from repro import LDL
 from repro.api import to_term
+from repro.errors import ServerError
 from repro.server.cache import AnswerCache
 from repro.server.gateway import HttpGateway
 from repro.storage.codec import encode_term
@@ -137,6 +140,23 @@ class TestRoutesAndOps:
             raw.endheaders()
             response = raw.getresponse()
             assert response.status == 411
+
+    def test_non_boolean_cache_field_is_a_protocol_error(self):
+        """Regression: ``"cache": "false"`` was truthy, so the request
+        was silently served from the cache; both transports refuse it."""
+        with GatewayThread(ancestry_session(), cache=AnswerCache()) as gt:
+            ask = {"q": "? anc(ann, X)."}
+            for bad in ("false", 0, None, [False]):
+                status, body, _ = gt.request("POST", "/v1/query", {**ask, "cache": bad})
+                assert status == 400, bad
+                assert body["etype"] == "ProtocolError" and "'cache'" in body["error"]
+                with gt.client() as tcp:
+                    with pytest.raises(ServerError) as exc_info:
+                        tcp.call("query", **ask, cache=bad)
+                    assert exc_info.value.etype == "ProtocolError"
+            assert gt.request("POST", "/v1/query", {**ask, "cache": False})[1]["cache"] == "off"
+            stats = gt.request("GET", "/v1/stats")[1]["stats"]
+            assert stats["answer_cache"]["hits"] + stats["answer_cache"]["misses"] == 0
 
     def test_malformed_body_is_400_and_closes(self):
         with GatewayThread(ancestry_session(), cache=None) as gt:

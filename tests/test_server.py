@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,160 @@ class TestConcurrentColdReads:
         assert len(follows) == rows_before
         assert set(follows._id_indexes) | set(follows._indexes) >= indexes_before
         assert follows._cow == cow_before
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts what is submitted to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=4)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class GatedReadSession(LDL):
+    """A session whose model access waits for ``gate`` once one is set."""
+
+    gate = None
+
+    def model(self, strategy="seminaive"):
+        if self.gate is not None:
+            assert self.gate.wait(10), "gate never opened"
+        return super().model(strategy)
+
+
+class TestLoopHits:
+    """Exact hits with a wire memo are answered on the event loop."""
+
+    @staticmethod
+    def in_process(session):
+        """A server never listening, driven on a loop of the test's own
+        through ``handle_request`` (the entry every transport shares)."""
+        from repro.server.cache import AnswerCache
+
+        server = LDLServer(session, cache=AnswerCache())
+        executor = CountingExecutor()
+        loop = asyncio.new_event_loop()
+        loop.set_default_executor(executor)
+        return server, executor, loop
+
+    @staticmethod
+    def close(loop):
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()
+
+    def test_warmed_exact_hit_makes_no_executor_submission(self):
+        session = LDL(TC_PROGRAM)
+        session.facts("e", [(1, 2), (2, 3)])
+        server, executor, loop = self.in_process(session)
+
+        def ask(**fields):
+            request = {"op": "query", "q": "? t(1, X).", **fields}
+            return loop.run_until_complete(server.handle_request(request))
+
+        try:
+            miss, first_hit = ask(), ask()
+            assert (miss["cache"], first_hit["cache"]) == ("miss", "hit")
+            before = executor.submitted
+            assert before == 2
+            warm = [ask() for _ in range(5)]
+            assert executor.submitted == before
+            for reply in [first_hit] + warm:
+                assert protocol.encode_message(reply) == protocol.encode_message(
+                    {**miss, "cache": "hit"}
+                )
+            # the metrics count loop hits exactly as executor hits
+            assert server.cache.report()["hits"] == 6
+            stats = server.metrics.report()
+            assert stats["cache"]["hit"] == 6
+            assert stats["requests"]["query"] == 7
+            assert stats["latency"]["count"] == 7
+            # a bypass, or a query with no memo yet, still goes out
+            assert ask(cache=False)["cache"] == "off"
+            assert ask(q="? t(2, X).")["cache"] == "miss"
+            assert executor.submitted == before + 2
+        finally:
+            self.close(loop)
+
+    def test_hit_queued_behind_a_writer_sees_the_write(self):
+        session = GatedReadSession(TC_PROGRAM)
+        session.facts("e", [(1, 2), (2, 3)])
+        server, _, loop = self.in_process(session)
+        done = []
+
+        def query(text, **fields):
+            return server.handle_request({"op": "query", "q": text, **fields})
+
+        async def until(condition):
+            for _ in range(5000):
+                if condition():
+                    return
+                await asyncio.sleep(0.001)
+            raise AssertionError("condition never held")
+
+        async def scenario():
+            assert (await query("? t(1, X)."))["cache"] == "miss"
+            assert (await query("? t(1, X)."))["cache"] == "hit"  # memoized
+            session.gate = threading.Event()
+            # a slow reader holds the read lock ...
+            reader = asyncio.ensure_future(query("? e(X, Y).", cache=False))
+            await until(lambda: server._lock.readers == 1)
+            # ... so the writer waits, and writer preference queues the hit
+            writer = asyncio.ensure_future(server.handle_request({
+                "op": "add_facts", "pred": "e", "rows": [[["n", 3], ["n", 4]]],
+            }))
+            await until(lambda: server._lock._writers_waiting == 1)
+            hit = asyncio.ensure_future(query("? t(1, X)."))
+            for name, task in (("writer", writer), ("hit", hit)):
+                task.add_done_callback(lambda _, name=name: done.append(name))
+            await asyncio.sleep(0.05)
+            assert not hit.done(), "a hit overtook a waiting writer"
+            session.gate.set()
+            return await reader, await writer, await hit
+
+        try:
+            reader, writer, hit = loop.run_until_complete(scenario())
+        finally:
+            session.gate = None
+            self.close(loop)
+        assert reader["ok"] and writer["ok"], (reader, writer)
+        assert done == ["writer", "hit"]
+        # the write invalidated the entry: post-write rows, refilled
+        assert hit["cache"] == "miss"
+        assert [b["X"] for b in hit["answers"]] == [["n", 2], ["n", 3], ["n", 4]]
+
+    def test_wire_memo_is_built_on_first_hit_only(self):
+        session = LDL(TC_PROGRAM)
+        session.facts("e", [(1, 2), (2, 3)])
+        server, _, loop = self.in_process(session)
+
+        def ask(text):
+            request = {"op": "query", "q": text}
+            return loop.run_until_complete(server.handle_request(request))
+
+        def memos():
+            return {key: dict(entry.wire) for key, entry in server.cache._entries.items()}
+
+        try:
+            for text in ("? t(1, X).", "? t(2, X).", "? t(X, Y)."):
+                assert ask(text)["cache"] == "miss"
+            assert len(memos()) == 3
+            assert all(not wire for wire in memos().values())
+            ask("? t(Y, X).")  # a hit under other names
+            ask("? t(X, X).")  # a hit, but not plain: nothing to memoize
+            free = ("t", "ff", ())
+            assert set(memos()[free]) == {("Y", "X")}
+            assert sum(bool(wire) for wire in memos().values()) == 1
+            # invalidation drops the memo with its entry
+            loop.run_until_complete(server.handle_request({
+                "op": "add_facts", "pred": "e", "rows": [[["n", 3], ["n", 4]]],
+            }))
+            assert memos() == {}
+        finally:
+            self.close(loop)
 
 
 class SlowReadSession(LDL):
