@@ -1,4 +1,4 @@
-"""Experiment E21: executor ablation tuple / batch / specialized / vector
+"""Experiment E21: executor comparison, tuple reference vs compiled default
 
 pytest-benchmark wrapper around the shared cases in ``common.py``;
 see ``benchmarks/harness.py`` for the table-printing runner and

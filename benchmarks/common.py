@@ -965,41 +965,24 @@ EXPERIMENTS["E19"] = e19_server
 EXPERIMENT_TITLES["E19"] = "server throughput: concurrent clients, read-only vs mixed"
 
 
-# -- E21: executor ablation — tuple / batch / specialized / vector ------------
+# -- E21: executor comparison — tuple reference / compiled default ------------
 
-#: The executor stack, one ablation layer at a time: ``tuple`` is the
-#: one-binding-at-a-time recursion; ``batch`` the set-at-a-time
-#: term-lane operators with specialization AND vector kernels off;
-#: ``specialized`` the compiled ID-row closures with vector kernels
-#: off (the PR 6 configuration); ``vector`` everything on — rows-mode
-#: emission plus whole-column kernels.
-E21_MODES = ("tuple", "batch", "specialized", "vector")
+#: ``tuple`` is the one-binding-at-a-time reference recursion;
+#: ``vector`` the default compiled lane — rows-mode emission plus the
+#: ID-space kernels.  The label predates the removal of the ablation
+#: knobs and is kept so committed baselines still compare this case.
+E21_MODES = ("tuple", "vector")
 
 
 def _ablation_case(workload, program, edb, mode):
     def run():
-        from repro.engine.exec import (
-            set_specialization,
-            set_vectorization,
-            specialization,
-            vectorization,
-        )
         from repro.observe import MetricsCollector
 
         if mode == "tuple":
             return evaluate(program, edb=edb, executor="tuple")
-        prev_spec = specialization()
-        prev_vec = vectorization()
-        set_specialization("off" if mode == "batch" else "on")
-        set_vectorization("on" if mode == "vector" else "off")
-        try:
-            return evaluate(
-                program, edb=edb, executor="batch",
-                metrics=MetricsCollector(),
-            )
-        finally:
-            set_specialization(prev_spec)
-            set_vectorization(prev_vec)
+        return evaluate(
+            program, edb=edb, executor="batch", metrics=MetricsCollector(),
+        )
 
     return case(workload, mode, run, lambda r: r.total_facts)
 
@@ -1021,7 +1004,7 @@ def e20_executor() -> list[dict]:
         cases.append(_ablation_case("sg 8x14", sg, edb, mode))
     # wide-relation high-fan-out join: 40 keys, 60x60 rows per key —
     # 144,000 output tuples from one non-recursive rule.  This is the
-    # shape the bulk probe and fused last-step emission exist for: huge
+    # shape the fused last-step emission exists for: huge
     # buckets, no recursion, throughput limited purely by per-row
     # dispatch (watch rows_per_dispatch climb in the vector leg).
     wide = parse_rules("j(X, Y) <- r(K, X), s(K, Y).")
@@ -1037,9 +1020,7 @@ def e20_executor() -> list[dict]:
 
 
 EXPERIMENTS["E21"] = e20_executor
-EXPERIMENT_TITLES["E21"] = (
-    "executor ablation: tuple / batch / specialized / vector"
-)
+EXPERIMENT_TITLES["E21"] = "executor comparison: tuple reference / compiled default"
 
 
 # -- E22: differential maintenance vs cone recompute --------------------------

@@ -14,7 +14,6 @@ Run:  python benchmarks/harness.py                 # all experiments
       python benchmarks/harness.py --quick E1 E6 --out benchmarks/BENCH_PR4.json
       python benchmarks/harness.py --quick E1 E6 --check benchmarks/BENCH_PR5.json
       python benchmarks/harness.py --executor tuple E1   # force an executor
-      python benchmarks/harness.py --vector off E1       # disable vector kernels
       python benchmarks/harness.py --maintain recompute E22  # force a maintenance mode
 
 ``--out`` writes the regression-tracking payload (per-case wall time
@@ -287,20 +286,6 @@ def main(argv: list[str]) -> None:
         from repro.engine.exec import set_default_executor
 
         set_default_executor(executor)
-    argv, specialize = _take_flag_with_value(argv, "--specialize")
-    if specialize is not None:
-        # ablation knob: "off" measures the batch executor without
-        # compiled per-plan closures (same as REPRO_SPECIALIZE=off).
-        from repro.engine.exec import set_specialization
-
-        set_specialization(specialize)
-    argv, vector = _take_flag_with_value(argv, "--vector")
-    if vector is not None:
-        # ablation knob: "off" disables the whole-column kernel layer
-        # (same as REPRO_VECTOR=off) so its contribution is measurable.
-        from repro.engine.exec import set_vectorization
-
-        set_vectorization(vector)
     argv, maintain = _take_flag_with_value(argv, "--maintain")
     if maintain is not None:
         # process-wide maintenance mode for every model the experiments

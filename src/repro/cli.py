@@ -123,11 +123,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="print evaluation statistics",
     )
     parser.add_argument(
-        "--vector",
-        choices=("on", "off"),
-        help="vector-kernel layer (default: on unless REPRO_VECTOR=off)",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="record engine events and print a per-layer trace summary",
@@ -169,10 +164,6 @@ def run(argv: list[str] | None = None, out=None, stdin=None) -> int:
         return run_serve(argv[1:], echo)
 
     args = build_arg_parser().parse_args(argv)
-    if args.vector:
-        from repro.engine.exec import set_vectorization
-
-        set_vectorization(args.vector)
     try:
         source = Path(args.file).read_text()
     except OSError as exc:
@@ -403,6 +394,14 @@ def run_serve(argv: list[str], echo) -> int:
     from repro.server.server import LDLServer
 
     args = build_serve_parser().parse_args(argv)
+    if args.cache is None:
+        try:
+            caching = cache_enabled()
+        except ValueError as exc:
+            echo(f"error: {exc}")
+            return 2
+    else:
+        caching = args.cache == "on"
     source = ""
     if args.file:
         try:
@@ -420,10 +419,6 @@ def run_serve(argv: list[str], echo) -> int:
                 f"% durable store {args.db}: {stats.restore_mode} start, "
                 f"{stats.wal_records_replayed} WAL records replayed"
             )
-        if args.cache is None:
-            caching = cache_enabled()
-        else:
-            caching = args.cache == "on"
         server = LDLServer(
             session,
             host=args.host,

@@ -6,8 +6,8 @@ tabled top-down) runs against an :class:`EvalContext` that owns
 * the database under evaluation,
 * the planner policy and, for size-aware policies, the current
   relation-cardinality snapshot,
-* the executor choice (``"batch"`` set-at-a-time pipeline or
-  ``"tuple"`` one-binding-at-a-time recursion; ``None`` defers to the
+* the executor choice (``"batch"`` compiled ID-row closures or the
+  ``"tuple"`` one-binding-at-a-time reference; ``None`` defers to the
   process-wide default in :mod:`repro.engine.exec`),
 * a cache of compiled :class:`~repro.engine.plan.RulePlan`s keyed by
   (rule, delta occurrence, initially-bound variables) — each distinct

@@ -109,15 +109,6 @@ class Database:
             return ()
         return rel.lookup(positions, key)
 
-    def probe_index(
-        self, pred: str, positions: tuple[int, ...]
-    ) -> dict[object, set[ArgTuple]] | None:
-        """The predicate's hash index for ``positions`` (built on first
-        use), or None for an unknown predicate.  See
-        :meth:`Relation.probe_index`."""
-        rel = self._relations.get(pred)
-        return None if rel is None else rel.probe_index(positions)
-
     def id_rows(self, pred: str):
         """The predicate's stored ID rows (a set-like view), or None for
         an unknown predicate.  See :meth:`Relation.id_rows`."""

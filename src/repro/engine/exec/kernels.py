@@ -1,82 +1,36 @@
-"""Vector kernels: whole-column operators over dense-ID int lanes.
+"""ID-space kernels for the compiled rows mode, and its delta currency.
 
-PR 6 made relations columnar and plans specialized, but the compiled
-closures still advanced one ID row at a time through Python bytecode.
-This module is the kernel vocabulary the vectorized executor emits
-against: each kernel processes a WHOLE column (or row batch) per call,
-with the hot callable (``dict.get``, ``set.__contains__``,
-``list.append``) bound once so interpreter dispatch amortizes over
-thousands of rows instead of one.
+The rows-mode closures (:mod:`repro.engine.exec.specialize`) inline
+their per-row arithmetic, comparisons and joins; what they call out to
+are two memoized scalar kernels over dense row IDs:
 
-The kernel set mirrors the relational operators of the specialized
-pipeline:
-
-* **bulk hash-join probe** — :func:`probe_buckets` gathers the index
-  bucket for every key of a key column in one ``map`` pass;
-* **selection masks** — :func:`eq_mask` / :func:`ne_mask` /
-  :func:`compare_mask` evaluate ``=`` / ``!=`` / comparison built-ins
-  over ID (or numeric) lanes, one bool per row;
-* **arithmetic lanes** — :func:`numeric_lane` reads the raw numbers of
-  a rid lane from the interner's numeric table
-  (:data:`repro.terms.term._NUM_TABLE`), and :func:`number_rid` interns
-  a computed number back to its row ID through a process-wide memo, so
-  ``C = C1 + C2`` runs as int adds plus one dict get per distinct
-  result;
-* **bulk anti-join** — :func:`antijoin_keep` keeps the rows absent from
-  an ID-row set in one ``filterfalse`` pass;
-* **gather / scatter** — :func:`gather` projects one column out of a
-  row batch; :func:`scatter_column` bulk-appends a materialized output
-  column onto a relation lane (``array.extend``, no per-row bytecode);
-  :func:`fresh_rows` dedupes a derived row batch and drops
-  already-stored rows at C speed (``dict.fromkeys`` + ``filterfalse``);
-* **set algebra** — :func:`union_rid` is the ID-space form of LDL1's
+* :func:`number_rid` interns a computed number back to its row ID
+  through a process-wide memo, so ``C = C1 + C2`` over the interner's
+  numeric table (:data:`repro.terms.term._NUM_TABLE`) runs as int adds
+  plus one dict get per distinct result;
+* :func:`union_rid` is the ID-space form of LDL1's
   ``partition(S, S1, S2)`` with both parts bound (disjointness check +
   union), memoized per ``(rid, rid)`` pair.
 
 :class:`RowBatch` is the delta currency of the vectorized fixpoint: ID
 rows plus their verbatim argument tuples, so a semi-naive round feeds
-the next round's override sources without re-encoding (the term-lane
-executors iterate it as plain argument tuples).
+the next round's override sources without re-encoding (the reference
+executor iterates it as plain argument tuples).
 
 Process-wide memos hold dense IDs, so :func:`clear_intern_table`
 invalidates them through the term module's clear-listener registry.
-The generated closures (:mod:`repro.engine.exec.specialize`) inline
-the single-row forms of these kernels and call the batch forms for
-their fused last step; :mod:`repro.engine.exec.batch` uses the batch
-forms directly on the term lane.
 """
 
 from __future__ import annotations
 
-from itertools import filterfalse
-
 from repro.terms.term import (
     SetVal,
     _ID_TABLE,
-    _NUM_TABLE,
     intern_const,
     intern_term,
     register_clear_listener,
     row_id,
 )
-
-#: Process-wide toggle mirroring ``REPRO_VECTOR`` (see
-#: :func:`repro.engine.exec.set_vectorization`).  The batch executor
-#: checks it before taking its bulk-probe lanes; the rows-mode
-#: specialization gate in :mod:`repro.engine.exec` checks it before
-#: compiling against this module at all.
-_enabled = True
-
-
-def enabled() -> bool:
-    """Whether the vector kernels are switched on process-wide."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> None:
-    global _enabled
-    _enabled = bool(flag)
-
 
 # -- memoized ID-space scalar kernels ---------------------------------------
 
@@ -146,108 +100,6 @@ def union_rid(left: int, right: int) -> int:
     return rid
 
 
-# -- whole-column kernels ---------------------------------------------------
-
-
-def probe_buckets(get, keys) -> list:
-    """Bulk hash-join probe: the index bucket (or None) for every key.
-
-    ``get`` is the probed index's bound ``dict.get``; ``keys`` is a key
-    column — a relation lane, a gathered list, or any iterable.  One C
-    ``map`` pass, no per-key bytecode.
-    """
-    return list(map(get, keys))
-
-
-def gather(rows, position: int) -> list:
-    """Project one column out of a batch of ID rows (column gather)."""
-    return [row[position] for row in rows]
-
-
-def scatter_column(column, rows, position: int) -> None:
-    """Bulk-append one output column onto a relation lane.
-
-    ``column`` is an ``array('q')`` int lane; the gather + ``extend``
-    pair replaces per-row ``append`` bytecode with two C calls.
-    """
-    column.extend([row[position] for row in rows])
-
-
-def dedupe_rows(rows) -> list:
-    """Distinct rows in first-occurrence order (``dict.fromkeys``)."""
-    return list(dict.fromkeys(rows))
-
-
-def fresh_rows(rows, rowpos) -> list:
-    """Distinct derived rows not already stored, in derivation order.
-
-    ``rowpos`` is the relation's row→position dict; the dedupe and the
-    membership filter both run at C speed, so a fixpoint round that
-    re-derives thousands of known facts pays near-zero Python cost for
-    them.
-    """
-    return list(filterfalse(rowpos.__contains__, dict.fromkeys(rows)))
-
-
-def antijoin_keep(rows, id_rows) -> list:
-    """Bulk anti-join: the rows NOT present in an ID-row set."""
-    return list(filterfalse(id_rows.__contains__, rows))
-
-
-def eq_mask(lane, rid: int) -> list:
-    """Selection mask for ``column = constant`` over a rid lane.
-
-    Row-ID equality coincides with term equality, so this is exact.
-    """
-    return [value == rid for value in lane]
-
-
-def ne_mask(lane, rid: int) -> list:
-    """Selection mask for ``column != constant`` over a rid lane."""
-    return [value != rid for value in lane]
-
-
-def numeric_lane(lane) -> list:
-    """The raw numbers of a rid lane (None where a row is non-numeric).
-
-    Reads the interner's numeric table: one ``map`` over list
-    subscripts, no term materialization.
-    """
-    return list(map(_NUM_TABLE.__getitem__, lane))
-
-
-def compare_mask(op, left_lane, right_lane) -> list:
-    """Selection mask for a comparison built-in over two numeric lanes.
-
-    ``op`` is a two-argument predicate (e.g. ``operator.lt``); entries
-    where either side is None (non-numeric) come out None — the caller
-    routes those rows through the exact slow path.
-    """
-    return [
-        None if (a is None or b is None) else op(a, b)
-        for a, b in zip(left_lane, right_lane)
-    ]
-
-
-def arith_lane(fold, left_lane, right_lane) -> list:
-    """Apply a two-argument arithmetic fold over two numeric lanes.
-
-    None where either operand is None (the exact-semantics fallback
-    rows).  ``fold`` must be total over numbers (``+``/``-``/``*``/
-    ``min``/``max``; division routes through the slow path because it
-    can raise).
-    """
-    return [
-        None if (a is None or b is None) else fold(a, b)
-        for a, b in zip(left_lane, right_lane)
-    ]
-
-
-def materialize_rows(rows, decode) -> list:
-    """Decode a row batch to argument tuples (output gather)."""
-    return list(map(decode, rows))
-
-
 # -- the vectorized delta currency ------------------------------------------
 
 
@@ -256,9 +108,9 @@ class RowBatch:
 
     ``rows`` holds the ID rows, ``args`` the parallel verbatim argument
     tuples.  The vectorized fixpoint uses it as the semi-naive delta:
-    the specialized executors read ``rows`` directly (no re-encoding on
-    the next round's override source), while the term-lane executors
-    iterate it as plain argument tuples.
+    the compiled closures read ``rows`` directly (no re-encoding on the
+    next round's override source), while the reference executor
+    iterates it as plain argument tuples.
     """
 
     __slots__ = ("pred", "arity", "rows", "args")

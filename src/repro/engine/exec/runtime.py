@@ -1,14 +1,14 @@
-"""Shared per-binding step interpretation for both executors.
+"""Shared per-binding step interpretation.
 
 The compile side (:mod:`repro.engine.plan`) reduces every body literal
 to descriptor tuples; this module owns their runtime meaning for ONE
 binding at a time: probe-key evaluation, residual matching, builtin
 argument materialization, and negation argument evaluation.  The
-tuple-at-a-time executor (:mod:`repro.engine.exec.tuplewise`) composes
-these into a recursive enumeration; the batch executor
-(:mod:`repro.engine.exec.batch`) reuses them for the shapes that are
-inherently per-binding (negated built-ins, general residual matching)
-and replaces the rest with set-at-a-time operators.
+reference executor (:mod:`repro.engine.exec.tuplewise`) composes these
+into a recursive enumeration; the compiled closures
+(:mod:`repro.engine.exec.specialize`) call them at the term boundary
+for the shapes that are inherently per-binding (negated built-ins,
+general residual matching, non-inlined built-ins).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Per-plan specialization: compile a RulePlan to one Python closure.
 
-The batch executor (:mod:`repro.engine.exec.batch`) still *interprets*
-the step vocabulary per call: for every batch it re-dispatches on step
-kind, re-reads descriptor tuples, and shuttles ``ChainBinding`` objects
-of boxed terms between operators.  This module removes that
-interpretive overhead: each :class:`~repro.engine.plan.RulePlan`
-compiles once into a specialized function whose source *inlines* the
+This is the engine's production executor.  Rather than interpreting
+the step vocabulary per call (re-dispatching on step kind, re-reading
+descriptor tuples, and shuttling ``ChainBinding`` objects of boxed
+terms between steps, as the reference executor does), each
+:class:`~repro.engine.plan.RulePlan` compiles once into a
+specialized function whose source *inlines* the
 plan — nested loops over ID rows (:mod:`repro.engine.relation`), probe
 keys as int (tuples of int) dict gets against
 :meth:`~repro.engine.relation.Relation.id_index`, negation as ID-row
@@ -26,28 +26,25 @@ Three modes share one generator:
 * ``"rows"`` — the vectorized :func:`~repro.engine.exec.derive_rows`
   shape: emits raw head ID rows (int tuples, no Atom per candidate —
   the fixpoint bulk-inserts them via ``Database.add_rows`` and only
-  genuinely new facts ever materialize terms).  Rows mode also turns
-  on the vector-kernel codegen (:mod:`repro.engine.exec.kernels`):
-  the last relation step fuses emission into one whole-column list
+  genuinely new facts ever materialize terms).  Rows mode alone also
+  emits the kernel codegen (:mod:`repro.engine.exec.kernels`): the
+  last relation step fuses emission into one whole-column list
   comprehension, arithmetic and comparisons read the interner's
   numeric lane directly, bound-parts ``partition`` runs as the
   memoized ID-space union kernel, and remaining known-handler builtin
-  calls memoize on their input row IDs.  Requires an empty seed, a
-  fast head template whose variables the body binds, and — because
-  the emitted multiset of rows must equal the atoms mode's facts
-  one-for-one — falls back for every shape atoms mode would.  The
-  ``atoms``/``bindings`` generators are byte-identical with the knob
-  on or off, so ``REPRO_VECTOR=off`` differential legs compare
-  against exactly the PR 6 code paths.
+  calls memoize on their input row IDs.  Requires an empty seed and a
+  fast head template whose variables the body binds (the emitted
+  multiset of rows must equal the atoms mode's facts one-for-one);
+  other plans decline, and the fixpoint derives them in atoms mode.
 
-Semantics are *identical by construction* to the term-level batch
-executor — same binding multisets, same failure semantics (lenient
-override probes vs raising database probes), same per-step
-``record_batch`` metrics — and the tuple executor remains the
-differential oracle for both.  Shapes the generator cannot prove it
-handles raise :class:`_Unsupported` and the caller falls back to the
-term-level batch lane; runtime conditions it cannot handle (a seed
-binding whose keys differ from the plan's ``initially_bound``) return
+Semantics match the reference executor
+(:mod:`repro.engine.exec.tuplewise`) — same binding multisets, same
+failure semantics (lenient override probes vs raising database
+probes) — and it remains the differential oracle.  A plan a mode
+declines runs on that reference: shapes the generator cannot prove it
+handles raise :class:`_Unsupported`, and runtime conditions it cannot
+handle (a seed binding whose keys differ from the plan's
+``initially_bound``, a seed value that cannot be interned) return
 :data:`FALLBACK` *before* any override source is consumed.
 
 Compiled closures capture the ID table by reference; like relations,
@@ -74,7 +71,7 @@ from repro.engine.exec.runtime import (
 )
 from repro.engine.match import ground_atom
 from repro.engine.plan import ARITH, CONST, VAR, LiteralStep, RulePlan, SourceOverrides
-from repro.engine.relation import decode_row, encode_args
+from repro.engine.relation import encode_args
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.rule import Atom
 from repro.terms.term import (
@@ -87,7 +84,7 @@ from repro.terms.term import (
 )
 
 #: Sentinel: the specialized path declined (before consuming any
-#: override source); the caller must run the term-level batch lane.
+#: override source); the caller must run the reference executor.
 FALLBACK = object()
 
 
@@ -195,9 +192,8 @@ def _residual_matcher(
 ):
     """General residual matching (repeated variables, nested patterns)
     over a whole bucket of ID rows: one call per outer binding, the
-    mixed residual terms substituted once (exactly the batch
-    executor's amortization), returning the row-ID tuples of the new
-    variables, one per match."""
+    mixed residual terms substituted once, returning the row-ID tuples
+    of the new variables, one per match."""
 
     residuals = step.residuals
 
@@ -308,12 +304,9 @@ class _Codegen:
     def __init__(self, plan: RulePlan, mode: str) -> None:
         self.plan = plan
         self.mode = mode
-        # rows mode doubles as the vector-kernel switch: the extra
-        # codegen below (numeric-lane arithmetic, the partition union
-        # kernel, builtin memos, fused emission) is emitted only when
-        # ``vector`` — atoms/bindings sources stay byte-identical to
-        # the non-vectorized generator, so the ``REPRO_VECTOR=off``
-        # differential leg compares against exactly the old code.
+        # the kernel codegen below (numeric-lane arithmetic, the
+        # partition union kernel, builtin memos, fused emission) is
+        # emitted for rows mode only
         self.vector = mode == "rows"
         if self.vector and plan.initially_bound:
             # rows mode only serves the seedless fixpoint shape; a
@@ -407,7 +400,7 @@ class _Codegen:
             )
             pro.append(f"    _l{k} = True")
             # an unknown predicate skips the step wholesale, before any
-            # probe-key evaluation (the batch executor's semantics)
+            # probe-key evaluation
             emit(f"if _i{k} is None:")
             emit("    continue")
             parts = []
@@ -441,8 +434,7 @@ class _Codegen:
             rows = f"_r{k}"
         if general:
             # one matcher call per outer binding over the whole bucket:
-            # the mixed residual terms substitute once, as in the batch
-            # executor's general-residual operator
+            # the mixed residual terms substitute once
             bound = step.bound_before
             in_names = tuple(sorted(atom.variables() & bound))
             out_names = tuple(sorted(atom.variables() - bound))
@@ -1053,8 +1045,8 @@ class _Codegen:
         lines.append("    for _root in _ONE:")
         lines.extend(self.body)
         if steps:
-            # per-step record_batch parity with the term batch executor:
-            # step k is recorded iff the batch entering it was non-empty
+            # per-step record_batch: step k is recorded iff the batch
+            # entering it was non-empty
             lines.append("    if metrics is not None:")
             lines.append("        _rb = metrics.record_batch")
             lines.append("        _rb(_c0)")
@@ -1095,7 +1087,7 @@ class SpecializedPlan:
     """Lazy per-mode compilation cache hung off a :class:`RulePlan`.
 
     Each mode compiles at most once; an unsupported shape caches False
-    so the term-level fallback is not re-attempted per call."""
+    so the codegen is not re-attempted per call."""
 
     __slots__ = ("plan", "_fns", "_decode")
 
@@ -1163,7 +1155,7 @@ class SpecializedPlan:
         metrics,
     ):
         """Run one mode, or :data:`FALLBACK` (always before consuming
-        any override source, so the term lane sees fresh iterators)."""
+        any override source, so the fallback sees fresh iterators)."""
         plan = self.plan
         base = {} if binding is None else materialize(binding)
         if frozenset(base) != plan.initially_bound:

@@ -1,10 +1,9 @@
-"""Tuple-at-a-time executor: the original recursive enumeration.
+"""Tuple-at-a-time executor: the reference the compiled lane answers to.
 
-Kept as ``executor="tuple"`` for differential testing against the batch
-executor, mirroring how the layer scheduler survives alongside the SCC
-scheduler.  One binding flows through the whole step sequence before
-the next one starts; every step shape delegates to the shared
-per-binding runtime helpers.
+Selected as ``executor="tuple"``, and the target of every plan the
+compiled lane declines.  One binding flows through the whole step
+sequence before the next one starts; every step shape delegates to the
+shared per-binding runtime helpers over terms, not ID rows.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from typing import Iterator
 
 from repro.engine.binding import ChainBinding, as_chain
 from repro.engine.database import Database
+from repro.engine.exec.kernels import RowBatch
 from repro.engine.exec.runtime import builtin_step, negation_step, relation_step
 from repro.engine.plan import RulePlan, SourceOverrides
 
@@ -27,11 +27,21 @@ def run_plan_tuple(
     """Enumerate body bindings one at a time (depth-first).
 
     Yields copy-on-write :class:`ChainBinding` views; callers that store
-    results should ``materialize()`` them.
+    results should ``materialize()`` them.  An override source is
+    scanned once per outer binding, so a one-shot iterable is
+    materialized up front (lists, tuples and row batches re-iterate
+    as they are).
     """
     steps = plan.steps
     total = len(steps)
     negative_source = negation_db if negation_db is not None else db
+    if overrides:
+        overrides = {
+            index: source
+            if isinstance(source, (list, tuple, RowBatch))
+            else list(source)
+            for index, source in overrides.items()
+        }
 
     def recurse(index: int, current: ChainBinding) -> Iterator[ChainBinding]:
         if index == total:

@@ -14,15 +14,55 @@ is automatic over a finite database.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.engine.context import EvalContext, ensure_context
 from repro.engine.database import Database
-from repro.engine.exec import enumerate_bindings, group_bindings
-from repro.errors import EvaluationError
+from repro.engine.exec import enumerate_bindings
+from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.rule import Atom, Rule
 from repro.terms.pretty import format_rule
-from repro.terms.term import SetVal, Term, Var, intern_term
+from repro.terms.term import SetVal, Term, Var, evaluate_ground, intern_term
+
+
+def group_bindings(
+    bindings: Iterable[Mapping[str, Term]],
+    group_var: str,
+    other_terms: Iterable[tuple[int, Term]],
+    describe,
+) -> dict[tuple[Term, ...], set[Term]]:
+    """Batch group-by for grouping rules: bucket the grouped variable's
+    canonical values under the canonical key of the remaining head
+    arguments.
+
+    An unbound grouped variable is a range-restriction violation and
+    raises :class:`EvaluationError` (``describe()`` supplies the message
+    context); bindings whose key or value falls outside U drop out,
+    exactly as the per-binding path did.  An empty batch yields no
+    groups; duplicate bindings collapse in the value *sets*.
+    """
+    other_terms = tuple(other_terms)
+    groups: dict[tuple[Term, ...], set[Term]] = {}
+    for binding in bindings:
+        value_term = binding.get(group_var)
+        if value_term is None:
+            raise EvaluationError(
+                f"grouped variable {group_var} unbound by body: {describe()}"
+            )
+        try:
+            key = tuple(
+                evaluate_ground(term.substitute(binding))
+                for _pos, term in other_terms
+            )
+            value = evaluate_ground(value_term)
+        except (NotInUniverseError, EvaluationError):
+            continue
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = {value}
+        else:
+            bucket.add(value)
+    return groups
 
 
 def apply_grouping_rule(

@@ -17,9 +17,9 @@ analysis *once* per (rule, delta-occurrence, planner) and emits a
 * a precomputed :class:`HeadTemplate` that instantiates the head by
   direct binding lookups when possible.
 
-Execution lives in :mod:`repro.engine.exec`: the batch executor runs a
-plan set-at-a-time over whole binding batches, the tuple executor keeps
-the original one-binding-at-a-time recursion for differential testing.
+Execution lives in :mod:`repro.engine.exec`: the default executor
+compiles each plan once into a closure over ID rows, the tuple executor
+keeps the original one-binding-at-a-time recursion as the reference.
 :func:`run_plan` and :func:`apply_rule_plan` remain as thin wrappers
 that route to the configured executor, extending bindings as immutable
 chains (:mod:`repro.engine.binding`) so that a dict is materialized
@@ -415,7 +415,7 @@ def run_plan(
     """Enumerate applicable bindings of a compiled body over ``db``.
 
     Routes to the configured executor (:mod:`repro.engine.exec`); the
-    default is the set-at-a-time batch executor.  Yields
+    default is the compiled plan lane.  Yields
     :class:`ChainBinding` extensions of ``binding`` (read-only
     Mappings; call ``.materialize()`` for a plain dict).  ``overrides``
     swaps the tuple source of specific body occurrences (semi-naive

@@ -393,11 +393,9 @@ class Relation:
         self, positions: tuple[int, ...]
     ) -> dict[object, set[ArgTuple]]:
         """The term-level hash index for a non-empty position signature,
-        built on first use from the verbatim term lane.  The term-batch
-        executor probes this dict directly — one cached-hash ``get``
-        per binding, no call layers in the join's inner loop.  Keys
-        follow the index convention: bare term for 1-position
-        signatures, tuple otherwise.
+        built on first use from the verbatim term lane.  Keys follow
+        the index convention: bare term for 1-position signatures,
+        tuple otherwise.
         """
         index = self._indexes.get(positions)
         if index is None:

@@ -289,8 +289,8 @@ class TopDownEvaluator:
     def _body_bindings(
         self, body: tuple[Literal, ...], plan: tuple[int, ...], binding: Binding
     ) -> list[Binding]:
-        # set-at-a-time, like the bottom-up batch executor: each literal
-        # extends the whole batch before the next literal runs.  Eager
+        # set-at-a-time: each literal extends the whole batch before
+        # the next literal runs.  Eager
         # table reads are safe because the tabling driver iterates to
         # fixpoint — any pass-ordering difference is absorbed by _grew.
         batch: list[Binding] = [binding]

@@ -69,7 +69,7 @@ can never interleave with the mutation it would go stale against.
 
 ``REPRO_ANSWER_CACHE=off`` (or ``0``/``false``/``no``) disables the
 cache process-wide — the differential-testing leg CI runs for the
-server suite.
+server suite; an unrecognized value is an error, not the default.
 """
 
 from __future__ import annotations
@@ -103,12 +103,21 @@ Key = tuple[str, str, tuple[tuple[int, Term], ...]]
 
 
 def cache_enabled(default: bool = True) -> bool:
-    """Whether ``REPRO_ANSWER_CACHE`` allows answer caching."""
+    """Whether ``REPRO_ANSWER_CACHE`` allows answer caching.
+
+    Unset or empty means ``default``; any other value outside
+    ``on/off/1/0/true/false/yes/no`` raises :class:`ValueError`, so a
+    misspelt knob can never silently leave the cache on."""
     value = os.environ.get("REPRO_ANSWER_CACHE", "").strip().lower()
     if value in ("off", "0", "false", "no"):
         return False
     if value in ("on", "1", "true", "yes"):
         return True
+    if value:
+        raise ValueError(
+            f"unknown REPRO_ANSWER_CACHE value {value!r}; expected one of "
+            "on, off, 1, 0, true, false, yes, no"
+        )
     return default
 
 

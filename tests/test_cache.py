@@ -113,6 +113,19 @@ class TestCacheBasics:
         assert cache_enabled()
         assert LDLServer(LDL(TWO_FAMILIES), port=0).cache is not None
 
+    def test_env_knob_rejects_unknown_values(self, monkeypatch):
+        # a typo must not silently leave the cache on
+        for value in ("of", "disabled", "2"):
+            monkeypatch.setenv("REPRO_ANSWER_CACHE", value)
+            with pytest.raises(ValueError, match="REPRO_ANSWER_CACHE"):
+                cache_enabled()
+        for value in (" OFF ", "0", "False", "no"):
+            monkeypatch.setenv("REPRO_ANSWER_CACHE", value)
+            assert not cache_enabled()
+        for value in ("", "  ", "Yes", "1", "TRUE"):
+            monkeypatch.setenv("REPRO_ANSWER_CACHE", value)
+            assert cache_enabled()
+
 
 class TestInvalidation:
     def test_writes_invalidate_only_affected_predicates(self):

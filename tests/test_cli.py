@@ -1,10 +1,16 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -81,6 +87,25 @@ class TestCli:
             invoke([family_file, "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_vector_flag_rejected(self, family_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke([family_file, "--vector", "on"])
+        assert exc.value.code == 2
+        assert "--vector" in capsys.readouterr().err
+
+    def test_serve_rejects_unknown_cache_knob(self, family_file):
+        # the real entry point: one error line and exit 2, no traceback
+        env = dict(os.environ, REPRO_ANSWER_CACHE="of")
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", family_file, "--port", "0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "REPRO_ANSWER_CACHE" in done.stdout
+        assert "'of'" in done.stdout
+        assert "Traceback" not in done.stdout + done.stderr
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "bad.ldl"

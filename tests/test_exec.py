@@ -1,39 +1,47 @@
 """Tests for the executor package (repro.engine.exec).
 
-Covers the batch operators directly (indexed hash join, anti-join
-negation, override-source joins, batch builtins, batch group-by edge
-cases), the executor selection machinery, and fixed-program
-batch-vs-tuple differentials (the random-program differential lives in
-test_prop_engine.py).
+Covers the default compiled lane against the reference executor on
+fixed bodies (joins, anti-join negation, override-source joins,
+builtins, metrics), the fallback to the reference for plans the
+compiled lane declines, the executor selection machinery, fixed-program
+differentials, and a Hypothesis property holding every compiled mode to
+the reference on every rule of random programs.
 """
 
 import os
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
+from repro.engine import evaluate
 from repro.engine.binding import EMPTY_BINDING
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import (
     EXECUTORS,
+    RowBatch,
     default_executor,
     derive_facts,
+    derive_rows,
     enumerate_bindings,
-    group_bindings,
-    run_plan_batch,
     run_plan_tuple,
     set_default_executor,
-    set_specialization,
-    specialization,
 )
+from repro.engine.exec import specialize
+from repro.engine.exec.specialize import FALLBACK, specialized_plan
 from repro.engine.grouping import apply_grouping_rule
+from repro.engine.match import match_atom
 from repro.engine.plan import compile_rule
-from repro.errors import EvaluationError
+from repro.engine.relation import encode_args
+from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
 from repro.parser import parse_atom, parse_rule
+from repro.program.rule import Atom
 from repro.terms.term import Const
 
 from tests.helpers import facts_of, run
+from tests.strategies import generated_programs
 
 
 def db_of(*atom_srcs):
@@ -47,11 +55,17 @@ def _normalized(bindings):
     )
 
 
+def compiled(db, plan, **kwargs):
+    """The default lane, pinned so a ``REPRO_EXECUTOR=tuple`` run still
+    exercises it."""
+    return enumerate_bindings(db, plan, executor="batch", **kwargs)
+
+
 def bindings_of(db, rule, **kwargs):
-    batch = _normalized(run_plan_batch(db, compile_rule(rule), **kwargs))
+    fast = _normalized(compiled(db, compile_rule(rule), **kwargs))
     tup = _normalized(run_plan_tuple(db, compile_rule(rule), **kwargs))
-    assert batch == tup
-    return batch
+    assert fast == tup
+    return fast
 
 
 class TestBatchJoin:
@@ -84,7 +98,7 @@ class TestBatchJoin:
         db = db_of("a(1)", "b(1)", "c(1)")
         rule = parse_rule("p(X) <- a(X), b(X).")
         plan = compile_rule(rule)
-        assert len(run_plan_batch(db, plan)) == len(
+        assert len(list(compiled(db, plan))) == len(
             list(run_plan_tuple(db, plan))
         )
 
@@ -116,38 +130,123 @@ class TestAntiJoinNegation:
         assert bindings_of(db, rule) == []
 
 
+def _d_index(plan):
+    return next(
+        step.index for step in plan.steps if step.literal.atom.pred == "d"
+    )
+
+
 class TestOverrideSource:
     def test_delta_seed_restricts_first_step(self):
         db = db_of("e(1, 2)", "e(2, 3)", "t(2, 3)")
         rule = parse_rule("t(X, Y) <- e(X, Z), t(Z, Y).")
         plan = compile_rule(rule, first=1)
         delta = [(Const(2), Const(3))]
-        batch = run_plan_batch(db, plan, overrides={1: delta})
+        fast = list(compiled(db, plan, overrides={1: delta}))
         tup = list(run_plan_tuple(db, plan, overrides={1: delta}))
-        assert len(batch) == len(tup) == 1
-        assert batch[0].materialize() == tup[0].materialize()
+        assert len(fast) == len(tup) == 1
+        assert fast[0].materialize() == tup[0].materialize()
 
     def test_probed_delta_join(self):
-        # the delta occurrence appears second, so the batch probes it
+        # the delta occurrence appears second, so the compiled lane
+        # probes it
         db = db_of("e(1, 2)", "e(2, 3)")
         rule = parse_rule("p(X, Y) <- e(X, Z), d(Z, Y).")
         plan = compile_rule(rule)
         delta = [(Const(2), Const(9)), (Const(7), Const(8))]
-        batch = run_plan_batch(db, plan, overrides={plan.order[1]: delta})
+        fast = list(compiled(db, plan, overrides={plan.order[1]: delta}))
         tup = list(run_plan_tuple(db, plan, overrides={plan.order[1]: delta}))
-        assert len(batch) == len(tup) == 1
+        assert len(fast) == len(tup) == 1
 
     def test_generator_source_consumed_once(self):
-        # an override may be a one-shot iterable; the batch executor
-        # must materialize it before fanning over the batch
+        # an override may be a one-shot iterable; every lane must
+        # materialize it before fanning it over the outer bindings
         db = db_of("e(1)", "e(2)")
-        rule = parse_rule("p(X, Y) <- e(X), d(Y).")
-        plan = compile_rule(rule)
-        idx = plan.order[1] if plan.steps[1].literal.atom.pred == "d" else plan.order[0]
-        batch = run_plan_batch(
-            db, plan, overrides={idx: iter([(Const(5),), (Const(6),)])}
-        )
-        assert len(batch) == 4
+        plan = compile_rule(parse_rule("p(X, Y) <- e(X), d(Y)."))
+        idx = _d_index(plan)
+
+        def source():
+            return {idx: iter([(Const(5),), (Const(6),)])}
+
+        fast = _normalized(compiled(db, plan, overrides=source()))
+        assert len(fast) == 4
+        assert _normalized(run_plan_tuple(db, plan, overrides=source())) == fast
+        assert _normalized(
+            enumerate_bindings(db, plan, overrides=source(), executor="tuple")
+        ) == fast
+        facts = {
+            name: sorted(map(str, derive_facts(
+                db, plan, overrides=source(), executor=name
+            )))
+            for name in ("batch", "tuple")
+        }
+        assert len(facts["batch"]) == 4
+        assert facts["tuple"] == facts["batch"]
+
+
+class TestFallbackToReference:
+    """A plan the compiled lane declines runs on the reference executor,
+    with every override source still unconsumed."""
+
+    def test_seed_keys_differ_from_initially_bound(self):
+        db = db_of("e(1, 2)", "e(1, 3)", "e(2, 3)")
+        plan = compile_rule(parse_rule("p(X, Y) <- e(X, Y)."))
+        seed = {"X": Const(1)}
+        assert specialized_plan(plan).run(
+            "bindings", db, seed, None, None, None
+        ) is FALLBACK
+        got = _normalized(compiled(db, plan, binding=seed))
+        assert got == _normalized(run_plan_tuple(db, plan, binding=seed))
+        assert len(got) == 2
+
+    def test_declined_plan_sees_a_fresh_one_shot_source(self):
+        db = db_of("e(1)", "e(2)")
+        plan = compile_rule(parse_rule("p(X, Y) <- e(X), d(Y)."))
+        seed = {"Z": Const(0)}  # not the plan's initially-bound set
+        overrides = {_d_index(plan): iter([(Const(5),), (Const(6),)])}
+        assert len(list(compiled(db, plan, binding=seed, overrides=overrides))) == 4
+
+    def test_unsupported_shape(self, monkeypatch):
+        def unsupported(plan, mode):
+            raise specialize._Unsupported(mode)
+
+        monkeypatch.setattr(specialize, "_generate", unsupported)
+        db = db_of("e(1)", "e(2)")
+        plan = compile_rule(parse_rule("p(X, Y) <- e(X), d(Y)."))
+
+        def source():
+            return {_d_index(plan): iter([(Const(5),), (Const(6),)])}
+
+        assert derive_rows(db, plan, overrides=source()) is None
+        facts = derive_facts(db, plan, overrides=source(), executor="batch")
+        assert sorted(map(str, facts)) == sorted(map(str, derive_facts(
+            db, plan, overrides=source(), executor="tuple"
+        )))
+        assert len(facts) == 4
+        assert len(list(compiled(db, plan, overrides=source()))) == 4
+
+    def test_seed_value_that_cannot_be_interned(self):
+        db = db_of("e(1, 2)")
+        rule = parse_rule("p(X, Y) <- e(X, Y).")
+        plan = compile_rule(rule, initially_bound=frozenset({"X"}))
+        seed = {"X": object()}
+        assert specialized_plan(plan).run(
+            "bindings", db, seed, None, None, None
+        ) is FALLBACK
+        assert list(compiled(db, plan, binding=seed)) == []
+
+    def test_derive_rows_declines_only_reference_or_headless(self):
+        db = db_of("e(1, 2)", "e(2, 3)")
+        plan = compile_rule(parse_rule("t(X, Y) <- e(X, Y)."))
+        assert derive_rows(db, plan, executor="tuple") is None
+        dr = derive_rows(db, plan, executor="batch")
+        assert dr is not None and dr.pred == "t" and dr.arity == 2
+        assert {dr.decode(row) for row in dr.rows} == {
+            (Const(1), Const(2)),
+            (Const(2), Const(3)),
+        }
+        grouping = compile_rule(parse_rule("g(K, <V>) <- e(K, V)."))
+        assert derive_rows(db, grouping, executor="batch") is None
 
 
 class TestBatchBuiltins:
@@ -164,23 +263,6 @@ class TestBatchBuiltins:
 
 
 class TestBatchGroupBy:
-    def test_empty_batch_yields_no_groups(self):
-        groups = group_bindings([], "X", [], lambda: "r")
-        assert groups == {}
-
-    def test_all_duplicate_batch_collapses(self):
-        bindings = [{"X": Const(1), "K": Const(0)}] * 5
-        groups = group_bindings(
-            bindings, "X", [(0, parse_atom("k(K)").args[0])], lambda: "r"
-        )
-        assert len(groups) == 1
-        ((key, values),) = groups.items()
-        assert values == {Const(1)}
-
-    def test_unbound_group_var_raises(self):
-        with pytest.raises(EvaluationError, match="unbound by body"):
-            group_bindings([{"Y": Const(1)}], "X", [], lambda: "r(X)")
-
     def test_grouping_rule_matches_tuple_executor(self):
         src = """
         item(a, 1). item(a, 2). item(b, 3).
@@ -246,15 +328,17 @@ class TestDeriveFacts:
         db = db_of("e(1)", "e(2)", "f(1)")
         plan = compile_rule(parse_rule("p(X) <- e(X), f(X)."))
         metrics = MetricsCollector()
-        derive_facts(db, plan, executor="batch", metrics=metrics)
+        facts = derive_facts(db, plan, executor="batch", metrics=metrics)
         assert metrics.counters["batch_steps"] == 2
         assert metrics.counters["batch_peak"] >= 1
+        assert facts == derive_facts(db, plan, executor="tuple")
 
     def test_empty_plan_yields_seed_binding(self):
         # a fact rule has no steps: exactly one (empty) binding
         plan = compile_rule(parse_rule("p(1)."))
-        assert len(run_plan_batch(Database(), plan)) == 1
-        assert run_plan_batch(Database(), plan)[0] is not None
+        fast = list(compiled(Database(), plan))
+        assert len(fast) == 1 == len(list(run_plan_tuple(Database(), plan)))
+        assert fast[0] is not None
         assert EMPTY_BINDING.materialize() == {}
 
 
@@ -273,11 +357,6 @@ class TestFixedProgramDifferentials:
     def test_negation_program(self):
         src = """
         node(1). node(2). node(3). edge(1, 2).
-        isolated(X) <- node(X), ~edge(X, Y), ~edge(Y, X).
-        """
-        # safety requires Y bound; use a closed form instead
-        src = """
-        node(1). node(2). node(3). edge(1, 2).
         linked(X) <- edge(X, Y).
         linked(Y) <- edge(X, Y).
         isolated(X) <- node(X), ~linked(X).
@@ -287,53 +366,83 @@ class TestFixedProgramDifferentials:
         ) == {"isolated(3)"}
 
 
-class TestSpecializationToggle:
-    """Plan specialization is an optimization layer over the batch
-    executor: toggling it must never change an answer set."""
+# -- every compiled mode against the reference, rule by rule ----------------
 
-    def test_default_respects_env(self):
-        expected = os.environ.get("REPRO_SPECIALIZE", "on")
-        assert specialization() == expected
 
-    def test_set_round_trip(self):
-        previous = specialization()
-        try:
-            set_specialization("off")
-            assert specialization() == "off"
-        finally:
-            set_specialization(previous)
+def _binding_multiset(bindings):
+    return Counter(frozenset(b.materialize().items()) for b in bindings)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="specialization"):
-            set_specialization("maybe")
 
-    def _answers(self, src, pred):
-        previous = specialization()
-        try:
-            set_specialization("on")
-            on = facts_of(run(src, executor="batch"), pred)
-            set_specialization("off")
-            off = facts_of(run(src, executor="batch"), pred)
-        finally:
-            set_specialization(previous)
-        assert on == off
-        return on
+def _row_batch(atom, tuples):
+    batch = RowBatch(atom.pred, len(atom.args))
+    for args in tuples:
+        batch.add(encode_args(args), args)
+    return batch
 
-    def test_transitive_closure_equivalent(self):
-        assert self._answers(TestFixedProgramDifferentials.TC, "t")
 
-    def test_builtins_equivalent(self):
-        src = """
-        e(1, 2). e(2, 3). e(3, 1).
-        p(X, S) <- e(X, Y), e(Y, Z), X != Z, S = X + Z.
-        """
-        assert self._answers(src, "p") == {"p(1, 4)", "p(2, 3)", "p(3, 5)"}
+def _check_plan(db, plan, binding=None, overrides=None, negation_db=None):
+    """Run ``plan`` in every compiled mode and on the reference; all
+    must give the same multiset.  ``atoms`` and ``bindings`` must
+    compile; ``rows`` may decline (non-fast heads, seeded plans)."""
+    spec = specialized_plan(plan)
+    reference = list(run_plan_tuple(
+        db, plan, binding=binding, overrides=overrides,
+        negation_db=negation_db,
+    ))
+    got = spec.run("bindings", db, binding, overrides, negation_db, None)
+    assert got is not FALLBACK
+    assert _binding_multiset(got) == _binding_multiset(reference)
+    if plan.head is None:
+        return
+    expected = Counter(
+        fact for fact in map(plan.instantiate_head, reference)
+        if fact is not None
+    )
+    atoms = spec.run("atoms", db, binding, overrides, negation_db, None)
+    assert atoms is not FALLBACK
+    assert Counter(atoms) == expected
+    rows = spec.run("rows", db, binding, overrides, negation_db, None)
+    if rows is not FALLBACK:
+        decode = spec.decoder()
+        pred = plan.head.atom.pred
+        assert Counter(Atom(pred, decode(row)) for row in rows) == expected
 
-    def test_negation_equivalent(self):
-        src = """
-        node(1). node(2). node(3). edge(1, 2).
-        linked(X) <- edge(X, Y).
-        linked(Y) <- edge(X, Y).
-        isolated(X) <- node(X), ~linked(X).
-        """
-        assert self._answers(src, "isolated") == {"isolated(3)"}
+
+@given(generated_programs)
+@settings(max_examples=25, deadline=None)
+def test_compiled_modes_equal_reference_on_every_rule(generated):
+    """The compiled lane is an optimization, not a semantics.
+
+    Over the evaluated model of a random admissible program — negation
+    and grouping included — every rule, under every delta occurrence
+    (overrides given as a plain list and as a ``RowBatch``), with and
+    without a distinct negation database, and seeded on its head the
+    way ``explain`` and DRed rederivation seed it, must give the same
+    multiset in ``rows`` (where it compiles), ``atoms`` and
+    ``bindings`` mode as on the reference executor.
+    """
+    db = evaluate(generated.program, edb=generated.edb).database
+    edb_only = Database(generated.edb)
+    for rule in generated.program.rules:
+        occurrences = [
+            i for i, lit in enumerate(rule.body)
+            if lit.positive and not is_builtin_predicate(lit.atom.pred)
+        ]
+        for negation_db in (None, edb_only):
+            _check_plan(db, compile_rule(rule), negation_db=negation_db)
+            for i in occurrences:
+                plan = compile_rule(rule, first=i)
+                atom = rule.body[i].atom
+                tuples = list(db.tuples(atom.pred))
+                delta = tuples[::2] + tuples[:1]  # a subset, one repeat
+                for source in (delta, _row_batch(atom, delta)):
+                    _check_plan(
+                        db, plan, overrides={i: source},
+                        negation_db=negation_db,
+                    )
+        if rule.head.group_positions():
+            continue
+        for fact in list(db.atoms(rule.head.pred))[:3]:
+            for seed in match_atom(rule.head, fact.args, {}):
+                plan = compile_rule(rule, initially_bound=frozenset(seed))
+                _check_plan(db, plan, binding=seed)

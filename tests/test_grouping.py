@@ -3,10 +3,15 @@
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.grouping import apply_grouping_rule, apply_grouping_rules
+from repro.engine.grouping import (
+    apply_grouping_rule,
+    apply_grouping_rules,
+    group_bindings,
+)
 from repro.errors import EvaluationError
 from repro.parser import parse_atom, parse_rule
 from repro.terms.pretty import format_atom
+from repro.terms.term import Const
 
 
 def db_of(*sources):
@@ -99,3 +104,22 @@ class TestApplyGroupingRules:
 
     def test_no_rules(self):
         assert apply_grouping_rules([], db_of("e(a, 1)")) == []
+
+
+class TestGroupBindings:
+    def test_empty_batch_yields_no_groups(self):
+        groups = group_bindings([], "X", [], lambda: "r")
+        assert groups == {}
+
+    def test_all_duplicate_batch_collapses(self):
+        bindings = [{"X": Const(1), "K": Const(0)}] * 5
+        groups = group_bindings(
+            bindings, "X", [(0, parse_atom("k(K)").args[0])], lambda: "r"
+        )
+        assert len(groups) == 1
+        ((key, values),) = groups.items()
+        assert values == {Const(1)}
+
+    def test_unbound_group_var_raises(self):
+        with pytest.raises(EvaluationError, match="unbound by body"):
+            group_bindings([{"Y": Const(1)}], "X", [], lambda: "r(X)")

@@ -1,31 +1,17 @@
-"""Tests for the vector-kernel layer (repro.engine.exec.kernels).
+"""Tests for the ID-space kernels (repro.engine.exec.kernels).
 
-Unit tests exercise each whole-column kernel on the edge shapes the
-generated code can feed it (empty columns, all-filtered masks,
-duplicate join keys, lanes read after a swap-remove discard), and a
-four-way Hypothesis differential holds the vector lane to the exact
-model of the specialized, batch, and tuple executors on random
-admissible programs.
+Unit tests cover the memoized scalar kernels the rows-mode closures
+call (``number_rid``, ``union_rid``), the ``RowBatch`` delta currency,
+and relation lanes read after a swap-remove discard.  The compiled
+lane as a whole is held to the reference executor by the property in
+``test_exec.py``.
 """
 
-import operator
-
 import pytest
-from hypothesis import given, settings
 
-from repro.engine import evaluate
-from repro.engine.exec import (
-    derive_rows,
-    kernels,
-    set_vectorization,
-    vectorization,
-)
+from repro.engine.exec import kernels
 from repro.engine.relation import Relation, encode_args
-from repro.parser import parse_rules
-from repro.program.rule import Atom
 from repro.terms.term import Const, SetVal, intern_term, row_id
-
-from tests.strategies import generated_programs
 
 
 def t(*values):
@@ -68,74 +54,6 @@ class TestScalarKernels:
         assert kernels.union_rid(rid(5), left) == -1
 
 
-class TestColumnKernels:
-    def test_probe_buckets_empty_keys(self):
-        assert kernels.probe_buckets({}.get, []) == []
-
-    def test_probe_buckets_duplicate_keys_probe_independently(self):
-        index = {1: {"a"}, 2: {"b"}}
-        got = kernels.probe_buckets(index.get, [1, 2, 1, 3, 1])
-        assert got == [{"a"}, {"b"}, {"a"}, None, {"a"}]
-
-    def test_gather_and_scatter_roundtrip(self):
-        from array import array
-
-        rows = [(1, 10), (2, 20), (3, 30)]
-        col = array("q")
-        kernels.scatter_column(col, rows, 1)
-        assert list(col) == [10, 20, 30]
-        assert kernels.gather(rows, 0) == [1, 2, 3]
-
-    def test_gather_empty(self):
-        assert kernels.gather([], 0) == []
-
-    def test_dedupe_preserves_first_occurrence_order(self):
-        rows = [(2,), (1,), (2,), (3,), (1,)]
-        assert kernels.dedupe_rows(rows) == [(2,), (1,), (3,)]
-
-    def test_fresh_rows_drops_stored_and_duplicates(self):
-        rowpos = {(1,): 0, (2,): 1}
-        rows = [(2,), (3,), (3,), (1,), (4,)]
-        assert kernels.fresh_rows(rows, rowpos) == [(3,), (4,)]
-
-    def test_fresh_rows_empty(self):
-        assert kernels.fresh_rows([], {}) == []
-
-    def test_antijoin_keep(self):
-        stored = {(1,), (3,)}
-        assert kernels.antijoin_keep([(1,), (2,), (3,), (4,)], stored) == [
-            (2,),
-            (4,),
-        ]
-
-    def test_eq_mask_all_filtered(self):
-        # a mask with no survivors must still have one entry per row
-        assert kernels.eq_mask([1, 2, 3], 9) == [False, False, False]
-        assert kernels.ne_mask([9, 9], 9) == [False, False]
-
-    def test_masks_on_empty_lane(self):
-        assert kernels.eq_mask([], 1) == []
-        assert kernels.compare_mask(operator.lt, [], []) == []
-
-    def test_numeric_lane_reads_interned_numbers(self):
-        lane = [rid(5), rid("word"), rid(2.5)]
-        assert kernels.numeric_lane(lane) == [5, None, 2.5]
-
-    def test_compare_mask_none_marks_slow_path_rows(self):
-        got = kernels.compare_mask(operator.lt, [1, None, 3], [2, 2, None])
-        assert got == [True, None, None]
-
-    def test_arith_lane(self):
-        got = kernels.arith_lane(operator.add, [1, None, 3], [10, 10, None])
-        assert got == [11, None, None]
-
-    def test_materialize_rows(self):
-        rows = [(rid(1),), (rid(2),)]
-        from repro.engine.relation import decode_row
-
-        assert kernels.materialize_rows(rows, decode_row) == [t(1), t(2)]
-
-
 class TestLaneAfterDiscard:
     def test_lane_reflects_swap_remove(self):
         # discard swap-removes mid-lane: the last row's IDs move into
@@ -168,105 +86,3 @@ class TestRowBatch:
         assert len(batch) == 2
         assert list(batch) == [t(1, 2), t(3, 4)]
         assert batch.rows == [encode_args(t(1, 2)), encode_args(t(3, 4))]
-
-
-TC = """
-t(X, Y) <- e(X, Y).
-t(X, Y) <- e(X, Z), t(Z, Y).
-"""
-
-
-def _edges(pairs):
-    return [Atom("e", (Const(a), Const(b))) for a, b in pairs]
-
-
-class TestVectorToggle:
-    def test_knob_roundtrip(self):
-        assert vectorization() in ("on", "off")
-        prev = vectorization()
-        try:
-            set_vectorization("off")
-            assert vectorization() == "off"
-            assert not kernels.enabled()
-            set_vectorization("on")
-            assert vectorization() == "on"
-            assert kernels.enabled()
-        finally:
-            set_vectorization(prev)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            set_vectorization("sometimes")
-
-    def test_derive_rows_none_when_off(self):
-        from repro.engine.context import ensure_context
-        from repro.engine.database import Database
-
-        program = parse_rules(TC)
-        db = Database(_edges([(1, 2), (2, 3)]))
-        ctx = ensure_context(None, db, "sized-once")
-        plan = ctx.plan_for(program.rules[0])
-        prev = vectorization()
-        try:
-            set_vectorization("off")
-            assert derive_rows(db, plan) is None
-            set_vectorization("on")
-            dr = derive_rows(db, plan)
-            assert dr is not None
-            assert dr.pred == "t" and dr.arity == 2
-            assert {dr.decode(row) for row in dr.rows} == {
-                t(1, 2),
-                t(2, 3),
-            }
-        finally:
-            set_vectorization(prev)
-
-    def test_same_model_both_settings(self):
-        program = parse_rules(TC)
-        edb = _edges([(1, 2), (2, 3), (3, 4), (2, 5)])
-        prev = vectorization()
-        try:
-            set_vectorization("on")
-            on = evaluate(program, edb=edb)
-            set_vectorization("off")
-            off = evaluate(program, edb=edb)
-        finally:
-            set_vectorization(prev)
-        assert on.database == off.database
-        assert on.total_firings == off.total_firings
-
-
-def _model(generated, **kwargs):
-    return evaluate(generated.program, edb=generated.edb, **kwargs)
-
-
-@given(generated_programs)
-@settings(max_examples=25, deadline=None)
-def test_vector_equals_specialized_equals_batch_equals_tuple(generated):
-    """The vector kernels are an optimization, not a semantics.
-
-    On random admissible programs — negation and grouping included —
-    all four executor configurations must produce exactly the same
-    model: vector (everything on), specialized (vector off), batch
-    (specialization and vector off), and the one-binding-at-a-time
-    tuple recursion.
-    """
-    from repro.engine.exec import set_specialization, specialization
-
-    prev_spec = specialization()
-    prev_vec = vectorization()
-    try:
-        set_specialization("on")
-        set_vectorization("on")
-        vector = _model(generated, executor="batch")
-        set_vectorization("off")
-        specialized = _model(generated, executor="batch")
-        set_specialization("off")
-        batch = _model(generated, executor="batch")
-        tup = _model(generated, executor="tuple")
-    finally:
-        set_specialization(prev_spec)
-        set_vectorization(prev_vec)
-    assert vector.database == specialized.database
-    assert specialized.database == batch.database
-    assert batch.database == tup.database

@@ -54,12 +54,12 @@ def test_scc_schedule_equals_layer_schedule(generated):
 @given(generated_programs)
 @settings(max_examples=25, deadline=None)
 def test_batch_executor_equals_tuple_executor(generated):
-    """The set-at-a-time batch executor is an optimization, not a
+    """The compiled default executor is an optimization, not a
     semantics.
 
     On random admissible programs — negation and grouping included —
-    running every rule body through the batch operator pipeline must
-    produce exactly the model of the original one-binding-at-a-time
+    running every rule body through the compiled ID-row closures must
+    produce exactly the model of the one-binding-at-a-time reference
     recursion."""
     batch = evaluate(generated.program, edb=generated.edb, executor="batch")
     tup = evaluate(generated.program, edb=generated.edb, executor="tuple")
