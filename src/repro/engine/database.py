@@ -62,8 +62,8 @@ class Database:
 
     def add_rows(self, pred: str, arity: int, rows, decode):
         """Bulk-insert derived ID rows for one predicate; returns the
-        (row, args) pairs that were new.  See :meth:`Relation.add_rows`
-        — this is the vectorized fixpoint's scatter entry point."""
+        rows that were new.  See :meth:`Relation.add_rows` — this is
+        the fixpoint's scatter entry point."""
         rel = self._relations.get(pred)
         if rel is None:
             rel = self.relation(pred, arity)
@@ -92,8 +92,8 @@ class Database:
         return rel is not None and atom.args in rel
 
     def contains_tuple(self, pred: str, args: ArgTuple) -> bool:
-        """Membership test without building an :class:`Atom` (the batch
-        executor's anti-join probes by raw argument tuple)."""
+        """Membership test by raw argument tuple, without building an
+        :class:`Atom`."""
         rel = self._relations.get(pred)
         return rel is not None and args in rel
 

@@ -207,8 +207,9 @@ def evaluate(
     condenses the layer into strongly connected components evaluated in
     dependency order, ``"layer"`` runs the layer's rules as one fixpoint
     (the Theorem 1 formulation — kept for differential testing).
-    ``executor`` picks the body executor (``"batch"`` set-at-a-time /
-    ``"tuple"`` one-binding-at-a-time; None uses the process default).
+    ``executor`` picks the body executor (``"batch"`` — plans compiled
+    to closures over ID rows / ``"tuple"`` — the one-binding-at-a-time
+    reference; None uses the process default).
     ``hooks`` receives engine events (:class:`repro.observe.EngineHooks`
     — e.g. a :class:`~repro.observe.TraceRecorder`); ``metrics``
     collects per-phase, per-layer, and per-SCC wall-clock timings.

@@ -64,9 +64,11 @@ class DerivedRows:
 
     ``rows`` is the emitted multiset of head ID rows (pre-dedup, so
     ``len(rows)`` matches the facts atoms mode would have returned);
-    ``decode`` materializes one row to its argument tuple — the
-    fixpoint hands both straight to ``Database.add_rows`` so only
-    genuinely new facts ever decode."""
+    ``decode`` is the head's slot decoder, or None when every row
+    decodes to its own spelling (see :meth:`SpecializedPlan.decoder
+    <repro.engine.exec.specialize.SpecializedPlan.decoder>`).  The
+    fixpoint hands both straight to ``Database.add_rows``, which
+    decodes nothing unless ``decode`` is set."""
 
     __slots__ = ("pred", "arity", "rows", "decode")
 
@@ -145,7 +147,7 @@ def derive_rows(
     metrics=None,
 ) -> DerivedRows | None:
     """The vectorized shape of :func:`derive_facts`: head facts as raw
-    ID rows plus a decoder, or None when this call must take the
+    ID rows plus any slot decoder, or None when this call must take the
     per-fact path (the reference executor, a headless plan, or a plan
     shape the rows mode does not cover).
 

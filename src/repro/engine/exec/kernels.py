@@ -12,10 +12,11 @@ are two memoized scalar kernels over dense row IDs:
   ``partition(S, S1, S2)`` with both parts bound (disjointness check +
   union), memoized per ``(rid, rid)`` pair.
 
-:class:`RowBatch` is the delta currency of the vectorized fixpoint: ID
-rows plus their verbatim argument tuples, so a semi-naive round feeds
-the next round's override sources without re-encoding (the reference
-executor iterates it as plain argument tuples).
+:class:`RowBatch` is the delta currency of the fixpoint and of
+maintenance: ID rows, so a semi-naive round feeds the next round's
+override sources without re-encoding, plus the spellings of the few
+rows that do not decode to their own arguments.  Argument tuples are
+decoded only when the batch is iterated (the reference executor).
 
 Process-wide memos hold dense IDs, so :func:`clear_intern_table`
 invalidates them through the term module's clear-listener registry.
@@ -23,6 +24,12 @@ invalidates them through the term module's clear-listener registry.
 
 from __future__ import annotations
 
+from repro.engine.relation import (
+    decode_row,
+    encode_args,
+    needs_spelling,
+    record_spellings,
+)
 from repro.terms.term import (
     SetVal,
     _ID_TABLE,
@@ -104,37 +111,54 @@ def union_rid(left: int, right: int) -> int:
 
 
 class RowBatch:
-    """A derived-fact batch carried in both lanes at once.
+    """A batch of facts of one predicate, in ID space.
 
-    ``rows`` holds the ID rows, ``args`` the parallel verbatim argument
-    tuples.  The vectorized fixpoint uses it as the semi-naive delta:
-    the compiled closures read ``rows`` directly (no re-encoding on the
-    next round's override source), while the reference executor
-    iterates it as plain argument tuples.
+    ``rows`` holds the ID rows in order (a multiset: duplicates count);
+    ``spellings`` maps the rows whose arguments are not their class
+    representatives to the argument tuples as given, exactly as
+    :class:`~repro.engine.relation.Relation` keeps them.  The compiled
+    closures read ``rows`` directly; iterating the batch decodes
+    argument tuples on demand.
     """
 
-    __slots__ = ("pred", "arity", "rows", "args")
+    __slots__ = ("pred", "arity", "rows", "spellings")
 
     def __init__(self, pred: str, arity: int) -> None:
         self.pred = pred
         self.arity = arity
         self.rows: list[tuple[int, ...]] = []
-        self.args: list[tuple] = []
+        self.spellings: dict[tuple[int, ...], tuple] = {}
 
     def add(self, row: tuple[int, ...], args: tuple) -> None:
+        """Append one fact whose ID row is ``row``."""
         self.rows.append(row)
-        self.args.append(args)
+        if needs_spelling(args):
+            self.spellings[row] = args
 
-    def extend_pairs(self, pairs) -> None:
-        for row, args in pairs:
-            self.rows.append(row)
-            self.args.append(args)
+    def add_fact(self, fact) -> None:
+        """Append one ground atom, reusing the ID row it carries."""
+        row = getattr(fact, "_row", None)
+        if row is None:
+            row = encode_args(fact.args)
+        self.add(row, fact.args)
+
+    def extend(self, rows, decode) -> None:
+        """Append derived rows (see :meth:`Relation.add_rows
+        <repro.engine.relation.Relation.add_rows>` for ``decode``)."""
+        self.rows.extend(rows)
+        record_spellings(self.spellings, rows, decode)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self):
-        return iter(self.args)
+        spellings = self.spellings
+        if not spellings:
+            return map(decode_row, self.rows)
+        return (
+            decode_row(row) if (args := spellings.get(row)) is None else args
+            for row in self.rows
+        )
 
     def __repr__(self) -> str:
         return f"RowBatch({self.pred}/{self.arity}, {len(self.rows)} rows)"

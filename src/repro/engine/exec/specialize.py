@@ -25,8 +25,8 @@ Three modes share one generator:
   (consumers call ``.materialize()``), one root dict per row;
 * ``"rows"`` — the vectorized :func:`~repro.engine.exec.derive_rows`
   shape: emits raw head ID rows (int tuples, no Atom per candidate —
-  the fixpoint bulk-inserts them via ``Database.add_rows`` and only
-  genuinely new facts ever materialize terms).  Rows mode alone also
+  the fixpoint bulk-inserts them via ``Database.add_rows``, and terms
+  materialize only when a reader decodes a row).  Rows mode alone also
   emits the kernel codegen (:mod:`repro.engine.exec.kernels`): the
   last relation step fuses emission into one whole-column list
   comprehension, arithmetic and comparisons read the interner's
@@ -1094,28 +1094,29 @@ class SpecializedPlan:
     def __init__(self, plan: RulePlan) -> None:
         self.plan = plan
         self._fns: dict[str, object] = {}
-        self._decode = None
+        self._decode = False  # not computed yet; None is a result
 
     def decoder(self):
-        """The rows→args materializer for this plan's head: variable
-        positions decode through the ID table, constant positions reuse
-        the rule's evaluated constant verbatim (preserving the exact
-        spelling atoms mode emits — equality-class IDs would surface
-        whichever equal spelling interned first)."""
+        """The rows→args slot decoder for this plan's head, or None
+        when every head slot decodes to itself.
+
+        A rows-mode row holds equality-class IDs, which decode to class
+        representatives.  That is the right spelling for a variable
+        slot, and for a constant slot whose evaluated constant *is* its
+        representative; a constant spelled otherwise (``'a'`` for the
+        class of ``a``) keeps its spelling only through the decoder,
+        which reuses the rule's constant verbatim — exactly what atoms
+        mode emits.  Relations record the spellings it returns."""
         fn = self._decode
-        if fn is None:
-            parts = self.plan.head.parts
+        if fn is False:
             table = _ID_TABLE
-            if all(kindh == VAR for kindh, _ in parts):
-
-                def fn(row, _table=table):
-                    return tuple([_table[rid] for rid in row])
-
-            else:
-                slots = tuple(
-                    payload if kindh != VAR else None
-                    for kindh, payload in parts
-                )
+            slots = tuple(
+                None if kindh == VAR or table[row_id(payload)] is payload
+                else payload
+                for kindh, payload in self.plan.head.parts
+            )
+            fn = None
+            if any(term is not None for term in slots):
 
                 def fn(row, _table=table, _slots=slots):
                     return tuple(

@@ -12,7 +12,6 @@ from typing import Iterator
 
 from repro.engine.binding import ChainBinding, as_chain
 from repro.engine.database import Database
-from repro.engine.exec.kernels import RowBatch
 from repro.engine.exec.runtime import builtin_step, negation_step, relation_step
 from repro.engine.plan import RulePlan, SourceOverrides
 
@@ -28,9 +27,9 @@ def run_plan_tuple(
 
     Yields copy-on-write :class:`ChainBinding` views; callers that store
     results should ``materialize()`` them.  An override source is
-    scanned once per outer binding, so a one-shot iterable is
-    materialized up front (lists, tuples and row batches re-iterate
-    as they are).
+    scanned once per outer binding, so anything but a list or tuple —
+    a one-shot iterable, or a row batch that decodes as it iterates —
+    is materialized up front.
     """
     steps = plan.steps
     total = len(steps)
@@ -38,7 +37,7 @@ def run_plan_tuple(
     if overrides:
         overrides = {
             index: source
-            if isinstance(source, (list, tuple, RowBatch))
+            if isinstance(source, (list, tuple))
             else list(source)
             for index, source in overrides.items()
         }

@@ -23,7 +23,6 @@ from typing import Sequence
 from repro.engine.context import EvalContext, ensure_context
 from repro.engine.database import Database
 from repro.engine.exec import RowBatch, derive_facts, derive_rows
-from repro.engine.relation import encode_args
 from repro.names import is_builtin_predicate
 from repro.program.rule import Atom, Rule
 
@@ -96,45 +95,44 @@ def _derive_any(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None
     return dr, facts
 
 
-def _derived_atom(pred: str, row, args) -> Atom:
-    """A ground Atom for hooks/listeners, carrying its ID row so any
-    later ``Database.add`` skips re-encoding."""
-    fact = Atom(pred, args)
-    fact._ground = True
-    fact._row = row
-    return fact
-
-
-def _delta_extend_pairs(delta: dict, pred: str, arity: int, pairs) -> None:
-    """Record bulk-inserted (row, args) pairs in a semi-naive delta.
-
-    Vectorized entries are :class:`RowBatch`es (both lanes at once, so
-    the next round's override source never re-encodes); an entry that
-    already holds a plain args list (fallback-path facts) stays one.
-    """
+def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
+    """The semi-naive delta's batch for ``pred``, created on first use."""
     entry = delta.get(pred)
     if entry is None:
-        entry = RowBatch(pred, arity)
-        delta[pred] = entry
-    if type(entry) is RowBatch:
-        entry.extend_pairs(pairs)
-    else:
-        entry.extend([args for _, args in pairs])
+        entry = delta[pred] = RowBatch(pred, arity)
+    return entry
 
 
-def _delta_append_fact(delta: dict, fact: Atom) -> None:
-    """Record one fallback-path fact in a semi-naive delta, encoding it
-    when the entry is a :class:`RowBatch` from an earlier bulk insert."""
-    entry = delta.get(fact.pred)
-    if entry is None:
-        delta[fact.pred] = [fact.args]
-    elif type(entry) is RowBatch:
-        row = getattr(fact, "_row", None)
-        if row is None:
-            row = encode_args(fact.args)
-        entry.add(row, fact.args)
-    else:
-        entry.append(fact.args)
+def _install(
+    ctx: EvalContext, db: Database, rule: Rule, dr, facts, delta=None
+) -> int:
+    """Add one rule application's derivations (``dr`` or ``facts``, as
+    :func:`_derive_any` returned them) to ``db``; returns how many were
+    new.  New facts go into ``delta`` when given, and reach the hooks
+    only when something observes — bulk rows decode for that alone."""
+    observing = ctx.observing
+    if dr is not None:
+        fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
+        if fresh:
+            if delta is not None:
+                _delta_batch(delta, dr.pred, dr.arity).extend(fresh, dr.decode)
+            if observing:
+                args_of = db.get_relation(dr.pred).args_of
+                for row in fresh:
+                    fact = Atom(dr.pred, args_of(row))
+                    fact._ground = True
+                    fact._row = row
+                    ctx.hooks.on_fact_derived(fact, rule)
+        return len(fresh)
+    new = 0
+    for fact in facts:
+        if db.add(fact):
+            new += 1
+            if observing:
+                ctx.hooks.on_fact_derived(fact, rule)
+            if delta is not None:
+                _delta_batch(delta, fact.pred, len(fact.args)).add_fact(fact)
+    return new
 
 
 def single_pass(
@@ -155,28 +153,12 @@ def single_pass(
     stats = FixpointStats(iterations=1)
     if ctx.sized:
         ctx.refresh_sizes()
-    round_new = 0
     for rule in rules:
         dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
-        if dr is not None:
-            pairs = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
-            stats.facts_derived += len(pairs)
-            round_new += len(pairs)
-            if ctx.observing:
-                for row, args in pairs:
-                    ctx.hooks.on_fact_derived(
-                        _derived_atom(dr.pred, row, args), rule
-                    )
-        else:
-            for fact in facts:
-                if db.add(fact):
-                    stats.facts_derived += 1
-                    round_new += 1
-                    if ctx.observing:
-                        ctx.hooks.on_fact_derived(fact, rule)
+        stats.facts_derived += _install(ctx, db, rule, dr, facts)
     if ctx.observing:
-        ctx.hooks.on_iteration(stats.iterations, round_new)
+        ctx.hooks.on_iteration(stats.iterations, stats.facts_derived)
     return stats
 
 
@@ -200,29 +182,14 @@ def naive_fixpoint(
         # every rule evaluates against the same snapshot: batch the
         # derivations (with their deriving rule when hooks need it)
         # and add afterwards.
-        new = 0
         pending = []
         for rule in rules:
             dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
             stats.rule_firings += 1
             pending.append((rule, dr, facts))
-        observing = ctx.observing
-        add = db.add
-        for rule, dr, facts in pending:
-            if dr is not None:
-                pairs = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
-                new += len(pairs)
-                if observing:
-                    for row, args in pairs:
-                        ctx.hooks.on_fact_derived(
-                            _derived_atom(dr.pred, row, args), rule
-                        )
-            else:
-                for fact in facts:
-                    if add(fact):
-                        new += 1
-                        if observing:
-                            ctx.hooks.on_fact_derived(fact, rule)
+        new = sum(
+            _install(ctx, db, rule, dr, facts) for rule, dr, facts in pending
+        )
         stats.facts_derived += new
         if ctx.observing:
             ctx.hooks.on_iteration(stats.iterations, new)
@@ -250,31 +217,12 @@ def seminaive_fixpoint(
     if ctx.sized:
         ctx.refresh_sizes()
     delta: dict[str, object] = {}
-    round_new = 0
     for rule in rules:
         dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
-        if dr is not None:
-            pairs = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
-            if pairs:
-                stats.facts_derived += len(pairs)
-                round_new += len(pairs)
-                _delta_extend_pairs(delta, dr.pred, dr.arity, pairs)
-                if ctx.observing:
-                    for row, args in pairs:
-                        ctx.hooks.on_fact_derived(
-                            _derived_atom(dr.pred, row, args), rule
-                        )
-        else:
-            for fact in facts:
-                if db.add(fact):
-                    stats.facts_derived += 1
-                    round_new += 1
-                    if ctx.observing:
-                        ctx.hooks.on_fact_derived(fact, rule)
-                    _delta_append_fact(delta, fact)
+        stats.facts_derived += _install(ctx, db, rule, dr, facts, delta)
     if ctx.observing:
-        ctx.hooks.on_iteration(stats.iterations, round_new)
+        ctx.hooks.on_iteration(stats.iterations, stats.facts_derived)
 
     stats.merge(seminaive_rounds(db, rules, delta, planner=planner, context=ctx))
     return stats
@@ -292,10 +240,10 @@ def seminaive_rounds(
     ``db`` must already contain the delta's facts; only derivations
     using at least one delta fact are explored — the entry point for
     incremental insertion (:mod:`repro.engine.incremental`).  Delta
-    values are plain argument-tuple lists or (from the vectorized
-    round-0 path) :class:`RowBatch`es; both iterate as argument tuples
-    for every executor, and the specialized lane reads a batch's ID
-    rows directly.
+    values are plain argument-tuple lists or :class:`RowBatch`es (what
+    every later round builds); both iterate as argument tuples for
+    every executor, and the compiled lane reads a batch's ID rows
+    directly.
     """
     ctx = ensure_context(context, db, planner)
     stats = FixpointStats()
@@ -317,25 +265,8 @@ def seminaive_rounds(
                 ctx, db, rule, plan, overrides={occurrence: changed}
             )
             stats.rule_firings += 1
-            if dr is not None:
-                pairs = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
-                if pairs:
-                    stats.facts_derived += len(pairs)
-                    round_new += len(pairs)
-                    _delta_extend_pairs(next_delta, dr.pred, dr.arity, pairs)
-                    if ctx.observing:
-                        for row, args in pairs:
-                            ctx.hooks.on_fact_derived(
-                                _derived_atom(dr.pred, row, args), rule
-                            )
-            else:
-                for fact in facts:
-                    if db.add(fact):
-                        stats.facts_derived += 1
-                        round_new += 1
-                        if ctx.observing:
-                            ctx.hooks.on_fact_derived(fact, rule)
-                        _delta_append_fact(next_delta, fact)
+            round_new += _install(ctx, db, rule, dr, facts, next_delta)
+        stats.facts_derived += round_new
         if ctx.observing:
             ctx.hooks.on_iteration(stats.iterations, round_new)
         delta = next_delta

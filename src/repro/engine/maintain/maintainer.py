@@ -63,7 +63,6 @@ from repro.engine.exec import (
     enumerate_bindings,
 )
 from repro.engine.incremental import IncrementalModel, UpdateStats
-from repro.engine.relation import decode_row, encode_args
 from repro.engine.maintain import DeltaBatch
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.names import is_builtin_predicate
@@ -93,19 +92,13 @@ class _OverBudget(Exception):
 
 
 def _delta_batch(atoms: list[Atom]) -> RowBatch:
-    """A maintenance delta as an override-ready row batch: ID rows ride
-    along with the argument tuples, so the specialized executors consume
-    the delta without re-encoding at the maintenance boundary.  Atoms
-    that already carry their ID row (``_row``) contribute it as-is."""
+    """A maintenance delta as an override-ready row batch, so the
+    compiled executor consumes the delta without re-encoding at the
+    maintenance boundary.  Atoms that already carry their ID row
+    (``_row``) contribute it as-is."""
     batch = RowBatch(atoms[0].pred, len(atoms[0].args))
-    rows = batch.rows
-    args_lane = batch.args
     for atom in atoms:
-        row = getattr(atom, "_row", None)
-        if row is None:
-            row = encode_args(atom.args)
-        rows.append(row)
-        args_lane.append(atom.args)
+        batch.add_fact(atom)
     return batch
 
 
@@ -114,10 +107,7 @@ def _frontier_add(frontier: dict, fact: Atom) -> None:
     entry = frontier.get(fact.pred)
     if entry is None:
         entry = frontier[fact.pred] = RowBatch(fact.pred, len(fact.args))
-    row = getattr(fact, "_row", None)
-    if row is None:
-        row = encode_args(fact.args)
-    entry.add(row, fact.args)
+    entry.add_fact(fact)
 
 
 def _flip(rule: Rule, occurrence: int) -> Rule:
@@ -866,10 +856,10 @@ class DeltaMaintainer:
         stats.fixpoint.merge(scc.fixpoint)
         stats.fixpoint.facts_derived += scc.grouping_facts
         for pred, arity in heads:
-            live = db.relation(pred, arity)
-            old_rows, new_rows = live.id_rows(), view.id_rows(pred)
-            left = [Atom(pred, decode_row(row)) for row in old_rows - new_rows]
-            came = [Atom(pred, decode_row(row)) for row in new_rows - old_rows]
+            live, fresh = db.relation(pred, arity), view.relation(pred)
+            old_rows, new_rows = live.id_rows(), fresh.id_rows()
+            left = [Atom(pred, live.args_of(row)) for row in old_rows - new_rows]
+            came = [Atom(pred, fresh.args_of(row)) for row in new_rows - old_rows]
             for fact in left:
                 live.discard(fact.args)
             for fact in came:

@@ -168,7 +168,7 @@ def encode_id_row(pred: str, row: tuple[int, ...]) -> list:
 
 def dumps_id_row(pred: str, row: tuple[int, ...]) -> str:
     """A predicate's ID row as a canonical atom line — the ID-direct
-    twin of :func:`dumps_atom` (columnar storage hands the codec rows,
+    twin of :func:`dumps_atom` (relation storage hands the codec rows,
     not atoms)."""
     table = _ID_TABLE
     frags = ",".join(term_fragment(table[rid]) for rid in row)
@@ -181,7 +181,7 @@ def decode_atom_row(obj) -> tuple[str, tuple[int, ...]]:
     Terms are interned bottom-up exactly as :func:`decode_atom` does,
     then collapsed to their equality-class IDs — the row a
     :class:`~repro.engine.relation.Relation` stores — so loaders can
-    feed columnar storage without building intermediate atoms.
+    feed relation storage without building intermediate atoms.
     """
     if (
         not isinstance(obj, list)

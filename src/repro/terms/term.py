@@ -26,7 +26,7 @@ Two hot-path mechanisms live here:
   differing cached hashes before falling back to structural comparison.
   Cached hashes never survive pickling (``hash(str)`` is randomized per
   process), so every class reduces to its constructor arguments;
-* **interning** — :func:`intern_term` maps structurally equal ground
+* **interning** — :func:`intern_term` maps equally spelled ground
   terms to one canonical representative.  :func:`evaluate_ground` and
   the storage codec intern every term they produce, so facts flowing
   through the evaluator, the durable store, and the server protocol
@@ -44,17 +44,18 @@ Two hot-path mechanisms live here:
   ``Const.__eq__`` ignores ``quoted`` while the intern table does not:
 
   - :func:`term_id` — the *faithful* ID, 1:1 with intern-table entries
-    (a quoted and an unquoted string constant get distinct IDs), used
-    by the storage codec so round-trips preserve printing;
+    (``'a'`` and ``a``, or ``f(1, 'a')`` and ``f(1, a)``, get distinct
+    IDs), used by the storage codec so round-trips preserve printing;
   - :func:`row_id` — the *equality-class* ID shared by all terms that
-    compare equal (quoted/unquoted collapse to the class's first
-    assigned ID), used by the columnar relation storage and the
-    specialized executors so ID equality coincides exactly with term
-    equality.
+    compare equal, used by the relation storage and the specialized
+    executors so ID equality coincides exactly with term equality.
+    A class's ID is the faithful ID of its *plain* member — every
+    string in it unquoted — which is registered before any quoted
+    variant, so decoding out of ID space never depends on intern order.
 
-  For every term kind except string constants the two IDs agree.  IDs
-  are assigned under a small lock (so the dense sequence has no holes)
-  and are process-local, never persisted as-is.
+  The two IDs differ exactly for quoted strings and the compounds that
+  contain one.  IDs are assigned under a small lock (so the dense
+  sequence has no holes) and are process-local, never persisted as-is.
 """
 
 from __future__ import annotations
@@ -511,17 +512,12 @@ _INTERN_TABLE: dict = {}
 
 #: Reverse table: dense ID → canonical term.  Index ``tid`` holds the
 #: term whose faithful ID is ``tid``; for an equality-class ID (``rid``)
-#: the slot holds the class representative that columnar relations
-#: materialize — for string classes always the *unquoted* spelling
+#: the slot holds the class representative that relations decode to —
+#: always the plain spelling, with every string unquoted
 #: (``_assign_ids`` registers it eagerly), so decoded output never
 #: depends on intern order.  Mutated in place only (``append``/
 #: ``clear``) so closures may capture the list object.
 _ID_TABLE: list[Term] = []
-
-#: Equality-class IDs for string-valued constants: the only term kind
-#: where the intern table holds several entries per equality class
-#: (quoted vs unquoted).  Maps the string payload to the class's ID.
-_EQ_IDS: dict[str, int] = {}
 
 #: Numeric lane parallel to :data:`_ID_TABLE`: index ``tid`` holds the
 #: raw Python number of a numeric :class:`Const` (the shape
@@ -558,44 +554,31 @@ def _assign_ids(term: Term) -> None:
 
     Composite terms assign their subterms first — Func args left to
     right, set elements in iteration order (the same walk
-    ``encode_term`` takes) — so the dense-ID table stays topological:
-    every subterm of an entry has a lower ID than the entry, and a
-    quoted string's unquoted twin is registered before it.
+    ``encode_term`` takes).  A term that is not its class's plain
+    member — a quoted string, or a compound with a non-plain subterm —
+    then registers its plain twin, built from the subterms' class
+    representatives, and shares that twin's row ID.  So the dense-ID
+    table stays topological: every subterm and every plain twin of an
+    entry has a lower ID than the entry.
     """
-    if term._tid is None:
-        if isinstance(term, Func):
-            for arg in term.args:
-                if arg._tid is None:
-                    term_id(arg)
-        elif isinstance(term, SetVal):
-            for element in term:
-                if element._tid is None:
-                    term_id(element)
+    if term._tid is not None:
+        return
+    plain = None
+    if isinstance(term, Func):
+        rids = [row_id(arg) for arg in term.args]
+        if any(term_id(arg) != rid for arg, rid in zip(term.args, rids)):
+            plain = Func(term.functor, [_ID_TABLE[rid] for rid in rids])
+    elif isinstance(term, SetVal):
+        elements = list(term)
+        rids = [row_id(element) for element in elements]
+        if any(term_id(e) != rid for e, rid in zip(elements, rids)):
+            plain = SetVal.from_ground([_ID_TABLE[rid] for rid in rids])
+    elif isinstance(term, Const) and term.quoted:
+        plain = Const(term.value)
+    plain_rid = None if plain is None else row_id(plain)
     with _ID_LOCK:
         if term._tid is not None:
             return
-        if (
-            isinstance(term, Const)
-            and isinstance(term.value, str)
-            and term.quoted
-            and term.value not in _EQ_IDS
-        ):
-            # The class representative — what everything materializing
-            # out of ID space (columnar decode, specialized bindings,
-            # derived heads) spells a value as — must not depend on
-            # which variant a process interned first.  Register the
-            # unquoted twin now so it always claims the class ID.
-            plain_key = (Const, str, term.value, False)
-            plain = _INTERN_TABLE.get(plain_key)
-            if plain is None:
-                plain = _INTERN_TABLE.setdefault(plain_key, Const(term.value))
-            if plain._tid is None:
-                ptid = len(_ID_TABLE)
-                _ID_TABLE.append(plain)
-                _NUM_TABLE.append(None)
-                plain._rid = _EQ_IDS.setdefault(plain.value, ptid)
-                plain._tid = ptid
-                plain._interned = True
         tid = len(_ID_TABLE)
         _ID_TABLE.append(term)
         _NUM_TABLE.append(
@@ -603,24 +586,27 @@ def _assign_ids(term: Term) -> None:
             if type(term) is Const and isinstance(term.value, (int, float))
             else None
         )
-        if isinstance(term, Const) and isinstance(term.value, str):
-            term._rid = _EQ_IDS.setdefault(term.value, tid)
-        else:
-            term._rid = tid
+        term._rid = tid if plain_rid is None else plain_rid
         term._tid = tid
 
 
 def _intern_key(term: Term):
-    """Table key for ``term``.
+    """Table key for ``term``, faithful to its spelling.
 
     ``Const.__eq__`` deliberately ignores ``quoted`` (it only affects
-    printing), but interning must not collapse the distinction: the
-    storage codec tags quoted strings differently, and canonical
-    snapshot bytes would otherwise depend on which variant a process
-    happened to intern first.
+    printing), so equality — and the structural hash of a compound —
+    cannot tell ``f(1, 'a')`` from ``f(1, a)``.  Interning must: the
+    storage codec tags quoted strings differently, and what a term
+    prints as must not depend on which variant a process happened to
+    intern first.  Constants key on payload and quoting, compounds on
+    the faithful IDs of their direct subterms.
     """
     if isinstance(term, Const):
         return (Const, term.value.__class__, term.value, term.quoted)
+    if isinstance(term, Func):
+        return (Func, term.functor, tuple([term_id(arg) for arg in term.args]))
+    if isinstance(term, SetVal):
+        return (SetVal, frozenset([term_id(e) for e in term.elements]))
     return term
 
 
@@ -694,10 +680,10 @@ def term_id(term: Term) -> int:
 def row_id(term: Term) -> int:
     """The equality-class dense ID of ``term``, interning if needed.
 
-    All terms that compare equal share one row ID (quoted/unquoted
-    string constants collapse), so ID equality over row IDs coincides
-    exactly with term equality — the invariant the columnar relations
-    and the specialized executors are built on.
+    All terms that compare equal share one row ID (quoted and plain
+    spellings collapse), so ID equality over row IDs coincides exactly
+    with term equality — the invariant relations and the specialized
+    executors are built on.
     """
     rid = term._rid
     if rid is not None:
@@ -711,8 +697,7 @@ def row_id(term: Term) -> int:
 def term_of_id(tid: int) -> Term:
     """The canonical term for a dense ID (inverse of :func:`term_id`).
 
-    For an equality-class ID this is the class's first-interned
-    representative.  Raises :class:`IndexError` for IDs never assigned
+    For an equality-class ID this is the class's plain representative.  Raises :class:`IndexError` for IDs never assigned
     by this process (or assigned before a :func:`clear_intern_table`).
     """
     return _ID_TABLE[tid]
@@ -739,7 +724,6 @@ def clear_intern_table() -> None:
     _INTERN_TABLE.clear()
     _ID_TABLE.clear()
     _NUM_TABLE.clear()
-    _EQ_IDS.clear()
     for term in (EMPTY_SET, BOTTOM):
         _INTERN_TABLE.setdefault(_intern_key(term), term)
         _assign_ids(term)

@@ -6,6 +6,7 @@ from hypothesis import given
 from repro import LDL, from_term, to_term
 from repro.errors import EvaluationError
 from repro.program.rule import Atom
+from repro.terms.pretty import format_atom
 from repro.terms.term import Const, Func, mkset
 
 from tests.strategies import python_values
@@ -162,6 +163,27 @@ class TestSession:
     def test_repr(self):
         db = LDL("q(X) <- p(X).").fact("p", 1)
         assert "1 rules" in repr(db)
+
+    def test_spellings_survive_decode_on_read_and_reopen(self, tmp_path):
+        # relations store ID rows, which decode to class representatives:
+        # a quoted fact and a head's quoted constant keep their spelling,
+        # a variable binds the plain one — in memory, durably, and after
+        # a checkpoint and reopen.
+        src = "p('a'). p(b). q(X) <- p(X). r('a', X) <- p(X)."
+        expected = [
+            "p('a')", "p(b)", "q(a)", "q(b)", "r('a', a)", "r('a', b)",
+        ]
+
+        def printed(session):
+            return sorted(format_atom(a) for a in session.database().atoms())
+
+        assert printed(LDL(src)) == expected
+        path = str(tmp_path / "db")
+        with LDL(src, path=path) as durable:
+            assert printed(durable) == expected
+            durable.checkpoint()
+        with LDL(src, path=path) as reopened:
+            assert printed(reopened) == expected
 
     def test_noncanonical_atoms_canonicalized_everywhere(self, tmp_path):
         # regression: evaluate() used to store EDB atoms verbatim while

@@ -33,7 +33,7 @@ from repro.engine.exec.specialize import FALLBACK, specialized_plan
 from repro.engine.grouping import apply_grouping_rule
 from repro.engine.match import match_atom
 from repro.engine.plan import compile_rule
-from repro.engine.relation import encode_args
+from repro.engine.relation import decode_row, encode_args
 from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
 from repro.parser import parse_atom, parse_rule
@@ -241,7 +241,8 @@ class TestFallbackToReference:
         assert derive_rows(db, plan, executor="tuple") is None
         dr = derive_rows(db, plan, executor="batch")
         assert dr is not None and dr.pred == "t" and dr.arity == 2
-        assert {dr.decode(row) for row in dr.rows} == {
+        assert dr.decode is None  # every head slot decodes to itself
+        assert {decode_row(row) for row in dr.rows} == {
             (Const(1), Const(2)),
             (Const(2), Const(3)),
         }
@@ -403,7 +404,7 @@ def _check_plan(db, plan, binding=None, overrides=None, negation_db=None):
     assert Counter(atoms) == expected
     rows = spec.run("rows", db, binding, overrides, negation_db, None)
     if rows is not FALLBACK:
-        decode = spec.decoder()
+        decode = spec.decoder() or decode_row
         pred = plan.head.atom.pred
         assert Counter(Atom(pred, decode(row)) for row in rows) == expected
 

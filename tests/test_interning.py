@@ -4,9 +4,11 @@ Interning is an identity fast path layered over structural equality:
 every canonicalization entry point (ground evaluation, the storage
 codec, and therefore the wire protocol, which reuses the codec) must
 hand back the one canonical representative, and nothing about a term's
-cached state may leak through serialization boundaries.  The dense-ID
-table is topological (subterms and a quoted string's bare twin first),
-including after :func:`clear_intern_table`.
+cached state may leak through serialization boundaries.  Interning is
+faithful to spelling (quoted strings, and compounds holding one, stay
+distinct entries) while row IDs follow equality.  The dense-ID table is
+topological (subterms and a term's plain twin first), including after
+:func:`clear_intern_table`.
 """
 
 import pickle
@@ -33,6 +35,7 @@ from repro.terms.term import (
 )
 
 from tests.strategies import quoted_ground_terms
+from tests.test_transform_head import run_compiled
 
 
 @contextmanager
@@ -41,15 +44,12 @@ def isolated_intern_table():
     intern table as it was.
 
     Relations and memos built by other tests hold dense IDs of the
-    current table, so it must come back with every entry's cached IDs.
-    Terms the block interned must go too: sets and functors intern by
-    structural equality, which ignores quoting, so a canonical
-    ``{'c'}`` left behind would make a later test's ``{c}`` print quoted.
+    current table, so it must come back with every entry's cached IDs,
+    and the terms the block interned must go.
     """
     lists = (term_module._ID_TABLE, term_module._NUM_TABLE)
-    dicts = (term_module._INTERN_TABLE, term_module._EQ_IDS)
     saved_lists = [list(table) for table in lists]
-    saved_dicts = [dict(table) for table in dicts]
+    saved_intern = dict(term_module._INTERN_TABLE)
     entries = [(t, t._interned, t._tid, t._rid) for t in term_module._ID_TABLE]
     try:
         yield
@@ -59,9 +59,8 @@ def isolated_intern_table():
         # mutate in place: other modules hold these very objects
         for table, saved in zip(lists, saved_lists):
             table[:] = saved
-        for table, saved in zip(dicts, saved_dicts):
-            table.clear()
-            table.update(saved)
+        term_module._INTERN_TABLE.clear()
+        term_module._INTERN_TABLE.update(saved_intern)
         for t, interned, tid, rid in entries:
             t._interned, t._tid, t._rid = interned, tid, rid
         for listener in term_module._CLEAR_LISTENERS:
@@ -69,8 +68,9 @@ def isolated_intern_table():
 
 
 def assert_topological(start: int = 0) -> None:
-    """Every ID-table entry from ``start`` has lower-ID subterms, and a
-    quoted string's unquoted twin has a lower ID.  Checking registers
+    """Every ID-table entry from ``start`` has lower-ID subterms, and its
+    class representative — itself, or a plain twin with a lower ID — is
+    equal to it and is its own representative.  Checking registers
     nothing new (each subterm is already in the table)."""
     size = id_table_size()
     for tid in range(start, size):
@@ -84,8 +84,10 @@ def assert_topological(start: int = 0) -> None:
             children = ()
         for child in children:
             assert term_id(child) < tid, (entry, child)
+        rep = term_of_id(row_id(entry))
+        assert rep._tid <= tid and rep._rid == rep._tid and rep == entry, entry
         if isinstance(entry, Const) and isinstance(entry.value, str) and entry.quoted:
-            assert term_id(Const(entry.value)) < tid, entry
+            assert rep._tid < tid and not rep.quoted, entry
     assert id_table_size() == size
 
 
@@ -191,6 +193,28 @@ def test_class_representative_is_unquoted_regardless_of_order():
     rep = term_of_id(row_id(quoted))
     assert rep == quoted and not rep.quoted
     assert rep is intern_term(Const("rep_order_probe"))
+
+
+def test_compound_spelling_does_not_depend_on_intern_order():
+    # f(1, 'a') == f(1, a), yet interning the quoted variant first must
+    # not make a grouped f(1, a) print quoted: compounds intern by
+    # spelling and share one row ID whose representative is plain.
+    with isolated_intern_table():
+        clear_intern_table()
+        quoted = intern_term(Func("f", (Const(1), Const("a", quoted=True))))
+        assert run_compiled(
+            "e(1, a). e(2, b). out(<f(X, Y)>) <- e(X, Y).", "out"
+        ) == {"out({f(1, a), f(2, b)})"}
+        plain = intern_term(Func("f", (Const(1), Const("a"))))
+        assert plain == quoted and plain is not quoted
+        assert term_id(plain) < term_id(quoted)
+        assert row_id(quoted) == row_id(plain) == term_id(plain)
+        nested = intern_term(SetVal((Func("g", (quoted,)),)))
+        assert term_of_id(row_id(nested)) == nested
+        assert term_of_id(row_id(nested)) is intern_term(
+            SetVal((Func("g", (plain,)),))
+        )
+        assert_topological()
 
 
 def test_row_id_equality_coincides_with_term_equality():

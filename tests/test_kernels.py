@@ -1,16 +1,16 @@
 """Tests for the ID-space kernels (repro.engine.exec.kernels).
 
 Unit tests cover the memoized scalar kernels the rows-mode closures
-call (``number_rid``, ``union_rid``), the ``RowBatch`` delta currency,
-and relation lanes read after a swap-remove discard.  The compiled
+call (``number_rid``, ``union_rid``) and the ``RowBatch`` delta
+currency.  The compiled
 lane as a whole is held to the reference executor by the property in
 ``test_exec.py``.
 """
 
-import pytest
-
 from repro.engine.exec import kernels
-from repro.engine.relation import Relation, encode_args
+from repro.engine.relation import encode_args
+from repro.program.rule import Atom
+from repro.terms.pretty import format_term
 from repro.terms.term import Const, SetVal, intern_term, row_id
 
 
@@ -54,35 +54,18 @@ class TestScalarKernels:
         assert kernels.union_rid(rid(5), left) == -1
 
 
-class TestLaneAfterDiscard:
-    def test_lane_reflects_swap_remove(self):
-        # discard swap-removes mid-lane: the last row's IDs move into
-        # the hole, and a lane read afterwards must see the moved row.
-        rel = Relation("p", 2)
-        rel.add_all([t(1, 10), t(2, 20), t(3, 30)])
-        assert rel.discard(t(2, 20))
-        lane0 = list(rel.lane(0))
-        lane1 = list(rel.lane(1))
-        assert len(lane0) == len(lane1) == 2
-        got = {(a, b) for a, b in zip(lane0, lane1)}
-        assert got == {encode_args(t(1, 10)), encode_args(t(3, 30))}
-
-    def test_lane_is_zero_copy_view(self):
-        rel = Relation("p", 1)
-        rel.add(t(1))
-        view = rel.lane(0)
-        # the relation's buffer is pinned while the view is alive
-        with pytest.raises(BufferError):
-            rel.add(t(2))
-        view.release()
-        assert rel.add(t(2))
-
-
 class TestRowBatch:
     def test_iterates_as_argument_tuples(self):
+        quoted = (Const("a", quoted=True), Const(2))
         batch = kernels.RowBatch("p", 2)
         batch.add(encode_args(t(1, 2)), t(1, 2))
-        batch.extend_pairs([(encode_args(t(3, 4)), t(3, 4))])
-        assert len(batch) == 2
-        assert list(batch) == [t(1, 2), t(3, 4)]
-        assert batch.rows == [encode_args(t(1, 2)), encode_args(t(3, 4))]
+        batch.add_fact(Atom("p", quoted))
+        batch.extend([encode_args(t(3, 4))], None)
+        assert len(batch) == 3
+        assert list(batch) == [t(1, 2), t("a", 2), t(3, 4)]
+        assert batch.rows == [
+            encode_args(t(1, 2)), encode_args(quoted), encode_args(t(3, 4)),
+        ]
+        # only the quoted row is kept verbatim, and it iterates verbatim
+        assert batch.spellings == {encode_args(quoted): quoted}
+        assert [format_term(args[0]) for args in batch] == ["1", "'a'", "3"]

@@ -1,11 +1,21 @@
 """Tests for indexed relations and the fact database (repro.engine)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.database import Database
-from repro.engine.relation import Relation, decode_row, encode_args
+from repro.engine.relation import (
+    Relation,
+    decode_row,
+    encode_args,
+    needs_spelling,
+)
 from repro.parser import parse_atom
-from repro.terms.term import Const
+from repro.terms.pretty import format_term
+from repro.terms.term import Const, Func, SetVal
 
 
 def t(*values):
@@ -64,7 +74,7 @@ class TestRelation:
         rel.add_all([t(1, 2), t(1, 3), t(2, 4)])
         rel.lookup((0,), t(1))  # build the position-0 index
         clone = rel.copy()
-        assert (0,) in clone._indexes
+        assert (0,) in clone._id_indexes
         assert set(clone.lookup((0,), t(1))) == {t(1, 2), t(1, 3)}
 
     def test_copied_indexes_are_independent(self):
@@ -79,8 +89,8 @@ class TestRelation:
 
 
 class TestColumnarStorage:
-    """ID-row layer invariants: both index families survive copy and
-    stay consistent across discard's swap-remove compaction."""
+    """ID-row layer invariants: ID indexes survive copy and stay
+    consistent with the term-level reads across discard."""
 
     def _encoded(self, *values):
         return encode_args(t(*values))
@@ -89,15 +99,14 @@ class TestColumnarStorage:
         rel = Relation("p", 2)
         rel.add_all([t(1, 2), t(1, 3), t(2, 4)])
         assert {decode_row(row) for row in rel.id_rows()} == set(rel)
-        assert len(rel.column(0)) == 3
+        assert len(rel.id_rows()) == 3
 
     def test_copy_preserves_id_indexes(self):
         rel = Relation("p", 2)
         rel.add_all([t(1, 2), t(1, 3), t(2, 4)])
-        rel.id_index((0,))  # build the columnar position-0 index
-        rel.lookup((0,), t(1))  # and the term-level one
+        rel.lookup((0,), t(1))  # builds the position-0 ID index
         clone = rel.copy()
-        assert (0,) in clone._id_indexes and (0,) in clone._indexes
+        assert (0,) in clone._id_indexes
         key = self._encoded(1)[0]  # bare int key for 1-position sigs
         assert clone.id_index((0,))[key] == {
             self._encoded(1, 2), self._encoded(1, 3)
@@ -127,10 +136,7 @@ class TestColumnarStorage:
         key = self._encoded(1)[0]
         assert rel.id_index((0,))[key] == {self._encoded(1, 3)}
         assert set(rel.lookup((0,), t(1))) == {t(1, 3)}
-        # swap-remove must leave columns parallel to the row set
         assert {decode_row(row) for row in rel.id_rows()} == set(rel)
-        for pos in range(rel.arity):
-            assert len(rel.column(pos)) == len(rel)
 
     def test_discard_after_copy_leaves_original_intact(self):
         rel = Relation("p", 2)
@@ -211,16 +217,16 @@ class TestCopyOnWrite:
         rel = Relation("p", 2)
         rel.add_all([t(1, 2), t(3, 4)])
         clone = rel.copy()
-        # O(1) copy: both sides reference the same column buffers
-        assert clone.column(0) is rel.column(0)
-        assert clone._rowpos is rel._rowpos
+        # O(1) copy: both sides reference the same containers
+        assert clone._rows is rel._rows
+        assert clone._spellings is rel._spellings
 
     def test_write_to_clone_unshares(self):
         rel = Relation("p", 1)
         rel.add(t(1))
         clone = rel.copy()
         clone.add(t(2))
-        assert clone.column(0) is not rel.column(0)
+        assert clone._rows is not rel._rows
         assert len(rel) == 1 and len(clone) == 2
         assert t(2) in clone and t(2) not in rel
 
@@ -244,32 +250,16 @@ class TestCopyOnWrite:
         clone = rel.copy()
         assert not clone.add(t(1))        # duplicate: no write
         assert not clone.discard(t(9))    # absent: no write
-        assert clone.column(0) is rel.column(0)
+        assert clone._rows is rel._rows
 
     def test_bulk_add_rows_unshares(self):
-        from repro.engine.relation import decode_row
-
         rel = Relation("p", 1)
         rel.add(t(1))
         clone = rel.copy()
-        pairs = clone.add_rows([encode_args(t(2))], decode_row)
-        assert [args for _, args in pairs] == [t(2)]
+        assert clone.add_rows([encode_args(t(2))], None) == [encode_args(t(2))]
         assert len(rel) == 1 and len(clone) == 2
 
-    def test_unshare_leaves_exported_lane_valid(self):
-        rel = Relation("p", 1)
-        rel.add(t(1))
-        clone = rel.copy()
-        view = rel.lane(0)
-        # the clone's unshare builds fresh buffers, so the original's
-        # exported lane stays readable and the write still succeeds
-        assert clone.add(t(2))
-        assert list(view) == list(encode_args(t(1)))
-        view.release()
-
     def test_add_rows_dedupes_and_skips_stored(self):
-        from repro.engine.relation import decode_row
-
         rel = Relation("p", 1)
         rel.add(t(1))
         rows = [
@@ -278,17 +268,124 @@ class TestCopyOnWrite:
             encode_args(t(2)),  # duplicate in the batch
             encode_args(t(3)),
         ]
-        pairs = rel.add_rows(rows, decode_row)
-        assert [args for _, args in pairs] == [t(2), t(3)]
-        assert len(rel) == 3
+        fresh = rel.add_rows(rows, decode_row)
+        assert fresh == [encode_args(t(2)), encode_args(t(3))]
+        assert len(rel) == 3 and set(rel) == {t(1), t(2), t(3)}
 
     def test_add_rows_maintains_existing_indexes(self):
-        from repro.engine.relation import decode_row
-
         rel = Relation("p", 2)
         rel.add(t(1, 2))
-        rel.id_index((0,))      # force both index families to exist
-        rel.probe_index((0,))
+        rel.id_index((0,))
         rel.add_rows([encode_args(t(1, 3)), encode_args(t(4, 5))], decode_row)
         assert set(rel.lookup((0,), t(1))) == {t(1, 2), t(1, 3)}
         assert len(rel.id_index((0,))[encode_args(t(1, 2))[0]]) == 2
+
+
+# -- spellings: nothing is stored verbatim but what decoding would lose -----
+
+_letters = st.sampled_from(["a", "b"])
+_leaves = st.one_of(
+    _letters.map(Const),
+    _letters.map(lambda name: Const(name, quoted=True)),
+    st.sampled_from([1, 2]).map(Const),
+)
+# a small domain, so rows collide across spellings
+spelled_terms = st.recursive(
+    _leaves,
+    lambda kids: st.builds(lambda arg: Func("f", (arg,)), kids)
+    | st.lists(kids, max_size=2).map(SetVal),
+    max_leaves=3,
+)
+_arg_pairs = st.lists(
+    st.tuples(spelled_terms, spelled_terms), min_size=1, max_size=3
+)
+_operations = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add", "add_row", "add_rows", "add_rows_slot", "discard", "copy"]
+        ),
+        _arg_pairs,
+    ),
+    max_size=10,
+)
+
+
+def _spelled(args):
+    return tuple(format_term(term) for term in args)
+
+
+def _check_against_model(rel, model):
+    """Iteration and every lookup read back exactly what the verbatim
+    model holds, and only non-representative rows carry a spelling."""
+    assert len(rel) == len(model)
+    assert Counter(map(_spelled, rel)) == Counter(map(_spelled, model.values()))
+    for positions in ((0,), (1,), (0, 1)):
+        for probe in model.values():
+            key = tuple(probe[i] for i in positions)
+            expected = Counter(
+                _spelled(args)
+                for args in model.values()
+                if all(args[i] == part for i, part in zip(positions, key))
+            )
+            assert Counter(map(_spelled, rel.lookup(positions, key))) == expected
+    assert rel._spellings.keys() <= rel.id_rows()
+    assert all(needs_spelling(args) for args in rel._spellings.values())
+
+
+@given(_operations)
+@settings(max_examples=100, deadline=None)
+def test_reads_match_a_verbatim_model(operations):
+    """A relation keeps ID rows and a spelling for only the rows that
+    decode differently, yet reads back every tuple spelled as added —
+    the first spelling of a row wins — across bulk inserts with and
+    without a slot decoder, discards, and copy-on-write copies."""
+    rel, model = Relation("p", 2), {}
+    copies = []
+
+    def add_row(rel, model, args):
+        row = encode_args(args)
+        assert rel.add_row(row, args) == (row not in model)
+        model.setdefault(row, args)
+
+    for op, pairs in operations:
+        if op == "add":
+            for args in pairs:
+                assert rel.add(args) == (encode_args(args) not in model)
+                model.setdefault(encode_args(args), args)
+        elif op == "add_row":
+            for args in pairs:
+                add_row(rel, model, args)
+        elif op == "add_rows":
+            rows = [encode_args(args) for args in pairs]
+            fresh = rel.add_rows(rows, decode_row)
+            assert fresh == [r for r in dict.fromkeys(rows) if r not in model]
+            for row in fresh:
+                model[row] = decode_row(row)
+        elif op == "add_rows_slot":
+            # a rule head ``p(c, X)``: the constant keeps its spelling
+            const = pairs[0][0]
+
+            def decode(row, const=const):
+                return (const, decode_row(row)[1])
+
+            rows = [encode_args((const, args[1])) for args in pairs]
+            for row in rel.add_rows(rows, decode):
+                model[row] = decode(row)
+        elif op == "discard":
+            for args in pairs:
+                row = encode_args(args)
+                assert rel.discard(args) == (row in model)
+                model.pop(row, None)
+        else:
+            # the first write to either side must not reach the other
+            clone, clone_model = rel.copy(), dict(model)
+            args = pairs[0]
+            if encode_args(args) in clone_model:
+                clone.discard(args)
+                del clone_model[encode_args(args)]
+            else:
+                add_row(clone, clone_model, args)
+            copies.append((clone, clone_model))
+        _check_against_model(rel, model)
+    for clone, clone_model in copies:
+        _check_against_model(clone, clone_model)
