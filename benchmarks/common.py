@@ -546,32 +546,36 @@ EXPERIMENT_TITLES["E14"] = "sip strategies: left-to-right vs bound-first (Sectio
 # -- E15: join planning — static heuristic vs cardinality-aware ---------------
 
 def e15_planner() -> list[dict]:
+    from repro.engine.database import Database
+    from repro.engine.exec import derive_facts
+    from repro.engine.plan import compile_rule
     from repro.terms.term import Const
 
     # adversarially written: the huge relation comes first in the body.
-    src = """
-    hit(Y, Z) <- big(X, Y), tiny(X), mid(Y, Z).
-    """
+    (rule,) = parse_rules("hit(Y, Z) <- big(X, Y), tiny(X), mid(Y, Z).").rules
     cases = []
     for big_size in (2000, 8000):
-        edb = []
+        db = Database()
         for i in range(big_size):
-            edb.append(Atom("big", (Const(i % 200), Const(i))))
+            db.add(Atom("big", (Const(i % 200), Const(i))))
         for i in range(5):
-            edb.append(Atom("tiny", (Const(i),)))
+            db.add(Atom("tiny", (Const(i),)))
         for i in range(0, big_size, 10):
-            edb.append(Atom("mid", (Const(i), Const(i + 1))))
-        program = parse_rules(src)
+            db.add(Atom("mid", (Const(i), Const(i + 1))))
+        sizes = {pred: db.count(pred) for pred in db.predicates()}
         workload = f"big={big_size}"
-        for planner in ("static", "sized"):
+        # the same rule compiled twice: ordered by the syntactic
+        # heuristic alone (sizes=None), and by the live cardinalities
+        for label, plan in (
+            ("static", compile_rule(rule)),
+            ("sized", compile_rule(rule, sizes=sizes)),
+        ):
             cases.append(
                 case(
                     workload,
-                    f"{planner}-planner",
-                    lambda p=program, f=edb, pl=planner: evaluate(
-                        p, edb=f, planner=pl
-                    ),
-                    lambda r: r.total_facts,
+                    f"{label}-planner",
+                    lambda d=db, p=plan: derive_facts(d, p),
+                    len,
                 )
             )
     return cases
@@ -597,12 +601,12 @@ def e16_incremental() -> list[dict]:
             return evaluate(program, edb=list(base) + [new_edge])
 
         def incremental(base=base, new_edge=new_edge):
-            model = IncrementalModel(program, base, check=False)
+            model = IncrementalModel(program, base)
             model.add_facts([new_edge])
             return model
 
         # time only the update against a prebuilt model
-        prebuilt = IncrementalModel(program, base, check=False)
+        prebuilt = IncrementalModel(program, base)
         counter = [n]
 
         def update_only(prebuilt=prebuilt, counter=counter):
@@ -1045,7 +1049,7 @@ def e22_maintenance() -> list[dict]:
     indegree = Counter(a.args[1] for a in follows)
     target = next(a for a in follows if indegree[a.args[0]] == 0)
     for mode in ("recompute", "delta"):
-        model = IncrementalModel(program, edb, check=False, maintain=mode)
+        model = IncrementalModel(program, edb, maintain=mode)
 
         def delete_one(model=model, fact=target):
             # deterministic churn: every sample deletes the *same*
@@ -1072,9 +1076,7 @@ def e22_maintenance() -> list[dict]:
     for users in (60, 120):
         churn_edb = social_network(users)
         for mode in ("recompute", "delta"):
-            model = IncrementalModel(
-                program, churn_edb, check=False, maintain=mode
-            )
+            model = IncrementalModel(program, churn_edb, maintain=mode)
             counter = [0]
 
             def mixed(model=model, counter=counter, users=users):

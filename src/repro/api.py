@@ -46,12 +46,12 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Literal as TypingLiteral, Sequence
 
+from repro.engine.compiled import base_database, compile_program
 from repro.engine.database import Database
 from repro.engine.evaluator import EvaluationResult, evaluate
 from repro.engine.maintain import Invalidation
 from repro.errors import EvaluationError
-from repro.magic.adornment import effective_adornment
-from repro.magic.evaluate import MagicResult, PreparedQuery, base_database
+from repro.magic.evaluate import MagicResult, PreparedQuery
 from repro.observe import EngineHooks, MetricsCollector, TraceRecorder, compose_hooks
 from repro.parser.parser import parse_program, parse_query
 from repro.program.rule import Atom, Program, Query, canonical_atom
@@ -116,17 +116,15 @@ class LDL:
     ) -> None:
         self._lock = threading.RLock()
         self._program = Program()
-        self._compiled: Program | None = None  # LDL1.5 -> LDL1, per load
+        self._lowered: Program | None = None  # LDL1.5 -> LDL1, per load
         self._edb: list[Atom] = []
         self._pending_queries: list[Query] = []
         self._ldl15 = ldl15
         self._alternative = alternative_semantics
         self._cached_result: EvaluationResult | None = None
-        # on-demand (magic) evaluation state: one PreparedQuery per
-        # (predicate, effective adornment), dropped when rules change,
-        # and — in-memory sessions only — the base database they run
-        # over, rebuilt per EDB version (see _invalidate).
-        self._prepared: dict[tuple[str, str], PreparedQuery] = {}
+        # in-memory sessions only: the base database on-demand (magic)
+        # queries run over, rebuilt per EDB version (see _invalidate).
+        # Their prepared forms live on the program's CompiledProgram.
         self._magic_base: Database | None = None
         self._trace: TraceRecorder | None = TraceRecorder() if trace else None
         self._hooks = compose_hooks(hooks, self._trace)
@@ -222,15 +220,15 @@ class LDL:
         parsed = parse_program(source)
         with self._lock:
             self._program = self._program + parsed.program
-            self._compiled = None
+            self._lowered = None
             self._pending_queries.extend(parsed.queries)
             self._invalidate()
             if self._store is not None and len(parsed.program):
                 self._reopen_store()
             if len(parsed.program):
-                # rules changed: every prepared rewrite and every
-                # cached answer is suspect
-                self._prepared = {}
+                # rules changed (a new program, so a new compiled
+                # program and fresh prepared forms): every cached
+                # answer is suspect
                 self._notify_delta(Invalidation(preds=None, precise=False))
         return self
 
@@ -311,11 +309,11 @@ class LDL:
             from repro.transform import compile_ldl15
 
             with self._lock:
-                if self._compiled is None:
-                    self._compiled = compile_ldl15(
+                if self._lowered is None:
+                    self._lowered = compile_ldl15(
                         self._program, alternative=self._alternative
                     )
-                return self._compiled
+                return self._lowered
         return self._program
 
     # -- evaluation --------------------------------------------------------
@@ -373,10 +371,7 @@ class LDL:
         any number may share it (and the prepared form) concurrently."""
         with self._lock:
             program = self.program
-            key = (query.atom.pred, effective_adornment(program, query))
-            prepared = self._prepared.get(key)
-            if prepared is None:
-                prepared = self._prepared[key] = PreparedQuery(program, query)
+            prepared = compile_program(program).prepare(query)
             if self._store is not None:
                 return prepared, self._store.database
             if self._magic_base is None:
@@ -442,13 +437,7 @@ class LDL:
 
         atom = parse_atom(fact_text.rstrip(". \n"))
         fact = canonical_atom(atom)
-        result = self.model(strategy)
-        # share the evaluation's plan cache so explanation re-solves
-        # bodies with exactly the plans evaluation used (None for the
-        # durable-store path, where explain builds a private context).
-        return explain(
-            self.program, result.database, fact, context=result.context
-        )
+        return explain(self.program, self.database(strategy), fact)
 
     def extension(self, pred: str, strategy: Strategy = "seminaive") -> list[tuple]:
         """The computed extension of one predicate as Python tuples."""

@@ -27,10 +27,9 @@ import sys
 from pathlib import Path
 
 from repro.api import LDL
+from repro.engine.compiled import compile_program
 from repro.errors import LDLError
 from repro.parser import parse_query
-from repro.program.stratify import stratify
-from repro.program.wellformed import check_program
 from repro.terms.pretty import format_atom, format_query
 
 
@@ -197,7 +196,7 @@ def run(argv: list[str] | None = None, out=None, stdin=None) -> int:
         if args.check:
             from repro.program.analyze import analyze
 
-            check_program(program)
+            compile_program(program)  # checks and layers, or raises
             report = analyze(program)
             echo("ok: " + report.format())
             return 0
@@ -518,7 +517,7 @@ def repl(session: LDL, stream, echo, strategy: str = "seminaive") -> None:
                         f"({len(session.database())} facts)"
                     )
             elif line == ":layers":
-                layering = stratify(session.program)
+                layering = compile_program(session.program).layering
                 for i, layer in enumerate(layering):
                     echo(f"  layer {i}: {', '.join(sorted(layer)) or '(empty)'}")
             elif line.startswith(":"):

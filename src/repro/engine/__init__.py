@@ -2,6 +2,7 @@
 
 from repro.engine.binding import ChainBinding
 from repro.engine.builtins import MAX_ENUMERATED_SET, solve_builtin
+from repro.engine.compiled import CompiledProgram, base_database, compile_program
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.evaluator import (
@@ -42,28 +43,29 @@ from repro.engine.match import Binding, ground_atom, match_atom, match_term
 from repro.engine.plan import (
     HeadTemplate,
     LiteralStep,
+    PlanCache,
     RulePlan,
-    apply_rule_plan,
     compile_body,
     compile_rule,
-    run_plan,
+    order_body,
 )
 from repro.engine.relation import Relation
-from repro.engine.solve import head_facts, order_body, solve_body
 from repro.engine.topdown import TopDownEvaluator, TopDownStats, evaluate_topdown
 
 __all__ = [
     "Binding",
     "ChainBinding",
+    "CompiledProgram",
     "Database",
     "EvalContext",
     "HeadTemplate",
     "LiteralStep",
+    "PlanCache",
     "RulePlan",
-    "apply_rule_plan",
+    "base_database",
     "compile_body",
+    "compile_program",
     "compile_rule",
-    "run_plan",
     "Derivation",
     "EXECUTORS",
     "default_executor",
@@ -94,12 +96,10 @@ __all__ = [
     "apply_grouping_rules",
     "evaluate",
     "ground_atom",
-    "head_facts",
     "match_atom",
     "match_term",
     "naive_fixpoint",
     "order_body",
     "seminaive_fixpoint",
-    "solve_body",
     "solve_builtin",
 ]

@@ -7,18 +7,19 @@ of Lemma 3.2.3), then runs its remaining rules to fixpoint (R2).  The
 result is a minimal model of P w.r.t. M0; for positive programs it is
 the unique minimal model.
 
-Within a layer the default scheduler goes further than Theorem 1's
-single fixpoint: the layer's predicates are condensed into strongly
-connected components (:func:`repro.program.dependency.scc_schedule`),
-evaluated in dependency order — non-recursive components in one
-semi-naive-free pass, genuinely recursive components as their own
-(much smaller) fixpoint.  Theorem 2 guarantees the model is the same;
-``scheduler="layer"`` recovers the one-fixpoint-per-stratum behaviour
-for differential testing.
+Within a layer the scheduler goes further than Theorem 1's single
+fixpoint: the layer's predicates are condensed into strongly connected
+components (:func:`repro.program.dependency.scc_schedule`), evaluated
+in dependency order — non-recursive components in one semi-naive-free
+pass, genuinely recursive components as their own (much smaller)
+fixpoint.  Theorem 2 guarantees the model is the same.
 
-The run is driven through an :class:`~repro.engine.context.EvalContext`
-shared by every layer: rule plans compile once and are reused across
-iterations, ``hooks`` observe layer/iteration/firing/derivation events
+Everything that depends on the rules alone — the check, the layering,
+the schedule and the rule plans — comes from the program's
+:class:`~repro.engine.compiled.CompiledProgram`, built once per
+program.  Each run gets its own
+:class:`~repro.engine.context.EvalContext` (database, hooks, metrics,
+executor): ``hooks`` observe layer/iteration/firing/derivation events
 (:mod:`repro.observe`), and ``metrics`` attributes wall-clock time to
 the plan / match / grouping phases, to individual layers, and to
 individual SCCs.
@@ -30,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Literal as TypingLiteral
 
+from repro.engine.compiled import base_database, compile_program
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.fixpoint import (
@@ -43,13 +45,11 @@ from repro.engine.match import Binding, match_atom
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.observe import EngineHooks, MetricsCollector, emit_event
 from repro.program.dependency import SCCComponent, scc_schedule
-from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
-from repro.program.stratify import Layering, stratify, validate_layering
-from repro.program.wellformed import check_program
+from repro.program.rule import Atom, Program, Query, Rule
+from repro.program.stratify import Layering, validate_layering
 from repro.terms.term import Term, Var, evaluate_ground, id_table_size
 
 Strategy = TypingLiteral["naive", "seminaive"]
-Scheduler = TypingLiteral["scc", "layer"]
 
 
 @dataclass
@@ -82,9 +82,6 @@ class EvaluationResult:
     layer_stats: list[LayerStats]
     strategy: Strategy
     metrics: MetricsCollector | None = None
-    #: the EvalContext the model was computed under; explanation reuses
-    #: its plan cache so explain and evaluation always agree on plans.
-    context: EvalContext | None = None
 
     @property
     def total_facts(self) -> int:
@@ -170,28 +167,13 @@ def evaluate_component(
     return stats
 
 
-def _install_facts(db: Database, program: Program) -> None:
-    for rule in program.facts():
-        head = rule.head
-        try:
-            args = tuple(evaluate_ground(a) for a in head.args)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"fact {head!r} does not denote a U-fact: {exc}"
-            ) from exc
-        db.add(Atom(head.pred, args))
-
-
 def evaluate(
     program: Program,
     edb: Iterable[Atom] = (),
     strategy: Strategy = "seminaive",
     layering: Layering | None = None,
-    check: bool = True,
-    planner: str = "sized-once",
     hooks: EngineHooks | None = None,
     metrics: MetricsCollector | None = None,
-    scheduler: Scheduler = "scc",
     executor: str | None = None,
     workers: int | None = None,
 ) -> EvaluationResult:
@@ -199,76 +181,53 @@ def evaluate(
 
     ``layering`` overrides the canonical stratification (it is validated
     first); Theorem 2 guarantees the result does not depend on the
-    choice.  ``strategy`` selects the fixpoint algorithm within layers;
-    ``planner`` picks the join-ordering policy (``"sized-once"`` —
-    cardinality-aware, plans cached; ``"sized"`` — re-plans on size
-    change; ``"static"`` — syntactic heuristic only).
-    ``scheduler`` selects how each layer is driven: ``"scc"`` (default)
-    condenses the layer into strongly connected components evaluated in
-    dependency order, ``"layer"`` runs the layer's rules as one fixpoint
-    (the Theorem 1 formulation — kept for differential testing).
-    ``executor`` picks the body executor (``"batch"`` — plans compiled
-    to closures over ID rows / ``"tuple"`` — the one-binding-at-a-time
-    reference; None uses the process default).
-    ``hooks`` receives engine events (:class:`repro.observe.EngineHooks`
-    — e.g. a :class:`~repro.observe.TraceRecorder`); ``metrics``
-    collects per-phase, per-layer, and per-SCC wall-clock timings.
+    choice.  ``strategy`` selects the fixpoint algorithm within
+    recursive components.  ``executor`` picks the body executor
+    (``"batch"`` — plans compiled to closures over ID rows /
+    ``"tuple"`` — the one-binding-at-a-time reference; None uses the
+    process default).  ``hooks`` receives engine events
+    (:class:`repro.observe.EngineHooks` — e.g. a
+    :class:`~repro.observe.TraceRecorder`); ``metrics`` collects
+    per-phase, per-layer, and per-SCC wall-clock timings.
 
     ``workers`` is accepted and ignored — evaluation is always serial;
     the keyword stays only because the frozen ledger probe still passes
     ``workers=2``, and goes with that probe.
     """
-    if check:
-        check_program(program)
-    if layering is None:
-        layering = stratify(program)
-    elif not validate_layering(program, layering):
-        raise EvaluationError("supplied layering violates the layering conditions")
+    compiled = compile_program(program)
     if strategy not in ("naive", "seminaive"):
         raise EvaluationError(f"unknown strategy {strategy!r}")
-    if scheduler not in ("scc", "layer"):
-        raise EvaluationError(f"unknown scheduler {scheduler!r}")
+    if layering is None:
+        layering, schedule = compiled.layering, compiled.schedule
+    elif validate_layering(program, layering):
+        schedule = scc_schedule(program, layering, compiled.graph)
+    else:
+        raise EvaluationError("supplied layering violates the layering conditions")
 
-    # canonicalize EDB args exactly as IncrementalModel does, so a
-    # session computes the same model in-memory and durably.
-    db = Database(canonical_atom(a) for a in edb)
-    _install_facts(db, program)
+    db = base_database(program, edb)
     ctx = EvalContext(
-        db, planner=planner, hooks=hooks, metrics=metrics, executor=executor
+        db, compiled.plans, hooks=hooks, metrics=metrics, executor=executor
     )
-
     run_fixpoint = naive_fixpoint if strategy == "naive" else seminaive_fixpoint
-    schedule = scc_schedule(program, layering) if scheduler == "scc" else None
 
     layer_stats: list[LayerStats] = []
-    for i in range(len(layering)):
+    for i, components in enumerate(schedule):
         stats = LayerStats(layer=i)
-        rules = [
-            r for r in layering.rules_in_layer(program, i) if not r.is_fact()
-        ]
         if ctx.observing:
-            ctx.hooks.on_layer_start(i, rules)
+            ctx.hooks.on_layer_start(
+                i,
+                [
+                    r for r in layering.rules_in_layer(program, i)
+                    if not r.is_fact()
+                ],
+            )
         if ctx.timing:
             layer_start = ctx.metrics.now()
-        if schedule is not None:
-            for component in schedule[i]:
-                scc = evaluate_component(
-                    db, component, ctx, run_fixpoint, layer=i
-                )
-                stats.sccs.append(scc)
-                stats.grouping_facts += scc.grouping_facts
-                stats.fixpoint.merge(scc.fixpoint)
-        else:
-            grouping_rules = [r for r in rules if r.is_grouping()]
-            other_rules = [r for r in rules if not r.is_grouping()]
-            for rule in grouping_rules:
-                for fact in apply_grouping_rules([rule], db, context=ctx):
-                    if db.add(fact):
-                        stats.grouping_facts += 1
-                        if ctx.observing:
-                            ctx.hooks.on_fact_derived(fact, rule)
-            if other_rules:
-                stats.fixpoint = run_fixpoint(db, other_rules, context=ctx)
+        for component in components:
+            scc = evaluate_component(db, component, ctx, run_fixpoint, layer=i)
+            stats.sccs.append(scc)
+            stats.grouping_facts += scc.grouping_facts
+            stats.fixpoint.merge(scc.fixpoint)
         if ctx.timing:
             ctx.metrics.add_layer_time(i, ctx.metrics.now() - layer_start)
         if ctx.observing:
@@ -278,7 +237,7 @@ def evaluate(
         layer_stats.append(stats)
     if metrics is not None:
         metrics.record_id_table(id_table_size())
-    return EvaluationResult(db, layering, layer_stats, strategy, metrics, ctx)
+    return EvaluationResult(db, layering, layer_stats, strategy, metrics)
 
 
 def _query_tuples(db: Database, query: Query) -> Iterable[tuple[Term, ...]]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.context import EvalContext, ensure_context
+from repro.engine.compiled import compile_program
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import enumerate_bindings
 from repro.engine.grouping import apply_grouping_rule
@@ -86,16 +87,14 @@ def explain(
     """Build a derivation tree for ``fact`` over the computed model
     ``db``; returns None when the fact is not in the model.
 
-    ``context`` shares the evaluation's plan cache (the session passes
-    the context its model was computed under), so explanation re-solves
-    rule bodies with exactly the plans evaluation used instead of
-    recompiling orders per call.  Derivation depth is bounded by the
-    model size, so the recursion limit is raised proportionally for the
-    duration of the search.
+    Rule bodies re-solve with the compiled program's plans — the very
+    plans evaluation used — unless ``context`` supplies another run's.
+    Derivation depth is bounded by the model size, so the recursion
+    limit is raised proportionally for the duration of the search.
     """
     from repro.util import deep_recursion
 
-    ctx = ensure_context(context, db)
+    ctx = context or EvalContext(db, compile_program(program).plans)
     with deep_recursion(60 * len(db) + 10_000):
         return _explain(program, db, fact, frozenset(), ctx)
 

@@ -9,10 +9,10 @@ previous round, avoiding rediscovery.  Both reach the same fixpoint;
 the benchmark suite quantifies the difference (experiment E1).
 
 Rules are executed as compiled :class:`~repro.engine.plan.RulePlan`s
-obtained through a shared :class:`~repro.engine.context.EvalContext`:
-each (rule, delta-occurrence) pair is planned at most once per run, and
-the "sized" planner re-plans only when the context's cardinality
-snapshot changes between iterations (:meth:`EvalContext.refresh_sizes`).
+obtained through the run's :class:`~repro.engine.context.EvalContext`:
+each (rule, delta-occurrence) pair is planned at most once, against the
+cardinality snapshot the context refreshes once per iteration
+(:meth:`EvalContext.refresh_sizes`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.engine.context import EvalContext, ensure_context
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import RowBatch, derive_facts, derive_rows
 from repro.names import is_builtin_predicate
@@ -138,7 +138,6 @@ def _install(
 def single_pass(
     db: Database,
     rules: Sequence[Rule],
-    planner: str = "sized-once",
     context: EvalContext | None = None,
 ) -> FixpointStats:
     """Apply each rule exactly once.  Mutates ``db``.
@@ -149,10 +148,9 @@ def single_pass(
     The SCC scheduler calls this instead of a fixpoint, saving the
     second iteration a fixpoint needs just to observe emptiness.
     """
-    ctx = ensure_context(context, db, planner)
+    ctx = context or EvalContext(db)
     stats = FixpointStats(iterations=1)
-    if ctx.sized:
-        ctx.refresh_sizes()
+    ctx.refresh_sizes()
     for rule in rules:
         dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
@@ -165,20 +163,14 @@ def single_pass(
 def naive_fixpoint(
     db: Database,
     rules: Sequence[Rule],
-    planner: str = "sized-once",
     context: EvalContext | None = None,
 ) -> FixpointStats:
-    """Run all rules to fixpoint, naive strategy.  Mutates ``db``.
-
-    ``planner="sized"`` reorders bodies by current relation
-    cardinalities each iteration (experiment E15).
-    """
-    ctx = ensure_context(context, db, planner)
+    """Run all rules to fixpoint, naive strategy.  Mutates ``db``."""
+    ctx = context or EvalContext(db)
     stats = FixpointStats()
     while True:
         stats.iterations += 1
-        if ctx.sized:
-            ctx.refresh_sizes()
+        ctx.refresh_sizes()
         # every rule evaluates against the same snapshot: batch the
         # derivations (with their deriving rule when hooks need it)
         # and add afterwards.
@@ -200,7 +192,6 @@ def naive_fixpoint(
 def seminaive_fixpoint(
     db: Database,
     rules: Sequence[Rule],
-    planner: str = "sized-once",
     context: EvalContext | None = None,
 ) -> FixpointStats:
     """Run all rules to fixpoint, semi-naive strategy.  Mutates ``db``.
@@ -210,12 +201,11 @@ def seminaive_fixpoint(
     predicate that changed, with that occurrence restricted to the
     previous round's delta.
     """
-    ctx = ensure_context(context, db, planner)
+    ctx = context or EvalContext(db)
     stats = FixpointStats()
 
     stats.iterations += 1
-    if ctx.sized:
-        ctx.refresh_sizes()
+    ctx.refresh_sizes()
     delta: dict[str, object] = {}
     for rule in rules:
         dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
@@ -224,7 +214,7 @@ def seminaive_fixpoint(
     if ctx.observing:
         ctx.hooks.on_iteration(stats.iterations, stats.facts_derived)
 
-    stats.merge(seminaive_rounds(db, rules, delta, planner=planner, context=ctx))
+    stats.merge(seminaive_rounds(db, rules, delta, context=ctx))
     return stats
 
 
@@ -232,7 +222,6 @@ def seminaive_rounds(
     db: Database,
     rules: Sequence[Rule],
     delta: dict[str, object],
-    planner: str = "sized-once",
     context: EvalContext | None = None,
 ) -> FixpointStats:
     """Continue a semi-naive fixpoint from an explicit delta.
@@ -245,14 +234,13 @@ def seminaive_rounds(
     every executor, and the compiled lane reads a batch's ID rows
     directly.
     """
-    ctx = ensure_context(context, db, planner)
+    ctx = context or EvalContext(db)
     stats = FixpointStats()
     occurrences = occurrence_index(rules)
 
     while delta:
         stats.iterations += 1
-        if ctx.sized:
-            ctx.refresh_sizes()
+        ctx.refresh_sizes()
         next_delta: dict[str, object] = {}
         round_new = 0
         for rule, occurrence in occurrences:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from repro.engine.context import EvalContext, ensure_context
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import enumerate_bindings
 from repro.errors import EvaluationError, NotInUniverseError
@@ -90,7 +90,7 @@ def apply_grouping_rule(
         (i, arg) for i, arg in enumerate(rule.head.args) if i != group_position
     ]
 
-    ctx = ensure_context(context, db)
+    ctx = context or EvalContext(db)
     bindings = enumerate_bindings(
         db,
         ctx.plan_for(rule),
@@ -116,7 +116,7 @@ def apply_grouping_rules(
     rules, db: Database, context: EvalContext | None = None
 ) -> list[Atom]:
     """Apply every grouping rule once over ``db`` (the R1(M) step)."""
-    ctx = ensure_context(context, db)
+    ctx = context or EvalContext(db)
     derived: list[Atom] = []
     for rule in rules:
         if ctx.timing:

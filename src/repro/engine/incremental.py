@@ -34,6 +34,7 @@ from typing import Iterable
 
 import networkx as nx
 
+from repro.engine.compiled import compile_program, program_facts
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.evaluator import evaluate_component
@@ -50,10 +51,8 @@ from repro.engine.maintain import (
 )
 from repro.errors import EvaluationError
 from repro.observe import EngineHooks, MetricsCollector, emit_event
-from repro.program.dependency import dependency_graph, scc_schedule
 from repro.program.rule import Atom, Program, canonical_atom
-from repro.program.stratify import Layering, stratify
-from repro.program.wellformed import check_program
+from repro.program.stratify import Layering
 
 
 @dataclass
@@ -135,14 +134,12 @@ class IncrementalModel:
         self,
         program: Program,
         edb: Iterable[Atom] = (),
-        check: bool = True,
         hooks: EngineHooks | None = None,
         materialized: Database | None = None,
         metrics: MetricsCollector | None = None,
         maintain: str | None = None,
     ) -> None:
-        if check:
-            check_program(program)
+        compiled = compile_program(program)
         if maintain is not None and maintain not in MAINTAIN_MODES:
             raise ValueError(
                 f"unknown maintenance mode {maintain!r}; "
@@ -152,21 +149,27 @@ class IncrementalModel:
         # None defers to repro.engine.maintain.maintain_mode() at each
         # update, so set_maintain_mode affects existing models too.
         self.maintain = maintain
-        self.layering: Layering = stratify(program)
-        self._graph = dependency_graph(program)
-        # SCC schedule computed once for the model's lifetime: every
-        # recompute walks the same per-layer component order, filtered
-        # to the affected cone.
-        self._schedule = scc_schedule(program, self.layering)
-        self._idb = program.idb_predicates()
+        self.layering: Layering = compiled.layering
+        self._graph = compiled.graph
+        # every recompute walks the compiled per-layer component order,
+        # filtered to the affected cone.
+        self._schedule = compiled.schedule
+        self._idb = compiled.idb
         self._edb_facts: set[Atom] = set()
         # program facts of derived predicates (``anc(z, z).`` beside
         # ``anc`` rules): unconditional derivations, never deleted.
         self._idb_facts: set[Atom] = set()
+        for fact in program_facts(program):
+            if fact.pred in self._idb:
+                self._idb_facts.add(fact)
+            else:
+                self._edb_facts.add(fact)
         self.database = materialized if materialized is not None else Database()
-        # one context for the model's lifetime: rule plans compiled for
-        # the first update are reused by every later delta/recompute.
-        self._context = EvalContext(self.database, hooks=hooks, metrics=metrics)
+        # one context for the model's lifetime; its plans are the
+        # compiled program's, shared with every other run of it.
+        self._context = EvalContext(
+            self.database, compiled.plans, hooks=hooks, metrics=metrics
+        )
         self.last_update = UpdateStats()
         # differential maintenance state, created on the first
         # maintained update and dropped whenever a non-differential
@@ -181,11 +184,10 @@ class IncrementalModel:
         # delta listeners: called with an Invalidation after every
         # completed (non-no-op) update, inside the updating thread.
         self._delta_listeners: list = []
-        self._install_program_facts()
         if materialized is not None:
             # restore path (snapshot of this exact program): adopt the
             # already-computed model without re-running the fixpoint.
-            self._edb_facts.update(self._canonical(a) for a in edb)
+            self._edb_facts.update(canonical_atom(a) for a in edb)
             self.last_update = UpdateStats(mode="restore")
         else:
             # initial build is always a full layered evaluation: a delta
@@ -193,7 +195,7 @@ class IncrementalModel:
             # which are in ``_edb_facts`` / ``_idb_facts`` but not yet in
             # the database.
             for atom in edb:
-                fact = self._canonical(atom)
+                fact = canonical_atom(atom)
                 if fact.pred in self._idb:
                     raise EvaluationError(
                         f"cannot insert into derived predicate {fact.pred!r}"
@@ -241,7 +243,7 @@ class IncrementalModel:
         self, atoms: Iterable[Atom], lsn: int | None = None
     ) -> UpdateStats:
         """Insert base facts and repair the model."""
-        new = [self._canonical(a) for a in atoms]
+        new = [canonical_atom(a) for a in atoms]
         new = [a for a in new if a not in self._edb_facts]
         if not new:
             self.last_update = UpdateStats(mode="none", lsn=lsn)
@@ -282,7 +284,7 @@ class IncrementalModel:
         self, atoms: Iterable[Atom], lsn: int | None = None
     ) -> UpdateStats:
         """Delete base facts and repair the model."""
-        victims = [self._canonical(a) for a in atoms]
+        victims = [canonical_atom(a) for a in atoms]
         victims = [a for a in victims if a in self._edb_facts]
         if not victims:
             self.last_update = UpdateStats(mode="none", lsn=lsn)
@@ -303,9 +305,6 @@ class IncrementalModel:
         return self.database.as_set()
 
     # -- internals ---------------------------------------------------------
-
-    def _canonical(self, atom: Atom) -> Atom:
-        return canonical_atom(atom)
 
     def _maintain_mode(self) -> str:
         return self.maintain if self.maintain is not None else maintain_mode()
@@ -350,14 +349,6 @@ class IncrementalModel:
         self.version += 1
         self._notify_delta(invalidation_of(batch, self.version))
         return stats
-
-    def _install_program_facts(self) -> None:
-        for rule in self.program.facts():
-            fact = self._canonical(rule.head)
-            if fact.pred in self._idb:
-                self._idb_facts.add(fact)
-            else:
-                self._edb_facts.add(fact)
 
     def program_facts_of(self, preds) -> set[Atom]:
         """The program facts of derived predicates among ``preds``."""
@@ -409,8 +400,8 @@ class IncrementalModel:
         for atom in self._idb_facts:
             fresh.add(atom)
         self.database = fresh
-        # cached plans stay valid across swaps: the sized-once policy
-        # never invalidates, and plans hold no database references.
+        # cached plans stay valid across swaps: plans hold no database
+        # references.
         self._context.db = fresh
         for i, layer_components in enumerate(self._schedule):
             for component in layer_components:

@@ -146,14 +146,18 @@ def _grouping_spec(rule: Rule) -> tuple[int, str, tuple[tuple[int, Term], ...]]:
 class _GroupState:
     """The live grouping state of one grouping rule: a multiset of
     grouped values per key (``group_bindings`` dedupes into sets, which
-    cannot be decremented) plus the current fact per key."""
+    cannot be decremented) plus the current fact per key.
+
+    Multiplicities are exact binding counts.  Within one update the
+    telescoping terms may take a count below zero before a later term
+    restores it, so a count is dropped only at exactly zero."""
 
     __slots__ = ("group_position", "group_var", "other_terms", "buckets", "facts")
 
     def __init__(self, rule: Rule) -> None:
         spec = _grouping_spec(rule)
         self.group_position, self.group_var, self.other_terms = spec
-        # key -> {grouped value -> multiplicity > 0}
+        # key -> {grouped value -> nonzero multiplicity}
         self.buckets: dict[tuple[Term, ...], dict[Term, int]] = {}
         # key -> the fact currently standing for that group
         self.facts: dict[tuple[Term, ...], Atom] = {}
@@ -526,10 +530,10 @@ class DeltaMaintainer:
             if bucket is None:
                 bucket = buckets[key] = {}
             n = bucket.get(value, 0) + sign
-            if n > 0:
+            if n:
                 bucket[value] = n
             else:
-                bucket.pop(value, None)
+                del bucket[value]
                 if not bucket:
                     del buckets[key]
             touched.add(key)

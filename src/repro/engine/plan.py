@@ -4,10 +4,10 @@ The seed engine re-derived everything per call: :func:`order_body`
 ran every fixpoint iteration, ``Atom.substitute`` plus per-argument
 groundness checks ran for every binding at every literal, and the head
 was re-substituted per derived fact.  This module performs that
-analysis *once* per (rule, delta-occurrence, planner) and emits a
-:class:`RulePlan`:
+analysis *once* per (rule, delta-occurrence, initially-bound set) and
+emits a :class:`RulePlan`:
 
-* an evaluation order (from :func:`repro.engine.solve.order_body`),
+* an evaluation order (:func:`order_body`),
 * one :class:`LiteralStep` per body literal carrying its *probe spec*
   — which argument positions are ground at that step given the
   variables bound so far, how to produce each probe key part (constant
@@ -20,24 +20,22 @@ analysis *once* per (rule, delta-occurrence, planner) and emits a
 Execution lives in :mod:`repro.engine.exec`: the default executor
 compiles each plan once into a closure over ID rows, the tuple executor
 keeps the original one-binding-at-a-time recursion as the reference.
-:func:`run_plan` and :func:`apply_rule_plan` remain as thin wrappers
-that route to the configured executor, extending bindings as immutable
-chains (:mod:`repro.engine.binding`) so that a dict is materialized
-only when a consumer asks for one.  Plans are cached and shared by
+Plans are cached in a :class:`PlanCache` — one per compiled program
+(:mod:`repro.engine.compiled`) — and every run reads them through its
 :class:`~repro.engine.context.EvalContext`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.engine.binding import ChainBinding
 from repro.engine.builtins import handler_for
-from repro.engine.database import Database
 from repro.engine.match import ground_atom
-from repro.errors import EvaluationError, NotInUniverseError
+from repro.errors import EvaluationError, NotInUniverseError, SafetyError
 from repro.names import is_builtin_predicate
+from repro.program.modes import modes_for
 from repro.program.rule import Atom, Literal, Rule
+from repro.terms.pretty import format_literal
 from repro.terms.term import (
     ARITHMETIC_FUNCTORS,
     Const,
@@ -45,6 +43,7 @@ from repro.terms.term import (
     Term,
     Var,
     evaluate_ground,
+    register_clear_listener,
 )
 
 #: relation-override hook: maps a body-literal *original index* to an
@@ -58,6 +57,92 @@ TERM = "term"  # payload: raw term, substitute+evaluate at runtime
 BIND = "bind"  # payload: variable name, first unbound occurrence
 MATCH = "match"  # payload: (term, needs_substitute) general match
 ARITH = "arith"  # payload: (functor, ((VAR, name) | (CONST, number), ...))
+
+
+def order_body(
+    literals: Sequence[Literal],
+    initially_bound: frozenset[str] = frozenset(),
+    first: int | None = None,
+    sizes: dict[str, int] | None = None,
+) -> tuple[int, ...]:
+    """Return an evaluation order (original indices) for a rule body.
+
+    The greedy order runs negative literals and test-only built-ins as
+    soon as their variables are bound (cheap filters; negation
+    *requires* bound variables), equality as soon as one side is bound,
+    generative built-ins once their required arguments are bound, and
+    positive literals by how many argument positions are already bound.
+    ``first`` forces one literal to the front (the semi-naive delta
+    occurrence).  ``sizes`` (predicate → cardinality) switches the
+    positive-literal heuristic from "most bound arguments" to an
+    estimated scan cost ``|relation| / 4^bound_args`` — the
+    statistics-aware ordering of experiment E15.  Raises
+    :class:`SafetyError` when no safe order exists (a negative literal
+    whose variables can never all be bound).
+    """
+    remaining = set(range(len(literals)))
+    bound = set(initially_bound)
+    plan: list[int] = []
+    # a relation with no stored tuples carries no cardinality evidence
+    # (an IDB predicate not yet populated, a top-down table): assume it
+    # is as large as the largest known relation, so bound-argument
+    # connectivity still ranks it — a zero-cost guess would schedule
+    # recursive literals before their generators, unbinding them.
+    unknown_size = max(sizes.values(), default=1) if sizes else 1
+
+    def eligible_class(index: int) -> int | None:
+        lit = literals[index]
+        lit_vars = lit.atom.variables()
+        if lit.negative:
+            return 0 if lit_vars <= bound else None
+        pred = lit.atom.pred
+        if not is_builtin_predicate(pred):
+            return 2
+        if lit_vars <= bound:
+            return 0
+        for mode in modes_for(pred):
+            required: set[str] = set()
+            for pos in mode.requires:
+                if pos < len(lit.atom.args):
+                    required |= lit.atom.args[pos].variables()
+            if required <= bound:
+                return 1 if pred == "=" else 3
+        return None
+
+    if first is not None:
+        plan.append(first)
+        remaining.discard(first)
+        bound |= literals[first].atom.variables()
+
+    while remaining:
+        best: tuple | None = None
+        for index in sorted(remaining):
+            klass = eligible_class(index)
+            if klass is None:
+                continue
+            lit = literals[index]
+            bound_args = sum(
+                1 for a in lit.atom.args if a.variables() <= bound
+            )
+            if sizes is not None and klass == 2:
+                relation_size = sizes.get(lit.atom.pred, 0) or unknown_size
+                cost = relation_size / (4 ** bound_args)
+                candidate = (klass, cost, -bound_args, index)
+            else:
+                candidate = (klass, 0, -bound_args, index)
+            if best is None or candidate < best:
+                best = candidate
+        if best is None:
+            unsatisfied = ", ".join(
+                format_literal(literals[i]) for i in sorted(remaining)
+            )
+            raise SafetyError(f"no safe evaluation order for: {unsatisfied}")
+        index = best[-1]
+        plan.append(index)
+        remaining.discard(index)
+        if literals[index].positive:
+            bound |= literals[index].atom.variables()
+    return tuple(plan)
 
 
 def _compile_builtin_arg(arg: Term) -> tuple:
@@ -230,7 +315,6 @@ class RulePlan:
         "order",
         "steps",
         "head",
-        "planner",
         "first",
         "initially_bound",
         "_spec",
@@ -242,7 +326,6 @@ class RulePlan:
         order: tuple[int, ...],
         steps: tuple[LiteralStep, ...],
         head: HeadTemplate | None,
-        planner: str,
         first: int | None,
         initially_bound: frozenset[str],
     ) -> None:
@@ -250,7 +333,6 @@ class RulePlan:
         self.order = order
         self.steps = steps
         self.head = head
-        self.planner = planner
         self.first = first
         self.initially_bound = initially_bound
         # lazy per-plan specialization cache; the compiled-closure
@@ -264,7 +346,7 @@ class RulePlan:
         return self.head.instantiate(binding)
 
     def __repr__(self) -> str:
-        return f"RulePlan(order={self.order!r}, planner={self.planner!r})"
+        return f"RulePlan(order={self.order!r}, first={self.first!r})"
 
 
 def _compile_relation_step(
@@ -286,7 +368,7 @@ def _compile_relation_step(
                     probes.append((pos, CONST, evaluate_ground(arg)))
                 except (NotInUniverseError, EvaluationError):
                     # defer to runtime so failure semantics match the
-                    # seed exactly (silent vs raising, see run_plan)
+                    # seed exactly (silent vs raising, see tuplewise)
                     probes.append((pos, TERM, arg))
             else:
                 probes.append((pos, TERM, arg))
@@ -341,16 +423,13 @@ def compile_body(
     first: int | None = None,
     sizes: dict[str, int] | None = None,
     initially_bound: frozenset[str] = frozenset(),
-    planner: str = "static",
 ) -> RulePlan:
     """Compile a body into a head-less :class:`RulePlan`.
 
     ``order`` reuses a precomputed evaluation order; otherwise
-    :func:`~repro.engine.solve.order_body` runs with the given
+    :func:`order_body` runs with the given
     ``first``/``sizes``/``initially_bound`` arguments.
     """
-    from repro.engine.solve import order_body
-
     if order is None:
         order = order_body(
             literals, initially_bound, first=first, sizes=sizes
@@ -372,7 +451,6 @@ def compile_body(
         tuple(order),
         tuple(steps),
         None,
-        planner,
         first,
         frozenset(initially_bound),
     )
@@ -383,19 +461,19 @@ def compile_rule(
     first: int | None = None,
     sizes: dict[str, int] | None = None,
     initially_bound: frozenset[str] = frozenset(),
-    planner: str = "static",
 ) -> RulePlan:
     """Compile a full rule: ordered body steps plus a head template.
 
     Grouping rules get no head template (the R1 step builds grouped
     heads from equivalence classes, not per-binding instantiation).
+    ``sizes`` orders joins by live relation cardinalities; None orders
+    them by the syntactic heuristic alone.
     """
     plan = compile_body(
         rule.body,
         first=first,
         sizes=sizes,
         initially_bound=initially_bound,
-        planner=planner,
     )
     plan.rule = rule
     if not rule.is_grouping():
@@ -403,55 +481,59 @@ def compile_rule(
     return plan
 
 
+#: Bumped by every :func:`~repro.terms.term.clear_intern_table`.  A
+#: specialized plan bakes dense term IDs into its closure, so a
+#: :class:`PlanCache` that sees a newer generation drops its plans.
+_generation = 0
 
-def run_plan(
-    db: Database,
-    plan: RulePlan,
-    binding: Mapping[str, Term] | None = None,
-    overrides: SourceOverrides | None = None,
-    negation_db: Database | None = None,
-    executor: str | None = None,
-) -> Iterator[ChainBinding]:
-    """Enumerate applicable bindings of a compiled body over ``db``.
 
-    Routes to the configured executor (:mod:`repro.engine.exec`); the
-    default is the compiled plan lane.  Yields
-    :class:`ChainBinding` extensions of ``binding`` (read-only
-    Mappings; call ``.materialize()`` for a plain dict).  ``overrides``
-    swaps the tuple source of specific body occurrences (semi-naive
-    deltas); ``negation_db`` checks negative literals against a
-    different interpretation (well-founded reduct construction).
+def _next_generation() -> None:
+    global _generation
+    _generation += 1
+
+
+register_clear_listener(_next_generation)
+
+
+class PlanCache:
+    """Compiled plans keyed ``(rule, first, initially_bound)``.
+
+    Each key compiles once, against the relation sizes its first caller
+    passes (the ``sized-once`` policy: joins are ordered by live
+    cardinalities, and a plan, once built, is kept), and is then shared
+    by every run that asks — plans hold no database references.  Plans
+    never outlive the intern table: the cache empties itself the first
+    time it is read after a :func:`~repro.terms.term.clear_intern_table`.
+    Concurrent readers may race to compile one key; either plan is
+    correct, and the last write wins.
     """
-    from repro.engine.exec import enumerate_bindings
 
-    return iter(
-        enumerate_bindings(
-            db,
-            plan,
-            binding=binding,
-            overrides=overrides,
-            negation_db=negation_db,
-            executor=executor,
+    __slots__ = ("_plans", "_generation")
+
+    def __init__(self) -> None:
+        self._plans: dict[tuple, RulePlan] = {}
+        self._generation = _generation
+
+    def get(
+        self,
+        rule: Rule,
+        first: int | None,
+        initially_bound: frozenset[str],
+        sizes: dict[str, int] | None,
+    ) -> tuple[RulePlan, bool]:
+        """The plan for the key and whether this call compiled it."""
+        if self._generation != _generation:
+            self._plans = {}
+            self._generation = _generation
+        key = (rule, first, initially_bound)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan, False
+        plan = compile_rule(
+            rule, first=first, sizes=sizes, initially_bound=initially_bound
         )
-    )
+        self._plans[key] = plan
+        return plan, True
 
-
-def apply_rule_plan(
-    db: Database,
-    plan: RulePlan,
-    overrides: SourceOverrides | None = None,
-    negation_db: Database | None = None,
-    executor: str | None = None,
-) -> Iterator[Atom]:
-    """Head facts derived by one (non-grouping) compiled rule over ``db``."""
-    from repro.engine.exec import derive_facts
-
-    return iter(
-        derive_facts(
-            db,
-            plan,
-            overrides=overrides,
-            negation_db=negation_db,
-            executor=executor,
-        )
-    )
+    def __len__(self) -> int:
+        return len(self._plans)

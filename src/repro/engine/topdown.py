@@ -20,7 +20,8 @@ Design:
   negative literal or a grouping body is needed, one recursive
   ``solve`` fully completes it (checked, not assumed);
 * EDB facts are read straight from an indexed
-  :class:`~repro.engine.database.Database`.
+  :class:`~repro.engine.database.Database`, canonicalized by the same
+  :func:`~repro.engine.compiled.base_database` every evaluator uses.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.engine.builtins import solve_builtin
+from repro.engine.compiled import base_database, compile_program
 from repro.engine.context import EvalContext
-from repro.engine.database import Database
 from repro.engine.match import Binding, ground_atom, match_atom, match_term
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.observe import EngineHooks
 from repro.names import is_builtin_predicate
 from repro.program.rule import Atom, Literal, Program, Query, Rule
-from repro.program.stratify import stratify
-from repro.program.wellformed import check_program
 from repro.terms.term import GroupTerm, SetVal, Term, Var, evaluate_ground
 
 SubgoalKey = tuple  # tuple[Term | None, ...]
@@ -68,22 +67,17 @@ class TopDownEvaluator:
         self,
         program: Program,
         edb: Iterable[Atom] = (),
-        check: bool = True,
         hooks: EngineHooks | None = None,
     ) -> None:
-        if check:
-            check_program(program)
+        compiled = compile_program(program)  # checked and admissible
         self.program = program
-        self.layering = stratify(program)  # also verifies admissibility
-        self._idb = program.idb_predicates()
-        self._db = Database(edb)
-        # body orders are planned per (rule, bound head vars) and cached
-        # for the evaluator's lifetime — the driver re-runs rules many
-        # times before tables quiesce.
-        self._context = EvalContext(self._db, hooks=hooks)
-        for rule in program.facts():
-            args = tuple(evaluate_ground(a) for a in rule.head.args)
-            self._db.add(Atom(rule.head.pred, args))
+        self.layering = compiled.layering
+        self._idb = compiled.idb
+        self._db = base_database(program, edb)
+        # body orders are planned per (rule, bound head vars) by the
+        # compiled program — the outer loop re-runs rules many times
+        # before tables quiesce.
+        self._context = EvalContext(self._db, compiled.plans, hooks=hooks)
         self._tables: dict[tuple[str, SubgoalKey], Table] = {}
         self._active: set[tuple[str, SubgoalKey]] = set()
         self._grew = False
@@ -395,9 +389,9 @@ class TopDownEvaluator:
 
 
 def evaluate_topdown(
-    program: Program, query: Query, edb: Iterable[Atom] = (), check: bool = True
+    program: Program, query: Query, edb: Iterable[Atom] = ()
 ) -> tuple[list[Atom], TopDownStats]:
     """Convenience wrapper: answer a query top-down with tabling."""
-    evaluator = TopDownEvaluator(program, edb=edb, check=check)
+    evaluator = TopDownEvaluator(program, edb=edb)
     answers = evaluator.query(query)
     return answers, evaluator.stats

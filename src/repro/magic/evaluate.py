@@ -29,8 +29,9 @@ rule application, recursive ones as their own small fixpoint.
 
 Everything above except the seed fact depends only on the query's
 predicate and adornment, so it is built once, as a
-:class:`PreparedQuery`, and run per request over an overlay that
-*shares* the base database's relations.
+:class:`PreparedQuery` (memoized per form by
+:meth:`~repro.engine.compiled.CompiledProgram.prepare`), and run per
+request over an overlay that *shares* the base database's relations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from repro.engine.context import EvalContext, ensure_context
+from repro.engine.compiled import base_database, compile_program
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.evaluator import answer_query, answer_rows
 from repro.engine.fixpoint import FixpointStats, seminaive_fixpoint, single_pass
@@ -56,9 +58,7 @@ from repro.errors import (
 from repro.observe import EngineHooks
 from repro.magic.adornment import unadorned_name
 from repro.magic.rewrite import MagicProgram, magic_rewrite
-from repro.program.rule import Atom, Program, Query, Rule, canonical_atom
-from repro.program.stratify import stratify
-from repro.program.wellformed import check_program
+from repro.program.rule import Atom, Program, Query, Rule
 from repro.terms.term import evaluate_ground
 
 
@@ -107,25 +107,10 @@ class MagicResult:
         return sorted(set(out), key=lambda a: a.sort_key())
 
 
-def _apply_deferred(
-    rule: Rule, db: Database, context: EvalContext | None = None
-) -> list[Atom]:
-    ctx = ensure_context(context, db)
+def _apply_deferred(rule: Rule, db: Database, ctx: EvalContext) -> list[Atom]:
     if rule.is_grouping():
         return list(apply_grouping_rule(rule, db, context=ctx))
     return derive_facts(db, ctx.plan_for(rule), executor=ctx.executor)
-
-
-def base_database(program: Program, edb: Iterable[Atom] = ()) -> Database:
-    """The base a :class:`PreparedQuery` runs over: the canonicalized
-    EDB plus the program's own facts on non-derived predicates (facts
-    on derived ones are rewritten along with the rules)."""
-    db = Database(canonical_atom(a) for a in edb)
-    idb = program.idb_predicates()
-    for rule in program.facts():
-        if rule.head.pred not in idb:
-            db.add(canonical_atom(rule.head))
-    return db
 
 
 class PreparedQuery:
@@ -135,22 +120,24 @@ class PreparedQuery:
     its adornment alone; the bound constants enter only through the
     seed fact ``m_p__a(c)``.  So per (program, rewrite algorithm,
     predicate, effective adornment) — :attr:`key`, within one program —
-    this object holds what does not depend on them: the checked and
-    rewritten rules, the condensed saturation schedule, the deferred
-    rules, and the plan cache every run compiles into and reads from.
-    It is never mutated after construction (the plan cache only gains
-    entries, each compiled once and then shared), so concurrent runs
-    may use one instance; drop it when the program's rules change.
+    this object holds what does not depend on them: the rewritten
+    rules, the condensed saturation schedule and the deferred rules.
+    Rule plans come from the program's
+    :class:`~repro.engine.compiled.CompiledProgram`, which checked and
+    layered the rules once.  It is never mutated after construction,
+    so concurrent runs may use one instance.
 
     :meth:`run` evaluates one seed over an *overlay* of a base database
-    (see :func:`base_database`): the base's relations are shared as they
-    are, read-only — no copy, no copy-on-write flag — and only the
-    adorned / magic / supplementary predicates get fresh relations.
+    (see :func:`~repro.engine.compiled.base_database`): the base's
+    relations are shared as they are, read-only — no copy, no
+    copy-on-write flag — the original derived predicates are hidden,
+    and only the adorned / magic / supplementary predicates get fresh
+    relations.
     """
 
     __slots__ = (
         "program", "rewrite", "magic_program", "schedule", "deferred",
-        "private", "context",
+        "private", "plans",
     )
 
     def __init__(
@@ -158,10 +145,8 @@ class PreparedQuery:
         program: Program,
         query: Query,
         rewrite=magic_rewrite,
-        check: bool = True,
     ) -> None:
-        if check:
-            check_program(program)
+        compiled = compile_program(program)
         mp = rewrite(program, query)
         self.program = program
         self.rewrite = rewrite
@@ -177,7 +162,7 @@ class PreparedQuery:
         )
         #: the deferred rules grouped by the original program's layer
         #: of their head predicate, lowest first.
-        layering = stratify(program)
+        layering = compiled.layering
         by_layer: dict[int, list[Rule]] = {}
         for rule in mp.deferred_rules:
             layer = layering.index(unadorned_name(rule.head.pred))
@@ -189,7 +174,7 @@ class PreparedQuery:
         heads.add((mp.seed.pred, mp.seed.arity))
         #: (predicate, arity) of every relation a run writes.
         self.private = tuple(sorted(heads))
-        self.context = EvalContext()
+        self.plans = compiled.plans
 
     @property
     def key(self) -> tuple:
@@ -236,7 +221,7 @@ class PreparedQuery:
             r: set() for r in mp.deferred_rules
         }
         stats = MagicStats()
-        ctx = self.context.over(db, hooks=hooks)
+        ctx = EvalContext(db, self.plans, hooks=hooks)
 
         while True:
             stats.phases += 1
@@ -256,7 +241,7 @@ class PreparedQuery:
             changed = False
             for layer_rules in self.deferred:
                 for rule in layer_rules:
-                    for fact in _apply_deferred(rule, db, context=ctx):
+                    for fact in _apply_deferred(rule, db, ctx):
                         derived_by_rule[rule].add(fact)
                         if db.add(fact):
                             stats.deferred_facts += 1
@@ -269,7 +254,7 @@ class PreparedQuery:
         # stability validation: every deferred rule, recomputed now, must
         # derive exactly what it derived during the run.
         for rule in mp.deferred_rules:
-            final = set(_apply_deferred(rule, db, context=ctx))
+            final = set(_apply_deferred(rule, db, ctx))
             if final != derived_by_rule[rule]:
                 raise UnstableMagicEvaluationError(
                     "deferred rule derivations changed after fixpoint: "
@@ -314,7 +299,6 @@ def evaluate_magic(
     program: Program,
     query: Query,
     edb: Iterable[Atom] = (),
-    check: bool = True,
     max_phases: int = 10_000,
     rewrite=magic_rewrite,
     hooks: EngineHooks | None = None,
@@ -326,9 +310,10 @@ def evaluate_magic(
     constants.  ``rewrite`` selects the rewriting algorithm (default:
     Generalized Magic Sets; see
     :func:`repro.magic.supplementary.supplementary_rewrite`).  One-shot
-    form of :class:`PreparedQuery`: prepare, build the base, run once.
+    form of :class:`PreparedQuery`: take the program's prepared form,
+    build the base, run once.
     """
-    prepared = PreparedQuery(program, query, rewrite=rewrite, check=check)
+    prepared = compile_program(program).prepare(query, rewrite)
     return prepared.answer(
         query, base_database(program, edb), hooks=hooks, max_phases=max_phases
     )

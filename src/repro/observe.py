@@ -253,7 +253,6 @@ class TraceRecorder:
                 {
                     "rule": plan.rule,
                     "order": plan.order,
-                    "planner": plan.planner,
                     "first": plan.first,
                 },
             )
@@ -481,7 +480,6 @@ class MetricsCollector:
             {
                 "rule": format_rule(rule) if rule is not None else None,
                 "order": list(plan.order),
-                "planner": plan.planner,
                 "first": plan.first,
             }
         )

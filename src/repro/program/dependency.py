@@ -141,7 +141,7 @@ def condense_program(
 
 
 def scc_schedule(
-    program: Program, layering
+    program: Program, layering, graph: nx.DiGraph | None = None
 ) -> list[list[SCCComponent]]:
     """Per-layer evaluation schedule: SCCs in dependency order.
 
@@ -153,7 +153,7 @@ def scc_schedule(
     (EDB-only predicates) are dropped — there is nothing to run.
     """
     schedule: list[list[SCCComponent]] = [[] for _ in range(len(layering))]
-    for component in condense_program(program):
+    for component in condense_program(program, graph):
         if not component.rules:
             continue
         layer = layering.index(next(iter(component.preds)))

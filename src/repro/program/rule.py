@@ -213,13 +213,16 @@ class Program:
     """An ordered collection of rules with convenience accessors.
 
     Rule order never affects semantics (LDL is assertional, Section 1)
-    but is preserved for printing and deterministic iteration.
+    but is preserved for printing and deterministic iteration.  A
+    program is immutable; ``_compiled`` memoizes its
+    :func:`~repro.engine.compiled.compile_program` result.
     """
 
-    __slots__ = ("rules",)
+    __slots__ = ("rules", "_compiled")
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
         self.rules = tuple(rules)
+        self._compiled = None
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
@@ -277,6 +280,9 @@ class Program:
 
     def __hash__(self) -> int:
         return hash((Program, frozenset(self.rules)))
+
+    def __reduce__(self):
+        return (Program, (self.rules,))
 
     def __repr__(self) -> str:
         return f"Program({len(self.rules)} rules)"

@@ -66,13 +66,15 @@ class Layering:
         return f"Layering([{parts}])"
 
 
-def stratify(program: Program) -> Layering:
+def stratify(program: Program, graph: nx.DiGraph | None = None) -> Layering:
     """Compute the canonical (least-index) layering of ``program``.
 
-    Raises :class:`NotAdmissibleError` when no layering exists, naming
-    the offending predicate cycle.
+    ``graph`` reuses an already built :func:`dependency_graph`.  Raises
+    :class:`NotAdmissibleError` when no layering exists, naming the
+    offending predicate cycle.
     """
-    graph = dependency_graph(program)
+    if graph is None:
+        graph = dependency_graph(program)
     cycle = strict_cycle(graph)
     if cycle is not None:
         raise NotAdmissibleError(

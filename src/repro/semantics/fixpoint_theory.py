@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.engine.context import EvalContext, ensure_context
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import derive_facts
 from repro.engine.grouping import apply_grouping_rule
@@ -52,7 +52,7 @@ def tp(
                 "T_P is only defined for simple rules (no grouping/negation)"
             )
     db = Database(interpretation)
-    ctx = ensure_context(context, db)
+    ctx = context or EvalContext(db)
     out: set[Atom] = set()
     for rule in program.rules:
         out.update(
@@ -98,7 +98,7 @@ def tp_with_grouping(
     builds the layered operational semantics instead.
     """
     db = Database(interpretation)
-    ctx = ensure_context(None, db)
+    ctx = EvalContext(db)
     out: set[Atom] = set()
     for rule in program.rules:
         if rule.is_grouping():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from repro.engine.context import ensure_context
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import enumerate_bindings
 from repro.engine.grouping import apply_grouping_rule
@@ -44,7 +44,7 @@ def violations(
     """Yield one witness per rule falsified by ``interpretation``."""
     facts = frozenset(interpretation)
     db = _as_database(facts)
-    ctx = ensure_context(None, db)
+    ctx = EvalContext(db)
     for rule in program.rules:
         if rule.is_grouping():
             for fact in apply_grouping_rule(rule, db, context=ctx):

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from typing import Iterable
+
+from repro.engine.compiled import base_database
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import derive_facts
 from repro.errors import EvaluationError
 from repro.program.rule import Atom, Program
 from repro.program.wellformed import check_program
-from repro.terms.term import evaluate_ground
-from typing import Iterable
 
 
 @dataclass
@@ -93,6 +94,9 @@ def wellfounded(
 
     ``true`` are the facts in every reasonable model; ``undefined`` are
     those caught in negative cycles (e.g. draws in the win-move game).
+    Such a program need not be admissible, so it has no
+    :class:`~repro.engine.compiled.CompiledProgram`: ``check`` runs the
+    well-formedness and safety checks here, and the plans are private.
     """
     if check:
         check_program(program)
@@ -103,14 +107,7 @@ def wellfounded(
                 "use the stratified evaluator"
             )
 
-    base = Database(edb)
-    for rule in program.facts():
-        base.add(
-            Atom(
-                rule.head.pred,
-                tuple(evaluate_ground(a) for a in rule.head.args),
-            )
-        )
+    base = base_database(program, edb)
 
     # one context for the whole alternating fixpoint: every reduct
     # reuses the same compiled plans.

@@ -81,6 +81,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import networkx as nx
 
+from repro.engine.compiled import compile_program
 from repro.engine.evaluator import answer_rows
 from repro.engine.match import match_atom
 from repro.errors import (
@@ -89,7 +90,6 @@ from repro.errors import (
     NotInUniverseError,
     UnstableMagicEvaluationError,
 )
-from repro.program.dependency import dependency_graph
 from repro.program.rule import Atom, Query
 from repro.server.protocol import encode_binding
 from repro.terms.term import Term, Var, evaluate_ground
@@ -427,7 +427,7 @@ class AnswerCache:
             self._graph_program = program
             self._support.clear()
             self._graph = (
-                dependency_graph(program) if program is not None else None
+                compile_program(program).graph if program is not None else None
             )
         support = self._support.get(pred)
         if support is None:

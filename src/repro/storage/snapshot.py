@@ -49,12 +49,13 @@ def program_fingerprint(program: Program, layering=None) -> str:
     structure (Theorem 2 makes the result layering-independent, but the
     fingerprint still pins the layering so a digest match certifies the
     whole pipeline).  The codec version is mixed in so a codec bump
-    invalidates old materializations.
+    invalidates old materializations.  Without a ``layering`` this is
+    the program's compiled fingerprint, computed once per program.
     """
     if layering is None:
-        from repro.program.stratify import stratify
+        from repro.engine.compiled import compile_program
 
-        layering = stratify(program)
+        return compile_program(program).fingerprint
     digest = hashlib.sha256()
     digest.update(f"codec:{codec.CODEC_VERSION}\n".encode())
     for line in sorted(format_rule(rule) for rule in program):

@@ -33,12 +33,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.engine.compiled import compile_program
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalModel, UpdateStats
 from repro.errors import StorageError
 from repro.observe import EngineHooks, MetricsCollector, emit_storage_event
 from repro.program.rule import Atom, Program, canonical_atom
-from repro.storage.snapshot import load_snapshot, program_fingerprint, write_snapshot
+from repro.storage.snapshot import load_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
 
 SNAPSHOT_FILE = "snapshot.jsonl"
@@ -69,7 +70,6 @@ class DurableStore:
         path,
         fsync: str = "always",
         compact_every: int = 1024,
-        check: bool = True,
         hooks: EngineHooks | None = None,
         metrics: MetricsCollector | None = None,
         maintain: str | None = None,
@@ -78,7 +78,6 @@ class DurableStore:
         self.path = os.fspath(path)
         self.fsync = fsync
         self.compact_every = compact_every
-        self.check = check
         self.hooks = hooks
         self.metrics = metrics
         self.maintain = maintain
@@ -102,7 +101,7 @@ class DurableStore:
         if self.model is not None:
             raise StorageError(f"{self.path}: store already open")
         os.makedirs(self.path, exist_ok=True)
-        self._fingerprint = program_fingerprint(self.program)
+        self._fingerprint = compile_program(self.program).fingerprint
         stats = StoreStats()
 
         start = time.perf_counter()
@@ -111,7 +110,6 @@ class DurableStore:
             self.model = IncrementalModel(
                 self.program,
                 edb=snapshot.edb_facts,
-                check=self.check,
                 hooks=self.hooks,
                 materialized=Database(snapshot.model_atoms),
                 maintain=self.maintain,
@@ -123,15 +121,13 @@ class DurableStore:
             self.model = IncrementalModel(
                 self.program,
                 edb=snapshot.edb_facts,
-                check=self.check,
                 hooks=self.hooks,
                 maintain=self.maintain,
             )
             stats.restore_mode = "rebuild"
         else:
             self.model = IncrementalModel(
-                self.program, check=self.check, hooks=self.hooks,
-                maintain=self.maintain,
+                self.program, hooks=self.hooks, maintain=self.maintain
             )
             stats.restore_mode = "cold"
         if snapshot is not None:
@@ -216,7 +212,7 @@ class DurableStore:
 
     def _mutate(self, op: str, atoms: Iterable[Atom]) -> UpdateStats:
         self._require_open()
-        batch = tuple(self._canonical(a) for a in atoms)
+        batch = tuple(canonical_atom(a) for a in atoms)
         if not batch:
             return UpdateStats(mode="none")
         start = time.perf_counter()
@@ -233,9 +229,6 @@ class DurableStore:
         if self.compact_every and self.wal.record_count >= self.compact_every:
             self.checkpoint()
         return stats
-
-    def _canonical(self, atom: Atom) -> Atom:
-        return canonical_atom(atom)
 
     # -- maintenance -------------------------------------------------------
 

@@ -137,18 +137,21 @@ class TestSizedPlanner:
         from repro.engine import evaluate
         from repro.parser import parse_program
 
+        from tests.helpers import assert_sizes_do_not_change_facts
+
         src = """
         tiny(0). tiny(1).
         out(Y) <- big(X, Y), tiny(X).
         """
         program, _ = parse_program(src)
         edb = [parse_atom(f"big({i % 7}, {i})") for i in range(200)]
-        static = evaluate(program, edb=edb, planner="static")
-        sized = evaluate(program, edb=edb, planner="sized")
-        assert static.database == sized.database
+        model = evaluate(program, edb=edb)
+        # the live sizes put tiny first, the syntactic order big
+        assert_sizes_do_not_change_facts(program, model.database)
+        assert model.database.count("out") == 58
 
     def test_sized_order_puts_small_relation_first(self):
-        from repro.engine.solve import order_body
+        from repro.engine.plan import order_body
         from repro.parser import parse_rule
 
         rule = parse_rule("out(Y) <- big(X, Y), tiny(X).")
@@ -158,7 +161,7 @@ class TestSizedPlanner:
         assert sized == (1, 0)
 
     def test_sized_respects_bound_args(self):
-        from repro.engine.solve import order_body
+        from repro.engine.plan import order_body
         from repro.parser import parse_rule
 
         # with X bound, probing big by index may beat scanning tiny

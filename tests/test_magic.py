@@ -254,7 +254,8 @@ class TestPreparedQuery:
 
     @staticmethod
     def prepared(src, query_text, edb=()):
-        from repro.magic.evaluate import PreparedQuery, base_database
+        from repro.engine.compiled import base_database
+        from repro.magic.evaluate import PreparedQuery
 
         program, _ = parse_program(src)
         query = parse_query(query_text)
@@ -357,15 +358,17 @@ class TestPreparedQuery:
 
     def test_session_drops_prepared_entries_when_rules_change(self):
         from repro import LDL
+        from repro.engine.compiled import compile_program
 
         db = LDL(ANCESTOR)
         assert len(db.query("? anc(a, X).", strategy="magic")) == 3
         assert len(db.query("? anc(e, X).", strategy="magic")) == 1
-        (old,) = db._prepared.values()  # one form, two constants
+        # one form, two constants
+        (old,) = compile_program(db.program)._prepared.values()
         db.load("anc(X, Y) <- parent(Y, X).")
-        assert db._prepared == {}
+        assert compile_program(db.program)._prepared == {}
         assert db.query("? anc(b, X).", strategy="magic") == db.query("? anc(b, X).")
-        (new,) = db._prepared.values()
+        (new,) = compile_program(db.program)._prepared.values()
         assert new is not old and new.program is db.program
 
     def test_in_memory_base_is_rebuilt_per_edb_version(self):

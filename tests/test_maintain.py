@@ -165,6 +165,28 @@ class TestDeltaBatch:
         assert parse_atom("childless(b)") in batch.inserted["childless"]
         assert parse_atom("childless(c)") in batch.deleted["childless"]
 
+    def test_group_count_may_dip_below_zero_mid_update(self):
+        # one delete shrinks a(X, Y) and, through the negation, grows
+        # c(Y, Z): the a-term removes two bindings of the value 3 (one
+        # of them only exists in the new state) before the c-term adds
+        # that one back, so its count passes through -1 on the way to 0
+        program = parse_rules(
+            """
+            c(Y, Z) <- d(Y, Z), ~e(Y, Z).
+            g(X, <Y>) <- a(X, Y), b(Y, Z), c(Y, Z).
+            """
+        )
+        edb = atoms(
+            "a(1, 3)", "a(1, 5)", "b(3, 2)", "b(3, 4)", "b(5, 4)",
+            "d(3, 2)", "d(3, 4)", "d(5, 4)", "e(3, 2)",
+        )
+        model = IncrementalModel(program, edb, maintain="delta")
+        gone = atoms("a(1, 3)", "e(3, 2)")
+        model.remove_facts(gone)
+        rest = without(edb, gone)
+        assert model.as_set() == evaluate(program, edb=rest).database.as_set()
+        assert set(model.database.atoms("g")) == {parse_atom("g(1, {5})")}
+
     def test_trace_event_emitted(self):
         recorder = TraceRecorder()
         model = IncrementalModel(

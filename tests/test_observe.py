@@ -105,7 +105,7 @@ class TestMetricsCollector:
         assert all({"layer", "seconds"} == set(row) for row in report["layers"])
         # one entry per compiled plan: which join order the planner chose
         assert all(
-            {"rule", "order", "planner"} <= set(entry)
+            {"rule", "order", "first"} <= set(entry)
             for entry in report["join_orders"]
         )
         assert report["join_orders"]

@@ -1,21 +1,16 @@
-"""Tests for compiled rule plans and the shared EvalContext.
+"""Tests for compiled rule plans and the per-run EvalContext.
 
-Covers the compile/execute split (repro.engine.plan), plan caching in
-EvalContext (each rule compiled at most once per (rule, delta
-occurrence, planner policy) per evaluation), and the chained
-copy-on-write bindings the executor yields.
+Covers the compile/execute split (repro.engine.plan), plan caching
+through EvalContext (each rule compiled at most once per (rule, delta
+occurrence, initially-bound variables)), and the chained copy-on-write
+bindings the executor yields.
 """
 
 from repro.engine.binding import EMPTY_BINDING, ChainBinding, as_chain, extended
-from repro.engine.context import EvalContext, ensure_context
+from repro.engine.context import EvalContext
 from repro.engine.database import Database
-from repro.engine.plan import (
-    apply_rule_plan,
-    compile_body,
-    compile_rule,
-    run_plan,
-)
-from repro.engine.solve import order_body
+from repro.engine.exec import derive_facts, enumerate_bindings
+from repro.engine.plan import compile_body, compile_rule, order_body
 from repro.observe import MetricsCollector, TraceRecorder
 from repro.parser import parse_atom, parse_rule
 
@@ -65,7 +60,7 @@ class TestRunPlan:
     def test_join_results(self):
         rule = parse_rule("t(X, Y) <- e(X, Z), e(Z, Y).")
         db = db_of("e(1, 2)", "e(2, 3)", "e(2, 4)")
-        facts = set(apply_rule_plan(db, compile_rule(rule)))
+        facts = set(derive_facts(db, compile_rule(rule)))
         assert facts == {parse_atom("t(1, 3)"), parse_atom("t(1, 4)")}
 
     def test_overrides_restrict_one_occurrence(self):
@@ -74,7 +69,7 @@ class TestRunPlan:
         plan = compile_rule(rule, first=1)
         # delta contains only t(3, 9): joins must go through it
         facts = set(
-            apply_rule_plan(db, plan, overrides={1: [parse_atom("t(3, 9)").args]})
+            derive_facts(db, plan, overrides={1: [parse_atom("t(3, 9)").args]})
         )
         assert facts == {parse_atom("t(2, 9)")}
 
@@ -83,13 +78,13 @@ class TestRunPlan:
         db = db_of("q(1)", "q(2)", "r(1)")
         other = db_of("r(2)")
         # negation consulted against `other`, not the probe db
-        facts = set(apply_rule_plan(db, compile_rule(rule), negation_db=other))
+        facts = set(derive_facts(db, compile_rule(rule), negation_db=other))
         assert facts == {parse_atom("p(1)")}
 
     def test_run_plan_yields_mappings(self):
         plan = compile_body(parse_rule("p(X) <- e(X, Y).").body)
         db = db_of("e(1, 2)")
-        (binding,) = list(run_plan(db, plan))
+        (binding,) = list(enumerate_bindings(db, plan))
         assert dict(binding) == {
             "X": parse_atom("e(1, 2)").args[0],
             "Y": parse_atom("e(1, 2)").args[1],
@@ -98,7 +93,7 @@ class TestRunPlan:
     def test_builtins_in_plan(self):
         rule = parse_rule("p(Y) <- e(X, _), Y = X + 1, Y < 4.")
         db = db_of("e(1, 9)", "e(2, 9)", "e(3, 9)")
-        facts = set(apply_rule_plan(db, compile_rule(rule)))
+        facts = set(derive_facts(db, compile_rule(rule)))
         assert facts == {parse_atom("p(2)"), parse_atom("p(3)")}
 
 
@@ -141,39 +136,30 @@ class TestEvalContext:
         ctx = EvalContext(Database())
         first = ctx.plan_for(rule)
         assert ctx.plan_for(rule) is first
-        assert ctx.plans_cached == 1
+        assert len(ctx.plans) == 1
 
     def test_distinct_keys_per_occurrence(self):
         rule = parse_rule("t(X, Y) <- e(X, Z), t(Z, Y).")
         ctx = EvalContext(Database())
         assert ctx.plan_for(rule) is not ctx.plan_for(rule, first=1)
-        assert ctx.plans_cached == 2
+        assert len(ctx.plans) == 2
 
-    def test_static_planner_survives_db_growth(self):
+    def test_plan_survives_db_growth(self):
         db = db_of("e(1, 2)")
         ctx = EvalContext(db)
         rule = parse_rule("p(X) <- e(X, Y).")
         plan = ctx.plan_for(rule)
         db.add(parse_atom("e(3, 4)"))
-        ctx.refresh_sizes()  # no-op under the static policy
+        ctx.refresh_sizes()  # later plans see the new sizes; built ones stay
+        assert ctx.sizes == {"e": 2}
         assert ctx.plan_for(rule) is plan
 
-    def test_sized_planner_invalidates_on_growth(self):
-        db = db_of("e(1, 2)")
-        ctx = EvalContext(db, planner="sized")
-        ctx.refresh_sizes()
+    def test_contexts_over_one_cache_share_plans(self):
         rule = parse_rule("p(X) <- e(X, Y).")
-        plan = ctx.plan_for(rule)
-        db.add(parse_atom("e(3, 4)"))
-        ctx.refresh_sizes()
-        assert ctx.plans_cached == 0
-        assert ctx.plan_for(rule) is not plan
-
-    def test_ensure_context_passthrough(self):
-        ctx = EvalContext(Database())
-        assert ensure_context(ctx, Database()) is ctx
-        fresh = ensure_context(None, Database(), planner="sized")
-        assert fresh.planner == "sized"
+        ctx = EvalContext(db_of("e(1, 2)"))
+        other = ctx.over(db_of("e(3, 4)"))
+        assert other.plans is ctx.plans
+        assert other.plan_for(rule) is ctx.plan_for(rule)
 
 
 TC = """
@@ -211,8 +197,3 @@ class TestPlanOnce:
         run(chain(12) + TC, strategy="seminaive", metrics=metrics)
         assert metrics.counters["plans_built"] == 3
         assert metrics.counters["plan_cache_hits"] > 0
-
-    def test_sized_planner_same_model(self):
-        static = run(chain(8) + TC, planner="static")
-        sized = run(chain(8) + TC, planner="sized")
-        assert static.database == sized.database

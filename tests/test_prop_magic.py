@@ -189,7 +189,8 @@ def _assert_prepared_equivalence(generated, rewrite):
     """One ``PreparedQuery`` per (predicate, adornment), run for several
     bound constants against the *same* shared base database: answers
     equal the full model's each time, and the base is left as it was."""
-    from repro.magic.evaluate import PreparedQuery, base_database
+    from repro.engine.compiled import base_database
+    from repro.magic.evaluate import PreparedQuery
 
     program, edb = generated.program, generated.edb
     full = evaluate(program, edb=edb)

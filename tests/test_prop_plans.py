@@ -1,11 +1,9 @@
-"""Property tests: cached rule plans compute the same model as
-per-call planning, across strategies and planner policies.
+"""Property tests: plan caching and join ordering never change facts.
 
-The compile/execute split must be invisible in the computed model: a
-plan cached once in an EvalContext and reused for every fixpoint
-iteration has to yield exactly the facts that re-planning (and
-re-matching via solve_body) would, for naive and semi-naive evaluation
-and for both planner policies.
+A plan cached once and reused across fixpoint iterations has to yield
+exactly the facts a fresh compilation — and the reference executor —
+would; and ordering a body by live relation sizes instead of by the
+syntactic heuristic has to derive the same facts, rule by rule.
 """
 
 from hypothesis import given, settings
@@ -14,24 +12,18 @@ from hypothesis import strategies as st
 from repro.engine import evaluate
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
-from repro.engine.plan import apply_rule_plan, compile_rule
-from repro.engine.solve import head_facts, solve_body
+from repro.engine.exec import derive_facts
+from repro.engine.plan import compile_rule
 from repro.parser import parse_rules
 from repro.program.rule import Atom
 from repro.terms.term import Const
 
+from tests.helpers import assert_sizes_do_not_change_facts
+from tests.strategies import generated_programs
+
 TC_RULES = """
 t(X, Y) <- e(X, Y).
 t(X, Y) <- e(X, Z), t(Z, Y).
-"""
-
-NEG_RULES = """
-node(X) <- e(X, _).
-node(Y) <- e(_, Y).
-has_in(Y) <- e(_, Y).
-root(X) <- node(X), ~has_in(X).
-reach(X) <- root(X).
-reach(Y) <- reach(X), e(X, Y).
 """
 
 edges = st.lists(
@@ -45,38 +37,31 @@ def edge_atoms(pairs):
     return [Atom("e", (Const(a), Const(b))) for a, b in pairs]
 
 
-@given(edges, st.sampled_from(["naive", "seminaive"]), st.sampled_from(["static", "sized"]))
-@settings(max_examples=40, deadline=None)
-def test_every_strategy_planner_combo_agrees(pairs, strategy, planner):
-    program = parse_rules(TC_RULES)
-    edb = edge_atoms(pairs)
-    reference = evaluate(program, edb=edb, strategy="seminaive", planner="static")
-    result = evaluate(program, edb=edb, strategy=strategy, planner=planner)
-    assert result.database == reference.database
-
-
-@given(edges, st.sampled_from(["static", "sized"]))
+@given(generated_programs)
 @settings(max_examples=25, deadline=None)
-def test_planner_policy_invariant_under_negation(pairs, planner):
-    program = parse_rules(NEG_RULES)
-    edb = edge_atoms(pairs)
-    reference = evaluate(program, edb=edb, planner="static")
-    result = evaluate(program, edb=edb, planner=planner)
-    assert result.database == reference.database
+def test_unsized_and_sized_plans_derive_the_same_facts(generated):
+    """On random admissible programs — negation and grouping included —
+    every rule derives the same facts over the model whether its plan
+    was ordered with ``sizes=None`` or against live sizes."""
+    model = evaluate(generated.program, edb=generated.edb)
+    assert_sizes_do_not_change_facts(generated.program, model.database)
 
 
 @given(edges)
 @settings(max_examples=30, deadline=None)
 def test_cached_plan_equals_fresh_compilation(pairs):
-    """A plan reused across growing databases matches per-call planning."""
+    """A plan reused across growing databases matches per-call planning
+    and the reference executor."""
     rules = parse_rules(TC_RULES)
     db = Database(edge_atoms(pairs))
     ctx = EvalContext(db)
     for _ in range(3):  # grow the db, reusing the cached plans each round
         for rule in rules.rules:
-            cached = set(apply_rule_plan(db, ctx.plan_for(rule)))
-            fresh = set(apply_rule_plan(db, compile_rule(rule)))
-            solved = set(head_facts(rule.head, solve_body(db, rule.body)))
-            assert cached == fresh == solved
+            cached = set(derive_facts(db, ctx.plan_for(rule)))
+            fresh = set(derive_facts(db, compile_rule(rule)))
+            reference = set(
+                derive_facts(db, compile_rule(rule), executor="tuple")
+            )
+            assert cached == fresh == reference
             for fact in cached:
                 db.add(fact)

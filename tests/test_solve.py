@@ -1,12 +1,32 @@
-"""Tests for literal planning and body solving (repro.engine.solve)."""
+"""Tests for literal ordering and body solving.
+
+Body order comes from :func:`repro.engine.plan.order_body`; applicable
+bindings and head facts come from the executor entry points
+(:func:`~repro.engine.exec.enumerate_bindings`,
+:func:`~repro.engine.exec.derive_facts`) over a compiled plan.
+"""
 
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.solve import head_facts, order_body, solve_body
+from repro.engine.exec import derive_facts, enumerate_bindings
+from repro.engine.plan import compile_body, compile_rule, order_body
 from repro.errors import SafetyError
 from repro.parser import parse_atom, parse_rule
 from repro.terms.term import Const
+
+
+def solve(db, body, binding=None, overrides=None):
+    """The applicable bindings of ``body`` over ``db``, as dicts."""
+    plan = compile_body(
+        body, initially_bound=frozenset(binding) if binding else frozenset()
+    )
+    return [
+        b.materialize()
+        for b in enumerate_bindings(
+            db, plan, binding=binding, overrides=overrides
+        )
+    ]
 
 
 def plan_of(rule_src, bound=frozenset(), first=None):
@@ -67,51 +87,42 @@ class TestSolveBody:
         rule = parse_rule("p(X, V) <- q(X), s(X, V).")
         results = {
             (b["X"].value, b["V"].value)
-            for b in solve_body(self._db(), rule.body)
+            for b in solve(self._db(), rule.body)
         }
         assert results == {(1, 10), (3, 30)}
 
     def test_negation_filters(self):
         rule = parse_rule("p(X) <- q(X), ~r(X).")
-        values = {b["X"].value for b in solve_body(self._db(), rule.body)}
+        values = {b["X"].value for b in solve(self._db(), rule.body)}
         assert values == {1, 3}
 
     def test_negated_builtin(self):
         rule = parse_rule("p(X) <- q(X), ~member(X, {1, 2}).")
-        values = {b["X"].value for b in solve_body(self._db(), rule.body)}
+        values = {b["X"].value for b in solve(self._db(), rule.body)}
         assert values == {3}
 
     def test_initial_binding_restricts(self):
         rule = parse_rule("p(X) <- q(X).")
         results = list(
-            solve_body(self._db(), rule.body, binding={"X": Const(2)})
+            solve(self._db(), rule.body, binding={"X": Const(2)})
         )
         assert len(results) == 1
 
     def test_overrides_swap_source(self):
         rule = parse_rule("p(X) <- q(X).")
-        plan = order_body(rule.body)
         override_tuples = [(Const(99),)]
-        results = list(
-            solve_body(
-                self._db(), rule.body, plan, overrides={0: override_tuples}
-            )
-        )
+        results = solve(self._db(), rule.body, overrides={0: override_tuples})
         assert [b["X"].value for b in results] == [99]
 
     def test_head_facts_skips_outside_universe(self):
         rule = parse_rule("p(scons(1, X)) <- q(X).")
         # scons onto non-set values (1, 2, 3) falls outside U: no facts
-        facts = list(
-            head_facts(rule.head, solve_body(self._db(), rule.body))
-        )
-        assert facts == []
+        assert derive_facts(self._db(), compile_rule(rule)) == []
 
     def test_head_facts_canonicalize(self):
         rule = parse_rule("p(X + 1) <- q(X).")
         facts = {
-            f.args[0].value
-            for f in head_facts(rule.head, solve_body(self._db(), rule.body))
+            f.args[0].value for f in derive_facts(self._db(), compile_rule(rule))
         }
         assert facts == {2, 3, 4}
 
@@ -119,6 +130,6 @@ class TestSolveBody:
         rule = parse_rule("p(X, V) <- q(X), s(X, V), V > 10, X != 2.")
         results = {
             (b["X"].value, b["V"].value)
-            for b in solve_body(self._db(), rule.body)
+            for b in solve(self._db(), rule.body)
         }
         assert results == {(3, 30)}
