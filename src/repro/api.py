@@ -28,9 +28,12 @@ log into a fresh snapshot.
 Observability: ``LDL(trace=True)`` attaches a
 :class:`repro.observe.TraceRecorder` (available as :attr:`LDL.trace`)
 that records every engine event — plans built, layers, iterations, rule
-firings, facts derived; ``LDL(hooks=...)`` plugs in any custom
-:class:`repro.observe.EngineHooks` implementation.  Both apply to every
-evaluation the session runs (bottom-up and magic).
+firings, facts derived; ``LDL(hooks=...)`` plugs in any subscriber to
+:data:`repro.observe.EVENTS` and ``LDL(metrics=...)`` a
+:class:`repro.observe.MetricsCollector`.  All of them are resolved into
+one dispatcher that every evaluation the session runs reports to:
+bottom-up, on-demand (magic), and the durable store's model, WAL and
+snapshots.
 
 Thread-safety: every state transition (loading rules, adding/removing
 facts, computing or invalidating the cached model, checkpointing)
@@ -52,7 +55,7 @@ from repro.engine.evaluator import EvaluationResult, evaluate
 from repro.engine.maintain import Invalidation
 from repro.errors import EvaluationError
 from repro.magic.evaluate import MagicResult, PreparedQuery
-from repro.observe import EngineHooks, MetricsCollector, TraceRecorder, compose_hooks
+from repro.observe import MetricsCollector, Subscriber, TraceRecorder, compose_hooks
 from repro.parser.parser import parse_program, parse_query
 from repro.program.rule import Atom, Program, Query, canonical_atom
 from repro.terms.term import Const, Func, SetVal, Term
@@ -106,7 +109,7 @@ class LDL:
         source: str = "",
         ldl15: bool = False,
         alternative_semantics: bool = False,
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
         trace: bool = False,
         path: str | None = None,
         fsync: str = "always",
@@ -127,11 +130,11 @@ class LDL:
         # Their prepared forms live on the program's CompiledProgram.
         self._magic_base: Database | None = None
         self._trace: TraceRecorder | None = TraceRecorder() if trace else None
-        self._hooks = compose_hooks(hooks, self._trace)
+        self._metrics = metrics
+        self._hooks = compose_hooks(hooks, self._trace, metrics)
         self._path = path
         self._fsync = fsync
         self._compact_every = compact_every
-        self._metrics = metrics
         # how the durable session's model absorbs updates: "delta"
         # (differential maintenance) or "recompute" (cone recompute);
         # None defers to the process default (REPRO_MAINTAIN).
@@ -173,7 +176,6 @@ class LDL:
             fsync=self._fsync,
             compact_every=self._compact_every,
             hooks=self._hooks,
-            metrics=self._metrics,
             maintain=self._maintain,
         ).open()
         for listener in self._delta_listeners:
@@ -344,6 +346,7 @@ class LDL:
                     edb=self._edb,
                     strategy=strategy,
                     hooks=self._hooks,
+                    metrics=self._metrics,
                 )
             return self._cached_result
 

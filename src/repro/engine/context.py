@@ -1,4 +1,4 @@
-"""The per-run evaluation context: database, hooks, metrics, sizes.
+"""The per-run evaluation context: database, observers, executor, sizes.
 
 Every evaluation strategy (layered bottom-up, incremental, magic,
 tabled top-down) runs against an :class:`EvalContext` that owns
@@ -10,8 +10,9 @@ tabled top-down) runs against an :class:`EvalContext` that owns
 * the executor choice (``"batch"`` compiled ID-row closures or the
   ``"tuple"`` one-binding-at-a-time reference; ``None`` defers to the
   process-wide default in :mod:`repro.engine.exec`),
-* the :class:`~repro.observe.EngineHooks` sink and an optional
-  :class:`~repro.observe.MetricsCollector`.
+* :attr:`EvalContext.on`, the run's :class:`~repro.observe.Dispatcher`:
+  the ``hooks`` and ``metrics`` subscribers resolved once into one
+  handler per event (:data:`repro.observe.EVENTS`).
 
 Rule plans are not the run's: they come from a shared
 :class:`~repro.engine.plan.PlanCache` — the compiled program's
@@ -19,39 +20,31 @@ Rule plans are not the run's: they come from a shared
 each (rule, delta occurrence, initially-bound variables) key once — or
 a private one for a direct call that has no compiled program.
 
-Hot paths guard hook dispatch behind the plain-attribute
-:attr:`EvalContext.observing` flag (and timing behind
-:attr:`EvalContext.timing`) so the no-op defaults cost one attribute
-check.
+Every emitter guards with ``if ctx.on.<event> is not None``, and times
+only what a subscriber will receive, so an unobserved run pays one
+attribute check per event site.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
+
 from repro.engine.database import Database
 from repro.engine.plan import PlanCache, RulePlan
-from repro.observe import EngineHooks, MetricsCollector, NULL_HOOKS, NullHooks
+from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Rule
 
 
 class EvalContext:
-    """The state of one run: database, hooks, metrics, executor, sizes."""
+    """The state of one run: database, observers, executor, sizes."""
 
-    __slots__ = (
-        "db",
-        "plans",
-        "executor",
-        "hooks",
-        "observing",
-        "metrics",
-        "timing",
-        "sizes",
-    )
+    __slots__ = ("db", "plans", "executor", "on", "sizes")
 
     def __init__(
         self,
         db: Database | None = None,
         plans: PlanCache | None = None,
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
         metrics: MetricsCollector | None = None,
         executor: str | None = None,
     ) -> None:
@@ -60,10 +53,7 @@ class EvalContext:
         # None defers to repro.engine.exec.default_executor() at each
         # call, so set_default_executor affects existing contexts too.
         self.executor = executor
-        self.hooks: EngineHooks = hooks if hooks is not None else NULL_HOOKS
-        self.observing = not isinstance(self.hooks, NullHooks)
-        self.metrics = metrics
-        self.timing = metrics is not None
+        self.on = compose_hooks(hooks, metrics)
         self.sizes: dict[str, int] | None = None
         # seed the snapshot so even the first plans see live sizes
         self.refresh_sizes()
@@ -78,32 +68,23 @@ class EvalContext:
 
         ``first`` pins a body occurrence to the front (the semi-naive
         delta); ``initially_bound`` seeds the bound-variable set
-        (top-down sideways information).  Compilation fires
-        ``on_plan_built`` and is timed under the ``plan`` phase.
+        (top-down sideways information).  Compilation emits
+        ``plan_built``, a cache hit ``plan_reused``.
         """
-        if self.timing:
-            start = self.metrics.now()
+        on = self.on
+        start = perf_counter() if on.plan_built is not None else 0.0
         plan, built = self.plans.get(rule, first, initially_bound, self.sizes)
-        if not built:
-            if self.timing:
-                self.metrics.incr("plan_cache_hits")
-            return plan
-        if self.timing:
-            self.metrics.add_time("plan", self.metrics.now() - start)
-            self.metrics.incr("plans_built")
-            self.metrics.record_join_order(plan)
-        if self.observing:
-            self.hooks.on_plan_built(plan)
+        if built:
+            if on.plan_built is not None:
+                on.plan_built(plan=plan, seconds=perf_counter() - start)
+        elif on.plan_reused is not None:
+            on.plan_reused(plan=plan)
         return plan
 
-    def over(
-        self, db: Database, hooks: EngineHooks | None = None
-    ) -> "EvalContext":
-        """A context for another database reading the same plans."""
-        return EvalContext(
-            db, self.plans, hooks=hooks, metrics=self.metrics,
-            executor=self.executor,
-        )
+    def over(self, db: Database) -> "EvalContext":
+        """A context for another database with the same plans,
+        observers and executor."""
+        return EvalContext(db, self.plans, hooks=self.on, executor=self.executor)
 
     def refresh_sizes(self) -> None:
         """Snapshot live relation sizes; called once per fixpoint
@@ -116,7 +97,4 @@ class EvalContext:
             }
 
     def __repr__(self) -> str:
-        return (
-            f"EvalContext(plans={len(self.plans)}, "
-            f"observing={self.observing})"
-        )
+        return f"EvalContext(plans={len(self.plans)}, on={self.on!r})"

@@ -18,11 +18,10 @@ Everything that depends on the rules alone — the check, the layering,
 the schedule and the rule plans — comes from the program's
 :class:`~repro.engine.compiled.CompiledProgram`, built once per
 program.  Each run gets its own
-:class:`~repro.engine.context.EvalContext` (database, hooks, metrics,
-executor): ``hooks`` observe layer/iteration/firing/derivation events
-(:mod:`repro.observe`), and ``metrics`` attributes wall-clock time to
-the plan / match / grouping phases, to individual layers, and to
-individual SCCs.
+:class:`~repro.engine.context.EvalContext` (database, observers,
+executor); every layer, SCC, iteration, rule firing and derived fact
+is an event of :mod:`repro.observe`, which ``hooks`` and ``metrics``
+subscribe to.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from repro.engine.fixpoint import (
 from repro.engine.grouping import apply_grouping_rules
 from repro.engine.match import Binding, match_atom
 from repro.errors import EvaluationError, NotInUniverseError
-from repro.observe import EngineHooks, MetricsCollector, emit_event
+from repro.observe import MetricsCollector, Subscriber
 from repro.program.dependency import SCCComponent, scc_schedule
 from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.stratify import Layering, validate_layering
-from repro.terms.term import Term, Var, evaluate_ground, id_table_size
+from repro.terms.term import Term, Var, evaluate_ground
 
 Strategy = TypingLiteral["naive", "seminaive"]
 
@@ -130,39 +129,31 @@ def evaluate_component(
     effective = component.rules if rules is None else tuple(rules)
     grouping = [r for r in effective if r.is_grouping()]
     other = [r for r in effective if not r.is_grouping()]
-    if ctx.observing:
-        emit_event(
-            ctx.hooks,
-            "on_scc_start",
-            layer=layer,
-            preds=component.preds,
-            recursive=component.recursive,
+    on = ctx.on
+    if on.scc_start is not None:
+        on.scc_start(
+            layer=layer, preds=component.preds, recursive=component.recursive
         )
     start = time.perf_counter()
     for rule in grouping:
         for fact in apply_grouping_rules([rule], db, context=ctx):
             if db.add(fact):
                 stats.grouping_facts += 1
-                if ctx.observing:
-                    ctx.hooks.on_fact_derived(fact, rule)
+                if on.fact_derived is not None:
+                    on.fact_derived(fact=fact, rule=rule)
     if other:
         if component.recursive:
             stats.fixpoint = run_fixpoint(db, other, context=ctx)
         else:
             stats.fixpoint = single_pass(db, other, context=ctx)
     stats.seconds = time.perf_counter() - start
-    if ctx.observing:
-        emit_event(
-            ctx.hooks,
-            "on_scc_end",
+    if on.scc_end is not None:
+        on.scc_end(
             layer=layer,
             preds=component.preds,
+            recursive=component.recursive,
             new_facts=stats.grouping_facts + stats.fixpoint.facts_derived,
             seconds=stats.seconds,
-        )
-    if ctx.timing:
-        ctx.metrics.add_scc_time(
-            layer, component.preds, component.recursive, stats.seconds
         )
     return stats
 
@@ -172,7 +163,7 @@ def evaluate(
     edb: Iterable[Atom] = (),
     strategy: Strategy = "seminaive",
     layering: Layering | None = None,
-    hooks: EngineHooks | None = None,
+    hooks: Subscriber | None = None,
     metrics: MetricsCollector | None = None,
     executor: str | None = None,
     workers: int | None = None,
@@ -185,10 +176,11 @@ def evaluate(
     recursive components.  ``executor`` picks the body executor
     (``"batch"`` — plans compiled to closures over ID rows /
     ``"tuple"`` — the one-binding-at-a-time reference; None uses the
-    process default).  ``hooks`` receives engine events
-    (:class:`repro.observe.EngineHooks` — e.g. a
-    :class:`~repro.observe.TraceRecorder`); ``metrics`` collects
-    per-phase, per-layer, and per-SCC wall-clock timings.
+    process default).  ``hooks`` subscribes to the engine events
+    (:data:`repro.observe.EVENTS` — e.g. a
+    :class:`~repro.observe.TraceRecorder`); ``metrics`` is one more
+    subscriber, collecting per-phase, per-layer and per-SCC wall-clock
+    timings, and comes back as :attr:`EvaluationResult.metrics`.
 
     ``workers`` is accepted and ignored — evaluation is always serial;
     the keyword stays only because the frozen ledger probe still passes
@@ -210,33 +202,31 @@ def evaluate(
     )
     run_fixpoint = naive_fixpoint if strategy == "naive" else seminaive_fixpoint
 
+    on = ctx.on
     layer_stats: list[LayerStats] = []
     for i, components in enumerate(schedule):
         stats = LayerStats(layer=i)
-        if ctx.observing:
-            ctx.hooks.on_layer_start(
-                i,
-                [
+        if on.layer_start is not None:
+            on.layer_start(
+                layer=i,
+                rules=[
                     r for r in layering.rules_in_layer(program, i)
                     if not r.is_fact()
                 ],
             )
-        if ctx.timing:
-            layer_start = ctx.metrics.now()
+        start = time.perf_counter()
         for component in components:
             scc = evaluate_component(db, component, ctx, run_fixpoint, layer=i)
             stats.sccs.append(scc)
             stats.grouping_facts += scc.grouping_facts
             stats.fixpoint.merge(scc.fixpoint)
-        if ctx.timing:
-            ctx.metrics.add_layer_time(i, ctx.metrics.now() - layer_start)
-        if ctx.observing:
-            ctx.hooks.on_layer_end(
-                i, stats.grouping_facts + stats.fixpoint.facts_derived
+        if on.layer_end is not None:
+            on.layer_end(
+                layer=i,
+                new_facts=stats.grouping_facts + stats.fixpoint.facts_derived,
+                seconds=time.perf_counter() - start,
             )
         layer_stats.append(stats)
-    if metrics is not None:
-        metrics.record_id_table(id_table_size())
     return EvaluationResult(db, layering, layer_stats, strategy, metrics)
 
 

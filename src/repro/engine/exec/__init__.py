@@ -86,17 +86,20 @@ def enumerate_bindings(
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
     executor: str | None = None,
-    metrics=None,
+    steps=None,
 ) -> Iterable[ChainBinding]:
     """All bindings satisfying ``plan``'s body, via the chosen executor.
 
     Returns an iterable of copy-on-write chain bindings: a realized
     list from the compiled lane, a lazy iterator from the reference.
+    ``steps`` is the run's ``exec_steps`` handler (see
+    :data:`repro.observe.EVENTS`), called once per compiled closure
+    run; the reference executor reports nothing.
     """
     name = _default_executor if executor is None else _validated(executor)
     if name == "batch":
         result = specialized_plan(plan).run(
-            "bindings", db, binding, overrides, negation_db, metrics
+            "bindings", db, binding, overrides, negation_db, steps
         )
         if result is not FALLBACK:
             return result
@@ -112,7 +115,7 @@ def derive_facts(
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
     executor: str | None = None,
-    metrics=None,
+    steps=None,
 ) -> list[Atom]:
     """Head facts derived by one rule application (ground heads only;
     bindings that take the head outside U are dropped)."""
@@ -121,7 +124,7 @@ def derive_facts(
         # the compiled atoms mode inlines head instantiation too: facts
         # come straight off the ID rows, no intermediate binding
         result = specialized_plan(plan).run(
-            "atoms", db, None, overrides, negation_db, metrics
+            "atoms", db, None, overrides, negation_db, steps
         )
         if result is not FALLBACK:
             return result
@@ -130,7 +133,7 @@ def derive_facts(
     facts: list[Atom] = []
     for binding in enumerate_bindings(
         db, plan, overrides=overrides, negation_db=negation_db,
-        executor=name, metrics=metrics,
+        executor=name, steps=steps,
     ):
         fact = instantiate(binding)
         if fact is not None:
@@ -144,7 +147,7 @@ def derive_rows(
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
     executor: str | None = None,
-    metrics=None,
+    steps=None,
 ) -> DerivedRows | None:
     """The vectorized shape of :func:`derive_facts`: head facts as raw
     ID rows plus any slot decoder, or None when this call must take the
@@ -159,7 +162,7 @@ def derive_rows(
     if name != "batch" or plan.head is None:
         return None
     spec = specialized_plan(plan)
-    result = spec.run("rows", db, None, overrides, negation_db, metrics)
+    result = spec.run("rows", db, None, overrides, negation_db, steps)
     if result is FALLBACK:
         return None
     head = plan.head.atom

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.engine.relation import (
     decode_row,
     encode_args,
-    needs_spelling,
+    spelling_of,
     record_spellings,
 )
 from repro.terms.term import (
@@ -132,8 +132,9 @@ class RowBatch:
     def add(self, row: tuple[int, ...], args: tuple) -> None:
         """Append one fact whose ID row is ``row``."""
         self.rows.append(row)
-        if needs_spelling(args):
-            self.spellings[row] = args
+        spelled = spelling_of(args)
+        if spelled is not None:
+            self.spellings[row] = spelled
 
     def add_fact(self, fact) -> None:
         """Append one ground atom, reusing the ID row it carries."""

@@ -287,19 +287,20 @@ class _Codegen:
 
     The generated function has the shape::
 
-        def _specialized(db, overrides, seed, base, negdb, metrics):
+        def _specialized(db, overrides, seed, base, negdb, steps):
             out = []; _ap = out.append
             <per-step source prologue: override vs db, indexes, counters>
             for _root in _ONE:            # single pass; makes every
                 <nested per-step loops>   # drop-binding check a plain
                     <emission epilogue>   # ``continue``
-            <record_batch epilogue>
+            <exec_steps epilogue>
             return out
 
     ``seed`` maps initially-bound variable names to row IDs, ``base``
     the same names to their original term values (used verbatim in
     emitted bindings, exactly as the term executors keep the caller's
-    root binding)."""
+    root binding).  ``steps`` is the run's ``exec_steps`` handler or
+    None."""
 
     def __init__(self, plan: RulePlan, mode: str) -> None:
         self.plan = plan
@@ -1036,7 +1037,7 @@ class _Codegen:
                 raise _Unsupported(f"unknown step kind {step.kind!r}")
         if not self.fused:
             self.emit_result()
-        lines = ["def _specialized(db, overrides, seed, base, negdb, metrics):"]
+        lines = ["def _specialized(db, overrides, seed, base, negdb, steps):"]
         lines.append("    out = []")
         lines.append("    _ap = out.append")
         if self.vector:
@@ -1044,23 +1045,13 @@ class _Codegen:
         lines.extend("    " + line for line in self.pro)
         lines.append("    for _root in _ONE:")
         lines.extend(self.body)
-        if steps:
-            # per-step record_batch: step k is recorded iff the batch
-            # entering it was non-empty
-            lines.append("    if metrics is not None:")
-            lines.append("        _rb = metrics.record_batch")
-            lines.append("        _rb(_c0)")
-            indent = "        "
-            for k in range(1, len(steps)):
-                lines.append(f"{indent}if _c{k - 1}:")
-                indent += "    "
-                lines.append(f"{indent}_rb(_c{k})")
-            if self.vector:
-                # one vector dispatch produced this whole output batch
-                lines.append("        metrics.record_kernel(len(out))")
-        elif self.vector:
-            lines.append("    if metrics is not None:")
-            lines.append("        metrics.record_kernel(len(out))")
+        if steps or self.vector:
+            # one exec_steps event per run: each step's binding count,
+            # and the rows a rows-mode closure emitted
+            counts = "".join(f"_c{k}," for k in range(len(steps)))
+            rows = "len(out)" if self.vector else "None"
+            lines.append("    if steps is not None:")
+            lines.append(f"        steps(counts=({counts}), rows={rows})")
         lines.append("    return out")
         return "\n".join(lines) + "\n", self.env
 
@@ -1153,7 +1144,7 @@ class SpecializedPlan:
         binding: Mapping[str, Term] | None,
         overrides: SourceOverrides | None,
         negation_db: Database | None,
-        metrics,
+        steps,
     ):
         """Run one mode, or :data:`FALLBACK` (always before consuming
         any override source, so the fallback sees fresh iterators)."""
@@ -1169,7 +1160,7 @@ class SpecializedPlan:
         except (TypeError, AttributeError):
             return FALLBACK
         negdb = db if negation_db is None else negation_db
-        return fn(db, overrides, seed, base, negdb, metrics)
+        return fn(db, overrides, seed, base, negdb, steps)
 
 
 def specialized_plan(plan: RulePlan) -> SpecializedPlan:

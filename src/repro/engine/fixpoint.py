@@ -18,6 +18,7 @@ cardinality snapshot the context refreshes once per iteration
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Sequence
 
 from repro.engine.context import EvalContext
@@ -65,33 +66,29 @@ def _derive_any(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None
     Returns ``(dr, facts)`` — exactly one is non-None.  ``dr`` (a
     :class:`~repro.engine.exec.DerivedRows`) carries the emitted head
     ID rows for bulk insertion; ``facts`` is the per-Atom fallback.
-    ``on_rule_fired`` counts are identical either way: the rows mode
+    ``rule_fired`` counts are identical either way: the rows mode
     emits one row per would-be fact (it requires a fast head, which
     never drops bindings).
     """
-    if ctx.timing:
-        start = ctx.metrics.now()
-        dr = derive_rows(
+    on = ctx.on
+    fired = on.rule_fired
+    start = perf_counter() if fired is not None else 0.0
+    dr = derive_rows(
+        db, plan, overrides=overrides, executor=ctx.executor,
+        steps=on.exec_steps,
+    )
+    facts = None
+    if dr is None:
+        facts = derive_facts(
             db, plan, overrides=overrides, executor=ctx.executor,
-            metrics=ctx.metrics,
+            steps=on.exec_steps,
         )
-        facts = None
-        if dr is None:
-            facts = derive_facts(
-                db, plan, overrides=overrides, executor=ctx.executor,
-                metrics=ctx.metrics,
-            )
-        ctx.metrics.add_time("match", ctx.metrics.now() - start)
-    else:
-        dr = derive_rows(db, plan, overrides=overrides, executor=ctx.executor)
-        facts = None
-        if dr is None:
-            facts = derive_facts(
-                db, plan, overrides=overrides, executor=ctx.executor
-            )
-    if ctx.observing:
-        count = len(dr.rows) if dr is not None else len(facts)
-        ctx.hooks.on_rule_fired(rule, count)
+    if fired is not None:
+        fired(
+            rule=rule,
+            derived=len(dr.rows) if dr is not None else len(facts),
+            seconds=perf_counter() - start,
+        )
     return dr, facts
 
 
@@ -108,28 +105,29 @@ def _install(
 ) -> int:
     """Add one rule application's derivations (``dr`` or ``facts``, as
     :func:`_derive_any` returned them) to ``db``; returns how many were
-    new.  New facts go into ``delta`` when given, and reach the hooks
-    only when something observes — bulk rows decode for that alone."""
-    observing = ctx.observing
+    new.  New facts go into ``delta`` when given, and reach a
+    ``fact_derived`` handler when there is one — bulk rows decode for
+    that alone."""
+    derived = ctx.on.fact_derived
     if dr is not None:
         fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
         if fresh:
             if delta is not None:
                 _delta_batch(delta, dr.pred, dr.arity).extend(fresh, dr.decode)
-            if observing:
+            if derived is not None:
                 args_of = db.get_relation(dr.pred).args_of
                 for row in fresh:
                     fact = Atom(dr.pred, args_of(row))
                     fact._ground = True
                     fact._row = row
-                    ctx.hooks.on_fact_derived(fact, rule)
+                    derived(fact=fact, rule=rule)
         return len(fresh)
     new = 0
     for fact in facts:
         if db.add(fact):
             new += 1
-            if observing:
-                ctx.hooks.on_fact_derived(fact, rule)
+            if derived is not None:
+                derived(fact=fact, rule=rule)
             if delta is not None:
                 _delta_batch(delta, fact.pred, len(fact.args)).add_fact(fact)
     return new
@@ -155,8 +153,10 @@ def single_pass(
         dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
         stats.facts_derived += _install(ctx, db, rule, dr, facts)
-    if ctx.observing:
-        ctx.hooks.on_iteration(stats.iterations, stats.facts_derived)
+    if ctx.on.iteration is not None:
+        ctx.on.iteration(
+            iteration=stats.iterations, new_facts=stats.facts_derived
+        )
     return stats
 
 
@@ -183,8 +183,8 @@ def naive_fixpoint(
             _install(ctx, db, rule, dr, facts) for rule, dr, facts in pending
         )
         stats.facts_derived += new
-        if ctx.observing:
-            ctx.hooks.on_iteration(stats.iterations, new)
+        if ctx.on.iteration is not None:
+            ctx.on.iteration(iteration=stats.iterations, new_facts=new)
         if not new:
             return stats
 
@@ -211,8 +211,10 @@ def seminaive_fixpoint(
         dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
         stats.facts_derived += _install(ctx, db, rule, dr, facts, delta)
-    if ctx.observing:
-        ctx.hooks.on_iteration(stats.iterations, stats.facts_derived)
+    if ctx.on.iteration is not None:
+        ctx.on.iteration(
+            iteration=stats.iterations, new_facts=stats.facts_derived
+        )
 
     stats.merge(seminaive_rounds(db, rules, delta, context=ctx))
     return stats
@@ -255,7 +257,7 @@ def seminaive_rounds(
             stats.rule_firings += 1
             round_new += _install(ctx, db, rule, dr, facts, next_delta)
         stats.facts_derived += round_new
-        if ctx.observing:
-            ctx.hooks.on_iteration(stats.iterations, round_new)
+        if ctx.on.iteration is not None:
+            ctx.on.iteration(iteration=stats.iterations, new_facts=round_new)
         delta = next_delta
     return stats

@@ -14,6 +14,7 @@ is automatic over a finite database.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Iterable, Iterator, Mapping
 
 from repro.engine.context import EvalContext
@@ -95,7 +96,7 @@ def apply_grouping_rule(
         db,
         ctx.plan_for(rule),
         executor=ctx.executor,
-        metrics=ctx.metrics if ctx.timing else None,
+        steps=ctx.on.exec_steps,
     )
     groups = group_bindings(
         bindings, group_var, other_terms, lambda: format_rule(rule)
@@ -117,15 +118,12 @@ def apply_grouping_rules(
 ) -> list[Atom]:
     """Apply every grouping rule once over ``db`` (the R1(M) step)."""
     ctx = context or EvalContext(db)
+    fired = ctx.on.rule_fired
     derived: list[Atom] = []
     for rule in rules:
-        if ctx.timing:
-            start = ctx.metrics.now()
-            facts = list(apply_grouping_rule(rule, db, context=ctx))
-            ctx.metrics.add_time("grouping", ctx.metrics.now() - start)
-        else:
-            facts = list(apply_grouping_rule(rule, db, context=ctx))
-        if ctx.observing:
-            ctx.hooks.on_rule_fired(rule, len(facts))
+        start = perf_counter()
+        facts = list(apply_grouping_rule(rule, db, context=ctx))
+        if fired is not None:
+            fired(rule=rule, derived=len(facts), seconds=perf_counter() - start)
         derived.extend(facts)
     return derived

@@ -50,7 +50,7 @@ from repro.engine.maintain import (
     maintain_mode,
 )
 from repro.errors import EvaluationError
-from repro.observe import EngineHooks, MetricsCollector, emit_event
+from repro.observe import MetricsCollector, Subscriber
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.program.stratify import Layering
 
@@ -134,7 +134,7 @@ class IncrementalModel:
         self,
         program: Program,
         edb: Iterable[Atom] = (),
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
         materialized: Database | None = None,
         metrics: MetricsCollector | None = None,
         maintain: str | None = None,
@@ -326,26 +326,13 @@ class IncrementalModel:
         self.last_update = stats
         self.last_delta = batch
         self.maintenance.record(stats)
-        ctx = self._context
-        if ctx.observing:
-            emit_event(
-                ctx.hooks, "on_delta_batch",
+        on = self._context.on
+        if on.delta_batch is not None:
+            on.delta_batch(
                 lsn=lsn, mode=batch.mode,
                 inserted=batch.inserted_count, deleted=batch.deleted_count,
+                stats=stats,
             )
-        if ctx.timing:
-            metrics = ctx.metrics
-            metrics.incr("maint_updates")
-            if stats.overdeleted:
-                metrics.incr("maint_overdeleted", stats.overdeleted)
-            if stats.rederived:
-                metrics.incr("maint_rederived", stats.rederived)
-            if stats.count_adjusted:
-                metrics.incr("maint_count_adjusted", stats.count_adjusted)
-            if stats.component_recomputes:
-                metrics.incr(
-                    "maint_component_recomputes", stats.component_recomputes
-                )
         self.version += 1
         self._notify_delta(invalidation_of(batch, self.version))
         return stats

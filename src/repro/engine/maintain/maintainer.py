@@ -53,6 +53,7 @@ only the net difference is applied to the live relations.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Iterable
 
 from repro.engine.database import Database
@@ -300,51 +301,42 @@ class DeltaMaintainer:
 
     def _run(self, rule, plan, overrides=None, negation_db=None):
         """One rule application through the shared entry point, with the
-        context's timing and hook conventions."""
-        ctx = self._model._context
-        db = self._model.database
-        metrics = ctx.metrics if ctx.timing else None
-        if metrics is not None and overrides:
-            self._record_dispatch(metrics, overrides)
-        if ctx.timing:
-            start = ctx.metrics.now()
-            derived = derive_facts(
-                db, plan, overrides=overrides, negation_db=negation_db,
-                executor=ctx.executor, metrics=metrics,
-            )
-            ctx.metrics.add_time("match", ctx.metrics.now() - start)
-        else:
-            derived = derive_facts(
-                db, plan, overrides=overrides, negation_db=negation_db,
-                executor=ctx.executor,
-            )
-        if ctx.observing:
-            ctx.hooks.on_rule_fired(rule, len(derived))
+        context's event conventions."""
+        on = self._model._context.on
+        self._dispatched(overrides)
+        fired = on.rule_fired
+        start = perf_counter() if fired is not None else 0.0
+        derived = derive_facts(
+            self._model.database, plan, overrides=overrides,
+            negation_db=negation_db, executor=self._model._context.executor,
+            steps=on.exec_steps,
+        )
+        if fired is not None:
+            fired(rule=rule, derived=len(derived), seconds=perf_counter() - start)
         return derived
 
-    @staticmethod
-    def _record_dispatch(metrics, overrides) -> None:
-        """Count one maintenance dispatch: delta sources are row
-        batches, base (old-extension) overrides plain tuple lists, so
-        the batch lengths are exactly the delta rows this application
-        consumes (feeds ``maintain_rows_per_dispatch``)."""
+    def _dispatched(self, overrides) -> None:
+        """Emit ``maintain_dispatch`` for one application: delta sources
+        are row batches, base (old-extension) overrides plain tuple
+        lists, so the batch lengths are exactly the delta rows this
+        application consumes."""
+        handler = self._model._context.on.maintain_dispatch
+        if handler is None or not overrides:
+            return
         rows = sum(
             len(source)
             for source in overrides.values()
             if type(source) is RowBatch
         )
         if rows:
-            metrics.record_maintain_dispatch(rows)
+            handler(rows=rows)
 
     def _bindings(self, plan, overrides=None):
         ctx = self._model._context
-        metrics = ctx.metrics if ctx.timing else None
-        if metrics is not None and overrides:
-            self._record_dispatch(metrics, overrides)
+        self._dispatched(overrides)
         return enumerate_bindings(
             self._model.database, plan, overrides=overrides,
-            executor=ctx.executor,
-            metrics=metrics,
+            executor=ctx.executor, steps=ctx.on.exec_steps,
         )
 
     def _old_tuples(self, pred: str, plus: Deltas, minus: Deltas):
@@ -854,7 +846,7 @@ class DeltaMaintainer:
         for fact in self._model.program_facts_of(component.preds):
             view.add(fact)
         scc = evaluate_component(
-            view, component, ctx.over(view, hooks=ctx.hooks)
+            view, component, ctx.over(view)
         )
         stats.component_recomputes += 1
         stats.fixpoint.merge(scc.fixpoint)
@@ -914,6 +906,5 @@ class DeltaMaintainer:
         ctx = self._model._context
         return enumerate_bindings(
             self._model.database, plan, binding=binding,
-            executor=ctx.executor,
-            metrics=ctx.metrics if ctx.timing else None,
+            executor=ctx.executor, steps=ctx.on.exec_steps,
         )

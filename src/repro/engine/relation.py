@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import Callable, Iterable, Iterator
 
-from repro.terms.term import Term, _ID_TABLE, row_id, term_id
+from repro.terms.term import Term, _ID_TABLE, evaluate_ground, row_id, term_id
 
 ArgTuple = tuple[Term, ...]
 
@@ -52,8 +52,8 @@ def encode_args(args: ArgTuple) -> IdRow:
     """Encode a term tuple as a row of equality-class IDs.
 
     Already-interned terms (the common case everywhere past the parser)
-    encode with one attribute load each; anything else is interned on
-    the way in, which also canonicalizes the stored representation.
+    encode with one attribute load each; anything else is canonicalized
+    (``1 + 1`` encodes as ``2``) and interned on the way in.
     """
     row = []
     for term in args:
@@ -71,18 +71,21 @@ def decode_row(row: IdRow) -> ArgTuple:
     return tuple([table[rid] for rid in row])
 
 
-def needs_spelling(args: ArgTuple) -> bool:
-    """Whether ``decode_row`` of ``args``' ID row would spell some
-    argument differently: a quoted string, a compound holding one, or an
-    uninterned term whose spelling is not its class representative's."""
+def spelling_of(args: ArgTuple) -> ArgTuple | None:
+    """The spelling to record for ``args``: None when ``decode_row`` of
+    their ID row spells every argument the same, else ``args`` as U-
+    elements — a quoted string, or a compound holding one, stays as
+    given, while an uninterned term is canonicalized like its ID."""
     for term in args:
         tid = term._tid
         if tid is None:
             if term_id(term) != row_id(term):
-                return True
+                break
         elif tid != term._rid:
-            return True
-    return False
+            break
+    else:
+        return None
+    return tuple([evaluate_ground(term) for term in args])
 
 
 def record_spellings(
@@ -96,9 +99,9 @@ def record_spellings(
     if decode is None or decode is decode_row:
         return
     for row in rows:
-        args = decode(row)
-        if needs_spelling(args):
-            spellings[row] = args
+        spelled = spelling_of(decode(row))
+        if spelled is not None:
+            spellings[row] = spelled
 
 
 def _index_rows(index: dict, positions: tuple[int, ...], rows) -> None:
@@ -199,8 +202,9 @@ class Relation:
         self._rows[row] = None
         for positions, index in self._id_indexes.items():
             _index_rows(index, positions, (row,))
-        if needs_spelling(args):
-            self._spellings[row] = args
+        spelled = spelling_of(args)
+        if spelled is not None:
+            self._spellings[row] = spelled
         return True
 
     def add_all(self, tuples: Iterable[ArgTuple]) -> int:

@@ -34,7 +34,7 @@ from repro.engine.compiled import base_database, compile_program
 from repro.engine.context import EvalContext
 from repro.engine.match import Binding, ground_atom, match_atom, match_term
 from repro.errors import EvaluationError, NotInUniverseError
-from repro.observe import EngineHooks
+from repro.observe import Subscriber
 from repro.names import is_builtin_predicate
 from repro.program.rule import Atom, Literal, Program, Query, Rule
 from repro.terms.term import GroupTerm, SetVal, Term, Var, evaluate_ground
@@ -67,7 +67,7 @@ class TopDownEvaluator:
         self,
         program: Program,
         edb: Iterable[Atom] = (),
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
     ) -> None:
         compiled = compile_program(program)  # checked and admissible
         self.program = program

@@ -55,7 +55,7 @@ from repro.errors import (
     NotInUniverseError,
     UnstableMagicEvaluationError,
 )
-from repro.observe import EngineHooks
+from repro.observe import Subscriber
 from repro.magic.adornment import unadorned_name
 from repro.magic.rewrite import MagicProgram, magic_rewrite
 from repro.program.rule import Atom, Program, Query, Rule
@@ -209,7 +209,7 @@ class PreparedQuery:
         self,
         seed: ArgTuple,
         base: Database,
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
         max_phases: int = 10_000,
     ) -> tuple[Database, MagicStats]:
         """Evaluate the rewritten program for one seed tuple over
@@ -266,7 +266,7 @@ class PreparedQuery:
         self,
         query: Query,
         base: Database,
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
         max_phases: int = 10_000,
     ) -> MagicResult:
         """Run for ``query``'s constants; the full :class:`MagicResult`."""
@@ -284,7 +284,7 @@ class PreparedQuery:
         )
 
     def rows(
-        self, query: Query, base: Database, hooks: EngineHooks | None = None
+        self, query: Query, base: Database, hooks: Subscriber | None = None
     ) -> tuple[ArgTuple, ...]:
         """Run for ``query``'s constants; the sorted ground argument
         rows of the matching answer facts, read straight off the
@@ -301,7 +301,7 @@ def evaluate_magic(
     edb: Iterable[Atom] = (),
     max_phases: int = 10_000,
     rewrite=magic_rewrite,
-    hooks: EngineHooks | None = None,
+    hooks: Subscriber | None = None,
 ) -> MagicResult:
     """Answer ``query`` over ``program`` + ``edb`` via magic sets.
 

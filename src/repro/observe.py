@@ -1,226 +1,178 @@
-"""Engine-wide observability: hooks, structured tracing, and metrics.
+"""Engine-wide observability: one event channel and its subscribers.
 
-The evaluation engine reports its progress through an
-:class:`EngineHooks` implementation attached to the
-:class:`~repro.engine.context.EvalContext`.  Three implementations ship
-here:
+Every observation point of the engine and the storage layer is an
+*event*: a name from :data:`EVENTS` plus its keyword payload.  A
+*subscriber* is any object with any subset of ``on_<event>`` methods.
+:func:`compose_hooks` resolves subscribers once — when a context,
+model, store or WAL is built — into a :class:`Dispatcher` holding one
+handler per event: None when nobody listens, the subscriber's bound
+method when one does, a fan-out when several do.  Emitters guard with
+``if handler is not None``, so an unobserved run pays one attribute
+check per event site, and a run nobody asks for facts never decodes
+one.
 
-* :data:`NULL_HOOKS` — the no-op default.  Hot paths test
-  ``context.observing`` (a plain attribute) before dispatching, so the
-  default adds no measurable overhead;
+Two subscribers ship here:
+
 * :class:`TraceRecorder` — records every event as a structured
-  :class:`TraceEvent` and can summarize a run (rule firings per layer,
+  :class:`TraceEvent` and summarizes a run (rule firings per layer,
   plans built, facts derived).  The CLI's ``--trace`` flag uses it;
-* :class:`MetricsCollector` — wall-clock time per engine phase
-  (``plan``, ``match``, ``grouping``) and per layer, feeding the
-  benchmark harness' phase-attribution tables.
+* :class:`MetricsCollector` — wall-clock time per engine and storage
+  phase, per layer and per SCC, plus work counters, read off the event
+  payloads; it feeds the benchmark harness' phase-attribution tables.
 
-Several hooks can be active at once via :func:`compose_hooks`.
+:class:`ServerMetrics` (request counters of the server) is separate:
+it observes requests, not engine events.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.engine.plan import RulePlan
-    from repro.program.rule import Atom, Rule
+from repro.terms.term import id_table_size
+
+#: Every event and its keyword payload, in emission order of fields.
+#:
+#: Engine (:mod:`repro.engine`):
+#:
+#: * ``plan_built`` — a :class:`~repro.engine.plan.RulePlan` was
+#:   compiled (``seconds`` to compile it); ``plan_reused`` — a cached
+#:   plan was served instead;
+#: * ``layer_start``/``layer_end`` — one layer of Theorem 1's layered
+#:   fixpoint (``rules`` its proper rules, ``new_facts`` what it added,
+#:   ``seconds`` its wall time);
+#: * ``scc_start``/``scc_end`` — one component of a layer's SCC
+#:   schedule; ``layer`` is None outside layered evaluation;
+#: * ``iteration`` — one fixpoint round and the facts it added;
+#: * ``rule_fired`` — one rule application: ``derived`` facts emitted
+#:   (before dedup) in ``seconds``;
+#: * ``fact_derived`` — one new fact and the rule that derived it (the
+#:   only event that makes the engine decode ID rows);
+#: * ``exec_steps`` — one run of a compiled closure: ``counts`` holds the
+#:   bindings each plan step produced, ``rows`` the rows a rows-mode
+#:   closure emitted (None in the other modes);
+#: * ``delta_batch`` — one maintained update published its net delta
+#:   (``lsn`` of the WAL record or None, ``inserted``/``deleted`` net
+#:   fact counts, ``stats`` its :class:`~repro.engine.incremental.UpdateStats`);
+#: * ``maintain_dispatch`` — maintenance ran one rule over ``rows`` delta
+#:   rows.
+#:
+#: Storage (:mod:`repro.storage`):
+#:
+#: * ``wal_append`` — one batch framed, written and (per the fsync
+#:   policy) synced;
+#: * ``wal_replay`` — recovery replayed the WAL's ``records`` through
+#:   the incremental engine (0 when the log was empty);
+#: * ``snapshot_write`` — a snapshot was atomically published;
+#: * ``snapshot_load`` — a store's open loaded its snapshot and built the
+#:   model; ``restored`` is True when the materialized model was adopted
+#:   wholesale (fixpoint skipped), ``facts`` is 0 when there was none;
+#: * ``fsync`` — one ``os.fsync`` of a file or directory.
+EVENTS: dict[str, tuple[str, ...]] = {
+    "plan_built": ("plan", "seconds"),
+    "plan_reused": ("plan",),
+    "layer_start": ("layer", "rules"),
+    "layer_end": ("layer", "new_facts", "seconds"),
+    "scc_start": ("layer", "preds", "recursive"),
+    "scc_end": ("layer", "preds", "recursive", "new_facts", "seconds"),
+    "iteration": ("iteration", "new_facts"),
+    "rule_fired": ("rule", "derived", "seconds"),
+    "fact_derived": ("fact", "rule"),
+    "exec_steps": ("counts", "rows"),
+    "delta_batch": ("lsn", "mode", "inserted", "deleted", "stats"),
+    "maintain_dispatch": ("rows",),
+    "wal_append": ("op", "facts", "nbytes", "seconds"),
+    "wal_replay": ("records", "facts", "seconds"),
+    "snapshot_write": ("path", "facts", "nbytes", "seconds"),
+    "snapshot_load": ("path", "facts", "restored", "seconds"),
+    "fsync": ("path",),
+}
+
+#: What ``hooks=`` accepts: any object with any subset of ``on_<event>``
+#: methods, or a :class:`Dispatcher` already resolved from several.
+Subscriber = object
 
 
-@runtime_checkable
-class EngineHooks(Protocol):
-    """Observation points raised by every evaluation strategy.
+def _handler(subscriber, event: str, fields: tuple[str, ...]):
+    """``subscriber``'s handler for ``event``, or None.
 
-    Implementations may ignore any subset; all methods return None and
-    must not mutate engine state.  ``on_plan_built`` fires once per
-    compiled :class:`~repro.engine.plan.RulePlan` (so a counter on it
-    verifies plan caching); the remaining hooks follow the Theorem 1
-    pipeline: layers, fixpoint iterations, rule firings, derived facts.
+    A method that does not take every payload field (one written before
+    a field was added) is wrapped to receive only the fields it names."""
+    method = getattr(subscriber, "on_" + event, None)
+    if method is None:
+        return None
+    try:
+        params = inspect.signature(method).parameters.values()
+    except (TypeError, ValueError):  # not introspectable: pass everything
+        return method
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return method
+    names = {p.name for p in params}
+    if names.issuperset(fields):
+        return method
+    taken = tuple(f for f in fields if f in names)
+    return lambda **payload: method(**{f: payload[f] for f in taken})
+
+
+def _fan_out(handlers: list):
+    if not handlers:
+        return None
+    if len(handlers) == 1:
+        return handlers[0]
+
+    def fan_out(**payload) -> None:
+        for handler in handlers:
+            handler(**payload)
+
+    return fan_out
+
+
+class Dispatcher:
+    """Subscribers resolved into one handler attribute per event.
+
+    ``dispatcher.rule_fired`` is None when no subscriber implements
+    ``on_rule_fired``; otherwise calling it with the event's keyword
+    payload reaches every subscriber that does, in subscription order.
     """
 
-    def on_plan_built(self, plan: "RulePlan") -> None: ...
+    __slots__ = ("subscribers", *EVENTS)
 
-    def on_layer_start(self, layer: int, rules: Sequence["Rule"]) -> None: ...
+    def __init__(self, subscribers: Sequence[Subscriber] = ()) -> None:
+        self.subscribers = tuple(subscribers)
+        for event, fields in EVENTS.items():
+            handlers = [_handler(s, event, fields) for s in self.subscribers]
+            setattr(
+                self, event, _fan_out([h for h in handlers if h is not None])
+            )
 
-    def on_layer_end(self, layer: int, new_facts: int) -> None: ...
-
-    def on_iteration(self, iteration: int, new_facts: int) -> None: ...
-
-    def on_rule_fired(self, rule: "Rule", derived: int) -> None: ...
-
-    def on_fact_derived(self, fact: "Atom", rule: "Rule | None") -> None: ...
-
-
-#: Storage observation points (:mod:`repro.storage`).  These are *not*
-#: part of the :class:`EngineHooks` protocol so hook implementations
-#: written before the storage engine keep working; the storage layer
-#: dispatches them through :func:`emit_storage_event`, which silently
-#: skips hooks that do not implement a method.
-#:
-#: * ``on_wal_append(op=..., facts=..., nbytes=...)`` — one batch framed
-#:   and written to the write-ahead log;
-#: * ``on_wal_replay(records=..., facts=...)`` — recovery replayed the
-#:   log through the incremental engine;
-#: * ``on_snapshot_write(path=..., facts=..., nbytes=...)`` — a snapshot
-#:   was atomically published;
-#: * ``on_snapshot_load(path=..., facts=..., restored=...)`` — a
-#:   snapshot was read; ``restored`` is True when the materialized model
-#:   was adopted wholesale (fixpoint skipped).
-STORAGE_EVENTS = (
-    "on_wal_append",
-    "on_wal_replay",
-    "on_snapshot_write",
-    "on_snapshot_load",
-)
-
-#: SCC-scheduler observation points (:mod:`repro.engine.evaluator`).
-#: Dispatched tolerantly like storage events, so hook implementations
-#: written before SCC condensation keep working:
-#:
-#: * ``on_scc_start(layer=..., preds=..., recursive=...)`` — one
-#:   component of the stratum's condensation is about to run; ``layer``
-#:   is None outside layered evaluation (magic saturation);
-#: * ``on_scc_end(layer=..., preds=..., new_facts=..., seconds=...)`` —
-#:   the component reached its (single-pass or fixpoint) end.
-SCC_EVENTS = (
-    "on_scc_start",
-    "on_scc_end",
-)
-
-#: Differential-maintenance observation points
-#: (:mod:`repro.engine.maintain`).  Dispatched tolerantly like storage
-#: events, so hook implementations written before delta maintenance
-#: keep working:
-#:
-#: * ``on_delta_batch(lsn=..., mode=..., inserted=..., deleted=...)`` —
-#:   one maintained update published its net model delta; ``lsn`` is
-#:   the WAL LSN of the producing mutation (None outside the durable
-#:   store), ``inserted``/``deleted`` are net fact counts.
-MAINTENANCE_EVENTS = (
-    "on_delta_batch",
-)
-
-#: Events dispatched via :func:`emit_event` (tolerant getattr dispatch).
-OPTIONAL_EVENTS = STORAGE_EVENTS + SCC_EVENTS + MAINTENANCE_EVENTS
+    def __repr__(self) -> str:
+        return f"Dispatcher({len(self.subscribers)} subscribers)"
 
 
-def emit_event(hooks, name: str, **payload) -> None:
-    """Dispatch an optional event to ``hooks`` if it implements ``name``."""
-    if hooks is None:
-        return
-    method = getattr(hooks, name, None)
-    if method is not None:
-        method(**payload)
+#: The dispatcher of nobody: every handler is None.
+SILENT = Dispatcher()
 
 
-#: Back-compat alias — the storage layer predates the generic dispatcher.
-emit_storage_event = emit_event
+def compose_hooks(*hooks: Subscriber | None) -> Dispatcher:
+    """Resolve subscribers into one :class:`Dispatcher`.
 
-
-class NullHooks:
-    """The do-nothing default hook implementation."""
-
-    __slots__ = ()
-
-    def on_plan_built(self, plan) -> None:
-        pass
-
-    def on_layer_start(self, layer, rules) -> None:
-        pass
-
-    def on_layer_end(self, layer, new_facts) -> None:
-        pass
-
-    def on_iteration(self, iteration, new_facts) -> None:
-        pass
-
-    def on_rule_fired(self, rule, derived) -> None:
-        pass
-
-    def on_fact_derived(self, fact, rule) -> None:
-        pass
-
-    def on_wal_append(self, op, facts, nbytes) -> None:
-        pass
-
-    def on_wal_replay(self, records, facts) -> None:
-        pass
-
-    def on_snapshot_write(self, path, facts, nbytes) -> None:
-        pass
-
-    def on_snapshot_load(self, path, facts, restored) -> None:
-        pass
-
-    def on_scc_start(self, layer, preds, recursive) -> None:
-        pass
-
-    def on_scc_end(self, layer, preds, new_facts, seconds) -> None:
-        pass
-
-    def on_delta_batch(self, lsn, mode, inserted, deleted) -> None:
-        pass
-
-
-#: Shared no-op instance; contexts compare against it to skip dispatch.
-NULL_HOOKS = NullHooks()
-
-
-class CompositeHooks:
-    """Fan one event stream out to several hook implementations."""
-
-    __slots__ = ("hooks",)
-
-    def __init__(self, hooks: Sequence[EngineHooks]) -> None:
-        self.hooks = tuple(hooks)
-
-    def on_plan_built(self, plan) -> None:
-        for hook in self.hooks:
-            hook.on_plan_built(plan)
-
-    def on_layer_start(self, layer, rules) -> None:
-        for hook in self.hooks:
-            hook.on_layer_start(layer, rules)
-
-    def on_layer_end(self, layer, new_facts) -> None:
-        for hook in self.hooks:
-            hook.on_layer_end(layer, new_facts)
-
-    def on_iteration(self, iteration, new_facts) -> None:
-        for hook in self.hooks:
-            hook.on_iteration(iteration, new_facts)
-
-    def on_rule_fired(self, rule, derived) -> None:
-        for hook in self.hooks:
-            hook.on_rule_fired(rule, derived)
-
-    def on_fact_derived(self, fact, rule) -> None:
-        for hook in self.hooks:
-            hook.on_fact_derived(fact, rule)
-
-    def __getattr__(self, name: str):
-        # storage and SCC events fan out too, tolerating member hooks
-        # that predate them (see OPTIONAL_EVENTS).
-        if name in OPTIONAL_EVENTS:
-            def dispatch(**payload) -> None:
-                for hook in self.hooks:
-                    emit_event(hook, name, **payload)
-
-            return dispatch
-        raise AttributeError(name)
-
-
-def compose_hooks(*hooks: EngineHooks | None) -> EngineHooks:
-    """Combine hooks, dropping Nones and no-ops; NULL_HOOKS when empty."""
-    active = [h for h in hooks if h is not None and h is not NULL_HOOKS]
-    if not active:
-        return NULL_HOOKS
-    if len(active) == 1:
-        return active[0]
-    return CompositeHooks(active)
+    Nones and repeats (by identity) drop out and dispatchers are
+    flattened into their subscribers, so composing is associative and a
+    collector passed both as ``hooks`` and ``metrics`` reports once.  A
+    lone dispatcher comes back as itself, and no subscribers give
+    :data:`SILENT`.
+    """
+    live = [h for h in hooks if h is not None]
+    if len(live) == 1 and type(live[0]) is Dispatcher:
+        return live[0]
+    subscribers: list = []
+    for hook in live:
+        for sub in hook.subscribers if type(hook) is Dispatcher else (hook,):
+            if all(sub is not seen for seen in subscribers):
+                subscribers.append(sub)
+    return Dispatcher(subscribers) if subscribers else SILENT
 
 
 @dataclass(frozen=True)
@@ -232,137 +184,34 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Hook implementation that records every event for inspection.
+    """Subscriber that records every event for inspection.
 
-    The recorded stream is available as :attr:`events`; convenience
-    accessors aggregate the common questions (how many plans were
-    built, which rules fired per layer).  ``format_summary`` renders
-    the per-layer firing table the CLI prints under ``--trace``.
+    Each event becomes a :class:`TraceEvent` whose payload is the
+    event's keyword payload, tagged with the enclosing ``layer`` (None
+    outside layers) unless the payload names one itself.  The recorded
+    stream is available as :attr:`events`; convenience accessors
+    aggregate the common questions (how many plans were built, which
+    rules fired per layer).  ``format_summary`` renders the per-layer
+    firing table the CLI prints under ``--trace``.
     """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         self._layer: int | None = None
 
-    # -- hook protocol -----------------------------------------------------
+    def __getattr__(self, name: str):
+        kind = name[3:]
+        if not name.startswith("on_") or kind not in EVENTS:
+            raise AttributeError(name)
+        return lambda **payload: self.record(kind, payload)
 
-    def on_plan_built(self, plan) -> None:
-        self.events.append(
-            TraceEvent(
-                "plan_built",
-                {
-                    "rule": plan.rule,
-                    "order": plan.order,
-                    "first": plan.first,
-                },
-            )
-        )
-
-    def on_layer_start(self, layer, rules) -> None:
-        self._layer = layer
-        self.events.append(
-            TraceEvent("layer_start", {"layer": layer, "rules": tuple(rules)})
-        )
-
-    def on_layer_end(self, layer, new_facts) -> None:
-        self.events.append(
-            TraceEvent("layer_end", {"layer": layer, "new_facts": new_facts})
-        )
-        self._layer = None
-
-    def on_iteration(self, iteration, new_facts) -> None:
-        self.events.append(
-            TraceEvent(
-                "iteration",
-                {
-                    "layer": self._layer,
-                    "iteration": iteration,
-                    "new_facts": new_facts,
-                },
-            )
-        )
-
-    def on_rule_fired(self, rule, derived) -> None:
-        self.events.append(
-            TraceEvent(
-                "rule_fired",
-                {"layer": self._layer, "rule": rule, "derived": derived},
-            )
-        )
-
-    def on_fact_derived(self, fact, rule) -> None:
-        self.events.append(
-            TraceEvent(
-                "fact_derived",
-                {"layer": self._layer, "fact": fact, "rule": rule},
-            )
-        )
-
-    # -- storage events (see STORAGE_EVENTS) -------------------------------
-
-    def on_wal_append(self, op, facts, nbytes) -> None:
-        self.events.append(
-            TraceEvent("wal_append", {"op": op, "facts": facts, "nbytes": nbytes})
-        )
-
-    def on_wal_replay(self, records, facts) -> None:
-        self.events.append(
-            TraceEvent("wal_replay", {"records": records, "facts": facts})
-        )
-
-    def on_snapshot_write(self, path, facts, nbytes) -> None:
-        self.events.append(
-            TraceEvent(
-                "snapshot_write",
-                {"path": path, "facts": facts, "nbytes": nbytes},
-            )
-        )
-
-    def on_snapshot_load(self, path, facts, restored) -> None:
-        self.events.append(
-            TraceEvent(
-                "snapshot_load",
-                {"path": path, "facts": facts, "restored": restored},
-            )
-        )
-
-    # -- SCC scheduler events (see SCC_EVENTS) ------------------------------
-
-    def on_scc_start(self, layer, preds, recursive) -> None:
-        self.events.append(
-            TraceEvent(
-                "scc_start",
-                {"layer": layer, "preds": preds, "recursive": recursive},
-            )
-        )
-
-    def on_scc_end(self, layer, preds, new_facts, seconds) -> None:
-        self.events.append(
-            TraceEvent(
-                "scc_end",
-                {
-                    "layer": layer,
-                    "preds": preds,
-                    "new_facts": new_facts,
-                    "seconds": seconds,
-                },
-            )
-        )
-
-    # -- maintenance events (see MAINTENANCE_EVENTS) ------------------------
-
-    def on_delta_batch(self, lsn, mode, inserted, deleted) -> None:
-        self.events.append(
-            TraceEvent(
-                "delta_batch",
-                {
-                    "lsn": lsn,
-                    "mode": mode,
-                    "inserted": inserted,
-                    "deleted": deleted,
-                },
-            )
-        )
+    def record(self, kind: str, payload: dict) -> None:
+        if kind == "layer_start":
+            self._layer = payload["layer"]
+        payload.setdefault("layer", self._layer)
+        self.events.append(TraceEvent(kind, payload))
+        if kind == "layer_end":
+            self._layer = None
 
     # -- aggregation -------------------------------------------------------
 
@@ -381,17 +230,15 @@ class TraceRecorder:
         the tuples each firing produced (those are in the event's
         ``derived`` payload and in :meth:`facts_per_layer`).
         """
-        out: dict[int | None, int] = {}
-        for event in self.events:
-            if event.kind == "rule_fired":
-                layer = event.payload["layer"]
-                out[layer] = out.get(layer, 0) + 1
-        return out
+        return self._per_layer("rule_fired")
 
     def facts_per_layer(self) -> dict[int | None, int]:
+        return self._per_layer("fact_derived")
+
+    def _per_layer(self, kind: str) -> dict[int | None, int]:
         out: dict[int | None, int] = {}
         for event in self.events:
-            if event.kind == "fact_derived":
+            if event.kind == kind:
                 layer = event.payload["layer"]
                 out[layer] = out.get(layer, 0) + 1
         return out
@@ -416,19 +263,26 @@ class TraceRecorder:
 
 @dataclass
 class MetricsCollector:
-    """Wall-clock attribution per engine phase and per layer.
+    """Subscriber attributing wall-clock time and work to phases.
 
-    ``phases`` accumulates seconds under free-form names — the engine
-    uses ``plan`` (RulePlan compilation), ``match`` (body enumeration +
-    head instantiation) and ``grouping`` (the R1 step); ``layers`` holds
-    ``(layer, seconds)`` pairs in evaluation order.  ``counters`` holds
-    integer tallies (``plans_built``, ``plan_cache_hits``, the
-    batch-executor tallies ``batch_steps``/``batch_bindings``/
-    ``batch_peak``, the vector-kernel tallies ``kernel_calls``/
-    ``kernel_rows`` — with ``rows_per_dispatch`` derived in
-    :meth:`report` — and the intern table's ``id_table_size``
-    high-water mark).  ``join_orders`` records the chosen per-rule join
-    order for every plan compiled under this collector.
+    ``phases`` accumulates seconds under the engine phases ``plan``
+    (RulePlan compilation), ``match`` (rule applications) and
+    ``grouping`` (the R1 step), and the storage phases ``wal_append``,
+    ``wal_replay``, ``snapshot_write`` and ``snapshot_load``.
+    ``layers`` holds ``(layer, seconds)`` pairs in evaluation order and
+    ``sccs`` one entry per scheduled component.  ``counters`` holds
+    integer tallies: ``plans_built`` and ``plan_cache_hits``; the
+    compiled closures' per-step binding counts (``batch_steps`` steps
+    entered, ``batch_bindings`` bindings they produced, ``batch_peak``
+    the largest) and rows-mode runs (``kernel_calls`` closures that
+    emitted ``kernel_rows`` head rows, with ``rows_per_dispatch``
+    derived in :meth:`report`); maintenance tallies (``maint_*``,
+    ``maintain_dispatches``/``maintain_rows``); storage I/O
+    (``storage_bytes_written``, ``storage_fsyncs``, WAL records
+    appended and replayed, snapshot writes and restores); and the
+    intern table's ``id_table_size`` high-water mark at each layer end.
+    ``join_orders`` records the chosen join order of every plan
+    compiled while the collector listened.
     """
 
     phases: dict[str, float] = field(default_factory=dict)
@@ -443,13 +297,36 @@ class MetricsCollector:
     def incr(self, counter: str, amount: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + amount
 
-    def add_layer_time(self, layer: int, seconds: float) -> None:
-        self.layers.append((layer, seconds))
+    # -- engine events -----------------------------------------------------
 
-    def add_scc_time(
-        self, layer: int | None, preds, recursive: bool, seconds: float
+    def on_plan_built(self, plan, seconds: float) -> None:
+        from repro.program.rule import format_rule
+
+        self.add_time("plan", seconds)
+        self.incr("plans_built")
+        self.join_orders.append(
+            {
+                "rule": format_rule(plan.rule) if plan.rule is not None else None,
+                "order": list(plan.order),
+                "first": plan.first,
+            }
+        )
+
+    def on_plan_reused(self, plan) -> None:
+        self.incr("plan_cache_hits")
+
+    def on_layer_end(self, layer: int, new_facts: int, seconds: float) -> None:
+        self.layers.append((layer, seconds))
+        # the table only grows between clear_intern_table calls, so the
+        # high-water mark is the run's dictionary footprint
+        size = id_table_size()
+        if size > self.counters.get("id_table_size", 0):
+            self.counters["id_table_size"] = size
+
+    def on_scc_end(
+        self, layer: int | None, preds, recursive: bool, new_facts: int,
+        seconds: float,
     ) -> None:
-        """One SCC finished: record its predicates, kind, and wall time."""
         self.sccs.append(
             {
                 "layer": layer,
@@ -459,68 +336,63 @@ class MetricsCollector:
             }
         )
 
-    def record_storage(
-        self, bytes_written: int = 0, fsyncs: int = 0, replayed: int = 0
-    ) -> None:
-        """Tally storage I/O: bytes framed to disk, fsync calls, and WAL
-        records replayed during recovery."""
-        if bytes_written:
-            self.incr("storage_bytes_written", bytes_written)
-        if fsyncs:
-            self.incr("storage_fsyncs", fsyncs)
-        if replayed:
-            self.incr("wal_records_replayed", replayed)
+    def on_rule_fired(self, rule, derived: int, seconds: float) -> None:
+        self.add_time("grouping" if rule.is_grouping() else "match", seconds)
 
-    def record_join_order(self, plan) -> None:
-        """One plan compiled: record the join order the planner chose."""
-        from repro.program.rule import format_rule
-
-        rule = getattr(plan, "rule", None)
-        self.join_orders.append(
-            {
-                "rule": format_rule(rule) if rule is not None else None,
-                "order": list(plan.order),
-                "first": plan.first,
-            }
-        )
-
-    def record_batch(self, size: int) -> None:
-        """One batch-executor step finished with ``size`` live bindings."""
+    def on_exec_steps(self, counts: tuple[int, ...], rows: int | None) -> None:
+        # step k ran iff the batch entering it (step k-1's output) was
+        # non-empty; step 0 always runs
         counters = self.counters
-        counters["batch_steps"] = counters.get("batch_steps", 0) + 1
-        counters["batch_bindings"] = counters.get("batch_bindings", 0) + size
-        if size > counters.get("batch_peak", 0):
-            counters["batch_peak"] = size
+        for k, size in enumerate(counts):
+            if k and not counts[k - 1]:
+                break
+            counters["batch_steps"] = counters.get("batch_steps", 0) + 1
+            counters["batch_bindings"] = counters.get("batch_bindings", 0) + size
+            if size > counters.get("batch_peak", 0):
+                counters["batch_peak"] = size
+        if rows is not None:
+            counters["kernel_calls"] = counters.get("kernel_calls", 0) + 1
+            counters["kernel_rows"] = counters.get("kernel_rows", 0) + rows
 
-    def record_kernel(self, rows: int, calls: int = 1) -> None:
-        """Vector-kernel dispatches: ``calls`` whole-column kernel
-        invocations processed ``rows`` rows in total.  The derived
-        ``rows_per_dispatch`` in :meth:`report` quantifies how much
-        interpreter dispatch the vectorized lane amortizes — higher is
-        better (one Python-level call covering more rows)."""
-        counters = self.counters
-        counters["kernel_calls"] = counters.get("kernel_calls", 0) + calls
-        counters["kernel_rows"] = counters.get("kernel_rows", 0) + rows
+    def on_delta_batch(self, lsn, mode, inserted, deleted, stats) -> None:
+        self.incr("maint_updates")
+        for name in (
+            "overdeleted", "rederived", "count_adjusted", "component_recomputes",
+        ):
+            amount = getattr(stats, name)
+            if amount:
+                self.incr("maint_" + name, amount)
 
-    def record_maintain_dispatch(self, rows: int) -> None:
-        """One maintenance delta dispatched as a row batch (``rows``
-        rows); :meth:`report` derives ``maintain_rows_per_dispatch``."""
-        counters = self.counters
-        counters["maintain_dispatches"] = (
-            counters.get("maintain_dispatches", 0) + 1
-        )
-        counters["maintain_rows"] = counters.get("maintain_rows", 0) + rows
+    def on_maintain_dispatch(self, rows: int) -> None:
+        self.incr("maintain_dispatches")
+        self.incr("maintain_rows", rows)
 
-    def record_id_table(self, size: int) -> None:
-        """Snapshot the dense term-ID table size (distinct interned
-        ground terms process-wide).  The high-water mark is kept: the
-        table only grows between ``clear_intern_table`` calls, so the
-        max over snapshots is the run's dictionary footprint."""
-        if size > self.counters.get("id_table_size", 0):
-            self.counters["id_table_size"] = size
+    # -- storage events ----------------------------------------------------
 
-    def now(self) -> float:
-        return time.perf_counter()
+    def on_wal_append(self, op, facts, nbytes: int, seconds: float) -> None:
+        self.add_time("wal_append", seconds)
+        self.incr("storage_bytes_written", nbytes)
+        self.incr("wal_records_appended")
+
+    def on_wal_replay(self, records: int, facts, seconds: float) -> None:
+        self.add_time("wal_replay", seconds)
+        if records:
+            self.incr("wal_records_replayed", records)
+
+    def on_snapshot_write(self, path, facts, nbytes: int, seconds: float) -> None:
+        self.add_time("snapshot_write", seconds)
+        self.incr("storage_bytes_written", nbytes)
+        self.incr("snapshot_writes")
+
+    def on_snapshot_load(self, path, facts, restored: bool, seconds: float) -> None:
+        self.add_time("snapshot_load", seconds)
+        if restored:
+            self.incr("snapshot_restores")
+
+    def on_fsync(self, path) -> None:
+        self.incr("storage_fsyncs")
+
+    # -- reporting ---------------------------------------------------------
 
     def report(self) -> dict:
         """A JSON-friendly snapshot for benchmark output."""

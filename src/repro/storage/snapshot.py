@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import StorageError
-from repro.observe import MetricsCollector, emit_storage_event
+from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom, Program
 from repro.storage import codec
 from repro.terms.pretty import format_rule
@@ -82,10 +83,12 @@ def write_snapshot(
     fingerprint: str,
     edb_facts: Iterable[Atom],
     model_atoms: Iterable[Atom],
-    hooks=None,
+    hooks: Subscriber | None = None,
     metrics: MetricsCollector | None = None,
 ) -> int:
     """Atomically publish a snapshot; returns bytes written."""
+    start = time.perf_counter()
+    on = compose_hooks(hooks, metrics)
     path = os.fspath(path)
     edb = list(edb_facts)
     model = list(model_atoms)
@@ -113,18 +116,19 @@ def write_snapshot(
         os.fsync(fd)
     finally:
         os.close(fd)
+    if on.fsync is not None:
+        on.fsync(path=tmp_path)
     os.replace(tmp_path, path)
-    _fsync_dir(os.path.dirname(path) or ".")
-    if metrics is not None:
-        metrics.record_storage(bytes_written=len(body), fsyncs=2)
-        metrics.incr("snapshot_writes")
-    emit_storage_event(
-        hooks,
-        "on_snapshot_write",
-        path=path,
-        facts=len(edb) + len(model),
-        nbytes=len(body),
-    )
+    dirname = os.path.dirname(path) or "."
+    if _fsync_dir(dirname) and on.fsync is not None:
+        on.fsync(path=dirname)
+    if on.snapshot_write is not None:
+        on.snapshot_write(
+            path=path,
+            facts=len(edb) + len(model),
+            nbytes=len(body),
+            seconds=time.perf_counter() - start,
+        )
     return len(body)
 
 
@@ -175,13 +179,15 @@ def load_snapshot(path) -> Snapshot | None:
     return snapshot
 
 
-def _fsync_dir(dirname: str) -> None:
-    """Persist a rename by fsyncing the containing directory."""
+def _fsync_dir(dirname: str) -> bool:
+    """Persist a rename by fsyncing the containing directory; False on
+    a platform that cannot open directories."""
     try:
         fd = os.open(dirname, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir-open
-        return
+        return False
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
+    return True

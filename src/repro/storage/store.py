@@ -37,7 +37,7 @@ from repro.engine.compiled import compile_program
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalModel, UpdateStats
 from repro.errors import StorageError
-from repro.observe import EngineHooks, MetricsCollector, emit_storage_event
+from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.storage.snapshot import load_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
@@ -70,7 +70,7 @@ class DurableStore:
         path,
         fsync: str = "always",
         compact_every: int = 1024,
-        hooks: EngineHooks | None = None,
+        hooks: Subscriber | None = None,
         metrics: MetricsCollector | None = None,
         maintain: str | None = None,
     ) -> None:
@@ -78,8 +78,8 @@ class DurableStore:
         self.path = os.fspath(path)
         self.fsync = fsync
         self.compact_every = compact_every
-        self.hooks = hooks
-        self.metrics = metrics
+        # the model, the WAL and snapshots all report to one dispatcher
+        self.on = compose_hooks(hooks, metrics)
         self.maintain = maintain
         self.model: IncrementalModel | None = None
         self.wal: WriteAheadLog | None = None
@@ -110,7 +110,7 @@ class DurableStore:
             self.model = IncrementalModel(
                 self.program,
                 edb=snapshot.edb_facts,
-                hooks=self.hooks,
+                hooks=self.on,
                 materialized=Database(snapshot.model_atoms),
                 maintain=self.maintain,
             )
@@ -121,35 +121,30 @@ class DurableStore:
             self.model = IncrementalModel(
                 self.program,
                 edb=snapshot.edb_facts,
-                hooks=self.hooks,
+                hooks=self.on,
                 maintain=self.maintain,
             )
             stats.restore_mode = "rebuild"
         else:
             self.model = IncrementalModel(
-                self.program, hooks=self.hooks, maintain=self.maintain
+                self.program, hooks=self.on, maintain=self.maintain
             )
             stats.restore_mode = "cold"
         if snapshot is not None:
             stats.snapshot_facts = len(snapshot.edb_facts) + len(
                 snapshot.model_atoms
             )
-            emit_storage_event(
-                self.hooks,
-                "on_snapshot_load",
+        on = self.on
+        if on.snapshot_load is not None:
+            on.snapshot_load(
                 path=self.snapshot_path,
                 facts=stats.snapshot_facts,
                 restored=stats.restore_mode == "snapshot",
+                seconds=time.perf_counter() - start,
             )
-        if self.metrics is not None:
-            self.metrics.add_time("snapshot_load", time.perf_counter() - start)
-            if stats.restore_mode == "snapshot":
-                self.metrics.incr("snapshot_restores")
 
         start = time.perf_counter()
-        self.wal = WriteAheadLog(
-            self.wal_path, fsync=self.fsync, hooks=self.hooks, metrics=self.metrics
-        )
+        self.wal = WriteAheadLog(self.wal_path, fsync=self.fsync, hooks=on)
         stats.wal_truncated_bytes = self.wal.truncated_bytes
         for record in self.wal.replay():
             # replayed updates carry the same LSN (the log offset one
@@ -160,15 +155,11 @@ class DurableStore:
                 self.model.remove_facts(record.facts, lsn=record.end_offset)
             stats.wal_records_replayed += 1
             stats.wal_facts_replayed += len(record.facts)
-        if self.metrics is not None:
-            self.metrics.add_time("wal_replay", time.perf_counter() - start)
-            self.metrics.record_storage(replayed=stats.wal_records_replayed)
-        if stats.wal_records_replayed:
-            emit_storage_event(
-                self.hooks,
-                "on_wal_replay",
+        if on.wal_replay is not None:
+            on.wal_replay(
                 records=stats.wal_records_replayed,
                 facts=stats.wal_facts_replayed,
+                seconds=time.perf_counter() - start,
             )
         self.stats = stats
         return self
@@ -215,10 +206,7 @@ class DurableStore:
         batch = tuple(canonical_atom(a) for a in atoms)
         if not batch:
             return UpdateStats(mode="none")
-        start = time.perf_counter()
         record = self.wal.append(op, batch)
-        if self.metrics is not None:
-            self.metrics.add_time("wal_append", time.perf_counter() - start)
         # the WAL LSN (offset one past the record) stamps the update and
         # its delta batch, so downstream consumers can order view deltas
         # against the log.
@@ -241,18 +229,14 @@ class DurableStore:
         contains (replay is idempotent for adds and removes alike).
         """
         self._require_open()
-        start = time.perf_counter()
         nbytes = write_snapshot(
             self.snapshot_path,
             self._fingerprint,
             sorted(self.model.edb_facts, key=lambda a: a.sort_key()),
             self.model.database.sorted_atoms(),
-            hooks=self.hooks,
-            metrics=self.metrics,
+            hooks=self.on,
         )
         self.wal.reset()
-        if self.metrics is not None:
-            self.metrics.add_time("snapshot_write", time.perf_counter() - start)
         self.stats.compactions += 1
         return nbytes
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import os
 import struct
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import StorageError
-from repro.observe import MetricsCollector, emit_storage_event
+from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom
 from repro.storage import codec
 
@@ -70,15 +71,14 @@ class WriteAheadLog:
         self,
         path,
         fsync: str = "always",
-        hooks=None,
+        hooks: Subscriber | None = None,
         metrics: MetricsCollector | None = None,
     ) -> None:
         if fsync not in ("always", "batch", "never"):
             raise StorageError(f"unknown fsync policy {fsync!r}")
         self.path = os.fspath(path)
         self.fsync = fsync
-        self.hooks = hooks
-        self.metrics = metrics
+        self.on = compose_hooks(hooks, metrics)
         self.records: list[WalRecord] = []
         self.truncated_bytes = 0
         self._file = None
@@ -138,6 +138,7 @@ class WriteAheadLog:
             raise StorageError(f"{self.path}: log is closed")
         if op not in OPS:
             raise StorageError(f"unknown WAL op {op!r}")
+        start = time.perf_counter()
         batch = tuple(facts)
         # assembled from the codec's per-term fragment memo; the literal
         # layout matches dumps({"facts": [...], "op": op}) byte for byte
@@ -155,12 +156,11 @@ class WriteAheadLog:
             self._sync(force=True)
         record = WalRecord(op, batch, end_offset=self._file.tell())
         self.records.append(record)
-        if self.metrics is not None:
-            self.metrics.record_storage(bytes_written=len(frame))
-            self.metrics.incr("wal_records_appended")
-        emit_storage_event(
-            self.hooks, "on_wal_append", op=op, facts=len(batch), nbytes=len(frame)
-        )
+        if self.on.wal_append is not None:
+            self.on.wal_append(
+                op=op, facts=len(batch), nbytes=len(frame),
+                seconds=time.perf_counter() - start,
+            )
         return record
 
     def replay(self) -> Iterator[WalRecord]:
@@ -195,8 +195,8 @@ class WriteAheadLog:
         self._file.flush()
         if force:
             os.fsync(self._file.fileno())
-            if self.metrics is not None:
-                self.metrics.record_storage(fsyncs=1)
+            if self.on.fsync is not None:
+                self.on.fsync(path=self.path)
 
     def close(self) -> None:
         if self._file is not None:

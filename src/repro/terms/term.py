@@ -611,7 +611,13 @@ def _intern_key(term: Term):
 
 
 def intern_term(term: Term) -> Term:
-    """Return the canonical representative of a ground term.
+    """Return the canonical representative of a U-element.
+
+    ``term`` must already be canonical (what :func:`evaluate_ground`
+    returns, or built from such terms): whatever comes in becomes the
+    table's entry for its key.  :func:`term_id` and :func:`row_id`
+    canonicalize an uninterned term first, so arbitrary ground input
+    reaches the table only through them.
 
     Structurally equal terms interned by the same process map to one
     object, so equality between interned terms usually succeeds on the
@@ -666,12 +672,14 @@ def term_id(term: Term) -> int:
     1:1 with intern-table entries: quoted and unquoted string constants
     get *distinct* IDs, so ``term_of_id(term_id(t)) == t`` preserves
     the printing distinction the storage codec depends on.  The caller
-    supplies a ground term (the interning contract).
+    supplies a ground term; an uninterned one is canonicalized first
+    (:func:`evaluate_ground`), so ``1 + 1`` gets the ID of ``2`` and a
+    term outside U raises :class:`NotInUniverseError`.
     """
     tid = term._tid
     if tid is not None:
         return tid
-    term = intern_term(term)
+    term = evaluate_ground(term)
     if term._tid is None:  # raced the _interned flag; settle under the lock
         _assign_ids(term)
     return term._tid
@@ -683,12 +691,13 @@ def row_id(term: Term) -> int:
     All terms that compare equal share one row ID (quoted and plain
     spellings collapse), so ID equality over row IDs coincides exactly
     with term equality — the invariant relations and the specialized
-    executors are built on.
+    executors are built on.  Like :func:`term_id`, an uninterned term is
+    canonicalized first.
     """
     rid = term._rid
     if rid is not None:
         return rid
-    term = intern_term(term)
+    term = evaluate_ground(term)
     if term._rid is None:
         _assign_ids(term)
     return term._rid

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+from repro.api import LDL
 from repro.engine import evaluate
 from repro.engine.binding import EMPTY_BINDING
 from repro.engine.context import EvalContext
@@ -38,6 +39,7 @@ from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
 from repro.parser import parse_atom, parse_rule
 from repro.program.rule import Atom
+from repro.terms.pretty import format_atom
 from repro.terms.term import Const
 
 from tests.helpers import facts_of, run
@@ -329,7 +331,9 @@ class TestDeriveFacts:
         db = db_of("e(1)", "e(2)", "f(1)")
         plan = compile_rule(parse_rule("p(X) <- e(X), f(X)."))
         metrics = MetricsCollector()
-        facts = derive_facts(db, plan, executor="batch", metrics=metrics)
+        facts = derive_facts(
+            db, plan, executor="batch", steps=metrics.on_exec_steps
+        )
         assert metrics.counters["batch_steps"] == 2
         assert metrics.counters["batch_peak"] >= 1
         assert facts == derive_facts(db, plan, executor="tuple")
@@ -365,6 +369,36 @@ class TestFixedProgramDifferentials:
         assert facts_of(run(src, executor="batch"), "isolated") == facts_of(
             run(src, executor="tuple"), "isolated"
         ) == {"isolated(3)"}
+
+    def test_derived_facts_spell_alike_on_both_executors(self):
+        """Both executors bind body variables to class representatives,
+        so a derived fact prints the same whichever ran; rule constants
+        and EDB facts keep their spelling."""
+        src = """
+        p('a'). item('a', 'x'). item(b, 'y').
+        q(X) <- p(X). s(f(X)) <- p(X). bag(K, <V>) <- item(K, V).
+        """
+        printed = {}
+        previous = default_executor()
+        try:
+            for executor in EXECUTORS:
+                set_default_executor(executor)
+                session = LDL(src)
+                model = session.model().database.sorted_atoms()
+                answers = session.query_magic("? s(X).").answer_atoms()
+                printed[executor] = (
+                    [format_atom(a) for a in model],
+                    [format_atom(a) for a in answers],
+                )
+        finally:
+            set_default_executor(previous)
+        assert printed["batch"] == printed["tuple"]
+        model, answers = printed["tuple"]
+        assert {
+            "p('a')", "item(b, 'y')", "q(a)", "s(f(a))", "bag(a, {x})",
+            "bag(b, {y})",
+        } <= set(model)
+        assert answers == ["s(f(a))"]
 
 
 # -- every compiled mode against the reference, rule by rule ----------------

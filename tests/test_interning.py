@@ -14,6 +14,7 @@ topological (subterms and a term's plain twin first), including after
 import pickle
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,30 @@ def test_arithmetic_folds_to_interned_constant():
     folded = evaluate_ground(Func("+", (Const(2), Const(3))))
     assert folded is intern_const(5)
     assert folded is evaluate_ground(Func("+", (Const(4), Const(1))))
+
+
+def test_only_universe_elements_enter_the_table():
+    """A non-canonical ground term stored directly is canonicalized on
+    its way into the table, never interned as itself; a term outside U
+    is rejected exactly as ``canonical_atom`` rejects it."""
+    from repro.engine.database import Database
+    from repro.errors import NotInUniverseError
+    from repro.program.rule import Atom
+    from repro.terms.pretty import format_atom
+
+    with isolated_intern_table():
+        unfolded = Func("+", (Const(1), Const(1)))
+        db = Database([Atom("p", (unfolded,))])
+        assert [format_atom(a) for a in db.atoms("p")] == ["p(2)"]
+        assert Atom("p", (Const(2),)) in db
+        assert evaluate_ground(unfolded) == Const(2)
+        assert not unfolded._interned
+        assert_topological()
+        spelled = Func("f", (Const("a", quoted=True), unfolded))
+        db.add(Atom("q", (spelled,)))
+        assert [format_atom(a) for a in db.atoms("q")] == ["q(f('a', 2))"]
+        with pytest.raises(NotInUniverseError):
+            Database([Atom("p", (Func("scons", (Const(1), Const(2))),))])
 
 
 def test_codec_decode_reinterns():

@@ -1,19 +1,21 @@
 """Tests for engine observability (repro.observe) and its surfaces.
 
-TraceRecorder/MetricsCollector behavior, hook composition, the
-``trace=``/``hooks=`` arguments on the api layer, and the CLI's
-``--trace`` summary.
+The one event channel (subscribers resolved into a Dispatcher),
+TraceRecorder/MetricsCollector as subscribers, the
+``trace=``/``hooks=``/``metrics=`` arguments on the api layer, and the
+CLI's ``--trace`` summary.
 """
 
 import io
 
 from repro.api import LDL
 from repro.cli import run as cli_run
+from repro.engine.relation import Relation
 from repro.observe import (
-    NULL_HOOKS,
-    CompositeHooks,
+    EVENTS,
+    SILENT,
+    Dispatcher,
     MetricsCollector,
-    NullHooks,
     TraceRecorder,
     compose_hooks,
 )
@@ -27,30 +29,70 @@ anc(X, Y) <- parent(X, Z), anc(Z, Y).
 """
 
 
+class CatchAll:
+    """Observes everything and records nothing, like the ledger's
+    no-op hooks."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+class LegacyHooks:
+    """A subscriber written before events carried ``seconds``."""
+
+    def __init__(self):
+        self.fired = []
+
+    def on_rule_fired(self, rule, derived):
+        self.fired.append((rule, derived))
+
+    def on_iteration(self, iteration, new_facts):
+        pass
+
+
 class TestComposeHooks:
     def test_empty_is_null(self):
-        assert compose_hooks() is NULL_HOOKS
-        assert compose_hooks(None, NULL_HOOKS) is NULL_HOOKS
+        assert compose_hooks() is SILENT
+        assert compose_hooks(None, None) is SILENT
+        assert all(getattr(SILENT, event) is None for event in EVENTS)
 
     def test_single_passthrough(self):
-        recorder = TraceRecorder()
-        assert compose_hooks(None, recorder) is recorder
+        legacy = LegacyHooks()
+        dispatcher = compose_hooks(None, legacy)
+        # the subscriber's own bound method, no fan-out in between
+        assert dispatcher.iteration == legacy.on_iteration
+        assert dispatcher.fact_derived is None
+        assert compose_hooks(dispatcher) is dispatcher
+        assert compose_hooks(None, dispatcher) is dispatcher
 
     def test_composite_fans_out(self):
         a, b = TraceRecorder(), TraceRecorder()
         combined = compose_hooks(a, b)
-        assert isinstance(combined, CompositeHooks)
-        combined.on_iteration(1, 5)
+        assert isinstance(combined, Dispatcher)
+        combined.iteration(iteration=1, new_facts=5)
         assert a.count("iteration") == b.count("iteration") == 1
 
     def test_null_hooks_accept_all_events(self):
-        hooks = NullHooks()
-        hooks.on_plan_built(None)
-        hooks.on_layer_start(0, ())
-        hooks.on_layer_end(0, 0)
-        hooks.on_iteration(0, 0)
-        hooks.on_rule_fired(None, 0)
-        hooks.on_fact_derived(None, None)
+        dispatcher = compose_hooks(CatchAll())
+        for event, fields in EVENTS.items():
+            handler = getattr(dispatcher, event)
+            assert handler is not None
+            handler(**dict.fromkeys(fields))
+
+    def test_nested_composition_flattens_and_dedupes(self):
+        a, b = TraceRecorder(), TraceRecorder()
+        legacy = LegacyHooks()
+        nested = compose_hooks(compose_hooks(a, b), legacy, a)
+        assert nested.subscribers == (a, b, legacy)
+        result = run(ANC, hooks=nested)
+        assert a.count("rule_fired") == b.count("rule_fired") == len(legacy.fired)
+        assert a.plans_built == b.plans_built == 3
+        assert result.total_firings == len(legacy.fired)
+
+    def test_legacy_subscriber_gets_only_its_fields(self):
+        legacy = LegacyHooks()
+        compose_hooks(legacy).rule_fired(rule="r", derived=2, seconds=0.5)
+        assert legacy.fired == [("r", 2)]
 
 
 class TestTraceRecorder:
@@ -72,6 +114,22 @@ class TestTraceRecorder:
         run(ANC, hooks=recorder)
         fired = [e for e in recorder.events if e.kind == "rule_fired"]
         assert fired and all(e.payload["layer"] is not None for e in fired)
+
+    def test_every_event_recorded_with_its_payload(self, tmp_path):
+        recorder = TraceRecorder()
+        run(ANC + "s(X, <Y>) <- parent(X, Y).", hooks=recorder, executor="batch")
+        with LDL(ANC, path=str(tmp_path / "db"), hooks=recorder) as db:
+            db.fact("parent", "c", "d")
+            db.checkpoint()
+        kinds = {event.kind for event in recorder.events}
+        assert {
+            "plan_built", "plan_reused", "layer_start", "layer_end",
+            "scc_start", "scc_end", "iteration", "rule_fired",
+            "fact_derived", "exec_steps", "wal_append", "wal_replay",
+            "snapshot_write", "snapshot_load", "fsync",
+        } <= kinds
+        for event in recorder.events:
+            assert set(event.payload) == set(EVENTS[event.kind]) | {"layer"}
 
     def test_format_summary(self):
         recorder = TraceRecorder()
@@ -117,9 +175,31 @@ class TestMetricsCollector:
 
     def test_format_mentions_counters(self):
         metrics = MetricsCollector()
-        metrics.add_time("plan", 0.001)
-        metrics.incr("plans_built", 2)
-        assert "plans_built=2" in metrics.format()
+        for _ in range(2):
+            metrics.on_wal_append(op="add", facts=1, nbytes=10, seconds=0.001)
+        assert "wal_records_appended=2" in metrics.format()
+        assert "wal_append=2.00ms" in metrics.format()
+
+    def test_collector_only_run_decodes_nothing(self, monkeypatch):
+        decoded = []
+        args_of = Relation.args_of
+
+        def counting(self, row):
+            decoded.append(row)
+            return args_of(self, row)
+
+        monkeypatch.setattr(Relation, "args_of", counting)
+        # the compiled lane derives ID rows; only a fact_derived
+        # subscriber makes _install decode them
+        run(ANC, metrics=MetricsCollector(), executor="batch")
+        assert decoded == []
+        run(ANC, hooks=TraceRecorder(), executor="batch")
+        assert decoded
+
+    def test_metrics_passed_twice_report_once(self):
+        metrics = MetricsCollector()
+        run(ANC, hooks=metrics, metrics=metrics)
+        assert metrics.counters["plans_built"] == 3
 
 
 class TestApiTrace:
@@ -137,6 +217,36 @@ class TestApiTrace:
         session = LDL(ANC, hooks=mine, trace=True)
         session.model()
         assert mine.plans_built == session.trace.plans_built == 3
+
+
+class TestApiMetrics:
+    """``LDL(metrics=)`` joins the session's subscribers, so every path
+    the session evaluates on reports into the collector."""
+
+    def test_model_reports_engine_phases(self):
+        metrics = MetricsCollector()
+        result = LDL(ANC, metrics=metrics).model()
+        assert {"plan", "match"} <= set(metrics.phases)
+        assert metrics.counters["plans_built"] == 3
+        assert result.metrics is metrics
+
+    def test_on_demand_queries_report(self):
+        metrics = MetricsCollector()
+        session = LDL(ANC, metrics=metrics)
+        assert session.query("? anc(a, X).", strategy="magic")
+        session.on_demand_rows("? anc(b, X).")
+        assert "match" in metrics.phases
+        assert metrics.join_orders
+
+    def test_durable_session_reports_engine_and_storage(self, tmp_path):
+        metrics = MetricsCollector()
+        with LDL(ANC, path=str(tmp_path / "db"), metrics=metrics) as session:
+            session.fact("parent", "c", "d")
+            assert session.query("? anc(a, d).")
+        assert {"plan", "match", "wal_append", "snapshot_load"} <= set(
+            metrics.phases
+        )
+        assert metrics.counters["wal_records_appended"] == 1
 
 
 class TestCliTrace:

@@ -11,7 +11,7 @@ from repro.engine.relation import (
     Relation,
     decode_row,
     encode_args,
-    needs_spelling,
+    spelling_of,
 )
 from repro.parser import parse_atom
 from repro.terms.pretty import format_term
@@ -329,7 +329,7 @@ def _check_against_model(rel, model):
             )
             assert Counter(map(_spelled, rel.lookup(positions, key))) == expected
     assert rel._spellings.keys() <= rel.id_rows()
-    assert all(needs_spelling(args) for args in rel._spellings.values())
+    assert all(spelling_of(args) is not None for args in rel._spellings.values())
 
 
 @given(_operations)
