@@ -972,7 +972,7 @@ EXPERIMENT_TITLES["E19"] = "server throughput: concurrent clients, read-only vs 
 # -- E21: executor comparison — tuple reference / compiled default ------------
 
 #: ``tuple`` is the one-binding-at-a-time reference recursion;
-#: ``vector`` the default compiled lane — rows-mode emission plus the
+#: ``vector`` the default compiled lane — ID-tuple emission plus the
 #: ID-space kernels.  The label predates the removal of the ablation
 #: knobs and is kept so committed baselines still compare this case.
 E21_MODES = ("tuple", "vector")
@@ -991,7 +991,7 @@ def _ablation_case(workload, program, edb, mode):
     return case(workload, mode, run, lambda r: r.total_facts)
 
 
-def e20_executor() -> list[dict]:
+def e21_executor() -> list[dict]:
     from repro.terms.term import Const
 
     cases = []
@@ -1010,7 +1010,7 @@ def e20_executor() -> list[dict]:
     # 144,000 output tuples from one non-recursive rule.  This is the
     # shape the fused last-step emission exists for: huge
     # buckets, no recursion, throughput limited purely by per-row
-    # dispatch (watch rows_per_dispatch climb in the vector leg).
+    # dispatch.
     wide = parse_rules("j(X, Y) <- r(K, X), s(K, Y).")
     wide_edb = []
     for k in range(40):
@@ -1023,7 +1023,7 @@ def e20_executor() -> list[dict]:
     return cases
 
 
-EXPERIMENTS["E21"] = e20_executor
+EXPERIMENTS["E21"] = e21_executor
 EXPERIMENT_TITLES["E21"] = "executor comparison: tuple reference / compiled default"
 
 

@@ -126,10 +126,9 @@ def _format_phases(report: dict) -> str:
         )
     counters = report.get("counters", {})
     # Preferred ordering for the counter families we know about; any
-    # family a run reports beyond these (e.g. kernel_calls /
-    # rows_per_dispatch from the vectorized lane) is appended sorted, so
-    # new counters show up without harness edits and absent families
-    # never raise.
+    # family a run reports beyond these is appended sorted, so new
+    # counters show up without harness edits and absent families never
+    # raise.
     known = (
         "plans_built",
         "plan_cache_hits",

@@ -67,6 +67,8 @@ class Database:
         rel = self._relations.get(pred)
         if rel is None:
             rel = self.relation(pred, arity)
+        elif rel.arity != arity:
+            raise ValueError(f"{pred}: arity {rel.arity} but got {arity} args")
         return rel.add_rows(rows, decode)
 
     def discard(self, atom: Atom) -> bool:

@@ -2,17 +2,23 @@
 
 Every consumer — the fixpoint loops, grouping, magic evaluation, the
 incremental model, explanation, and the semantics reference modules —
-enumerates rule-body bindings through :func:`enumerate_bindings` (or
-its fact-producing wrappers :func:`derive_facts` and
-:func:`derive_rows`).  Two executors sit behind it:
+evaluates rule bodies through three thin decoders over one shape, the
+ID tuples a compiled closure emits
+(:mod:`repro.engine.exec.specialize`):
 
-* ``"batch"`` (default) — each plan compiles once into a closure of
-  nested loops over ID rows (:mod:`repro.engine.exec.specialize`); the
-  fixpoint derives whole ID-row batches through :func:`derive_rows`
-  (``"rows"`` mode + bulk ``Database.add_rows``).  A plan the compiled
-  lane declines runs on the reference executor instead;
+* :func:`enumerate_bindings` — variable rows decoded into bindings;
+* :func:`derive_rows` — head ID rows, what the fixpoint bulk-inserts
+  with ``Database.add_rows``;
+* :func:`derive_facts` — those head rows decoded into atoms.
+
+Two executors sit behind them:
+
+* ``"batch"`` (default) — each plan compiles once into closures of
+  nested loops over ID rows.  A plan the compiled lane declines runs on
+  the reference executor instead;
 * ``"tuple"`` — the one-binding-at-a-time recursion in
-  :mod:`repro.engine.exec.tuplewise`, the differential oracle.
+  :mod:`repro.engine.exec.tuplewise`, the differential oracle; its
+  head facts are encoded into the same rows.
 
 The process-wide default comes from the ``REPRO_EXECUTOR`` environment
 variable (CI runs the engine suite under ``REPRO_EXECUTOR=tuple`` so the
@@ -26,12 +32,13 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from repro.engine.binding import ChainBinding
+from repro.engine.binding import ChainBinding, materialize
 from repro.engine.database import Database
 from repro.engine.exec.kernels import RowBatch
 from repro.engine.exec.specialize import FALLBACK, specialized_plan
 from repro.engine.exec.tuplewise import run_plan_tuple
 from repro.engine.plan import RulePlan, SourceOverrides
+from repro.engine.relation import encode_args
 from repro.program.rule import Atom
 
 EXECUTORS = ("batch", "tuple")
@@ -60,12 +67,12 @@ def set_default_executor(name: str) -> None:
 
 
 class DerivedRows:
-    """One rule application's derived head facts, still in ID space.
+    """One rule application's derived head facts, in ID space.
 
-    ``rows`` is the emitted multiset of head ID rows (pre-dedup, so
-    ``len(rows)`` matches the facts atoms mode would have returned);
-    ``decode`` is the head's slot decoder, or None when every row
-    decodes to its own spelling (see :meth:`SpecializedPlan.decoder
+    ``rows`` is the emitted multiset of head ID rows (pre-dedup: one
+    per derivation); ``decode`` maps a row to its arguments as derived,
+    or is None when every row decodes to its own spelling (see
+    :meth:`SpecializedPlan.decoder
     <repro.engine.exec.specialize.SpecializedPlan.decoder>`).  The
     fixpoint hands both straight to ``Database.add_rows``, which
     decodes nothing unless ``decode`` is set."""
@@ -91,22 +98,72 @@ def enumerate_bindings(
     """All bindings satisfying ``plan``'s body, via the chosen executor.
 
     Returns an iterable of copy-on-write chain bindings: a realized
-    list from the compiled lane, a lazy iterator from the reference.
-    ``steps`` is the run's ``exec_steps`` handler (see
-    :data:`repro.observe.EVENTS`), called once per compiled closure
-    run; the reference executor reports nothing.
+    list from the compiled lane (its variable rows, decoded), a lazy
+    iterator from the reference.  ``steps`` is the run's ``exec_steps``
+    handler (see :data:`repro.observe.EVENTS`), called once per
+    compiled closure run; the reference executor reports nothing.
     """
     name = _default_executor if executor is None else _validated(executor)
     if name == "batch":
-        result = specialized_plan(plan).run(
-            "bindings", db, binding, overrides, negation_db, steps
-        )
-        if result is not FALLBACK:
-            return result
+        base = {} if binding is None else materialize(binding)
+        spec = specialized_plan(plan)
+        rows = spec.run("vars", db, base, overrides, negation_db, steps)
+        if rows is not FALLBACK:
+            return spec.binder()(rows, base)
     return run_plan_tuple(
         db, plan, binding=binding, overrides=overrides,
         negation_db=negation_db,
     )
+
+
+def _instantiated(db, plan, overrides, negation_db, executor, steps):
+    """Head facts by instantiating the head per binding (bindings that
+    take it outside U drop), each carrying its encoded row: the path
+    for non-fast heads and the reference executor."""
+    if plan.head is None:
+        raise ValueError("body-only plan has no head to derive")
+    instantiate = plan.instantiate_head
+    for binding in enumerate_bindings(
+        db, plan, overrides=overrides, negation_db=negation_db,
+        executor=executor, steps=steps,
+    ):
+        fact = instantiate(binding)
+        if fact is not None:
+            fact._row = encode_args(fact.args)
+            yield fact
+
+
+def derive_rows(
+    db: Database,
+    plan: RulePlan,
+    overrides: SourceOverrides | None = None,
+    negation_db: Database | None = None,
+    executor: str | None = None,
+    steps=None,
+) -> DerivedRows:
+    """Head facts derived by one rule application, as ID rows.
+
+    The compiled lane emits a fast head's rows directly.  A non-fast
+    head, and the reference executor, instantiate each binding's head
+    and encode the facts; ``decode`` then returns each row's first
+    derived spelling.
+    """
+    name = _default_executor if executor is None else _validated(executor)
+    if name == "batch" and plan.head is not None:
+        spec = specialized_plan(plan)
+        rows = spec.run("head", db, {}, overrides, negation_db, steps)
+        if rows is not FALLBACK:
+            head = plan.head.atom
+            return DerivedRows(head.pred, len(head.args), rows, spec.decoder())
+    rows = []
+    spelled: dict = {}  # each row's first derived spelling
+    for fact in _instantiated(db, plan, overrides, negation_db, name, steps):
+        row = fact._row
+        rows.append(row)
+        if row not in spelled:
+            spelled[row] = fact.args
+    head = plan.head.atom
+    return DerivedRows(head.pred, len(head.args), rows, spelled.__getitem__)
 
 
 def derive_facts(
@@ -117,56 +174,17 @@ def derive_facts(
     executor: str | None = None,
     steps=None,
 ) -> list[Atom]:
-    """Head facts derived by one rule application (ground heads only;
-    bindings that take the head outside U are dropped)."""
+    """The head rows of :func:`derive_rows` as ground atoms, one per
+    derivation, each carrying its ID row so ``Database.add`` skips
+    re-encoding.  Compiled head rows decode through the plan's
+    generated fact decoder; instantiated facts are returned as built."""
     name = _default_executor if executor is None else _validated(executor)
     if name == "batch" and plan.head is not None:
-        # the compiled atoms mode inlines head instantiation too: facts
-        # come straight off the ID rows, no intermediate binding
-        result = specialized_plan(plan).run(
-            "atoms", db, None, overrides, negation_db, steps
-        )
-        if result is not FALLBACK:
-            return result
-        name = "tuple"
-    instantiate = plan.instantiate_head
-    facts: list[Atom] = []
-    for binding in enumerate_bindings(
-        db, plan, overrides=overrides, negation_db=negation_db,
-        executor=name, steps=steps,
-    ):
-        fact = instantiate(binding)
-        if fact is not None:
-            facts.append(fact)
-    return facts
-
-
-def derive_rows(
-    db: Database,
-    plan: RulePlan,
-    overrides: SourceOverrides | None = None,
-    negation_db: Database | None = None,
-    executor: str | None = None,
-    steps=None,
-) -> DerivedRows | None:
-    """The vectorized shape of :func:`derive_facts`: head facts as raw
-    ID rows plus any slot decoder, or None when this call must take the
-    per-fact path (the reference executor, a headless plan, or a plan
-    shape the rows mode does not cover).
-
-    None is only ever returned *before* any override source has been
-    consumed, so the caller can fall through to :func:`derive_facts`
-    with the same arguments.
-    """
-    name = _default_executor if executor is None else _validated(executor)
-    if name != "batch" or plan.head is None:
-        return None
-    spec = specialized_plan(plan)
-    result = spec.run("rows", db, None, overrides, negation_db, steps)
-    if result is FALLBACK:
-        return None
-    head = plan.head.atom
-    return DerivedRows(head.pred, len(head.args), result, spec.decoder())
+        spec = specialized_plan(plan)
+        rows = spec.run("head", db, {}, overrides, negation_db, steps)
+        if rows is not FALLBACK:
+            return spec.fact_decoder()(rows)
+    return list(_instantiated(db, plan, overrides, negation_db, name, steps))
 
 
 __all__ = [
@@ -176,7 +194,7 @@ __all__ = [
     "default_executor",
     "set_default_executor",
     "enumerate_bindings",
-    "derive_facts",
     "derive_rows",
+    "derive_facts",
     "run_plan_tuple",
 ]

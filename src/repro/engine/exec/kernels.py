@@ -1,7 +1,7 @@
-"""ID-space kernels for the compiled rows mode, and its delta currency.
+"""ID-space kernels for the compiled closures, and the delta currency.
 
-The rows-mode closures (:mod:`repro.engine.exec.specialize`) inline
-their per-row arithmetic, comparisons and joins; what they call out to
+Every compiled closure (:mod:`repro.engine.exec.specialize`) inlines
+its per-row arithmetic, comparisons and joins; what it calls out to
 are two memoized scalar kernels over dense row IDs:
 
 * :func:`number_rid` interns a computed number back to its row ID
@@ -107,7 +107,7 @@ def union_rid(left: int, right: int) -> int:
     return rid
 
 
-# -- the vectorized delta currency ------------------------------------------
+# -- the delta currency -----------------------------------------------------
 
 
 class RowBatch:

@@ -11,36 +11,34 @@ keys as int (tuples of int) dict gets against
 :meth:`~repro.engine.relation.Relation.id_index`, negation as ID-row
 set membership, and residual fresh variables as direct tuple
 subscripts into local ints.  Terms materialize from the ID table only
-at the boundaries: builtin calls, general residual matching, and the
-emitted facts/bindings.
+at builtin calls and general residual matching.
 
-Three modes share one generator:
+Every closure has one emission shape: it returns the list of ID tuples
+an *output template* builds — a tuple of ``(VAR, name)`` /
+``(CONST, rid)`` parts — one tuple per body binding, so the list is
+the multiset of the rule application's bindings (section 3.2).  A plan
+has at most two templates:
 
-* ``"atoms"`` — the :func:`~repro.engine.exec.derive_facts` shape:
-  emits ground head :class:`~repro.program.rule.Atom` facts directly
-  (the head template is inlined too; non-fast heads fall back to
-  :func:`~repro.engine.match.ground_atom` per row);
-* ``"bindings"`` — the :func:`~repro.engine.exec.enumerate_bindings`
-  shape: emits :class:`~repro.engine.binding.ChainBinding` objects
-  (consumers call ``.materialize()``), one root dict per row;
-* ``"rows"`` — the vectorized :func:`~repro.engine.exec.derive_rows`
-  shape: emits raw head ID rows (int tuples, no Atom per candidate —
-  the fixpoint bulk-inserts them via ``Database.add_rows``, and terms
-  materialize only when a reader decodes a row).  Rows mode alone also
-  emits the kernel codegen (:mod:`repro.engine.exec.kernels`): the
-  last relation step fuses emission into one whole-column list
-  comprehension, arithmetic and comparisons read the interner's
-  numeric lane directly, bound-parts ``partition`` runs as the
-  memoized ID-space union kernel, and remaining known-handler builtin
-  calls memoize on their input row IDs.  Requires an empty seed and a
-  fast head template whose variables the body binds (the emitted
-  multiset of rows must equal the atoms mode's facts one-for-one);
-  other plans decline, and the fixpoint derives them in atoms mode.
+* the **head template** — the head's ID row, for a seedless plan with a
+  fast head (:func:`head_template`);
+  :func:`~repro.engine.exec.derive_rows` hands these rows to
+  ``Database.add_rows``;
+* the **variable template** — one slot per variable the body binds,
+  minus the seeded ones (:func:`body_variables`), for every plan,
+  seeded or not; :func:`~repro.engine.exec.enumerate_bindings` decodes
+  the rows into bindings through :meth:`SpecializedPlan.binder`.
+
+Every closure also gets the kernel codegen
+(:mod:`repro.engine.exec.kernels`): the last relation step fuses
+emission into one whole-column list comprehension, arithmetic and
+comparisons read the interner's numeric lane directly, bound-parts
+``partition`` runs as the memoized ID-space union kernel, and the
+other known-handler builtin calls memoize on their input row IDs.
 
 Semantics match the reference executor
 (:mod:`repro.engine.exec.tuplewise`) — same binding multisets, same
 failure semantics (lenient override probes vs raising database
-probes) — and it remains the differential oracle.  A plan a mode
+probes) — and it remains the differential oracle.  A plan the lane
 declines runs on that reference: shapes the generator cannot prove it
 handles raise :class:`_Unsupported`, and runtime conditions it cannot
 handle (a seed binding whose keys differ from the plan's
@@ -55,11 +53,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.engine.binding import (
-    EMPTY_BINDING,
-    ChainBinding,
-    materialize,
-)
+from repro.engine.binding import EMPTY_BINDING, ChainBinding
 from repro.engine.database import Database
 from repro.engine.exec.kernels import number_rid, union_rid
 from repro.engine.exec.runtime import (
@@ -69,7 +63,6 @@ from repro.engine.exec.runtime import (
     negated_builtin_holds,
     substituted_residuals,
 )
-from repro.engine.match import ground_atom
 from repro.engine.plan import ARITH, CONST, VAR, LiteralStep, RulePlan, SourceOverrides
 from repro.engine.relation import encode_args
 from repro.errors import EvaluationError, NotInUniverseError
@@ -99,7 +92,7 @@ def _encode_rows(source) -> list[tuple[int, ...]]:
     """Materialize an override source once, as ID rows.
 
     A :class:`~repro.engine.exec.kernels.RowBatch` source (the
-    vectorized fixpoint's delta) already carries its ID rows — zero
+    fixpoint's and maintenance's delta) already carries its ID rows — zero
     re-encoding on later semi-naive rounds."""
     rows = getattr(source, "rows", None)
     if rows is not None:
@@ -287,58 +280,45 @@ class _Codegen:
 
     The generated function has the shape::
 
-        def _specialized(db, overrides, seed, base, negdb, steps):
-            out = []; _ap = out.append
+        def _specialized(db, overrides, seed, negdb, steps):
+            out = []
             <per-step source prologue: override vs db, indexes, counters>
             for _root in _ONE:            # single pass; makes every
                 <nested per-step loops>   # drop-binding check a plain
-                    <emission epilogue>   # ``continue``
+                    <emission>            # ``continue``
             <exec_steps epilogue>
             return out
 
-    ``seed`` maps initially-bound variable names to row IDs, ``base``
-    the same names to their original term values (used verbatim in
-    emitted bindings, exactly as the term executors keep the caller's
-    root binding).  ``steps`` is the run's ``exec_steps`` handler or
-    None."""
+    The emission appends the ``template`` tuple (or, fused into the
+    last relation step, extends by a whole bucket of them).  ``seed``
+    maps initially-bound variable names to row IDs; ``steps`` is the
+    run's ``exec_steps`` handler or None."""
 
-    def __init__(self, plan: RulePlan, mode: str) -> None:
+    def __init__(self, plan: RulePlan, template: tuple) -> None:
         self.plan = plan
-        self.mode = mode
-        # the kernel codegen below (numeric-lane arithmetic, the
-        # partition union kernel, builtin memos, fused emission) is
-        # emitted for rows mode only
-        self.vector = mode == "rows"
-        if self.vector and plan.initially_bound:
-            # rows mode only serves the seedless fixpoint shape; a
-            # seeded call could not decode initially-bound head
-            # variables back to the caller's verbatim spellings.
-            raise _Unsupported("rows mode requires an empty seed")
+        self.template = template
         self.env: dict = {
             "_T": _ID_TABLE,
+            "_NT": _NUM_TABLE,
             "_CB": ChainBinding,
-            "_Atom": Atom,
-            "_ga": ground_atom,
             "_enc": _encode_rows,
             "_encf": _encode_rows_exact,
             "_bix": _build_index,
             "_fold": fold_arith,
             "_rid": row_id,
+            "_nr": number_rid,
+            "_un": union_rid,
             "_EB": EMPTY_BINDING,
             "_ED": {},
             "_ONE": (0,),
             "_ES": frozenset(),
         }
-        if self.vector:
-            self.env["_NT"] = _NUM_TABLE
-            self.env["_nr"] = number_rid
-            self.env["_un"] = union_rid
         self.locals: dict[str, str] = {}  # variable name -> local name
         self.assigned: set[str] = set()
         self.pro: list[str] = []  # prologue lines (one indent level)
         self.body: list[str] = []  # loop-nest lines (absolute indent)
         self.depth = 2  # inside the function and the _ONE loop
-        self.fused = False  # rows mode: last step emitted its own output
+        self.fused = False  # the last step emitted its own output
 
     # -- small emission helpers --------------------------------------------
 
@@ -452,16 +432,16 @@ class _Codegen:
             emit(f"_c{k} += 1")
             return
         if fuse:
-            # rows mode, last step: fuse iteration and emission into one
+            # last step: fuse iteration and emission into one
             # whole-column gather — a single list comprehension builds
-            # every output ID row of this dispatch (this step's fresh
+            # every output ID tuple of this dispatch (this step's fresh
             # variables substitute as direct row subscripts), and one
             # C-level ``extend`` scatters the batch onto the output.
             sub = {}
             if step.residuals:
                 for pos, name in step.simple_residuals:
                     sub[name] = f"_x{k}[{pos}]"
-            row_expr = self.head_row_expr(sub)
+            row_expr = self.row_expr(sub)
             emit(f"_t{k} = [{row_expr} for _x{k} in {rows}]")
             emit(f"_xt(_t{k})")
             emit(f"_c{k} += len(_t{k})")
@@ -544,30 +524,26 @@ class _Codegen:
                 self.assigned.update(out_names)
             emit(f"_c{k} += 1")
             return
-        if self.vector:
-            if self._vector_compare(k, step, in_names, out_names):
-                return
-            if self._vector_partition(k, step, out_names):
-                return
+        if self._lane_compare(k, step, in_names, out_names):
+            return
+        if self._union_partition(k, step, out_names):
+            return
         # known handler: inline the argument materialization (the
         # builtin_call_args descriptor walk resolves at generation
         # time — a VAR argument is statically bound or not) and call
-        # the compiled handler directly with a minimal root binding
-        memo = self.vector
-        if memo:
-            # rows mode: the handler is a pure function of its bound
-            # inputs, so the whole extension list memoizes on the input
-            # row IDs — repeat bindings (the measured common case for
-            # divide-and-conquer set builtins) replay cached rid tuples
-            # instead of re-materializing terms and re-running the
-            # solver.  Errors propagate uncached: the store happens
-            # after the handler loop completes.
-            self.env[f"_M{k}"] = {}
-            emit(f"_key{k} = {self.ins_expr(in_names)}")
-            emit(f"_z{k} = _M{k}.get(_key{k})")
-            emit(f"if _z{k} is None:")
-            self.depth += 1
-            emit(f"_z{k} = []")
+        # the compiled handler directly with a minimal root binding.
+        # The handler is a pure function of its bound inputs, so the
+        # whole extension list memoizes on the input row IDs — repeat
+        # bindings (the measured common case for divide-and-conquer set
+        # builtins) replay cached rid tuples instead of re-materializing
+        # terms and re-running the solver.  Errors propagate uncached:
+        # the store happens after the handler loop completes.
+        self.env[f"_M{k}"] = {}
+        emit(f"_key{k} = {self.ins_expr(in_names)}")
+        emit(f"_z{k} = _M{k}.get(_key{k})")
+        emit(f"if _z{k} is None:")
+        self.depth += 1
+        emit(f"_z{k} = []")
         for name in in_names:
             self.bound_local(name)
         if in_names:
@@ -607,36 +583,26 @@ class _Codegen:
         self.env[hname] = handler
         emit(f"for _x{k} in {hname}(({', '.join(arg_exprs)}{comma}), {bnd}):")
         self.depth += 1
-        if memo:
-            rid_exprs = []
-            for j2, name in enumerate(out_names):
-                emit(f"_o{k}_{j2} = _x{k}[{name!r}]")
-                emit(f"_or{k}_{j2} = _o{k}_{j2}._rid")
-                emit(f"if _or{k}_{j2} is None:")
-                emit(f"    _or{k}_{j2} = _rid(_o{k}_{j2})")
-                rid_exprs.append(f"_or{k}_{j2}")
-            comma2 = "," if len(rid_exprs) == 1 else ""
-            emit(f"_z{k}.append(({', '.join(rid_exprs)}{comma2}))")
-            self.depth -= 1  # close the handler loop
-            emit(f"if len(_M{k}) < 65536:")
-            emit(f"    _M{k}[_key{k}] = _z{k}")
-            self.depth -= 1  # close the memo-miss branch
-            emit(f"for _y{k} in _z{k}:")
-            self.depth += 1
-            if out_names:
-                targets = ", ".join(self.local_for(n) for n in out_names)
-                comma3 = "," if len(out_names) == 1 else ""
-                emit(f"{targets}{comma3} = _y{k}")
-                self.assigned.update(out_names)
-            emit(f"_c{k} += 1")
-            return
-        for name in out_names:
-            loc = self.local_for(name)
-            emit(f"_o{k} = _x{k}[{name!r}]")
-            emit(f"{loc} = _o{k}._rid")
-            emit(f"if {loc} is None:")
-            emit(f"    {loc} = _rid(_o{k})")
-            self.assigned.add(name)
+        rid_exprs = []
+        for j2, name in enumerate(out_names):
+            emit(f"_o{k}_{j2} = _x{k}[{name!r}]")
+            emit(f"_or{k}_{j2} = _o{k}_{j2}._rid")
+            emit(f"if _or{k}_{j2} is None:")
+            emit(f"    _or{k}_{j2} = _rid(_o{k}_{j2})")
+            rid_exprs.append(f"_or{k}_{j2}")
+        comma2 = "," if len(rid_exprs) == 1 else ""
+        emit(f"_z{k}.append(({', '.join(rid_exprs)}{comma2}))")
+        self.depth -= 1  # close the handler loop
+        emit(f"if len(_M{k}) < 65536:")
+        emit(f"    _M{k}[_key{k}] = _z{k}")
+        self.depth -= 1  # close the memo-miss branch
+        emit(f"for _y{k} in _z{k}:")
+        self.depth += 1
+        if out_names:
+            targets = ", ".join(self.local_for(n) for n in out_names)
+            comma3 = "," if len(out_names) == 1 else ""
+            emit(f"{targets}{comma3} = _y{k}")
+            self.assigned.update(out_names)
         emit(f"_c{k} += 1")
 
     def _emit_fold(self, k: int, arg) -> None:
@@ -661,7 +627,7 @@ class _Codegen:
     _SAFE_ARITH = frozenset({"+", "-", "*", "min", "max", "abs"})
 
     def _arith_numeric(self, k: int, arg):
-        """The rows-mode numeric fast lane for one ARITH argument:
+        """The numeric fast lane for one ARITH argument:
         ``(guard_expr, rid_expr)``, or None when ineligible.
 
         Emits one ``_NT`` (numeric-lane) load per variable operand at
@@ -710,8 +676,26 @@ class _Codegen:
         guard = " and ".join(checks) if checks else "True"
         return guard, f"_nr({expr})"
 
-    def _vector_compare(self, k: int, step, in_names, out_names) -> bool:
-        """Rows-mode comparison over the numeric lane: when both sides
+    def _lane_guard(self, k: int, arg, use: str) -> int:
+        """Open the numeric-lane branch for one ARITH argument when it
+        is eligible: ``use`` (source lines, ``{}`` standing for the
+        result's row ID) runs when every operand is numeric, and the
+        caller's exact fold/slow chain goes in the ``else:`` this
+        opens.  Returns the indent it added, for the caller to close
+        (0 when the argument is ineligible and nothing was emitted)."""
+        parts = self._arith_numeric(k, arg)
+        if parts is None:
+            return 0
+        guard, rid_expr = parts
+        self.emit(f"if {guard}:")
+        for line in use.format(rid_expr).split("\n"):
+            self.emit("    " + line)
+        self.emit("else:")
+        self.depth += 1
+        return 1
+
+    def _lane_compare(self, k: int, step, in_names, out_names) -> bool:
+        """Comparison over the numeric lane: when both sides
         are bound variables or numeric constants, ``<``/``<=``/``>``/
         ``>=`` compare raw lane values directly; rows where either side
         is non-numeric route through the exact slow path (which owns
@@ -763,8 +747,8 @@ class _Codegen:
         emit(f"_c{k} += 1")
         return True
 
-    def _vector_partition(self, k: int, step, out_names) -> bool:
-        """Rows-mode ``partition(Whole, P1, P2)`` with both parts bound
+    def _union_partition(self, k: int, step, out_names) -> bool:
+        """``partition(Whole, P1, P2)`` with both parts bound
         and the whole a fresh variable: one call to the memoized
         ID-space union kernel replaces status checks, set allocation,
         and binding construction per row (-1 means the built-in is
@@ -851,29 +835,15 @@ class _Codegen:
                 ins = self.ins_expr(in_names)
                 hname = f"_uq{k}"
                 self.env[hname] = _single_out_rid(step, in_names, payload)
-                parts = self._arith_numeric(k, other) if self.vector else None
-                if parts is not None:
-                    guard, rid_expr = parts
-                    emit(f"if {guard}:")
-                    emit(f"    _y{k} = {rid_expr}")
-                    emit("else:")
-                    self.depth += 1
-                    self._emit_fold(k, other)
-                    emit(f"if _w{k} is None:")
-                    emit(f"    _y{k} = {hname}({ins})")
-                    emit("else:")
-                    emit(f"    _y{k} = _w{k}._rid")
-                    emit(f"    if _y{k} is None:")
-                    emit(f"        _y{k} = _rid(_w{k})")
-                    self.depth -= 1
-                else:
-                    self._emit_fold(k, other)
-                    emit(f"if _w{k} is None:")
-                    emit(f"    _y{k} = {hname}({ins})")
-                    emit("else:")
-                    emit(f"    _y{k} = _w{k}._rid")
-                    emit(f"    if _y{k} is None:")
-                    emit(f"        _y{k} = _rid(_w{k})")
+                lane = self._lane_guard(k, other, f"_y{k} = {{}}")
+                self._emit_fold(k, other)
+                emit(f"if _w{k} is None:")
+                emit(f"    _y{k} = {hname}({ins})")
+                emit("else:")
+                emit(f"    _y{k} = _w{k}._rid")
+                emit(f"    if _y{k} is None:")
+                emit(f"        _y{k} = _rid(_w{k})")
+                self.depth -= lane
                 emit(f"if _y{k} < 0:")
                 emit("    continue")
                 loc = self.local_for(payload)
@@ -887,130 +857,47 @@ class _Codegen:
                 ins = self.ins_expr(in_names)
                 hname = f"_uf{k}"
                 self.env[hname] = _filter_holds(step, in_names)
-                parts = self._arith_numeric(k, other) if self.vector else None
-                if parts is not None:
-                    guard, rid_expr = parts
-                    emit(f"if {guard}:")
-                    emit(f"    if {rid_expr} != {gthis}:")
-                    emit("        continue")
-                    emit("else:")
-                    self.depth += 1
-                    self._emit_fold(k, other)
-                    emit(f"if _w{k} is None:")
-                    emit(f"    if not {hname}({ins}):")
-                    emit("        continue")
-                    emit("else:")
-                    emit(f"    _y{k} = _w{k}._rid")
-                    emit(f"    if _y{k} is None:")
-                    emit(f"        _y{k} = _rid(_w{k})")
-                    emit(f"    if _y{k} != {gthis}:")
-                    emit("        continue")
-                    self.depth -= 1
-                else:
-                    self._emit_fold(k, other)
-                    emit(f"if _w{k} is None:")
-                    emit(f"    if not {hname}({ins}):")
-                    emit("        continue")
-                    emit("else:")
-                    emit(f"    _y{k} = _w{k}._rid")
-                    emit(f"    if _y{k} is None:")
-                    emit(f"        _y{k} = _rid(_w{k})")
-                    emit(f"    if _y{k} != {gthis}:")
-                    emit("        continue")
+                lane = self._lane_guard(
+                    k, other, f"if {{}} != {gthis}:\n    continue"
+                )
+                self._emit_fold(k, other)
+                emit(f"if _w{k} is None:")
+                emit(f"    if not {hname}({ins}):")
+                emit("        continue")
+                emit("else:")
+                emit(f"    _y{k} = _w{k}._rid")
+                emit(f"    if _y{k} is None:")
+                emit(f"        _y{k} = _rid(_w{k})")
+                emit(f"    if _y{k} != {gthis}:")
+                emit("        continue")
+                self.depth -= lane
                 emit(f"_c{k} += 1")
                 return True
         return False
 
-    # -- emission epilogue (innermost loop body) ---------------------------
+    # -- emission ----------------------------------------------------------
 
-    def head_row_expr(self, sub: dict[str, str]) -> str:
-        """The head ID-row tuple expression for rows mode.  ``sub``
+    def row_expr(self, sub: dict[str, str]) -> str:
+        """The output template's ID-tuple expression.  ``sub``
         overrides the expression for variables bound by a fused last
-        step (direct row subscripts); everything else must already be
-        assigned a local.  Constants bake as row-ID literals."""
-        head = self.plan.head
-        if head is None:
-            raise _Unsupported("body-only plan has no head template")
-        if not head.fast:
-            raise _Unsupported("rows mode needs a fast head template")
+        step (direct row subscripts); every other template variable
+        must already be assigned a local.  Constants bake as row-ID
+        literals."""
         rids = []
-        for kindh, payload in head.parts:
-            if kindh == VAR:
+        for kind, payload in self.template:
+            if kind == VAR:
                 expr = sub.get(payload)
                 if expr is None:
                     if payload not in self.assigned:
-                        # head variable the body never binds: atoms mode
-                        # handles it via per-row ground_atom; rows mode
-                        # cannot (a U-drop would break count parity)
-                        raise _Unsupported("head variable never bound")
+                        raise _Unsupported(
+                            f"template variable {payload!r} never bound"
+                        )
                     expr = self.locals[payload]
                 rids.append(expr)
             else:
-                rids.append(str(row_id(payload)))
+                rids.append(str(payload))
         comma = "," if len(rids) == 1 else ""
         return f"({', '.join(rids)}{comma})"
-
-    def binding_dict_expr(self) -> str:
-        """A dict literal of the full output binding: seed variables
-        keep their original term values (from ``base``), body-bound
-        variables materialize from the ID table."""
-        entries = [
-            f"{name!r}: base[{name!r}]" for name in sorted(self.plan.initially_bound)
-        ]
-        for name, loc in self.locals.items():
-            if name in self.plan.initially_bound:
-                continue
-            if name in self.assigned:
-                entries.append(f"{name!r}: _T[{loc}]")
-        return "{" + ", ".join(entries) + "}"
-
-    def emit_result(self) -> None:
-        if self.mode == "rows":
-            self.emit(f"_ap({self.head_row_expr({})})")
-            return
-        if self.mode == "bindings":
-            self.emit(f"_ap(_CB(root={self.binding_dict_expr()}))")
-            return
-        head = self.plan.head
-        if head is None:
-            raise _Unsupported("body-only plan has no head template")
-        parts = []
-        rids = []
-        fast = head.fast
-        if fast:
-            for i, (kindh, payload) in enumerate(head.parts):
-                if kindh == VAR:
-                    if payload in self.plan.initially_bound:
-                        parts.append(f"base[{payload!r}]")
-                        rids.append(self.bound_local(payload))
-                    elif payload in self.assigned:
-                        parts.append(f"_T[{self.locals[payload]}]")
-                        rids.append(self.locals[payload])
-                    else:
-                        # head variable the body never binds: per-row
-                        # ground_atom fallback, like the term template
-                        fast = False
-                        break
-                else:
-                    cname = f"_k{i}"
-                    self.env[cname] = payload
-                    parts.append(cname)
-                    rids.append(str(row_id(payload)))
-        if fast:
-            comma = "," if len(parts) == 1 else ""
-            self.emit(
-                f"_a = _Atom({head.atom.pred!r}, ({', '.join(parts)}{comma}))"
-            )
-            self.emit("_a._ground = True")
-            # the ID row rides along so Database.add skips re-encoding
-            self.emit(f"_a._row = ({', '.join(rids)}{comma})")
-            self.emit("_ap(_a)")
-        else:
-            self.env["_H"] = head.atom
-            self.emit(f"_d = {self.binding_dict_expr()}")
-            self.emit("_f = _ga(_H, _d)")
-            self.emit("if _f is not None:")
-            self.emit("    _ap(_f)")
 
     # -- assembly ----------------------------------------------------------
 
@@ -1020,13 +907,11 @@ class _Codegen:
         for k, step in enumerate(steps):
             self.pro.append(f"_c{k} = 0")
             if step.kind == "relation":
-                # rows mode fuses the last relation step with emission
-                # (whole-column comprehension) unless it needs the
+                # the last relation step fuses with emission (one
+                # whole-column comprehension) unless it needs the
                 # general residual matcher
-                fuse = (
-                    self.vector
-                    and k == last
-                    and not (step.residuals and step.simple_residuals is None)
+                fuse = k == last and not (
+                    step.residuals and step.simple_residuals is None
                 )
                 self.relation_step(k, step, fuse=fuse)
             elif step.kind == "negation":
@@ -1036,68 +921,151 @@ class _Codegen:
             else:
                 raise _Unsupported(f"unknown step kind {step.kind!r}")
         if not self.fused:
-            self.emit_result()
-        lines = ["def _specialized(db, overrides, seed, base, negdb, steps):"]
+            self.emit(f"_ap({self.row_expr({})})")
+        lines = ["def _specialized(db, overrides, seed, negdb, steps):"]
         lines.append("    out = []")
-        lines.append("    _ap = out.append")
-        if self.vector:
-            lines.append("    _xt = out.extend")
+        lines.append("    _xt = out.extend" if self.fused else "    _ap = out.append")
         lines.extend("    " + line for line in self.pro)
         lines.append("    for _root in _ONE:")
         lines.extend(self.body)
-        if steps or self.vector:
-            # one exec_steps event per run: each step's binding count,
-            # and the rows a rows-mode closure emitted
-            counts = "".join(f"_c{k}," for k in range(len(steps)))
-            rows = "len(out)" if self.vector else "None"
-            lines.append("    if steps is not None:")
-            lines.append(f"        steps(counts=({counts}), rows={rows})")
+        # one exec_steps event per run: each step's binding count, and
+        # the tuples the closure emitted
+        counts = "".join(f"_c{k}," for k in range(len(steps)))
+        lines.append("    if steps is not None:")
+        lines.append(f"        steps(counts=({counts}), rows=len(out))")
         lines.append("    return out")
         return "\n".join(lines) + "\n", self.env
 
 
-def _generate(plan: RulePlan, mode: str) -> tuple[str, dict]:
-    return _Codegen(plan, mode).build()
+def _generate(plan: RulePlan, template: tuple) -> tuple[str, dict]:
+    return _Codegen(plan, template).build()
+
+
+def head_template(plan: RulePlan) -> tuple | None:
+    """The head's output template, or None.  Only a seedless plan with
+    a fast head has one: a seeded head slot would emit the seed's class
+    ID, losing the caller's spelling."""
+    head = plan.head
+    if head is None or not head.fast or plan.initially_bound:
+        return None
+    return tuple(
+        (VAR, payload) if kind == VAR else (CONST, row_id(payload))
+        for kind, payload in head.parts
+    )
+
+
+def body_variables(plan: RulePlan) -> tuple[str, ...]:
+    """The variable template's names: every variable the body binds,
+    minus the seeded ones, in binding order."""
+    names: list[str] = []
+    for step in plan.steps:
+        if step.kind != "negation":
+            names.extend(sorted(step.literal.atom.variables() - step.bound_before))
+    return tuple(names)
 
 
 # -- the compiled-plan wrapper ----------------------------------------------
 
 
 #: Process-wide source → code-object memo.  Plan caches live per
-#: EvalContext, so the same rule re-specializes on every evaluation;
-#: its generated source is deterministic (locals are numbered in
-#: discovery order, constants are baked as row-ID literals, which are
-#: stable for the life of the intern table), so ``compile`` — by far
-#: the expensive part — runs once per distinct source per process.
-#: After ``clear_intern_table`` the baked IDs change, so stale entries
-#: mismatch by text and are simply never reused.
+#: compiled program, so the same rule re-specializes for every program
+#: that holds it; its generated source is deterministic (locals are
+#: numbered in discovery order, constants are baked as row-ID literals,
+#: which are stable for the life of the intern table), so ``compile`` —
+#: by far the expensive part — runs once per distinct source per
+#: process.  After ``clear_intern_table`` the baked IDs change, so stale
+#: entries mismatch by text and are simply never reused.
 _CODE_CACHE: dict[tuple[str, str], object] = {}
 
 
+def _define(source: str, label: str, env: dict, name: str):
+    """Execute generated ``source`` in ``env`` (through the code memo)
+    and return the function it defines as ``name``."""
+    key = (label, source)
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        code = _CODE_CACHE[key] = compile(source, label, "exec")
+    exec(code, env)
+    return env[name]
+
+
+def _binding_decoder(seeded: tuple[str, ...], names: tuple[str, ...]):
+    """Generate the decoder from variable-template rows to bindings:
+    one list comprehension with every name baked in.  Seeded names keep
+    their values from ``base`` verbatim, as the reference keeps the
+    caller's seed; body-bound names decode to class representatives."""
+    entries = [f"{name!r}: _b{i}" for i, name in enumerate(seeded)]
+    entries += [f"{name!r}: _T[_a{i}]" for i, name in enumerate(names)]
+    target = "(" + "".join(f"_a{i}, " for i in range(len(names))) + ")"
+    lines = ["def _decode(rows, base):"]
+    lines += [f"    _b{i} = base[{name!r}]" for i, name in enumerate(seeded)]
+    lines.append(
+        f"    return [_CB(root={{{', '.join(entries)}}}) for {target} in rows]"
+    )
+    env = {"_T": _ID_TABLE, "_CB": ChainBinding}
+    return _define("\n".join(lines) + "\n", "<bindings>", env, "_decode")
+
+
+def _fact_decoder(pred: str, parts: tuple):
+    """Generate the decoder from head-template rows to ground atoms,
+    each carrying its row so ``Database.add`` skips re-encoding.
+    Variable slots decode to class representatives; constant slots
+    reuse the rule's constant verbatim, as instantiating the head
+    would."""
+    env = {"_T": _ID_TABLE, "_A": Atom}
+    args = []
+    for i, (kind, payload) in enumerate(parts):
+        if kind == VAR:
+            args.append(f"_T[_a{i}]")
+        else:
+            env[f"_k{i}"] = payload
+            args.append(f"_k{i}")
+    comma = "," if len(args) == 1 else ""
+    target = "(" + "".join(f"_a{i}, " for i in range(len(parts))) + ")"
+    lines = [
+        "def _facts(rows):",
+        "    out = []",
+        "    _ap = out.append",
+        "    for _r in rows:",
+        f"        {target} = _r",
+        f"        _f = _A({pred!r}, ({', '.join(args)}{comma}))",
+        "        _f._ground = True",
+        "        _f._row = _r",
+        "        _ap(_f)",
+        "    return out",
+    ]
+    return _define("\n".join(lines) + "\n", "<facts>", env, "_facts")
+
+
 class SpecializedPlan:
-    """Lazy per-mode compilation cache hung off a :class:`RulePlan`.
+    """Lazy compilation cache hung off a :class:`RulePlan`.
 
-    Each mode compiles at most once; an unsupported shape caches False
-    so the codegen is not re-attempted per call."""
+    Holds at most two closures, one per output template (``"head"`` and
+    ``"vars"``), each compiled at most once — an unsupported shape
+    caches False so the codegen is not re-attempted per call — plus the
+    decoders for their rows, each generated once."""
 
-    __slots__ = ("plan", "_fns", "_decode")
+    __slots__ = ("plan", "variables", "_fns", "_decode", "_binder", "_facts")
 
     def __init__(self, plan: RulePlan) -> None:
         self.plan = plan
+        self.variables = body_variables(plan)
         self._fns: dict[str, object] = {}
         self._decode = False  # not computed yet; None is a result
+        self._binder = None
+        self._facts = None
 
     def decoder(self):
-        """The rows→args slot decoder for this plan's head, or None
-        when every head slot decodes to itself.
+        """The head rows→args slot decoder, or None when every head
+        slot decodes to itself.
 
-        A rows-mode row holds equality-class IDs, which decode to class
+        A head row holds equality-class IDs, which decode to class
         representatives.  That is the right spelling for a variable
         slot, and for a constant slot whose evaluated constant *is* its
         representative; a constant spelled otherwise (``'a'`` for the
         class of ``a``) keeps its spelling only through the decoder,
-        which reuses the rule's constant verbatim — exactly what atoms
-        mode emits.  Relations record the spellings it returns."""
+        which reuses the rule's constant verbatim, as instantiating the
+        head would.  Relations record the spellings it returns."""
         fn = self._decode
         if fn is False:
             table = _ID_TABLE
@@ -1118,41 +1086,65 @@ class SpecializedPlan:
             self._decode = fn
         return fn
 
-    def _function(self, mode: str):
-        fn = self._fns.get(mode)
+    def binder(self):
+        """The variable rows → :class:`ChainBinding` list decoder,
+        called as ``binder()(rows, base)`` and generated once per plan
+        (:func:`_binding_decoder`)."""
+        fn = self._binder
+        if fn is None:
+            fn = self._binder = _binding_decoder(
+                tuple(sorted(self.plan.initially_bound)), self.variables
+            )
+        return fn
+
+    def fact_decoder(self):
+        """The head rows → :class:`Atom` list decoder, generated once
+        per plan (:func:`_fact_decoder`)."""
+        fn = self._facts
+        if fn is None:
+            head = self.plan.head
+            fn = self._facts = _fact_decoder(head.atom.pred, head.parts)
+        return fn
+
+    def _function(self, kind: str):
+        fn = self._fns.get(kind)
         if fn is None:
             plan = self.plan
+            if kind == "head":
+                template = head_template(plan)
+            else:
+                template = tuple((VAR, name) for name in self.variables)
             try:
-                source, env = _generate(plan, mode)
+                if template is None:
+                    raise _Unsupported("no head template")
+                source, env = _generate(plan, template)
                 label = plan.head.atom.pred if plan.head is not None else "body"
-                key = (f"<specialized:{label}:{mode}>", source)
-                code = _CODE_CACHE.get(key)
-                if code is None:
-                    code = compile(source, key[0], "exec")
-                    _CODE_CACHE[key] = code
-                exec(code, env)
-                fn = env["_specialized"]
+                fn = _define(
+                    source, f"<specialized:{label}>", env, "_specialized"
+                )
             except _Unsupported:
                 fn = False
-            self._fns[mode] = fn
+            self._fns[kind] = fn
         return fn
 
     def run(
         self,
-        mode: str,
+        kind: str,
         db: Database,
-        binding: Mapping[str, Term] | None,
+        base: Mapping[str, Term],
         overrides: SourceOverrides | None,
         negation_db: Database | None,
         steps,
     ):
-        """Run one mode, or :data:`FALLBACK` (always before consuming
-        any override source, so the fallback sees fresh iterators)."""
+        """Run the ``kind`` template's closure (``"head"`` or
+        ``"vars"``) seeded with ``base`` (initially-bound name → term):
+        the emitted ID tuples, or :data:`FALLBACK` (always before
+        consuming any override source, so the fallback sees fresh
+        iterators)."""
         plan = self.plan
-        base = {} if binding is None else materialize(binding)
         if frozenset(base) != plan.initially_bound:
             return FALLBACK
-        fn = self._function(mode)
+        fn = self._function(kind)
         if fn is False:
             return FALLBACK
         try:
@@ -1160,7 +1152,7 @@ class SpecializedPlan:
         except (TypeError, AttributeError):
             return FALLBACK
         negdb = db if negation_db is None else negation_db
-        return fn(db, overrides, seed, base, negdb, steps)
+        return fn(db, overrides, seed, negdb, steps)
 
 
 def specialized_plan(plan: RulePlan) -> SpecializedPlan:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
-from repro.engine.exec import RowBatch, derive_facts, derive_rows
+from repro.engine.exec import RowBatch, derive_rows
 from repro.names import is_builtin_predicate
 from repro.program.rule import Atom, Rule
 
@@ -60,16 +60,11 @@ def occurrence_index(rules: Sequence[Rule]) -> list[tuple[Rule, int]]:
     return index
 
 
-def _derive_any(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None):
-    """One rule application, preferring the vectorized rows shape.
-
-    Returns ``(dr, facts)`` — exactly one is non-None.  ``dr`` (a
-    :class:`~repro.engine.exec.DerivedRows`) carries the emitted head
-    ID rows for bulk insertion; ``facts`` is the per-Atom fallback.
-    ``rule_fired`` counts are identical either way: the rows mode
-    emits one row per would-be fact (it requires a fast head, which
-    never drops bindings).
-    """
+def _derive(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None):
+    """One rule application: its head facts as a
+    :class:`~repro.engine.exec.DerivedRows` batch of ID rows, one per
+    derivation, so ``rule_fired`` reports the same count on every
+    executor."""
     on = ctx.on
     fired = on.rule_fired
     start = perf_counter() if fired is not None else 0.0
@@ -77,19 +72,9 @@ def _derive_any(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None
         db, plan, overrides=overrides, executor=ctx.executor,
         steps=on.exec_steps,
     )
-    facts = None
-    if dr is None:
-        facts = derive_facts(
-            db, plan, overrides=overrides, executor=ctx.executor,
-            steps=on.exec_steps,
-        )
     if fired is not None:
-        fired(
-            rule=rule,
-            derived=len(dr.rows) if dr is not None else len(facts),
-            seconds=perf_counter() - start,
-        )
-    return dr, facts
+        fired(rule=rule, derived=len(dr.rows), seconds=perf_counter() - start)
+    return dr
 
 
 def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
@@ -100,37 +85,24 @@ def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
     return entry
 
 
-def _install(
-    ctx: EvalContext, db: Database, rule: Rule, dr, facts, delta=None
-) -> int:
-    """Add one rule application's derivations (``dr`` or ``facts``, as
-    :func:`_derive_any` returned them) to ``db``; returns how many were
-    new.  New facts go into ``delta`` when given, and reach a
-    ``fact_derived`` handler when there is one — bulk rows decode for
-    that alone."""
-    derived = ctx.on.fact_derived
-    if dr is not None:
-        fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
-        if fresh:
-            if delta is not None:
-                _delta_batch(delta, dr.pred, dr.arity).extend(fresh, dr.decode)
-            if derived is not None:
-                args_of = db.get_relation(dr.pred).args_of
-                for row in fresh:
-                    fact = Atom(dr.pred, args_of(row))
-                    fact._ground = True
-                    fact._row = row
-                    derived(fact=fact, rule=rule)
-        return len(fresh)
-    new = 0
-    for fact in facts:
-        if db.add(fact):
-            new += 1
-            if derived is not None:
+def _install(ctx: EvalContext, db: Database, rule: Rule, dr, delta=None) -> int:
+    """Bulk-add one rule application's rows to ``db``; returns how many
+    were new.  New rows go into ``delta`` when given, and reach a
+    ``fact_derived`` handler when there is one — rows decode for that
+    alone."""
+    fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
+    if fresh:
+        if delta is not None:
+            _delta_batch(delta, dr.pred, dr.arity).extend(fresh, dr.decode)
+        derived = ctx.on.fact_derived
+        if derived is not None:
+            args_of = db.get_relation(dr.pred).args_of
+            for row in fresh:
+                fact = Atom(dr.pred, args_of(row))
+                fact._ground = True
+                fact._row = row
                 derived(fact=fact, rule=rule)
-            if delta is not None:
-                _delta_batch(delta, fact.pred, len(fact.args)).add_fact(fact)
-    return new
+    return len(fresh)
 
 
 def single_pass(
@@ -150,9 +122,9 @@ def single_pass(
     stats = FixpointStats(iterations=1)
     ctx.refresh_sizes()
     for rule in rules:
-        dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
+        dr = _derive(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
-        stats.facts_derived += _install(ctx, db, rule, dr, facts)
+        stats.facts_derived += _install(ctx, db, rule, dr)
     if ctx.on.iteration is not None:
         ctx.on.iteration(
             iteration=stats.iterations, new_facts=stats.facts_derived
@@ -176,12 +148,9 @@ def naive_fixpoint(
         # and add afterwards.
         pending = []
         for rule in rules:
-            dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
+            pending.append((rule, _derive(ctx, db, rule, ctx.plan_for(rule))))
             stats.rule_firings += 1
-            pending.append((rule, dr, facts))
-        new = sum(
-            _install(ctx, db, rule, dr, facts) for rule, dr, facts in pending
-        )
+        new = sum(_install(ctx, db, rule, dr) for rule, dr in pending)
         stats.facts_derived += new
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=new)
@@ -208,9 +177,9 @@ def seminaive_fixpoint(
     ctx.refresh_sizes()
     delta: dict[str, object] = {}
     for rule in rules:
-        dr, facts = _derive_any(ctx, db, rule, ctx.plan_for(rule))
+        dr = _derive(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
-        stats.facts_derived += _install(ctx, db, rule, dr, facts, delta)
+        stats.facts_derived += _install(ctx, db, rule, dr, delta)
     if ctx.on.iteration is not None:
         ctx.on.iteration(
             iteration=stats.iterations, new_facts=stats.facts_derived
@@ -251,11 +220,9 @@ def seminaive_rounds(
             if not changed:
                 continue
             plan = ctx.plan_for(rule, first=occurrence)
-            dr, facts = _derive_any(
-                ctx, db, rule, plan, overrides={occurrence: changed}
-            )
+            dr = _derive(ctx, db, rule, plan, overrides={occurrence: changed})
             stats.rule_firings += 1
-            round_new += _install(ctx, db, rule, dr, facts, next_delta)
+            round_new += _install(ctx, db, rule, dr, next_delta)
         stats.facts_derived += round_new
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=round_new)

@@ -51,8 +51,8 @@ from repro.terms.term import id_table_size
 #: * ``fact_derived`` — one new fact and the rule that derived it (the
 #:   only event that makes the engine decode ID rows);
 #: * ``exec_steps`` — one run of a compiled closure: ``counts`` holds the
-#:   bindings each plan step produced, ``rows`` the rows a rows-mode
-#:   closure emitted (None in the other modes);
+#:   bindings each plan step produced, ``rows`` the ID tuples the
+#:   closure emitted;
 #: * ``delta_batch`` — one maintained update published its net delta
 #:   (``lsn`` of the WAL record or None, ``inserted``/``deleted`` net
 #:   fact counts, ``stats`` its :class:`~repro.engine.incremental.UpdateStats`);
@@ -274,8 +274,8 @@ class MetricsCollector:
     integer tallies: ``plans_built`` and ``plan_cache_hits``; the
     compiled closures' per-step binding counts (``batch_steps`` steps
     entered, ``batch_bindings`` bindings they produced, ``batch_peak``
-    the largest) and rows-mode runs (``kernel_calls`` closures that
-    emitted ``kernel_rows`` head rows, with ``rows_per_dispatch``
+    the largest) and their runs (``kernel_calls`` compiled runs that
+    emitted ``kernel_rows`` ID tuples, with ``rows_per_dispatch``
     derived in :meth:`report`); maintenance tallies (``maint_*``,
     ``maintain_dispatches``/``maintain_rows``); storage I/O
     (``storage_bytes_written``, ``storage_fsyncs``, WAL records
@@ -339,7 +339,7 @@ class MetricsCollector:
     def on_rule_fired(self, rule, derived: int, seconds: float) -> None:
         self.add_time("grouping" if rule.is_grouping() else "match", seconds)
 
-    def on_exec_steps(self, counts: tuple[int, ...], rows: int | None) -> None:
+    def on_exec_steps(self, counts: tuple[int, ...], rows: int) -> None:
         # step k ran iff the batch entering it (step k-1's output) was
         # non-empty; step 0 always runs
         counters = self.counters
@@ -350,9 +350,8 @@ class MetricsCollector:
             counters["batch_bindings"] = counters.get("batch_bindings", 0) + size
             if size > counters.get("batch_peak", 0):
                 counters["batch_peak"] = size
-        if rows is not None:
-            counters["kernel_calls"] = counters.get("kernel_calls", 0) + 1
-            counters["kernel_rows"] = counters.get("kernel_rows", 0) + rows
+        counters["kernel_calls"] = counters.get("kernel_calls", 0) + 1
+        counters["kernel_rows"] = counters.get("kernel_rows", 0) + rows
 
     def on_delta_batch(self, lsn, mode, inserted, deleted, stats) -> None:
         self.incr("maint_updates")

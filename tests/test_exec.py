@@ -4,8 +4,10 @@ Covers the default compiled lane against the reference executor on
 fixed bodies (joins, anti-join negation, override-source joins,
 builtins, metrics), the fallback to the reference for plans the
 compiled lane declines, the executor selection machinery, fixed-program
-differentials, and a Hypothesis property holding every compiled mode to
-the reference on every rule of random programs.
+differentials, that the default executor reaches the reference on no
+engine path, and a Hypothesis property holding the one compiled shape
+(variable rows and head rows) to the reference on every rule of random
+programs.
 """
 
 import os
@@ -30,16 +32,18 @@ from repro.engine.exec import (
     set_default_executor,
 )
 from repro.engine.exec import specialize
-from repro.engine.exec.specialize import FALLBACK, specialized_plan
+from repro.engine.exec.specialize import FALLBACK, head_template, specialized_plan
 from repro.engine.grouping import apply_grouping_rule
+from repro.engine.maintain.maintainer import DeltaMaintainer
 from repro.engine.match import match_atom
 from repro.engine.plan import compile_rule
 from repro.engine.relation import decode_row, encode_args
 from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
-from repro.parser import parse_atom, parse_rule
+from repro.parser import parse_atom, parse_program, parse_rule
 from repro.program.rule import Atom
-from repro.terms.pretty import format_atom
+from repro.semantics.wellfounded import wellfounded
+from repro.terms.pretty import format_atom, format_term
 from repro.terms.term import Const
 
 from tests.helpers import facts_of, run
@@ -195,7 +199,7 @@ class TestFallbackToReference:
         plan = compile_rule(parse_rule("p(X, Y) <- e(X, Y)."))
         seed = {"X": Const(1)}
         assert specialized_plan(plan).run(
-            "bindings", db, seed, None, None, None
+            "vars", db, seed, None, None, None
         ) is FALLBACK
         got = _normalized(compiled(db, plan, binding=seed))
         assert got == _normalized(run_plan_tuple(db, plan, binding=seed))
@@ -209,8 +213,8 @@ class TestFallbackToReference:
         assert len(list(compiled(db, plan, binding=seed, overrides=overrides))) == 4
 
     def test_unsupported_shape(self, monkeypatch):
-        def unsupported(plan, mode):
-            raise specialize._Unsupported(mode)
+        def unsupported(plan, template):
+            raise specialize._Unsupported(repr(template))
 
         monkeypatch.setattr(specialize, "_generate", unsupported)
         db = db_of("e(1)", "e(2)")
@@ -219,12 +223,12 @@ class TestFallbackToReference:
         def source():
             return {_d_index(plan): iter([(Const(5),), (Const(6),)])}
 
-        assert derive_rows(db, plan, overrides=source()) is None
         facts = derive_facts(db, plan, overrides=source(), executor="batch")
         assert sorted(map(str, facts)) == sorted(map(str, derive_facts(
             db, plan, overrides=source(), executor="tuple"
         )))
         assert len(facts) == 4
+        assert len(derive_rows(db, plan, overrides=source()).rows) == 4
         assert len(list(compiled(db, plan, overrides=source()))) == 4
 
     def test_seed_value_that_cannot_be_interned(self):
@@ -233,23 +237,33 @@ class TestFallbackToReference:
         plan = compile_rule(rule, initially_bound=frozenset({"X"}))
         seed = {"X": object()}
         assert specialized_plan(plan).run(
-            "bindings", db, seed, None, None, None
+            "vars", db, seed, None, None, None
         ) is FALLBACK
         assert list(compiled(db, plan, binding=seed)) == []
 
-    def test_derive_rows_declines_only_reference_or_headless(self):
-        db = db_of("e(1, 2)", "e(2, 3)")
-        plan = compile_rule(parse_rule("t(X, Y) <- e(X, Y)."))
-        assert derive_rows(db, plan, executor="tuple") is None
-        dr = derive_rows(db, plan, executor="batch")
-        assert dr is not None and dr.pred == "t" and dr.arity == 2
-        assert dr.decode is None  # every head slot decodes to itself
-        assert {decode_row(row) for row in dr.rows} == {
-            (Const(1), Const(2)),
-            (Const(2), Const(3)),
-        }
+    def test_derive_rows_is_total_on_both_executors(self):
+        """Every headed plan derives rows on either executor — fast
+        heads straight from the compiled closure, non-fast heads and the
+        reference by instantiating and encoding — and the rows decode
+        to the same printed facts."""
+        db = db_of("p('a')", "p(b)", "p(2)")
+        for src in ("s(f(X)) <- p(X).", "r('a', X) <- p(X)."):
+            plan = compile_rule(parse_rule(src))
+            printed = {}
+            for name in EXECUTORS:
+                dr = derive_rows(db, plan, executor=name)
+                decode = dr.decode or decode_row
+                printed[name] = sorted(
+                    format_atom(Atom(dr.pred, decode(row))) for row in dr.rows
+                )
+            assert printed["batch"] == printed["tuple"]
+            assert len(printed["batch"]) == 3
+        assert "r('a', a)" in printed["batch"]
+        plan = compile_rule(parse_rule("t(X, Y) <- p(X), p(Y)."))
+        assert derive_rows(db, plan, executor="batch").decode is None
         grouping = compile_rule(parse_rule("g(K, <V>) <- e(K, V)."))
-        assert derive_rows(db, grouping, executor="batch") is None
+        with pytest.raises(ValueError, match="no head"):
+            derive_rows(db, grouping)
 
 
 class TestBatchBuiltins:
@@ -401,11 +415,79 @@ class TestFixedProgramDifferentials:
         assert answers == ["s(f(a))"]
 
 
-# -- every compiled mode against the reference, rule by rule ----------------
+class TestReferenceOnlyWhereAsked:
+    """On the default executor every engine path — evaluation,
+    explanation, on-demand magic, maintenance and the well-founded
+    reducts — compiles; the reference runs only under
+    ``executor="tuple"``."""
+
+    # a 30-edge chain plus one redundant shortcut: deleting the shortcut
+    # over-deletes a few closure facts, well under the DRed cost gate,
+    # and rederives them
+    CHAIN = "".join(f"e(x{i}, x{i + 1}). " for i in range(30)) + "e(x0, x2)."
+    SRC = CHAIN + """
+    t(X, Y) <- e(X, Y).
+    t(X, Y) <- t(X, Z), e(Z, Y).
+    kids(X, <Y>) <- e(X, Y).
+    node(X) <- e(X, Y). node(Y) <- e(X, Y).
+    inner(X) <- e(X, Y).
+    leaf(X) <- node(X), ~inner(X).
+    """
+
+    @pytest.mark.skipif(
+        default_executor() == "tuple",
+        reason="counts reference runs under the default executor",
+    )
+    def test_default_executor_never_runs_the_reference(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.engine.exec as exec_package
+
+        reference_runs = []
+        real = exec_package.run_plan_tuple
+
+        def counting(*args, **kwargs):
+            reference_runs.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exec_package, "run_plan_tuple", counting)
+        rederivable = DeltaMaintainer._rederivable
+        asked = []
+
+        def counting_rederivable(self, rule, fact):
+            asked.append(fact)
+            return rederivable(self, rule, fact)
+
+        monkeypatch.setattr(
+            DeltaMaintainer, "_rederivable", counting_rederivable
+        )
+        durable = LDL(self.SRC, path=str(tmp_path / "db"), maintain="delta")
+        for session in (LDL(self.SRC), durable):
+            assert session.model().database.count("t") == 30 * 31 // 2
+            assert session.explain("t(x0, x5)") is not None
+            assert session.explain("kids(x0, {x1, x2})") is not None
+            assert session.query_magic("? t(x3, Y).").answer_atoms()
+            session.add_atoms([parse_atom("e(x30, x31)")])
+            session.remove_atoms([parse_atom("e(x0, x2)")])
+            assert session.model().database.count("t") == 31 * 32 // 2
+        durable.close()
+        assert asked
+        win = parse_program(
+            "move(a, b). move(b, a). move(b, c). win(X) <- move(X, Y), ~win(Y)."
+        ).program
+        assert wellfounded(win).true
+        assert reference_runs == []
+
+
+# -- one compiled shape against the reference, rule by rule -----------------
 
 
 def _binding_multiset(bindings):
-    return Counter(frozenset(b.materialize().items()) for b in bindings)
+    """Bindings as printed, so a spelling difference counts too."""
+    return Counter(
+        frozenset((name, format_term(value)) for name, value in b.items())
+        for b in bindings
+    )
 
 
 def _row_batch(atom, tuples):
@@ -416,31 +498,37 @@ def _row_batch(atom, tuples):
 
 
 def _check_plan(db, plan, binding=None, overrides=None, negation_db=None):
-    """Run ``plan`` in every compiled mode and on the reference; all
-    must give the same multiset.  ``atoms`` and ``bindings`` must
-    compile; ``rows`` may decline (non-fast heads, seeded plans)."""
+    """Run ``plan``'s compiled closures and the reference executor.  As
+    printed multisets, the variable rows decoded to bindings must equal
+    the reference's bindings, and the head rows decoded through
+    ``decoder()`` the reference's facts.  The variable template must
+    compile for every plan, head-seeded ones included; the head
+    template exists exactly for seedless plans with a fast head."""
     spec = specialized_plan(plan)
+    base = binding or {}
     reference = list(run_plan_tuple(
         db, plan, binding=binding, overrides=overrides,
         negation_db=negation_db,
     ))
-    got = spec.run("bindings", db, binding, overrides, negation_db, None)
-    assert got is not FALLBACK
-    assert _binding_multiset(got) == _binding_multiset(reference)
+    rows = spec.run("vars", db, base, overrides, negation_db, None)
+    assert rows is not FALLBACK
+    assert _binding_multiset(spec.binder()(rows, base)) == _binding_multiset(
+        reference
+    )
     if plan.head is None:
         return
+    rows = spec.run("head", db, base, overrides, negation_db, None)
+    if head_template(plan) is None:
+        assert rows is FALLBACK
+        return
+    assert rows is not FALLBACK
     expected = Counter(
-        fact for fact in map(plan.instantiate_head, reference)
+        format_atom(fact) for fact in map(plan.instantiate_head, reference)
         if fact is not None
     )
-    atoms = spec.run("atoms", db, binding, overrides, negation_db, None)
-    assert atoms is not FALLBACK
-    assert Counter(atoms) == expected
-    rows = spec.run("rows", db, binding, overrides, negation_db, None)
-    if rows is not FALLBACK:
-        decode = spec.decoder() or decode_row
-        pred = plan.head.atom.pred
-        assert Counter(Atom(pred, decode(row)) for row in rows) == expected
+    decode = spec.decoder() or decode_row
+    pred = plan.head.atom.pred
+    assert Counter(format_atom(Atom(pred, decode(row))) for row in rows) == expected
 
 
 @given(generated_programs)
@@ -453,8 +541,8 @@ def test_compiled_modes_equal_reference_on_every_rule(generated):
     (overrides given as a plain list and as a ``RowBatch``), with and
     without a distinct negation database, and seeded on its head the
     way ``explain`` and DRed rederivation seed it, must give the same
-    multiset in ``rows`` (where it compiles), ``atoms`` and
-    ``bindings`` mode as on the reference executor.
+    bindings and head facts from its compiled closures as on the
+    reference executor (:func:`_check_plan`).
     """
     db = evaluate(generated.program, edb=generated.edb).database
     edb_only = Database(generated.edb)

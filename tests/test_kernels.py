@@ -1,6 +1,6 @@
 """Tests for the ID-space kernels (repro.engine.exec.kernels).
 
-Unit tests cover the memoized scalar kernels the rows-mode closures
+Unit tests cover the memoized scalar kernels the compiled closures
 call (``number_rid``, ``union_rid``) and the ``RowBatch`` delta
 currency.  The compiled
 lane as a whole is held to the reference executor by the property in
