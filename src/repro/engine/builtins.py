@@ -21,8 +21,10 @@ from repro.terms.term import (
     SetVal,
     Term,
     Var,
+    _ID_TABLE,
     evaluate_ground,
-    intern_term,
+    row_id,
+    set_rid,
 )
 
 
@@ -174,8 +176,8 @@ def _solve_union(args: tuple[Term, ...], binding: Binding) -> Iterator[Binding]:
 #: divide-and-conquer (e.g. the parts-explosion TC program) re-splits
 #: the same subassembly set once per containing binding; enumerating
 #: subsets is O(2^n · n log n), so the splits are worth keeping.  The
-#: pair SetVals are interned so downstream matches and head
-#: instantiation share one object per distinct split.
+#: pair SetVals come from the row-ID set constructor, so downstream
+#: matches and head instantiation share one object per distinct split.
 _PARTITION_CACHE: dict[frozenset, tuple] = {}
 _PARTITION_CACHE_MAX = 4096
 
@@ -185,8 +187,8 @@ def _partition_pairs(elements: frozenset) -> tuple:
     if pairs is None:
         pairs = tuple(
             (
-                intern_term(SetVal.from_ground(part)),
-                intern_term(SetVal.from_ground(elements - part)),
+                _ID_TABLE[set_rid(map(row_id, part))],
+                _ID_TABLE[set_rid(map(row_id, elements - part))],
             )
             for part in _subsets(elements)
         )

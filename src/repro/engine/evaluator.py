@@ -35,11 +35,12 @@ from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.fixpoint import (
     FixpointStats,
+    install_rows,
     naive_fixpoint,
     seminaive_fixpoint,
     single_pass,
 )
-from repro.engine.grouping import apply_grouping_rules
+from repro.engine.grouping import fire_grouping_rule
 from repro.engine.match import Binding, match_atom
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.observe import MetricsCollector, Subscriber
@@ -136,11 +137,8 @@ def evaluate_component(
         )
     start = time.perf_counter()
     for rule in grouping:
-        for fact in apply_grouping_rules([rule], db, context=ctx):
-            if db.add(fact):
-                stats.grouping_facts += 1
-                if on.fact_derived is not None:
-                    on.fact_derived(fact=fact, rule=rule)
+        dr = fire_grouping_rule(rule, db, ctx)
+        stats.grouping_facts += install_rows(ctx, db, rule, dr)
     if other:
         if component.recursive:
             stats.fixpoint = run_fixpoint(db, other, context=ctx)

@@ -31,9 +31,11 @@ has at most two templates:
 Every closure also gets the kernel codegen
 (:mod:`repro.engine.exec.kernels`): the last relation step fuses
 emission into one whole-column list comprehension, arithmetic and
-comparisons read the interner's numeric lane directly, bound-parts
-``partition`` runs as the memoized ID-space union kernel, and the
-other known-handler builtin calls memoize on their input row IDs.
+comparisons read the interner's numeric lane directly, the set
+built-ins with ground operands and a fresh output (``partition`` with
+both parts bound, ``union``, ``intersection``, ``difference``,
+``card``) run as the memoized ID-space set kernels, and the other
+known-handler builtin calls memoize on their input row IDs.
 
 Semantics match the reference executor
 (:mod:`repro.engine.exec.tuplewise`) — same binding multisets, same
@@ -55,7 +57,7 @@ from typing import Mapping
 
 from repro.engine.binding import EMPTY_BINDING, ChainBinding
 from repro.engine.database import Database
-from repro.engine.exec.kernels import number_rid, union_rid
+from repro.engine.exec.kernels import SET_KERNELS, number_rid
 from repro.engine.exec.runtime import (
     builtin_step,
     fold_arith,
@@ -307,7 +309,6 @@ class _Codegen:
             "_fold": fold_arith,
             "_rid": row_id,
             "_nr": number_rid,
-            "_un": union_rid,
             "_EB": EMPTY_BINDING,
             "_ED": {},
             "_ONE": (0,),
@@ -526,7 +527,7 @@ class _Codegen:
             return
         if self._lane_compare(k, step, in_names, out_names):
             return
-        if self._union_partition(k, step, out_names):
+        if self._set_kernel(k, step, out_names):
             return
         # known handler: inline the argument materialization (the
         # builtin_call_args descriptor walk resolves at generation
@@ -747,40 +748,49 @@ class _Codegen:
         emit(f"_c{k} += 1")
         return True
 
-    def _union_partition(self, k: int, step, out_names) -> bool:
-        """``partition(Whole, P1, P2)`` with both parts bound
-        and the whole a fresh variable: one call to the memoized
-        ID-space union kernel replaces status checks, set allocation,
-        and binding construction per row (-1 means the built-in is
-        false: overlapping parts or a non-set operand).  Returns True
-        when the step was emitted."""
+    def _set_kernel(self, k: int, step, out_names) -> bool:
+        """A set built-in in one of its :data:`SET_KERNELS
+        <repro.engine.exec.kernels.SET_KERNELS>` shapes — every operand
+        a bound variable or a constant, the output a fresh variable:
+        one call to the memoized ID-space kernel replaces status checks,
+        set allocation and binding construction per row (-1 means the
+        built-in is false: overlapping parts, or a non-set operand).
+        Returns True when the step was emitted."""
         atom = step.literal.atom
-        if atom.pred != "partition" or len(step.builtin_args) != 3:
+        entry = SET_KERNELS.get(atom.pred)
+        if entry is None:
+            return False
+        kernel, operands, output = entry
+        args = step.builtin_args
+        if len(args) != len(operands) + 1:
             return False
         bound = step.bound_before
-        whole, left, right = step.builtin_args
-        kw, pw, _tw = whole
-        if kw != VAR or pw in bound or out_names != (pw,):
+        kinda, out, _term = args[output]
+        if kinda != VAR or out in bound or out_names != (out,):
             return False
 
         def ground_rid(arg):
             kinda, payload, _term = arg
             if kinda == CONST:
-                return str(row_id(payload))
+                try:
+                    return str(row_id(payload))
+                except (NotInUniverseError, EvaluationError):
+                    return None
             if kinda == VAR and payload in bound:
                 return self.bound_local(payload)
             return None
 
-        gl, gr = ground_rid(left), ground_rid(right)
-        if gl is None or gr is None:
+        ins = [ground_rid(args[i]) for i in operands]
+        if None in ins:
             return False
+        self.env[f"_sk{k}"] = kernel
         emit = self.emit
-        emit(f"_y{k} = _un({gl}, {gr})")
+        emit(f"_y{k} = _sk{k}({', '.join(ins)})")
         emit(f"if _y{k} < 0:")
         emit("    continue")
-        loc = self.local_for(pw)
+        loc = self.local_for(out)
         emit(f"{loc} = _y{k}")
-        self.assigned.add(pw)
+        self.assigned.add(out)
         emit(f"_c{k} += 1")
         return True
 

@@ -85,7 +85,7 @@ def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
     return entry
 
 
-def _install(ctx: EvalContext, db: Database, rule: Rule, dr, delta=None) -> int:
+def install_rows(ctx: EvalContext, db: Database, rule: Rule, dr, delta=None) -> int:
     """Bulk-add one rule application's rows to ``db``; returns how many
     were new.  New rows go into ``delta`` when given, and reach a
     ``fact_derived`` handler when there is one — rows decode for that
@@ -124,7 +124,7 @@ def single_pass(
     for rule in rules:
         dr = _derive(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
-        stats.facts_derived += _install(ctx, db, rule, dr)
+        stats.facts_derived += install_rows(ctx, db, rule, dr)
     if ctx.on.iteration is not None:
         ctx.on.iteration(
             iteration=stats.iterations, new_facts=stats.facts_derived
@@ -150,7 +150,7 @@ def naive_fixpoint(
         for rule in rules:
             pending.append((rule, _derive(ctx, db, rule, ctx.plan_for(rule))))
             stats.rule_firings += 1
-        new = sum(_install(ctx, db, rule, dr) for rule, dr in pending)
+        new = sum(install_rows(ctx, db, rule, dr) for rule, dr in pending)
         stats.facts_derived += new
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=new)
@@ -179,7 +179,7 @@ def seminaive_fixpoint(
     for rule in rules:
         dr = _derive(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
-        stats.facts_derived += _install(ctx, db, rule, dr, delta)
+        stats.facts_derived += install_rows(ctx, db, rule, dr, delta)
     if ctx.on.iteration is not None:
         ctx.on.iteration(
             iteration=stats.iterations, new_facts=stats.facts_derived
@@ -222,7 +222,7 @@ def seminaive_rounds(
             plan = ctx.plan_for(rule, first=occurrence)
             dr = _derive(ctx, db, rule, plan, overrides={occurrence: changed})
             stats.rule_firings += 1
-            round_new += _install(ctx, db, rule, dr, next_delta)
+            round_new += install_rows(ctx, db, rule, dr, next_delta)
         stats.facts_derived += round_new
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=round_new)

@@ -10,60 +10,137 @@ finite set of ``Y`` values in the class.
 Empty classes contribute nothing — the formula is true with no head
 fact "when the set of elements to be grouped is empty" — and finiteness
 is automatic over a finite database.
+
+The group-by runs in ID space.  The rule's plan carries the template
+of its *pre-group* head ``p(t1, ..., Y, ..., tn)``
+(:func:`~repro.engine.plan.compile_rule`), so
+:func:`~repro.engine.exec.derive_rows` yields one ID row per applicable
+binding on either executor — interpreted head terms evaluated, facts
+outside U dropped.  :func:`grouped_rows` hashes those rows on the
+non-grouped slots into ``{key: set of value row IDs}`` and builds each
+group's set with the row-ID set constructor
+:func:`~repro.terms.term.set_rid`; since row IDs are equality classes,
+keys and set elements compare exactly as the terms do.  The fixpoint
+installs the result with one ``Database.add_rows``;
+:func:`apply_grouping_rule` decodes the same rows into atoms.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
-from repro.engine.exec import enumerate_bindings
-from repro.errors import EvaluationError, NotInUniverseError
+from repro.engine.exec import DerivedRows, derive_rows, enumerate_bindings
+from repro.engine.relation import decode_row
+from repro.errors import EvaluationError
 from repro.program.rule import Atom, Rule
 from repro.terms.pretty import format_rule
-from repro.terms.term import SetVal, Term, Var, evaluate_ground, intern_term
+from repro.terms.term import _ID_TABLE, Var, set_rid
 
 
-def group_bindings(
-    bindings: Iterable[Mapping[str, Term]],
-    group_var: str,
-    other_terms: Iterable[tuple[int, Term]],
-    describe,
-) -> dict[tuple[Term, ...], set[Term]]:
-    """Batch group-by for grouping rules: bucket the grouped variable's
-    canonical values under the canonical key of the remaining head
-    arguments.
+def group_spec(rule: Rule) -> tuple[int, str]:
+    """The position and variable of a base-LDL1 grouping head's ``<Y>``."""
+    positions = rule.head.group_positions()
+    if len(positions) != 1:
+        raise EvaluationError(
+            f"not a base-LDL1 grouping rule: {format_rule(rule)}"
+        )
+    position = positions[0]
+    inner = rule.head.args[position].inner
+    if not isinstance(inner, Var):
+        raise EvaluationError(
+            f"grouping over a non-variable (compile LDL1.5 first): {format_rule(rule)}"
+        )
+    return position, inner.name
+
+
+def grouped_rows(
+    rule: Rule, db: Database, context: EvalContext | None = None
+) -> DerivedRows:
+    """The facts one grouping rule derives over ``db``, as ID rows: one
+    row per non-empty group.
 
     An unbound grouped variable is a range-restriction violation and
-    raises :class:`EvaluationError` (``describe()`` supplies the message
-    context); bindings whose key or value falls outside U drop out,
-    exactly as the per-binding path did.  An empty batch yields no
-    groups; duplicate bindings collapse in the value *sets*.
+    raises :class:`EvaluationError` as soon as the body has a binding.
+    A group's key slots are spelled as the first row derived in it.
     """
-    other_terms = tuple(other_terms)
-    groups: dict[tuple[Term, ...], set[Term]] = {}
-    for binding in bindings:
-        value_term = binding.get(group_var)
-        if value_term is None:
+    position, group_var = group_spec(rule)
+    ctx = context or EvalContext(db)
+    plan = ctx.plan_for(rule)
+    pred, arity = rule.head.pred, len(rule.head.args)
+    steps = ctx.on.exec_steps
+    if not any(
+        group_var in lit.atom.variables() for lit in rule.body if lit.positive
+    ):
+        for _binding in enumerate_bindings(
+            db, plan, executor=ctx.executor, steps=steps
+        ):
             raise EvaluationError(
-                f"grouped variable {group_var} unbound by body: {describe()}"
+                f"grouped variable {group_var} unbound by body: {format_rule(rule)}"
             )
-        try:
-            key = tuple(
-                evaluate_ground(term.substitute(binding))
-                for _pos, term in other_terms
-            )
-            value = evaluate_ground(value_term)
-        except (NotInUniverseError, EvaluationError):
-            continue
-        bucket = groups.get(key)
+        return DerivedRows(pred, arity, [], None)
+    pre = derive_rows(db, plan, executor=ctx.executor, steps=steps)
+    others = [i for i in range(arity) if i != position]
+    key_of = itemgetter(*others) if others else (lambda row: ())
+    groups: dict = {}
+    get = groups.get
+    for row in pre.rows:
+        key = key_of(row)
+        bucket = get(key)
         if bucket is None:
-            groups[key] = {value}
+            groups[key] = {row[position]}
         else:
-            bucket.add(value)
-    return groups
+            bucket.add(row[position])
+    if len(others) == 1:  # a bare-ID key
+        rows = [
+            (key, set_rid(values)) if position else (set_rid(values), key)
+            for key, values in groups.items()
+        ]
+    else:
+        rows = [
+            key[:position] + (set_rid(values),) + key[position:]
+            for key, values in groups.items()
+        ]
+    decode = None
+    if pre.decode is not None:
+        # spell each group's key slots as its first derived row
+        first: dict = {}
+        for row in pre.rows:
+            first.setdefault(key_of(row), row)
+        spelled = {}
+        for key, row in zip(groups, rows):
+            args = list(pre.decode(first[key]))
+            args[position] = _ID_TABLE[row[position]]
+            spelled[row] = tuple(args)
+        decode = spelled.__getitem__
+    return DerivedRows(pred, arity, rows, decode)
+
+
+def fire_grouping_rule(
+    rule: Rule, db: Database, ctx: EvalContext
+) -> DerivedRows:
+    """:func:`grouped_rows`, reported to a ``rule_fired`` handler with
+    ``derived`` the number of groups."""
+    fired = ctx.on.rule_fired
+    start = perf_counter() if fired is not None else 0.0
+    dr = grouped_rows(rule, db, ctx)
+    if fired is not None:
+        fired(rule=rule, derived=len(dr.rows), seconds=perf_counter() - start)
+    return dr
+
+
+def _atoms(dr: DerivedRows) -> list[Atom]:
+    decode = dr.decode or decode_row
+    out = []
+    for row in dr.rows:
+        fact = Atom(dr.pred, decode(row))
+        fact._ground = True
+        fact._row = row
+        out.append(fact)
+    return out
 
 
 def apply_grouping_rule(
@@ -75,42 +152,7 @@ def apply_grouping_rule(
     occurrence: ``p Sigma_j`` for every equivalence class ``Sigma_j``
     with a non-empty, finite grouped set.
     """
-    positions = rule.head.group_positions()
-    if len(positions) != 1:
-        raise EvaluationError(
-            f"not a base-LDL1 grouping rule: {format_rule(rule)}"
-        )
-    group_position = positions[0]
-    group_inner = rule.head.args[group_position].inner
-    if not isinstance(group_inner, Var):
-        raise EvaluationError(
-            f"grouping over a non-variable (compile LDL1.5 first): {format_rule(rule)}"
-        )
-    group_var = group_inner.name
-    other_terms: list[tuple[int, Term]] = [
-        (i, arg) for i, arg in enumerate(rule.head.args) if i != group_position
-    ]
-
-    ctx = context or EvalContext(db)
-    bindings = enumerate_bindings(
-        db,
-        ctx.plan_for(rule),
-        executor=ctx.executor,
-        steps=ctx.on.exec_steps,
-    )
-    groups = group_bindings(
-        bindings, group_var, other_terms, lambda: format_rule(rule)
-    )
-
-    for key, values in groups.items():
-        args: list[Term] = [None] * len(rule.head.args)  # type: ignore[list-item]
-        for (i, _), value in zip(other_terms, key):
-            args[i] = value
-        # grouped values are evaluate_ground outputs, and the grouped
-        # set is probed heavily downstream (partition, member): build
-        # trusted and intern so those probes hit the identity fast path.
-        args[group_position] = intern_term(SetVal.from_ground(values))
-        yield Atom(rule.head.pred, tuple(args))
+    yield from _atoms(grouped_rows(rule, db, context))
 
 
 def apply_grouping_rules(
@@ -118,12 +160,7 @@ def apply_grouping_rules(
 ) -> list[Atom]:
     """Apply every grouping rule once over ``db`` (the R1(M) step)."""
     ctx = context or EvalContext(db)
-    fired = ctx.on.rule_fired
     derived: list[Atom] = []
     for rule in rules:
-        start = perf_counter()
-        facts = list(apply_grouping_rule(rule, db, context=ctx))
-        if fired is not None:
-            fired(rule=rule, derived=len(facts), seconds=perf_counter() - start)
-        derived.extend(facts)
+        derived.extend(_atoms(fire_grouping_rule(rule, db, ctx)))
     return derived

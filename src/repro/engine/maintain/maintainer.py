@@ -63,6 +63,7 @@ from repro.engine.exec import (
     derive_facts,
     enumerate_bindings,
 )
+from repro.engine.grouping import group_spec
 from repro.engine.incremental import IncrementalModel, UpdateStats
 from repro.engine.maintain import DeltaBatch
 from repro.errors import EvaluationError, NotInUniverseError
@@ -71,7 +72,7 @@ from repro.engine.match import match_atom
 from repro.program.dependency import SCCComponent
 from repro.program.rule import Atom, Literal, Rule
 from repro.terms.pretty import format_rule
-from repro.terms.term import SetVal, Term, evaluate_ground, intern_term
+from repro.terms.term import _ID_TABLE, Term, evaluate_ground, row_id, set_rid
 
 #: per-predicate fact deltas accumulated while walking the schedule.
 Deltas = dict[str, list[Atom]]
@@ -120,34 +121,10 @@ def _flip(rule: Rule, occurrence: int) -> Rule:
     return Rule(rule.head, tuple(body))
 
 
-def _grouping_spec(rule: Rule) -> tuple[int, str, tuple[tuple[int, Term], ...]]:
-    """The (position, variable, other head terms) of a grouping head,
-    validated exactly as :func:`~repro.engine.grouping.apply_grouping_rule`."""
-    positions = rule.head.group_positions()
-    if len(positions) != 1:
-        raise EvaluationError(
-            f"not a base-LDL1 grouping rule: {format_rule(rule)}"
-        )
-    group_position = positions[0]
-    group_inner = rule.head.args[group_position].inner
-    group_var = getattr(group_inner, "name", None)
-    if group_var is None:
-        raise EvaluationError(
-            f"grouping over a non-variable (compile LDL1.5 first): "
-            f"{format_rule(rule)}"
-        )
-    other_terms = tuple(
-        (i, arg)
-        for i, arg in enumerate(rule.head.args)
-        if i != group_position
-    )
-    return group_position, group_var, other_terms
-
-
 class _GroupState:
     """The live grouping state of one grouping rule: a multiset of
-    grouped values per key (``group_bindings`` dedupes into sets, which
-    cannot be decremented) plus the current fact per key.
+    grouped values per key (a model build groups into sets, which cannot
+    be decremented) plus the current fact per key.
 
     Multiplicities are exact binding counts.  Within one update the
     telescoping terms may take a count below zero before a later term
@@ -156,8 +133,12 @@ class _GroupState:
     __slots__ = ("group_position", "group_var", "other_terms", "buckets", "facts")
 
     def __init__(self, rule: Rule) -> None:
-        spec = _grouping_spec(rule)
-        self.group_position, self.group_var, self.other_terms = spec
+        self.group_position, self.group_var = group_spec(rule)
+        self.other_terms = tuple(
+            (i, arg)
+            for i, arg in enumerate(rule.head.args)
+            if i != self.group_position
+        )
         # key -> {grouped value -> nonzero multiplicity}
         self.buckets: dict[tuple[Term, ...], dict[Term, int]] = {}
         # key -> the fact currently standing for that group
@@ -496,9 +477,10 @@ class DeltaMaintainer:
         self, state: _GroupState, rule: Rule, bindings, sign: int
     ) -> set[tuple[Term, ...]]:
         """Add ``sign`` to the multiplicity of each binding's grouped
-        value, mirroring ``group_bindings`` semantics exactly: an
-        unbound grouped variable raises, keys or values outside U drop
-        the binding.  Returns the touched keys."""
+        value, with the semantics of a model build's group-by
+        (:mod:`repro.engine.grouping`): an unbound grouped variable
+        raises, keys or values outside U drop the binding.  Returns the
+        touched keys."""
         touched: set[tuple[Term, ...]] = set()
         buckets = state.buckets
         group_var = state.group_var
@@ -542,7 +524,7 @@ class DeltaMaintainer:
         args: list[Term] = [None] * len(rule.head.args)  # type: ignore[list-item]
         for (i, _), value in zip(state.other_terms, key):
             args[i] = value
-        args[state.group_position] = intern_term(SetVal.from_ground(bucket))
+        args[state.group_position] = _ID_TABLE[set_rid(map(row_id, bucket))]
         return Atom(rule.head.pred, tuple(args))
 
     def _group_delta(

@@ -40,6 +40,7 @@ from repro.terms.term import (
     ARITHMETIC_FUNCTORS,
     Const,
     Func,
+    GroupTerm,
     Term,
     Var,
     evaluate_ground,
@@ -464,8 +465,10 @@ def compile_rule(
 ) -> RulePlan:
     """Compile a full rule: ordered body steps plus a head template.
 
-    Grouping rules get no head template (the R1 step builds grouped
-    heads from equivalence classes, not per-binding instantiation).
+    A grouping rule ``p(t1, ..., <Y>, ..., tn) <- body`` gets the
+    template of its *pre-group* head ``p(t1, ..., Y, ..., tn)``: one
+    head row per applicable binding, which the R1 step
+    (:mod:`repro.engine.grouping`) then groups on the other slots.
     ``sizes`` orders joins by live relation cardinalities; None orders
     them by the syntactic heuristic alone.
     """
@@ -476,8 +479,13 @@ def compile_rule(
         initially_bound=initially_bound,
     )
     plan.rule = rule
-    if not rule.is_grouping():
-        plan.head = HeadTemplate(rule.head)
+    head = rule.head
+    if rule.is_grouping():
+        head = Atom(
+            head.pred,
+            [arg.inner if isinstance(arg, GroupTerm) else arg for arg in head.args],
+        )
+    plan.head = HeadTemplate(head)
     return plan
 
 

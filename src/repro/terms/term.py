@@ -563,19 +563,18 @@ def _assign_ids(term: Term) -> None:
     """
     if term._tid is not None:
         return
-    plain = None
+    plain_rid = None
     if isinstance(term, Func):
         rids = [row_id(arg) for arg in term.args]
         if any(term_id(arg) != rid for arg, rid in zip(term.args, rids)):
-            plain = Func(term.functor, [_ID_TABLE[rid] for rid in rids])
+            plain_rid = row_id(Func(term.functor, [_ID_TABLE[rid] for rid in rids]))
     elif isinstance(term, SetVal):
         elements = list(term)
         rids = [row_id(element) for element in elements]
         if any(term_id(e) != rid for e, rid in zip(elements, rids)):
-            plain = SetVal.from_ground([_ID_TABLE[rid] for rid in rids])
+            plain_rid = set_rid(rids)
     elif isinstance(term, Const) and term.quoted:
-        plain = Const(term.value)
-    plain_rid = None if plain is None else row_id(plain)
+        plain_rid = row_id(Const(term.value))
     with _ID_LOCK:
         if term._tid is not None:
             return
@@ -640,6 +639,35 @@ def intern_term(term: Term) -> Term:
         _assign_ids(winner)
     winner._interned = True
     return winner
+
+
+def set_rid(rids: Iterable[int]) -> int:
+    """The row ID of the set whose elements have row IDs ``rids``.
+
+    The one constructor for sets built in ID space (grouping, the set
+    kernels, regrouping): no element term is touched on a hit.  Its
+    elements are class representatives, so the set is its own class's
+    plain member and its key is exactly the :func:`_intern_key` of that
+    set.  A miss appends the set directly, without :func:`_assign_ids`'
+    walk: every element already has a lower ID and is plain, so the
+    table stays topological.
+    """
+    key = (SetVal, frozenset(rids))
+    found = _INTERN_TABLE.get(key)
+    if found is None:
+        term = SetVal.from_ground([_ID_TABLE[rid] for rid in key[1]])
+        with _ID_LOCK:
+            found = _INTERN_TABLE.get(key)
+            if found is None:
+                tid = len(_ID_TABLE)
+                _ID_TABLE.append(term)
+                _NUM_TABLE.append(None)
+                term._rid = term._tid = tid
+                term._interned = True
+                _INTERN_TABLE[key] = term
+                return tid
+    rid = found._rid
+    return row_id(found) if rid is None else rid
 
 
 def intern_const(value, quoted: bool = False) -> Const:

@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import LDL
 from repro.engine import evaluate
@@ -36,7 +37,7 @@ from repro.engine.exec.specialize import FALLBACK, head_template, specialized_pl
 from repro.engine.grouping import apply_grouping_rule
 from repro.engine.maintain.maintainer import DeltaMaintainer
 from repro.engine.match import match_atom
-from repro.engine.plan import compile_rule
+from repro.engine.plan import VAR, compile_rule
 from repro.engine.relation import decode_row, encode_args
 from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
@@ -47,7 +48,7 @@ from repro.terms.pretty import format_atom, format_term
 from repro.terms.term import Const
 
 from tests.helpers import facts_of, run
-from tests.strategies import generated_programs
+from tests.strategies import generated_programs, ground_sets, quoted_ground_terms
 
 
 def db_of(*atom_srcs):
@@ -261,9 +262,20 @@ class TestFallbackToReference:
         assert "r('a', a)" in printed["batch"]
         plan = compile_rule(parse_rule("t(X, Y) <- p(X), p(Y)."))
         assert derive_rows(db, plan, executor="batch").decode is None
-        grouping = compile_rule(parse_rule("g(K, <V>) <- e(K, V)."))
-        with pytest.raises(ValueError, match="no head"):
-            derive_rows(db, grouping)
+        # a grouping rule derives its pre-group head: one row per
+        # binding, a non-fast head instantiated and outside U dropped
+        db = db_of("e(a, 1)", "e(a, 2)", "e(b, 'x')")
+        for src, expected in (
+            ("g(K, <V>) <- e(K, V).", ["g(a, 1)", "g(a, 2)", "g(b, x)"]),
+            ("g(V * 2, <K>) <- e(K, V).", ["g(2, a)", "g(4, a)"]),
+        ):
+            plan = compile_rule(parse_rule(src))
+            for name in EXECUTORS:
+                dr = derive_rows(db, plan, executor=name)
+                decode = dr.decode or decode_row
+                assert sorted(
+                    format_atom(Atom(dr.pred, decode(row))) for row in dr.rows
+                ) == expected
 
 
 class TestBatchBuiltins:
@@ -277,6 +289,59 @@ class TestBatchBuiltins:
         db = db_of("e(1)", "e(2)", "e(3)")
         rule = parse_rule("p(X) <- e(X), X > 1.")
         assert len(bindings_of(db, rule)) == 2
+
+
+#: The set built-ins in kernel shape (ground operands, fresh output) and
+#: one with a bound output, which keeps the handler path.
+SET_BUILTIN_RULES = (
+    "r(S) <- a(S1), b(S2), intersection(S1, S2, S).",
+    "r(S) <- a(S1), b(S2), difference(S1, S2, S).",
+    "r(S) <- a(S1), b(S2), union(S1, S2, S).",
+    "r(S) <- a(S1), b(S2), partition(S, S1, S2).",
+    "r(N) <- a(S), card(S, N).",
+    "r(S1, S2) <- a(S1), b(S2), a(S3), intersection(S1, S2, S3).",
+)
+
+
+def _closure_source(rule_src: str) -> str:
+    plan = compile_rule(parse_rule(rule_src))
+    template = tuple(
+        (VAR, name) for name in specialize.body_variables(plan)
+    )
+    return specialize._generate(plan, template)[0]
+
+
+class TestSetKernels:
+    def test_kernel_shapes_call_the_kernel(self):
+        for src in SET_BUILTIN_RULES[:-1]:
+            source = _closure_source(src)
+            assert "_sk" in source and "_h" not in source, src
+
+    def test_bound_output_keeps_the_handler_call(self):
+        source = _closure_source(SET_BUILTIN_RULES[-1])
+        assert "_h" in source and "_sk" not in source
+
+
+set_operands = st.lists(ground_sets | quoted_ground_terms, min_size=1, max_size=4)
+
+
+@given(set_operands, set_operands)
+@settings(max_examples=60, deadline=None)
+def test_set_builtins_compiled_equal_reference(left, right):
+    """Operands drawn from sets and arbitrary terms (non-sets make the
+    built-ins false): every kernel shape and the bound-output shape
+    print the same model on both executors."""
+    edb = [Atom("a", (v,)) for v in left] + [Atom("b", (v,)) for v in right]
+    for src in SET_BUILTIN_RULES:
+        program = parse_program(src).program
+        printed = {
+            name: sorted(
+                format_atom(fact)
+                for fact in evaluate(program, edb=edb, executor=name).database.atoms()
+            )
+            for name in EXECUTORS
+        }
+        assert printed["batch"] == printed["tuple"], src
 
 
 class TestBatchGroupBy:

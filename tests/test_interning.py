@@ -8,7 +8,8 @@ cached state may leak through serialization boundaries.  Interning is
 faithful to spelling (quoted strings, and compounds holding one, stay
 distinct entries) while row IDs follow equality.  The dense-ID table is
 topological (subterms and a term's plain twin first), including after
-:func:`clear_intern_table`.
+:func:`clear_intern_table` and after the row-ID set constructor
+:func:`set_rid` appends sets directly.
 """
 
 import pickle
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.parser import parse_term
 from repro.storage.codec import decode_atom, decode_term, encode_atom, encode_term
 from repro.terms import term as term_module
 from repro.terms.term import (
@@ -31,6 +33,7 @@ from repro.terms.term import (
     intern_const,
     intern_term,
     row_id,
+    set_rid,
     term_id,
     term_of_id,
 )
@@ -311,3 +314,21 @@ def test_id_table_stays_topological_after_clear(terms):
         for term in survivors:
             assert term_of_id(term_id(term)) == term
         assert_topological()
+
+
+@given(st.lists(quoted_ground_terms, max_size=5))
+@settings(max_examples=100)
+def test_set_rid_equals_the_interner(elements):
+    # nested sets, functors, quoted strings, 1 vs 1.0 and the empty set:
+    # built from its elements' row IDs, a set gets exactly the row ID
+    # the interner gives the set term — even when set_rid is the first
+    # to see it (a miss), which must leave the table topological
+    with isolated_intern_table():
+        start = id_table_size()
+        rid = set_rid([row_id(e) for e in elements])
+        assert rid == row_id(SetVal(elements))
+        assert term_of_id(rid) == SetVal(elements)
+        assert set_rid(row_id(e) for e in reversed(elements)) == rid
+        if not elements:
+            assert rid == row_id(parse_term("{}"))
+        assert_topological(start)

@@ -1,8 +1,8 @@
 """Tests for the ID-space kernels (repro.engine.exec.kernels).
 
 Unit tests cover the memoized scalar kernels the compiled closures
-call (``number_rid``, ``union_rid``) and the ``RowBatch`` delta
-currency.  The compiled
+call (``number_rid`` and the set kernel family) and the ``RowBatch``
+delta currency.  The compiled
 lane as a whole is held to the reference executor by the property in
 ``test_exec.py``.
 """
@@ -11,7 +11,15 @@ from repro.engine.exec import kernels
 from repro.engine.relation import encode_args
 from repro.program.rule import Atom
 from repro.terms.pretty import format_term
-from repro.terms.term import Const, SetVal, intern_term, row_id
+from repro.terms.term import (
+    Const,
+    SetVal,
+    clear_intern_table,
+    intern_term,
+    row_id,
+)
+
+from tests.test_interning import isolated_intern_table
 
 
 def t(*values):
@@ -52,6 +60,39 @@ class TestScalarKernels:
         left = row_id(intern_term(SetVal.from_ground({Const(1)})))
         assert kernels.union_rid(left, rid(5)) == -1
         assert kernels.union_rid(rid(5), left) == -1
+
+    def test_set_kernels_match_the_set_algebra(self):
+        def sid(*values):
+            return row_id(SetVal(Const(v) for v in values))
+
+        assert kernels.set_union_rid(sid(1, 2), sid(2, 3)) == sid(1, 2, 3)
+        assert kernels.intersection_rid(sid(1, 2), sid(2, 3)) == sid(2)
+        assert kernels.intersection_rid(sid(1), sid(2)) == sid()
+        assert kernels.difference_rid(sid(1, 2), sid(2, 3)) == sid(1)
+        assert kernels.card_rid(sid(1, 2, 3)) == rid(3)
+        assert kernels.card_rid(sid()) == rid(0)
+        # a non-set operand makes every one of them false
+        for kernel in (
+            kernels.set_union_rid, kernels.intersection_rid,
+            kernels.difference_rid,
+        ):
+            assert kernel(sid(1), rid(1)) == -1
+            assert kernel(rid(1), sid(1)) == -1
+        assert kernels.card_rid(rid(1)) == -1
+
+    def test_clear_empties_every_memo(self):
+        with isolated_intern_table():
+            left = row_id(SetVal([Const(1), Const(2)]))
+            right = row_id(SetVal([Const(3)]))
+            kernels.number_rid(41)
+            kernels.union_rid(left, right)
+            kernels.set_union_rid(left, right)
+            kernels.intersection_rid(left, right)
+            kernels.difference_rid(left, right)
+            kernels.card_rid(left)
+            assert all(kernels._MEMOS)
+            clear_intern_table()
+            assert not any(kernels._MEMOS)
 
 
 class TestRowBatch:

@@ -187,6 +187,20 @@ class TestDeltaBatch:
         assert model.as_set() == evaluate(program, edb=rest).database.as_set()
         assert set(model.database.atoms("g")) == {parse_atom("g(1, {5})")}
 
+    def test_regrouped_set_is_the_from_scratch_object(self):
+        # regrouping and the model build share one set constructor, so
+        # a regrouped fact's set is the very interned object a
+        # from-scratch evaluation derives
+        program = parse_rules("g(X, <Y>) <- a(X, Y).")
+        scratch = evaluate(program, edb=atoms("a(1, 3)", "a(1, 5)"))
+        (fresh,) = scratch.database.atoms("g")
+        model = IncrementalModel(program, atoms("a(1, 3)"), maintain="delta")
+        model.add_facts(atoms("a(1, 5)"))
+        (state,) = model._maintainer._groups.values()
+        (regrouped,) = state.facts.values()
+        assert regrouped == fresh == parse_atom("g(1, {3, 5})")
+        assert regrouped.args[1] is fresh.args[1]
+
     def test_trace_event_emitted(self):
         recorder = TraceRecorder()
         model = IncrementalModel(

@@ -19,6 +19,7 @@ from repro.observe import (
     TraceRecorder,
     compose_hooks,
 )
+from repro.terms.pretty import format_atom
 
 from tests.helpers import run
 
@@ -190,11 +191,36 @@ class TestMetricsCollector:
 
         monkeypatch.setattr(Relation, "args_of", counting)
         # the compiled lane derives ID rows; only a fact_derived
-        # subscriber makes _install decode them
+        # subscriber makes install_rows decode them
         run(ANC, metrics=MetricsCollector(), executor="batch")
         assert decoded == []
         run(ANC, hooks=TraceRecorder(), executor="batch")
         assert decoded
+
+    def test_grouping_rule_events(self, monkeypatch):
+        # one rule_fired per grouping rule with derived = the number of
+        # groups, one fact_derived per new grouped fact (decoded only
+        # for a subscriber), one exec_steps per closure run
+        src = "e(1, 2). e(1, 3). e(2, 3). s(X, <Y>) <- e(X, Y)."
+        decoded = []
+        args_of = Relation.args_of
+
+        def counting(self, row):
+            decoded.append(row)
+            return args_of(self, row)
+
+        monkeypatch.setattr(Relation, "args_of", counting)
+        run(src, metrics=MetricsCollector(), executor="batch")
+        assert decoded == []
+        recorder = TraceRecorder()
+        run(src, hooks=recorder, executor="batch")
+        (fired,) = [e for e in recorder.events if e.kind == "rule_fired"]
+        assert fired.payload["derived"] == 2
+        derived = [e for e in recorder.events if e.kind == "fact_derived"]
+        assert sorted(format_atom(e.payload["fact"]) for e in derived) == [
+            "s(1, {2, 3})", "s(2, {3})",
+        ]
+        assert sum(e.kind == "exec_steps" for e in recorder.events) == 1
 
     def test_metrics_passed_twice_report_once(self):
         metrics = MetricsCollector()

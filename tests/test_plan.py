@@ -51,9 +51,13 @@ class TestCompile:
         assert plan.steps[0].probe_positions == (0,)
 
     def test_grouping_rule_has_no_head_template(self):
+        # a grouping rule's template is its *pre-group* head: the
+        # grouped position holds its variable, one row per binding
         rule = parse_rule("p(X, <Y>) <- e(X, Y).")
         plan = compile_rule(rule)
-        assert plan.head is None
+        assert plan.head.atom == parse_atom("p(X, Y)")
+        assert plan.head.fast
+        assert plan.head.parts == (("var", "X"), ("var", "Y"))
 
 
 class TestRunPlan:
