@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Literal as TypingLiteral, Sequence
 
-from repro.engine.compiled import base_database, compile_program
+from repro.engine.compiled import compile_program, load_base
 from repro.engine.database import Database
 from repro.engine.evaluator import EvaluationResult, evaluate
 from repro.engine.maintain import Invalidation
@@ -378,7 +378,7 @@ class LDL:
             if self._store is not None:
                 return prepared, self._store.database
             if self._magic_base is None:
-                self._magic_base = base_database(program, self._edb)
+                self._magic_base = load_base(program, self._edb, self._hooks)
             return prepared, self._magic_base
 
     def query_magic(self, text: str | Query) -> MagicResult:

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.api import LDL
 from repro.engine.compiled import compile_program
 from repro.errors import LDLError
+from repro.observe import MetricsCollector
 from repro.parser import parse_query
 from repro.terms.pretty import format_atom, format_query
 
@@ -119,7 +120,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print evaluation statistics",
+        help="print evaluation statistics and per-phase times",
     )
     parser.add_argument(
         "--trace",
@@ -170,6 +171,7 @@ def run(argv: list[str] | None = None, out=None, stdin=None) -> int:
         return 2
 
     session = None
+    metrics = MetricsCollector() if args.stats else None
     try:
         session = LDL(
             source,
@@ -177,6 +179,7 @@ def run(argv: list[str] | None = None, out=None, stdin=None) -> int:
             trace=args.trace,
             path=args.db,
             fsync=args.fsync,
+            metrics=metrics,
         )
         if args.db:
             stats = session.store.stats
@@ -268,6 +271,13 @@ def run(argv: list[str] | None = None, out=None, stdin=None) -> int:
                 f"{result.total_iterations} iterations, "
                 f"{result.total_firings} rule firings, "
                 f"{len(result.layering)} layers"
+            )
+            echo(
+                "% phases: "
+                + " ".join(
+                    f"{name}={seconds * 1000:.2f}ms"
+                    for name, seconds in sorted(metrics.phases.items())
+                )
             )
         if args.trace:
             if args.strategy != "magic":

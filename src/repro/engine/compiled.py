@@ -16,17 +16,20 @@ Per-run state (the database, hooks, metrics, executor and live sizes)
 lives in :class:`~repro.engine.context.EvalContext`; its plans come
 from :attr:`CompiledProgram.plans`.
 
-:func:`base_database` builds the "canonical EDB plus program facts"
-that every evaluation path starts from.
+:func:`base_database` builds the "program facts plus canonical EDB"
+that every evaluation path starts from, with the database's bulk loader.
 """
 
 from __future__ import annotations
 
+import time
+from itertools import chain
 from typing import Iterable
 
 from repro.engine.database import Database
 from repro.engine.plan import PlanCache
 from repro.errors import EvaluationError
+from repro.observe import Dispatcher
 from repro.program.dependency import SCCComponent, dependency_graph, scc_schedule
 from repro.program.rule import Atom, Program, Query, canonical_atom
 from repro.program.stratify import stratify
@@ -47,14 +50,28 @@ def program_facts(program: Program) -> tuple[Atom, ...]:
 
 
 def base_database(program: Program, edb: Iterable[Atom] = ()) -> Database:
-    """The canonicalized ``edb`` plus the program's own facts.
+    """The program's own facts plus the canonicalized ``edb``.
 
     Every path that evaluates over base facts starts here, so a fact
-    spelled ``p(1 + 1)`` is ``p(2)`` to all of them.
+    spelled ``p(1 + 1)`` is ``p(2)`` to all of them.  Program facts go
+    first, as in the incremental model and so in every durable session:
+    when a program fact and an EDB fact differ only in spelling (``'a'``
+    vs ``a``), the program's spelling is the one every session prints.
+    The EDB is loaded in ID space, one row batch per predicate
+    (:func:`~repro.engine.database.fact_batches`), with no atom built
+    per fact.
     """
-    db = Database(canonical_atom(a) for a in edb)
-    for fact in program_facts(program):
-        db.add(fact)
+    return Database(chain(program_facts(program), edb))
+
+
+def load_base(program: Program, edb: Iterable[Atom], on: Dispatcher) -> Database:
+    """:func:`base_database`, reported to ``on`` as one ``edb_load``
+    event when a subscriber listens."""
+    if on.edb_load is None:
+        return base_database(program, edb)
+    start = time.perf_counter()
+    db = base_database(program, edb)
+    on.edb_load(facts=len(db), seconds=time.perf_counter() - start)
     return db
 
 

@@ -4,15 +4,96 @@ The database is the ``M`` of the paper's ``R(M)`` operator — a set of
 U-facts — organized per predicate for indexed access.  Predicates are
 keyed by name only; the first fact fixes the arity and later arity
 mismatches raise.
+
+``Database(facts)`` is the bulk loader every base-fact path uses (the
+EDB plus program facts of :func:`~repro.engine.compiled.base_database`,
+a snapshot's model, a recompute's rebuilt base): it canonicalizes each
+argument once, straight into its equality-class ID, groups the ID rows
+per predicate and hands each predicate's batch to its relation
+uncopied (:meth:`Relation.adopt`).  No :class:`Atom` is built on the
+way, a load never holds two copies of its rows, and the result is
+exactly what one :meth:`add` per fact would give — the first spelling
+of a fact wins, and the errors are the same.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.engine.relation import ArgTuple, Relation
-from repro.errors import EvaluationError
+from repro.engine.relation import ArgTuple, IdRow, Relation
+from repro.errors import EvaluationError, NonGroundFactError
 from repro.program.rule import Atom
+from repro.terms.term import (
+    Const,
+    _INTERN_TABLE,
+    evaluate_ground,
+    intern_term,
+    row_id,
+)
+
+
+def _non_ground(atom: Atom) -> NonGroundFactError:
+    return NonGroundFactError(f"cannot store non-ground atom {atom!r}")
+
+
+def fact_batches(
+    facts: Iterable[Atom],
+) -> dict[str, tuple[int, dict[IdRow, None], dict[IdRow, ArgTuple]]]:
+    """``facts`` as one ID-row batch per predicate, in first-seen order:
+    ``pred -> (arity, rows, spellings)``.
+
+    ``rows`` holds each distinct ID row once, in first-seen order, and
+    ``spellings`` the arguments (as U-elements) of the rows first added
+    with a spelling other than their class representatives' — a quoted
+    string, or a compound holding one.  A plain constant, the common
+    case, is canonicalized by one probe of the intern table.  Raises
+    :class:`~repro.errors.NonGroundFactError` for a non-ground fact,
+    :class:`ValueError` when a predicate's arity changes, and whatever
+    :func:`~repro.terms.term.evaluate_ground` raises for an argument
+    outside U.
+    """
+    batches: dict = {}
+    table = _INTERN_TABLE
+    for atom in facts:
+        args = atom.args
+        row = []
+        spelled = False
+        try:
+            for term in args:
+                if not term._interned:
+                    if type(term) is Const:
+                        value = term.value
+                        found = table.get(
+                            (Const, value.__class__, value, term.quoted)
+                        )
+                        term = intern_term(term) if found is None else found
+                    else:
+                        term = evaluate_ground(term)
+                rid = term._rid
+                if rid is None:  # raced the ``_interned`` flag
+                    rid = row_id(term)
+                if rid != term._tid:
+                    spelled = True
+                row.append(rid)
+        except EvaluationError:
+            if atom.is_ground():
+                raise
+            raise _non_ground(atom) from None
+        row = tuple(row)
+        batch = batches.get(atom.pred)
+        if batch is None:
+            batch = batches[atom.pred] = (len(args), {}, {})
+        arity, rows, spellings = batch
+        if row in rows:
+            continue
+        if len(args) != arity:
+            raise ValueError(
+                f"{atom.pred}: arity {arity} but got {len(args)} args"
+            )
+        rows[row] = None
+        if spelled:
+            spellings[row] = tuple([evaluate_ground(term) for term in args])
+    return batches
 
 
 class Database:
@@ -21,9 +102,10 @@ class Database:
     __slots__ = ("_relations",)
 
     def __init__(self, facts: Iterable[Atom] = ()) -> None:
-        self._relations: dict[str, Relation] = {}
-        for atom in facts:
-            self.add(atom)
+        self._relations: dict[str, Relation] = {
+            pred: Relation.adopt(pred, arity, rows, spellings)
+            for pred, (arity, rows, spellings) in fact_batches(facts).items()
+        }
 
     def relation(self, pred: str, arity: int | None = None) -> Relation:
         """The relation for ``pred``, creating it when ``arity`` given."""
@@ -45,7 +127,7 @@ class Database:
     def add(self, atom: Atom) -> bool:
         """Insert a ground atom; returns True when new."""
         if not atom.is_ground():
-            raise ValueError(f"cannot store non-ground atom {atom!r}")
+            raise _non_ground(atom)
         args = atom.args
         rel = self._relations.get(atom.pred)
         if rel is None:

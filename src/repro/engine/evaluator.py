@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Literal as TypingLiteral
 
-from repro.engine.compiled import base_database, compile_program
+from repro.engine.compiled import compile_program, load_base
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.fixpoint import (
@@ -43,7 +43,7 @@ from repro.engine.fixpoint import (
 from repro.engine.grouping import fire_grouping_rule
 from repro.engine.match import Binding, match_atom
 from repro.errors import EvaluationError, NotInUniverseError
-from repro.observe import MetricsCollector, Subscriber
+from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.dependency import SCCComponent, scc_schedule
 from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.stratify import Layering, validate_layering
@@ -194,13 +194,11 @@ def evaluate(
     else:
         raise EvaluationError("supplied layering violates the layering conditions")
 
-    db = base_database(program, edb)
-    ctx = EvalContext(
-        db, compiled.plans, hooks=hooks, metrics=metrics, executor=executor
-    )
+    on = compose_hooks(hooks, metrics)
+    db = load_base(program, edb, on)
+    ctx = EvalContext(db, compiled.plans, hooks=on, executor=executor)
     run_fixpoint = naive_fixpoint if strategy == "naive" else seminaive_fixpoint
 
-    on = ctx.on
     layer_stats: list[LayerStats] = []
     for i, components in enumerate(schedule):
         stats = LayerStats(layer=i)

@@ -30,8 +30,9 @@ has at most two templates:
 
 Every closure also gets the kernel codegen
 (:mod:`repro.engine.exec.kernels`): the last relation step fuses
-emission into one whole-column list comprehension, arithmetic and
-comparisons read the interner's numeric lane directly, the set
+emission into one whole-column list comprehension, arithmetic reads
+the interner's numeric lane directly, comparisons compare numbers from
+that lane and strings read through the ID table inline, the set
 built-ins with ground operands and a fresh output (``partition`` with
 both parts bound, ``union``, ``intersection``, ``difference``,
 ``card``) run as the memoized ID-space set kernels, and the other
@@ -302,6 +303,7 @@ class _Codegen:
         self.env: dict = {
             "_T": _ID_TABLE,
             "_NT": _NUM_TABLE,
+            "_C": Const,
             "_CB": ChainBinding,
             "_enc": _encode_rows,
             "_encf": _encode_rows_exact,
@@ -696,12 +698,15 @@ class _Codegen:
         return 1
 
     def _lane_compare(self, k: int, step, in_names, out_names) -> bool:
-        """Comparison over the numeric lane: when both sides
-        are bound variables or numeric constants, ``<``/``<=``/``>``/
-        ``>=`` compare raw lane values directly; rows where either side
-        is non-numeric route through the exact slow path (which owns
-        the raise semantics for strings and mixed types).  Returns True
-        when the step was emitted."""
+        """Comparison on the scalar lanes: when both sides are bound
+        variables or constants, ``<``/``<=``/``>``/``>=`` compare raw
+        payloads inline.  Numbers come from the numeric lane; strings
+        are read through the ID table, where a :class:`Const` with no
+        numeric-lane entry holds a string.  A row whose sides are both
+        numbers, or both strings, compares inline; any other row (mixed
+        kinds, a compound, a set) routes through the exact slow path,
+        which owns the ``cannot compare`` / ``cannot order`` errors.
+        Returns True when the step was emitted."""
         pred = step.literal.atom.pred
         if (
             pred not in ("<", "<=", ">", ">=")
@@ -714,37 +719,59 @@ class _Codegen:
         for kinda, payload, _term in step.builtin_args:
             if kinda == VAR and payload in bound:
                 sides.append((VAR, payload))
-            elif (
-                kinda == CONST
-                and type(payload) is Const
-                and isinstance(payload.value, (int, float))
-            ):
+            elif kinda == CONST and type(payload) is Const:
                 sides.append((CONST, payload.value))
             else:
                 return False
+        constants = [value for kindv, value in sides if kindv == CONST]
+        numbers = not any(isinstance(value, str) for value in constants)
+        strings = all(isinstance(value, str) for value in constants)
+        if not (numbers or strings):
+            return False  # a number against a string: the handler raises
         emit = self.emit
-        exprs = []
-        none_checks = []
+        variables = []  # (numeric-lane local, ID-table local, row ID)
+        numeric, textual = [], []  # each side's expression per lane
         for j, (kindv, value) in enumerate(sides):
             if kindv == VAR:
-                loc = f"_fa{k}_{j}"
-                emit(f"{loc} = _NT[{self.bound_local(value)}]")
-                exprs.append(loc)
-                none_checks.append(f"{loc} is None")
+                num, term = f"_fa{k}_{j}", f"_sa{k}_{j}"
+                rid = self.bound_local(value)
+                emit(f"{num} = _NT[{rid}]")
+                variables.append((num, term, rid))
+                numeric.append(num)
+                textual.append(f"{term}.value")
             else:
-                exprs.append(repr(value))
+                numeric.append(repr(value))
+                textual.append(repr(value))
+        if not variables:
+            emit(f"if not ({numeric[0]} {pred} {numeric[1]}):")
+            emit("    continue")
+            emit(f"_c{k} += 1")
+            return True
         ins = self.ins_expr(in_names)
         hname = f"_uf{k}"
         self.env[hname] = _filter_holds(step, in_names)
-        if none_checks:
-            emit(f"if {' or '.join(none_checks)}:")
-            emit(f"    if not {hname}({ins}):")
+        if numbers:
+            guard = " and ".join(f"{num} is not None" for num, _t, _r in variables)
+            emit(f"if {guard}:")
+            emit(f"    if not ({numeric[0]} {pred} {numeric[1]}):")
             emit("        continue")
-            emit(f"elif not ({exprs[0]} {pred} {exprs[1]}):")
-            emit("    continue")
-        else:
-            emit(f"if not ({exprs[0]} {pred} {exprs[1]}):")
-            emit("    continue")
+        if strings:
+            if numbers:
+                emit("else:")
+                self.depth += 1
+            for _num, term, rid in variables:
+                emit(f"{term} = _T[{rid}]")
+            guard = " and ".join(
+                f"{num} is None and {term}.__class__ is _C"
+                for num, term, _r in variables
+            )
+            emit(f"if {guard}:")
+            emit(f"    if not ({textual[0]} {pred} {textual[1]}):")
+            emit("        continue")
+        emit(f"elif not {hname}({ins}):")
+        emit("    continue")
+        if numbers and strings:
+            self.depth -= 1
         emit(f"_c{k} += 1")
         return True
 

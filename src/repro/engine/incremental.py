@@ -30,6 +30,7 @@ All paths produce exactly the model a from-scratch evaluation would
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import networkx as nx
@@ -374,18 +375,15 @@ class IncrementalModel:
         # the next maintained update re-snapshot.
         self._maintainer = None
         stats = UpdateStats(mode="recompute", affected_predicates=len(cone))
-        # keep everything outside the cone; rebuild the inside.
-        fresh = Database()
-        for atom in self.database.atoms():
-            if atom.pred not in cone:
-                fresh.add(atom)
-            elif atom.pred in self._idb:
-                stats.facts_removed += 1
-            # changed EDB facts are reinstated from _edb_facts below
-        for atom in self._edb_facts:
-            fresh.add(atom)
-        for atom in self._idb_facts:
-            fresh.add(atom)
+        # keep everything outside the cone; rebuild the inside, from
+        # the base facts (changed EDB facts are reinstated from them).
+        kept = []
+        for pred in self.database.predicates():
+            if pred not in cone:
+                kept.append(self.database.atoms(pred))
+            elif pred in self._idb:
+                stats.facts_removed += self.database.count(pred)
+        fresh = Database(chain(*kept, self._edb_facts, self._idb_facts))
         self.database = fresh
         # cached plans stay valid across swaps: plans hold no database
         # references.

@@ -143,6 +143,23 @@ class Relation:
         # ``_unshare`` to take private copies.
         self._cow = False
 
+    @classmethod
+    def adopt(
+        cls,
+        pred: str,
+        arity: int,
+        rows: dict[IdRow, None],
+        spellings: dict[IdRow, ArgTuple],
+    ) -> "Relation":
+        """A relation whose containers *are* ``rows`` (distinct ID rows,
+        in order) and ``spellings`` — the bulk loader's batches, taken
+        over uncopied, so a load never holds two copies of its rows.
+        The caller must not use either dict afterwards."""
+        rel = cls(pred, arity)
+        rel._rows = rows
+        rel._spellings = spellings
+        return rel
+
     def __len__(self) -> int:
         return len(self._rows)
 

@@ -71,6 +71,15 @@ class EvaluationError(LDLError):
     """Raised for runtime evaluation failures (bad built-in modes, etc.)."""
 
 
+class NonGroundFactError(EvaluationError, ValueError):
+    """A fact to store has a variable (or a ``<X>``) among its arguments.
+
+    The evaluators report it as an :class:`EvaluationError` and
+    :class:`~repro.engine.database.Database` as a :class:`ValueError`;
+    being both, it is one error that keeps either contract.
+    """
+
+
 class InfiniteGroupError(EvaluationError):
     """A grouping rule would have to group an infinite set.
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from repro.engine.compiled import base_database, compile_program
+from repro.engine.compiled import compile_program, load_base
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.evaluator import answer_query, answer_rows
@@ -55,7 +55,7 @@ from repro.errors import (
     NotInUniverseError,
     UnstableMagicEvaluationError,
 )
-from repro.observe import Subscriber
+from repro.observe import Subscriber, compose_hooks
 from repro.magic.adornment import unadorned_name
 from repro.magic.rewrite import MagicProgram, magic_rewrite
 from repro.program.rule import Atom, Program, Query, Rule
@@ -314,6 +314,8 @@ def evaluate_magic(
     build the base, run once.
     """
     prepared = compile_program(program).prepare(query, rewrite)
+    hooks = compose_hooks(hooks)
     return prepared.answer(
-        query, base_database(program, edb), hooks=hooks, max_phases=max_phases
+        query, load_base(program, edb, hooks), hooks=hooks,
+        max_phases=max_phases,
     )

@@ -57,7 +57,10 @@ from repro.terms.term import id_table_size
 #:   (``lsn`` of the WAL record or None, ``inserted``/``deleted`` net
 #:   fact counts, ``stats`` its :class:`~repro.engine.incremental.UpdateStats`);
 #: * ``maintain_dispatch`` — maintenance ran one rule over ``rows`` delta
-#:   rows.
+#:   rows;
+#: * ``edb_load`` — an evaluation (or an in-memory session's on-demand
+#:   query base) loaded its base facts: ``facts`` distinct facts stored,
+#:   program facts included, in ``seconds``.
 #:
 #: Storage (:mod:`repro.storage`):
 #:
@@ -83,6 +86,7 @@ EVENTS: dict[str, tuple[str, ...]] = {
     "exec_steps": ("counts", "rows"),
     "delta_batch": ("lsn", "mode", "inserted", "deleted", "stats"),
     "maintain_dispatch": ("rows",),
+    "edb_load": ("facts", "seconds"),
     "wal_append": ("op", "facts", "nbytes", "seconds"),
     "wal_replay": ("records", "facts", "seconds"),
     "snapshot_write": ("path", "facts", "nbytes", "seconds"),
@@ -265,9 +269,10 @@ class TraceRecorder:
 class MetricsCollector:
     """Subscriber attributing wall-clock time and work to phases.
 
-    ``phases`` accumulates seconds under the engine phases ``plan``
-    (RulePlan compilation), ``match`` (rule applications) and
-    ``grouping`` (the R1 step), and the storage phases ``wal_append``,
+    ``phases`` accumulates seconds under the engine phases ``load``
+    (base facts into the database), ``plan`` (RulePlan compilation),
+    ``match`` (rule applications) and ``grouping`` (the R1 step), and
+    the storage phases ``wal_append``,
     ``wal_replay``, ``snapshot_write`` and ``snapshot_load``.
     ``layers`` holds ``(layer, seconds)`` pairs in evaluation order and
     ``sccs`` one entry per scheduled component.  ``counters`` holds
@@ -365,6 +370,9 @@ class MetricsCollector:
     def on_maintain_dispatch(self, rows: int) -> None:
         self.incr("maintain_dispatches")
         self.incr("maintain_rows", rows)
+
+    def on_edb_load(self, facts: int, seconds: float) -> None:
+        self.add_time("load", seconds)
 
     # -- storage events ----------------------------------------------------
 

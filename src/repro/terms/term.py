@@ -522,12 +522,18 @@ _ID_TABLE: list[Term] = []
 #: Numeric lane parallel to :data:`_ID_TABLE`: index ``tid`` holds the
 #: raw Python number of a numeric :class:`Const` (the shape
 #: ``fold_arith`` accepts: ``type(term) is Const`` with an int/float
-#: payload) and None for every other term.  The vector kernels read it
-#: to run arithmetic and comparisons directly in ID space — one list
+#: payload) and None for every other term.  The compiled closures read
+#: it to run arithmetic and comparisons directly in ID space — one list
 #: subscript instead of materialize + isinstance checks per operand.
 #: Mutated in place only (``append``/``clear``), in lockstep with
 #: ``_ID_TABLE``, so closures may capture the list object.
 _NUM_TABLE: list = []
+
+#: Every dense-ID table, index-parallel: an ID assignment appends one
+#: entry to each (:func:`_append_ids`) and a clear empties them all.
+#: Code that saves and restores the ID tables must take every one, or
+#: a table it missed falls out of step.
+ID_TABLES: tuple[list, ...] = (_ID_TABLE, _NUM_TABLE)
 
 #: Callbacks invoked by :func:`clear_intern_table`: modules that memoize
 #: dense IDs process-wide (the vector kernels' number→ID and set-union
@@ -547,6 +553,20 @@ def register_clear_listener(fn) -> None:
 #: Guards dense-ID assignment so the ID sequence stays gap-free and a
 #: term's ``_tid``/``_rid`` pair is published atomically.
 _ID_LOCK = threading.Lock()
+
+
+def _append_ids(term: Term) -> int:
+    """Append ``term``'s entry to every one of :data:`ID_TABLES`;
+    returns its new dense ID.  The caller holds :data:`_ID_LOCK`."""
+    tid = len(_ID_TABLE)
+    number = (
+        term.value
+        if type(term) is Const and isinstance(term.value, (int, float))
+        else None
+    )
+    for table, entry in zip(ID_TABLES, (term, number)):
+        table.append(entry)
+    return tid
 
 
 def _assign_ids(term: Term) -> None:
@@ -578,13 +598,7 @@ def _assign_ids(term: Term) -> None:
     with _ID_LOCK:
         if term._tid is not None:
             return
-        tid = len(_ID_TABLE)
-        _ID_TABLE.append(term)
-        _NUM_TABLE.append(
-            term.value
-            if type(term) is Const and isinstance(term.value, (int, float))
-            else None
-        )
+        tid = _append_ids(term)
         term._rid = tid if plain_rid is None else plain_rid
         term._tid = tid
 
@@ -659,9 +673,7 @@ def set_rid(rids: Iterable[int]) -> int:
         with _ID_LOCK:
             found = _INTERN_TABLE.get(key)
             if found is None:
-                tid = len(_ID_TABLE)
-                _ID_TABLE.append(term)
-                _NUM_TABLE.append(None)
+                tid = _append_ids(term)
                 term._rid = term._tid = tid
                 term._interned = True
                 _INTERN_TABLE[key] = term
@@ -759,8 +771,8 @@ def clear_intern_table() -> None:
         term._tid = None
         term._rid = None
     _INTERN_TABLE.clear()
-    _ID_TABLE.clear()
-    _NUM_TABLE.clear()
+    for table in ID_TABLES:
+        table.clear()
     for term in (EMPTY_SET, BOTTOM):
         _INTERN_TABLE.setdefault(_intern_key(term), term)
         _assign_ids(term)
@@ -860,6 +872,12 @@ def evaluate_ground(term: Term) -> Term:
     if isinstance(term, (Const, Var, SetVal)):
         if isinstance(term, Var):
             raise EvaluationError(f"cannot evaluate non-ground term {term!r}")
+        if isinstance(term, SetVal):
+            # a set built from uncanonical elements (``{1 + 1}`` as a
+            # SetVal) must not become the table's entry for ``{2}``
+            elements = [evaluate_ground(e) for e in term.elements]
+            if any(new is not old for new, old in zip(elements, term.elements)):
+                return intern_term(SetVal.from_ground(elements))
         return intern_term(term)
     if isinstance(term, GroupTerm):
         raise EvaluationError(f"grouping term {term!r} is not a U-element")

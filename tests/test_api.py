@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from repro import LDL, from_term, to_term
+from repro.engine.incremental import IncrementalModel
 from repro.errors import EvaluationError
 from repro.program.rule import Atom
 from repro.terms.pretty import format_atom
@@ -184,6 +185,28 @@ class TestSession:
             durable.checkpoint()
         with LDL(src, path=path) as reopened:
             assert printed(reopened) == expected
+
+        # a program fact and an EDB fact that differ only in spelling:
+        # the program's spelling wins in every kind of session, in
+        # either order of spellings.
+        for program_spelling, edb_const in (
+            ("'a'", Const("a")), ("a", Const("a", quoted=True)),
+        ):
+            src = f"p({program_spelling}). q(X) <- p(X)."
+            edb = [Atom("p", (edb_const,))]
+            expected = [f"p({program_spelling})", "q(a)"]
+            assert printed(LDL(src).add_atoms(edb)) == expected
+            model = IncrementalModel(LDL(src).program, edb)
+            assert sorted(format_atom(a) for a in model.database.atoms()) == (
+                expected
+            )
+            path = str(tmp_path / f"db-{program_spelling}")
+            with LDL(src, path=path) as durable:
+                durable.add_atoms(edb)
+                assert printed(durable) == expected
+                durable.checkpoint()
+            with LDL(src, path=path) as reopened:
+                assert printed(reopened) == expected
 
     def test_noncanonical_atoms_canonicalized_everywhere(self, tmp_path):
         # regression: evaluate() used to store EDB atoms verbatim while

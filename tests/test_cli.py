@@ -70,6 +70,11 @@ class TestCli:
         code, output = invoke([family_file, "--stats"])
         assert "rule firings" in output
 
+    def test_stats_prints_phase_times(self, family_file):
+        code, output = invoke([family_file, "--stats"])
+        (line,) = [l for l in output.splitlines() if l.startswith("% phases:")]
+        assert "load=" in line and "match=" in line
+
     def test_model_printed_without_queries(self, tmp_path):
         path = tmp_path / "p.ldl"
         path.write_text("p(1). q(X) <- p(X).")

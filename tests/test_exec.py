@@ -42,10 +42,11 @@ from repro.engine.relation import decode_row, encode_args
 from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
 from repro.parser import parse_atom, parse_program, parse_rule
-from repro.program.rule import Atom
+from repro.errors import EvaluationError
+from repro.program.rule import Atom, Literal, Program, Rule
 from repro.semantics.wellfounded import wellfounded
 from repro.terms.pretty import format_atom, format_term
-from repro.terms.term import Const
+from repro.terms.term import Const, Var
 
 from tests.helpers import facts_of, run
 from tests.strategies import generated_programs, ground_sets, quoted_ground_terms
@@ -342,6 +343,112 @@ def test_set_builtins_compiled_equal_reference(left, right):
             for name in EXECUTORS
         }
         assert printed["batch"] == printed["tuple"], src
+
+
+#: Comparison operands: numbers, plain and quoted strings, compounds
+#: and sets, so mixed and non-scalar pairs are common.
+numbers = st.integers(-3, 3).map(Const) | st.sampled_from([0.5, -1.25, 2.0]).map(Const)
+strings = st.builds(Const, st.sampled_from(["a", "b", "ab", "B"]), st.booleans())
+comparison_operands = numbers | strings | quoted_ground_terms
+
+COMPARISONS = ("<", "<=", ">", ">=")
+
+
+def comparison_programs(op: str, const):
+    """``op`` with variable/variable, variable/constant and
+    constant/variable sides."""
+    x, y = Var("X"), Var("Y")
+    a, b = Literal(Atom("a", (x,))), Literal(Atom("b", (y,)))
+    return {
+        "var/var": Rule(Atom("r", (x, y)), (a, b, Literal(Atom(op, (x, y))))),
+        "var/const": Rule(Atom("r", (x,)), (a, Literal(Atom(op, (x, const))))),
+        "const/var": Rule(Atom("r", (y,)), (b, Literal(Atom(op, (const, y))))),
+    }
+
+
+def comparison_outcomes(left, right, const):
+    """Per shape and operator, per executor: the printed model, or the
+    message of the evaluation error it raised."""
+    edb = [Atom("a", (v,)) for v in left] + [Atom("b", (v,)) for v in right]
+    outcomes = {}
+    for op in COMPARISONS:
+        for shape, rule in comparison_programs(op, const).items():
+            program = Program([rule])
+            for name in EXECUTORS:
+                try:
+                    result = evaluate(program, edb=edb, executor=name)
+                except EvaluationError as exc:
+                    outcome = ("error", str(exc))
+                else:
+                    outcome = sorted(
+                        format_atom(f) for f in result.database.atoms("r")
+                    )
+                outcomes[op, shape, name] = outcome
+    return outcomes
+
+
+@given(comparison_operands, comparison_operands, comparison_operands)
+@settings(max_examples=80, deadline=None)
+def test_comparison_lane_equals_reference(left, right, const):
+    """One operand per side, so a mixed or non-scalar pair raises the
+    same error on both executors, not just some error."""
+    outcomes = comparison_outcomes([left], [right], const)
+    for op, shape, name in outcomes:
+        assert outcomes[op, shape, name] == outcomes[op, shape, "tuple"]
+
+
+@given(
+    st.sampled_from([numbers, strings]).flatmap(
+        lambda kind: st.tuples(
+            st.lists(kind, max_size=5), st.lists(kind, max_size=5), kind
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_comparison_lane_orders_like_the_reference(operands):
+    """Many rows of one kind — numbers, or strings of either spelling:
+    the same model on both executors, and no error."""
+    outcomes = comparison_outcomes(*operands)
+    for op, shape, name in outcomes:
+        assert outcomes[op, shape, name] == outcomes[op, shape, "tuple"]
+        assert outcomes[op, shape, name][:1] != ("error",)
+
+
+def _closure_with_slow_path(rule_src: str, slow_path):
+    """The rule's compiled closure with its comparison slow path
+    replaced by ``slow_path``."""
+    plan = compile_rule(parse_rule(rule_src))
+    template = tuple((VAR, name) for name in specialize.body_variables(plan))
+    source, env = specialize._generate(plan, template)
+    (name,) = [n for n in env if n.startswith("_uf")]
+    env[name] = slow_path
+    exec(compile(source, "<test>", "exec"), env)
+    return env["_specialized"]
+
+
+class TestComparisonLane:
+    def test_strings_and_numbers_compare_inline(self):
+        def slow_path(ins):
+            raise AssertionError(f"slow path taken for {ins}")
+
+        db = db_of("a('ab')", "a(b)", "b(b)", "b('c')", "n(1)", "n(2.5)")
+        for src, expected in (
+            ("r(X, Y) <- a(X), b(Y), X < Y.", 3),
+            ("r(X) <- a(X), X >= 'b'.", 1),
+            ("r(Y) <- b(Y), 'b' < Y.", 1),
+            ("r(X, Y) <- n(X), n(Y), X <= Y.", 3),
+        ):
+            closure = _closure_with_slow_path(src, slow_path)
+            assert len(closure(db, None, None, None, None)) == expected, src
+
+    def test_mixed_kinds_take_the_slow_path(self):
+        seen = []
+        closure = _closure_with_slow_path(
+            "r(X, Y) <- a(X), b(Y), X < Y.", lambda ins: seen.append(ins)
+        )
+        db = db_of("a(1)", "a(f(b))", "b(b)")
+        assert closure(db, None, None, None, None) == []
+        assert len(seen) == 2
 
 
 class TestBatchGroupBy:

@@ -51,7 +51,7 @@ def isolated_intern_table():
     current table, so it must come back with every entry's cached IDs,
     and the terms the block interned must go.
     """
-    lists = (term_module._ID_TABLE, term_module._NUM_TABLE)
+    lists = term_module.ID_TABLES
     saved_lists = [list(table) for table in lists]
     saved_intern = dict(term_module._INTERN_TABLE)
     entries = [(t, t._interned, t._tid, t._rid) for t in term_module._ID_TABLE]
@@ -136,6 +136,20 @@ def test_only_universe_elements_enter_the_table():
         assert [format_atom(a) for a in db.atoms("q")] == ["q(f('a', 2))"]
         with pytest.raises(NotInUniverseError):
             Database([Atom("p", (Func("scons", (Const(1), Const(2))),))])
+
+
+def test_set_of_uncanonical_elements_is_evaluated_first():
+    """A SetVal holding ``1 + 1`` evaluates to ``{2}``; it must not
+    become the intern table's entry for ``{2}``, which every later
+    ``{2}`` would then decode to."""
+    from repro.terms.pretty import format_term
+
+    with isolated_intern_table():
+        unfolded = SetVal([Func("+", (Const(1), Const(1)))])
+        assert format_term(evaluate_ground(unfolded)) == "{2}"
+        assert row_id(unfolded) == row_id(SetVal([Const(2)]))
+        assert format_term(term_of_id(row_id(SetVal([Const(2)])))) == "{2}"
+        assert_topological()
 
 
 def test_codec_decode_reinterns():

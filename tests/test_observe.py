@@ -127,7 +127,7 @@ class TestTraceRecorder:
             "plan_built", "plan_reused", "layer_start", "layer_end",
             "scc_start", "scc_end", "iteration", "rule_fired",
             "fact_derived", "exec_steps", "wal_append", "wal_replay",
-            "snapshot_write", "snapshot_load", "fsync",
+            "snapshot_write", "snapshot_load", "fsync", "edb_load",
         } <= kinds
         for event in recorder.events:
             assert set(event.payload) == set(EVENTS[event.kind]) | {"layer"}
