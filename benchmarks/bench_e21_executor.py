@@ -1,4 +1,4 @@
-"""Experiment E21: executor comparison, tuple reference vs compiled default
+"""Experiment E21: the compiled executor on join-heavy bodies
 
 pytest-benchmark wrapper around the shared cases in ``common.py``;
 see ``benchmarks/harness.py`` for the table-printing runner and

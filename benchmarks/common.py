@@ -969,24 +969,20 @@ EXPERIMENTS["E19"] = e19_server
 EXPERIMENT_TITLES["E19"] = "server throughput: concurrent clients, read-only vs mixed"
 
 
-# -- E21: executor comparison — tuple reference / compiled default ------------
+# -- E21: the compiled executor on join-heavy bodies --------------------------
 
-#: ``tuple`` is the one-binding-at-a-time reference recursion;
-#: ``vector`` the default compiled lane — ID-tuple emission plus the
-#: ID-space kernels.  The label predates the removal of the ablation
-#: knobs and is kept so committed baselines still compare this case.
-E21_MODES = ("tuple", "vector")
+#: ``vector`` is the compiled lane — ID-tuple emission plus the ID-space
+#: kernels, the engine's only body evaluator.  The label predates the
+#: removal of the ablation knobs and is kept so committed baselines
+#: still compare this case.
+E21_MODES = ("vector",)
 
 
 def _ablation_case(workload, program, edb, mode):
     def run():
         from repro.observe import MetricsCollector
 
-        if mode == "tuple":
-            return evaluate(program, edb=edb, executor="tuple")
-        return evaluate(
-            program, edb=edb, executor="batch", metrics=MetricsCollector(),
-        )
+        return evaluate(program, edb=edb, metrics=MetricsCollector())
 
     return case(workload, mode, run, lambda r: r.total_facts)
 
@@ -1024,7 +1020,7 @@ def e21_executor() -> list[dict]:
 
 
 EXPERIMENTS["E21"] = e21_executor
-EXPERIMENT_TITLES["E21"] = "executor comparison: tuple reference / compiled default"
+EXPERIMENT_TITLES["E21"] = "compiled executor: join-heavy bodies"
 
 
 # -- E22: differential maintenance vs cone recompute --------------------------

@@ -13,7 +13,6 @@ Run:  python benchmarks/harness.py                 # all experiments
       python benchmarks/harness.py --json out.json # machine-readable
       python benchmarks/harness.py --quick E1 E6 --out benchmarks/BENCH_PR4.json
       python benchmarks/harness.py --quick E1 E6 --check benchmarks/BENCH_PR5.json
-      python benchmarks/harness.py --executor tuple E1   # force an executor
       python benchmarks/harness.py --maintain recompute E22  # force a maintenance mode
 
 ``--out`` writes the regression-tracking payload (per-case wall time
@@ -278,13 +277,6 @@ def main(argv: list[str]) -> None:
     argv, json_path = _take_flag_with_value(argv, "--json")
     argv, out_path = _take_flag_with_value(argv, "--out")
     argv, check_path = _take_flag_with_value(argv, "--check")
-    argv, executor = _take_flag_with_value(argv, "--executor")
-    if executor is not None:
-        # process-wide: every experiment below runs under this executor
-        # (cases that pass an explicit executor=, like E21's, keep it).
-        from repro.engine.exec import set_default_executor
-
-        set_default_executor(executor)
     argv, maintain = _take_flag_with_value(argv, "--maintain")
     if maintain is not None:
         # process-wide maintenance mode for every model the experiments

@@ -19,13 +19,7 @@ from repro.engine.fixpoint import (
     seminaive_fixpoint,
     single_pass,
 )
-from repro.engine.exec import (
-    EXECUTORS,
-    default_executor,
-    derive_facts,
-    enumerate_bindings,
-    set_default_executor,
-)
+from repro.engine.exec import derive_facts, enumerate_bindings
 from repro.engine.explain import Derivation, explain
 from repro.engine.grouping import apply_grouping_rule, apply_grouping_rules
 from repro.engine.incremental import (
@@ -67,11 +61,8 @@ __all__ = [
     "compile_program",
     "compile_rule",
     "Derivation",
-    "EXECUTORS",
-    "default_executor",
     "derive_facts",
     "enumerate_bindings",
-    "set_default_executor",
     "IncrementalModel",
     "MaintenanceTotals",
     "UpdateStats",

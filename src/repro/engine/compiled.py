@@ -12,7 +12,7 @@ same object instead of re-running ``check_program`` → ``stratify`` →
 ``condense_program`` → planning.  LDL++ compiles rules and query forms
 before it runs them for the same reason.
 
-Per-run state (the database, hooks, metrics, executor and live sizes)
+Per-run state (the database, hooks, metrics and live sizes)
 lives in :class:`~repro.engine.context.EvalContext`; its plans come
 from :attr:`CompiledProgram.plans`.
 

@@ -1,4 +1,4 @@
-"""The per-run evaluation context: database, observers, executor, sizes.
+"""The per-run evaluation context: database, observers, sizes.
 
 Every evaluation strategy (layered bottom-up, incremental, magic,
 tabled top-down) runs against an :class:`EvalContext` that owns
@@ -7,9 +7,6 @@ tabled top-down) runs against an :class:`EvalContext` that owns
   snapshot (:meth:`EvalContext.refresh_sizes` updates it once per
   fixpoint iteration, so plans compiled later order their joins
   against live sizes),
-* the executor choice (``"batch"`` compiled ID-row closures or the
-  ``"tuple"`` one-binding-at-a-time reference; ``None`` defers to the
-  process-wide default in :mod:`repro.engine.exec`),
 * :attr:`EvalContext.on`, the run's :class:`~repro.observe.Dispatcher`:
   the ``hooks`` and ``metrics`` subscribers resolved once into one
   handler per event (:data:`repro.observe.EVENTS`).
@@ -36,9 +33,9 @@ from repro.program.rule import Rule
 
 
 class EvalContext:
-    """The state of one run: database, observers, executor, sizes."""
+    """The state of one run: database, observers, sizes."""
 
-    __slots__ = ("db", "plans", "executor", "on", "sizes")
+    __slots__ = ("db", "plans", "on", "sizes")
 
     def __init__(
         self,
@@ -46,13 +43,9 @@ class EvalContext:
         plans: PlanCache | None = None,
         hooks: Subscriber | None = None,
         metrics: MetricsCollector | None = None,
-        executor: str | None = None,
     ) -> None:
         self.db = db
         self.plans = plans if plans is not None else PlanCache()
-        # None defers to repro.engine.exec.default_executor() at each
-        # call, so set_default_executor affects existing contexts too.
-        self.executor = executor
         self.on = compose_hooks(hooks, metrics)
         self.sizes: dict[str, int] | None = None
         # seed the snapshot so even the first plans see live sizes
@@ -82,9 +75,9 @@ class EvalContext:
         return plan
 
     def over(self, db: Database) -> "EvalContext":
-        """A context for another database with the same plans,
-        observers and executor."""
-        return EvalContext(db, self.plans, hooks=self.on, executor=self.executor)
+        """A context for another database with the same plans and
+        observers."""
+        return EvalContext(db, self.plans, hooks=self.on)
 
     def refresh_sizes(self) -> None:
         """Snapshot live relation sizes; called once per fixpoint

@@ -18,8 +18,8 @@ Everything that depends on the rules alone — the check, the layering,
 the schedule and the rule plans — comes from the program's
 :class:`~repro.engine.compiled.CompiledProgram`, built once per
 program.  Each run gets its own
-:class:`~repro.engine.context.EvalContext` (database, observers,
-executor); every layer, SCC, iteration, rule firing and derived fact
+:class:`~repro.engine.context.EvalContext` (database, observers);
+every layer, SCC, iteration, rule firing and derived fact
 is an event of :mod:`repro.observe`, which ``hooks`` and ``metrics``
 subscribe to.
 """
@@ -171,19 +171,23 @@ def evaluate(
     ``layering`` overrides the canonical stratification (it is validated
     first); Theorem 2 guarantees the result does not depend on the
     choice.  ``strategy`` selects the fixpoint algorithm within
-    recursive components.  ``executor`` picks the body executor
-    (``"batch"`` — plans compiled to closures over ID rows /
-    ``"tuple"`` — the one-binding-at-a-time reference; None uses the
-    process default).  ``hooks`` subscribes to the engine events
+    recursive components.  ``hooks`` subscribes to the engine events
     (:data:`repro.observe.EVENTS` — e.g. a
     :class:`~repro.observe.TraceRecorder`); ``metrics`` is one more
     subscriber, collecting per-phase, per-layer and per-SCC wall-clock
     timings, and comes back as :attr:`EvaluationResult.metrics`.
 
-    ``workers`` is accepted and ignored — evaluation is always serial;
-    the keyword stays only because the frozen ledger probe still passes
-    ``workers=2``, and goes with that probe.
+    ``executor`` and ``workers`` are accepted and ignored — every rule
+    body runs serially on the compiled lane; the keywords stay only
+    because the frozen ledger probes still pass ``executor="tuple"`` and
+    ``workers=2``, and go with those probes.  An executor name other
+    than ``"batch"`` or ``"tuple"`` raises :class:`ValueError` before
+    anything is loaded.
     """
+    if executor not in (None, "batch", "tuple"):
+        raise ValueError(
+            f"unknown executor {executor!r}; expected 'batch' or 'tuple'"
+        )
     compiled = compile_program(program)
     if strategy not in ("naive", "seminaive"):
         raise EvaluationError(f"unknown strategy {strategy!r}")
@@ -196,7 +200,7 @@ def evaluate(
 
     on = compose_hooks(hooks, metrics)
     db = load_base(program, edb, on)
-    ctx = EvalContext(db, compiled.plans, hooks=on, executor=executor)
+    ctx = EvalContext(db, compiled.plans, hooks=on)
     run_fixpoint = naive_fixpoint if strategy == "naive" else seminaive_fixpoint
 
     layer_stats: list[LayerStats] = []

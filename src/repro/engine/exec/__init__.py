@@ -11,59 +11,24 @@ ID tuples a compiled closure emits
   with ``Database.add_rows``;
 * :func:`derive_facts` — those head rows decoded into atoms.
 
-Two executors sit behind them:
-
-* ``"batch"`` (default) — each plan compiles once into closures of
-  nested loops over ID rows.  A plan the compiled lane declines runs on
-  the reference executor instead;
-* ``"tuple"`` — the one-binding-at-a-time recursion in
-  :mod:`repro.engine.exec.tuplewise`, the differential oracle; its
-  head facts are encoded into the same rows.
-
-The process-wide default comes from the ``REPRO_EXECUTOR`` environment
-variable (CI runs the engine suite under ``REPRO_EXECUTOR=tuple`` so the
-reference cannot rot) and can be changed with
-:func:`set_default_executor` (the benchmark harness ``--executor``
-knob).
+Each plan compiles once into closures of nested loops over ID rows;
+that compiled lane is the only body evaluator the engine runs, and a
+plan or seed it cannot run raises (see
+:mod:`repro.engine.exec.specialize`).  The one-binding-at-a-time
+recursion in :mod:`repro.engine.exec.tuplewise` (:func:`run_plan_tuple`)
+stays as the rule-level oracle the tests hold the compiled lane to.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterable
-
 from repro.engine.binding import ChainBinding, materialize
 from repro.engine.database import Database
 from repro.engine.exec.kernels import RowBatch
-from repro.engine.exec.specialize import FALLBACK, specialized_plan
+from repro.engine.exec.specialize import specialized_plan
 from repro.engine.exec.tuplewise import run_plan_tuple
 from repro.engine.plan import RulePlan, SourceOverrides
 from repro.engine.relation import encode_args
 from repro.program.rule import Atom
-
-EXECUTORS = ("batch", "tuple")
-
-
-def _validated(name: str) -> str:
-    if name not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of {EXECUTORS}"
-        )
-    return name
-
-
-_default_executor = _validated(os.environ.get("REPRO_EXECUTOR", "batch"))
-
-
-def default_executor() -> str:
-    """The process-wide executor used when none is requested."""
-    return _default_executor
-
-
-def set_default_executor(name: str) -> None:
-    """Change the process-wide default (harness ``--executor`` knob)."""
-    global _default_executor
-    _default_executor = _validated(name)
 
 
 class DerivedRows:
@@ -92,40 +57,29 @@ def enumerate_bindings(
     binding: dict | ChainBinding | None = None,
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
-    executor: str | None = None,
     steps=None,
-) -> Iterable[ChainBinding]:
-    """All bindings satisfying ``plan``'s body, via the chosen executor.
+) -> list[ChainBinding]:
+    """All bindings satisfying ``plan``'s body: the compiled closure's
+    variable rows, decoded into copy-on-write chain bindings.
 
-    Returns an iterable of copy-on-write chain bindings: a realized
-    list from the compiled lane (its variable rows, decoded), a lazy
-    iterator from the reference.  ``steps`` is the run's ``exec_steps``
-    handler (see :data:`repro.observe.EVENTS`), called once per
-    compiled closure run; the reference executor reports nothing.
+    ``steps`` is the run's ``exec_steps`` handler (see
+    :data:`repro.observe.EVENTS`), called once per compiled closure run.
     """
-    name = _default_executor if executor is None else _validated(executor)
-    if name == "batch":
-        base = {} if binding is None else materialize(binding)
-        spec = specialized_plan(plan)
-        rows = spec.run("vars", db, base, overrides, negation_db, steps)
-        if rows is not FALLBACK:
-            return spec.binder()(rows, base)
-    return run_plan_tuple(
-        db, plan, binding=binding, overrides=overrides,
-        negation_db=negation_db,
-    )
+    base = {} if binding is None else materialize(binding)
+    spec = specialized_plan(plan)
+    rows = spec.run("vars", db, base, overrides, negation_db, steps)
+    return spec.binder()(rows, base)
 
 
-def _instantiated(db, plan, overrides, negation_db, executor, steps):
+def _instantiated(db, plan, overrides, negation_db, steps):
     """Head facts by instantiating the head per binding (bindings that
     take it outside U drop), each carrying its encoded row: the path
-    for non-fast heads and the reference executor."""
+    for a plan with no head template."""
     if plan.head is None:
         raise ValueError("body-only plan has no head to derive")
     instantiate = plan.instantiate_head
     for binding in enumerate_bindings(
-        db, plan, overrides=overrides, negation_db=negation_db,
-        executor=executor, steps=steps,
+        db, plan, overrides=overrides, negation_db=negation_db, steps=steps,
     ):
         fact = instantiate(binding)
         if fact is not None:
@@ -138,26 +92,22 @@ def derive_rows(
     plan: RulePlan,
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
-    executor: str | None = None,
     steps=None,
 ) -> DerivedRows:
     """Head facts derived by one rule application, as ID rows.
 
-    The compiled lane emits a fast head's rows directly.  A non-fast
-    head, and the reference executor, instantiate each binding's head
-    and encode the facts; ``decode`` then returns each row's first
-    derived spelling.
+    A plan with a head template emits its rows directly.  Otherwise
+    (a non-fast head) each binding's head is instantiated and encoded;
+    ``decode`` then returns each row's first derived spelling.
     """
-    name = _default_executor if executor is None else _validated(executor)
-    if name == "batch" and plan.head is not None:
-        spec = specialized_plan(plan)
+    spec = specialized_plan(plan)
+    if spec.templates["head"] is not None:
+        head = plan.head.atom
         rows = spec.run("head", db, {}, overrides, negation_db, steps)
-        if rows is not FALLBACK:
-            head = plan.head.atom
-            return DerivedRows(head.pred, len(head.args), rows, spec.decoder())
+        return DerivedRows(head.pred, len(head.args), rows, spec.decoder())
     rows = []
     spelled: dict = {}  # each row's first derived spelling
-    for fact in _instantiated(db, plan, overrides, negation_db, name, steps):
+    for fact in _instantiated(db, plan, overrides, negation_db, steps):
         row = fact._row
         rows.append(row)
         if row not in spelled:
@@ -171,28 +121,22 @@ def derive_facts(
     plan: RulePlan,
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
-    executor: str | None = None,
     steps=None,
 ) -> list[Atom]:
     """The head rows of :func:`derive_rows` as ground atoms, one per
     derivation, each carrying its ID row so ``Database.add`` skips
     re-encoding.  Compiled head rows decode through the plan's
     generated fact decoder; instantiated facts are returned as built."""
-    name = _default_executor if executor is None else _validated(executor)
-    if name == "batch" and plan.head is not None:
-        spec = specialized_plan(plan)
+    spec = specialized_plan(plan)
+    if spec.templates["head"] is not None:
         rows = spec.run("head", db, {}, overrides, negation_db, steps)
-        if rows is not FALLBACK:
-            return spec.fact_decoder()(rows)
-    return list(_instantiated(db, plan, overrides, negation_db, name, steps))
+        return spec.fact_decoder()(rows)
+    return list(_instantiated(db, plan, overrides, negation_db, steps))
 
 
 __all__ = [
-    "EXECUTORS",
     "DerivedRows",
     "RowBatch",
-    "default_executor",
-    "set_default_executor",
     "enumerate_bindings",
     "derive_rows",
     "derive_facts",

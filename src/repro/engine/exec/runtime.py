@@ -4,8 +4,9 @@ The compile side (:mod:`repro.engine.plan`) reduces every body literal
 to descriptor tuples; this module owns their runtime meaning for ONE
 binding at a time: probe-key evaluation, residual matching, builtin
 argument materialization, and negation argument evaluation.  The
-reference executor (:mod:`repro.engine.exec.tuplewise`) composes these
-into a recursive enumeration; the compiled closures
+reference executor (:mod:`repro.engine.exec.tuplewise`, a test oracle
+the engine never runs) composes these into a recursive enumeration;
+the compiled closures
 (:mod:`repro.engine.exec.specialize`) call them at the term boundary
 for the shapes that are inherently per-binding (negated built-ins,
 general residual matching, non-inlined built-ins).

@@ -38,15 +38,17 @@ both parts bound, ``union``, ``intersection``, ``difference``,
 ``card``) run as the memoized ID-space set kernels, and the other
 known-handler builtin calls memoize on their input row IDs.
 
-Semantics match the reference executor
-(:mod:`repro.engine.exec.tuplewise`) — same binding multisets, same
-failure semantics (lenient override probes vs raising database
-probes) — and it remains the differential oracle.  A plan the lane
-declines runs on that reference: shapes the generator cannot prove it
-handles raise :class:`_Unsupported`, and runtime conditions it cannot
-handle (a seed binding whose keys differ from the plan's
-``initially_bound``, a seed value that cannot be interned) return
-:data:`FALLBACK` *before* any override source is consumed.
+This is the only body evaluator the engine runs.  Its semantics match
+the per-binding reference (:mod:`repro.engine.exec.tuplewise`, which
+only the tests call) — same binding multisets, same failure semantics
+(lenient override probes vs raising database probes).  What it
+cannot run raises, before any override source is consumed: a seed
+binding whose keys differ from the plan's ``initially_bound``
+(:class:`ValueError`), a seed value that is not a term
+(:class:`TypeError`), and a shape the generator cannot prove it
+handles (:class:`_Unsupported`, re-raised as
+:class:`~repro.errors.EvaluationError` naming the rule and the
+reason).
 
 Compiled closures capture the ID table by reference; like relations,
 they must not outlive :func:`repro.terms.term.clear_intern_table`.
@@ -70,6 +72,7 @@ from repro.engine.plan import ARITH, CONST, VAR, LiteralStep, RulePlan, SourceOv
 from repro.engine.relation import encode_args
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.rule import Atom
+from repro.terms.pretty import format_rule
 from repro.terms.term import (
     Const,
     Term,
@@ -78,11 +81,6 @@ from repro.terms.term import (
     evaluate_ground,
     row_id,
 )
-
-#: Sentinel: the specialized path declined (before consuming any
-#: override source); the caller must run the reference executor.
-FALLBACK = object()
-
 
 class _Unsupported(Exception):
     """The generator cannot prove it handles this plan shape."""
@@ -1078,15 +1076,23 @@ class SpecializedPlan:
     """Lazy compilation cache hung off a :class:`RulePlan`.
 
     Holds at most two closures, one per output template (``"head"`` and
-    ``"vars"``), each compiled at most once — an unsupported shape
-    caches False so the codegen is not re-attempted per call — plus the
-    decoders for their rows, each generated once."""
+    ``"vars"``), each compiled at most once, plus the decoders for their
+    rows, each generated once.  ``templates["head"]`` is None for a plan
+    with no head template (:func:`head_template`);
+    :func:`~repro.engine.exec.derive_rows` instantiates such a head per
+    binding instead."""
 
-    __slots__ = ("plan", "variables", "_fns", "_decode", "_binder", "_facts")
+    __slots__ = (
+        "plan", "variables", "templates", "_fns", "_decode", "_binder", "_facts",
+    )
 
     def __init__(self, plan: RulePlan) -> None:
         self.plan = plan
         self.variables = body_variables(plan)
+        self.templates = {
+            "head": head_template(plan),
+            "vars": tuple((VAR, name) for name in self.variables),
+        }
         self._fns: dict[str, object] = {}
         self._decode = False  # not computed yet; None is a result
         self._binder = None
@@ -1147,20 +1153,14 @@ class SpecializedPlan:
         fn = self._fns.get(kind)
         if fn is None:
             plan = self.plan
-            if kind == "head":
-                template = head_template(plan)
-            else:
-                template = tuple((VAR, name) for name in self.variables)
             try:
-                if template is None:
-                    raise _Unsupported("no head template")
-                source, env = _generate(plan, template)
-                label = plan.head.atom.pred if plan.head is not None else "body"
-                fn = _define(
-                    source, f"<specialized:{label}>", env, "_specialized"
-                )
-            except _Unsupported:
-                fn = False
+                source, env = _generate(plan, self.templates[kind])
+            except _Unsupported as exc:
+                raise EvaluationError(
+                    f"cannot compile rule {format_rule(plan.rule)}: {exc}"
+                ) from None
+            label = plan.head.atom.pred if plan.head is not None else "body"
+            fn = _define(source, f"<specialized:{label}>", env, "_specialized")
             self._fns[kind] = fn
         return fn
 
@@ -1175,19 +1175,21 @@ class SpecializedPlan:
     ):
         """Run the ``kind`` template's closure (``"head"`` or
         ``"vars"``) seeded with ``base`` (initially-bound name → term):
-        the emitted ID tuples, or :data:`FALLBACK` (always before
-        consuming any override source, so the fallback sees fresh
-        iterators)."""
+        the emitted ID tuples.  A seed that does not fit the plan
+        raises before any override source is consumed."""
         plan = self.plan
         if frozenset(base) != plan.initially_bound:
-            return FALLBACK
+            raise ValueError(
+                f"seed binds {sorted(base)}, but the plan of "
+                f"{format_rule(plan.rule)} was compiled for "
+                f"{sorted(plan.initially_bound)}"
+            )
         fn = self._function(kind)
-        if fn is False:
-            return FALLBACK
-        try:
-            seed = {name: row_id(value) for name, value in base.items()}
-        except (TypeError, AttributeError):
-            return FALLBACK
+        seed = {}
+        for name, value in base.items():
+            if not isinstance(value, Term):
+                raise TypeError(f"seed value of {name} is not a term: {value!r}")
+            seed[name] = row_id(value)
         negdb = db if negation_db is None else negation_db
         return fn(db, overrides, seed, negdb, steps)
 

@@ -1,9 +1,10 @@
 """Tuple-at-a-time executor: the reference the compiled lane answers to.
 
-Selected as ``executor="tuple"``, and the target of every plan the
-compiled lane declines.  One binding flows through the whole step
-sequence before the next one starts; every step shape delegates to the
-shared per-binding runtime helpers over terms, not ID rows.
+The engine never runs it: :func:`run_plan_tuple` is the rule-level
+oracle the tests hold :mod:`repro.engine.exec.specialize` to.  One
+binding flows through the whole step sequence before the next one
+starts; every step shape delegates to the shared per-binding runtime
+helpers over terms, not ID rows.
 
 A yielded binding spells every variable the body bound as its
 equality class's representative — what the compiled lane's ID rows

@@ -172,9 +172,7 @@ def _explain_plain(
         plan = ctx.plan_for(
             rule, initially_bound=frozenset(head_binding)
         )
-        for binding in enumerate_bindings(
-            db, plan, binding=head_binding, executor=ctx.executor
-        ):
+        for binding in enumerate_bindings(db, plan, binding=head_binding):
             derived = ground_atom(rule.head, binding)
             if derived != fact:
                 continue
@@ -203,9 +201,7 @@ def _explain_grouping(
     absences: list[Atom] = []
     seen_premises: set[Atom] = set()
     group_position = rule.head.group_positions()[0]
-    for binding in enumerate_bindings(
-        db, ctx.plan_for(rule), executor=ctx.executor
-    ):
+    for binding in enumerate_bindings(db, ctx.plan_for(rule)):
         derived_key = ground_atom(
             Atom(
                 rule.head.pred,

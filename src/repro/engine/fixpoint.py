@@ -63,15 +63,11 @@ def occurrence_index(rules: Sequence[Rule]) -> list[tuple[Rule, int]]:
 def _derive(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None):
     """One rule application: its head facts as a
     :class:`~repro.engine.exec.DerivedRows` batch of ID rows, one per
-    derivation, so ``rule_fired`` reports the same count on every
-    executor."""
+    derivation, as ``rule_fired`` reports it."""
     on = ctx.on
     fired = on.rule_fired
     start = perf_counter() if fired is not None else 0.0
-    dr = derive_rows(
-        db, plan, overrides=overrides, executor=ctx.executor,
-        steps=on.exec_steps,
-    )
+    dr = derive_rows(db, plan, overrides=overrides, steps=on.exec_steps)
     if fired is not None:
         fired(rule=rule, derived=len(dr.rows), seconds=perf_counter() - start)
     return dr
@@ -201,9 +197,8 @@ def seminaive_rounds(
     using at least one delta fact are explored — the entry point for
     incremental insertion (:mod:`repro.engine.incremental`).  Delta
     values are plain argument-tuple lists or :class:`RowBatch`es (what
-    every later round builds); both iterate as argument tuples for
-    every executor, and the compiled lane reads a batch's ID rows
-    directly.
+    every later round builds); the compiled lane encodes a list once
+    and reads a batch's ID rows directly.
     """
     ctx = context or EvalContext(db)
     stats = FixpointStats()

@@ -15,10 +15,10 @@ The group-by runs in ID space.  The rule's plan carries the template
 of its *pre-group* head ``p(t1, ..., Y, ..., tn)``
 (:func:`~repro.engine.plan.compile_rule`), so
 :func:`~repro.engine.exec.derive_rows` yields one ID row per applicable
-binding on either executor — interpreted head terms evaluated, facts
-outside U dropped.  :func:`grouped_rows` hashes those rows on the
-non-grouped slots into ``{key: set of value row IDs}`` and builds each
-group's set with the row-ID set constructor
+binding — interpreted head terms evaluated, facts outside U dropped.
+:func:`grouped_rows` hashes those rows on the non-grouped slots into
+``{key: set of value row IDs}`` and builds each group's set with the
+row-ID set constructor
 :func:`~repro.terms.term.set_rid`; since row IDs are equality classes,
 keys and set elements compare exactly as the terms do.  The fixpoint
 installs the result with one ``Database.add_rows``;
@@ -75,14 +75,12 @@ def grouped_rows(
     if not any(
         group_var in lit.atom.variables() for lit in rule.body if lit.positive
     ):
-        for _binding in enumerate_bindings(
-            db, plan, executor=ctx.executor, steps=steps
-        ):
+        for _binding in enumerate_bindings(db, plan, steps=steps):
             raise EvaluationError(
                 f"grouped variable {group_var} unbound by body: {format_rule(rule)}"
             )
         return DerivedRows(pred, arity, [], None)
-    pre = derive_rows(db, plan, executor=ctx.executor, steps=steps)
+    pre = derive_rows(db, plan, steps=steps)
     others = [i for i in range(arity) if i != position]
     key_of = itemgetter(*others) if others else (lambda row: ())
     groups: dict = {}

@@ -289,8 +289,7 @@ class DeltaMaintainer:
         start = perf_counter() if fired is not None else 0.0
         derived = derive_facts(
             self._model.database, plan, overrides=overrides,
-            negation_db=negation_db, executor=self._model._context.executor,
-            steps=on.exec_steps,
+            negation_db=negation_db, steps=on.exec_steps,
         )
         if fired is not None:
             fired(rule=rule, derived=len(derived), seconds=perf_counter() - start)
@@ -317,7 +316,7 @@ class DeltaMaintainer:
         self._dispatched(overrides)
         return enumerate_bindings(
             self._model.database, plan, overrides=overrides,
-            executor=ctx.executor, steps=ctx.on.exec_steps,
+            steps=ctx.on.exec_steps,
         )
 
     def _old_tuples(self, pred: str, plus: Deltas, minus: Deltas):
@@ -888,5 +887,5 @@ class DeltaMaintainer:
         ctx = self._model._context
         return enumerate_bindings(
             self._model.database, plan, binding=binding,
-            executor=ctx.executor, steps=ctx.on.exec_steps,
+            steps=ctx.on.exec_steps,
         )

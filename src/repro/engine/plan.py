@@ -17,9 +17,9 @@ emits a :class:`RulePlan`:
 * a precomputed :class:`HeadTemplate` that instantiates the head by
   direct binding lookups when possible.
 
-Execution lives in :mod:`repro.engine.exec`: the default executor
-compiles each plan once into a closure over ID rows, the tuple executor
-keeps the original one-binding-at-a-time recursion as the reference.
+Execution lives in :mod:`repro.engine.exec`: each plan compiles once
+into a closure over ID rows; the original one-binding-at-a-time
+recursion stays beside it as the reference the tests compare against.
 Plans are cached in a :class:`PlanCache` — one per compiled program
 (:mod:`repro.engine.compiled`) — and every run reads them through its
 :class:`~repro.engine.context.EvalContext`.

@@ -124,6 +124,11 @@ class TopDownEvaluator:
             table = Table()
             self._tables[(pred, key)] = table
             self.stats.subgoals += 1
+            # the predicate's facts (program and EDB) are answers too
+            bound = tuple(i for i, value in enumerate(key) if value is not None)
+            for args in self._db.lookup(pred, bound, tuple(key[i] for i in bound)):
+                if len(args) == len(key):
+                    self._record(table, args)
         return table
 
     def solve(self, pred: str, key: SubgoalKey) -> Table:
@@ -163,7 +168,7 @@ class TopDownEvaluator:
         try:
             for rule in self.program.rules_for(pred):
                 if rule.is_fact():
-                    continue  # installed into the EDB store already
+                    continue  # recorded when the table was created
                 if rule.is_grouping():
                     self._apply_grouping_rule(rule, key, table)
                 else:

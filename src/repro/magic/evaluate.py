@@ -110,7 +110,7 @@ class MagicResult:
 def _apply_deferred(rule: Rule, db: Database, ctx: EvalContext) -> list[Atom]:
     if rule.is_grouping():
         return list(apply_grouping_rule(rule, db, context=ctx))
-    return derive_facts(db, ctx.plan_for(rule), executor=ctx.executor)
+    return derive_facts(db, ctx.plan_for(rule))
 
 
 class PreparedQuery:

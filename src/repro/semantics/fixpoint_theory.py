@@ -55,9 +55,7 @@ def tp(
     ctx = context or EvalContext(db)
     out: set[Atom] = set()
     for rule in program.rules:
-        out.update(
-            derive_facts(db, ctx.plan_for(rule), executor=ctx.executor)
-        )
+        out.update(derive_facts(db, ctx.plan_for(rule)))
     return frozenset(out)
 
 
@@ -106,7 +104,5 @@ def tp_with_grouping(
             continue
         if any(lit.negative for lit in rule.body):
             raise EvaluationError("negation is not supported by this operator")
-        out.update(
-            derive_facts(db, ctx.plan_for(rule), executor=ctx.executor)
-        )
+        out.update(derive_facts(db, ctx.plan_for(rule)))
     return frozenset(out)

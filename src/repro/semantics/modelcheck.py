@@ -52,9 +52,7 @@ def violations(
                     yield Violation(rule, fact)
                     break
             continue
-        for binding in enumerate_bindings(
-            db, ctx.plan_for(rule), executor=ctx.executor
-        ):
+        for binding in enumerate_bindings(db, ctx.plan_for(rule)):
             head = ground_atom(rule.head, binding)
             if head is None or head not in facts:
                 missing = head if head is not None else rule.head.substitute(binding)

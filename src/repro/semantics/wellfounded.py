@@ -74,10 +74,7 @@ def _reduct(
     while changed:
         changed = False
         for plan in plans:
-            derived = derive_facts(
-                db, plan, negation_db=assumed, executor=ctx.executor
-            )
-            for fact in derived:
+            for fact in derive_facts(db, plan, negation_db=assumed):
                 if db.add(fact):
                     changed = True
     return db

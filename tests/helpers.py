@@ -23,6 +23,81 @@ def facts_of(result, pred: str) -> set[str]:
     return {format_atom(a) for a in result.database.atoms(pred)}
 
 
+def idb_facts(program, edb=(), strategy: str = "seminaive") -> set[str]:
+    """The IDB part of ``evaluate``'s model, as formatted strings."""
+    idb = program.idb_predicates()
+    return {
+        format_atom(a)
+        for a in evaluate(program, edb=edb, strategy=strategy).database.atoms()
+        if a.pred in idb
+    }
+
+
+def topdown_idb_facts(program, edb=()) -> set[str]:
+    """The whole-program oracle: every IDB predicate asked all-free of
+    the tabled :class:`~repro.engine.topdown.TopDownEvaluator`, as
+    formatted strings.  It solves every literal itself (``match.py`` and
+    ``solve_builtin``), so it shares no code with the compiled lane or
+    the reference executor; it borrows only the body order."""
+    from repro.engine.topdown import TopDownEvaluator
+    from repro.program.rule import Query
+    from repro.terms.term import Var
+
+    evaluator = TopDownEvaluator(program, edb=edb)
+    heads = {
+        (rule.head.pred, len(rule.head.args))
+        for rule in program.rules
+        if not rule.is_fact()
+    }
+    out: set[str] = set()
+    for pred, arity in sorted(heads):
+        query = Query(Atom(pred, tuple(Var(f"V{i}") for i in range(arity))))
+        out.update(format_atom(a) for a in evaluator.query(query))
+    return out
+
+
+def reference_facts(db, plan, **kwargs) -> list[Atom]:
+    """``plan``'s head instantiated per binding of the reference
+    executor (:func:`~repro.engine.exec.run_plan_tuple`; ``kwargs`` go
+    to it), one fact per derivation, bindings outside U dropped: what
+    ``derive_facts`` must return."""
+    from repro.engine.exec import run_plan_tuple
+
+    facts = map(plan.instantiate_head, run_plan_tuple(db, plan, **kwargs))
+    return [fact for fact in facts if fact is not None]
+
+
+def reference_model(program, edb=()):
+    """The whole-program model with every rule body run through the
+    per-binding reference executor: layer by layer, each grouping rule
+    once (:func:`grouping_oracle`), then the layer's other rules
+    re-applied naively (:func:`reference_facts`) until nothing new is
+    derived.  Its join paths are the reference's, not the compiled
+    lane's, so it is the oracle for ``evaluate``'s body executor."""
+    from repro.engine.compiled import base_database
+    from repro.engine.plan import compile_rule
+    from repro.program.stratify import stratify
+
+    layering = stratify(program)
+    db = base_database(program, edb)
+    for i in range(len(layering)):
+        rules = [
+            r for r in layering.rules_in_layer(program, i) if not r.is_fact()
+        ]
+        for rule in rules:
+            if rule.is_grouping():
+                for fact in grouping_oracle(rule, db):
+                    db.add(fact)
+        plans = [compile_rule(r) for r in rules if not r.is_grouping()]
+        changed = True
+        while changed:
+            changed = False
+            for plan in plans:
+                for fact in reference_facts(db, plan):
+                    changed |= db.add(fact)
+    return db
+
+
 def assert_sizes_do_not_change_facts(program, db) -> None:
     """Join order is an optimization, not a semantics.
 

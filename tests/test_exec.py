@@ -1,17 +1,18 @@
 """Tests for the executor package (repro.engine.exec).
 
-Covers the default compiled lane against the reference executor on
-fixed bodies (joins, anti-join negation, override-source joins,
-builtins, metrics), the fallback to the reference for plans the
-compiled lane declines, the executor selection machinery, fixed-program
-differentials, that the default executor reaches the reference on no
-engine path, and a Hypothesis property holding the one compiled shape
-(variable rows and head rows) to the reference on every rule of random
-programs.
+Covers the compiled lane — the engine's only body evaluator — against
+the reference executor on fixed bodies (joins, anti-join negation,
+override-source joins, builtins, metrics), the errors a plan or seed the
+lane cannot run raises, ``evaluate``'s accepted-and-ignored
+``executor`` keyword, fixed-program differentials against the top-down
+oracle, that no engine path reaches the reference, and a Hypothesis
+property holding the one compiled shape (variable rows and head rows)
+to the reference on every rule of random programs.
 """
 
-import os
+import inspect
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,17 +24,14 @@ from repro.engine.binding import EMPTY_BINDING
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import (
-    EXECUTORS,
     RowBatch,
-    default_executor,
     derive_facts,
     derive_rows,
     enumerate_bindings,
     run_plan_tuple,
-    set_default_executor,
 )
 from repro.engine.exec import specialize
-from repro.engine.exec.specialize import FALLBACK, head_template, specialized_plan
+from repro.engine.exec.specialize import specialized_plan
 from repro.engine.grouping import apply_grouping_rule
 from repro.engine.maintain.maintainer import DeltaMaintainer
 from repro.engine.match import match_atom
@@ -48,7 +46,14 @@ from repro.semantics.wellfounded import wellfounded
 from repro.terms.pretty import format_atom, format_term
 from repro.terms.term import Const, Var
 
-from tests.helpers import facts_of, run
+from tests.helpers import (
+    facts_of,
+    grouping_oracle,
+    idb_facts,
+    reference_facts,
+    run,
+    topdown_idb_facts,
+)
 from tests.strategies import generated_programs, ground_sets, quoted_ground_terms
 
 
@@ -63,14 +68,12 @@ def _normalized(bindings):
     )
 
 
-def compiled(db, plan, **kwargs):
-    """The default lane, pinned so a ``REPRO_EXECUTOR=tuple`` run still
-    exercises it."""
-    return enumerate_bindings(db, plan, executor="batch", **kwargs)
+def printed(facts):
+    return sorted(map(format_atom, facts))
 
 
 def bindings_of(db, rule, **kwargs):
-    fast = _normalized(compiled(db, compile_rule(rule), **kwargs))
+    fast = _normalized(enumerate_bindings(db, compile_rule(rule), **kwargs))
     tup = _normalized(run_plan_tuple(db, compile_rule(rule), **kwargs))
     assert fast == tup
     return fast
@@ -106,7 +109,7 @@ class TestBatchJoin:
         db = db_of("a(1)", "b(1)", "c(1)")
         rule = parse_rule("p(X) <- a(X), b(X).")
         plan = compile_rule(rule)
-        assert len(list(compiled(db, plan))) == len(
+        assert len(list(enumerate_bindings(db, plan))) == len(
             list(run_plan_tuple(db, plan))
         )
 
@@ -150,7 +153,7 @@ class TestOverrideSource:
         rule = parse_rule("t(X, Y) <- e(X, Z), t(Z, Y).")
         plan = compile_rule(rule, first=1)
         delta = [(Const(2), Const(3))]
-        fast = list(compiled(db, plan, overrides={1: delta}))
+        fast = list(enumerate_bindings(db, plan, overrides={1: delta}))
         tup = list(run_plan_tuple(db, plan, overrides={1: delta}))
         assert len(fast) == len(tup) == 1
         assert fast[0].materialize() == tup[0].materialize()
@@ -162,7 +165,7 @@ class TestOverrideSource:
         rule = parse_rule("p(X, Y) <- e(X, Z), d(Z, Y).")
         plan = compile_rule(rule)
         delta = [(Const(2), Const(9)), (Const(7), Const(8))]
-        fast = list(compiled(db, plan, overrides={plan.order[1]: delta}))
+        fast = list(enumerate_bindings(db, plan, overrides={plan.order[1]: delta}))
         tup = list(run_plan_tuple(db, plan, overrides={plan.order[1]: delta}))
         assert len(fast) == len(tup) == 1
 
@@ -176,107 +179,76 @@ class TestOverrideSource:
         def source():
             return {idx: iter([(Const(5),), (Const(6),)])}
 
-        fast = _normalized(compiled(db, plan, overrides=source()))
+        fast = _normalized(enumerate_bindings(db, plan, overrides=source()))
         assert len(fast) == 4
         assert _normalized(run_plan_tuple(db, plan, overrides=source())) == fast
-        assert _normalized(
-            enumerate_bindings(db, plan, overrides=source(), executor="tuple")
-        ) == fast
-        facts = {
-            name: sorted(map(str, derive_facts(
-                db, plan, overrides=source(), executor=name
-            )))
-            for name in ("batch", "tuple")
-        }
-        assert len(facts["batch"]) == 4
-        assert facts["tuple"] == facts["batch"]
+        facts = printed(derive_facts(db, plan, overrides=source()))
+        assert len(facts) == 4
+        assert facts == printed(reference_facts(db, plan, overrides=source()))
 
 
-class TestFallbackToReference:
-    """A plan the compiled lane declines runs on the reference executor,
-    with every override source still unconsumed."""
+@pytest.fixture
+def no_reference(monkeypatch):
+    """Make any run of the reference executor fail the test."""
+    import repro.engine.exec as exec_package
+    from repro.engine.exec import tuplewise
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference executor ran")
+
+    monkeypatch.setattr(exec_package, "run_plan_tuple", refuse)
+    monkeypatch.setattr(tuplewise, "run_plan_tuple", refuse)
+
+
+@pytest.mark.usefixtures("no_reference")
+class TestDeclinedPlansRaise:
+    """A plan or seed the compiled lane cannot run raises, before any
+    override source is consumed; nothing reroutes to the reference."""
 
     def test_seed_keys_differ_from_initially_bound(self):
         db = db_of("e(1, 2)", "e(1, 3)", "e(2, 3)")
         plan = compile_rule(parse_rule("p(X, Y) <- e(X, Y)."))
-        seed = {"X": Const(1)}
-        assert specialized_plan(plan).run(
-            "vars", db, seed, None, None, None
-        ) is FALLBACK
-        got = _normalized(compiled(db, plan, binding=seed))
-        assert got == _normalized(run_plan_tuple(db, plan, binding=seed))
-        assert len(got) == 2
+        with pytest.raises(ValueError, match="compiled for"):
+            enumerate_bindings(db, plan, binding={"X": Const(1)})
+        seeded = compile_rule(
+            parse_rule("p(X, Y) <- e(X, Y)."), initially_bound=frozenset({"X"})
+        )
+        with pytest.raises(ValueError, match="compiled for"):
+            derive_facts(db, seeded)
+        assert len(enumerate_bindings(db, seeded, binding={"X": Const(1)})) == 2
 
-    def test_declined_plan_sees_a_fresh_one_shot_source(self):
+    def test_error_leaves_a_one_shot_source_unconsumed(self):
         db = db_of("e(1)", "e(2)")
         plan = compile_rule(parse_rule("p(X, Y) <- e(X), d(Y)."))
+        source = iter([(Const(5),), (Const(6),)])
         seed = {"Z": Const(0)}  # not the plan's initially-bound set
-        overrides = {_d_index(plan): iter([(Const(5),), (Const(6),)])}
-        assert len(list(compiled(db, plan, binding=seed, overrides=overrides))) == 4
+        with pytest.raises(ValueError):
+            enumerate_bindings(
+                db, plan, binding=seed, overrides={_d_index(plan): source}
+            )
+        assert len(list(source)) == 2
 
     def test_unsupported_shape(self, monkeypatch):
         def unsupported(plan, template):
-            raise specialize._Unsupported(repr(template))
+            raise specialize._Unsupported("no codegen for this shape")
 
         monkeypatch.setattr(specialize, "_generate", unsupported)
         db = db_of("e(1)", "e(2)")
         plan = compile_rule(parse_rule("p(X, Y) <- e(X), d(Y)."))
-
-        def source():
-            return {_d_index(plan): iter([(Const(5),), (Const(6),)])}
-
-        facts = derive_facts(db, plan, overrides=source(), executor="batch")
-        assert sorted(map(str, facts)) == sorted(map(str, derive_facts(
-            db, plan, overrides=source(), executor="tuple"
-        )))
-        assert len(facts) == 4
-        assert len(derive_rows(db, plan, overrides=source()).rows) == 4
-        assert len(list(compiled(db, plan, overrides=source()))) == 4
+        source = iter([(Const(5),), (Const(6),)])
+        overrides = {_d_index(plan): source}
+        message = r"p\(X, Y\) <- e\(X\), d\(Y\)\..*no codegen for this shape"
+        for entry in (derive_facts, derive_rows, enumerate_bindings):
+            with pytest.raises(EvaluationError, match=message):
+                entry(db, plan, overrides=overrides)
+        assert len(list(source)) == 2
 
     def test_seed_value_that_cannot_be_interned(self):
         db = db_of("e(1, 2)")
         rule = parse_rule("p(X, Y) <- e(X, Y).")
         plan = compile_rule(rule, initially_bound=frozenset({"X"}))
-        seed = {"X": object()}
-        assert specialized_plan(plan).run(
-            "vars", db, seed, None, None, None
-        ) is FALLBACK
-        assert list(compiled(db, plan, binding=seed)) == []
-
-    def test_derive_rows_is_total_on_both_executors(self):
-        """Every headed plan derives rows on either executor — fast
-        heads straight from the compiled closure, non-fast heads and the
-        reference by instantiating and encoding — and the rows decode
-        to the same printed facts."""
-        db = db_of("p('a')", "p(b)", "p(2)")
-        for src in ("s(f(X)) <- p(X).", "r('a', X) <- p(X)."):
-            plan = compile_rule(parse_rule(src))
-            printed = {}
-            for name in EXECUTORS:
-                dr = derive_rows(db, plan, executor=name)
-                decode = dr.decode or decode_row
-                printed[name] = sorted(
-                    format_atom(Atom(dr.pred, decode(row))) for row in dr.rows
-                )
-            assert printed["batch"] == printed["tuple"]
-            assert len(printed["batch"]) == 3
-        assert "r('a', a)" in printed["batch"]
-        plan = compile_rule(parse_rule("t(X, Y) <- p(X), p(Y)."))
-        assert derive_rows(db, plan, executor="batch").decode is None
-        # a grouping rule derives its pre-group head: one row per
-        # binding, a non-fast head instantiated and outside U dropped
-        db = db_of("e(a, 1)", "e(a, 2)", "e(b, 'x')")
-        for src, expected in (
-            ("g(K, <V>) <- e(K, V).", ["g(a, 1)", "g(a, 2)", "g(b, x)"]),
-            ("g(V * 2, <K>) <- e(K, V).", ["g(2, a)", "g(4, a)"]),
-        ):
-            plan = compile_rule(parse_rule(src))
-            for name in EXECUTORS:
-                dr = derive_rows(db, plan, executor=name)
-                decode = dr.decode or decode_row
-                assert sorted(
-                    format_atom(Atom(dr.pred, decode(row))) for row in dr.rows
-                ) == expected
+        with pytest.raises(TypeError, match="not a term"):
+            enumerate_bindings(db, plan, binding={"X": object()})
 
 
 class TestBatchBuiltins:
@@ -331,18 +303,14 @@ set_operands = st.lists(ground_sets | quoted_ground_terms, min_size=1, max_size=
 def test_set_builtins_compiled_equal_reference(left, right):
     """Operands drawn from sets and arbitrary terms (non-sets make the
     built-ins false): every kernel shape and the bound-output shape
-    print the same model on both executors."""
+    derive the facts the reference executor derives, as printed."""
     edb = [Atom("a", (v,)) for v in left] + [Atom("b", (v,)) for v in right]
+    db = Database(edb)
     for src in SET_BUILTIN_RULES:
-        program = parse_program(src).program
-        printed = {
-            name: sorted(
-                format_atom(fact)
-                for fact in evaluate(program, edb=edb, executor=name).database.atoms()
-            )
-            for name in EXECUTORS
-        }
-        assert printed["batch"] == printed["tuple"], src
+        rule = parse_rule(src)
+        model = facts_of(evaluate(Program([rule]), edb=edb), "r")
+        reference = set(printed(reference_facts(db, compile_rule(rule))))
+        assert model == reference, src
 
 
 #: Comparison operands: numbers, plain and quoted strings, compounds
@@ -367,22 +335,27 @@ def comparison_programs(op: str, const):
 
 
 def comparison_outcomes(left, right, const):
-    """Per shape and operator, per executor: the printed model, or the
-    message of the evaluation error it raised."""
+    """Per shape and operator, for ``evaluate`` (``"compiled"``) and for
+    the rule on the reference executor (``"reference"``): the printed
+    facts of ``r``, or the message of the evaluation error raised."""
     edb = [Atom("a", (v,)) for v in left] + [Atom("b", (v,)) for v in right]
+    db = Database(edb)
+    lanes = {
+        "compiled": lambda rule: facts_of(
+            evaluate(Program([rule]), edb=edb), "r"
+        ),
+        "reference": lambda rule: set(
+            printed(reference_facts(db, compile_rule(rule)))
+        ),
+    }
     outcomes = {}
     for op in COMPARISONS:
         for shape, rule in comparison_programs(op, const).items():
-            program = Program([rule])
-            for name in EXECUTORS:
+            for name, lane in lanes.items():
                 try:
-                    result = evaluate(program, edb=edb, executor=name)
+                    outcome = sorted(lane(rule))
                 except EvaluationError as exc:
                     outcome = ("error", str(exc))
-                else:
-                    outcome = sorted(
-                        format_atom(f) for f in result.database.atoms("r")
-                    )
                 outcomes[op, shape, name] = outcome
     return outcomes
 
@@ -391,10 +364,11 @@ def comparison_outcomes(left, right, const):
 @settings(max_examples=80, deadline=None)
 def test_comparison_lane_equals_reference(left, right, const):
     """One operand per side, so a mixed or non-scalar pair raises the
-    same error on both executors, not just some error."""
+    same error on the compiled lane and the reference, not just some
+    error."""
     outcomes = comparison_outcomes([left], [right], const)
     for op, shape, name in outcomes:
-        assert outcomes[op, shape, name] == outcomes[op, shape, "tuple"]
+        assert outcomes[op, shape, name] == outcomes[op, shape, "reference"]
 
 
 @given(
@@ -407,10 +381,11 @@ def test_comparison_lane_equals_reference(left, right, const):
 @settings(max_examples=60, deadline=None)
 def test_comparison_lane_orders_like_the_reference(operands):
     """Many rows of one kind — numbers, or strings of either spelling:
-    the same model on both executors, and no error."""
+    the same facts on the compiled lane and the reference, and no
+    error."""
     outcomes = comparison_outcomes(*operands)
     for op, shape, name in outcomes:
-        assert outcomes[op, shape, name] == outcomes[op, shape, "tuple"]
+        assert outcomes[op, shape, name] == outcomes[op, shape, "reference"]
         assert outcomes[op, shape, name][:1] != ("error",)
 
 
@@ -457,10 +432,12 @@ class TestBatchGroupBy:
         item(a, 1). item(a, 2). item(b, 3).
         bag(K, <V>) <- item(K, V).
         """
-        batch = run(src, executor="batch")
-        tup = run(src, executor="tuple")
-        assert facts_of(batch, "bag") == facts_of(tup, "bag")
-        assert len(facts_of(batch, "bag")) == 2
+        program = parse_program(src).program
+        (rule,) = [r for r in program.rules if r.is_grouping()]
+        edb = Database(r.head for r in program.rules if r.is_fact())
+        bag = facts_of(evaluate(program), "bag")
+        assert bag == set(map(format_atom, grouping_oracle(rule, edb)))
+        assert len(bag) == 2
 
     def test_grouping_rule_empty_body_is_no_facts(self):
         rule = parse_rule("bag(K, <V>) <- item(K, V).")
@@ -468,40 +445,43 @@ class TestBatchGroupBy:
 
 
 class TestExecutorSelection:
+    """``evaluate(executor=)`` is accepted and ignored, like
+    ``workers=``: every name it accepts runs the compiled lane."""
+
+    SRC = "e(1). e(2). p(X) <- e(X), X > 1."
+
     def test_known_executors(self):
-        assert set(EXECUTORS) == {"batch", "tuple"}
+        expected = facts_of(run(self.SRC), "p")
+        assert expected == {"p(2)"}
+        for name in ("batch", "tuple"):
+            assert facts_of(run(self.SRC, executor=name), "p") == expected
 
     def test_default_is_batch(self):
-        # REPRO_EXECUTOR overrides the process default (the CI
-        # differential job runs the whole suite under "tuple").
-        expected = os.environ.get("REPRO_EXECUTOR", "batch")
-        assert default_executor() == expected
-
-    def test_set_default_round_trip(self):
-        previous = default_executor()
-        try:
-            set_default_executor("tuple")
-            assert default_executor() == "tuple"
-        finally:
-            set_default_executor(previous)
+        # the compiled closures report one exec_steps event per run
+        metrics = MetricsCollector()
+        run(self.SRC, metrics=metrics)
+        assert metrics.counters["batch_steps"] == 2
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            set_default_executor("vectorized")
-        db = db_of("e(1)")
-        plan = compile_rule(parse_rule("p(X) <- e(X)."))
+            run(self.SRC, executor="vectorized")
+
+    def test_unknown_executor_rejected_before_loading(self):
+        # a facts-only program runs no rule body, so only an up-front
+        # check can catch the name
+        program = parse_program("p(a). p(b).").program
+        assert len(evaluate(program).database) == 2
         with pytest.raises(ValueError, match="unknown executor"):
-            enumerate_bindings(db, plan, executor="vectorized")
+            evaluate(program, executor="bogus")
 
-    def test_context_executor_flows_through(self):
-        ctx = EvalContext(Database(), executor="tuple")
-        assert ctx.executor == "tuple"
-
+    @pytest.mark.usefixtures("no_reference")
     def test_evaluate_executor_knob(self):
-        src = "e(1). e(2). p(X) <- e(X)."
-        assert facts_of(run(src, executor="batch"), "p") == facts_of(
-            run(src, executor="tuple"), "p"
-        )
+        assert facts_of(run(self.SRC, executor="tuple"), "p") == {"p(2)"}
+
+    def test_no_executor_parameter_below_evaluate(self):
+        for entry in (EvalContext, enumerate_bindings, derive_rows, derive_facts):
+            assert "executor" not in inspect.signature(entry).parameters
+        assert "executor" not in EvalContext.__slots__
 
 
 class TestDeriveFacts:
@@ -517,23 +497,55 @@ class TestDeriveFacts:
         db = db_of("e(1)", "e(2)", "f(1)")
         plan = compile_rule(parse_rule("p(X) <- e(X), f(X)."))
         metrics = MetricsCollector()
-        facts = derive_facts(
-            db, plan, executor="batch", steps=metrics.on_exec_steps
-        )
+        facts = derive_facts(db, plan, steps=metrics.on_exec_steps)
         assert metrics.counters["batch_steps"] == 2
         assert metrics.counters["batch_peak"] >= 1
-        assert facts == derive_facts(db, plan, executor="tuple")
+        assert facts == reference_facts(db, plan)
 
     def test_empty_plan_yields_seed_binding(self):
         # a fact rule has no steps: exactly one (empty) binding
         plan = compile_rule(parse_rule("p(1)."))
-        fast = list(compiled(Database(), plan))
+        fast = list(enumerate_bindings(Database(), plan))
         assert len(fast) == 1 == len(list(run_plan_tuple(Database(), plan)))
         assert fast[0] is not None
         assert EMPTY_BINDING.materialize() == {}
 
+    def test_derive_rows_is_total(self):
+        """Every headed plan derives rows — fast heads straight from the
+        compiled closure, a plan with no head template by instantiating
+        and encoding each binding's head — and the rows decode to the
+        reference's printed facts."""
+        db = db_of("p('a')", "p(b)", "p(2)")
+        for src in ("s(f(X)) <- p(X).", "r('a', X) <- p(X)."):
+            plan = compile_rule(parse_rule(src))
+            dr = derive_rows(db, plan)
+            decode = dr.decode or decode_row
+            got = printed(Atom(dr.pred, decode(row)) for row in dr.rows)
+            assert got == printed(reference_facts(db, plan))
+            assert len(got) == 3
+        assert "r('a', a)" in got
+        assert specialized_plan(compile_rule(parse_rule("s(f(X)) <- p(X).")))\
+            .templates["head"] is None
+        plan = compile_rule(parse_rule("t(X, Y) <- p(X), p(Y)."))
+        assert derive_rows(db, plan).decode is None
+        # a grouping rule derives its pre-group head: one row per
+        # binding, a non-fast head instantiated and outside U dropped
+        db = db_of("e(a, 1)", "e(a, 2)", "e(b, 'x')")
+        for src, expected in (
+            ("g(K, <V>) <- e(K, V).", ["g(a, 1)", "g(a, 2)", "g(b, x)"]),
+            ("g(V * 2, <K>) <- e(K, V).", ["g(2, a)", "g(4, a)"]),
+        ):
+            dr = derive_rows(db, compile_rule(parse_rule(src)))
+            decode = dr.decode or decode_row
+            assert printed(
+                Atom(dr.pred, decode(row)) for row in dr.rows
+            ) == expected
+
 
 class TestFixedProgramDifferentials:
+    """Fixed programs against the top-down oracle
+    (:func:`tests.helpers.topdown_idb_facts`)."""
+
     TC = """
     e(1, 2). e(2, 3). e(3, 4). e(2, 4).
     t(X, Y) <- e(X, Y).
@@ -541,9 +553,9 @@ class TestFixedProgramDifferentials:
     """
 
     def test_transitive_closure(self):
-        assert facts_of(run(self.TC, executor="batch"), "t") == facts_of(
-            run(self.TC, executor="tuple"), "t"
-        )
+        program = parse_program(self.TC).program
+        assert idb_facts(program) == topdown_idb_facts(program)
+        assert len(idb_facts(program)) == 6
 
     def test_negation_program(self):
         src = """
@@ -552,46 +564,44 @@ class TestFixedProgramDifferentials:
         linked(Y) <- edge(X, Y).
         isolated(X) <- node(X), ~linked(X).
         """
-        assert facts_of(run(src, executor="batch"), "isolated") == facts_of(
-            run(src, executor="tuple"), "isolated"
-        ) == {"isolated(3)"}
+        program = parse_program(src).program
+        assert idb_facts(program) == topdown_idb_facts(program)
+        assert facts_of(run(src), "isolated") == {"isolated(3)"}
 
     def test_derived_facts_spell_alike_on_both_executors(self):
-        """Both executors bind body variables to class representatives,
-        so a derived fact prints the same whichever ran; rule constants
-        and EDB facts keep their spelling."""
+        """The compiled lane and the reference executor bind body
+        variables to class representatives, so a derived fact prints
+        the same whichever ran; rule constants and EDB facts keep their
+        spelling."""
         src = """
         p('a'). item('a', 'x'). item(b, 'y').
         q(X) <- p(X). s(f(X)) <- p(X). bag(K, <V>) <- item(K, V).
         """
-        printed = {}
-        previous = default_executor()
-        try:
-            for executor in EXECUTORS:
-                set_default_executor(executor)
-                session = LDL(src)
-                model = session.model().database.sorted_atoms()
-                answers = session.query_magic("? s(X).").answer_atoms()
-                printed[executor] = (
-                    [format_atom(a) for a in model],
-                    [format_atom(a) for a in answers],
-                )
-        finally:
-            set_default_executor(previous)
-        assert printed["batch"] == printed["tuple"]
-        model, answers = printed["tuple"]
+        program = parse_program(src).program
+        session = LDL(src)
+        db = session.model().database
+        for rule in program.proper_rules():
+            if rule.is_grouping():
+                expected = grouping_oracle(rule, db)
+                got = apply_grouping_rule(rule, db)
+            else:
+                plan = compile_rule(rule)
+                expected = reference_facts(db, plan)
+                got = derive_facts(db, plan)
+            assert printed(got) == printed(expected), rule
+        model = [format_atom(a) for a in db.sorted_atoms()]
         assert {
             "p('a')", "item(b, 'y')", "q(a)", "s(f(a))", "bag(a, {x})",
             "bag(b, {y})",
         } <= set(model)
-        assert answers == ["s(f(a))"]
+        answers = session.query_magic("? s(X).").answer_atoms()
+        assert [format_atom(a) for a in answers] == ["s(f(a))"]
 
 
 class TestReferenceOnlyWhereAsked:
-    """On the default executor every engine path — evaluation,
-    explanation, on-demand magic, maintenance and the well-founded
-    reducts — compiles; the reference runs only under
-    ``executor="tuple"``."""
+    """Every engine path — evaluation, explanation, on-demand magic,
+    maintenance and the well-founded reducts — compiles; the reference
+    executor runs only where a test calls it."""
 
     # a 30-edge chain plus one redundant shortcut: deleting the shortcut
     # over-deletes a few closure facts, well under the DRed cost gate,
@@ -606,10 +616,6 @@ class TestReferenceOnlyWhereAsked:
     leaf(X) <- node(X), ~inner(X).
     """
 
-    @pytest.mark.skipif(
-        default_executor() == "tuple",
-        reason="counts reference runs under the default executor",
-    )
     def test_default_executor_never_runs_the_reference(
         self, monkeypatch, tmp_path
     ):
@@ -650,6 +656,20 @@ class TestReferenceOnlyWhereAsked:
         assert wellfounded(win).true
         assert reference_runs == []
 
+    def test_only_the_exec_package_references_the_reference(self):
+        """No module under ``src/repro`` but the reference's own and the
+        ``exec`` package's re-export names ``run_plan_tuple``."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        allowed = {"engine/exec/tuplewise.py", "engine/exec/__init__.py"}
+        naming = {
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if "run_plan_tuple" in path.read_text(encoding="utf-8")
+        }
+        assert naming == allowed
+
 
 # -- one compiled shape against the reference, rule by rule -----------------
 
@@ -672,10 +692,11 @@ def _row_batch(atom, tuples):
 def _check_plan(db, plan, binding=None, overrides=None, negation_db=None):
     """Run ``plan``'s compiled closures and the reference executor.  As
     printed multisets, the variable rows decoded to bindings must equal
-    the reference's bindings, and the head rows decoded through
-    ``decoder()`` the reference's facts.  The variable template must
-    compile for every plan, head-seeded ones included; the head
-    template exists exactly for seedless plans with a fast head."""
+    the reference's bindings, and a seedless plan's ``derive_rows``
+    (its head template's rows, or each binding's head instantiated when
+    it has none) decoded the reference's facts.  Every plan compiles,
+    head-seeded ones included; the head template exists exactly for
+    seedless plans with a fast head."""
     spec = specialized_plan(plan)
     base = binding or {}
     reference = list(run_plan_tuple(
@@ -683,24 +704,24 @@ def _check_plan(db, plan, binding=None, overrides=None, negation_db=None):
         negation_db=negation_db,
     ))
     rows = spec.run("vars", db, base, overrides, negation_db, None)
-    assert rows is not FALLBACK
     assert _binding_multiset(spec.binder()(rows, base)) == _binding_multiset(
         reference
     )
     if plan.head is None:
         return
-    rows = spec.run("head", db, base, overrides, negation_db, None)
-    if head_template(plan) is None:
-        assert rows is FALLBACK
-        return
-    assert rows is not FALLBACK
+    has_template = spec.templates["head"] is not None
+    assert has_template == (plan.head.fast and not plan.initially_bound)
+    if plan.initially_bound:
+        return  # derive_rows runs seedless plans only
     expected = Counter(
         format_atom(fact) for fact in map(plan.instantiate_head, reference)
         if fact is not None
     )
-    decode = spec.decoder() or decode_row
-    pred = plan.head.atom.pred
-    assert Counter(format_atom(Atom(pred, decode(row))) for row in rows) == expected
+    dr = derive_rows(db, plan, overrides=overrides, negation_db=negation_db)
+    decode = dr.decode or decode_row
+    assert Counter(
+        format_atom(Atom(dr.pred, decode(row))) for row in dr.rows
+    ) == expected
 
 
 @given(generated_programs)

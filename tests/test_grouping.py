@@ -1,7 +1,9 @@
 """Unit tests for grouping-rule evaluation (repro.engine.grouping).
 
 The engine groups in ID space; :func:`tests.helpers.group_bindings` is
-the term-level oracle it is held to, rule by rule, on both executors.
+the term-level oracle it is held to, rule by rule
+(:func:`tests.helpers.grouping_oracle` runs it over the reference
+executor's bindings).
 """
 
 from collections import Counter
@@ -12,7 +14,6 @@ from hypothesis import given, settings
 from repro.engine import evaluate
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
-from repro.engine.exec import EXECUTORS
 from repro.engine.grouping import (
     apply_grouping_rule,
     apply_grouping_rules,
@@ -30,6 +31,11 @@ from tests.strategies import generated_programs
 
 def db_of(*sources):
     return Database(parse_atom(s) for s in sources)
+
+
+#: The engine's ID-space group-by over the compiled lane, and the
+#: term-level oracle over the tuple-at-a-time reference executor.
+LANES = {"batch": apply_grouping_rule, "tuple": grouping_oracle}
 
 
 def derived(rule_src, *facts):
@@ -104,11 +110,10 @@ class TestApplyGroupingRule:
         with pytest.raises(EvaluationError):
             list(apply_grouping_rule(rule, db_of("e(a, 1)")))
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_key_spelling_is_the_rules(self, executor):
+    @pytest.mark.parametrize("lane", sorted(LANES))
+    def test_key_spelling_is_the_rules(self, lane):
         rule = parse_rule("g('a', K, <V>) <- e(K, V).")
-        db = db_of("e(b, 1)", "e(b, 2)")
-        facts = apply_grouping_rule(rule, db, EvalContext(db, executor=executor))
+        facts = LANES[lane](rule, db_of("e(b, 1)", "e(b, 2)"))
         assert [format_atom(a) for a in facts] == ["g('a', b, {1, 2})"]
 
 
@@ -152,9 +157,10 @@ class TestGroupBindings:
     def test_unbound_group_var_raises(self):
         rule = parse_rule("r(<X>) <- e(Y).")
         db = db_of("e(1)")
-        for executor in EXECUTORS:
-            with pytest.raises(EvaluationError, match="unbound by body"):
-                grouped_rows(rule, db, EvalContext(db, executor=executor))
+        with pytest.raises(EvaluationError, match="unbound by body"):
+            grouped_rows(rule, db, EvalContext(db))
+        with pytest.raises(EvaluationError, match="unbound by body"):
+            grouping_oracle(rule, db)
         # no binding, no violation to report
         assert grouped_rows(rule, Database()).rows == []
         with pytest.raises(EvaluationError, match="unbound by body"):
@@ -165,16 +171,11 @@ class TestGroupBindings:
 @settings(max_examples=30, deadline=None)
 def test_grouping_rules_equal_the_oracle(generated):
     """Rule by rule over a generated program's model, the ID-space
-    group-by derives exactly the oracle's facts, spellings included, on
-    both executors."""
+    group-by derives exactly the oracle's facts, spellings included."""
     db = evaluate(generated.program, edb=generated.edb).database
     for rule in generated.program.rules:
         if not rule.is_grouping():
             continue
         expected = Counter(format_atom(a) for a in grouping_oracle(rule, db))
-        for executor in EXECUTORS:
-            ctx = EvalContext(db, executor=executor)
-            got = Counter(
-                format_atom(a) for a in apply_grouping_rule(rule, db, ctx)
-            )
-            assert got == expected, (executor, rule)
+        got = Counter(format_atom(a) for a in apply_grouping_rule(rule, db))
+        assert got == expected, rule

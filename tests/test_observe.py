@@ -118,7 +118,7 @@ class TestTraceRecorder:
 
     def test_every_event_recorded_with_its_payload(self, tmp_path):
         recorder = TraceRecorder()
-        run(ANC + "s(X, <Y>) <- parent(X, Y).", hooks=recorder, executor="batch")
+        run(ANC + "s(X, <Y>) <- parent(X, Y).", hooks=recorder)
         with LDL(ANC, path=str(tmp_path / "db"), hooks=recorder) as db:
             db.fact("parent", "c", "d")
             db.checkpoint()
@@ -192,9 +192,9 @@ class TestMetricsCollector:
         monkeypatch.setattr(Relation, "args_of", counting)
         # the compiled lane derives ID rows; only a fact_derived
         # subscriber makes install_rows decode them
-        run(ANC, metrics=MetricsCollector(), executor="batch")
+        run(ANC, metrics=MetricsCollector())
         assert decoded == []
-        run(ANC, hooks=TraceRecorder(), executor="batch")
+        run(ANC, hooks=TraceRecorder())
         assert decoded
 
     def test_grouping_rule_events(self, monkeypatch):
@@ -210,10 +210,10 @@ class TestMetricsCollector:
             return args_of(self, row)
 
         monkeypatch.setattr(Relation, "args_of", counting)
-        run(src, metrics=MetricsCollector(), executor="batch")
+        run(src, metrics=MetricsCollector())
         assert decoded == []
         recorder = TraceRecorder()
-        run(src, hooks=recorder, executor="batch")
+        run(src, hooks=recorder)
         (fired,) = [e for e in recorder.events if e.kind == "rule_fired"]
         assert fired.payload["derived"] == 2
         derived = [e for e in recorder.events if e.kind == "fact_derived"]

@@ -13,6 +13,7 @@ from repro.program.rule import Atom
 from repro.program.stratify import stratify
 from repro.terms.term import Const, SetVal, Var
 
+from tests.helpers import idb_facts, reference_model, topdown_idb_facts
 from tests.strategies import generated_programs, ground_sets
 
 TC_RULES = """
@@ -70,32 +71,42 @@ def test_scc_schedule_equals_layer_schedule(generated):
 @given(generated_programs)
 @settings(max_examples=25, deadline=None)
 def test_batch_executor_equals_tuple_executor(generated):
-    """The compiled default executor is an optimization, not a
-    semantics.
+    """The compiled body executor is an optimization, not a semantics.
 
     On random admissible programs — negation and grouping included —
-    running every rule body through the compiled ID-row closures must
-    produce exactly the model of the one-binding-at-a-time reference
+    ``evaluate``'s model, every rule body run through the compiled
+    ID-row closures, is exactly the model of a naive fixpoint that runs
+    every rule body through the one-binding-at-a-time reference
     recursion."""
-    batch = evaluate(generated.program, edb=generated.edb, executor="batch")
-    tup = evaluate(generated.program, edb=generated.edb, executor="tuple")
-    assert batch.database == tup.database
+    expected = reference_model(generated.program, generated.edb)
+    got = evaluate(generated.program, edb=generated.edb)
+    assert got.database == expected
 
 
 @given(generated_programs)
 @settings(max_examples=10, deadline=None)
 def test_batch_executor_equals_tuple_executor_naive(generated):
     """Same differential under the naive strategy (no delta overrides),
-    covering the full-scan join paths."""
-    batch = evaluate(
-        generated.program, edb=generated.edb, strategy="naive",
-        executor="batch",
-    )
-    tup = evaluate(
-        generated.program, edb=generated.edb, strategy="naive",
-        executor="tuple",
-    )
-    assert batch.database == tup.database
+    covering the compiled lane's full-scan join paths."""
+    expected = reference_model(generated.program, generated.edb)
+    got = evaluate(generated.program, edb=generated.edb, strategy="naive")
+    assert got.database == expected
+
+
+@given(generated_programs)
+@settings(max_examples=25, deadline=None)
+def test_evaluate_equals_topdown_model(generated):
+    """Bottom-up evaluation is checked by a whole-program oracle that
+    shares no code with the compiled lane or the reference executor.
+
+    On random admissible programs — negation and grouping included —
+    the model of every IDB predicate under ``seminaive`` and ``naive``
+    equals what the tabled top-down evaluator answers when asked each
+    predicate all-free, compared as printed facts so spellings count."""
+    expected = topdown_idb_facts(generated.program, generated.edb)
+    for strategy in ("seminaive", "naive"):
+        got = idb_facts(generated.program, generated.edb, strategy)
+        assert got == expected, strategy
 
 
 @given(edges)

@@ -18,7 +18,7 @@ from repro.parser import parse_rules
 from repro.program.rule import Atom
 from repro.terms.term import Const
 
-from tests.helpers import assert_sizes_do_not_change_facts
+from tests.helpers import assert_sizes_do_not_change_facts, reference_facts
 from tests.strategies import generated_programs
 
 TC_RULES = """
@@ -59,9 +59,7 @@ def test_cached_plan_equals_fresh_compilation(pairs):
         for rule in rules.rules:
             cached = set(derive_facts(db, ctx.plan_for(rule)))
             fresh = set(derive_facts(db, compile_rule(rule)))
-            reference = set(
-                derive_facts(db, compile_rule(rule), executor="tuple")
-            )
+            reference = set(reference_facts(db, compile_rule(rule)))
             assert cached == fresh == reference
             for fact in cached:
                 db.add(fact)

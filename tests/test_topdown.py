@@ -57,6 +57,14 @@ class TestBasicQueries:
         answers, _ = check(ANCESTOR, "? anc(X, Y).")
         assert len(answers) == 7
 
+    def test_facts_of_a_derived_predicate_are_answers(self):
+        # p has a program fact besides its rule; q is queried directly
+        src = "p(a). p(X) <- q(X). q(b). r(X) <- p(X), ~q(X)."
+        for query in ("? p(X).", "? p(a).", "? q(X).", "? r(X)."):
+            assert check(src, query)[0], query
+        answers, _ = check(src, "? p(X).")
+        assert [format_atom(a) for a in answers] == ["p(a)", "p(b)"]
+
     def test_goal_directedness(self):
         # the e-f chain must not be explored for a query rooted at a.
         program, _ = parse_program(ANCESTOR)
