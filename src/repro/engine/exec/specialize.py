@@ -38,6 +38,16 @@ both parts bound, ``union``, ``intersection``, ``difference``,
 ``card``) run as the memoized ID-space set kernels, and the other
 known-handler builtin calls memoize on their input row IDs.
 
+A two-step plan whose first step scans a relation binding only plain
+fresh variables, and whose fused last step probes on a key made only of
+those variables (the semi-naive delta of a recursive join), also gets a
+**key-grouped branch** (:meth:`_Codegen.grouped_join`): it groups the
+scanned rows by the probe key, probes once per distinct key, and emits
+one comprehension per key from the same output template.  The closure
+chooses it from its input, with no knob: when the scanned rows number
+at least 4 with at least 2 per distinct key; otherwise the per-row nest
+runs, which is cheaper when every key is distinct.
+
 This is the only body evaluator the engine runs.  Its semantics match
 the per-binding reference (:mod:`repro.engine.exec.tuplewise`, which
 only the tests call) — same binding multisets, same failure semantics
@@ -56,6 +66,8 @@ they must not outlive :func:`repro.terms.term.clear_intern_table`.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import itemgetter
 from typing import Mapping
 
 from repro.engine.binding import EMPTY_BINDING, ChainBinding
@@ -68,7 +80,15 @@ from repro.engine.exec.runtime import (
     negated_builtin_holds,
     substituted_residuals,
 )
-from repro.engine.plan import ARITH, CONST, VAR, LiteralStep, RulePlan, SourceOverrides
+from repro.engine.plan import (
+    ARITH,
+    CONST,
+    TERM,
+    VAR,
+    LiteralStep,
+    RulePlan,
+    SourceOverrides,
+)
 from repro.engine.relation import encode_args
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.rule import Atom
@@ -285,8 +305,9 @@ class _Codegen:
             out = []
             <per-step source prologue: override vs db, indexes, counters>
             for _root in _ONE:            # single pass; makes every
-                <nested per-step loops>   # drop-binding check a plain
-                    <emission>            # ``continue``
+                <key-grouped branch>      # drop-binding check a plain
+                <nested per-step loops>   # ``continue``
+                    <emission>
             <exec_steps epilogue>
             return out
 
@@ -371,16 +392,20 @@ class _Codegen:
             # term-level matchers, which ignore trailing columns).
             enc = "_enc" if step.residuals else "_encf"
             arg = f"_s{k}" if step.residuals else f"_s{k}, {arity}"
+            # the leniency flag only feeds TERM probe evaluation
+            lenient = any(kindp == TERM for _, kindp, _ in step.probes)
             pro.append(f"if _s{k} is None:")
             pro.append(
                 f"    _i{k} = db.id_index({pred!r}, {step.probe_positions!r})"
             )
-            pro.append(f"    _l{k} = False")
+            if lenient:
+                pro.append(f"    _l{k} = False")
             pro.append("else:")
             pro.append(
                 f"    _i{k} = _bix({enc}({arg}), {step.probe_positions!r})"
             )
-            pro.append(f"    _l{k} = True")
+            if lenient:
+                pro.append(f"    _l{k} = True")
             # an unknown predicate skips the step wholesale, before any
             # probe-key evaluation
             emit(f"if _i{k} is None:")
@@ -934,6 +959,78 @@ class _Codegen:
         comma = "," if len(rids) == 1 else ""
         return f"({', '.join(rids)}{comma})"
 
+    def grouped_join(self) -> list[str]:
+        """The key-grouped branch of a scan-then-probe plan, as loop
+        lines for the top of the ``_ONE`` loop, or ``[]`` when the plan
+        has another shape.
+
+        The shape: step 0 scans a relation (no probes) and binds only
+        plain fresh variables; step 1, the last step, fuses, and its
+        probe key is made only of variables step 0 binds.  The branch
+        groups step 0's rows by that key, ``{key: [carried values]}``,
+        probes ``_i1`` once per distinct key, and emits one comprehension
+        per key from the same output template — key variables substitute
+        as ``_k0``, carried ones as ``_y0``, step 1's fresh ones as
+        ``_x1[pos]``.  A row still yields one binding per match, so the
+        multiset and the ``(_c0, _c1)`` counts equal the per-row nest's.
+
+        The branch runs when the scanned rows number at least 4 with at
+        least 2 per distinct key (counted at C speed); otherwise it falls
+        through to the per-row nest, which is cheaper when keys are
+        mostly distinct (a chain's delta)."""
+        steps = self.plan.steps
+        if len(steps) != 2 or not self.fused:
+            return []
+        scan, probe = steps
+        if scan.kind != "relation" or scan.probes or scan.simple_residuals is None:
+            return []
+        where = {name: pos for pos, name in scan.simple_residuals}
+        if not probe.probes or any(
+            kindp != VAR or payload not in where for _, kindp, payload in probe.probes
+        ):
+            return []
+        names = [payload for _, _, payload in probe.probes]
+        used = {payload for kind, payload in self.template if kind == VAR}
+        carried = [name for name in where if name not in names and name in used]
+
+        def subscripts(names, loc):
+            if len(names) == 1:
+                return {names[0]: loc}
+            return {name: f"{loc}[{j}]" for j, name in enumerate(names)}
+
+        def gather(names):
+            parts = [f"_x0[{where[name]}]" for name in names]
+            return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
+
+        # the key as the index spells it: one part per probe position
+        self.env["_kf"] = itemgetter(*(where[name] for name in names))
+        self.env["_DL"] = defaultdict
+        sub = subscripts(names, "_k0")
+        sub.update(subscripts(carried, "_y0"))
+        for pos, name in probe.simple_residuals or ():
+            sub[name] = f"_x1[{pos}]"
+        # a row with nothing to carry still counts once per match
+        value = gather(carried) if carried else "0"
+        emission = f"[{self.row_expr(sub)} for _y0 in _gz for _x1 in _b1]"
+        return [
+            "        _gn = len(_r0)",
+            "        if _gn >= 4 and 2 * len(set(map(_kf, _r0))) <= _gn:",
+            "            _c0 = _gn",
+            "            _gd = _DL(list)",
+            "            if _i1 is None:",
+            "                break",
+            "            for _x0 in _r0:",
+            f"                _gd[{gather(names)}].append({value})",
+            "            for _k0, _gz in _gd.items():",
+            "                _b1 = _i1.get(_k0)",
+            "                if not _b1:",
+            "                    continue",
+            f"                _t1 = {emission}",
+            "                _xt(_t1)",
+            "                _c1 += len(_t1)",
+            "            break",
+        ]
+
     # -- assembly ----------------------------------------------------------
 
     def build(self) -> tuple[str, dict]:
@@ -962,6 +1059,7 @@ class _Codegen:
         lines.append("    _xt = out.extend" if self.fused else "    _ap = out.append")
         lines.extend("    " + line for line in self.pro)
         lines.append("    for _root in _ONE:")
+        lines.extend(self.grouped_join())
         lines.extend(self.body)
         # one exec_steps event per run: each step's binding count, and
         # the tuples the closure emitted

@@ -11,7 +11,7 @@ to the reference on every rule of random programs.
 """
 
 import inspect
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -276,8 +276,8 @@ SET_BUILTIN_RULES = (
 )
 
 
-def _closure_source(rule_src: str) -> str:
-    plan = compile_rule(parse_rule(rule_src))
+def _closure_source(rule_src: str, **kwargs) -> str:
+    plan = compile_rule(parse_rule(rule_src), **kwargs)
     template = tuple(
         (VAR, name) for name in specialize.body_variables(plan)
     )
@@ -293,6 +293,121 @@ class TestSetKernels:
     def test_bound_output_keeps_the_handler_call(self):
         source = _closure_source(SET_BUILTIN_RULES[-1])
         assert "_h" in source and "_sk" not in source
+
+
+#: The recursive closure rule of the social ledger program.
+INFLUENCES = "influences(A, B) <- influences(A, C), follows(B, C)."
+
+#: A line only the key-grouped branch emits.
+GROUPED = "for _k0, _gz in _gd.items():"
+
+
+def _grouped_run(monkeypatch, db, plan, overrides=None):
+    """Run ``plan``'s closures against the reference executor: the
+    variable rows decoded to bindings must equal the reference's
+    bindings, and ``derive_facts`` its facts.  Returns the bindings (a
+    printed multiset), the ``exec_steps`` counts and whether the
+    key-grouped branch ran."""
+    spec = specialized_plan(plan)
+    groups = []
+
+    def tracked(factory):
+        groups.append(factory)
+        return defaultdict(factory)
+
+    for kind in ("vars", "head"):
+        monkeypatch.setitem(spec._function(kind).__globals__, "_DL", tracked)
+    seen = []
+    rows = spec.run(
+        "vars", db, {}, overrides, None,
+        lambda counts, rows: seen.append(counts),
+    )
+    bindings = _binding_multiset(spec.binder()(rows, {}))
+    assert bindings == _binding_multiset(
+        run_plan_tuple(db, plan, overrides=overrides)
+    )
+    facts = derive_facts(db, plan, overrides=overrides)
+    assert printed(facts) == printed(reference_facts(db, plan, overrides=overrides))
+    assert len(groups) in (0, 2)  # both closures take the same branch
+    return bindings, seen[0], bool(groups)
+
+
+class TestKeyGroupedJoin:
+    """A scan-then-probe plan groups the scanned rows by the probe key
+    when the keys repeat, and runs the per-row nest when they do not;
+    both branches give the reference's bindings, facts and counts."""
+
+    FOLLOWS = (
+        "follows(b, c1)", "follows(d, c1)", "follows(e, c2)",
+        "follows(c3, c3)", "follows(c1, c1)",
+    )
+    #: ``influences(A, C)`` delta rows whose keys ``C`` are all distinct
+    SPARSE = [
+        (Const("a1"), Const("c1")), (Const("a2"), Const("c2")),
+        (Const("a3"), Const("c3")), (Const("a4"), Const("c4")),
+    ]
+
+    def test_codegen_pin(self):
+        assert GROUPED in _closure_source(INFLUENCES, first=0)
+        for src, kwargs in (
+            ("recommend(A, B) <- candidate(A, B), ~follows(A, B).", {}),
+            (
+                "influences__bf(A, B) <- m_influences__bf(A), "
+                "influences__bf(A, C), follows(B, C).",
+                {"first": 1},
+            ),
+        ):
+            assert GROUPED not in _closure_source(src, **kwargs), src
+
+    @pytest.mark.parametrize("rule_src", [
+        INFLUENCES,
+        # a probe-only step keyed on one variable twice
+        "hit(A) <- influences(A, C), follows(C, C).",
+    ])
+    @pytest.mark.parametrize("probed", [
+        "database", "override", "wrong_arity", "unknown",
+    ])
+    def test_both_branches_agree(self, monkeypatch, rule_src, probed):
+        plan = compile_rule(parse_rule(rule_src), first=0)
+        db = Database() if probed == "unknown" else db_of(*self.FOLLOWS)
+        follows = [parse_atom(src).args for src in self.FOLLOWS]
+        if probed == "override":
+            # list buckets: the repeated row must keep counting
+            source = follows + follows[:1]
+        elif probed == "wrong_arity":
+            source = RowBatch("follows", 3)
+            for args in follows:
+                args += (Const("z"),)
+                source.add(encode_args(args), args)
+        runs = []
+        for delta in (self.SPARSE, self.SPARSE + self.SPARSE):
+            for given in (delta, _row_batch(parse_atom("influences(A, C)"), delta)):
+                overrides = {0: given}
+                if probed in ("override", "wrong_arity"):
+                    overrides[1] = source
+                runs.append(_grouped_run(monkeypatch, db, plan, overrides))
+        (sparse, counts, grouped), (dense, dense_counts, dense_grouped) = runs[::2]
+        assert runs[1] == runs[0] and runs[3] == runs[2]
+        assert not grouped and dense_grouped
+        assert dense_counts == tuple(2 * count for count in counts)
+        assert dense == sparse + sparse
+        if probed == "unknown":
+            assert counts == (4, 0) and not sparse
+        elif probed != "wrong_arity" or rule_src == INFLUENCES:
+            assert sparse
+
+    def test_delta_read_from_the_database(self, monkeypatch):
+        plan = compile_rule(parse_rule(INFLUENCES), first=0)
+        chain = [f"influences(a{i}, c{i})" for i in range(1, 5)]
+        fan = [f"influences(x{j}, c{i})" for i in range(1, 5) for j in range(3)]
+        sparse, counts, grouped = _grouped_run(
+            monkeypatch, db_of(*self.FOLLOWS, *chain), plan
+        )
+        assert not grouped and counts == (4, len(sparse))
+        dense, counts, grouped = _grouped_run(
+            monkeypatch, db_of(*self.FOLLOWS, *chain, *fan), plan
+        )
+        assert grouped and counts == (16, len(dense)) and len(dense) == 4 * len(sparse)
 
 
 set_operands = st.lists(ground_sets | quoted_ground_terms, min_size=1, max_size=4)
