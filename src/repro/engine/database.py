@@ -107,6 +107,14 @@ class Database:
             for pred, (arity, rows, spellings) in fact_batches(facts).items()
         }
 
+    @classmethod
+    def from_relations(cls, relations: Iterable[Relation]) -> "Database":
+        """A database over ``relations`` (distinct predicates), taken
+        over uncopied."""
+        db = cls()
+        db._relations = {rel.pred: rel for rel in relations}
+        return db
+
     def relation(self, pred: str, arity: int | None = None) -> Relation:
         """The relation for ``pred``, creating it when ``arity`` given."""
         rel = self._relations.get(pred)
@@ -232,11 +240,9 @@ class Database:
         return sorted(self.atoms(pred), key=lambda a: a.sort_key())
 
     def copy(self) -> "Database":
-        clone = Database()
-        clone._relations = {
-            pred: rel.copy() for pred, rel in self._relations.items()
-        }
-        return clone
+        return Database.from_relations(
+            rel.copy() for rel in self._relations.values()
+        )
 
     def overlay(
         self, private: Iterable[tuple[str, int]], hidden=frozenset()

@@ -184,6 +184,12 @@ class Relation:
         """The set of stored ID rows (a live dict keys view)."""
         return self._rows.keys()
 
+    def spellings(self):
+        """The ``(row, args)`` pairs of the rows added with a spelling
+        other than their class representatives' (a live dict items
+        view; usually empty)."""
+        return self._spellings.items()
+
     def id_index(
         self, positions: tuple[int, ...]
     ) -> dict[object, set[IdRow]]:

@@ -9,7 +9,12 @@ this package makes that state survive process restarts:
   log of EDB mutations with torn-tail truncation on open,
 * :mod:`repro.storage.snapshot` — atomic (write-temp-then-rename)
   snapshots of the full database, including materialized IDB
-  extensions and the program's layering fingerprint,
+  extensions and the program's layering fingerprint.  Version 2 writes
+  the live terms once, as a table whose lines name their subterms by
+  earlier line number, then each relation as one flat list of term-line
+  numbers plus its few non-canonical spellings; a reopen interns the
+  table once and adopts the rows, with no atom per model fact.
+  Version 1 (one encoded atom per line) is still read,
 * :mod:`repro.storage.store` — :class:`DurableStore`, composing the
   three into open → load snapshot → replay WAL → serve, with log
   compaction.

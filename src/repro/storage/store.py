@@ -111,7 +111,7 @@ class DurableStore:
                 self.program,
                 edb=snapshot.edb_facts,
                 hooks=self.on,
-                materialized=Database(snapshot.model_atoms),
+                materialized=snapshot.model,
                 maintain=self.maintain,
             )
             stats.restore_mode = "snapshot"
@@ -131,9 +131,7 @@ class DurableStore:
             )
             stats.restore_mode = "cold"
         if snapshot is not None:
-            stats.snapshot_facts = len(snapshot.edb_facts) + len(
-                snapshot.model_atoms
-            )
+            stats.snapshot_facts = len(snapshot.edb_facts) + len(snapshot.model)
         on = self.on
         if on.snapshot_load is not None:
             on.snapshot_load(
@@ -232,8 +230,8 @@ class DurableStore:
         nbytes = write_snapshot(
             self.snapshot_path,
             self._fingerprint,
-            sorted(self.model.edb_facts, key=lambda a: a.sort_key()),
-            self.model.database.sorted_atoms(),
+            self.model.edb_facts,
+            self.model.database,
             hooks=self.on,
         )
         self.wal.reset()
