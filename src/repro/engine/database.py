@@ -170,6 +170,13 @@ class Database:
         rel = self._relations.get(atom.pred)
         return rel is not None and rel.discard(atom.args)
 
+    def discard_rows(self, pred: str, rows) -> list[IdRow]:
+        """Bulk-remove ID rows of one predicate; returns the rows that
+        were present.  See :meth:`Relation.discard_rows` — the bulk
+        counterpart of :meth:`discard`."""
+        rel = self._relations.get(pred)
+        return [] if rel is None else rel.discard_rows(rows)
+
     def remove(self, atom: Atom) -> None:
         """Remove a ground atom that must be present.
 

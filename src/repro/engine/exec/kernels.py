@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from repro.engine.relation import (
     decode_row,
-    encode_args,
     spelling_of,
     record_spellings,
 )
@@ -172,11 +171,15 @@ class RowBatch:
 
     __slots__ = ("pred", "arity", "rows", "spellings")
 
-    def __init__(self, pred: str, arity: int) -> None:
+    def __init__(
+        self, pred: str, arity: int, rows=None, spellings=None
+    ) -> None:
         self.pred = pred
         self.arity = arity
-        self.rows: list[tuple[int, ...]] = []
-        self.spellings: dict[tuple[int, ...], tuple] = {}
+        self.rows: list[tuple[int, ...]] = [] if rows is None else rows
+        self.spellings: dict[tuple[int, ...], tuple] = (
+            {} if spellings is None else spellings
+        )
 
     def add(self, row: tuple[int, ...], args: tuple) -> None:
         """Append one fact whose ID row is ``row``."""
@@ -184,13 +187,6 @@ class RowBatch:
         spelled = spelling_of(args)
         if spelled is not None:
             self.spellings[row] = spelled
-
-    def add_fact(self, fact) -> None:
-        """Append one ground atom, reusing the ID row it carries."""
-        row = getattr(fact, "_row", None)
-        if row is None:
-            row = encode_args(fact.args)
-        self.add(row, fact.args)
 
     def extend(self, rows, decode) -> None:
         """Append derived rows (see :meth:`Relation.add_rows

@@ -57,32 +57,61 @@ def group_spec(rule: Rule) -> tuple[int, str]:
     return position, inner.name
 
 
+def group_layout(arity: int, position: int):
+    """``(key_of, row_of)`` for a grouping head of ``arity`` with its
+    ``<Y>`` at ``position``: ``key_of`` projects a pre-group row on the
+    non-grouped slots (a bare ID for one slot, an ID tuple otherwise),
+    ``row_of(key, set_id)`` builds the group fact's row."""
+    others = [i for i in range(arity) if i != position]
+    key_of = itemgetter(*others) if others else (lambda row: ())
+    if len(others) != 1:
+        def row_of(key, set_id):
+            return key[:position] + (set_id,) + key[position:]
+    elif position:
+        def row_of(key, set_id):
+            return (key, set_id)
+    else:
+        def row_of(key, set_id):
+            return (set_id, key)
+    return key_of, row_of
+
+
+def pre_group_rows(
+    rule: Rule, db: Database, plan, steps=None, overrides=None
+) -> DerivedRows:
+    """The pre-group head rows of one application of a grouping rule's
+    ``plan``: one row per applicable binding.
+
+    An unbound grouped variable is a range-restriction violation and
+    raises :class:`EvaluationError` as soon as the body has a binding.
+    """
+    _position, group_var = group_spec(rule)
+    if not any(
+        group_var in lit.atom.variables() for lit in rule.body if lit.positive
+    ):
+        for _binding in enumerate_bindings(
+            db, plan, overrides=overrides, steps=steps
+        ):
+            raise EvaluationError(
+                f"grouped variable {group_var} unbound by body: {format_rule(rule)}"
+            )
+        return DerivedRows(rule.head.pred, len(rule.head.args), [], None)
+    return derive_rows(db, plan, overrides=overrides, steps=steps)
+
+
 def grouped_rows(
     rule: Rule, db: Database, context: EvalContext | None = None
 ) -> DerivedRows:
     """The facts one grouping rule derives over ``db``, as ID rows: one
-    row per non-empty group.
-
-    An unbound grouped variable is a range-restriction violation and
-    raises :class:`EvaluationError` as soon as the body has a binding.
-    A group's key slots are spelled as the first row derived in it.
+    row per non-empty group (see :func:`pre_group_rows` for the
+    unbound-variable check).  A group's key slots are spelled as the
+    first row derived in it.
     """
-    position, group_var = group_spec(rule)
+    position, _group_var = group_spec(rule)
     ctx = context or EvalContext(db)
-    plan = ctx.plan_for(rule)
     pred, arity = rule.head.pred, len(rule.head.args)
-    steps = ctx.on.exec_steps
-    if not any(
-        group_var in lit.atom.variables() for lit in rule.body if lit.positive
-    ):
-        for _binding in enumerate_bindings(db, plan, steps=steps):
-            raise EvaluationError(
-                f"grouped variable {group_var} unbound by body: {format_rule(rule)}"
-            )
-        return DerivedRows(pred, arity, [], None)
-    pre = derive_rows(db, plan, steps=steps)
-    others = [i for i in range(arity) if i != position]
-    key_of = itemgetter(*others) if others else (lambda row: ())
+    pre = pre_group_rows(rule, db, ctx.plan_for(rule), ctx.on.exec_steps)
+    key_of, row_of = group_layout(arity, position)
     groups: dict = {}
     get = groups.get
     for row in pre.rows:
@@ -92,16 +121,7 @@ def grouped_rows(
             groups[key] = {row[position]}
         else:
             bucket.add(row[position])
-    if len(others) == 1:  # a bare-ID key
-        rows = [
-            (key, set_rid(values)) if position else (set_rid(values), key)
-            for key, values in groups.items()
-        ]
-    else:
-        rows = [
-            key[:position] + (set_rid(values),) + key[position:]
-            for key, values in groups.items()
-        ]
+    rows = [row_of(key, set_rid(values)) for key, values in groups.items()]
     decode = None
     if pre.decode is not None:
         # spell each group's key slots as its first derived row

@@ -7,8 +7,8 @@ Two ways to repair a materialized model after an EDB update sit behind
   :mod:`repro.engine.maintain.maintainer`: per-derived-fact support
   counting for non-recursive SCCs, DRed (delete–rederive) for
   recursive ones, and multiset-backed regrouping for grouping heads,
-  all riding the same ``enumerate_bindings``/``derive_facts`` entry
-  point as evaluation itself;
+  all on ID rows through the same ``derive_rows`` entry point as
+  evaluation itself;
 * ``"recompute"`` — the original cone-clearing paths (semi-naive
   continuation for monotone insertions, layered re-evaluation for
   everything else), kept as the differential oracle.
@@ -20,7 +20,7 @@ oracle cannot rot) and can be changed with :func:`set_maintain_mode`
 own mode via ``IncrementalModel(maintain=...)``.
 
 Every maintained update also publishes a :class:`DeltaBatch` — the net
-per-predicate fact changes of the whole model, stamped with the WAL LSN
+per-predicate row changes of the whole model, stamped with the WAL LSN
 of the producing mutation when the update came through the durable
 store — so downstream consumers (replicas, answer caches) can apply
 view deltas instead of re-deriving.
@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
+from repro.program.rule import Atom
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.program.rule import Atom
+    from repro.engine.exec.kernels import RowBatch
 
 MAINTAIN_MODES = ("delta", "recompute")
 
@@ -61,30 +64,50 @@ def set_maintain_mode(name: str) -> None:
     _maintain = _validated(name)
 
 
+def _decoded(batches: Mapping[str, RowBatch]) -> dict[str, tuple[Atom, ...]]:
+    return {
+        pred: tuple([Atom(pred, args) for args in batch])
+        for pred, batch in batches.items()
+    }
+
+
 @dataclass(frozen=True)
 class DeltaBatch:
     """The net fact changes one maintained update made to the model.
 
-    ``inserted``/``deleted`` map predicate names to the ground atoms
-    that entered/left the model (EDB changes included) — *net* changes:
-    a fact overdeleted and then rederived in the same update appears in
-    neither.  ``lsn`` is the WAL LSN of the mutation that produced the
-    batch (the log offset one past the producing record) when the
-    update came through :class:`repro.storage.DurableStore`, else None.
+    ``inserted_rows``/``deleted_rows`` map predicate names to the
+    :class:`~repro.engine.exec.kernels.RowBatch` of ID rows that
+    entered/left the model (EDB changes included), each row once and
+    spelled as it was stored — *net* changes: a fact overdeleted and
+    then rederived in the same update appears in neither.
+    ``inserted``/``deleted`` are the same changes as ground atoms,
+    decoded on first read, so an update no one inspects decodes
+    nothing; the counts and ``len`` read the rows.  ``lsn`` is the WAL
+    LSN of the mutation that produced the batch (the log offset one
+    past the producing record) when the update came through
+    :class:`repro.storage.DurableStore`, else None.
     """
 
     lsn: int | None = None
     mode: str = "delta"
-    inserted: Mapping[str, tuple["Atom", ...]] = field(default_factory=dict)
-    deleted: Mapping[str, tuple["Atom", ...]] = field(default_factory=dict)
+    inserted_rows: Mapping[str, RowBatch] = field(default_factory=dict)
+    deleted_rows: Mapping[str, RowBatch] = field(default_factory=dict)
+
+    @cached_property
+    def inserted(self) -> Mapping[str, tuple[Atom, ...]]:
+        return _decoded(self.inserted_rows)
+
+    @cached_property
+    def deleted(self) -> Mapping[str, tuple[Atom, ...]]:
+        return _decoded(self.deleted_rows)
 
     @property
     def inserted_count(self) -> int:
-        return sum(len(atoms) for atoms in self.inserted.values())
+        return sum(len(batch) for batch in self.inserted_rows.values())
 
     @property
     def deleted_count(self) -> int:
-        return sum(len(atoms) for atoms in self.deleted.values())
+        return sum(len(batch) for batch in self.deleted_rows.values())
 
     def __len__(self) -> int:
         return self.inserted_count + self.deleted_count
@@ -92,7 +115,7 @@ class DeltaBatch:
 
 def changed_predicates(batch: DeltaBatch) -> frozenset[str]:
     """The predicates whose extensions ``batch`` touched (either way)."""
-    return frozenset(batch.inserted) | frozenset(batch.deleted)
+    return frozenset(batch.inserted_rows) | frozenset(batch.deleted_rows)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Differential maintenance: support counting and DRed over the executor.
+"""Differential maintenance: support counting and DRed on ID rows.
 
 The :class:`DeltaMaintainer` repairs a materialized
 :class:`~repro.engine.incremental.IncrementalModel` by propagating the
@@ -6,33 +6,38 @@ The :class:`DeltaMaintainer` repairs a materialized
 the affected cone:
 
 * **non-recursive SCCs** carry per-rule derivation counts (and per-fact
-  aggregate support): an update adjusts counts by running each changed
-  body occurrence against the delta, and only support transitions
-  through zero touch the database;
+  aggregate support), keyed by ID row: an update adjusts counts by
+  running each changed body occurrence against the delta, and only
+  support transitions through zero touch the database;
 * **recursive SCCs** run DRed (delete–rederive): deletions are
   over-propagated through the component's rules, every overdeleted
   fact is checked for an alternative derivation from the surviving
   facts, and insertions — including the facts a deletion below *adds*
   above a negation — propagate semi-naively from the seeds;
-* **grouping heads** keep a multiset of grouped values per key, so an
-  update regroups only the keys its delta actually touched.
+* **grouping heads** keep a multiset of grouped value IDs per key, so
+  an update regroups only the keys its delta actually touched.
 
-All rule applications go through the same
-``enumerate_bindings``/``derive_facts`` entry point as evaluation, so
-deltas ride the set-at-a-time operators and the specialized ID-space
-closures where shapes allow.
+The whole update runs in ID space, like evaluation: deltas, condemned
+sets and frontiers are per-predicate :class:`RowBatch` ID rows, every
+rule application is one :func:`~repro.engine.exec.derive_rows` call
+(grouping bodies go through the same pre-group rows as
+:func:`~repro.engine.grouping.grouped_rows`), and the database is
+written per predicate with ``add_rows``/``discard_rows``.  No atom is
+built per maintained fact: a deleted row's spelling is read before it
+is discarded, and the published :class:`DeltaBatch` decodes its atoms
+only when a reader asks.
 
 Change arithmetic uses the standard telescoping decomposition: for a
 rule with changed positive occurrences ``o1 < o2 < ... < ok``,
 
     new(body) - old(body) = sum_j  old(o1..o_{j-1}) * delta(o_j) * new(o_{j+1}..)
 
-so each ``derive_facts`` call pins one occurrence to the inserted
-(count +1) or deleted (count -1) tuples, overrides every *earlier*
-changed occurrence to its old extension, and lets the later ones read
-the already-updated database.  A rule whose *negated* predicates
-changed is non-monotone in the delta and is recounted (or its groups
-rebuilt) outright — negation is always on strictly lower, already-final
+so each rule application pins one occurrence to the inserted (count
++1) or deleted (count -1) rows, overrides every *earlier* changed
+occurrence to its old extension, and lets the later ones read the
+already-updated database.  A rule whose *negated* predicates changed is
+non-monotone in the delta and is recounted (or its groups rebuilt)
+outright — negation is always on strictly lower, already-final
 predicates, so one pass suffices.
 
 For DRed the deletions of the strata below are temporarily *restored*
@@ -53,29 +58,32 @@ only the net difference is applied to the live relations.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from itertools import filterfalse
 from time import perf_counter
 from typing import Iterable
 
-from repro.engine.database import Database
+from repro.engine.database import Database, fact_batches
 from repro.engine.evaluator import evaluate_component
-from repro.engine.exec import (
-    RowBatch,
-    derive_facts,
-    enumerate_bindings,
-)
-from repro.engine.grouping import group_spec
+from repro.engine.exec import RowBatch, derive_rows, enumerate_bindings
+from repro.engine.grouping import group_layout, group_spec, pre_group_rows
 from repro.engine.incremental import IncrementalModel, UpdateStats
 from repro.engine.maintain import DeltaBatch
-from repro.errors import EvaluationError, NotInUniverseError
-from repro.names import is_builtin_predicate
 from repro.engine.match import match_atom
+from repro.engine.relation import (
+    Relation,
+    decode_row,
+    encode_args,
+    spelled_decoder,
+)
+from repro.names import is_builtin_predicate
 from repro.program.dependency import SCCComponent
 from repro.program.rule import Atom, Literal, Rule
-from repro.terms.pretty import format_rule
-from repro.terms.term import _ID_TABLE, Term, evaluate_ground, row_id, set_rid
+from repro.terms.term import _ID_TABLE, set_rid
 
-#: per-predicate fact deltas accumulated while walking the schedule.
-Deltas = dict[str, list[Atom]]
+#: per-predicate row deltas accumulated while walking the schedule.
+Deltas = dict[str, RowBatch]
 
 #: The DRed cost gate: past this fraction of a recursive component's
 #: extension condemned, overdeletion stops and the component is
@@ -93,25 +101,6 @@ class _OverBudget(Exception):
     """Overdeletion condemned past the cost gate's budget."""
 
 
-def _delta_batch(atoms: list[Atom]) -> RowBatch:
-    """A maintenance delta as an override-ready row batch, so the
-    compiled executor consumes the delta without re-encoding at the
-    maintenance boundary.  Atoms that already carry their ID row
-    (``_row``) contribute it as-is."""
-    batch = RowBatch(atoms[0].pred, len(atoms[0].args))
-    for atom in atoms:
-        batch.add_fact(atom)
-    return batch
-
-
-def _frontier_add(frontier: dict, fact: Atom) -> None:
-    """Append one fact to a per-predicate frontier batch."""
-    entry = frontier.get(fact.pred)
-    if entry is None:
-        entry = frontier[fact.pred] = RowBatch(fact.pred, len(fact.args))
-    entry.add_fact(fact)
-
-
 def _flip(rule: Rule, occurrence: int) -> Rule:
     """``rule`` with the negative literal at ``occurrence`` made
     positive — the seed rule for derivations a negated predicate's
@@ -121,28 +110,107 @@ def _flip(rule: Rule, occurrence: int) -> Rule:
     return Rule(rule.head, tuple(body))
 
 
+def _note(spell: dict, dr) -> None:
+    """Record in ``spell`` how ``dr`` spells each row it derives, when
+    its decoder spells any (the first derivation of a row wins)."""
+    decode = dr.decode
+    if decode is not None:
+        for row in dr.rows:
+            if row not in spell:
+                spell[row] = decode(row)
+
+
+def _discard(rel: Relation, rows) -> RowBatch:
+    """Remove ``rows`` from ``rel``: the batch of those it held, spelled
+    as it held them."""
+    spelled = rel.spellings_of(rows)
+    return RowBatch(rel.pred, rel.arity, rel.discard_rows(rows), spelled)
+
+
+def _add(db: Database, pred: str, arity: int, rows, decode) -> RowBatch:
+    """Add ``rows`` to ``pred``: the batch of those that were new,
+    spelled as stored."""
+    fresh = db.add_rows(pred, arity, rows, decode)
+    spelled = db.relation(pred).spellings_of(fresh) if fresh else {}
+    return RowBatch(pred, arity, fresh, spelled)
+
+
+def _add_facts(db: Database, facts: Iterable[Atom]) -> Deltas:
+    """Add ground facts in one batch per predicate: the rows that were
+    new."""
+    out: Deltas = {}
+    for pred, (arity, rows, spellings) in fact_batches(facts).items():
+        batch = _add(db, pred, arity, rows, spelled_decoder(spellings))
+        if batch:
+            out[pred] = batch
+    return out
+
+
 class _GroupState:
-    """The live grouping state of one grouping rule: a multiset of
-    grouped values per key (a model build groups into sets, which cannot
-    be decremented) plus the current fact per key.
+    """The live grouping state of one grouping rule, in ID space: a
+    multiset of grouped value IDs per key (a model build groups into
+    sets, which cannot be decremented) plus the row of the fact
+    currently standing for each key.  Keys and rows follow
+    :func:`~repro.engine.grouping.group_layout`.
 
     Multiplicities are exact binding counts.  Within one update the
     telescoping terms may take a count below zero before a later term
     restores it, so a count is dropped only at exactly zero."""
 
-    __slots__ = ("group_position", "group_var", "other_terms", "buckets", "facts")
+    __slots__ = ("position", "key_of", "row_of", "buckets", "rows")
 
     def __init__(self, rule: Rule) -> None:
-        self.group_position, self.group_var = group_spec(rule)
-        self.other_terms = tuple(
-            (i, arg)
-            for i, arg in enumerate(rule.head.args)
-            if i != self.group_position
+        self.position, _var = group_spec(rule)
+        self.key_of, self.row_of = group_layout(
+            len(rule.head.args), self.position
         )
-        # key -> {grouped value -> nonzero multiplicity}
-        self.buckets: dict[tuple[Term, ...], dict[Term, int]] = {}
-        # key -> the fact currently standing for that group
-        self.facts: dict[tuple[Term, ...], Atom] = {}
+        # key -> {grouped value ID -> nonzero multiplicity}
+        self.buckets: dict = {}
+        # key -> the row of the fact currently standing for that group
+        self.rows: dict = {}
+
+    def accumulate(self, dr, sign: int, first: dict) -> set:
+        """Add ``sign`` to the multiplicity of each pre-group row's
+        grouped value; returns the touched keys.  When ``dr`` spells
+        its rows, ``first`` keeps each key's first spelled row."""
+        buckets = self.buckets
+        key_of = self.key_of
+        position = self.position
+        decode = dr.decode
+        touched = set()
+        for row in dr.rows:
+            key = key_of(row)
+            if decode is not None and key not in first:
+                first[key] = decode(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = {}
+            value = row[position]
+            n = bucket.get(value, 0) + sign
+            if n:
+                bucket[value] = n
+            else:
+                del bucket[value]
+                if not bucket:
+                    del buckets[key]
+            touched.add(key)
+        return touched
+
+    def regroup(self, key, first: dict, spell: dict):
+        """The row of the fact now standing for ``key``, or None when
+        its group emptied (an empty class contributes nothing).  The
+        key slots are spelled as ``first`` holds them, into ``spell``."""
+        bucket = self.buckets.get(key)
+        if not bucket:
+            return None
+        set_id = set_rid(bucket)
+        row = self.row_of(key, set_id)
+        args = first.get(key)
+        if args is not None:
+            args = list(args)
+            args[self.position] = _ID_TABLE[set_id]
+            spell[row] = tuple(args)
+        return row
 
 
 class DeltaMaintainer:
@@ -159,15 +227,15 @@ class DeltaMaintainer:
     def __init__(self, model: IncrementalModel) -> None:
         self._model = model
         self._ready: set[frozenset[str]] = set()
-        # non-grouping rule -> {head fact -> derivation count}
-        self._counts: dict[Rule, dict[Atom, int]] = {}
-        # per predicate of a counting SCC: {fact -> total support}
-        self._agg: dict[str, dict[Atom, int]] = {}
+        # non-grouping rule -> {head row -> derivation count}
+        self._counts: dict[Rule, dict[tuple, int]] = {}
+        # per predicate of a counting SCC: {row -> total support}
+        self._agg: dict[str, dict[tuple, int]] = {}
         # grouping rule -> live group state (counting and DRed alike)
         self._groups: dict[Rule, _GroupState] = {}
         # per-update cache of old extensions (valid once a predicate's
         # own component has finished; reset by every ``apply``)
-        self._old_cache: dict[str, list[tuple[Term, ...]]] = {}
+        self._old_cache: dict[str, RowBatch] = {}
 
     # -- entry point -------------------------------------------------------
 
@@ -200,14 +268,12 @@ class DeltaMaintainer:
             for component in layer:
                 if component.preds & cone and component.preds not in self._ready:
                     self._init_component(component)
-        plus: Deltas = {}
+        plus = _add_facts(db, added)
         minus: Deltas = {}
-        for atom in added:
-            if db.add(atom):
-                plus.setdefault(atom.pred, []).append(atom)
-        for atom in removed:
-            if db.discard(atom):
-                minus.setdefault(atom.pred, []).append(atom)
+        for pred, (_arity, rows, _spelled) in fact_batches(removed).items():
+            batch = _discard(db.relation(pred), rows)
+            if batch:
+                minus[pred] = batch
         self._old_cache = {}
         for component in self._cone_components(cone):
             if not self._touched(component, plus, minus):
@@ -217,10 +283,7 @@ class DeltaMaintainer:
             else:
                 self._maintain_counting(component, plus, minus, stats)
         batch = DeltaBatch(
-            lsn=lsn,
-            mode="delta",
-            inserted={p: tuple(a) for p, a in plus.items() if a},
-            deleted={p: tuple(a) for p, a in minus.items() if a},
+            lsn=lsn, mode="delta", inserted_rows=plus, deleted_rows=minus
         )
         return stats, batch
 
@@ -237,102 +300,116 @@ class DeltaMaintainer:
         """Did anything this component reads actually change?  Being in
         the cone only means reachability; a delta that fizzled below
         leaves the component's extension (and its counts) untouched."""
-        for rule in component.rules:
-            for lit in rule.body:
-                pred = lit.atom.pred
-                if is_builtin_predicate(pred):
-                    continue
-                if plus.get(pred) or minus.get(pred):
-                    return True
-        return False
+        return any(
+            (lit.atom.pred in plus or lit.atom.pred in minus)
+            and not is_builtin_predicate(lit.atom.pred)
+            for rule in component.rules
+            for lit in rule.body
+        )
 
     def _init_component(self, component: SCCComponent) -> None:
         """Snapshot the component's support state from the current
         (pre-update) database."""
         model = self._model
-        db = model.database
         ctx = model._context
         for rule in component.rules:
             if rule.is_grouping():
-                self._groups[rule] = self._build_group_state(rule)
+                self._groups[rule] = self._build_group_state(rule, {}, {})
             elif not component.recursive:
-                counts: dict[Atom, int] = {}
-                for fact in self._run(rule, ctx.plan_for(rule)):
-                    counts[fact] = counts.get(fact, 0) + 1
-                self._counts[rule] = counts
+                self._counts[rule] = Counter(
+                    self._run(rule, ctx.plan_for(rule)).rows
+                )
         if not component.recursive:
             # single predicate by construction (no self-loop): aggregate
             # support is the sum over rules, one per current group fact,
             # plus one that never goes away per program fact.
-            agg: dict[Atom, int] = dict.fromkeys(
-                model.program_facts_of(component.preds), 1
+            agg = Counter(
+                encode_args(fact.args)
+                for fact in model.program_facts_of(component.preds)
             )
             for rule in component.rules:
                 if rule.is_grouping():
-                    for fact in self._groups[rule].facts.values():
-                        agg[fact] = agg.get(fact, 0) + 1
+                    agg.update(self._groups[rule].rows.values())
                 else:
-                    for fact, n in self._counts[rule].items():
-                        agg[fact] = agg.get(fact, 0) + n
+                    agg.update(self._counts[rule])
             (pred,) = component.preds
             self._agg[pred] = agg
         self._ready.add(component.preds)
 
     # -- shared executor plumbing ------------------------------------------
 
-    def _run(self, rule, plan, overrides=None, negation_db=None):
-        """One rule application through the shared entry point, with the
+    def _overrides(self, occurrence, delta, base):
+        """The override map pinning the ``delta`` batch at
+        ``occurrence`` over the ``base`` old-extension batches, with a
+        ``maintain_dispatch`` for the delta rows it consumes."""
+        if delta is None:
+            return None
+        handler = self._model._context.on.maintain_dispatch
+        if handler is not None and delta.rows:
+            handler(rows=len(delta.rows))
+        overrides = dict(base) if base else {}
+        overrides[occurrence] = delta
+        return overrides
+
+    def _run(
+        self, rule, plan, occurrence=None, delta=None, base=None,
+        negation_db=None,
+    ):
+        """One rule application through ``derive_rows``, with the
         context's event conventions."""
         on = self._model._context.on
-        self._dispatched(overrides)
         fired = on.rule_fired
         start = perf_counter() if fired is not None else 0.0
-        derived = derive_facts(
-            self._model.database, plan, overrides=overrides,
+        derived = derive_rows(
+            self._model.database, plan,
+            overrides=self._overrides(occurrence, delta, base),
             negation_db=negation_db, steps=on.exec_steps,
         )
         if fired is not None:
-            fired(rule=rule, derived=len(derived), seconds=perf_counter() - start)
+            seconds = perf_counter() - start
+            fired(rule=rule, derived=len(derived.rows), seconds=seconds)
         return derived
 
-    def _dispatched(self, overrides) -> None:
-        """Emit ``maintain_dispatch`` for one application: delta sources
-        are row batches, base (old-extension) overrides plain tuple
-        lists, so the batch lengths are exactly the delta rows this
-        application consumes."""
-        handler = self._model._context.on.maintain_dispatch
-        if handler is None or not overrides:
-            return
-        rows = sum(
-            len(source)
-            for source in overrides.values()
-            if type(source) is RowBatch
+    def _pre_group(self, rule, plan, occurrence=None, delta=None, base=None):
+        """One grouping-rule application: its pre-group head rows."""
+        return pre_group_rows(
+            rule, self._model.database, plan,
+            self._model._context.on.exec_steps,
+            self._overrides(occurrence, delta, base),
         )
-        if rows:
-            handler(rows=rows)
 
-    def _bindings(self, plan, overrides=None):
+    def _terms(self, rule: Rule, plus: Deltas, minus: Deltas):
+        """The telescoping terms of ``rule``'s change, in order:
+        ``(plan, occurrence, delta, sign, base)`` for each changed
+        positive occurrence and direction, with ``base`` the earlier
+        changed occurrences at their old extensions."""
         ctx = self._model._context
-        self._dispatched(overrides)
-        return enumerate_bindings(
-            self._model.database, plan, overrides=overrides,
-            steps=ctx.on.exec_steps,
-        )
+        base: dict[int, RowBatch] = {}
+        for occurrence, body_pred in self._changed_occurrences(
+            rule, plus, minus
+        ):
+            plan = ctx.plan_for(rule, first=occurrence)
+            for delta, sign in ((plus.get(body_pred), 1), (minus.get(body_pred), -1)):
+                if delta:
+                    yield plan, occurrence, delta, sign, base
+            # later terms see this occurrence at its old extension;
+            # unchanged ones read the database.
+            base = {**base, occurrence: self._old_rows(body_pred, plus, minus)}
 
-    def _old_tuples(self, pred: str, plus: Deltas, minus: Deltas):
+    def _old_rows(self, pred: str, plus: Deltas, minus: Deltas) -> RowBatch:
         """The predicate's pre-update extension, reconstructed from the
         new state and its (final) delta.  Only valid for predicates
         whose own component already finished — the schedule order
         guarantees every caller's inputs are."""
         cached = self._old_cache.get(pred)
         if cached is None:
-            inserted = {a.args for a in plus.get(pred, ())}
-            cached = [
-                t for t in self._model.database.tuples(pred)
-                if t not in inserted
-            ]
-            cached.extend(a.args for a in minus.get(pred, ()))
-            self._old_cache[pred] = cached
+            rel = self._model.database.relation(pred)
+            rows = list(rel.id_rows())
+            if pred in plus:
+                rows = list(filterfalse(set(plus[pred].rows).__contains__, rows))
+            if pred in minus:
+                rows.extend(minus[pred].rows)
+            cached = self._old_cache[pred] = RowBatch(pred, rel.arity, rows)
         return cached
 
     @staticmethod
@@ -342,7 +419,7 @@ class DeltaMaintainer:
             for i, lit in enumerate(rule.body)
             if lit.positive
             and not is_builtin_predicate(lit.atom.pred)
-            and (plus.get(lit.atom.pred) or minus.get(lit.atom.pred))
+            and (lit.atom.pred in plus or lit.atom.pred in minus)
         ]
 
     @staticmethod
@@ -350,248 +427,158 @@ class DeltaMaintainer:
         return any(
             not lit.positive
             and not is_builtin_predicate(lit.atom.pred)
-            and (plus.get(lit.atom.pred) or minus.get(lit.atom.pred))
+            and (lit.atom.pred in plus or lit.atom.pred in minus)
             for lit in rule.body
         )
 
     # -- counting SCCs -----------------------------------------------------
 
     def _maintain_counting(
-        self,
-        component: SCCComponent,
-        plus: Deltas,
-        minus: Deltas,
+        self, component: SCCComponent, plus: Deltas, minus: Deltas,
         stats: UpdateStats,
     ) -> None:
         db = self._model.database
         (pred,) = component.preds
-        signed: dict[Atom, int] = {}
+        signed: dict[tuple, int] = {}
+        spell: dict = {}
         for rule in component.rules:
             if rule.is_grouping():
-                removed, added = self._group_delta(rule, plus, minus, stats)
-                for fact in removed:
-                    signed[fact] = signed.get(fact, 0) - 1
-                for fact in added:
-                    signed[fact] = signed.get(fact, 0) + 1
+                removed, added = self._group_delta(rule, plus, minus, spell, stats)
+                for row in removed:
+                    signed[row] = signed.get(row, 0) - 1
+                for row in added:
+                    signed[row] = signed.get(row, 0) + 1
             else:
-                self._count_delta(rule, plus, minus, signed, stats)
-        if not signed:
-            return
+                self._count_delta(rule, plus, minus, signed, spell, stats)
         agg = self._agg[pred]
-        added_facts: list[Atom] = []
-        removed_facts: list[Atom] = []
-        for fact, d in signed.items():
+        came: list[tuple] = []
+        left: list[tuple] = []
+        for row, d in signed.items():
             if d == 0:
                 continue
-            old = agg.get(fact, 0)
+            old = agg.get(row, 0)
             new = old + d
             if new:
-                agg[fact] = new
+                agg[row] = new
             else:
-                agg.pop(fact, None)
+                agg.pop(row, None)
             stats.count_adjusted += 1
             if old <= 0 < new:
-                if db.add(fact):
-                    stats.fixpoint.facts_derived += 1
-                    added_facts.append(fact)
+                came.append(row)
             elif new <= 0 < old:
-                if db.discard(fact):
-                    stats.facts_removed += 1
-                    removed_facts.append(fact)
-        if added_facts:
-            plus.setdefault(pred, []).extend(added_facts)
-        if removed_facts:
-            minus.setdefault(pred, []).extend(removed_facts)
+                left.append(row)
+        if came:
+            arity = len(component.rules[0].head.args)
+            batch = _add(db, pred, arity, came, spelled_decoder(spell))
+            stats.fixpoint.facts_derived += len(batch)
+            if batch:
+                plus[pred] = batch
+        if left:
+            batch = _discard(db.relation(pred), left)
+            stats.facts_removed += len(batch)
+            if batch:
+                minus[pred] = batch
 
     def _count_delta(
-        self,
-        rule: Rule,
-        plus: Deltas,
-        minus: Deltas,
-        signed: dict[Atom, int],
-        stats: UpdateStats,
+        self, rule: Rule, plus: Deltas, minus: Deltas,
+        signed: dict[tuple, int], spell: dict, stats: UpdateStats,
     ) -> None:
         """Fold one rule's derivation-count delta into ``signed`` and
-        the stored per-rule counts."""
-        ctx = self._model._context
+        the stored per-rule counts, and the derived rows' spellings
+        into ``spell``."""
         counts = self._counts[rule]
-        local: dict[Atom, int] = {}
         if self._negation_changed(rule, plus, minus):
             # non-monotone in the delta: recount outright (the negated
             # predicates are strictly lower and already final).
-            fresh: dict[Atom, int] = {}
-            for fact in self._run(rule, ctx.plan_for(rule)):
-                fresh[fact] = fresh.get(fact, 0) + 1
+            derived = self._run(rule, self._model._context.plan_for(rule))
+            _note(spell, derived)
             stats.fixpoint.rule_firings += 1
-            for fact in set(counts) | set(fresh):
-                d = fresh.get(fact, 0) - counts.get(fact, 0)
-                if d:
-                    local[fact] = d
-            self._counts[rule] = fresh
+            fresh = self._counts[rule] = Counter(derived.rows)
+            local = {
+                row: fresh[row] - counts.get(row, 0)
+                for row, _n in counts.items() ^ fresh.items()
+            }
         else:
-            base: dict[int, list] = {}
-            for occurrence, body_pred in self._changed_occurrences(
+            local = {}
+            for plan, occurrence, delta, sign, base in self._terms(
                 rule, plus, minus
             ):
-                plan = ctx.plan_for(rule, first=occurrence)
-                for atoms, sign in (
-                    (plus.get(body_pred), 1),
-                    (minus.get(body_pred), -1),
-                ):
-                    if not atoms:
-                        continue
-                    overrides = dict(base)
-                    overrides[occurrence] = _delta_batch(atoms)
-                    for fact in self._run(rule, plan, overrides=overrides):
-                        local[fact] = local.get(fact, 0) + sign
-                    stats.fixpoint.rule_firings += 1
-                # later telescoping terms see this occurrence at its
-                # old extension; unchanged ones read the database.
-                base[occurrence] = self._old_tuples(body_pred, plus, minus)
-            for fact, d in list(local.items()):
-                n = counts.get(fact, 0) + d
+                derived = self._run(rule, plan, occurrence, delta, base)
+                _note(spell, derived)
+                stats.fixpoint.rule_firings += 1
+                for row in derived.rows:
+                    local[row] = local.get(row, 0) + sign
+            for row, d in local.items():
+                n = counts.get(row, 0) + d
                 if n:
-                    counts[fact] = n
+                    counts[row] = n
                 else:
-                    counts.pop(fact, None)
-        for fact, d in local.items():
+                    counts.pop(row, None)
+        for row, d in local.items():
             if d:
-                signed[fact] = signed.get(fact, 0) + d
+                signed[row] = signed.get(row, 0) + d
 
     # -- grouping heads ----------------------------------------------------
 
-    def _build_group_state(self, rule: Rule) -> _GroupState:
-        ctx = self._model._context
+    def _build_group_state(self, rule: Rule, first: dict, spell: dict) -> _GroupState:
         state = _GroupState(rule)
-        self._accumulate(
-            state, rule, self._bindings(ctx.plan_for(rule)), 1
-        )
+        plan = self._model._context.plan_for(rule)
+        state.accumulate(self._pre_group(rule, plan), 1, first)
         for key in state.buckets:
-            fact = self._group_fact(state, rule, key)
-            assert fact is not None  # non-empty bucket
-            state.facts[key] = fact
+            state.rows[key] = state.regroup(key, first, spell)
         return state
 
-    def _accumulate(
-        self, state: _GroupState, rule: Rule, bindings, sign: int
-    ) -> set[tuple[Term, ...]]:
-        """Add ``sign`` to the multiplicity of each binding's grouped
-        value, with the semantics of a model build's group-by
-        (:mod:`repro.engine.grouping`): an unbound grouped variable
-        raises, keys or values outside U drop the binding.  Returns the
-        touched keys."""
-        touched: set[tuple[Term, ...]] = set()
-        buckets = state.buckets
-        group_var = state.group_var
-        other_terms = state.other_terms
-        for binding in bindings:
-            value_term = binding.get(group_var)
-            if value_term is None:
-                raise EvaluationError(
-                    f"grouped variable {group_var} unbound by body: "
-                    f"{format_rule(rule)}"
-                )
-            try:
-                key = tuple(
-                    evaluate_ground(term.substitute(binding))
-                    for _pos, term in other_terms
-                )
-                value = evaluate_ground(value_term)
-            except (NotInUniverseError, EvaluationError):
-                continue
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = {}
-            n = bucket.get(value, 0) + sign
-            if n:
-                bucket[value] = n
-            else:
-                del bucket[value]
-                if not bucket:
-                    del buckets[key]
-            touched.add(key)
-        return touched
-
-    def _group_fact(
-        self, state: _GroupState, rule: Rule, key: tuple[Term, ...]
-    ) -> Atom | None:
-        """The fact currently standing for ``key``, or None when its
-        group emptied (an empty class contributes nothing)."""
-        bucket = state.buckets.get(key)
-        if not bucket:
-            return None
-        args: list[Term] = [None] * len(rule.head.args)  # type: ignore[list-item]
-        for (i, _), value in zip(state.other_terms, key):
-            args[i] = value
-        args[state.group_position] = _ID_TABLE[set_rid(map(row_id, bucket))]
-        return Atom(rule.head.pred, tuple(args))
-
     def _group_delta(
-        self, rule: Rule, plus: Deltas, minus: Deltas, stats: UpdateStats
-    ) -> tuple[list[Atom], list[Atom]]:
-        """Update one grouping rule's state; returns (removed, added)
-        facts.  The database is not touched here — the caller decides
-        how group facts feed support (counting) or DRed seeds."""
-        ctx = self._model._context
+        self, rule: Rule, plus: Deltas, minus: Deltas, spell: dict,
+        stats: UpdateStats,
+    ) -> tuple[list, list]:
+        """Update one grouping rule's state; returns the (removed,
+        added) group rows, spelling the added ones into ``spell``.  The
+        database is not touched here — the caller decides how group
+        facts feed support (counting) or DRed seeds."""
         state = self._groups[rule]
+        first: dict = {}
         if self._negation_changed(rule, plus, minus):
-            fresh = self._build_group_state(rule)
+            fresh = self._groups[rule] = self._build_group_state(
+                rule, first, spell
+            )
             stats.fixpoint.rule_firings += 1
-            removed: list[Atom] = []
-            added: list[Atom] = []
-            for key in set(state.facts) | set(fresh.facts):
-                old_fact = state.facts.get(key)
-                new_fact = fresh.facts.get(key)
-                if old_fact == new_fact:
-                    continue
-                if old_fact is not None:
-                    removed.append(old_fact)
-                if new_fact is not None:
-                    added.append(new_fact)
-            self._groups[rule] = fresh
-            return removed, added
-        touched: set[tuple[Term, ...]] = set()
-        base: dict[int, list] = {}
-        for occurrence, body_pred in self._changed_occurrences(
-            rule, plus, minus
-        ):
-            plan = ctx.plan_for(rule, first=occurrence)
-            for atoms, sign in (
-                (plus.get(body_pred), 1),
-                (minus.get(body_pred), -1),
+            old_rows, new_rows = state.rows, fresh.rows
+            keys = old_rows.keys() | new_rows.keys()
+        else:
+            keys = set()
+            for plan, occurrence, delta, sign, base in self._terms(
+                rule, plus, minus
             ):
-                if not atoms:
-                    continue
-                overrides = dict(base)
-                overrides[occurrence] = _delta_batch(atoms)
-                touched |= self._accumulate(
-                    state, rule, self._bindings(plan, overrides), sign
+                keys |= state.accumulate(
+                    self._pre_group(rule, plan, occurrence, delta, base),
+                    sign, first,
                 )
                 stats.fixpoint.rule_firings += 1
-            base[occurrence] = self._old_tuples(body_pred, plus, minus)
+            old_rows = {key: state.rows.get(key) for key in keys}
+            new_rows = state.rows
+            for key in keys:
+                row = state.regroup(key, first, spell)
+                if row is None:
+                    new_rows.pop(key, None)
+                else:
+                    new_rows[key] = row
         removed, added = [], []
-        for key in touched:
-            old_fact = state.facts.get(key)
-            new_fact = self._group_fact(state, rule, key)
-            if old_fact == new_fact:
+        for key in keys:
+            old_row = old_rows.get(key)
+            new_row = new_rows.get(key)
+            if old_row == new_row:
                 continue  # multiplicities moved, the value set did not
-            if new_fact is None:
-                del state.facts[key]
-            else:
-                state.facts[key] = new_fact
-            if old_fact is not None:
-                removed.append(old_fact)
-            if new_fact is not None:
-                added.append(new_fact)
+            if old_row is not None:
+                removed.append(old_row)
+            if new_row is not None:
+                added.append(new_row)
         return removed, added
 
     # -- recursive SCCs: DRed ----------------------------------------------
 
     def _maintain_recursive(
-        self,
-        component: SCCComponent,
-        plus: Deltas,
-        minus: Deltas,
+        self, component: SCCComponent, plus: Deltas, minus: Deltas,
         stats: UpdateStats,
     ) -> None:
         model = self._model
@@ -600,41 +587,64 @@ class DeltaMaintainer:
         comp = component.preds
         grouping_rules = [r for r in component.rules if r.is_grouping()]
         rules = [r for r in component.rules if not r.is_grouping()]
+        arity = {r.head.pred: len(r.head.args) for r in component.rules}
 
         # A. grouping deltas first: grouping bodies are strictly lower,
         # hence already at their final new state.
-        group_removed: list[Atom] = []
-        group_added: list[Atom] = []
+        spell: dict = {}
+        group_removed, group_added = [], []
         for rule in grouping_rules:
-            removed, added = self._group_delta(rule, plus, minus, stats)
-            group_removed.extend(removed)
-            group_added.extend(added)
+            removed, added = self._group_delta(rule, plus, minus, spell, stats)
+            group_removed.append((rule.head.pred, removed))
+            group_added.append((rule.head.pred, added))
 
         # B. restore the strata-below deletions so every lower predicate
         # reads old ∪ Δ+: overdeletion then cannot miss an old
         # derivation through a positive occurrence.
-        restored: list[Atom] = []
-        for atoms in minus.values():
-            for atom in atoms:
-                if db.add(atom):
-                    restored.append(atom)
+        restored = {
+            pred: db.add_rows(
+                pred, batch.arity, batch.rows, spelled_decoder(batch.spellings)
+            )
+            for pred, batch in minus.items()
+        }
 
-        overdeleted: dict[Atom, None] = {}  # insertion-ordered set
-        frontier: dict[str, RowBatch] = {}
+        # condemned rows per predicate, and in condemnation order
+        condemned: dict[str, dict[tuple, None]] = {}
+        order: list[tuple[str, list]] = []
+        frontier: Deltas = {}
         extension = sum(db.count(pred) for pred in comp)
         budget = GATE_FRACTION * max(GATE_MIN_EXTENSION, extension)
         # program facts hold unconditionally: never condemned
-        pinned = model.program_facts_of(comp)
+        pinned: dict[str, set] = {}
+        for fact in model.program_facts_of(comp):
+            pinned.setdefault(fact.pred, set()).add(encode_args(fact.args))
+        total = 0
 
-        def condemn(fact: Atom) -> None:
-            if fact in overdeleted or (pinned and fact in pinned):
+        def condemn(pred: str, rows) -> None:
+            nonlocal total
+            live = db.id_rows(pred)
+            if live is None:
                 return
-            if not db.contains_tuple(fact.pred, fact.args):
+            seen = condemned.setdefault(pred, {})
+            keep = pinned.get(pred, ())
+            new = [
+                row for row in dict.fromkeys(rows)
+                if row not in seen and row not in keep and row in live
+            ]
+            if not new:
                 return
-            overdeleted[fact] = None
-            _frontier_add(frontier, fact)
-            if len(overdeleted) > budget:
+            if total + len(new) > budget:
+                # the gate fires on the first row past the budget
+                new = new[: math.floor(budget) + 1 - total]
+            seen.update(dict.fromkeys(new))
+            order.append((pred, new))
+            total += len(new)
+            if total > budget:
                 raise _OverBudget
+            if pred in frontier:
+                frontier[pred].rows.extend(new)
+            else:
+                frontier[pred] = RowBatch(pred, arity[pred], list(new))
 
         comp_occurrences = [
             (rule, i, lit.atom.pred)
@@ -643,44 +653,30 @@ class DeltaMaintainer:
             if lit.positive and lit.atom.pred in comp
         ]
         try:
-            for fact in group_removed:
-                condemn(fact)
+            for pred, rows in group_removed:
+                condemn(pred, rows)
             old_neg_db: Database | None = None
             for rule in rules:
                 for i, lit in enumerate(rule.body):
-                    pred = lit.atom.pred
-                    if is_builtin_predicate(pred):
+                    delta = (minus if lit.positive else plus).get(lit.atom.pred)
+                    if not delta:
                         continue
-                    if lit.positive:
-                        atoms = minus.get(pred)
-                        if not atoms:
-                            continue
-                        plan = ctx.plan_for(rule, first=i)
-                        stats.fixpoint.rule_firings += 1
-                        for fact in self._run(
-                            rule, plan, overrides={i: _delta_batch(atoms)}
-                        ):
-                            condemn(fact)
-                    else:
+                    run_rule, negation_db = rule, None
+                    if not lit.positive:
                         # a negated predicate gained facts: derivations
                         # matching them through the negation died.  Seed
                         # them by flipping the literal positive over Δ+;
                         # the other negations must read the OLD state
                         # (new-state negation could hide old bindings).
-                        atoms = plus.get(pred)
-                        if not atoms:
-                            continue
                         if old_neg_db is None:
                             old_neg_db = self._old_negation_db(rules, plus)
-                        flipped = _flip(rule, i)
-                        plan = ctx.plan_for(flipped, first=i)
-                        stats.fixpoint.rule_firings += 1
-                        for fact in self._run(
-                            flipped, plan,
-                            overrides={i: _delta_batch(atoms)},
-                            negation_db=old_neg_db,
-                        ):
-                            condemn(fact)
+                        run_rule, negation_db = _flip(rule, i), old_neg_db
+                    plan = ctx.plan_for(run_rule, first=i)
+                    stats.fixpoint.rule_firings += 1
+                    derived = self._run(
+                        run_rule, plan, i, delta, negation_db=negation_db
+                    )
+                    condemn(derived.pred, derived.rows)
 
             # semi-naive overdelete propagation within the component.
             # The database still holds every condemned fact, so each
@@ -696,89 +692,90 @@ class DeltaMaintainer:
                         continue
                     plan = ctx.plan_for(rule, first=i)
                     stats.fixpoint.rule_firings += 1
-                    for fact in self._run(rule, plan, overrides={i: source}):
-                        condemn(fact)
+                    derived = self._run(rule, plan, i, source)
+                    condemn(derived.pred, derived.rows)
         except _OverBudget:
             # nothing is discarded yet and the step-A group state is
             # final: re-derive over the lower strata's new state.
-            for atom in restored:
-                db.discard(atom)
-            stats.overdeleted += len(overdeleted)
+            for pred, rows in restored.items():
+                db.discard_rows(pred, rows)
+            stats.overdeleted += total
             self._recompute_component(component, plus, minus, stats)
             return
 
-        # C. apply: drop the condemned facts, un-restore the lower
-        # deltas.  The database is now at the final new state for every
-        # lower predicate and at (old − overdeleted) for the component.
-        for fact in overdeleted:
-            db.discard(fact)
-        for atom in restored:
-            db.discard(atom)
-        stats.overdeleted += len(overdeleted)
+        # C. apply: drop the condemned facts (keeping their spellings),
+        # un-restore the lower deltas.  The database is now at the final
+        # new state for every lower predicate and at (old − overdeleted)
+        # for the component.
+        gone = {
+            pred: _discard(db.relation(pred), list(rows))
+            for pred, rows in condemned.items()
+        }
+        for pred, rows in restored.items():
+            db.discard_rows(pred, rows)
+        stats.overdeleted += total
 
-        inserted_now: dict[Atom, None] = {}
-        up_frontier: dict[str, RowBatch] = {}
+        inserted: dict[str, dict[tuple, None]] = {}
+        up_frontier: Deltas = {}
 
-        def add_fact(fact: Atom) -> bool:
-            if db.add(fact):
-                inserted_now[fact] = None
-                _frontier_add(up_frontier, fact)
-                return True
-            return False
+        def install(pred: str, rows, decode) -> int:
+            fresh = db.add_rows(pred, arity[pred], rows, decode)
+            if fresh:
+                inserted.setdefault(pred, {}).update(dict.fromkeys(fresh))
+                if pred in up_frontier:
+                    up_frontier[pred].rows.extend(fresh)
+                else:
+                    up_frontier[pred] = RowBatch(pred, arity[pred], fresh)
+            return len(fresh)
 
-        # D. rederive: a condemned fact survives if it is a current
-        # group fact, or some rule for its predicate derives it from
-        # the facts still standing.  Facts only derivable through other
-        # condemned facts come back — if at all — via the insertion
-        # propagation below, once a support chain reappears.
-        current_groups: dict[str, set[Atom]] = {}
+        # D. rederive, in condemnation order: a condemned fact survives
+        # if it is a current group fact, or some rule for its predicate
+        # derives it from the facts still standing (rederived ones
+        # included).  Facts only derivable through other condemned
+        # facts come back — if at all — via the insertion propagation
+        # below, once a support chain reappears.
+        current_groups: dict[str, set] = {}
         for rule in grouping_rules:
-            facts = current_groups.setdefault(rule.head.pred, set())
-            facts.update(self._groups[rule].facts.values())
+            current_groups.setdefault(rule.head.pred, set()).update(
+                self._groups[rule].rows.values()
+            )
         by_head: dict[str, list[Rule]] = {}
         for rule in rules:
             by_head.setdefault(rule.head.pred, []).append(rule)
-        for fact in overdeleted:
-            if fact in current_groups.get(fact.pred, ()):
-                alive = True
-            else:
-                alive = any(
-                    self._rederivable(rule, fact)
-                    for rule in by_head.get(fact.pred, ())
-                )
-            if alive:
-                add_fact(fact)
-                stats.rederived += 1
-                stats.fixpoint.facts_derived += 1
+        for pred, rows in order:
+            groups = current_groups.get(pred, ())
+            heads = by_head.get(pred, ())
+            spelled = gone[pred].spellings
+            for row in rows:
+                alive = row in groups
+                if not alive and heads:
+                    args = spelled.get(row) or decode_row(row)
+                    alive = any(self._rederivable(r, args) for r in heads)
+                if alive:
+                    install(pred, (row,), spelled_decoder(spelled))
+                    stats.rederived += 1
+                    stats.fixpoint.facts_derived += 1
 
         # E. insertion seeds: new group facts, lower-stratum insertions
         # through positive occurrences, and the derivations a lower
         # deletion *enables* through a negation (flip over Δ−; the new
         # database state is exactly right for the remaining literals).
-        for fact in group_added:
-            if add_fact(fact):
-                stats.fixpoint.facts_derived += 1
+        for pred, rows in group_added:
+            stats.fixpoint.facts_derived += install(
+                pred, rows, spelled_decoder(spell)
+            )
         for rule in rules:
             for i, lit in enumerate(rule.body):
-                pred = lit.atom.pred
-                if is_builtin_predicate(pred) or pred in comp:
+                delta = (plus if lit.positive else minus).get(lit.atom.pred)
+                if not delta or lit.atom.pred in comp:
                     continue
-                if lit.positive:
-                    atoms = plus.get(pred)
-                    flipped = None
-                else:
-                    atoms = minus.get(pred)
-                    flipped = _flip(rule, i)
-                if not atoms:
-                    continue
-                run_rule = flipped if flipped is not None else rule
+                run_rule = rule if lit.positive else _flip(rule, i)
                 plan = ctx.plan_for(run_rule, first=i)
                 stats.fixpoint.rule_firings += 1
-                for fact in self._run(
-                    run_rule, plan, overrides={i: _delta_batch(atoms)}
-                ):
-                    if add_fact(fact):
-                        stats.fixpoint.facts_derived += 1
+                derived = self._run(run_rule, plan, i, delta)
+                stats.fixpoint.facts_derived += install(
+                    derived.pred, derived.rows, derived.decode
+                )
         while up_frontier:
             wave, up_frontier = up_frontier, {}
             stats.fixpoint.iterations += 1
@@ -788,44 +785,44 @@ class DeltaMaintainer:
                     continue
                 plan = ctx.plan_for(rule, first=i)
                 stats.fixpoint.rule_firings += 1
-                for fact in self._run(rule, plan, overrides={i: source}):
-                    if add_fact(fact):
-                        stats.fixpoint.facts_derived += 1
+                derived = self._run(rule, plan, i, source)
+                stats.fixpoint.facts_derived += install(
+                    derived.pred, derived.rows, derived.decode
+                )
 
         # F. net delta: what actually left and entered the component.
         for pred in comp:
-            removed_facts = [
-                f for f in overdeleted
-                if f.pred == pred and not db.contains_tuple(pred, f.args)
-            ]
-            added_facts = [
-                f for f in inserted_now
-                if f.pred == pred and f not in overdeleted
-            ]
-            if removed_facts:
-                minus.setdefault(pred, []).extend(removed_facts)
-                stats.facts_removed += len(removed_facts)
-            if added_facts:
-                plus.setdefault(pred, []).extend(added_facts)
+            live = db.id_rows(pred) or ()
+            batch = gone.get(pred)
+            if batch:
+                left = [row for row in batch.rows if row not in live]
+                if left:
+                    minus[pred] = RowBatch(
+                        pred, batch.arity, left, batch.spellings
+                    )
+                    stats.facts_removed += len(left)
+            dead = condemned.get(pred, {})
+            came = [row for row in inserted.get(pred, ()) if row not in dead]
+            if came:
+                rel = db.relation(pred)
+                plus[pred] = RowBatch(
+                    pred, rel.arity, came, rel.spellings_of(came)
+                )
 
     def _recompute_component(
-        self,
-        component: SCCComponent,
-        plus: Deltas,
-        minus: Deltas,
+        self, component: SCCComponent, plus: Deltas, minus: Deltas,
         stats: UpdateStats,
     ) -> None:
         """Re-derive a recursive component from its final lower strata
         into private overlay relations (old facts cannot support
         themselves there), then apply only the ID-row diff in place:
         the live relations and their indexes, which prepared queries
-        share, survive, and Atoms are built for the diff only."""
+        share, survive."""
         db = self._model.database
         ctx = self._model._context
         heads = {(r.head.pred, len(r.head.args)) for r in component.rules}
         view = db.overlay(private=heads)
-        for fact in self._model.program_facts_of(component.preds):
-            view.add(fact)
+        _add_facts(view, self._model.program_facts_of(component.preds))
         scc = evaluate_component(
             view, component, ctx.over(view)
         )
@@ -835,17 +832,16 @@ class DeltaMaintainer:
         for pred, arity in heads:
             live, fresh = db.relation(pred, arity), view.relation(pred)
             old_rows, new_rows = live.id_rows(), fresh.id_rows()
-            left = [Atom(pred, live.args_of(row)) for row in old_rows - new_rows]
-            came = [Atom(pred, fresh.args_of(row)) for row in new_rows - old_rows]
-            for fact in left:
-                live.discard(fact.args)
-            for fact in came:
-                live.add(fact.args)
+            left = _discard(live, list(old_rows - new_rows))
+            came = _add(
+                db, pred, arity, new_rows - old_rows,
+                fresh.args_of if fresh.spellings() else None,
+            )
             if left:
-                minus.setdefault(pred, []).extend(left)
+                minus[pred] = left
                 stats.facts_removed += len(left)
             if came:
-                plus.setdefault(pred, []).extend(came)
+                plus[pred] = came
 
     def _old_negation_db(self, rules, plus: Deltas) -> Database:
         """Old-state overlay for every negated predicate of the
@@ -854,38 +850,35 @@ class DeltaMaintainer:
         holds old ∪ Δ+ — removing Δ+ reconstructs the old state
         exactly."""
         db = self._model.database
-        overlay = Database()
-        seen: set[str] = set()
+        relations: dict[str, Relation] = {}
         for rule in rules:
             for lit in rule.body:
                 pred = lit.atom.pred
                 if lit.positive or is_builtin_predicate(pred):
                     continue
-                if pred in seen:
+                if pred in relations or not db.has_relation(pred):
                     continue
-                seen.add(pred)
-                inserted = {a.args for a in plus.get(pred, ())}
-                for args in list(db.tuples(pred)):
-                    if args not in inserted:
-                        overlay.add_tuple(pred, args)
-        return overlay
+                rel = db.relation(pred)
+                gained = set(plus[pred].rows) if pred in plus else set()
+                rows = dict.fromkeys(
+                    filterfalse(gained.__contains__, rel.id_rows())
+                )
+                relations[pred] = Relation.adopt(pred, rel.arity, rows, {})
+        return Database.from_relations(relations.values())
 
-    def _rederivable(self, rule: Rule, fact: Atom) -> bool:
-        """Does ``rule`` still derive ``fact`` from the facts standing
-        in the database?  Head-bound evaluation: match the head against
-        the fact, then run the body plan with those variables seeded."""
+    def _rederivable(self, rule: Rule, args) -> bool:
+        """Does ``rule`` still derive the fact with arguments ``args``
+        from the facts standing in the database?  Head-bound
+        evaluation: match the head against the arguments, then run the
+        body plan with those variables seeded."""
         ctx = self._model._context
-        for binding in match_atom(rule.head, fact.args, {}):
+        for binding in match_atom(rule.head, args, {}):
             plan = ctx.plan_for(
                 rule, initially_bound=frozenset(binding)
             )
-            for _ in self._bindings_from(plan, binding):
+            for _ in enumerate_bindings(
+                self._model.database, plan, binding=binding,
+                steps=ctx.on.exec_steps,
+            ):
                 return True
         return False
-
-    def _bindings_from(self, plan, binding):
-        ctx = self._model._context
-        return enumerate_bindings(
-            self._model.database, plan, binding=binding,
-            steps=ctx.on.exec_steps,
-        )

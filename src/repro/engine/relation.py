@@ -104,6 +104,17 @@ def record_spellings(
             spellings[row] = spelled
 
 
+def spelled_decoder(
+    spellings: dict[IdRow, ArgTuple],
+) -> Callable[[IdRow], ArgTuple] | None:
+    """A ``decode`` for :meth:`Relation.add_rows` that spells the rows
+    in ``spellings`` as recorded there and every other row canonically,
+    or None when ``spellings`` is empty."""
+    if not spellings:
+        return None
+    return lambda row: spellings.get(row) or decode_row(row)
+
+
 def _index_rows(index: dict, positions: tuple[int, ...], rows) -> None:
     """Add ``rows`` to an ID index over ``positions``."""
     if len(positions) == 1:
@@ -268,24 +279,46 @@ class Relation:
         Already-built ID indexes are maintained in place, mirroring
         :meth:`add`, so later probes stay consistent.
         """
-        row = encode_args(args)
-        if row not in self._rows:
-            return False
+        return bool(self.discard_rows((encode_args(args),)))
+
+    def discard_rows(self, rows: Iterable[IdRow]) -> list[IdRow]:
+        """Bulk-remove ID rows; returns the rows that were actually
+        present, each once, in the order given — exactly what one
+        :meth:`discard` per row would remove, built indexes and
+        spellings included."""
+        stored = self._rows
+        gone = list(filter(stored.__contains__, dict.fromkeys(rows)))
+        if not gone:
+            return gone
         if self._cow:
             self._unshare()
-        del self._rows[row]
-        self._spellings.pop(row, None)
+            stored = self._rows
+        spellings = self._spellings
+        for row in gone:
+            del stored[row]
+            if spellings:
+                spellings.pop(row, None)
         for positions, index in self._id_indexes.items():
             if len(positions) == 1:
-                key = row[positions[0]]
+                pos = positions[0]
+                keys = [row[pos] for row in gone]
             else:
-                key = tuple([row[i] for i in positions])
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[key]
-        return True
+                keys = [tuple([row[i] for i in positions]) for row in gone]
+            for key, row in zip(keys, gone):
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.discard(row)
+                    if not bucket:
+                        del index[key]
+        return gone
+
+    def spellings_of(self, rows: Iterable[IdRow]) -> dict[IdRow, ArgTuple]:
+        """The recorded spellings of those of ``rows`` that have one
+        (see :meth:`spellings`)."""
+        spellings = self._spellings
+        if not spellings:
+            return {}
+        return {row: spellings[row] for row in rows if row in spellings}
 
     # -- term-space API (decoded on read) ----------------------------------
 

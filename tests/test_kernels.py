@@ -9,7 +9,6 @@ lane as a whole is held to the reference executor by the property in
 
 from repro.engine.exec import kernels
 from repro.engine.relation import encode_args
-from repro.program.rule import Atom
 from repro.terms.pretty import format_term
 from repro.terms.term import (
     Const,
@@ -100,7 +99,7 @@ class TestRowBatch:
         quoted = (Const("a", quoted=True), Const(2))
         batch = kernels.RowBatch("p", 2)
         batch.add(encode_args(t(1, 2)), t(1, 2))
-        batch.add_fact(Atom("p", quoted))
+        batch.add(encode_args(quoted), quoted)
         batch.extend([encode_args(t(3, 4))], None)
         assert len(batch) == 3
         assert list(batch) == [t(1, 2), t("a", 2), t(3, 4)]

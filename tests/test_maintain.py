@@ -6,7 +6,9 @@ cost gate — plus a hypothesis differential: random interleaved
 insert/delete scripts (deletion-heavy, through grouping and negation
 cones) must leave the delta-maintained model, the recompute-maintained
 model, and a from-scratch evaluation in exact agreement, with the gate
-forced, disabled and at its default.
+forced, disabled and at its default.  Net deltas and spellings are
+checked step by step against the model, and the update counters of a
+fixed social graph are pinned.
 """
 
 import math
@@ -23,10 +25,14 @@ from repro.engine.maintain import (
     set_maintain_mode,
 )
 from repro.engine.maintain import maintainer
+from repro.engine.relation import decode_row
 from repro.errors import EvaluationError
 from repro.observe import TraceRecorder
 from repro.parser import parse_atom, parse_rules
+from repro.program.rule import Atom
 from repro.storage.store import DurableStore
+from repro.terms.pretty import format_atom
+from repro.workloads.social import SOCIAL_PROGRAM
 from tests.strategies import dense_recursive_program, update_scripts
 
 ANCESTOR = parse_rules(
@@ -197,7 +203,8 @@ class TestDeltaBatch:
         model = IncrementalModel(program, atoms("a(1, 3)"), maintain="delta")
         model.add_facts(atoms("a(1, 5)"))
         (state,) = model._maintainer._groups.values()
-        (regrouped,) = state.facts.values()
+        (row,) = state.rows.values()
+        regrouped = Atom("g", decode_row(row))
         assert regrouped == fresh == parse_atom("g(1, {3, 5})")
         assert regrouped.args[1] is fresh.args[1]
 
@@ -333,7 +340,7 @@ class TestCostGate:
         assert model.as_set() == scratch_set(program, edb)
         state = model._maintainer._groups[grouping]
         groups = scratch_set(parse_rules("adj(X, <Y>) <- edge(X, Y)."), edb)
-        assert set(state.facts.values()) == {
+        assert {Atom("adj", decode_row(r)) for r in state.rows.values()} == {
             a for a in groups if a.pred == "adj"
         }
         # a later DRed update runs on that group state
@@ -436,3 +443,160 @@ def test_property_delta_recompute_and_scratch_agree(monkeypatch):
 
         agree()
         assert taken == expected_branches, fraction
+
+
+# -- net deltas and spellings -----------------------------------------------
+
+
+def _printed(facts):
+    return sorted(format_atom(a) for a in facts)
+
+
+def _check_step(model, before, printed, stats, program, current):
+    """``last_delta`` is exactly the before/after model difference, with
+    no duplicate entries and each fact spelled as the model prints it,
+    and the model prints exactly as a from-scratch evaluation of the
+    current base facts."""
+    after = model.as_set()
+    now = set(_printed(model.database.atoms()))
+    if stats.mode != "none":
+        batch = model.last_delta
+        inserted = [a for atoms in batch.inserted.values() for a in atoms]
+        deleted = [a for atoms in batch.deleted.values() for a in atoms]
+        assert len(inserted) == len(set(inserted)) == batch.inserted_count
+        assert len(deleted) == len(set(deleted)) == batch.deleted_count
+        assert set(inserted) == after - before
+        assert set(deleted) == before - after
+        assert len(batch) == len(after ^ before)
+        assert set(_printed(inserted)) == now - printed
+        assert set(_printed(deleted)) == printed - now
+        for pred, atoms in (*batch.inserted.items(), *batch.deleted.items()):
+            assert atoms and all(a.pred == pred for a in atoms)
+    else:
+        assert after == before
+    scratch = evaluate(program, edb=list(current)).database
+    assert sorted(now) == _printed(scratch.atoms())
+
+
+def _run_checked(program, initial, ops):
+    model = IncrementalModel(program, initial, maintain="delta")
+    current = dict.fromkeys(initial)
+    for op, batch in ops:
+        before = model.as_set()
+        printed = set(_printed(model.database.atoms()))
+        if op == "add":
+            stats = model.add_facts(batch)
+            current.update(dict.fromkeys(batch))
+        else:
+            stats = model.remove_facts(batch)
+            for atom in batch:
+                current.pop(atom, None)
+        _check_step(model, before, printed, stats, program, current)
+
+
+@given(update_scripts(dense=True) | update_scripts())
+@settings(max_examples=40, deadline=None)
+def test_property_net_delta_and_spellings(script):
+    generated, initial, ops = script
+    _run_checked(generated.program, initial, ops)
+
+
+#: quoted strings share an equality class with the bare symbol but must
+#: read back as spelled through every maintenance path
+QUOTED = atoms("p('a')", "e('a', 'b')", "e(a, c)", "p('a b')", "e('a b', a)")
+
+QUOTED_PROGRAMS = {
+    "recursive": """
+        t(X, Y) <- e(X, Y).
+        t(X, Y) <- t(X, Z), e(Z, Y).
+        q(X) <- p(X), t(X, _).
+        """,
+    "grouping": """
+        g(X, <Y>) <- e(X, Y).
+        h(X, <X>) <- p(X).
+        """,
+    "negation": """
+        n(X) <- p(X), ~e(X, b).
+        m(X, Y) <- e(X, Y), ~p(X).
+        """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTED_PROGRAMS))
+def test_quoted_family_keeps_spellings(name):
+    program = parse_rules(QUOTED_PROGRAMS[name])
+    ops = [("remove", [fact]) for fact in QUOTED]
+    ops += [("add", [fact]) for fact in reversed(QUOTED)]
+    ops += [("remove", QUOTED[::2]), ("add", QUOTED[::2])]
+    ops += [("remove", QUOTED[1:3]), ("add", QUOTED)]
+    _run_checked(program, QUOTED, ops)
+    _run_checked(program, (), [("add", QUOTED[:2]), ("add", QUOTED)])
+
+
+# -- the update counters: a representation change, not an algorithm change --
+
+
+class _DispatchRows:
+    def __init__(self):
+        self.rows = 0
+
+    def on_maintain_dispatch(self, rows):
+        self.rows += rows
+
+
+def _regular_follows():
+    """40 users, each following the users 1, 3, 7 and 16 places on: a
+    strongly connected 4-regular graph (in- and out-degree 4)."""
+    return [(i, (i + step) % 40) for i in range(40) for step in (1, 3, 7, 16)]
+
+
+def _social_edb():
+    interests = [
+        parse_atom(f"interest(u{i}, topic{t})")
+        for i in range(40)
+        for t in {i % 5, (3 * i) % 5}
+    ]
+    return follows(*_regular_follows()) + interests
+
+
+def _counters(stats):
+    return (
+        stats.overdeleted, stats.rederived, stats.count_adjusted,
+        stats.component_recomputes, stats.facts_removed,
+        stats.fixpoint.rule_firings, stats.fixpoint.iterations,
+        stats.fixpoint.facts_derived,
+    )
+
+
+def test_social_update_counters_are_pinned():
+    """Follow a new edge, unfollow it, unfollow an old one and follow it
+    back on the social rules: each update's cost counters and the
+    summed ``maintain_dispatch`` rows are fixed by the algorithm."""
+    program = parse_rules(SOCIAL_PROGRAM)
+    dispatch = _DispatchRows()
+    model = IncrementalModel(
+        program, _social_edb(), hooks=dispatch, maintain="delta"
+    )
+    new, old = follows((0, 20)), follows((0, 1))
+    seen = [
+        _counters(model.add_facts(new)),
+        _counters(model.remove_facts(new)),
+        _counters(model.remove_facts(old)),
+        _counters(model.add_facts(old)),
+    ]
+    assert seen == PINNED_COUNTERS
+    assert dispatch.rows == PINNED_DISPATCH_ROWS
+    assert model.as_set() == scratch_set(program, _social_edb())
+
+
+#: per update: overdeleted, rederived, count_adjusted,
+#: component_recomputes, facts_removed, rule_firings, iterations,
+#: facts_derived.  The algorithm fixes them; a change of the
+#: maintainer's representation must leave them exactly as they are.
+PINNED_COUNTERS = [
+    (0, 0, 18, 0, 2, 8, 0, 14),
+    (201, 0, 18, 1, 14, 15, 6, 1602),
+    (201, 0, 14, 1, 6, 16, 7, 1602),
+    (0, 0, 14, 0, 2, 8, 0, 6),
+]
+PINNED_DISPATCH_ROWS = 428

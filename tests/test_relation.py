@@ -389,3 +389,51 @@ def test_reads_match_a_verbatim_model(operations):
         _check_against_model(rel, model)
     for clone, clone_model in copies:
         _check_against_model(clone, clone_model)
+
+
+def _state(rel):
+    """Everything a relation stores, as plain values."""
+    return (
+        list(rel.id_rows()),
+        {
+            positions: {key: set(bucket) for key, bucket in index.items()}
+            for positions, index in rel._id_indexes.items()
+        },
+        dict(rel.spellings()),
+    )
+
+
+@given(_arg_pairs, _arg_pairs, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_discard_rows_matches_per_row_discard(stored, doomed, through_db):
+    """``discard_rows`` (on a relation or through its database) leaves
+    exactly what one ``discard`` per row leaves, and what building the
+    survivors afresh gives — rows, every built index and spellings —
+    returns the rows those calls removed, and never touches a
+    copy-on-write clone taken before it."""
+
+    def build(kept=lambda args: True):
+        db = Database()
+        for args in stored:
+            if kept(args):
+                db.add_tuple("p", args)
+        rel = db.relation("p", 2)
+        rel.id_index((0,))
+        rel.id_index((0, 1))
+        return db, rel
+
+    (db, bulk), (_, single) = build(), build()
+    clone = bulk.copy()
+    before = _state(clone)
+    rows = [encode_args(args) for args in doomed]
+    if through_db:
+        gone = db.discard_rows("p", rows)
+    else:
+        gone = bulk.discard_rows(rows)
+    assert gone == [row for row, args in zip(rows, doomed) if single.discard(args)]
+    assert _state(bulk) == _state(single)
+    doomed_rows = set(rows)
+    _, rebuilt = build(lambda args: encode_args(args) not in doomed_rows)
+    assert _state(bulk) == _state(rebuilt)
+    assert _state(clone) == before
+    assert Database().discard_rows("p", rows) == []
