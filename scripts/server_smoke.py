@@ -6,7 +6,8 @@ protocol plus HTTP gateway (``--http 0``) — runs a scripted client
 session (updates, queries under every strategy, an explain, stats),
 drives the answer cache through a full hit/invalidate/hit cycle over
 both protocols (plus a query whose variable names sort against their
-positions, whose hits must answer like its miss), SIGTERMs it, and then
+positions, whose hits must answer like its miss, and bound queries a
+free query's entry serves as subsumed hits), SIGTERMs it, and then
 restarts to assert the graceful
 shutdown checkpointed: the second start must restore from the snapshot
 with zero WAL records replayed and still answer the same queries.
@@ -207,6 +208,29 @@ def main() -> None:
                     == hit["answers"]
                     == http_hit["answers"]
                     == uncached["answers"],
+                )
+
+                # subsumption: a free query's entry answers bound ones
+                free = client.call("query", q="? t(X, Y).")
+                line_bound = client.call("query", q="? t(2, X).")
+                status, http_bound = http_call(
+                    http_port, "POST", "/v1/query", {"q": "? t(5, X)."}
+                )
+                check(
+                    "subsumed hits over line and http answer like cache off",
+                    status == 200
+                    and free["cache"] in ("miss", "hit")
+                    and line_bound["cache"] == http_bound["cache"]
+                    == "hit-subsumed"
+                    and line_bound["answers"]
+                    == client.call(
+                        "query", q="? t(2, X).", cache=False
+                    )["answers"]
+                    and http_bound["answers"]
+                    == client.call(
+                        "query", q="? t(5, X).", cache=False
+                    )["answers"]
+                    and http_bound["count"] == 1,
                 )
         finally:
             out = stop_server(proc)

@@ -255,17 +255,33 @@ def answer_rows(db: Database, query: Query) -> tuple[tuple[Term, ...], ...]:
     The row-valued sibling of :func:`answer_query` (one index probe,
     one sort, no bindings): what the answer cache stores, because rows
     for a pattern can answer any more-bound query later by re-matching.
+
+    The sort keys only the free (non-ground) positions.  The probe
+    returns rows holding one equality class at every bound position,
+    and ``sort_key`` ignores the quoting that is all a spelling can
+    change there, so those columns would compare equal anyway: the
+    order is that of a key over every column, and ``sorted`` is stable.
     """
     atom = query.atom
     rows = _query_tuples(db, query)
-    free = [arg for arg in atom.args if not arg.is_ground()]
-    if not all(isinstance(arg, Var) for arg in free) or len(set(free)) < len(free):
+    free = [i for i, arg in enumerate(atom.args) if not arg.is_ground()]
+    patterns = {atom.args[i] for i in free}
+    if not all(isinstance(arg, Var) for arg in patterns) or len(patterns) < len(free):
         # compound patterns or repeated variables: match row by row
         rows = [
             args for args in rows
             if next(iter(match_atom(atom, args, {})), None) is not None
         ]
-    return tuple(sorted(rows, key=lambda r: tuple(t.sort_key() for t in r)))
+    else:
+        rows = list(rows)
+    if not rows or len(rows[0]) != len(atom.args):
+        return ()  # no row of another arity matches
+    if len(free) == 1:
+        (i,) = free
+        rows.sort(key=lambda r: r[i].sort_key())
+    elif free:
+        rows.sort(key=lambda r: [r[i].sort_key() for i in free])
+    return tuple(rows)
 
 
 def answer_query(db: Database, query: Query) -> list[Binding]:

@@ -329,10 +329,13 @@ class Relation:
         the key's row IDs and decodes only the matching bucket, as it is
         iterated; like the bucket, the result must not be iterated
         across a write to this relation.  A key that is not a term
-        matches nothing.  An empty signature scans everything.
+        matches nothing, and so does a position past the arity.  An
+        empty signature scans everything.
         """
         if not positions:
             return iter(self)
+        if max(positions) >= self.arity:
+            return ()
         try:
             probe = row_id(key[0]) if len(positions) == 1 else encode_args(key)
         except (TypeError, AttributeError):

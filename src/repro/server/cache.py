@@ -30,11 +30,16 @@ and its session and memoizes query answers across clients:
   unread, and ~300 B of tagged trees per row would tax every one of
   them — and it goes wherever its entry goes.
 
-* **Subsumption.**  A miss on the exact key scans the predicate's other
-  entries for a *broader* one — same predicate, bound positions a
-  subset of ours with equal values.  Its rows are a superset of the
-  answer set, so filtering them through the query pattern serves the
-  query without touching the engine (counted as ``hit-subsumed``).
+* **Subsumption.**  A miss on the exact key looks for a *broader*
+  entry — same predicate, bound positions a subset of ours with equal
+  values.  Its rows are a superset of the answer set, so filtering
+  them through the query pattern serves the query without touching the
+  engine (counted as ``hit-subsumed``).  The lookup goes by *form*: the
+  cache counts its live entries per predicate and adornment, and for
+  each of the predicate's forms that binds a subset of our positions
+  probes the one key that form could subsume us under — a dict lookup
+  per form, however many entries the cache holds.  When several
+  entries qualify, the most recently used one answers.
 
 * **Population.**  Misses with at least one bound argument on an IDB
   predicate are computed *on demand* through the §6 magic-set pipeline
@@ -74,6 +79,7 @@ server suite; an unrecognized value is an error, not the default.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -124,9 +130,11 @@ def cache_enabled(default: bool = True) -> bool:
 class _Entry:
     """Rows for one relaxed pattern, stamped with the model's update
     version at fill time (None for in-memory sessions), plus the wire
-    answers of the plain queries that have hit it, by variable names."""
+    answers of the plain queries that have hit it, by variable names.
+    ``used`` is the cache's use tick at its last fill or hit: the
+    larger, the more recently used."""
 
-    __slots__ = ("key", "rows", "version", "wire")
+    __slots__ = ("key", "rows", "version", "wire", "used")
 
     def __init__(
         self, key: Key, rows: tuple[tuple[Term, ...], ...], version: int | None
@@ -135,6 +143,7 @@ class _Entry:
         self.rows = rows
         self.version = version
         self.wire: dict[tuple[str, ...], list[dict]] = {}
+        self.used = 0
 
 
 def _plain_bindings(
@@ -150,8 +159,6 @@ def _plain_bindings(
     permuted key.  Keys stay in position order, as ``match_atom``
     inserts them.
     """
-    if rows and len(rows[0]) != len(adornment):
-        return []  # an arity no row has: match_atom matches nothing
     free = [i for i, a in enumerate(adornment) if a == "f"]
     by_name = [i for _, i in sorted(zip(names, free))]
     if by_name != free:
@@ -195,6 +202,9 @@ class AnswerCache:
         self.capacity = capacity
         self._mutex = threading.Lock()
         self._entries: OrderedDict[Key, _Entry] = OrderedDict()
+        # live entries per predicate and adornment, for _subsuming_entry
+        self._forms: dict[str, dict[str, int]] = {}
+        self._ticks = itertools.count(1)
         self._session: "LDL | None" = None
         # support-set memo, rebuilt whenever the program object changes
         self._support: dict[str, frozenset[str]] = {}
@@ -246,13 +256,13 @@ class AnswerCache:
         with self._mutex:
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._touch(entry)
                 self.hits += 1
                 how = "hit"
             else:
                 entry = self._subsuming_entry(key)
                 if entry is not None:
-                    self._entries.move_to_end(entry.key)
+                    self._touch(entry)
                     self.hits += 1
                     self.subsumed += 1
                     how = "hit-subsumed"
@@ -264,9 +274,7 @@ class AnswerCache:
             with self._mutex:
                 self.misses += 1
                 if key not in self._entries:
-                    self._entries[key] = _Entry(key, rows, version)
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
+                    self._insert(_Entry(key, rows, version))
         if names is None or how == "hit-subsumed":
             bindings = _bindings(pattern, rows)
         else:
@@ -297,25 +305,69 @@ class AnswerCache:
             entry = self._entries.get(key)
             encoded = None if entry is None else entry.wire.get(names)
             if encoded is not None:
-                self._entries.move_to_end(key)
+                self._touch(entry)
                 self.hits += 1
             return encoded
+
+    # -- the LRU and its form counts (callers hold the mutex) --------------
+
+    def _touch(self, entry: _Entry) -> None:
+        """Make ``entry`` the most recently used."""
+        self._entries.move_to_end(entry.key)
+        entry.used = next(self._ticks)
+
+    def _insert(self, entry: _Entry) -> None:
+        """Add a fresh entry as the most recently used, evicting the
+        least recently used ones beyond capacity."""
+        pred, adornment, _ = entry.key
+        self._entries[entry.key] = entry
+        entry.used = next(self._ticks)
+        forms = self._forms.setdefault(pred, {})
+        forms[adornment] = forms.get(adornment, 0) + 1
+        while len(self._entries) > self.capacity:
+            self._forget(self._entries.popitem(last=False)[0])
+
+    def _forget(self, key: Key) -> None:
+        """Uncount an entry that has left ``_entries``."""
+        pred, adornment, _ = key
+        forms = self._forms[pred]
+        if forms[adornment] == 1:
+            del forms[adornment]
+            if not forms:
+                del self._forms[pred]
+        else:
+            forms[adornment] -= 1
 
     def _subsuming_entry(self, key: Key) -> _Entry | None:
         """A broader entry able to answer ``key`` by filtering, if any.
 
         Broader means: same predicate, and every bound position of the
         candidate is bound in ``key`` to the same value — its rows are
-        then a superset of the rows ``key`` would store.
+        then a superset of the rows ``key`` would store.  Such an entry
+        has one of the predicate's live forms, binding a subset of
+        ``key``'s positions, and its key is ``key``'s bound values
+        restricted to those positions: one dict lookup per form.  Any
+        arity qualifies, as a subset of positions.  Of several
+        candidates, the most recently used answers.
         """
-        pred, _, bound = key
+        pred, adornment, bound = key
+        forms = self._forms.get(pred)
+        if not forms:
+            return None
         values = dict(bound)
-        for other in reversed(self._entries):  # most recently used first
-            if other[0] != pred or other == key:
+        best = None
+        for form in forms:
+            if form == adornment:
+                continue  # the same positions: only key itself, a miss
+            positions = [i for i, a in enumerate(form) if a == "b"]
+            if not all(i in values for i in positions):
                 continue
-            if all(values.get(i) == t for i, t in other[2]):
-                return self._entries[other]
-        return None
+            entry = self._entries.get(
+                (pred, form, tuple([(i, values[i]) for i in positions]))
+            )
+            if entry is not None and (best is None or entry.used > best.used):
+                best = entry
+        return best
 
     @staticmethod
     def _analyze(
@@ -397,6 +449,7 @@ class AnswerCache:
             if event.preds is None:  # wholesale: rules changed
                 dropped = len(self._entries)
                 self._entries.clear()
+                self._forms.clear()
                 self._support.clear()
                 self._graph = None
                 self._graph_program = None
@@ -417,6 +470,7 @@ class AnswerCache:
             ]
             for key in victims:
                 del self._entries[key]
+                self._forget(key)
             self.entries_invalidated += len(victims)
             return len(victims)
 

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LDL
 from repro.engine.maintain import Invalidation
@@ -416,3 +417,136 @@ def test_cached_answers_equal_uncached_oracle(script):
     report = cache.report()
     assert report["hits"] + report["misses"] > 0
     assert {"miss", "hit"} <= served
+
+
+def _scan_subsuming(cache, key):
+    """The linear scan ``AnswerCache._subsuming_entry`` replaced: the
+    most recently used entry of ``key``'s predicate, other than ``key``,
+    whose bound positions ``key`` binds to equal values."""
+    pred, _, bound = key
+    values = dict(bound)
+    for other in reversed(cache._entries):  # most recently used first
+        if other[0] != pred or other == key:
+            continue
+        if all(values.get(i) == t for i, t in other[2]):
+            return cache._entries[other]
+    return None
+
+
+#: Bound arguments that compare equal across spellings ('a' and a), or
+#: not at all across types (1 and 1.0), plus compound and set constants.
+_BOUND_VALUES = (
+    "1", "1.0", "'a'", "a", "f('a')", "f(a)", "{1, 2}", "{2, 1}", "{}",
+)
+
+
+def _subsumption_queries(values):
+    """Queries on ``e`` (mostly) and ``g`` of arity 1-3 (mostly 2), each
+    argument a variable, a compound pattern or one of ``values``."""
+
+    @st.composite
+    def queries(draw):
+        pred = draw(st.sampled_from(["e", "e", "e", "g"]))
+        arity = draw(st.sampled_from([1, 2, 2, 2, 3]))
+        args = []
+        for i in range(arity):
+            kind = draw(st.sampled_from(["var", "compound", "bound", "bound"]))
+            if kind == "var":
+                args.append(f"X{i}")
+            elif kind == "compound":
+                args.append(f"f(X{i})")
+            else:
+                args.append(draw(st.sampled_from(values)))
+        return parse_query(f"? {pred}({', '.join(args)}).")
+
+    return queries()
+
+
+@st.composite
+def _cache_scripts(draw):
+    """A few bound values per script, so that entries often subsume
+    each other, then up to 40 steps over them."""
+    values = draw(st.lists(
+        st.sampled_from(_BOUND_VALUES), min_size=1, max_size=3, unique=True
+    ))
+    queries = _subsumption_queries(values)
+    kinds = ["ask"] * 6 + ["memo"] * 2 + ["invalidate", "clear"]
+    steps = st.sampled_from(kinds).flatmap(lambda kind: {
+        "ask": st.tuples(st.just("ask"), queries),
+        "memo": st.tuples(st.just("memo"), queries),
+        "invalidate": st.tuples(
+            st.just("invalidate"),
+            st.sampled_from([("e",), ("g",), ("e", "g"), ("h",)]),
+        ),
+        "clear": st.just(("clear",)),
+    }[kind])
+    return draw(st.lists(steps, min_size=10, max_size=40))
+
+
+def _subsumption_session():
+    return LDL(
+        "h(X) <- g(X). "
+        "e(1, 'a'). e(1.0, a). e(f('a'), {1, 2}). e(a, 1). e({}, f(a)). "
+        "g(1). g('a'). g({1, 2}). g(f(a))."
+    )
+
+
+def _recount_forms(cache):
+    forms = {}
+    for pred, adornment, _ in cache._entries:
+        counts = forms.setdefault(pred, {})
+        counts[adornment] = counts.get(adornment, 0) + 1
+    return forms
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    _cache_scripts(),
+)
+@settings(max_examples=150, deadline=None)
+def test_subsuming_entry_equals_linear_scan(capacity, steps):
+    """Random lookups, fills, evictions, precise invalidations and
+    clears: every lookup finds the very entry the linear scan over the
+    LRU finds (the most recently used one when several qualify), and
+    the per-form entry counts always equal a recount of the entries."""
+    cache = AnswerCache(capacity=capacity).bind_session(_subsumption_session())
+    for step in steps:
+        kind = step[0]
+        if kind in ("ask", "memo"):
+            query = step[1]
+            key = AnswerCache._analyze(query)[0]
+            expected = _scan_subsuming(cache, key)
+            assert cache._subsuming_entry(key) is expected
+            exact = key in cache._entries
+            _, how = cache.answers(query, wire=kind == "memo")
+            if exact:
+                assert how == "hit"
+            elif expected is not None:
+                assert how == "hit-subsumed"
+            if kind == "memo":
+                cache.memoized(query)
+        elif kind == "invalidate":
+            cache.apply_invalidation(Invalidation(preds=frozenset(step[1])))
+        else:
+            cache.clear()
+        assert cache._forms == _recount_forms(cache)
+
+
+def test_subsumed_hit_promotes_most_recently_used_entry():
+    """Two entries subsume ``t(1, 2)``; the most recently used one
+    answers it and moves to the back of the LRU."""
+    cache = AnswerCache(capacity=3).bind_session(tc_session())
+    by_source, by_target, other = (
+        parse_query("? t(1, Y)."),
+        parse_query("? t(X, 2)."),
+        parse_query("? s(X)."),
+    )
+    for query in (by_source, by_target, other):
+        assert cache.answers(query)[1] == "miss"
+    assert cache.answers(parse_query("? t(1, 2).")) == ([{}], "hit-subsumed")
+    # LRU order is now t(1, Y), s(X), t(X, 2): two fills evict the first two
+    assert cache.answers(parse_query("? t(2, Y)."))[1] == "miss"
+    assert cache.answers(parse_query("? t(3, Y)."))[1] == "miss"
+    assert cache.answers(by_target)[1] == "hit"
+    assert cache.answers(other)[1] == "miss"
+    assert cache.answers(by_source)[1] == "miss"

@@ -1,6 +1,8 @@
 """Integration tests for bottom-up evaluation (paper §3.2, Theorem 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import evaluate
 from repro.errors import EvaluationError, NotAdmissibleError
@@ -276,3 +278,79 @@ class TestQueries:
         atoms = result.answer_atoms(parse_query("? ancestor(X, Y)."))
         assert len(atoms) == 6
         assert atoms == sorted(atoms, key=lambda a: a.sort_key())
+
+
+#: Constants whose order mixes kinds: ints, floats, symbols, quoted
+#: strings, compounds holding quoted strings, and sets.
+_ROW_VALUES = (
+    "1", "2", "1.0", "2.5", "-1", "a", "'a'", "b", "'b c'", "f('a')",
+    "f(a)", "f(1, 'x')", "{1, 2}", "{'a', b}", "{}", "g({1}, 'a')",
+)
+
+
+def _all_columns_rows(db, query):
+    """``answer_rows`` as it was, sorting on every column: the oracle."""
+    from repro.engine.evaluator import _query_tuples
+    from repro.engine.match import match_atom
+    from repro.terms.term import Var
+
+    atom = query.atom
+    rows = _query_tuples(db, query)
+    free = [arg for arg in atom.args if not arg.is_ground()]
+    if not all(isinstance(arg, Var) for arg in free) or len(set(free)) < len(free):
+        rows = [
+            args for args in rows
+            if next(iter(match_atom(atom, args, {})), None) is not None
+        ]
+    return tuple(sorted(rows, key=lambda r: tuple(t.sort_key() for t in r)))
+
+
+@st.composite
+def _rows_and_pattern(draw):
+    """Rows of one arity (2 or 3) over a few of ``_ROW_VALUES``, so
+    rows often share a bound value (``a`` and ``'a'`` included), and a
+    query pattern over them: bound, free, repeated-variable, compound
+    and anonymous arguments."""
+    arity = draw(st.sampled_from([2, 3]))
+    values = draw(st.lists(
+        st.sampled_from(_ROW_VALUES), min_size=2, max_size=6, unique=True
+    ))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(values), min_size=arity, max_size=arity),
+        min_size=1,
+        max_size=25,
+    ))
+    args = []
+    for i in range(arity):
+        kind = draw(st.sampled_from(
+            ["bound", "bound", "var", "var", "repeat", "compound", "anon"]
+        ))
+        if kind == "bound":
+            args.append(draw(st.sampled_from(values)))
+        else:
+            args.append({
+                "var": f"X{i}", "repeat": "R", "compound": f"f(C{i})",
+                "anon": "_",
+            }[kind])
+    return rows, args
+
+
+@given(_rows_and_pattern())
+@settings(max_examples=200, deadline=None)
+def test_answer_rows_order_equals_all_columns_sort(rows_and_pattern):
+    """Sorting on the free positions only returns exactly the tuples,
+    spellings included, that the sort over every column returns."""
+    from repro.engine.database import Database
+    from repro.engine.evaluator import answer_rows
+    from repro.terms.pretty import format_term
+
+    rows, args = rows_and_pattern
+    program = parse_program(" ".join(f"p({', '.join(r)})." for r in rows))
+    db = Database(rule.head for rule in program.program.facts())
+    query = parse_query(f"? p({', '.join(args)}).")
+    got = answer_rows(db, query)
+    expected = _all_columns_rows(db, query)
+    assert got == expected
+    assert [[format_term(t) for t in r] for r in got] == [
+        [format_term(t) for t in r] for r in expected
+    ]

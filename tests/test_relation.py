@@ -62,6 +62,19 @@ class TestRelation:
         rel.add(t(1))
         assert list(rel.lookup((0,), t(9))) == []
 
+    def test_position_past_arity_matches_nothing(self):
+        rel = Relation("p", 2)
+        rel.add(t(1, 2))
+        assert list(rel.lookup((2,), t(1))) == []
+        assert list(rel.lookup((0, 2), t(1, 1))) == []
+
+    def test_query_binding_past_arity_has_no_answers(self):
+        from repro import LDL
+
+        db = LDL("e(1, 2). p(X) <- e(X, _).")
+        assert db.query("? e(X, Y, 1).") == []
+        assert db.query("? p(X, 1).") == []
+
     def test_copy_is_independent(self):
         rel = Relation("p", 1)
         rel.add(t(1))
