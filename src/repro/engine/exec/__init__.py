@@ -40,15 +40,35 @@ class DerivedRows:
     :meth:`SpecializedPlan.decoder
     <repro.engine.exec.specialize.SpecializedPlan.decoder>`).  The
     fixpoint hands both straight to ``Database.add_rows``, which
-    decodes nothing unless ``decode`` is set."""
+    decodes nothing unless ``decode`` is set.
 
-    __slots__ = ("pred", "arity", "rows", "decode")
+    A linear recursive rule's application may instead come as a *key
+    map* (:func:`~repro.engine.exec.specialize.key_map_shape`):
+    ``rows`` is None and ``keys`` is ``{carried value: set(other
+    value)}``, the set of binary head rows with the carried value at
+    head position ``carried``; every slot is a variable, so ``decode``
+    is None.  ``count`` is the number of derivations either way: the
+    length of ``rows``, or the size the row multiset would have had."""
 
-    def __init__(self, pred: str, arity: int, rows: list, decode) -> None:
+    __slots__ = ("pred", "arity", "rows", "decode", "keys", "carried", "count")
+
+    def __init__(
+        self,
+        pred: str,
+        arity: int,
+        rows: list | None,
+        decode,
+        keys: dict | None = None,
+        carried: int = 0,
+        count: int | None = None,
+    ) -> None:
         self.pred = pred
         self.arity = arity
         self.rows = rows
         self.decode = decode
+        self.keys = keys
+        self.carried = carried
+        self.count = len(rows) if count is None else count
 
 
 def enumerate_bindings(
@@ -93,17 +113,31 @@ def derive_rows(
     overrides: SourceOverrides | None = None,
     negation_db: Database | None = None,
     steps=None,
+    recursive: frozenset[str] | None = None,
 ) -> DerivedRows:
     """Head facts derived by one rule application, as ID rows.
 
     A plan with a head template emits its rows directly.  Otherwise
     (a non-fast head) each binding's head is instantiated and encoded;
     ``decode`` then returns each row's first derived spelling.
+
+    ``recursive`` is for a fixpoint: the predicates its component
+    defines.  Given it, a plan of the key-map shape whose probed
+    predicate is not among them returns a key map instead of rows when
+    its scanned rows repeat their carried values (see
+    :class:`DerivedRows`); without it, the result is always rows.
     """
     spec = specialized_plan(plan)
     if spec.templates["head"] is not None:
         head = plan.head.atom
-        rows = spec.run("head", db, {}, overrides, negation_db, steps)
+        shape = None if recursive is None else spec.key_map_shape()
+        if shape is not None and shape.probed in recursive:
+            shape = None
+        kind = "head" if shape is None else "keys"
+        rows = spec.run(kind, db, {}, overrides, negation_db, steps)
+        if type(rows) is tuple:
+            keys, count = rows
+            return DerivedRows(head.pred, 2, None, None, keys, shape.carried, count)
         return DerivedRows(head.pred, len(head.args), rows, spec.decoder())
     rows = []
     spelled: dict = {}  # each row's first derived spelling

@@ -48,6 +48,17 @@ chooses it from its input, with no knob: when the scanned rows number
 at least 4 with at least 2 per distinct key; otherwise the per-row nest
 runs, which is cheaper when every key is distinct.
 
+A linear recursive plan (:func:`key_map_shape`: step 0 scans the head
+predicate, carrying one head variable, and step 1 probes another
+binary predicate for the other) has a third closure, ``"keys"``, run
+only for a fixpoint (:func:`~repro.engine.exec.derive_rows` with its
+``recursive`` predicates).  Above the key-grouped branch it has a
+**key-map branch** (:meth:`_Codegen.key_map`): it returns ``{carried
+value: candidate set}`` and the derivation count instead of one row
+per derivation, so duplicate derivations are never built.  It runs
+when the scanned rows number at least 4 with at least 2 per distinct
+carried value; otherwise the closure continues as the head closure.
+
 This is the only body evaluator the engine runs.  Its semantics match
 the per-binding reference (:mod:`repro.engine.exec.tuplewise`, which
 only the tests call) — same binding multisets, same failure semantics
@@ -66,9 +77,10 @@ they must not outlive :func:`repro.terms.term.clear_intern_table`.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import islice
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.engine.binding import EMPTY_BINDING, ChainBinding
 from repro.engine.database import Database
@@ -153,6 +165,19 @@ def _build_index(rows, positions):
             else:
                 bucket.append(row)
     return index
+
+
+def _repeating(key, rows, n: int) -> bool:
+    """Whether ``n`` scanned ``rows`` have at least 2 per distinct
+    ``key`` value: with ``n >= 4``, the input test of the key-grouped
+    and key-map branches, counted at C speed.  When the first ``n // 2
+    + 1`` rows already have as many distinct values, the answer is no
+    without the rest, so a chain's delta (every value distinct) pays
+    half."""
+    half = n // 2 + 1
+    if len(set(map(key, islice(rows, half)))) == half:
+        return False
+    return 2 * len(set(map(key, rows))) <= n
 
 
 def _out_rid(value: Term) -> int:
@@ -327,6 +352,7 @@ class _Codegen:
             "_enc": _encode_rows,
             "_encf": _encode_rows_exact,
             "_bix": _build_index,
+            "_rep": _repeating,
             "_fold": fold_arith,
             "_rid": row_id,
             "_nr": number_rid,
@@ -975,7 +1001,7 @@ class _Codegen:
         multiset and the ``(_c0, _c1)`` counts equal the per-row nest's.
 
         The branch runs when the scanned rows number at least 4 with at
-        least 2 per distinct key (counted at C speed); otherwise it falls
+        least 2 per distinct key (:func:`_repeating`); otherwise it falls
         through to the per-row nest, which is cheaper when keys are
         mostly distinct (a chain's delta)."""
         steps = self.plan.steps
@@ -1014,7 +1040,7 @@ class _Codegen:
         emission = f"[{self.row_expr(sub)} for _y0 in _gz for _x1 in _b1]"
         return [
             "        _gn = len(_r0)",
-            "        if _gn >= 4 and 2 * len(set(map(_kf, _r0))) <= _gn:",
+            "        if _gn >= 4 and _rep(_kf, _r0, _gn):",
             "            _c0 = _gn",
             "            _gd = _DL(list)",
             "            if _i1 is None:",
@@ -1031,9 +1057,58 @@ class _Codegen:
             "            break",
         ]
 
+    def key_map(self, shape: "KeyMapShape") -> list[str]:
+        """The key-map branch of a linear recursive plan (see
+        :func:`key_map_shape`), as loop lines for the top of the
+        ``_ONE`` loop.
+
+        It projects each distinct probe key's bucket once onto the
+        probed value, unions those sets per carried value, and returns
+        ``(key map, derivations)``: ``{carried: set(probed values)}``,
+        and the number of derivations, the sum over the scanned rows of
+        their bucket sizes — the rows the per-row nest would emit.  The
+        ``exec_steps`` event reports the per-row nest's counts.
+
+        The branch runs when the scanned rows number at least 4 with at
+        least 2 per distinct carried value; otherwise the closure falls
+        through to its per-row branches, which build one row per
+        derivation and are cheaper when every carried value is
+        distinct (a chain's delta)."""
+        scan, probe = self.plan.steps
+        where = {name: pos for pos, name in scan.simple_residuals}
+        carried = where[shape.carried_var]
+        key = where[probe.probes[0][2]]
+        ((value, _),) = probe.simple_residuals
+        self.env["_kc"] = itemgetter(carried)
+        self.env["_kk"] = itemgetter(key)
+        self.env["_CT"] = Counter
+        return [
+            "        _gn = len(_r0)",
+            "        if _gn >= 4 and _rep(_kc, _r0, _gn):",
+            "            _km = {}",
+            "            if _i1 is not None:",
+            "                _pm = {}",
+            "                for _k1, _n1 in _CT(map(_kk, _r0)).items():",
+            "                    _b1 = _i1.get(_k1)",
+            "                    if _b1:",
+            f"                        _pm[_k1] = {{_x1[{value}] for _x1 in _b1}}",
+            "                        _c1 += _n1 * len(_b1)",
+            "                    else:",
+            "                        _pm[_k1] = _ES",
+            "                for _x0 in _r0:",
+            f"                    _u = _km.get(_x0[{carried}])",
+            "                    if _u is None:",
+            f"                        _km[_x0[{carried}]] = set(_pm[_x0[{key}]])",
+            "                    else:",
+            f"                        _u |= _pm[_x0[{key}]]",
+            "            if steps is not None:",
+            "                steps(counts=(_gn, _c1), rows=_c1)",
+            "            return _km, _c1",
+        ]
+
     # -- assembly ----------------------------------------------------------
 
-    def build(self) -> tuple[str, dict]:
+    def build(self, shape: "KeyMapShape | None" = None) -> tuple[str, dict]:
         steps = self.plan.steps
         last = len(steps) - 1
         for k, step in enumerate(steps):
@@ -1059,6 +1134,8 @@ class _Codegen:
         lines.append("    _xt = out.extend" if self.fused else "    _ap = out.append")
         lines.extend("    " + line for line in self.pro)
         lines.append("    for _root in _ONE:")
+        if shape is not None:
+            lines.extend(self.key_map(shape))
         lines.extend(self.grouped_join())
         lines.extend(self.body)
         # one exec_steps event per run: each step's binding count, and
@@ -1070,8 +1147,74 @@ class _Codegen:
         return "\n".join(lines) + "\n", self.env
 
 
-def _generate(plan: RulePlan, template: tuple) -> tuple[str, dict]:
-    return _Codegen(plan, template).build()
+def _generate(
+    plan: RulePlan, template: tuple, shape: "KeyMapShape | None" = None
+) -> tuple[str, dict]:
+    return _Codegen(plan, template).build(shape)
+
+
+class KeyMapShape(NamedTuple):
+    """A linear recursive plan's key-map layout (:func:`key_map_shape`)."""
+
+    #: the head position of the value carried over from the scanned row
+    carried: int
+    #: the variable carrying it
+    carried_var: str
+    #: the predicate step 1 probes
+    probed: str
+
+
+def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
+    """The key-map layout of a linear recursive plan, or None.
+
+    The shape: a seedless, non-grouping plan with a binary head of two
+    distinct variables and two relation steps.  Step 0 scans the head
+    predicate and binds two plain fresh variables: the carried one, a
+    head variable, and the probe key, which is not.  Step 1 probes
+    another binary predicate on that key alone and binds the other head
+    variable.  Left- and right-linear ``anc`` and the delta plan of
+    ``influences(A, B) <- influences(A, C), follows(B, C)`` qualify;
+    a third literal (the magic-rewritten form's ``m_influences__bf(A)``)
+    or a second occurrence of the head predicate does not.  Whether
+    the probed predicate is defined in the running component is the
+    fixpoint's question, not the plan's."""
+    head = plan.head
+    if (
+        head is None
+        or not head.fast
+        or plan.initially_bound
+        or plan.rule.is_grouping()
+        or len(head.parts) != 2
+        or len(plan.steps) != 2
+    ):
+        return None
+    (kind0, name0), (kind1, name1) = head.parts
+    if kind0 != VAR or kind1 != VAR or name0 == name1:
+        return None
+    scan, probe = plan.steps
+    pred = head.atom.pred
+    if (
+        scan.kind != "relation"
+        or scan.literal.atom.pred != pred
+        or scan.probes
+        or scan.simple_residuals is None
+        or len(scan.simple_residuals) != 2
+        or probe.kind != "relation"
+        or probe.literal.atom.pred == pred
+        or len(probe.literal.atom.args) != 2
+        or len(probe.probes) != 1
+        or probe.simple_residuals is None
+        or len(probe.simple_residuals) != 1
+    ):
+        return None
+    (_, kindp, key), ((_, value),) = probe.probes[0], probe.simple_residuals
+    scanned = {name for _, name in scan.simple_residuals}
+    if kindp != VAR or key not in scanned or key in (name0, name1):
+        return None
+    (carried,) = scanned - {key}
+    if {carried, value} != {name0, name1}:
+        return None
+    return KeyMapShape(0 if carried == name0 else 1, carried, probe.literal.atom.pred)
 
 
 def head_template(plan: RulePlan) -> tuple | None:
@@ -1173,15 +1316,17 @@ def _fact_decoder(pred: str, parts: tuple):
 class SpecializedPlan:
     """Lazy compilation cache hung off a :class:`RulePlan`.
 
-    Holds at most two closures, one per output template (``"head"`` and
-    ``"vars"``), each compiled at most once, plus the decoders for their
-    rows, each generated once.  ``templates["head"]`` is None for a plan
-    with no head template (:func:`head_template`);
-    :func:`~repro.engine.exec.derive_rows` instantiates such a head per
-    binding instead."""
+    Holds at most three closures, one per output template (``"head"``
+    and ``"vars"``) and the head template's key-map variant
+    (``"keys"``, see :func:`key_map_shape`), each compiled at most
+    once, plus the decoders for their rows, each generated once.
+    ``templates["head"]`` is None for a plan with no head template
+    (:func:`head_template`); :func:`~repro.engine.exec.derive_rows`
+    instantiates such a head per binding instead."""
 
     __slots__ = (
-        "plan", "variables", "templates", "_fns", "_decode", "_binder", "_facts",
+        "plan", "variables", "templates", "_fns", "_decode", "_binder",
+        "_facts", "_shape",
     )
 
     def __init__(self, plan: RulePlan) -> None:
@@ -1195,6 +1340,7 @@ class SpecializedPlan:
         self._decode = False  # not computed yet; None is a result
         self._binder = None
         self._facts = None
+        self._shape = False  # not computed yet; None is a result
 
     def decoder(self):
         """The head rows→args slot decoder, or None when every head
@@ -1247,12 +1393,24 @@ class SpecializedPlan:
             fn = self._facts = _fact_decoder(head.atom.pred, head.parts)
         return fn
 
+    def key_map_shape(self) -> KeyMapShape | None:
+        """The plan's :func:`key_map_shape`, computed once."""
+        shape = self._shape
+        if shape is False:
+            shape = self._shape = key_map_shape(self.plan)
+        return shape
+
     def _function(self, kind: str):
         fn = self._fns.get(kind)
         if fn is None:
             plan = self.plan
             try:
-                source, env = _generate(plan, self.templates[kind])
+                if kind == "keys":
+                    source, env = _generate(
+                        plan, self.templates["head"], self.key_map_shape()
+                    )
+                else:
+                    source, env = _generate(plan, self.templates[kind])
             except _Unsupported as exc:
                 raise EvaluationError(
                     f"cannot compile rule {format_rule(plan.rule)}: {exc}"
@@ -1271,10 +1429,11 @@ class SpecializedPlan:
         negation_db: Database | None,
         steps,
     ):
-        """Run the ``kind`` template's closure (``"head"`` or
-        ``"vars"``) seeded with ``base`` (initially-bound name → term):
-        the emitted ID tuples.  A seed that does not fit the plan
-        raises before any override source is consumed."""
+        """Run the ``kind`` template's closure (``"head"``, ``"vars"``
+        or ``"keys"``) seeded with ``base`` (initially-bound name →
+        term): the emitted ID tuples, or for ``"keys"`` possibly a
+        ``(key map, derivations)`` pair.  A seed that does not fit the
+        plan raises before any override source is consumed."""
         plan = self.plan
         if frozenset(base) != plan.initially_bound:
             raise ValueError(

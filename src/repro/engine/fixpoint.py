@@ -8,6 +8,15 @@ occurrence per rule application to the facts newly derived in the
 previous round, avoiding rediscovery.  Both reach the same fixpoint;
 the benchmark suite quantifies the difference (experiment E1).
 
+A semi-naive round installs each rule application's derived *set*.
+A linear recursive rule (one head column carried from its delta, the
+other read from a relation the component does not define) derives a
+key map, ``{carried value: candidate set}``, when its delta repeats
+carried values; :class:`KnownValues` subtracts the values already
+known under each key, and only the fresh pairs become ID rows.  Every
+other application installs its row multiset, deduplicated by
+``Relation.add_rows``.
+
 Rules are executed as compiled :class:`~repro.engine.plan.RulePlan`s
 obtained through the run's :class:`~repro.engine.context.EvalContext`:
 each (rule, delta-occurrence) pair is planned at most once, against the
@@ -18,6 +27,7 @@ cardinality snapshot the context refreshes once per iteration
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 from typing import Sequence
 
@@ -60,16 +70,22 @@ def occurrence_index(rules: Sequence[Rule]) -> list[tuple[Rule, int]]:
     return index
 
 
-def _derive(ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None):
+def _derive(
+    ctx: EvalContext, db: Database, rule: Rule, plan, overrides=None,
+    recursive=None,
+):
     """One rule application: its head facts as a
-    :class:`~repro.engine.exec.DerivedRows` batch of ID rows, one per
-    derivation, as ``rule_fired`` reports it."""
+    :class:`~repro.engine.exec.DerivedRows` batch, rows or (given the
+    component's ``recursive`` predicates) a key map, reported to
+    ``rule_fired`` with its derivation count."""
     on = ctx.on
     fired = on.rule_fired
     start = perf_counter() if fired is not None else 0.0
-    dr = derive_rows(db, plan, overrides=overrides, steps=on.exec_steps)
+    dr = derive_rows(
+        db, plan, overrides=overrides, steps=on.exec_steps, recursive=recursive,
+    )
     if fired is not None:
-        fired(rule=rule, derived=len(dr.rows), seconds=perf_counter() - start)
+        fired(rule=rule, derived=dr.count, seconds=perf_counter() - start)
     return dr
 
 
@@ -81,12 +97,95 @@ def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
     return entry
 
 
-def install_rows(ctx: EvalContext, db: Database, rule: Rule, dr, delta=None) -> int:
+class KnownValues:
+    """The values already known per carried key, for the key-map
+    installs of one fixpoint run.
+
+    ``{pred: {position: {key: set(other value)}}}``: for a binary head
+    relation and a head position, each value at that position mapped
+    to the set of values beside it.  A map is built from its relation
+    on first use, updated by every later install into that relation
+    during the run (the per-row path's and other rules' included), and
+    dropped with the run: it is not kept on the
+    :class:`~repro.engine.relation.Relation`, which would hold a second
+    copy of every binary fact for the life of the model."""
+
+    __slots__ = ("db", "maps")
+
+    def __init__(self, db: Database) -> None:
+        self.db = db
+        self.maps: dict[str, dict[int, dict]] = {}
+
+    def _values(self, pred: str, pos: int) -> dict:
+        """The map for ``pred`` at head position ``pos``, built on first
+        use from the relation's stored rows."""
+        by_pos = self.maps.setdefault(pred, {})
+        values = by_pos.get(pos)
+        if values is None:
+            values = by_pos[pos] = {}
+            rel = self.db.get_relation(pred)
+            if rel is not None:
+                _record(values, pos, rel.id_rows())
+        return values
+
+    def record(self, pred: str, rows, skip: int | None = None) -> None:
+        """Add newly installed ``rows`` of ``pred`` to its maps (all but
+        the one at position ``skip``)."""
+        by_pos = self.maps.get(pred)
+        if by_pos:
+            for pos, values in by_pos.items():
+                if pos != skip:
+                    _record(values, pos, rows)
+
+    def install(self, dr) -> list:
+        """Install a key map's fresh pairs into ``dr.pred``; returns the
+        new rows.  Per carried key, the candidate set minus the known
+        values is what is new; only those pairs become rows."""
+        pos = dr.carried
+        values = self._values(dr.pred, pos)
+        fresh: list = []
+        for key, candidates in dr.keys.items():
+            have = values.get(key)
+            if have is None:
+                values[key] = new = candidates
+            else:
+                new = candidates - have
+                if not new:
+                    continue
+                have |= new
+            fresh += zip(repeat(key), new) if pos == 0 else zip(new, repeat(key))
+        if fresh:
+            self.db.relation(dr.pred, dr.arity).add_new_rows(fresh)
+            self.record(dr.pred, fresh, skip=pos)
+        return fresh
+
+
+def _record(values: dict, pos: int, rows) -> None:
+    """Add binary ``rows`` to a known-values map keyed on ``pos``."""
+    other = 1 - pos
+    for row in rows:
+        key = row[pos]
+        have = values.get(key)
+        if have is None:
+            values[key] = {row[other]}
+        else:
+            have.add(row[other])
+
+
+def install_rows(
+    ctx: EvalContext, db: Database, rule: Rule, dr, delta=None, known=None,
+) -> int:
     """Bulk-add one rule application's rows to ``db``; returns how many
     were new.  New rows go into ``delta`` when given, and reach a
     ``fact_derived`` handler when there is one — rows decode for that
-    alone."""
-    fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
+    alone.  A key map installs through ``known``, the run's
+    :class:`KnownValues`, which every row install keeps in step."""
+    if dr.keys is not None:
+        fresh = known.install(dr)
+    else:
+        fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
+        if fresh and known is not None and known.maps:
+            known.record(dr.pred, fresh)
     if fresh:
         if delta is not None:
             _delta_batch(delta, dr.pred, dr.arity).extend(fresh, dr.decode)
@@ -199,10 +298,16 @@ def seminaive_rounds(
     values are plain argument-tuple lists or :class:`RowBatch`es (what
     every later round builds); the compiled lane encodes a list once
     and reads a batch's ID rows directly.
+
+    A linear recursive rule's application may come as a key map (see
+    :func:`~repro.engine.exec.derive_rows`); it installs through one
+    :class:`KnownValues` that lives as long as this call.
     """
     ctx = context or EvalContext(db)
     stats = FixpointStats()
     occurrences = occurrence_index(rules)
+    recursive = frozenset(rule.head.pred for rule in rules)
+    known = KnownValues(db)
 
     while delta:
         stats.iterations += 1
@@ -215,9 +320,11 @@ def seminaive_rounds(
             if not changed:
                 continue
             plan = ctx.plan_for(rule, first=occurrence)
-            dr = _derive(ctx, db, rule, plan, overrides={occurrence: changed})
+            dr = _derive(
+                ctx, db, rule, plan, {occurrence: changed}, recursive
+            )
             stats.rule_firings += 1
-            round_new += install_rows(ctx, db, rule, dr, next_delta)
+            round_new += install_rows(ctx, db, rule, dr, next_delta, known)
         stats.facts_derived += round_new
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=round_new)

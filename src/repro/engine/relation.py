@@ -15,6 +15,12 @@ in step with them:
 * ``_spellings`` — ``{row: args}`` for the few rows whose arguments,
   as added, are not their equality classes' representatives.
 
+Rows arrive in bulk two ways: :meth:`Relation.add_rows` deduplicates a
+rule application's row multiset against the stored rows, and
+:meth:`Relation.add_new_rows` takes rows the caller already knows are
+new — a linear recursive rule's fresh pairs, which the fixpoint finds
+by set difference per key (:class:`~repro.engine.fixpoint.KnownValues`).
+
 Because ``row_id`` identifies the term *equality class*, ID equality on
 rows coincides with term-tuple equality, so membership and join
 semantics are those of a set of term tuples.
@@ -37,7 +43,7 @@ written afterwards.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from typing import Callable, Iterable, Iterator
 
 from repro.terms.term import Term, _ID_TABLE, evaluate_ground, row_id, term_id
@@ -263,15 +269,24 @@ class Relation:
         (:func:`record_spellings`).
         """
         fresh = list(filterfalse(self._rows.__contains__, dict.fromkeys(rows)))
-        if not fresh:
-            return fresh
+        if fresh:
+            self.add_new_rows(fresh)
+            record_spellings(self._spellings, fresh, decode)
+        return fresh
+
+    def add_new_rows(self, rows: list[IdRow]) -> None:
+        """Bulk-insert ID rows the caller knows are distinct and not yet
+        stored, each spelled as its class representatives: the install
+        of a key map's fresh pairs, which the fixpoint has already
+        subtracted the known rows from.  Built ID indexes are kept in
+        step, as by :meth:`add_rows`."""
+        if not rows:
+            return
         if self._cow:
             self._unshare()
-        self._rows.update(dict.fromkeys(fresh))
+        self._rows.update(zip(rows, repeat(None)))
         for positions, index in self._id_indexes.items():
-            _index_rows(index, positions, fresh)
-        record_spellings(self._spellings, fresh, decode)
-        return fresh
+            _index_rows(index, positions, rows)
 
     def discard(self, args: ArgTuple) -> bool:
         """Remove a tuple; returns True when it was present.

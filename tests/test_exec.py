@@ -410,7 +410,128 @@ class TestKeyGroupedJoin:
         assert grouped and counts == (16, len(dense)) and len(dense) == 4 * len(sparse)
 
 
-set_operands = st.lists(ground_sets | quoted_ground_terms, min_size=1, max_size=4)
+#: A line only the key-map branch emits.
+KEYED = "return _km, _c1"
+
+#: Delta plans (rule, pinned occurrence) of the key-map shape, with
+#: the head position of the carried value and the probed predicate.
+KEY_MAP_PLANS = [
+    (INFLUENCES, 0, (0, "A", "follows")),
+    ("anc(X, Y) <- anc(X, Z), par(Z, Y).", 0, (0, "X", "par")),  # left-linear
+    ("anc(X, Y) <- par(X, Z), anc(Z, Y).", 1, (1, "Y", "par")),  # right-linear
+    # the carried value read from the scanned row's other column
+    ("influences(A, B) <- influences(C, A), follows(B, C).", 0, (0, "A", "follows")),
+]
+
+#: Delta plans that keep the per-row path, whatever their delta.
+ROW_PLANS = [
+    # the magic-rewritten form: a third literal
+    (
+        "influences__bf(A, B) <- m_influences__bf(A), "
+        "influences__bf(A, C), follows(B, C).",
+        1,
+    ),
+    ("anc(X, Y) <- anc(X, Z), anc(Z, Y).", 0),  # non-linear
+    ("influences(A, A) <- influences(A, C), follows(B, C).", 0),  # p(X, X)
+    ("influences(A, b) <- influences(A, C), follows(B, C).", 0),  # constant
+    ("influences(A, B) <- influences(A, C), follows(B, c).", 0),  # probe constant
+    ("influences(A, B) <- influences(A, C), link(B, C, B).", 0),  # repeated var
+    ("influences(A, B) <- influences(A, C), rated(B, C, W).", 0),  # third column
+    ("influences(A, C) <- influences(A, C), follows(B, C).", 0),  # key carried
+    ("influences(A, <B>) <- influences(A, C), follows(B, C).", 0),  # grouping
+    ("reach(A, B) <- influences(A, C), follows(B, C).", 0),  # scan not the head
+]
+
+
+def _keys_source(rule_src: str, first: int) -> str:
+    plan = compile_rule(parse_rule(rule_src), first=first)
+    spec = specialized_plan(plan)
+    return specialize._generate(
+        plan, spec.templates["head"], spec.key_map_shape()
+    )[0]
+
+
+def _as_rows(dr):
+    """A key map's rows, as a set (the key map is a set of rows)."""
+    if dr.carried == 0:
+        return {(key, value) for key, values in dr.keys.items() for value in values}
+    return {(value, key) for key, values in dr.keys.items() for value in values}
+
+
+class TestKeyMap:
+    """A linear recursive delta plan returns ``{carried: candidate set}``
+    when its delta repeats carried values; the key map is the set of
+    the per-row path's rows, with the same derivation count and
+    ``exec_steps`` counts."""
+
+    FOLLOWS = TestKeyGroupedJoin.FOLLOWS + ("follows(f, c2)", "follows(g, c9)")
+
+    def test_shape_pin(self):
+        for src, first, shape in KEY_MAP_PLANS:
+            plan = compile_rule(parse_rule(src), first=first)
+            assert specialize.key_map_shape(plan) == shape, src
+            assert KEYED in _keys_source(src, first), src
+        for src, first in ROW_PLANS:
+            plan = compile_rule(parse_rule(src), first=first)
+            assert specialize.key_map_shape(plan) is None, src
+            assert KEYED not in _keys_source(src, first), src
+        # the rows a fixpoint does not ask for are never a key map
+        assert KEYED not in _closure_source(INFLUENCES, first=0)
+
+    def _derive(self, plan, db, delta, recursive):
+        seen = []
+        dr = derive_rows(
+            db, plan, overrides={plan.steps[0].index: delta},
+            steps=lambda counts, rows: seen.append((counts, rows)),
+            recursive=recursive,
+        )
+        return dr, seen
+
+    @pytest.mark.parametrize("src,first,shape", KEY_MAP_PLANS)
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_key_map_is_the_row_set(self, src, first, shape, dense, batch):
+        rule = parse_rule(src)
+        plan = compile_rule(rule, first=first)
+        probed = shape[2]
+        facts = [parse_atom(f).args for f in self.FOLLOWS]
+        if plan.steps[1].probe_positions == (0,):  # left-linear: par(Z, Y)
+            facts = [args[::-1] for args in facts]
+        db = Database(Atom(probed, args) for args in facts)
+        keys = ("c1", "c2", "c3", "c9", "c4")
+        if dense:  # every carried value on several keys, repeated rows kept
+            pairs = [(f"a{i}", k) for i in range(3) for k in keys] + [("a0", "c1")]
+        else:
+            pairs = [(f"a{i}", k) for i, k in enumerate(keys)]
+        scanned = dict(plan.steps[0].simple_residuals)
+        if scanned[1] == shape[1]:  # the carried value is column 1
+            pairs = [(k, a) for a, k in pairs]
+        delta = [(Const(x), Const(y)) for x, y in pairs]
+        if batch:
+            delta = _row_batch(rule.head, delta)
+        rows, row_steps = self._derive(plan, db, delta, None)
+        assert rows.keys is None
+        dr, steps = self._derive(plan, db, delta, frozenset({rule.head.pred}))
+        assert (dr.keys is not None) == dense
+        assert steps == row_steps and dr.count == rows.count == len(rows.rows)
+        if dense:
+            assert dr.carried == shape[0] and dr.rows is None
+            assert _as_rows(dr) == set(rows.rows)
+            assert len(rows.rows) > len(set(rows.rows))  # duplicates derived
+        # a probed predicate the component defines keeps the rows
+        mutual, _ = self._derive(
+            plan, db, delta, frozenset({rule.head.pred, probed})
+        )
+        assert mutual.keys is None and mutual.rows == rows.rows
+
+    def test_unknown_probed_predicate(self):
+        plan = compile_rule(parse_rule(INFLUENCES), first=0)
+        delta = [(Const(f"a{i % 2}"), Const(f"c{i}")) for i in range(6)]
+        dr, steps = self._derive(plan, Database(), delta, frozenset({"influences"}))
+        assert dr.keys == {} and dr.count == 0 and steps == [((6, 0), 0)]
+
+
+set_operands =st.lists(ground_sets | quoted_ground_terms, min_size=1, max_size=4)
 
 
 @given(set_operands, set_operands)
