@@ -30,7 +30,11 @@ has at most two templates:
 
 Every closure also gets the kernel codegen
 (:mod:`repro.engine.exec.kernels`): the last relation step fuses
-emission into one whole-column list comprehension, arithmetic reads
+emission into one whole-column list comprehension — one pure ID-space
+filter after it (:func:`filter_fuses`: a negation or ``=``/``!=`` over
+bound variables and constants) is that comprehension's ``if`` clause,
+and an output template or negation key that is the scanned row, column
+for column, is the row itself — arithmetic reads
 the interner's numeric lane directly, comparisons compare numbers from
 that lane and strings read through the ID table inline, the set
 built-ins with ground operands and a fresh output (``partition`` with
@@ -141,6 +145,20 @@ def _encode_rows_exact(source, arity: int) -> list[tuple[int, ...]]:
     if rows is not None:
         return rows if source.arity == arity else []
     return [encode_args(args) for args in source if len(args) == arity]
+
+
+def _encode_rows_whole(source, arity: int) -> list[tuple[int, ...]]:
+    """Like :func:`_encode_rows`, for a step that reuses its scanned
+    rows whole: each row exactly ``arity`` wide.  The per-row path reads
+    an override row's first ``arity`` columns and ignores the rest, so a
+    wider row is cut to them (and a shorter one raises there, too)."""
+    rows = _encode_rows(source)
+    if getattr(source, "arity", None) == arity:
+        return rows
+    return [
+        row if len(row) == arity else tuple([row[i] for i in range(arity)])
+        for row in rows
+    ]
 
 
 def _build_index(rows, positions):
@@ -351,6 +369,7 @@ class _Codegen:
             "_CB": ChainBinding,
             "_enc": _encode_rows,
             "_encf": _encode_rows_exact,
+            "_encw": _encode_rows_whole,
             "_bix": _build_index,
             "_rep": _repeating,
             "_fold": fold_arith,
@@ -401,13 +420,32 @@ class _Codegen:
 
     # -- per-step emission -------------------------------------------------
 
-    def relation_step(self, k: int, step: LiteralStep, fuse: bool = False) -> None:
+    def relation_step(
+        self,
+        k: int,
+        step: LiteralStep,
+        fuse: bool = False,
+        tail: LiteralStep | None = None,
+    ) -> None:
         atom = step.literal.atom
         pred = atom.pred
         arity = len(atom.args)
         general = bool(step.residuals) and step.simple_residuals is None
         pro = self.pro
         emit = self.emit
+        # a fused step's row stands for itself where the output template
+        # or the tail's negation key is its every column in order
+        whole = None
+        if fuse:
+            slots = dict(step.simple_residuals or ())
+            slots.update(
+                (pos, name) for pos, kindp, name in step.probes if kindp == VAR
+            )
+            whole = tuple((VAR, slots.get(i)) for i in range(arity))
+            if whole != self.template and (
+                tail is None or tail.kind != "negation" or whole != tail.neg_args
+            ):
+                whole = None
         pro.append(
             f"_s{k} = None if overrides is None else overrides.get({step.index})"
         )
@@ -415,9 +453,14 @@ class _Codegen:
             # probe-only override rows must be arity-filtered (each
             # binding passes once per matching row of the right arity);
             # rows feeding residual matching are not (parity with the
-            # term-level matchers, which ignore trailing columns).
-            enc = "_enc" if step.residuals else "_encf"
-            arg = f"_s{k}" if step.residuals else f"_s{k}, {arity}"
+            # term-level matchers, which ignore trailing columns) but
+            # are cut to the arity when reused whole.
+            if not step.residuals:
+                enc, arg = "_encf", f"_s{k}, {arity}"
+            elif whole is not None:
+                enc, arg = "_encw", f"_s{k}, {arity}"
+            else:
+                enc, arg = "_enc", f"_s{k}"
             # the leniency flag only feeds TERM probe evaluation
             lenient = any(kindp == TERM for _, kindp, _ in step.probes)
             pro.append(f"if _s{k} is None:")
@@ -463,7 +506,10 @@ class _Codegen:
             pro.append(f"    if _r{k} is None:")
             pro.append(f"        _r{k} = ()")
             pro.append("else:")
-            pro.append(f"    _r{k} = _enc(_s{k})")
+            if whole is None:
+                pro.append(f"    _r{k} = _enc(_s{k})")
+            else:
+                pro.append(f"    _r{k} = _encw(_s{k}, {arity})")
             rows = f"_r{k}"
         if general:
             # one matcher call per outer binding over the whole bucket:
@@ -484,19 +530,29 @@ class _Codegen:
             emit(f"_c{k} += 1")
             return
         if fuse:
-            # last step: fuse iteration and emission into one
+            # last relation step: fuse iteration and emission into one
             # whole-column gather — a single list comprehension builds
             # every output ID tuple of this dispatch (this step's fresh
-            # variables substitute as direct row subscripts), and one
-            # C-level ``extend`` scatters the batch onto the output.
+            # variables substitute as direct row subscripts, a copy-shaped
+            # template reuses the row), a fused tail filter is its ``if``
+            # clause, and one C-level ``extend`` scatters the batch onto
+            # the output.
             sub = {}
             if step.residuals:
                 for pos, name in step.simple_residuals:
                     sub[name] = f"_x{k}[{pos}]"
-            row_expr = self.row_expr(sub)
-            emit(f"_t{k} = [{row_expr} for _x{k} in {rows}]")
+            row = f"_x{k}"
+            out = row if whole == self.template else self.row_expr(sub)
+            cond = ""
+            if tail is not None:
+                cond = " if " + self.tail_test(k + 1, tail, sub, whole, row)
+            emit(f"_t{k} = [{out} for {row} in {rows}{cond}]")
             emit(f"_xt(_t{k})")
-            emit(f"_c{k} += len(_t{k})")
+            if tail is None:
+                emit(f"_c{k} += len(_t{k})")
+            else:
+                emit(f"_c{k} += len({rows})")
+                emit(f"_c{k + 1} += len(_t{k})")
             self.fused = True
             return
         emit(f"for _x{k} in {rows}:")
@@ -510,6 +566,34 @@ class _Codegen:
                 self.assigned.add(name)
             emit(f"_c{k} += 1")
 
+    def tail_test(self, f: int, step: LiteralStep, sub, whole, row) -> str:
+        """The ``if`` clause of a fused tail filter (:func:`filter_fuses`)
+        over the gathered row ``row``, whose variables substitute as
+        ``sub`` says: a negation tests its key against the negated
+        relation's row set — the row itself when ``whole`` is the key —
+        and ``=``/``!=`` compare row IDs."""
+
+        def ground(kind, payload):
+            if kind == CONST:
+                return str(row_id(payload))
+            return sub.get(payload) or self.bound_local(payload)
+
+        if step.kind == "negation":
+            self.negated_rows(f, step)
+            if step.neg_args == whole:
+                return f"{row} not in _n{f}"
+            parts = [ground(kind, payload) for kind, payload in step.neg_args]
+            comma = "," if len(parts) == 1 else ""
+            return f"({', '.join(parts)}{comma}) not in _n{f}"
+        a, b = (ground(kind, payload) for kind, payload, _ in step.builtin_args)
+        return f"{a} {'==' if step.literal.atom.pred == '=' else '!='} {b}"
+
+    def negated_rows(self, k: int, step: LiteralStep) -> None:
+        """Load the negated relation's row set as ``_n{k}``."""
+        self.pro.append(f"_n{k} = negdb.id_rows({step.literal.atom.pred!r})")
+        self.pro.append(f"if _n{k} is None:")
+        self.pro.append(f"    _n{k} = _ES")
+
     def negation_step(self, k: int, step: LiteralStep) -> None:
         atom = step.literal.atom
         emit = self.emit
@@ -522,9 +606,7 @@ class _Codegen:
             emit("    continue")
             emit(f"_c{k} += 1")
             return
-        self.pro.append(f"_n{k} = negdb.id_rows({atom.pred!r})")
-        self.pro.append(f"if _n{k} is None:")
-        self.pro.append(f"    _n{k} = _ES")
+        self.negated_rows(k, step)
         parts = []
         for i, (kindn, payload) in enumerate(step.neg_args):
             if kindn == VAR:
@@ -1111,16 +1193,21 @@ class _Codegen:
     def build(self, shape: "KeyMapShape | None" = None) -> tuple[str, dict]:
         steps = self.plan.steps
         last = len(steps) - 1
+        # one pure ID-space filter may follow the last relation step
+        tail = steps[last] if last > 0 and filter_fuses(steps[last]) else None
+        gather = last if tail is None else last - 1
         for k, step in enumerate(steps):
             self.pro.append(f"_c{k} = 0")
+            if self.fused:
+                continue  # the tail filter ran inside the gather
             if step.kind == "relation":
                 # the last relation step fuses with emission (one
                 # whole-column comprehension) unless it needs the
                 # general residual matcher
-                fuse = k == last and not (
+                fuse = k == gather and not (
                     step.residuals and step.simple_residuals is None
                 )
-                self.relation_step(k, step, fuse=fuse)
+                self.relation_step(k, step, fuse=fuse, tail=tail)
             elif step.kind == "negation":
                 self.negation_step(k, step)
             elif step.kind == "builtin":
@@ -1151,6 +1238,28 @@ def _generate(
     plan: RulePlan, template: tuple, shape: "KeyMapShape | None" = None
 ) -> tuple[str, dict]:
     return _Codegen(plan, template).build(shape)
+
+
+def filter_fuses(step: LiteralStep) -> bool:
+    """Whether ``step``, following a plan's last relation step, runs as
+    the ``if`` clause of that step's comprehension: a *pure ID-space
+    filter*, a negated relation literal whose arguments are all bound
+    variables or constants, or an ``=``/``!=`` with both sides bound
+    variables or constants."""
+    if step.kind == "negation":
+        return step.neg_args is not None and all(
+            kind != TERM for kind, _ in step.neg_args
+        )
+    return (
+        step.kind == "builtin"
+        and step.literal.atom.pred in ("=", "!=")
+        and step.builtin_handler is not None
+        and len(step.builtin_args) == 2
+        and all(
+            kind == CONST or (kind == VAR and name in step.bound_before)
+            for kind, name, _ in step.builtin_args
+        )
+    )
 
 
 class KeyMapShape(NamedTuple):

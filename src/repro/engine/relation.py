@@ -267,10 +267,26 @@ class Relation:
         unless ``decode`` is a slot decoder that spells some head
         argument differently from its class representative
         (:func:`record_spellings`).
+
+        A first install — no rows stored and no ID index built — adopts
+        its batch: the deduplicated ``dict.fromkeys`` becomes the row
+        dict as it is, with no filter pass and no second dict (a
+        copy-on-write clone is unshared first).
         """
-        fresh = list(filterfalse(self._rows.__contains__, dict.fromkeys(rows)))
+        if self._rows or self._id_indexes:
+            fresh = list(
+                filterfalse(self._rows.__contains__, dict.fromkeys(rows))
+            )
+            if fresh:
+                self.add_new_rows(fresh)
+        else:
+            batch = dict.fromkeys(rows)
+            fresh = list(batch)
+            if fresh:
+                if self._cow:
+                    self._unshare()
+                self._rows = batch
         if fresh:
-            self.add_new_rows(fresh)
             record_spellings(self._spellings, fresh, decode)
         return fresh
 

@@ -187,3 +187,32 @@ def grouping_oracle(rule, db) -> list[Atom]:
         args[position] = intern_term(SetVal.from_ground(values))
         facts.append(Atom(rule.head.pred, tuple(args)))
     return facts
+
+
+def fused_and_unfused(plan, template, db, overrides=None, negation_db=None):
+    """Compile ``plan``'s seedless closure for ``template`` twice — as
+    the engine does, and with the tail-filter fusion refused (a
+    monkeypatched :func:`~repro.engine.exec.specialize.filter_fuses`) —
+    and run both: ``[(source, row multiset, exec_steps counts)]`` for
+    the fused closure, then the unfused one."""
+    from collections import Counter
+
+    import pytest
+
+    from repro.engine.exec import specialize
+
+    negdb = db if negation_db is None else negation_db
+    runs = []
+    for fuse in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not fuse:
+                patch.setattr(specialize, "filter_fuses", lambda step: False)
+            source, env = specialize._generate(plan, template)
+        fn = specialize._define(source, "<test>", env, "_specialized")
+        seen = []
+        rows = fn(
+            db, overrides, {}, negdb,
+            lambda counts, rows: seen.append((counts, rows)),
+        )
+        runs.append((source, Counter(rows), seen))
+    return runs

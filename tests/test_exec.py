@@ -11,7 +11,9 @@ to the reference on every rule of random programs.
 """
 
 import inspect
+import re
 from collections import Counter, defaultdict
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,7 @@ from repro.terms.term import Const, Var
 
 from tests.helpers import (
     facts_of,
+    fused_and_unfused,
     grouping_oracle,
     idb_facts,
     reference_facts,
@@ -139,6 +142,131 @@ class TestAntiJoinNegation:
         db = db_of("e(1)", "bad(1)")
         rule = parse_rule("p(X) <- e(X), ~bad(X).")
         assert bindings_of(db, rule) == []
+
+
+#: Rules whose last relation step runs their trailing filter as its
+#: comprehension's ``if`` clause.
+FUSED_FILTER_RULES = (
+    "candidate(A, B) <- follows(A, M), follows(M, B), A != B.",
+    "recommend(A, B) <- candidate(A, B), ~follows(A, B).",
+    "r(A, B) <- q(A, B), ~s(A, c).",  # a constant negation argument
+    "r(A, B) <- q(A, B), A = B.",  # = between two bound variables
+    # the magic form: a probe, then the negation
+    "recommend__bf(A, B) <- m_recommend__bf(A), candidate__bf(A, B), "
+    "~follows(A, B).",
+)
+
+#: Rules whose trailing filter keeps today's per-row emission.
+UNFUSED_FILTER_RULES = (
+    "r(A) <- q(A), ~A = 1.",  # a negated builtin
+    "r(A) <- q(A), ~p(A + 1).",  # a TERM negation argument
+    "r(A, B) <- q(A, B), A < B.",  # a comparison on the lane
+    "r(A, B) <- q(A, B), ~s(A), A != B.",  # two trailing filters
+    "r(A, B) <- q(A), ~s(A), t(A, B).",  # a relation step after the filter
+    "r(A) <- q(A, A), ~s(A).",  # a residual-matcher step
+)
+
+#: Rules whose fused gather emits the scanned row itself, and rules
+#: whose does not.
+WHOLE_ROW_RULES = (
+    "r(A, B) <- q(A, B), ~s(A).",
+    "r(A, B) <- q(A, B), A != B.",
+    "r(A, B) <- q(A, B).",
+    "recommend__bf(A, B) <- m_recommend__bf(A), candidate__bf(A, B), "
+    "~follows(A, B).",
+)
+BUILT_ROW_RULES = (
+    "r(B, A) <- q(A, B), ~s(A).",
+    "r(A, c) <- q(A, B), ~s(B).",  # a head constant
+    "r(A, B) <- q(A, B, C), ~s(C).",  # a wider scanned row
+)
+
+#: A line of a fused tail filter; of a gather that reuses its row.
+FUSED_TAIL = re.compile(r"_t\d+ = \[.* for _x\d+ in _[rb]\d+ if ")
+WHOLE_ROW = re.compile(r"_t(\d+) = \[_x\1 for _x\1 in ")
+
+
+def _filter_db(rule, values=("u1", "'u1'", "1", "1.0", "c")):
+    """Facts for every stored predicate of ``rule``: a fixed subset of
+    the tuples over ``values`` — by default ``u1``, ``'u1'`` (its
+    class, spelled otherwise), ``1``, ``1.0`` (another class) and
+    ``c``."""
+    facts = []
+    for literal in rule.body:
+        atom = literal.atom
+        if is_builtin_predicate(atom.pred):
+            continue
+        arity = len(atom.args)
+        for i, args in enumerate(product(values, repeat=arity)):
+            if (i * 7 + len(atom.pred)) % 3:
+                facts.append(f"{atom.pred}({', '.join(args)})")
+    return db_of(*facts)
+
+
+class TestFusedFilter:
+    """A pure ID-space filter after the last relation step runs inside
+    that step's comprehension, and a copy-shaped output reuses the
+    scanned row; rows and ``exec_steps`` counts are the unfused
+    closure's, and the bindings the reference's."""
+
+    @staticmethod
+    def _sources(src):
+        rule = parse_rule(src)
+        plan = compile_rule(rule)
+        # an order comparison raises between a string and a number
+        db = _filter_db(rule, ("1", "1.0", "2")) if "<" in src else _filter_db(rule)
+        sources = []
+        for template in (
+            specialize.head_template(plan),
+            tuple((VAR, name) for name in specialize.body_variables(plan)),
+        ):
+            fused, unfused = fused_and_unfused(plan, template, db)
+            assert fused[1:] == unfused[1:], src
+            assert sum(fused[1].values()) == fused[2][0][1], src
+            sources.append((fused[0], unfused[0]))
+        _check_plan(db, plan)
+        return sources
+
+    def test_shape_pin(self):
+        for src in FUSED_FILTER_RULES:
+            for fused, unfused in self._sources(src):
+                assert FUSED_TAIL.search(fused), src
+                assert not FUSED_TAIL.search(unfused), src
+        for src in UNFUSED_FILTER_RULES:
+            for fused, unfused in self._sources(src):
+                assert fused == unfused, src
+                assert not FUSED_TAIL.search(fused), src
+
+    def test_whole_row_pin(self):
+        for src in WHOLE_ROW_RULES:
+            head, _ = self._sources(src)
+            assert WHOLE_ROW.search(head[0]), src
+        for src in BUILT_ROW_RULES:
+            head, _ = self._sources(src)
+            assert not WHOLE_ROW.search(head[0]), src
+        # the negation key is the row though the output is not
+        (head, _), _ = self._sources("r(B, A) <- q(A, B), ~s(A, B).")
+        assert " if _x0 not in _n1]" in head
+        assert not WHOLE_ROW.search(head)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_override_rows_reused_whole(self, batch):
+        """An override row wider than its literal is cut to the columns
+        the per-row path reads before the gather reuses it."""
+        rule = parse_rule("r(A, B) <- q(A, B), ~s(A, B).")
+        db = _filter_db(rule)
+        wide = [args + (Const(9),) for args in db.tuples("q")]
+        delta = wide + [(Const(1), Const(2))]
+        if batch:  # a batch of another arity
+            delta = _row_batch(Atom("q", (Var("A"), Var("B"), Var("C"))), delta)
+        plan = compile_rule(rule, first=0)
+        fused, unfused = fused_and_unfused(
+            plan, specialize.head_template(plan), db, overrides={0: delta}
+        )
+        assert WHOLE_ROW.search(fused[0])
+        assert fused[1:] == unfused[1:]
+        assert all(len(row) == 2 for row in fused[1])
+        _check_plan(db, plan, overrides={0: delta})
 
 
 def _d_index(plan):

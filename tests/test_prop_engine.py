@@ -1,5 +1,8 @@
 """Property-based tests for the evaluation engine."""
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,13 +10,24 @@ from repro.engine import evaluate, evaluate_component
 from repro.engine.builtins import solve_builtin
 from repro.engine.compiled import base_database
 from repro.engine.context import EvalContext
-from repro.parser import parse_rules
+from repro.engine.database import Database
+from repro.engine.exec import RowBatch, run_plan_tuple, specialized_plan
+from repro.engine.exec import specialize
+from repro.engine.plan import compile_rule
+from repro.engine.relation import encode_args
+from repro.parser import parse_atom, parse_rules
 from repro.program.dependency import SCCComponent
 from repro.program.rule import Atom
 from repro.program.stratify import stratify
+from repro.terms.pretty import format_atom, format_term
 from repro.terms.term import Const, SetVal, Var
 
-from tests.helpers import idb_facts, reference_model, topdown_idb_facts
+from tests.helpers import (
+    fused_and_unfused,
+    idb_facts,
+    reference_model,
+    topdown_idb_facts,
+)
 from tests.strategies import generated_programs, ground_sets
 
 TC_RULES = """
@@ -163,6 +177,96 @@ def test_stratified_negation_complement(pairs):
     targets = {b for _, b in pairs}
     roots = {atom.args[0].value for atom in result.database.atoms("root")}
     assert roots == nodes - targets
+
+
+#: Bodies binding A and B, the filters that can end them, and heads.
+FILTER_BODIES = ("q(A, B)", "q(A, M), s(M, B)", "t(A), q(A, B)", "q(A, B), t(B)")
+TAIL_FILTERS = (
+    "~s(A, B)", "~s(B, A)", "~s(A, 1)", "~t(B)",
+    "A != B", "A = B", "A != 1", "B = 'u1'", "B != 1.0",
+)
+FILTER_HEADS = ("r(A, B)", "r(B, A)", "r(A, c)")
+
+#: ``u1`` beside ``'u1'`` (one class, two spellings) and ``1`` beside
+#: ``1.0`` (two classes: ``!=`` holds between them).
+filter_values = st.sampled_from(("u1", "'u1'", "1", "1.0", "c"))
+filter_facts = st.tuples(
+    st.lists(st.tuples(filter_values, filter_values), max_size=12),
+    st.lists(st.tuples(filter_values, filter_values), max_size=8),
+    st.lists(filter_values, max_size=4),
+)
+
+
+def _atoms(pred, tuples):
+    return [parse_atom(f"{pred}({', '.join(args)})") for args in tuples]
+
+
+def _printed_model(src, edb, fuse):
+    with pytest.MonkeyPatch.context() as patch:
+        if not fuse:
+            patch.setattr(specialize, "filter_fuses", lambda step: False)
+        db = evaluate(parse_rules(src), edb=edb).database
+    return sorted(map(format_atom, db.atoms()))
+
+
+@given(
+    st.sampled_from(FILTER_HEADS),
+    st.sampled_from(FILTER_BODIES),
+    st.sampled_from(TAIL_FILTERS),
+    filter_facts,
+    filter_facts,
+)
+@settings(max_examples=60, deadline=None)
+def test_fused_filter_equals_unfused_and_reference(head, body, tail, facts, other):
+    """A rule ending in a negation or ``=``/``!=`` gives the same rows,
+    ``exec_steps`` counts and printed model with its tail filter fused
+    into the gather as without, and the reference's bindings: scanning
+    the database, a plain argument-tuple delta or a ``RowBatch`` delta,
+    with the database or another one as the negation database."""
+    src = f"{head} <- {body}, {tail}."
+    q, s, t = facts
+    edb = _atoms("q", q) + _atoms("s", s) + _atoms("t", [(v,) for v in t])
+    db = Database(edb)
+    q2, s2, t2 = other
+    negation_db = Database(_atoms("s", s2) + _atoms("t", [(v,) for v in t2]))
+    assert _printed_model(src, edb, True) == _printed_model(src, edb, False)
+    (rule,) = parse_rules(src).rules
+    pairs = [atom.args for atom in _atoms("x", q2)]
+    for first in (None, 0, 1):
+        if first is None:
+            sources = (None,)
+        else:
+            literal = rule.body[first]
+            if not literal.positive or literal.atom.pred not in "qst":
+                continue
+            arity = len(literal.atom.args)
+            delta = [args[:arity] for args in pairs + pairs[:1]]
+            batch = RowBatch(literal.atom.pred, arity)
+            for args in delta:
+                batch.add(encode_args(args), args)
+            sources = (delta, batch)
+        plan = compile_rule(rule, first=first)
+        for source in sources:
+            overrides = None if source is None else {first: source}
+            for negdb in (None, negation_db):
+                spec = specialized_plan(plan)
+                for template in (spec.templates["head"], spec.templates["vars"]):
+                    fused, unfused = fused_and_unfused(
+                        plan, template, db, overrides, negdb
+                    )
+                    assert fused[1:] == unfused[1:], src
+                reference = run_plan_tuple(
+                    db, plan, overrides=overrides, negation_db=negdb
+                )
+                rows = spec.run("vars", db, {}, overrides, negdb, None)
+                assert _bindings(spec.binder()(rows, {})) == _bindings(reference)
+
+
+def _bindings(bindings):
+    return Counter(
+        frozenset((name, format_term(value)) for name, value in b.items())
+        for b in bindings
+    )
 
 
 @given(ground_sets, ground_sets)

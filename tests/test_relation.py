@@ -14,7 +14,8 @@ from repro.engine.relation import (
     spelling_of,
 )
 from repro.parser import parse_atom
-from repro.terms.pretty import format_term
+from repro.storage.snapshot import load_snapshot, write_snapshot
+from repro.terms.pretty import format_atom, format_term
 from repro.terms.term import Const, Func, SetVal
 
 
@@ -292,6 +293,71 @@ class TestCopyOnWrite:
         rel.add_rows([encode_args(t(1, 3)), encode_args(t(4, 5))], decode_row)
         assert set(rel.lookup((0,), t(1))) == {t(1, 2), t(1, 3)}
         assert len(rel.id_index((0,))[encode_args(t(1, 2))[0]]) == 2
+
+
+class TestFirstInstall:
+    """``add_rows`` into a relation with no rows and no built ID index
+    adopts its deduplicated batch as the row dict."""
+
+    def test_returns_rows_deduplicated_in_first_seen_order(self):
+        rel = Relation("p", 2)
+        quoted = parse_atom("p('u1', 1)").args
+        rows = [
+            encode_args(t(3, 4)),
+            encode_args(quoted),
+            encode_args(t(3, 4)),  # a duplicate in the batch
+            encode_args(t(1, 2)),
+        ]
+        fresh = rel.add_rows(
+            rows, lambda row: quoted if row == rows[1] else decode_row(row)
+        )
+        assert fresh == [rows[0], rows[1], rows[3]]
+        assert list(rel.id_rows()) == fresh
+        assert [format_term(a) for a in rel.args_of(rows[1])] == ["'u1'", "1"]
+        assert dict(rel.spellings()) == {rows[1]: quoted}
+        assert rel.add_rows(rows, None) == []  # the second install filters
+        assert rel.add_rows([], None) == [] and len(rel) == 3
+
+    def test_clone_of_an_empty_relation_stays_apart(self):
+        for target in ("original", "clone"):
+            rel = Relation("p", 1)
+            clone = rel.copy()
+            sides = {"original": rel, "clone": clone}
+            written = sides[target]
+            other = clone if written is rel else rel
+            assert written.add_rows([encode_args(t(1)), encode_args(t(2))], None)
+            assert len(written) == 2 and len(other) == 0
+            assert other.id_index((0,)) == {}
+            assert set(written.lookup((0,), t(1))) == {t(1)}
+            assert other.add_rows([encode_args(t(3))], None)
+            assert set(written) == {t(1), t(2)} and set(other) == {t(3)}
+
+    def test_built_index_takes_the_general_path(self):
+        rel = Relation("p", 2)
+        index = rel.id_index((0,))
+        assert index == {}
+        rows = [encode_args(t(1, 2)), encode_args(t(1, 3)), encode_args(t(1, 2))]
+        assert rel.add_rows(rows, None) == rows[:2]
+        assert rel.id_index((0,)) is index
+        assert index == {encode_args(t(1))[0]: set(rows[:2])}
+
+    def test_later_reads_and_writes(self, tmp_path):
+        rel = Relation("p", 2)
+        rows = [encode_args(t(1, 2)), encode_args(t(1, 3)), encode_args(t(4, 5))]
+        rel.add_rows(rows, None)
+        assert set(rel.lookup((0,), t(1))) == {t(1, 2), t(1, 3)}
+        assert rel.id_index((1,))[encode_args(t(5))[0]] == {rows[2]}
+        assert rel.discard_rows([rows[0], rows[0]]) == [rows[0]]
+        assert set(rel.lookup((0,), t(1))) == {t(1, 3)}
+        assert rel.add_rows(rows, None) == [rows[0]]
+        db = Database()
+        db.add_rows("p", 2, rows + rows, None)
+        path = tmp_path / "snapshot.jsonl"
+        write_snapshot(path, "fp", db, db)
+        loaded = load_snapshot(path)
+        assert sorted(map(format_atom, loaded.model.atoms())) == sorted(
+            map(format_atom, db.atoms())
+        )
 
 
 # -- spellings: nothing is stored verbatim but what decoding would lose -----
