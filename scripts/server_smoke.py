@@ -7,7 +7,8 @@ session (updates, queries under every strategy, an explain, stats),
 drives the answer cache through a full hit/invalidate/hit cycle over
 both protocols (plus a query whose variable names sort against their
 positions, whose hits must answer like its miss, and bound queries a
-free query's entry serves as subsumed hits), SIGTERMs it, and then
+free query's entry serves as subsumed hits), checkpoints and checks
+the cyclic collector is enabled again, SIGTERMs it, and then
 restarts to assert the graceful
 shutdown checkpointed: the second start must restore from the snapshot
 with zero WAL records replayed and still answer the same queries.
@@ -231,6 +232,17 @@ def main() -> None:
                         "query", q="? t(5, X).", cache=False
                     )["answers"]
                     and http_bound["count"] == 1,
+                )
+
+                # the engine pauses the cyclic collector only while it
+                # builds or repairs a model: after the writes above and
+                # a checkpoint it must be back on
+                client.checkpoint()
+                runtime = client.stats()["runtime"]
+                check(
+                    "collector enabled after writes and checkpoint",
+                    runtime["gc_enabled"] is True
+                    and len(runtime["gc_collections"]) == 3,
                 )
         finally:
             out = stop_server(proc)

@@ -99,7 +99,9 @@ def fact_batches(
 class Database:
     """Mutable set of ground atoms with per-predicate indexed storage."""
 
-    __slots__ = ("_relations",)
+    # weak-referenceable so a test can see a dropped model's database
+    # freed by reference counting alone (no collector pass).
+    __slots__ = ("_relations", "__weakref__")
 
     def __init__(self, facts: Iterable[Atom] = ()) -> None:
         self._relations: dict[str, Relation] = {

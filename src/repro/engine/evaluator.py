@@ -48,6 +48,7 @@ from repro.program.dependency import SCCComponent, scc_schedule
 from repro.program.rule import Atom, Program, Query, Rule
 from repro.program.stratify import Layering, validate_layering
 from repro.terms.term import Term, Var, evaluate_ground
+from repro.util import gc_paused
 
 Strategy = TypingLiteral["naive", "seminaive"]
 
@@ -156,6 +157,7 @@ def evaluate_component(
     return stats
 
 
+@gc_paused()
 def evaluate(
     program: Program,
     edb: Iterable[Atom] = (),

@@ -54,6 +54,7 @@ from repro.errors import EvaluationError
 from repro.observe import MetricsCollector, Subscriber
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.program.stratify import Layering
+from repro.util import gc_paused
 
 
 @dataclass
@@ -131,6 +132,7 @@ class MaintenanceTotals:
 class IncrementalModel:
     """A materialized standard model that absorbs EDB updates."""
 
+    @gc_paused()
     def __init__(
         self,
         program: Program,
@@ -240,6 +242,7 @@ class IncrementalModel:
             )
         )
 
+    @gc_paused()
     def add_facts(
         self, atoms: Iterable[Atom], lsn: int | None = None
     ) -> UpdateStats:
@@ -281,6 +284,7 @@ class IncrementalModel:
         self._publish_cone(cone, lsn)
         return self.last_update
 
+    @gc_paused()
     def remove_facts(
         self, atoms: Iterable[Atom], lsn: int | None = None
     ) -> UpdateStats:

@@ -59,6 +59,7 @@ only the net difference is applied to the live relations.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from itertools import filterfalse
 from time import perf_counter
@@ -225,7 +226,10 @@ class DeltaMaintainer:
     """
 
     def __init__(self, model: IncrementalModel) -> None:
-        self._model = model
+        # a proxy, not the model: the model holds its maintainer, and
+        # a strong back-reference would make the pair a cycle that only
+        # a full collection frees, database and support counts with it.
+        self._model = weakref.proxy(model)
         self._ready: set[frozenset[str]] = set()
         # non-grouping rule -> {head row -> derivation count}
         self._counts: dict[Rule, dict[tuple, int]] = {}

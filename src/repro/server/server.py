@@ -44,6 +44,7 @@ update's :class:`~repro.engine.maintain.DeltaBatch` actually changed.
 from __future__ import annotations
 
 import asyncio
+import gc
 import signal
 import time
 from contextlib import contextmanager
@@ -423,6 +424,13 @@ class LDLServer:
                 "compactions": store.stats.compactions,
             }
             out["session"]["maintenance"] = store.model.maintenance.report()
+        # the engine pauses the cyclic collector while it builds or
+        # repairs a model (repro.util.gc_paused): a leaked pause, or a
+        # tail made of collections, shows here.
+        out["runtime"] = {
+            "gc_enabled": gc.isenabled(),
+            "gc_collections": [g["collections"] for g in gc.get_stats()],
+        }
         return out
 
 

@@ -41,6 +41,7 @@ from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.storage.snapshot import load_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
+from repro.util import gc_paused
 
 SNAPSHOT_FILE = "snapshot.jsonl"
 WAL_FILE = "wal.log"
@@ -96,6 +97,7 @@ class DurableStore:
     def wal_path(self) -> str:
         return os.path.join(self.path, WAL_FILE)
 
+    @gc_paused()
     def open(self) -> "DurableStore":
         """Load snapshot, recover the WAL, replay, and start serving."""
         if self.model is not None:
