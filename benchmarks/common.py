@@ -894,7 +894,7 @@ def e19_server() -> list[dict]:
         return 2 * hot_requests
 
     def run_hot(count: int, use_cache: bool, writers: int = 0) -> dict:
-        before = server.cache.report() if server.cache is not None else None
+        before = server.cache.report()
         latencies: list = []
         totals = []
         errors = []
@@ -924,7 +924,7 @@ def e19_server() -> list[dict]:
             "p50_ms": percentile(ordered, 0.50) * 1000,
             "p99_ms": percentile(ordered, 0.99) * 1000,
         }
-        if use_cache and before is not None:
+        if use_cache:
             after = server.cache.report()
             lookups = (after["hits"] + after["misses"]) - (
                 before["hits"] + before["misses"]
@@ -937,31 +937,30 @@ def e19_server() -> list[dict]:
             )
         return out
 
-    if server.cache is not None:  # REPRO_ANSWER_CACHE=off drops these legs
-        cases.append(
-            case(
-                f"hot set, {hot_clients} clients",
-                "cached",
-                lambda: run_hot(hot_clients, True),
-                lambda r: r["requests"],
-            )
+    cases.append(
+        case(
+            f"hot set, {hot_clients} clients",
+            "cached",
+            lambda: run_hot(hot_clients, True),
+            lambda r: r["requests"],
         )
-        cases.append(
-            case(
-                f"hot set, {hot_clients} clients",
-                "uncached",
-                lambda: run_hot(hot_clients, False),
-                lambda r: r["requests"],
-            )
+    )
+    cases.append(
+        case(
+            f"hot set, {hot_clients} clients",
+            "uncached",
+            lambda: run_hot(hot_clients, False),
+            lambda r: r["requests"],
         )
-        cases.append(
-            case(
-                f"hot set + unrelated writes, {hot_clients} clients",
-                "cached",
-                lambda: run_hot(hot_clients, True, writers=4),
-                lambda r: r["requests"],
-            )
+    )
+    cases.append(
+        case(
+            f"hot set + unrelated writes, {hot_clients} clients",
+            "cached",
+            lambda: run_hot(hot_clients, True, writers=4),
+            lambda r: r["requests"],
         )
+    )
     return cases
 
 

@@ -13,7 +13,6 @@ Run:  python benchmarks/harness.py                 # all experiments
       python benchmarks/harness.py --json out.json # machine-readable
       python benchmarks/harness.py --quick E1 E6 --out benchmarks/BENCH_PR4.json
       python benchmarks/harness.py --quick E1 E6 --check benchmarks/BENCH_PR5.json
-      python benchmarks/harness.py --maintain recompute E22  # force a maintenance mode
 
 ``--out`` writes the regression-tracking payload (per-case wall time
 plus fixpoint counters); ``--check`` compares a fresh run against such
@@ -277,13 +276,6 @@ def main(argv: list[str]) -> None:
     argv, json_path = _take_flag_with_value(argv, "--json")
     argv, out_path = _take_flag_with_value(argv, "--out")
     argv, check_path = _take_flag_with_value(argv, "--check")
-    argv, maintain = _take_flag_with_value(argv, "--maintain")
-    if maintain is not None:
-        # process-wide maintenance mode for every model the experiments
-        # build (cases that pin maintain=, like E22's, keep their pin).
-        from repro.engine.maintain import set_maintain_mode
-
-        set_maintain_mode(maintain)
     repeats = 3
     if "--quick" in argv:
         argv = [a for a in argv if a != "--quick"]

@@ -52,7 +52,7 @@ from typing import Iterable, Literal as TypingLiteral, Sequence
 from repro.engine.compiled import compile_program, load_base
 from repro.engine.database import Database
 from repro.engine.evaluator import EvaluationResult, evaluate
-from repro.engine.maintain import Invalidation
+from repro.engine.maintain import Invalidation, validated_mode
 from repro.errors import EvaluationError
 from repro.magic.evaluate import MagicResult, PreparedQuery
 from repro.observe import MetricsCollector, Subscriber, TraceRecorder, compose_hooks
@@ -115,7 +115,7 @@ class LDL:
         fsync: str = "always",
         compact_every: int = 1024,
         metrics: MetricsCollector | None = None,
-        maintain: str | None = None,
+        maintain: str = "delta",
     ) -> None:
         self._lock = threading.RLock()
         self._program = Program()
@@ -136,9 +136,8 @@ class LDL:
         self._fsync = fsync
         self._compact_every = compact_every
         # how the durable session's model absorbs updates: "delta"
-        # (differential maintenance) or "recompute" (cone recompute);
-        # None defers to the process default (REPRO_MAINTAIN).
-        self._maintain = maintain
+        # (differential maintenance) or "recompute" (cone recompute).
+        self._maintain = validated_mode(maintain)
         # invalidation listeners: registered on the durable model (and
         # re-registered whenever rules force it to reopen), notified
         # directly for in-memory updates and rule loads.

@@ -374,8 +374,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache",
         choices=("on", "off"),
-        default=None,
-        help="answer caching (default: on unless REPRO_ANSWER_CACHE=off)",
+        default="on",
+        help="answer caching (default: on)",
     )
     parser.add_argument(
         "--cache-capacity",
@@ -398,19 +398,11 @@ def run_serve(argv: list[str], echo) -> int:
     """The ``serve`` subcommand: run the TCP server until a signal."""
     import asyncio
 
-    from repro.server.cache import AnswerCache, cache_enabled
+    from repro.server.cache import AnswerCache
     from repro.server.gateway import HttpGateway
     from repro.server.server import LDLServer
 
     args = build_serve_parser().parse_args(argv)
-    if args.cache is None:
-        try:
-            caching = cache_enabled()
-        except ValueError as exc:
-            echo(f"error: {exc}")
-            return 2
-    else:
-        caching = args.cache == "on"
     source = ""
     if args.file:
         try:
@@ -434,7 +426,7 @@ def run_serve(argv: list[str], echo) -> int:
             port=args.port,
             request_timeout=args.request_timeout,
             max_request_bytes=args.max_request_bytes,
-            cache=AnswerCache(args.cache_capacity) if caching else None,
+            cache=AnswerCache(args.cache_capacity) if args.cache == "on" else None,
         )
 
         async def main() -> None:

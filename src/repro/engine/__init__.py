@@ -30,8 +30,6 @@ from repro.engine.incremental import (
 from repro.engine.maintain import (
     MAINTAIN_MODES,
     DeltaBatch,
-    maintain_mode,
-    set_maintain_mode,
 )
 from repro.engine.match import Binding, ground_atom, match_atom, match_term
 from repro.engine.plan import (
@@ -68,8 +66,6 @@ __all__ = [
     "UpdateStats",
     "MAINTAIN_MODES",
     "DeltaBatch",
-    "maintain_mode",
-    "set_maintain_mode",
     "explain",
     "EvaluationResult",
     "FixpointStats",

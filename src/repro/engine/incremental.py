@@ -14,17 +14,17 @@ updates without full recomputation:
   touched-group regrouping for grouping heads — cost proportional to
   the change, and a net :class:`~repro.engine.maintain.DeltaBatch`
   published per update;
-* under ``"recompute"`` (the differential oracle, selectable via the
-  ``REPRO_MAINTAIN`` environment variable or the ``maintain=``
-  constructor argument) the original paths run instead: pure
-  insertions whose cone is internally monotone (no grouping head and
-  no negation *on cone predicates* among the cone's rules) continue
-  the semi-naive fixpoint with the new facts as the delta; anything
-  else clears the cone's derived predicates and re-runs the layered
-  evaluation restricted to cone rules, over the untouched context.
+* under ``"recompute"`` (the differential oracle) the original paths
+  run instead: pure insertions whose cone is internally monotone (no
+  grouping head and no negation *on cone predicates* among the cone's
+  rules) continue the semi-naive fixpoint with the new facts as the
+  delta; anything else clears the cone's derived predicates and
+  re-runs the layered evaluation restricted to cone rules, over the
+  untouched context.
 
-All paths produce exactly the model a from-scratch evaluation would
-(property-tested against each other).
+The ``maintain=`` constructor argument fixes a model's mode for its
+lifetime.  All paths produce exactly the model a from-scratch
+evaluation would (property-tested against each other).
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ from repro.engine.fixpoint import (
     seminaive_rounds,
 )
 from repro.engine.maintain import (
-    MAINTAIN_MODES,
     DeltaBatch,
     Invalidation,
     invalidation_of,
-    maintain_mode,
+    validated_mode,
 )
 from repro.errors import EvaluationError
 from repro.observe import MetricsCollector, Subscriber
@@ -140,18 +139,11 @@ class IncrementalModel:
         hooks: Subscriber | None = None,
         materialized: Database | None = None,
         metrics: MetricsCollector | None = None,
-        maintain: str | None = None,
+        maintain: str = "delta",
     ) -> None:
         compiled = compile_program(program)
-        if maintain is not None and maintain not in MAINTAIN_MODES:
-            raise ValueError(
-                f"unknown maintenance mode {maintain!r}; "
-                f"expected one of {MAINTAIN_MODES}"
-            )
         self.program = program
-        # None defers to repro.engine.maintain.maintain_mode() at each
-        # update, so set_maintain_mode affects existing models too.
-        self.maintain = maintain
+        self.maintain = validated_mode(maintain)
         self.layering: Layering = compiled.layering
         self._graph = compiled.graph
         # every recompute walks the compiled per-layer component order,
@@ -174,9 +166,8 @@ class IncrementalModel:
             self.database, compiled.plans, hooks=hooks, metrics=metrics
         )
         self.last_update = UpdateStats()
-        # differential maintenance state, created on the first
-        # maintained update and dropped whenever a non-differential
-        # path (recompute, legacy delta) mutates the model behind it.
+        # differential maintenance state, created on the first update
+        # of a "delta"-mode model.
         self._maintainer = None
         self.last_delta: DeltaBatch | None = None
         self.maintenance = MaintenanceTotals()
@@ -258,9 +249,8 @@ class IncrementalModel:
                     f"cannot insert into derived predicate {atom.pred!r}"
                 )
             self._edb_facts.add(atom)
-        if self._maintain_mode() == "delta":
+        if self.maintain == "delta":
             return self._apply_delta(new, (), lsn)
-        self._maintainer = None
         changed = {a.pred for a in new}
         cone = self._affected_cone(changed)
         if self._delta_safe(cone):
@@ -296,9 +286,8 @@ class IncrementalModel:
             return self.last_update
         for atom in victims:
             self._edb_facts.discard(atom)
-        if self._maintain_mode() == "delta":
+        if self.maintain == "delta":
             return self._apply_delta((), victims, lsn)
-        self._maintainer = None
         changed = {a.pred for a in victims}
         cone = self._affected_cone(changed)
         self.last_update = self._recompute(cone)
@@ -310,9 +299,6 @@ class IncrementalModel:
         return self.database.as_set()
 
     # -- internals ---------------------------------------------------------
-
-    def _maintain_mode(self) -> str:
-        return self.maintain if self.maintain is not None else maintain_mode()
 
     def _apply_delta(
         self,
@@ -374,10 +360,6 @@ class IncrementalModel:
 
     def _recompute(self, cone: set[str]) -> UpdateStats:
         """Rebuild the cone's derived predicates over the fixed context."""
-        # a recompute rebuilds the cone behind the maintainer's back;
-        # its support counts are stale afterwards, so drop it and let
-        # the next maintained update re-snapshot.
-        self._maintainer = None
         stats = UpdateStats(mode="recompute", affected_predicates=len(cone))
         # keep everything outside the cone; rebuild the inside, from
         # the base facts (changed EDB facts are reinstated from them).

@@ -1,4 +1,4 @@
-"""Maintenance package: the mode knob and the delta-batch surface.
+"""Maintenance package: the mode names and the delta-batch surface.
 
 Two ways to repair a materialized model after an EDB update sit behind
 :class:`~repro.engine.incremental.IncrementalModel`:
@@ -13,11 +13,9 @@ Two ways to repair a materialized model after an EDB update sit behind
   continuation for monotone insertions, layered re-evaluation for
   everything else), kept as the differential oracle.
 
-The process-wide default comes from the ``REPRO_MAINTAIN`` environment
-variable (CI runs a leg under ``REPRO_MAINTAIN=recompute`` so the
-oracle cannot rot) and can be changed with :func:`set_maintain_mode`
-(the benchmark harness ``--maintain`` knob); a single model can pin its
-own mode via ``IncrementalModel(maintain=...)``.
+A model's mode is fixed when it is built (``IncrementalModel(maintain=
+...)``, passed through by ``DurableStore`` and ``LDL``); the test suite
+runs both modes side by side in one process and compares them.
 
 Every maintained update also publishes a :class:`DeltaBatch` — the net
 per-predicate row changes of the whole model, stamped with the WAL LSN
@@ -28,7 +26,6 @@ view deltas instead of re-deriving.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
@@ -41,27 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAINTAIN_MODES = ("delta", "recompute")
 
 
-def _validated(name: str) -> str:
+def validated_mode(name: str) -> str:
+    """``name`` if it is one of :data:`MAINTAIN_MODES`, else ValueError."""
     if name not in MAINTAIN_MODES:
         raise ValueError(
             f"unknown maintenance mode {name!r}; "
             f"expected one of {MAINTAIN_MODES}"
         )
     return name
-
-
-_maintain = _validated(os.environ.get("REPRO_MAINTAIN", "delta"))
-
-
-def maintain_mode() -> str:
-    """The process-wide maintenance mode used when none is requested."""
-    return _maintain
-
-
-def set_maintain_mode(name: str) -> None:
-    """Change the process-wide default (harness ``--maintain`` knob)."""
-    global _maintain
-    _maintain = _validated(name)
 
 
 def _decoded(batches: Mapping[str, RowBatch]) -> dict[str, tuple[Atom, ...]]:
@@ -159,6 +143,5 @@ __all__ = [
     "Invalidation",
     "changed_predicates",
     "invalidation_of",
-    "maintain_mode",
-    "set_maintain_mode",
+    "validated_mode",
 ]

@@ -19,13 +19,13 @@ client used by the tests, the benchmarks, and the CLI smoke scripts.
         client.query("? anc(ann, X).")   # [{'X': 'bob'}]
 
 Queries are answered through a subsumption-aware, version-invalidated
-:class:`AnswerCache` by default (``REPRO_ANSWER_CACHE=off`` disables
-it), and :class:`HttpGateway` puts an HTTP/JSON facade — with
-connection limits, admission control, and backpressure — in front of
-the same server core (``repro serve --http``).
+:class:`AnswerCache` by default (``LDLServer(session, cache=None)``
+serves without one), and :class:`HttpGateway` puts an HTTP/JSON
+facade — with connection limits, admission control, and backpressure —
+in front of the same server core (``repro serve --http``).
 """
 
-from repro.server.cache import AnswerCache, cache_enabled
+from repro.server.cache import AnswerCache
 from repro.server.client import Client
 from repro.server.gateway import HttpGateway
 from repro.server.protocol import (
@@ -45,7 +45,6 @@ __all__ = [
     "LDLServer",
     "MAX_REQUEST_BYTES",
     "ReadWriteLock",
-    "cache_enabled",
     "decode_request",
     "encode_message",
     "serve",

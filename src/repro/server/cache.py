@@ -71,16 +71,11 @@ The cache is thread-safe (one internal mutex) but relies on its caller
 for read/write ordering: the server fills entries while holding the
 read side of its lock and invalidates under the write side, so a fill
 can never interleave with the mutation it would go stale against.
-
-``REPRO_ANSWER_CACHE=off`` (or ``0``/``false``/``no``) disables the
-cache process-wide — the differential-testing leg CI runs for the
-server suite; an unrecognized value is an error, not the default.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
@@ -106,25 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A cache key: predicate, b/f adornment, ((position, value), ...).
 Key = tuple[str, str, tuple[tuple[int, Term], ...]]
-
-
-def cache_enabled(default: bool = True) -> bool:
-    """Whether ``REPRO_ANSWER_CACHE`` allows answer caching.
-
-    Unset or empty means ``default``; any other value outside
-    ``on/off/1/0/true/false/yes/no`` raises :class:`ValueError`, so a
-    misspelt knob can never silently leave the cache on."""
-    value = os.environ.get("REPRO_ANSWER_CACHE", "").strip().lower()
-    if value in ("off", "0", "false", "no"):
-        return False
-    if value in ("on", "1", "true", "yes"):
-        return True
-    if value:
-        raise ValueError(
-            f"unknown REPRO_ANSWER_CACHE value {value!r}; expected one of "
-            "on, off, 1, 0, true, false, yes, no"
-        )
-    return default
 
 
 class _Entry:
@@ -525,4 +501,4 @@ class AnswerCache:
         )
 
 
-__all__ = ["AnswerCache", "cache_enabled"]
+__all__ = ["AnswerCache"]

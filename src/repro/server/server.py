@@ -34,11 +34,11 @@ Request failures are *responses*, not connection teardowns: a parse
 error in one query leaves the connection serving the next.
 
 Queries are served through the session's :class:`AnswerCache` when one
-is attached (the default; disable with ``REPRO_ANSWER_CACHE=off`` or
-``cache=None``): hot queries hit cached answer rows, misses populate
-the cache via on-demand magic evaluation, and every write invalidates
-exactly the entries whose support intersects the predicates the
-update's :class:`~repro.engine.maintain.DeltaBatch` actually changed.
+is attached (the default; ``cache=None`` serves without one): hot
+queries hit cached answer rows, misses populate the cache via
+on-demand magic evaluation, and every write invalidates exactly the
+entries whose support intersects the predicates the update's
+:class:`~repro.engine.maintain.DeltaBatch` actually changed.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.observe import ServerMetrics
 from repro.parser.parser import parse_query
 from repro.program.rule import Query
 from repro.server import protocol
-from repro.server.cache import AnswerCache, cache_enabled
+from repro.server.cache import AnswerCache
 from repro.server.rwlock import ReadWriteLock
 
 #: Ops that only read the model (shared lock) vs. mutate it (exclusive).
@@ -86,7 +86,7 @@ class LDLServer:
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self.shutdown_grace = shutdown_grace
         if cache == "auto":
-            cache = AnswerCache() if cache_enabled() else None
+            cache = AnswerCache()
         self.cache = cache
         if self.cache is not None:
             self.cache.bind_session(session, register=False)

@@ -73,7 +73,7 @@ class DurableStore:
         compact_every: int = 1024,
         hooks: Subscriber | None = None,
         metrics: MetricsCollector | None = None,
-        maintain: str | None = None,
+        maintain: str = "delta",
     ) -> None:
         self.program = program
         self.path = os.fspath(path)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LDL
-from repro.engine.maintain import Invalidation
+from repro.engine.maintain import MAINTAIN_MODES, Invalidation
 from repro.parser.parser import parse_query
 from repro.program.rule import Atom, Query
 from repro.server import LDLServer, protocol
-from repro.server.cache import AnswerCache, _bindings, cache_enabled
+from repro.server.cache import AnswerCache, _bindings
 from repro.terms.term import Const, Func, SetPattern, Var
 from repro.terms.pretty import format_program, format_query
 from tests.strategies import update_scripts
@@ -104,29 +104,6 @@ class TestCacheBasics:
         assert fresh.answers(q) == ([], "miss")
         assert fresh.answers(q) == ([], "hit")
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANSWER_CACHE", "off")
-        assert not cache_enabled()
-        assert LDLServer(LDL(TWO_FAMILIES), port=0).cache is None
-        monkeypatch.setenv("REPRO_ANSWER_CACHE", "on")
-        assert cache_enabled()
-        monkeypatch.delenv("REPRO_ANSWER_CACHE")
-        assert cache_enabled()
-        assert LDLServer(LDL(TWO_FAMILIES), port=0).cache is not None
-
-    def test_env_knob_rejects_unknown_values(self, monkeypatch):
-        # a typo must not silently leave the cache on
-        for value in ("of", "disabled", "2"):
-            monkeypatch.setenv("REPRO_ANSWER_CACHE", value)
-            with pytest.raises(ValueError, match="REPRO_ANSWER_CACHE"):
-                cache_enabled()
-        for value in (" OFF ", "0", "False", "no"):
-            monkeypatch.setenv("REPRO_ANSWER_CACHE", value)
-            assert not cache_enabled()
-        for value in ("", "  ", "Yes", "1", "TRUE"):
-            monkeypatch.setenv("REPRO_ANSWER_CACHE", value)
-            assert cache_enabled()
-
 
 class TestInvalidation:
     def test_writes_invalidate_only_affected_predicates(self):
@@ -165,34 +142,46 @@ class TestInvalidation:
         assert how == "miss"
         assert [b["X"].value for b in got] == [2]
 
+    # The durable cases run once per maintenance mode: a recompute
+    # update publishes its cone where a delta update publishes its
+    # batch's predicates, and either must keep the cache exact.
+
     def test_durable_delta_invalidation_is_precise(self, tmp_path):
-        with LDL(TWO_FAMILIES, path=str(tmp_path / "db")) as db:
-            db.facts("e", [(1, 2)])
-            db.facts("f", [(7,)])
-            cache = AnswerCache().bind_session(db)
-            qt, qs = parse_query("? t(1, X)."), parse_query("? s(X).")
-            cache.answers(qt)
-            cache.answers(qs)
-            db.facts("f", [(8,)])  # delta batch names f/s only
-            assert cache.answers(qt)[1] == "hit"
-            assert cache.answers(qs)[1] == "miss"
+        for maintain in MAINTAIN_MODES:
+            with LDL(
+                TWO_FAMILIES, path=str(tmp_path / maintain), maintain=maintain
+            ) as db:
+                db.facts("e", [(1, 2)])
+                db.facts("f", [(7,)])
+                cache = AnswerCache().bind_session(db)
+                qt, qs = parse_query("? t(1, X)."), parse_query("? s(X).")
+                cache.answers(qt)
+                cache.answers(qs)
+                db.facts("f", [(8,)])  # the batch (or cone) names f/s only
+                assert cache.answers(qt)[1] == "hit", maintain
+                assert cache.answers(qs)[1] == "miss", maintain
 
     def test_version_stamps_make_invalidation_precise_in_time(self, tmp_path):
-        with LDL(TWO_FAMILIES, path=str(tmp_path / "db")) as db:
-            db.facts("e", [(1, 2)])
-            cache = AnswerCache().bind_session(db)
-            q = parse_query("? t(1, X).")
-            cache.answers(q)
-            filled_at = db.store.model.version
-            assert filled_at > 0
-            # an update at (or before) the fill version is already reflected
-            stale = Invalidation(version=filled_at, preds=frozenset({"e"}))
-            assert cache.apply_invalidation(stale) == 0
-            assert cache.answers(q)[1] == "hit"
-            # a later update's invalidation drops the entry
-            fresh = Invalidation(version=filled_at + 1, preds=frozenset({"e"}))
-            assert cache.apply_invalidation(fresh) == 1
-            assert cache.answers(q)[1] == "miss"
+        for maintain in MAINTAIN_MODES:
+            with LDL(
+                TWO_FAMILIES, path=str(tmp_path / maintain), maintain=maintain
+            ) as db:
+                db.facts("e", [(1, 2)])
+                cache = AnswerCache().bind_session(db)
+                q = parse_query("? t(1, X).")
+                cache.answers(q)
+                filled_at = db.store.model.version
+                assert filled_at > 0
+                # an update at (or before) the fill version is reflected
+                stale = Invalidation(version=filled_at, preds=frozenset({"e"}))
+                assert cache.apply_invalidation(stale) == 0
+                assert cache.answers(q)[1] == "hit"
+                # a later update's invalidation drops the entry
+                fresh = Invalidation(
+                    version=filled_at + 1, preds=frozenset({"e"})
+                )
+                assert cache.apply_invalidation(fresh) == 1
+                assert cache.answers(q)[1] == "miss"
 
     @pytest.mark.parametrize("compact_every", [1024, 3])
     def test_no_stale_read_after_checkpoint(self, tmp_path, compact_every):
@@ -202,26 +191,29 @@ class TestInvalidation:
         invalidated by the writes after it."""
         from repro.workloads.social import SOCIAL_PROGRAM
 
-        with LDL(
-            SOCIAL_PROGRAM, path=str(tmp_path / "db"),
-            compact_every=compact_every,
-        ) as db:
-            cache = AnswerCache().bind_session(db)
-            db.facts("follows", [(f"u{i}", "b") for i in range(20)])
-            q = parse_query("? audience(b, N).")
-            assert [b["N"].value for b in cache.answers(q)[0]] == [20]
-            if compact_every == 1024:
-                db.checkpoint()
-            else:
-                # unrelated writes until auto-compaction resets the log
-                while db.store.wal.record_count:
-                    db.fact("interest", "b", f"t{db.store.stats.compactions}")
-            assert db.store.wal.record_count == 0
-            db.fact("follows", "a", "b")
-            served, how = cache.answers(q)
-            assert served == db.model().answers(q)
-            assert [b["N"].value for b in served] == [21]
-            assert how == "miss"
+        for maintain in MAINTAIN_MODES:
+            with LDL(
+                SOCIAL_PROGRAM, path=str(tmp_path / maintain),
+                compact_every=compact_every, maintain=maintain,
+            ) as db:
+                cache = AnswerCache().bind_session(db)
+                db.facts("follows", [(f"u{i}", "b") for i in range(20)])
+                q = parse_query("? audience(b, N).")
+                assert [b["N"].value for b in cache.answers(q)[0]] == [20]
+                if compact_every == 1024:
+                    db.checkpoint()
+                else:
+                    # unrelated writes until auto-compaction resets the log
+                    while db.store.wal.record_count:
+                        db.fact(
+                            "interest", "b", f"t{db.store.stats.compactions}"
+                        )
+                assert db.store.wal.record_count == 0
+                db.fact("follows", "a", "b")
+                served, how = cache.answers(q)
+                assert served == db.model().answers(q)
+                assert [b["N"].value for b in served] == [21], maintain
+                assert how == "miss", maintain
 
     def test_unstamped_entries_always_drop_on_intersection(self):
         cache = AnswerCache().bind_session(tc_session())
@@ -366,9 +358,11 @@ def test_cached_answers_equal_uncached_oracle(script):
 
     Server replies must be byte-identical to the oracle's on every way
     a query can be served.  Each query is asked three times (miss or
-    subsumed hit, first exact hit, memoized hit), by one server asking
-    broad queries first (bound ones then hit subsumed) and one asking
-    bound queries first (they then hit their own entries)."""
+    subsumed hit, first exact hit, memoized hit) and once more with the
+    per-request ``"cache": false`` bypass, by one server asking broad
+    queries first (bound ones then hit subsumed) and one asking bound
+    queries first (they then hit their own entries); a server without
+    a cache answers it under both strategies."""
     generated, initial, ops = script
     text = format_program(generated.program)
     cached_session = LDL(text).add_atoms(initial)
@@ -376,8 +370,18 @@ def test_cached_answers_equal_uncached_oracle(script):
     cache = AnswerCache().bind_session(cached_session)
     queries = _query_pool(generated)
     servers = [LDLServer(cached_session, cache=AnswerCache()) for _ in range(2)]
+    uncached = LDLServer(cached_session, cache=None)
+    derived = {rule.head.pred for rule in generated.program}
     loop = asyncio.new_event_loop()
     served = set()
+
+    def ask(server, **request):
+        reply = loop.run_until_complete(
+            server.handle_request({"op": "query", **request})
+        )
+        if reply["ok"]:
+            served.add(reply["cache"])
+        return reply
 
     def check():
         for query in queries:
@@ -391,14 +395,25 @@ def test_cached_answers_equal_uncached_oracle(script):
             for query in order:
                 text = format_query(query)
                 expected = _oracle_wire(oracle, parse_query(text))
-                for _ in range(3):
-                    reply = loop.run_until_complete(
-                        server.handle_request({"op": "query", "q": text})
-                    )
-                    served.add(reply["cache"])
+                for extra in ({}, {}, {}, {"cache": False}):
+                    reply = ask(server, q=text, **extra)
                     assert protocol.encode_message(reply) == _reply_bytes(
                         expected, reply["cache"]
                     ), text
+        for query in queries:
+            text = format_query(query)
+            expected = _oracle_wire(oracle, parse_query(text))
+            for strategy in ("seminaive", "magic"):
+                reply = ask(uncached, q=text, strategy=strategy)
+                if not reply["ok"]:
+                    # magic refuses a base predicate: it is read directly
+                    assert strategy == "magic", reply
+                    assert reply["etype"] == "MagicRewriteError", reply
+                    assert query.atom.pred not in derived, reply
+                    continue
+                assert protocol.encode_message(reply) == _reply_bytes(
+                    expected, "off"
+                ), (strategy, text)
 
     try:
         check()
@@ -416,7 +431,7 @@ def test_cached_answers_equal_uncached_oracle(script):
     # the workload must actually exercise the cache, not just miss
     report = cache.report()
     assert report["hits"] + report["misses"] > 0
-    assert {"miss", "hit"} <= served
+    assert {"miss", "hit", "off"} <= served
 
 
 def _scan_subsuming(cache, key):

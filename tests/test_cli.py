@@ -1,16 +1,13 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
-import os
-import subprocess
-import sys
-from pathlib import Path
+import signal
 
 import pytest
 
 from repro.cli import run
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from repro.server import Client
+from tests.test_server import start_serve
 
 
 @pytest.fixture
@@ -99,18 +96,21 @@ class TestCli:
         assert exc.value.code == 2
         assert "--vector" in capsys.readouterr().err
 
-    def test_serve_rejects_unknown_cache_knob(self, family_file):
-        # the real entry point: one error line and exit 2, no traceback
-        env = dict(os.environ, REPRO_ANSWER_CACHE="of")
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", family_file, "--port", "0"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 2
-        assert "REPRO_ANSWER_CACHE" in done.stdout
-        assert "'of'" in done.stdout
-        assert "Traceback" not in done.stdout + done.stderr
+    def test_serve_cache_flag(self, tmp_path, capsys):
+        # the real entry point: caching is on unless ``--cache off``
+        for extra, cached in (((), True), (("--cache", "off"), False)):
+            proc, port = start_serve(tmp_path, *extra)
+            try:
+                with Client("127.0.0.1", port) as client:
+                    report = client.stats()["answer_cache"]
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                proc.communicate(timeout=30)
+            assert (report is not None) == cached, extra
+        with pytest.raises(SystemExit) as exc:
+            invoke(["serve", "--cache", "bogus"])
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "bad.ldl"

@@ -1,6 +1,6 @@
 """Tests for the differential maintenance engine (repro.engine.maintain).
 
-Unit coverage for the mode knob, the published :class:`DeltaBatch`,
+Unit coverage for the per-model mode, the published :class:`DeltaBatch`,
 LSN stamping through the durable store, the trace event and the DRed
 cost gate — plus a hypothesis differential: random interleaved
 insert/delete scripts (deletion-heavy, through grouping and negation
@@ -17,21 +17,19 @@ import pytest
 
 from hypothesis import example, given, settings
 
+from repro import LDL
 from repro.engine import evaluate
 from repro.engine.incremental import IncrementalModel
-from repro.engine.maintain import (
-    MAINTAIN_MODES,
-    maintain_mode,
-    set_maintain_mode,
-)
 from repro.engine.maintain import maintainer
 from repro.engine.relation import decode_row
 from repro.errors import EvaluationError
 from repro.observe import TraceRecorder
 from repro.parser import parse_atom, parse_rules
 from repro.program.rule import Atom
+from repro.server import LDLServer
 from repro.storage.store import DurableStore
 from repro.terms.pretty import format_atom
+from repro.workloads.generator import GeneratedProgram
 from repro.workloads.social import SOCIAL_PROGRAM
 from tests.strategies import dense_recursive_program, update_scripts
 
@@ -64,63 +62,24 @@ def scratch_set(program, edb):
 
 
 class TestModeKnob:
-    def test_modes_are_closed(self):
-        assert maintain_mode() in MAINTAIN_MODES
-
-    def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown maintenance mode"):
-            set_maintain_mode("bogus")
-
     def test_model_pin_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown maintenance mode"):
             IncrementalModel(ANCESTOR, maintain="bogus")
 
-    def test_process_default_round_trips(self):
-        before = maintain_mode()
-        try:
-            set_maintain_mode("recompute")
-            assert maintain_mode() == "recompute"
-            model = IncrementalModel(ANCESTOR, atoms("parent(a, b)"))
-            stats = model.remove_facts(atoms("parent(a, b)"))
-            assert stats.mode == "recompute"
-        finally:
-            set_maintain_mode(before)
+    def test_session_rejects_unknown_mode(self, tmp_path):
+        # in-memory and durable sessions alike, before any evaluation
+        for path in (None, str(tmp_path / "db")):
+            with pytest.raises(ValueError, match="unknown maintenance mode"):
+                LDL("p(a). q(X) <- p(X).", path=path, maintain="bogus")
+        assert not (tmp_path / "db").exists()
 
-    def test_model_pin_beats_process_default(self):
-        before = maintain_mode()
-        try:
-            set_maintain_mode("recompute")
-            model = IncrementalModel(
-                ANCESTOR, atoms("parent(a, b)"), maintain="delta"
-            )
-            stats = model.remove_facts(atoms("parent(a, b)"))
-            assert stats.mode == "maintain"
-        finally:
-            set_maintain_mode(before)
-
-    def test_mode_switch_mid_stream_stays_correct(self):
-        # flipping the process default between updates must invalidate
-        # the maintainer's counts (the legacy paths mutate the model
-        # behind its back) and rebuild them on the next delta update.
-        before = maintain_mode()
-        edb = atoms(
-            "parent(a, b)", "parent(b, c)", "parent(c, d)", "parent(a, d)"
-        )
-        try:
-            set_maintain_mode("delta")
-            model = IncrementalModel(STRATIFIED, edb[:2])
-            model.add_facts([edb[2]])
-            assert model._maintainer is not None
-            set_maintain_mode("recompute")
-            model.remove_facts([edb[1]])
-            assert model._maintainer is None  # invalidated, not stale
-            set_maintain_mode("delta")
-            stats = model.add_facts([edb[3]])
-            assert stats.mode == "maintain"
-            expected = scratch_set(STRATIFIED, [edb[0], edb[2], edb[3]])
-            assert model.as_set() == expected
-        finally:
-            set_maintain_mode(before)
+    def test_environment_selects_nothing(self, monkeypatch):
+        # neither variable selects a maintenance mode or the cache
+        monkeypatch.setenv("REPRO_MAINTAIN", "recompute")
+        monkeypatch.setenv("REPRO_ANSWER_CACHE", "off")
+        model = IncrementalModel(ANCESTOR, atoms("parent(a, b)"))
+        assert model.remove_facts(atoms("parent(a, b)")).mode == "maintain"
+        assert LDLServer(LDL(SOCIAL_PROGRAM), port=0).cache is not None
 
 
 class TestDeltaBatch:
@@ -398,6 +357,15 @@ def _pinned_dense_script():
     return generated, pool, [("remove", pool[i:i + 2]) for i in range(0, 12, 2)]
 
 
+def _pinned_grouping_script():
+    """An insertion whose cone has a grouping head and no negation, so
+    the recompute oracle must regroup rather than continue semi-naive
+    (``IncrementalModel._delta_safe``)."""
+    program = parse_rules("kids(P, <C>) <- parent(P, C).")
+    pool = atoms("parent(a, b)", "parent(a, c)")
+    return GeneratedProgram(program, pool), pool[:1], [("add", pool[1:])]
+
+
 def test_property_delta_recompute_and_scratch_agree(monkeypatch):
     """delta == recompute == scratch with the DRed cost gate forced
     (fraction 0), never firing (infinite fraction) and at its default;
@@ -413,6 +381,7 @@ def test_property_delta_recompute_and_scratch_agree(monkeypatch):
 
         @given(update_scripts(dense=True) | update_scripts())
         @example(_pinned_dense_script())
+        @example(_pinned_grouping_script())
         @settings(max_examples=20, deadline=None)
         def agree(script):
             generated, initial, ops = script

@@ -6,7 +6,10 @@ sequence, and a crash that tears the WAL at ANY byte offset, reopening
 the store must yield exactly the model a from-scratch evaluation over
 the recovered EDB produces — and the recovered EDB must be the prefix
 of acknowledged batches whose records survived intact (no partial
-batches, no resurrection of torn ones).
+batches, no resurrection of torn ones).  Each example draws the
+store's maintenance mode, so the recompute oracle is held to the same
+contract as delta maintenance, and a reopened store must keep
+repairing its model the way it was built to.
 """
 
 import os
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import evaluate
+from repro.engine.maintain import MAINTAIN_MODES
 from repro.observe import TraceRecorder
 from repro.parser import parse_atom, parse_rules
 from repro.storage.store import DurableStore
@@ -50,6 +54,9 @@ batches_st = st.lists(
 )
 
 
+modes_st = st.sampled_from(MAINTAIN_MODES)
+
+
 def apply_expected(batches):
     """The EDB a perfect database would hold after ``batches``."""
     edb = set()
@@ -61,6 +68,13 @@ def apply_expected(batches):
     return edb
 
 
+def assert_repaired_in_mode(store, maintain):
+    """Every update the store's model absorbed ran in ``maintain``."""
+    totals = store.model.maintenance
+    in_mode = totals.delta_updates if maintain == "delta" else totals.recompute_updates
+    assert in_mode == totals.updates, (maintain, totals)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_crash_recovery_equals_from_scratch(data):
@@ -69,9 +83,12 @@ def test_crash_recovery_equals_from_scratch(data):
         st.none() | st.integers(min_value=0, max_value=len(batches) - 1),
         label="checkpoint_after",
     )
+    maintain = data.draw(modes_st, label="maintain")
     workdir = tempfile.mkdtemp(prefix="ldl1-crash-")
     try:
-        store = DurableStore(PROGRAM, workdir, fsync="never", compact_every=0)
+        store = DurableStore(
+            PROGRAM, workdir, fsync="never", compact_every=0, maintain=maintain
+        )
         store.open()
         for i, (op, facts) in enumerate(batches):
             if op == "add":
@@ -105,10 +122,12 @@ def test_crash_recovery_equals_from_scratch(data):
 
         recorder = TraceRecorder()
         reopened = DurableStore(
-            PROGRAM, workdir, fsync="never", compact_every=0, hooks=recorder
+            PROGRAM, workdir, fsync="never", compact_every=0, hooks=recorder,
+            maintain=maintain,
         ).open()
         try:
             assert reopened.stats.wal_records_replayed == surviving
+            assert_repaired_in_mode(reopened, maintain)
             assert set(reopened.edb_facts) == expected_edb
             scratch = evaluate(PROGRAM, edb=sorted(expected_edb, key=lambda a: a.sort_key()))
             assert reopened.database.as_set() == scratch.database.as_set()
@@ -128,19 +147,24 @@ def test_crash_recovery_equals_from_scratch(data):
 
 
 @settings(max_examples=25, deadline=None)
-@given(batches=batches_st)
-def test_clean_restart_equals_from_scratch(batches):
+@given(batches=batches_st, maintain=modes_st)
+def test_clean_restart_equals_from_scratch(batches, maintain):
     """No crash at all: close/reopen is already a model-preserving cycle."""
     workdir = tempfile.mkdtemp(prefix="ldl1-restart-")
     try:
-        store = DurableStore(PROGRAM, workdir, fsync="never", compact_every=0)
+        store = DurableStore(
+            PROGRAM, workdir, fsync="never", compact_every=0, maintain=maintain
+        )
         store.open()
         for op, facts in batches:
             (store.add_facts if op == "add" else store.remove_facts)(facts)
         before = store.database.as_set()
         store.close()
-        reopened = DurableStore(PROGRAM, workdir, fsync="never").open()
+        reopened = DurableStore(
+            PROGRAM, workdir, fsync="never", maintain=maintain
+        ).open()
         try:
+            assert_repaired_in_mode(reopened, maintain)
             assert reopened.database.as_set() == before
             assert reopened.database.as_set() == evaluate(
                 PROGRAM, edb=sorted(reopened.edb_facts, key=lambda a: a.sort_key())
@@ -152,12 +176,15 @@ def test_clean_restart_equals_from_scratch(batches):
 
 
 @settings(max_examples=25, deadline=None)
-@given(batches=batches_st)
-def test_snapshot_restore_never_runs_fixpoint(batches):
-    """After a checkpoint, restart adopts the model without evaluation."""
+@given(batches=batches_st, maintain=modes_st)
+def test_snapshot_restore_never_runs_fixpoint(batches, maintain):
+    """After a checkpoint, restart adopts the model without evaluation,
+    and the adopted model goes on absorbing updates in its mode."""
     workdir = tempfile.mkdtemp(prefix="ldl1-snap-")
     try:
-        store = DurableStore(PROGRAM, workdir, fsync="never", compact_every=0)
+        store = DurableStore(
+            PROGRAM, workdir, fsync="never", compact_every=0, maintain=maintain
+        )
         store.open()
         for op, facts in batches:
             (store.add_facts if op == "add" else store.remove_facts)(facts)
@@ -165,13 +192,21 @@ def test_snapshot_restore_never_runs_fixpoint(batches):
         before = store.database.as_set()
         store.close()
         recorder = TraceRecorder()
-        reopened = DurableStore(PROGRAM, workdir, hooks=recorder).open()
+        reopened = DurableStore(
+            PROGRAM, workdir, fsync="never", hooks=recorder, maintain=maintain
+        ).open()
         try:
             assert reopened.stats.restore_mode == "snapshot"
             assert reopened.database.as_set() == before
             assert recorder.count("layer_start") == 0
             assert recorder.count("rule_fired") == 0
             assert recorder.count("fact_derived") == 0
+            reopened.add_facts([parse_atom("parent(p0, newcomer)")])
+            assert reopened.model.maintenance.updates == 1
+            assert_repaired_in_mode(reopened, maintain)
+            assert reopened.database.as_set() == evaluate(
+                PROGRAM, edb=sorted(reopened.edb_facts, key=lambda a: a.sort_key())
+            ).database.as_set()
         finally:
             reopened.close()
     finally:

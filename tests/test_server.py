@@ -167,17 +167,19 @@ class TestReadWriteLock:
 
 class TestServerRequests:
     def test_basic_ops(self):
-        session = LDL(TC_PROGRAM)
-        with ServerThread(session) as st, st.client() as client:
-            assert client.ping()
-            assert client.add_facts("e", [(1, 2), (2, 3)]) == 2
-            assert client.query("? t(1, X).") == [{"X": 2}, {"X": 3}]
-            assert client.query("? t(1, X).", strategy="magic") == [
-                {"X": 2}, {"X": 3},
-            ]
-            assert "t(1, 3)" in client.explain("t(1, 3)")
-            assert client.remove_facts("e", [(2, 3)]) == 1
-            assert client.query("? t(1, X).") == [{"X": 2}]
+        # through the default answer cache, then without one
+        for kwargs in ({}, {"cache": None}):
+            session = LDL(TC_PROGRAM)
+            with ServerThread(session, **kwargs) as st, st.client() as client:
+                assert client.ping()
+                assert client.add_facts("e", [(1, 2), (2, 3)]) == 2
+                assert client.query("? t(1, X).") == [{"X": 2}, {"X": 3}]
+                assert client.query("? t(1, X).", strategy="magic") == [
+                    {"X": 2}, {"X": 3},
+                ]
+                assert "t(1, 3)" in client.explain("t(1, 3)")
+                assert client.remove_facts("e", [(2, 3)]) == 1
+                assert client.query("? t(1, X).") == [{"X": 2}]
 
     def test_request_failure_keeps_connection(self):
         with ServerThread(LDL(TC_PROGRAM)) as st, st.client() as client:
@@ -358,8 +360,6 @@ class TestConcurrentColdReads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            # an explicit cache: REPRO_ANSWER_CACHE=off must not bypass
-            # the fill path this test is about
             with ServerThread(session, cache=AnswerCache(capacity=8)) as st:
                 threads = [
                     threading.Thread(target=reader, args=(st, i))
