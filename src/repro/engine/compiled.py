@@ -23,6 +23,7 @@ that every evaluation path starts from, with the database's bulk loader.
 from __future__ import annotations
 
 import time
+import weakref
 from itertools import chain
 from typing import Iterable
 
@@ -30,7 +31,12 @@ from repro.engine.database import Database
 from repro.engine.plan import PlanCache
 from repro.errors import EvaluationError
 from repro.observe import Dispatcher
-from repro.program.dependency import SCCComponent, dependency_graph, scc_schedule
+from repro.program.dependency import (
+    SCCComponent,
+    dependency_graph,
+    scc_schedule,
+    strongly_connected,
+)
 from repro.program.rule import Atom, Program, Query, canonical_atom
 from repro.program.stratify import stratify
 from repro.program.wellformed import check_program
@@ -85,28 +91,46 @@ class CompiledProgram:
     """
 
     __slots__ = (
-        "program", "graph", "layering", "schedule", "idb", "plans",
-        "_fingerprint", "_prepared",
+        "rules", "_program", "graph", "components", "layering", "schedule",
+        "idb", "plans", "_fingerprint", "_prepared",
     )
 
     def __init__(self, program: Program) -> None:
         check_program(program)
-        self.program = program
+        self.rules = program.rules
+        # weak: the program holds this object, and a strong reference
+        # back would make every compile cyclic garbage.
+        self._program = weakref.ref(program)
         #: the predicate dependency graph (Section 3.1's >= / > edges).
         self.graph = dependency_graph(program)
+        #: its SCCs, bottom-up: the one SCC pass of this compile.
+        self.components = strongly_connected(self.graph)
         #: the canonical (least-index) layering; raises when the
         #: program is not admissible.
-        self.layering = stratify(program, self.graph)
+        self.layering = stratify(program, self.graph, self.components)
         #: per layer, its SCCs in dependency order.
         self.schedule: tuple[tuple[SCCComponent, ...], ...] = tuple(
             tuple(layer)
-            for layer in scc_schedule(program, self.layering, self.graph)
+            for layer in scc_schedule(
+                program, self.layering, self.graph, self.components
+            )
         )
         self.idb = program.idb_predicates()
         #: compiled rule plans, shared by every run of this program.
         self.plans = PlanCache()
         self._fingerprint: str | None = None
         self._prepared: dict[tuple, object] = {}
+
+    @property
+    def program(self) -> Program:
+        """The compiled program; once it is gone, a program of the same
+        rules whose compile is this one."""
+        program = self._program()
+        if program is None:
+            program = Program(self.rules)
+            program._compiled = self
+            self._program = weakref.ref(program)
+        return program
 
     @property
     def fingerprint(self) -> str:
@@ -128,19 +152,18 @@ class CompiledProgram:
 
         if rewrite is None:
             rewrite = magic_rewrite
-        key = (
-            rewrite, query.atom.pred, effective_adornment(self.program, query)
-        )
+        program = self.program
+        key = (rewrite, query.atom.pred, effective_adornment(program, query))
         prepared = self._prepared.get(key)
         if prepared is None:
             prepared = self._prepared[key] = PreparedQuery(
-                self.program, query, rewrite=rewrite
+                program, query, rewrite=rewrite
             )
         return prepared
 
     def __repr__(self) -> str:
         return (
-            f"CompiledProgram({len(self.program)} rules, "
+            f"CompiledProgram({len(self.rules)} rules, "
             f"{len(self.layering)} layers)"
         )
 

@@ -196,7 +196,9 @@ def evaluate(
     if layering is None:
         layering, schedule = compiled.layering, compiled.schedule
     elif validate_layering(program, layering):
-        schedule = scc_schedule(program, layering, compiled.graph)
+        schedule = scc_schedule(
+            program, layering, compiled.graph, compiled.components
+        )
     else:
         raise EvaluationError("supplied layering violates the layering conditions")
 

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
-import networkx as nx
-
 from repro.engine.compiled import compile_program, program_facts
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
@@ -51,6 +49,7 @@ from repro.engine.maintain import (
 )
 from repro.errors import EvaluationError
 from repro.observe import MetricsCollector, Subscriber
+from repro.program.dependency import reachable, reversed_graph
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.program.stratify import Layering
 from repro.util import gc_paused
@@ -145,7 +144,8 @@ class IncrementalModel:
         self.program = program
         self.maintain = validated_mode(maintain)
         self.layering: Layering = compiled.layering
-        self._graph = compiled.graph
+        # body -> heads, for the cone of everything a change reaches
+        self._dependents = reversed_graph(compiled.graph)
         # every recompute walks the compiled per-layer component order,
         # filtered to the affected cone.
         self._schedule = compiled.schedule
@@ -334,11 +334,7 @@ class IncrementalModel:
 
     def _affected_cone(self, changed: set[str]) -> set[str]:
         """Changed predicates plus everything depending on them."""
-        cone = set(changed)
-        for pred in changed:
-            if pred in self._graph:
-                cone |= nx.ancestors(self._graph, pred)
-        return cone
+        return reachable(self._dependents, changed)
 
     def _cone_rules(self, cone: set[str]):
         return [

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.names import is_builtin_predicate
-from repro.program.dependency import dependency_graph
+from repro.program.dependency import (
+    condense_program,
+    dependency_graph,
+    strongly_connected,
+)
 from repro.program.rule import Program
 from repro.program.stratify import Layering, stratify
 
@@ -70,8 +72,9 @@ class ProgramReport:
 
 def analyze(program: Program) -> ProgramReport:
     """Compute a :class:`ProgramReport` for an admissible program."""
-    layering = stratify(program)
     graph = dependency_graph(program)
+    components = strongly_connected(graph)
+    layering = stratify(program, graph, components)
     idb = program.idb_predicates()
 
     report = ProgramReport(
@@ -114,12 +117,8 @@ def analyze(program: Program) -> ProgramReport:
                 report.negated_literals += 1
                 report.predicates[lit.atom.pred].negated_uses += 1
 
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            report.recursive_components.append(frozenset(component))
-        else:
-            (member,) = component
-            if graph.has_edge(member, member):
-                report.recursive_components.append(frozenset(component))
-    report.recursive_components.sort(key=lambda c: sorted(c))
+    report.recursive_components = sorted(
+        (c.preds for c in condense_program(program, graph, components) if c.recursive),
+        key=sorted,
+    )
     return report

@@ -16,12 +16,15 @@ in the relation.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
-
-import networkx as nx
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.names import is_builtin_predicate
 from repro.program.rule import Program, Rule
+
+#: ``{head: {body: strict}}``: an edge per head -> body predicate pair.
+Graph = dict[str, dict[str, bool]]
+#: strongly connected components, bottom-up (:func:`strongly_connected`).
+SCCs = list[frozenset[str]]
 
 
 class DependencyEdge(NamedTuple):
@@ -43,37 +46,81 @@ def rule_edges(rule: Rule) -> Iterator[DependencyEdge]:
         yield DependencyEdge(rule.head.pred, lit.atom.pred, strict, rule)
 
 
-def dependency_graph(program: Program) -> nx.DiGraph:
-    """Directed graph: node per predicate, edge head -> body predicate.
+def dependency_graph(program: Program) -> Graph:
+    """``{head: {body: strict}}``, one key per predicate of the program.
 
-    Edge attribute ``strict`` is True when *any* rule forces ``>``
-    between the pair.  All predicates of the program appear as nodes,
-    including EDB predicates (no outgoing edges) — built-ins excluded.
+    ``strict`` is True when *any* rule forces ``>`` between the pair.
+    Every predicate is a key, in order of first occurrence, including
+    EDB predicates (an empty dict) — built-ins excluded.
     """
-    graph = nx.DiGraph()
-    for pred in program.predicates():
-        if not is_builtin_predicate(pred):
-            graph.add_node(pred)
+    graph: Graph = {}
     for rule in program.rules:
+        if not is_builtin_predicate(rule.head.pred):
+            graph.setdefault(rule.head.pred, {})
         for edge in rule_edges(rule):
-            if graph.has_edge(edge.head, edge.body):
-                graph[edge.head][edge.body]["strict"] |= edge.strict
-            else:
-                graph.add_edge(edge.head, edge.body, strict=edge.strict)
+            graph.setdefault(edge.body, {})
+            bodies = graph.setdefault(edge.head, {})
+            bodies[edge.body] = bodies.get(edge.body, False) or edge.strict
     return graph
 
 
-def strict_cycle(graph: nx.DiGraph) -> tuple[str, ...] | None:
+def strongly_connected(graph: Graph) -> SCCs:
+    """The SCCs of ``graph`` in bottom-up order, by iterative Tarjan.
+
+    Tarjan emits a component only after every component it reaches, so
+    with head -> body edges this deterministic list is the evaluation
+    order.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}  # holds exactly the nodes on the stack
+    stack: list[str] = []
+    components: SCCs = []
+    # depth first, one frame per open node; the bottom frame walks the
+    # roots, and the stack is empty whenever it is on top.
+    work: list[tuple[str | None, Iterator[str]]] = [(None, iter(graph))]
+    while work:
+        node, bodies = work[-1]
+        for body in bodies:
+            if body not in index:
+                index[body] = low[body] = len(index)
+                stack.append(body)
+                work.append((body, iter(graph[body])))
+                break
+            if body in low:
+                low[node] = min(low[node], index[body])
+        else:
+            work.pop()
+            if node is None:
+                break
+            if low[node] < index[node]:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+                continue
+            members = set()
+            while node not in members:
+                members.add(stack.pop())
+            for member in members:
+                del low[member]
+            components.append(frozenset(members))
+    return components
+
+
+def strict_cycle(
+    graph: Graph, components: SCCs | None = None
+) -> tuple[str, ...] | None:
     """Return a predicate cycle through a strict edge, or None.
 
     A strict edge inside a strongly connected component witnesses
     inadmissibility; the returned tuple is the offending SCC ordered
-    deterministically, for error messages.
+    deterministically, for error messages.  ``components`` reuses an
+    already computed :func:`strongly_connected`.
     """
-    for component in nx.strongly_connected_components(graph):
+    if components is None:
+        components = strongly_connected(graph)
+    for component in components:
         for u in component:
-            for v in graph.successors(u):
-                if v in component and graph[u][v]["strict"]:
+            for v, strict in graph[u].items():
+                if strict and v in component:
                     return tuple(sorted(component))
     return None
 
@@ -83,12 +130,33 @@ def is_admissible(program: Program) -> bool:
     return strict_cycle(dependency_graph(program)) is None
 
 
+def reachable(graph: Mapping[str, Iterable[str]], preds: Iterable[str]) -> set[str]:
+    """``preds`` plus every predicate reachable from them along ``graph``."""
+    seen = set(preds)
+    todo = list(seen)
+    while todo:
+        for succ in graph.get(todo.pop(), ()):
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+    return seen
+
+
+def reversed_graph(graph: Graph) -> Graph:
+    """``graph`` with every edge turned round: ``{body: {head: strict}}``."""
+    out: Graph = {node: {} for node in graph}
+    for head, bodies in graph.items():
+        for body, strict in bodies.items():
+            out[body][head] = strict
+    return out
+
+
 def depends_on(program: Program, pred: str) -> frozenset[str]:
     """All predicates ``pred`` transitively depends on (excl. built-ins)."""
     graph = dependency_graph(program)
     if pred not in graph:
         return frozenset()
-    return frozenset(nx.descendants(graph, pred))
+    return frozenset(reachable(graph, (pred,)) - {pred})
 
 
 class SCCComponent(NamedTuple):
@@ -106,42 +174,44 @@ class SCCComponent(NamedTuple):
 
 
 def condense_program(
-    program: Program, graph: nx.DiGraph | None = None
+    program: Program, graph: Graph | None = None, components: SCCs | None = None
 ) -> list[SCCComponent]:
     """SCCs of the dependency graph in bottom-up evaluation order.
 
-    The returned list is topologically ordered so that every predicate a
-    component depends on lives in an *earlier* component (dependency
-    edges run head → body, so the condensation's topological order is
-    reversed).  Theorem 2 licenses the move: the minimal model does not
-    depend on the layering, so each SCC may be evaluated as its own —
-    much smaller — fixpoint, and non-recursive SCCs need only a single
-    rule application each.
+    Every predicate a component depends on lives in an *earlier*
+    component (:func:`strongly_connected`; ``graph`` and ``components``
+    reuse already computed ones).  Theorem 2 licenses the move: the
+    minimal model does not depend on the layering, so each SCC may be
+    evaluated as its own — much smaller — fixpoint, and non-recursive
+    SCCs need only a single rule application each.
     """
     if graph is None:
         graph = dependency_graph(program)
+    if components is None:
+        components = strongly_connected(graph)
     rules_by_head: dict[str, list[Rule]] = {}
     for rule in program.rules:
         if not rule.is_fact():
             rules_by_head.setdefault(rule.head.pred, []).append(rule)
-    condensation = nx.condensation(graph)
-    components: list[SCCComponent] = []
-    for node in reversed(list(nx.topological_sort(condensation))):
-        members = frozenset(condensation.nodes[node]["members"])
-        recursive = len(members) > 1 or any(
-            graph.has_edge(p, p) for p in members
+    return [
+        SCCComponent(
+            members,
+            len(members) > 1 or any(p in graph[p] for p in members),
+            tuple(
+                r
+                for pred in sorted(members)
+                for r in rules_by_head.get(pred, ())
+            ),
         )
-        rules = tuple(
-            r
-            for pred in sorted(members)
-            for r in rules_by_head.get(pred, ())
-        )
-        components.append(SCCComponent(members, recursive, rules))
-    return components
+        for members in components
+    ]
 
 
 def scc_schedule(
-    program: Program, layering, graph: nx.DiGraph | None = None
+    program: Program,
+    layering,
+    graph: Graph | None = None,
+    components: SCCs | None = None,
 ) -> list[list[SCCComponent]]:
     """Per-layer evaluation schedule: SCCs in dependency order.
 
@@ -149,11 +219,11 @@ def scc_schedule(
     ``p >= q`` and ``q >= p``, forcing equal layer indexes under any
     valid layering), so each component of :func:`condense_program` is
     assigned to the layer of its predicates; within a layer the
-    components keep their topological order.  Components without rules
+    components keep their bottom-up order.  Components without rules
     (EDB-only predicates) are dropped — there is nothing to run.
     """
     schedule: list[list[SCCComponent]] = [[] for _ in range(len(layering))]
-    for component in condense_program(program, graph):
+    for component in condense_program(program, graph, components):
         if not component.rules:
             continue
         layer = layering.index(next(iter(component.preds)))

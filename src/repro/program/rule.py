@@ -215,10 +215,11 @@ class Program:
     Rule order never affects semantics (LDL is assertional, Section 1)
     but is preserved for printing and deterministic iteration.  A
     program is immutable; ``_compiled`` memoizes its
-    :func:`~repro.engine.compiled.compile_program` result.
+    :func:`~repro.engine.compiled.compile_program` result, which refers
+    back to the program only weakly.
     """
 
-    __slots__ = ("rules", "_compiled")
+    __slots__ = ("rules", "_compiled", "__weakref__")
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
         self.rules = tuple(rules)

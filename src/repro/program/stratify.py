@@ -15,11 +15,16 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
-import networkx as nx
-
 from repro.errors import NotAdmissibleError
 from repro.names import is_builtin_predicate
-from repro.program.dependency import dependency_graph, rule_edges, strict_cycle
+from repro.program.dependency import (
+    Graph,
+    SCCs,
+    dependency_graph,
+    rule_edges,
+    strict_cycle,
+    strongly_connected,
+)
 from repro.program.rule import Program, Rule
 
 
@@ -66,56 +71,45 @@ class Layering:
         return f"Layering([{parts}])"
 
 
-def stratify(program: Program, graph: nx.DiGraph | None = None) -> Layering:
+def stratify(
+    program: Program, graph: Graph | None = None, components: SCCs | None = None
+) -> Layering:
     """Compute the canonical (least-index) layering of ``program``.
 
-    ``graph`` reuses an already built :func:`dependency_graph`.  Raises
+    ``graph`` and ``components`` reuse an already built
+    :func:`dependency_graph` and its :func:`strongly_connected`.  Raises
     :class:`NotAdmissibleError` when no layering exists, naming the
     offending predicate cycle.
     """
     if graph is None:
         graph = dependency_graph(program)
-    cycle = strict_cycle(graph)
+    if components is None:
+        components = strongly_connected(graph)
+    cycle = strict_cycle(graph, components)
     if cycle is not None:
         raise NotAdmissibleError(
             "program is not admissible: strict dependency cycle through "
             + ", ".join(cycle),
             cycle=cycle,
         )
-    condensation = nx.condensation(graph)
-    level: dict[int, int] = {}
-    for node in reversed(list(nx.topological_sort(condensation))):
+    # bottom-up, each component sits one above its highest strict
+    # dependency and level with its highest other one.
+    level: dict[str, int] = {}
+    for component in components:
         best = 0
-        members = condensation.nodes[node]["members"]
-        for succ in condensation.successors(node):
-            bump = _any_strict_between(
-                graph, members, condensation.nodes[succ]["members"]
-            )
-            best = max(best, level[succ] + (1 if bump else 0))
-        level[node] = best
-    pred_level: dict[str, int] = {}
-    for node, lvl in level.items():
-        for pred in condensation.nodes[node]["members"]:
-            pred_level[pred] = lvl
-    if not pred_level:
+        for u in component:
+            for v, strict in graph[u].items():
+                if v not in component:
+                    best = max(best, level[v] + strict)
+        level.update(dict.fromkeys(component, best))
+    if not level:
         return Layering([frozenset()])
-    height = max(pred_level.values())
+    height = max(level.values())
     layers = [
-        frozenset(p for p, l in pred_level.items() if l == i)
+        frozenset(p for p, l in level.items() if l == i)
         for i in range(height + 1)
     ]
     return Layering(layers)
-
-
-def _any_strict_between(
-    graph: nx.DiGraph, sources: Iterable[str], targets: Iterable[str]
-) -> bool:
-    target_set = set(targets)
-    for u in sources:
-        for v in graph.successors(u):
-            if v in target_set and graph[u][v]["strict"]:
-                return True
-    return False
 
 
 def validate_layering(program: Program, layering: Layering) -> bool:
@@ -140,19 +134,31 @@ def linear_layerings(program: Program, limit: int = 10) -> list[Layering]:
     """Alternative valid layerings: one SCC per layer, per topological
     order of the condensation (used to exercise Theorem 2).
 
-    Returns at most ``limit`` layerings, always including at least one.
+    Backtracks over the components whose dependencies are all placed,
+    lowest index first, and stops at ``limit`` layerings.
     """
     graph = dependency_graph(program)
-    if strict_cycle(graph) is not None:
+    components = strongly_connected(graph)
+    if strict_cycle(graph, components) is not None:
         raise NotAdmissibleError("program is not admissible")
-    condensation = nx.condensation(graph)
-    reversed_condensation = condensation.reverse(copy=True)
-    layerings: list[Layering] = []
-    for order in islice(nx.all_topological_sorts(reversed_condensation), limit):
-        layers = [
-            frozenset(condensation.nodes[node]["members"]) for node in order
-        ]
-        candidate = Layering(layers)
-        if validate_layering(program, candidate):
-            layerings.append(candidate)
-    return layerings
+    owner = {p: i for i, c in enumerate(components) for p in c}
+    needs = [
+        {owner[v] for u in c for v in graph[u]} - {i}
+        for i, c in enumerate(components)
+    ]
+    return [
+        Layering(components[i] for i in order)
+        for order in islice(_orders([], frozenset(), needs), limit)
+    ]
+
+
+def _orders(
+    order: list[int], placed: frozenset[int], needs: list[set[int]]
+) -> Iterator[list[int]]:
+    """Every completion of ``order`` that places each index after the
+    indexes it ``needs``."""
+    if len(order) == len(needs):
+        yield order
+    for i in range(len(needs)):
+        if i not in placed and needs[i] <= placed:
+            yield from _orders(order + [i], placed | {i}, needs)

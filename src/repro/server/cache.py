@@ -80,8 +80,6 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
-
 from repro.engine.compiled import compile_program
 from repro.engine.evaluator import answer_rows
 from repro.engine.match import match_atom
@@ -91,6 +89,7 @@ from repro.errors import (
     NotInUniverseError,
     UnstableMagicEvaluationError,
 )
+from repro.program.dependency import reachable
 from repro.program.rule import Atom, Query
 from repro.server.protocol import encode_binding
 from repro.terms.term import Term, Var, evaluate_ground
@@ -186,6 +185,9 @@ class AnswerCache:
         self._support: dict[str, frozenset[str]] = {}
         self._graph = None
         self._graph_program = None
+        # bumped by every apply_invalidation: a fill whose load saw an
+        # older epoch may hold rows from before the write, and is dropped
+        self._epoch = 0
         self.hits = 0
         self.misses = 0
         self.subsumed = 0
@@ -245,11 +247,13 @@ class AnswerCache:
         if entry is not None:
             rows = entry.rows
         else:
-            # miss: evaluate outside the mutex (possibly slow), then insert.
+            # miss: evaluate outside the mutex (possibly slow), then
+            # insert unless an invalidation ran meanwhile.
+            epoch = self._epoch
             rows, version = self._load(key, relaxed)
             with self._mutex:
                 self.misses += 1
-                if key not in self._entries:
+                if key not in self._entries and epoch == self._epoch:
                     self._insert(_Entry(key, rows, version))
         if names is None or how == "hit-subsumed":
             bindings = _bindings(pattern, rows)
@@ -422,6 +426,7 @@ class AnswerCache:
         """
         with self._mutex:
             self.invalidation_events += 1
+            self._epoch += 1
             if event.preds is None:  # wholesale: rules changed
                 dropped = len(self._entries)
                 self._entries.clear()
@@ -461,12 +466,9 @@ class AnswerCache:
             )
         support = self._support.get(pred)
         if support is None:
-            if self._graph is None or pred not in self._graph:
-                support = frozenset((pred,))
-            else:
-                # dependency edges run head -> body, so descendants are
-                # the predicates pred's derivations can read.
-                support = frozenset(nx.descendants(self._graph, pred)) | {pred}
+            # dependency edges run head -> body, so what pred reaches
+            # is what its derivations can read.
+            support = frozenset(reachable(self._graph or {}, (pred,)))
             self._support[pred] = support
         return support
 

@@ -342,8 +342,8 @@ class LDLServer:
         except asyncio.CancelledError:
             # a timed-out read abandons its executor thread; consume the
             # eventual result so its exception is never logged as
-            # unretrieved.
-            fut.add_done_callback(lambda f: f.exception())
+            # unretrieved (a cancelled future has none to consume).
+            fut.add_done_callback(lambda f: f.cancelled() or f.exception())
             raise
 
     async def _run_op(self, op: str, request: dict) -> dict:

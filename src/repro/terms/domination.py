@@ -14,14 +14,13 @@ The paper replaces set-inclusion minimality with a *domination* order:
   ``B'' of B`` with ``rho(B'') = A``; since ``rho`` is a function this
   is exactly an injective matching of A into B along fact domination.
 
-The injective matching is computed with Hopcroft–Karp via networkx.
+The injective matching is found by augmenting paths (Kuhn's algorithm):
+the fact sets compared are small, so the simple search is enough.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
-
-import networkx as nx
 
 from repro.terms.term import Func, SetVal, Term
 
@@ -92,20 +91,27 @@ def factset_dominated(
         def dominates(x, y, _elab=elaborate):
             return fact_dominated(x, y, elaborate=_elab)
 
-    graph = nx.Graph()
-    a_nodes = [("a", i) for i in range(len(a_list))]
-    b_nodes = [("b", j) for j in range(len(b_list))]
-    graph.add_nodes_from(a_nodes, bipartite=0)
-    graph.add_nodes_from(b_nodes, bipartite=1)
-    for i, fa in enumerate(a_list):
-        for j, fb in enumerate(b_list):
-            if dominates(fa, fb):
-                graph.add_edge(("a", i), ("b", j))
-    matching = nx.algorithms.bipartite.matching.hopcroft_karp_matching(
-        graph, top_nodes=a_nodes
+    candidates = [
+        [j for j, fb in enumerate(b_list) if dominates(fa, fb)] for fa in a_list
+    ]
+    owner: dict[int, int] = {}  # matched b index -> a index
+    # an a that finds no augmenting path now never will: stop there.
+    return all(
+        _augment(i, candidates, owner, set()) for i in range(len(a_list))
     )
-    matched_a = sum(1 for node in matching if node[0] == "a")
-    return matched_a == len(a_list)
+
+
+def _augment(
+    i: int, candidates: list[list[int]], owner: dict[int, int], seen: set[int]
+) -> bool:
+    """Match ``i``, re-matching along an augmenting path if need be."""
+    for j in candidates[i]:
+        if j not in seen:
+            seen.add(j)
+            if j not in owner or _augment(owner[j], candidates, owner, seen):
+                owner[j] = i
+                return True
+    return False
 
 
 def is_partial_order_sample(terms: Sequence[Term]) -> bool:

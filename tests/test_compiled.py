@@ -17,6 +17,7 @@ from repro.engine.topdown import evaluate_topdown
 from repro.errors import EvaluationError, NotAdmissibleError
 from repro.magic import evaluate_magic
 from repro.parser import parse_atom, parse_query, parse_rules
+from repro.program.dependency import strongly_connected
 from repro.program.rule import Atom
 from repro.program.stratify import stratify
 from repro.program.wellformed import check_program
@@ -88,6 +89,18 @@ class TestCompileProgram:
         # the grouped position is forced free: one form for both
         grouped = compiled.prepare(parse_query("? audience(dan, S)."))
         assert compiled.prepare(parse_query("? audience(dan, {}).")) is grouped
+
+
+def test_one_scc_pass_per_compile(monkeypatch):
+    """The layering, the admissibility check and the schedule all read
+    the one SCC list the compile computes."""
+    passes = _count_calls(monkeypatch, strongly_connected)
+    program = parse_rules(SOCIAL)
+    compile_program(program)
+    assert len(passes) == 1
+    evaluate(program)
+    IncrementalModel(program).add_facts([parse_atom("follows(dan, eve)")])
+    assert len(passes) == 1
 
 
 def test_durable_session_checks_and_layers_once_per_load(tmp_path, monkeypatch):

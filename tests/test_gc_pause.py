@@ -10,9 +10,9 @@ import weakref
 import pytest
 
 from repro.api import LDL
-from repro.engine import evaluate
+from repro.engine import compile_program, evaluate
 from repro.engine.incremental import IncrementalModel
-from repro.parser import parse_program
+from repro.parser import parse_program, parse_rules
 from repro.program.rule import Atom
 from repro.storage import store as store_module
 from repro.storage.store import DurableStore
@@ -254,8 +254,8 @@ def _durable_session(users, tmp_path):
 )
 def test_cyclic_garbage_does_not_grow_with_the_data(case, tmp_path):
     """What a case leaves for the collector is the same at 10 and at
-    120 users: per-program compile garbage (a durable session parses
-    its own program, whose dependency graphs are cyclic), never data.
+    120 users: per-program garbage (plans and their closures), never
+    data.
 
     The collector stays off for the whole case, so no automatic pass
     frees or untracks part of that garbage before it is counted."""
@@ -269,3 +269,14 @@ def test_cyclic_garbage_does_not_grow_with_the_data(case, tmp_path):
         gc.enable()
         left[users] = gc.collect()
     assert left[10] == left[120]
+
+
+def test_compile_leaves_no_cyclic_garbage():
+    """A compile refers back to its program only weakly, and its
+    dependency graph is plain dicts: dropping a compiled program frees
+    it by reference counting alone."""
+    compile_program(parse_rules(SOCIAL_PROGRAM))  # warm caches that outlive it
+    gc.collect()
+    gc.disable()
+    compile_program(parse_rules(SOCIAL_PROGRAM))
+    assert gc.collect() == 0

@@ -1,5 +1,7 @@
 """Property-based tests for the §2.4 domination orders."""
 
+from itertools import permutations
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from repro.terms.domination import (
     fact_dominated,
     factset_dominated,
 )
+from repro.terms.term import Const, SetVal
 
 from tests.strategies import ground_sets, ground_terms
 
@@ -87,3 +90,46 @@ def test_factset_domination_sound(a, b):
     if factset_dominated(a, b):
         for fact in a:
             assert any(fact_dominated(fact, other) for other in b)
+
+
+#: facts over one small set of small integers: domination is frequent
+#: but far from total, so matchings are often partial.
+small_set_facts = st.builds(
+    lambda xs: Atom("p", (SetVal([Const(x) for x in xs]),)),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+
+
+def _injection_exists(a, b, dominates):
+    """Brute force: some injective assignment of ``a`` into ``b``."""
+    return any(
+        all(dominates(x, b[j]) for x, j in zip(a, choice))
+        for choice in permutations(range(len(b)), len(a))
+    )
+
+
+@given(
+    st.lists(small_set_facts, max_size=6),
+    st.lists(small_set_facts, max_size=6),
+    st.booleans(),
+)
+def test_factset_domination_is_an_injective_matching(a, b, elaborate):
+    def dominates(x, y):
+        return fact_dominated(x, y, elaborate=elaborate)
+
+    assert factset_dominated(a, b, elaborate=elaborate) == _injection_exists(
+        a, b, dominates
+    )
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_factset_domination_over_any_relation(n, m, data):
+    rows = st.lists(st.booleans(), min_size=m, max_size=m)
+    relation = data.draw(st.lists(rows, min_size=n, max_size=n))
+
+    def dominates(i, j):
+        return relation[i][j]
+
+    assert factset_dominated(
+        range(n), range(m), dominates=dominates
+    ) == _injection_exists(range(n), range(m), dominates)

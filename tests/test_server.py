@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import logging
 import os
 import re
 import signal
@@ -572,6 +573,24 @@ class SlowWriteSession(LDL):
         return self
 
 
+class StallOnceSession(LDL):
+    """A session whose first on-demand read computes its rows, then
+    stalls before returning them — a read that outlives its timeout."""
+
+    stall = 0.8
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stalled = threading.Event()
+
+    def on_demand_rows(self, text):
+        rows = super().on_demand_rows(text)
+        if not self.stalled.is_set():
+            time.sleep(self.stall)
+            self.stalled.set()
+        return rows
+
+
 class TestConsistencyBugfixes:
     """Regression tests for the drain/timeout consistency bugs.
 
@@ -659,6 +678,27 @@ class TestConsistencyBugfixes:
         assert write_response == {"count": 2}
         assert 1 not in observed, f"reader saw a torn batch: {observed}"
         assert 2 in observed
+
+    def test_timed_out_read_leaves_no_stale_fill(self, caplog):
+        """A read abandoned by its timeout finishes after a write has
+        invalidated the cache: its pre-write rows must not be cached,
+        and the abandoned executor future logs nothing."""
+        session = StallOnceSession(TC_PROGRAM)
+        session.facts("e", [(1, 2)])
+        caplog.set_level(logging.ERROR)
+        with ServerThread(session, request_timeout=0.2) as st:
+            with st.client(timeout=30) as client:
+                with pytest.raises(ServerError) as exc_info:
+                    client.query("? t(1, Y).")
+                assert exc_info.value.etype == "TimeoutError"
+                assert client.add_facts("e", [(2, 3)]) == 1
+                assert session.stalled.wait(10)
+                deadline = time.time() + 10
+                while st.server.cache.misses < 1 and time.time() < deadline:
+                    time.sleep(0.01)  # the abandoned fill has returned
+                answers = client.query("? t(1, Y).")
+        assert norm(answers) == norm([{"Y": 2}, {"Y": 3}])
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_client_timeout_poisons_connection(self):
         """A timed-out client call raises ProtocolError and the
