@@ -163,6 +163,16 @@ class Database:
             raise ValueError(f"{pred}: arity {rel.arity} but got {arity} args")
         return rel.add_rows(rows, decode)
 
+    def add_keys(self, pred: str, keys: dict, carried: int) -> dict:
+        """Install a key map of candidate pairs into a binary predicate;
+        returns the fresh pairs as ``{first: set(second)}``.  See
+        :meth:`KeyMapRelation.add_keys
+        <repro.engine.relation.KeyMapRelation.add_keys>`."""
+        rel = self.relation(pred, 2)
+        if rel.arity != 2:
+            raise ValueError(f"{pred}: arity {rel.arity} but got 2 args")
+        return rel.add_keys(keys, carried)
+
     def discard(self, atom: Atom) -> bool:
         """Remove a ground atom; returns True when it was present.
 
@@ -215,6 +225,16 @@ class Database:
         an unknown predicate.  See :meth:`Relation.id_rows`."""
         rel = self._relations.get(pred)
         return None if rel is None else rel.id_rows()
+
+    def key_map(self, pred: str) -> dict | None:
+        """A binary predicate's stored ``{first ID: set(second ID)}``
+        (live, read only), or None for an unknown predicate or one of
+        another arity.  See :meth:`KeyMapRelation.key_map
+        <repro.engine.relation.KeyMapRelation.key_map>`."""
+        rel = self._relations.get(pred)
+        if rel is None or rel.arity != 2:
+            return None
+        return rel.key_map()
 
     def id_index(self, pred: str, positions: tuple[int, ...]):
         """The predicate's ID-space hash index for ``positions`` (built

@@ -122,10 +122,13 @@ def derive_rows(
     ``decode`` then returns each row's first derived spelling.
 
     ``recursive`` is for a fixpoint: the predicates its component
-    defines.  Given it, a plan of the key-map shape whose probed
-    predicate is not among them returns a key map instead of rows when
-    its scanned rows repeat their carried values (see
-    :class:`DerivedRows`); without it, the result is always rows.
+    defines.  Given it, a plan of a key-map shape
+    (:func:`~repro.engine.exec.specialize.key_map_shape`) may return a
+    key map instead of rows (see :class:`DerivedRows`): a scan shape
+    when its source is grouped on its first column, a linear recursive
+    one, whose probed predicate must not be among ``recursive``, when
+    its scanned rows repeat their carried values.  Without it, the
+    result is always rows.
     """
     spec = specialized_plan(plan)
     if spec.templates["head"] is not None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from repro.engine.relation import (
     decode_row,
+    pairs_of,
     spelling_of,
     record_spellings,
 )
@@ -167,19 +168,34 @@ class RowBatch:
     :class:`~repro.engine.relation.Relation` keeps them.  The compiled
     closures read ``rows`` directly; iterating the batch decodes
     argument tuples on demand.
+
+    A binary batch may instead hold ``keys``, ``{first: set(second)}``
+    of distinct canonically spelled pairs: the fresh sets of the
+    fixpoint's key-map installs (:meth:`extend_keys`).  A key-map closure
+    reads them as they are; ``rows`` builds the row tuples the first
+    time something asks for them, and the batch holds rows from then on.
     """
 
-    __slots__ = ("pred", "arity", "rows", "spellings")
+    __slots__ = ("pred", "arity", "_rows", "keys", "spellings")
 
     def __init__(
         self, pred: str, arity: int, rows=None, spellings=None
     ) -> None:
         self.pred = pred
         self.arity = arity
-        self.rows: list[tuple[int, ...]] = [] if rows is None else rows
+        self._rows: list[tuple[int, ...]] = [] if rows is None else rows
+        self.keys: dict[int, set[int]] | None = None
         self.spellings: dict[tuple[int, ...], tuple] = (
             {} if spellings is None else spellings
         )
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        keys = self.keys
+        if keys is not None:
+            self._rows = pairs_of(keys)
+            self.keys = None
+        return self._rows
 
     def add(self, row: tuple[int, ...], args: tuple) -> None:
         """Append one fact whose ID row is ``row``."""
@@ -194,8 +210,28 @@ class RowBatch:
         self.rows.extend(rows)
         record_spellings(self.spellings, rows, decode)
 
+    def extend_keys(self, fresh: dict[int, set[int]]) -> None:
+        """Append fresh pairs given as ``{first: set(second)}``, none of
+        them already in the batch.  The sets are copied: a relation's
+        install returns its stored sets, which later installs grow."""
+        keys = self.keys
+        if keys is not None:
+            for first, new in fresh.items():
+                have = keys.get(first)
+                if have is None:
+                    keys[first] = set(new)
+                else:
+                    have |= new
+        elif self._rows:
+            self._rows.extend(pairs_of(fresh))
+        else:
+            self.keys = {first: set(new) for first, new in fresh.items()}
+
     def __len__(self) -> int:
-        return len(self.rows)
+        keys = self.keys
+        if keys is not None:
+            return sum(map(len, keys.values()))
+        return len(self._rows)
 
     def __iter__(self):
         spellings = self.spellings
@@ -207,4 +243,4 @@ class RowBatch:
         )
 
     def __repr__(self) -> str:
-        return f"RowBatch({self.pred}/{self.arity}, {len(self.rows)} rows)"
+        return f"RowBatch({self.pred}/{self.arity}, {len(self)} rows)"

@@ -10,8 +10,12 @@ plan — nested loops over ID rows (:mod:`repro.engine.relation`), probe
 keys as int (tuples of int) dict gets against
 :meth:`~repro.engine.relation.Relation.id_index`, negation as ID-row
 set membership, and residual fresh variables as direct tuple
-subscripts into local ints.  Terms materialize from the ID table only
-at builtin calls and general residual matching.
+subscripts into local ints.  A binary relation is a key map, ``{first
+ID: set(second ID)}``, and is read as one: a position-0 probe gets the
+stored value set, a fused scan iterates its items and value sets, and
+a binary anti-join tests ``b in km.get(a, ())``, none of them through
+a row view.  Terms materialize from the ID table only at builtin calls
+and general residual matching.
 
 Every closure has one emission shape: it returns the list of ID tuples
 an *output template* builds — a tuple of ``(VAR, name)`` /
@@ -62,6 +66,12 @@ value: candidate set}`` and the derivation count instead of one row
 per derivation, so duplicate derivations are never built.  It runs
 when the scanned rows number at least 4 with at least 2 per distinct
 carried value; otherwise the closure continues as the head closure.
+A source already grouped on the carried value — the stored key map, or
+a delta of key-map installs (:class:`~repro.engine.exec.kernels.RowBatch`
+``keys``) — is read as its groups, row-free.  A scan-shaped plan (a
+binary head copying a scanned pair, at most anti-joined on that pair)
+has a ``"keys"`` closure too (:meth:`_Codegen.scan_keys`): over a
+grouped source it returns each value set, minus the negated one.
 
 This is the only body evaluator the engine runs.  Its semantics match
 the per-binding reference (:mod:`repro.engine.exec.tuplewise`, which
@@ -81,8 +91,9 @@ they must not outlive :func:`repro.terms.term.clear_intern_table`.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
-from itertools import islice
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
@@ -90,11 +101,23 @@ from repro.engine.binding import EMPTY_BINDING, ChainBinding
 from repro.engine.database import Database
 from repro.engine.exec.kernels import SET_KERNELS, number_rid
 from repro.engine.exec.runtime import (
-    builtin_step,
+    batch_keys,
+    build_index,
+    builtin_runner,
+    encode_rows,
+    encode_rows_exact,
+    encode_rows_whole,
+    filter_holds,
     fold_arith,
-    match_residuals,
-    negated_builtin_holds,
-    substituted_residuals,
+    neg_builtin,
+    neg_prober,
+    repeating,
+    residual_matcher,
+    single_out_rid,
+    stored_key_map,
+    stored_rows,
+    term_prober,
+    value_index,
 )
 from repro.engine.plan import (
     ARITH,
@@ -105,7 +128,6 @@ from repro.engine.plan import (
     RulePlan,
     SourceOverrides,
 )
-from repro.engine.relation import encode_args
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.rule import Atom
 from repro.terms.pretty import format_rule
@@ -114,226 +136,11 @@ from repro.terms.term import (
     Term,
     _ID_TABLE,
     _NUM_TABLE,
-    evaluate_ground,
     row_id,
 )
 
 class _Unsupported(Exception):
     """The generator cannot prove it handles this plan shape."""
-
-
-# -- runtime helpers shared by every generated closure ----------------------
-
-
-def _encode_rows(source) -> list[tuple[int, ...]]:
-    """Materialize an override source once, as ID rows.
-
-    A :class:`~repro.engine.exec.kernels.RowBatch` source (the
-    fixpoint's and maintenance's delta) already carries its ID rows — zero
-    re-encoding on later semi-naive rounds."""
-    rows = getattr(source, "rows", None)
-    if rows is not None:
-        return rows
-    return [encode_args(args) for args in source]
-
-
-def _encode_rows_exact(source, arity: int) -> list[tuple[int, ...]]:
-    """Like :func:`_encode_rows` but dropping wrong-arity rows — the
-    probe-only override semantics (each binding passes once per row *of
-    the right arity*)."""
-    rows = getattr(source, "rows", None)
-    if rows is not None:
-        return rows if source.arity == arity else []
-    return [encode_args(args) for args in source if len(args) == arity]
-
-
-def _encode_rows_whole(source, arity: int) -> list[tuple[int, ...]]:
-    """Like :func:`_encode_rows`, for a step that reuses its scanned
-    rows whole: each row exactly ``arity`` wide.  The per-row path reads
-    an override row's first ``arity`` columns and ignores the rest, so a
-    wider row is cut to them (and a shorter one raises there, too)."""
-    rows = _encode_rows(source)
-    if getattr(source, "arity", None) == arity:
-        return rows
-    return [
-        row if len(row) == arity else tuple([row[i] for i in range(arity)])
-        for row in rows
-    ]
-
-
-def _build_index(rows, positions):
-    """An ID-space hash index over override rows.  Buckets are lists:
-    override sources are multisets and duplicates must keep counting."""
-    index: dict = {}
-    if len(positions) == 1:
-        pos = positions[0]
-        for row in rows:
-            key = row[pos]
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-    else:
-        for row in rows:
-            key = tuple(row[i] for i in positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-    return index
-
-
-def _repeating(key, rows, n: int) -> bool:
-    """Whether ``n`` scanned ``rows`` have at least 2 per distinct
-    ``key`` value: with ``n >= 4``, the input test of the key-grouped
-    and key-map branches, counted at C speed.  When the first ``n // 2
-    + 1`` rows already have as many distinct values, the answer is no
-    without the rest, so a chain's delta (every value distinct) pays
-    half."""
-    half = n // 2 + 1
-    if len(set(map(key, islice(rows, half)))) == half:
-        return False
-    return 2 * len(set(map(key, rows))) <= n
-
-
-def _out_rid(value: Term) -> int:
-    rid = value._rid
-    return row_id(value) if rid is None else rid
-
-
-def _term_prober(term: Term, in_names: tuple[str, ...]):
-    """Evaluate a residual probe term to its row ID, or -1 to drop the
-    binding.  Failure semantics match :func:`runtime.probe_key`:
-    ``EvaluationError`` always drops; ``NotInUniverseError`` drops only
-    for lenient (override) sources and raises for database probes."""
-
-    def probe(in_rids, lenient):
-        table = _ID_TABLE
-        binding = {n: table[r] for n, r in zip(in_names, in_rids)}
-        try:
-            value = evaluate_ground(term.substitute(binding))
-        except EvaluationError:
-            return -1
-        except NotInUniverseError:
-            if lenient:
-                return -1
-            raise
-        rid = value._rid
-        return row_id(value) if rid is None else rid
-
-    return probe
-
-
-def _neg_prober(term: Term, in_names: tuple[str, ...]):
-    """Evaluate a negation argument term to its row ID, or -1 to drop
-    the binding (unbound or outside U: not applicable, as in
-    :func:`runtime.negation_args`)."""
-
-    def probe(in_rids):
-        table = _ID_TABLE
-        binding = {n: table[r] for n, r in zip(in_names, in_rids)}
-        try:
-            value = evaluate_ground(term.substitute(binding))
-        except (NotInUniverseError, EvaluationError):
-            return -1
-        rid = value._rid
-        return row_id(value) if rid is None else rid
-
-    return probe
-
-
-def _residual_matcher(
-    step: LiteralStep, in_names: tuple[str, ...], out_names: tuple[str, ...]
-):
-    """General residual matching (repeated variables, nested patterns)
-    over a whole bucket of ID rows: one call per outer binding, the
-    mixed residual terms substituted once, returning the row-ID tuples
-    of the new variables, one per match."""
-
-    residuals = step.residuals
-
-    def matcher(in_rids, rows):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        substituted = substituted_residuals(step, binding)
-        outs = []
-        for row in rows:
-            args = tuple(table[rid] for rid in row)
-            for ext in match_residuals(residuals, args, binding, substituted):
-                outs.append(tuple(_out_rid(ext[n]) for n in out_names))
-        return outs
-
-    return matcher
-
-
-def _builtin_runner(
-    step: LiteralStep, in_names: tuple[str, ...], out_names: tuple[str, ...]
-):
-    """Generic builtin fallback (unknown predicates route through
-    ``solve_builtin``): materialize the bound arguments, run the step,
-    re-encode the output variables.  One result tuple per yielded
-    extension, so filter multiplicities survive.  Known handlers are
-    inlined by the generator instead."""
-
-    def run(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        outs = []
-        for ext in builtin_step(step, binding):
-            outs.append(tuple(_out_rid(ext[n]) for n in out_names))
-        return outs
-
-    return run
-
-
-def _single_out_rid(step: LiteralStep, in_names: tuple[str, ...], out_name: str):
-    """Slow path for an inlined assignment builtin whose arithmetic
-    fast-fold declined (unbound/non-numeric operand, fold failure): run
-    the full builtin step — exact error and universe semantics — and
-    return the single extension's output row ID, or -1 when the builtin
-    is false.  Only used for shapes that yield at most one extension
-    (``=`` binding one fresh variable)."""
-
-    def run(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        for ext in builtin_step(step, binding):
-            return _out_rid(ext[out_name])
-        return -1
-
-    return run
-
-
-def _filter_holds(step: LiteralStep, in_names: tuple[str, ...]):
-    """Slow path for an inlined filter builtin: True iff the step
-    yields (filters yield at most one extension)."""
-
-    def run(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        for _ in builtin_step(step, binding):
-            return True
-        return False
-
-    return run
-
-
-def _neg_builtin(step: LiteralStep, in_names: tuple[str, ...]):
-    """Closed negated-builtin test over materialized bound arguments."""
-
-    def holds(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        return negated_builtin_holds(step, binding)
-
-    return holds
 
 
 # -- the generator ----------------------------------------------------------
@@ -367,11 +174,15 @@ class _Codegen:
             "_NT": _NUM_TABLE,
             "_C": Const,
             "_CB": ChainBinding,
-            "_enc": _encode_rows,
-            "_encf": _encode_rows_exact,
-            "_encw": _encode_rows_whole,
-            "_bix": _build_index,
-            "_rep": _repeating,
+            "_enc": encode_rows,
+            "_encf": encode_rows_exact,
+            "_encw": encode_rows_whole,
+            "_bix": build_index,
+            "_vix": value_index,
+            "_skm": stored_key_map,
+            "_bk": batch_keys,
+            "_rows": stored_rows,
+            "_rep": repeating,
             "_fold": fold_arith,
             "_rid": row_id,
             "_nr": number_rid,
@@ -386,6 +197,12 @@ class _Codegen:
         self.body: list[str] = []  # loop-nest lines (absolute indent)
         self.depth = 2  # inside the function and the _ONE loop
         self.fused = False  # the last step emitted its own output
+        # relation steps that probe a binary relation's key map: their
+        # ``_x{k}`` is the second column's ID, not a row
+        self.keyed: set[int] = set()
+        # the key-map branch reads step 0's source grouped on column 0
+        self.keyed_scan = False
+        self.loaded: set[int] = set()  # negated relations loaded as _n{k}
 
     # -- small emission helpers --------------------------------------------
 
@@ -420,6 +237,11 @@ class _Codegen:
 
     # -- per-step emission -------------------------------------------------
 
+    def column(self, k: int, pos: int) -> str:
+        """The expression of column ``pos`` of step ``k``'s current row:
+        a key-map probe's ``_x{k}`` is already its second column."""
+        return f"_x{k}" if k in self.keyed else f"_x{k}[{pos}]"
+
     def relation_step(
         self,
         k: int,
@@ -431,12 +253,24 @@ class _Codegen:
         pred = atom.pred
         arity = len(atom.args)
         general = bool(step.residuals) and step.simple_residuals is None
+        # a binary relation probed on its first column reads the key
+        # map's value set: no row is built unless a general residual
+        # match needs one
+        keyed = arity == 2 and step.probe_positions == (0,)
+        if keyed:
+            self.keyed.add(k)
+        # a fused scan of a binary relation reads the stored key map's
+        # items and value sets (unless a key-map branch reads it first)
+        pairs = (
+            fuse and arity == 2 and not step.probes
+            and not (k == 0 and self.keyed_scan)
+        )
         pro = self.pro
         emit = self.emit
         # a fused step's row stands for itself where the output template
         # or the tail's negation key is its every column in order
         whole = None
-        if fuse:
+        if fuse and not keyed:
             slots = dict(step.simple_residuals or ())
             slots.update(
                 (pos, name) for pos, kindp, name in step.probes if kindp == VAR
@@ -464,15 +298,21 @@ class _Codegen:
             # the leniency flag only feeds TERM probe evaluation
             lenient = any(kindp == TERM for _, kindp, _ in step.probes)
             pro.append(f"if _s{k} is None:")
-            pro.append(
-                f"    _i{k} = db.id_index({pred!r}, {step.probe_positions!r})"
-            )
+            if keyed:
+                pro.append(f"    _i{k} = _skm(db, {pred!r})")
+            else:
+                pro.append(
+                    f"    _i{k} = db.id_index({pred!r}, {step.probe_positions!r})"
+                )
             if lenient:
                 pro.append(f"    _l{k} = False")
             pro.append("else:")
-            pro.append(
-                f"    _i{k} = _bix({enc}({arg}), {step.probe_positions!r})"
-            )
+            if keyed:
+                pro.append(f"    _i{k} = _vix({enc}({arg}))")
+            else:
+                pro.append(
+                    f"    _i{k} = _bix({enc}({arg}), {step.probe_positions!r})"
+                )
             if lenient:
                 pro.append(f"    _l{k} = True")
             # an unknown predicate skips the step wholesale, before any
@@ -489,7 +329,7 @@ class _Codegen:
                     hname = f"_t{k}_{pos}"
                     in_names = tuple(sorted(payload.variables()))
                     ins = self.ins_expr(in_names)
-                    self.env[hname] = _term_prober(payload, in_names)
+                    self.env[hname] = term_prober(payload, in_names)
                     tloc = f"_p{k}_{pos}"
                     emit(f"{tloc} = {hname}({ins}, _l{k})")
                     emit(f"if {tloc} < 0:")
@@ -499,17 +339,40 @@ class _Codegen:
             emit(f"_b{k} = _i{k}.get({key})")
             emit(f"if not _b{k}:")
             emit("    continue")
+            if keyed and general:
+                # the matcher reads rows: build them from the values
+                emit(f"_b{k} = [({key}, _v) for _v in _b{k}]")
+                self.keyed.discard(k)
             rows = f"_b{k}"
         else:
             pro.append(f"if _s{k} is None:")
-            pro.append(f"    _r{k} = db.id_rows({pred!r})")
-            pro.append(f"    if _r{k} is None:")
-            pro.append(f"        _r{k} = ()")
+            if k == 0 and self.keyed_scan:
+                # the key-map branch reads the stored map: rows only
+                # for the per-row fall-through
+                pro.append(f"    _q0 = db.key_map({pred!r})")
+                pro.append(f"    _r0 = None if _q0 is not None else _rows(db, {pred!r})")
+            elif arity == 2 and not fuse:
+                # a loop nest may scan it many times: its rows, built once
+                pro.append(f"    _r{k} = _rows(db, {pred!r})")
+            else:
+                if pairs:
+                    pro.append(f"    _kv{k} = db.key_map({pred!r})")
+                pro.append(f"    _r{k} = db.id_rows({pred!r})")
+                pro.append(f"    if _r{k} is None:")
+                pro.append(f"        _r{k} = ()")
             pro.append("else:")
             if whole is None:
-                pro.append(f"    _r{k} = _enc(_s{k})")
+                enc = f"_enc(_s{k})"
             else:
-                pro.append(f"    _r{k} = _encw(_s{k}, {arity})")
+                enc = f"_encw(_s{k}, {arity})"
+            if k == 0 and self.keyed_scan:
+                # a key-form delta stays grouped: rows only on demand
+                pro.append("    _q0 = _bk(_s0)")
+                pro.append(f"    _r0 = {enc} if _q0 is None else None")
+            else:
+                if pairs:
+                    pro.append(f"    _kv{k} = None")
+                pro.append(f"    _r{k} = {enc}")
             rows = f"_r{k}"
         if general:
             # one matcher call per outer binding over the whole bucket:
@@ -519,7 +382,7 @@ class _Codegen:
             out_names = tuple(sorted(atom.variables() - bound))
             ins = self.ins_expr(in_names)
             hname = f"_m{k}"
-            self.env[hname] = _residual_matcher(step, in_names, out_names)
+            self.env[hname] = residual_matcher(step, in_names, out_names)
             emit(f"for _y{k} in {hname}({ins}, {rows}):")
             self.depth += 1
             if out_names:
@@ -540,13 +403,37 @@ class _Codegen:
             sub = {}
             if step.residuals:
                 for pos, name in step.simple_residuals:
-                    sub[name] = f"_x{k}[{pos}]"
+                    sub[name] = self.column(k, pos)
             row = f"_x{k}"
             out = row if whole == self.template else self.row_expr(sub)
             cond = ""
             if tail is not None:
                 cond = " if " + self.tail_test(k + 1, tail, sub, whole, row)
-            emit(f"_t{k} = [{out} for {row} in {rows}{cond}]")
+            gather = f"[{out} for {row} in {rows}{cond}]"
+            if pairs:
+                # a stored binary relation: its items and value sets,
+                # the first column as ``_ka{k}``
+                names = dict(step.simple_residuals)
+                ksub = {names[0]: f"_ka{k}", names[1]: row}
+                values, kcond = f"_zs{k}", ""
+                if tail is not None and tail.neg_args == (
+                    (VAR, names[0]), (VAR, names[1])
+                ):
+                    # an anti-join on the scanned pair: one set
+                    # difference per key
+                    self.negated_rows(k + 1, tail)
+                    values = f"_zs{k} - _n{k + 1}.get(_ka{k}, _ES)"
+                elif tail is not None:
+                    kcond = " if " + self.tail_test(k + 1, tail, ksub, None, row)
+                emit(f"if _kv{k} is not None:")
+                emit(
+                    f"    _t{k} = [{self.row_expr(ksub)} for _ka{k}, _zs{k} in "
+                    f"_kv{k}.items() for {row} in {values}{kcond}]"
+                )
+                emit("else:")
+                emit(f"    _t{k} = {gather}")
+            else:
+                emit(f"_t{k} = {gather}")
             emit(f"_xt(_t{k})")
             if tail is None:
                 emit(f"_c{k} += len(_t{k})")
@@ -557,21 +444,20 @@ class _Codegen:
             return
         emit(f"for _x{k} in {rows}:")
         self.depth += 1
-        if not step.residuals:
-            emit(f"_c{k} += 1")
-        else:
+        if step.residuals:
             for pos, name in step.simple_residuals:
                 loc = self.local_for(name)
-                emit(f"{loc} = _x{k}[{pos}]")
+                emit(f"{loc} = {self.column(k, pos)}")
                 self.assigned.add(name)
-            emit(f"_c{k} += 1")
+        emit(f"_c{k} += 1")
 
     def tail_test(self, f: int, step: LiteralStep, sub, whole, row) -> str:
         """The ``if`` clause of a fused tail filter (:func:`filter_fuses`)
         over the gathered row ``row``, whose variables substitute as
         ``sub`` says: a negation tests its key against the negated
-        relation's row set — the row itself when ``whole`` is the key —
-        and ``=``/``!=`` compare row IDs."""
+        relation — the row itself when ``whole`` is the key, a value
+        set of the key map when it is binary — and ``=``/``!=`` compare
+        row IDs."""
 
         def ground(kind, payload):
             if kind == CONST:
@@ -579,20 +465,34 @@ class _Codegen:
             return sub.get(payload) or self.bound_local(payload)
 
         if step.kind == "negation":
-            self.negated_rows(f, step)
+            binary = self.negated_rows(f, step)
+            parts = [ground(kind, payload) for kind, payload in step.neg_args]
+            if binary:
+                return f"{parts[1]} not in _n{f}.get({parts[0]}, _ES)"
             if step.neg_args == whole:
                 return f"{row} not in _n{f}"
-            parts = [ground(kind, payload) for kind, payload in step.neg_args]
             comma = "," if len(parts) == 1 else ""
             return f"({', '.join(parts)}{comma}) not in _n{f}"
         a, b = (ground(kind, payload) for kind, payload, _ in step.builtin_args)
         return f"{a} {'==' if step.literal.atom.pred == '=' else '!='} {b}"
 
-    def negated_rows(self, k: int, step: LiteralStep) -> None:
-        """Load the negated relation's row set as ``_n{k}``."""
-        self.pro.append(f"_n{k} = negdb.id_rows({step.literal.atom.pred!r})")
-        self.pro.append(f"if _n{k} is None:")
-        self.pro.append(f"    _n{k} = _ES")
+    def negated_rows(self, k: int, step: LiteralStep) -> bool:
+        """Load the negated relation as ``_n{k}``, once: a binary one's
+        key map, or the row set of any other arity.  Returns whether it
+        is binary."""
+        pred = step.literal.atom.pred
+        binary = len(step.neg_args) == 2
+        if k not in self.loaded:
+            self.loaded.add(k)
+            if binary:
+                self.pro.append(f"_n{k} = negdb.key_map({pred!r})")
+                self.pro.append(f"if _n{k} is None:")
+                self.pro.append(f"    _n{k} = _ED")
+            else:
+                self.pro.append(f"_n{k} = negdb.id_rows({pred!r})")
+                self.pro.append(f"if _n{k} is None:")
+                self.pro.append(f"    _n{k} = _ES")
+        return binary
 
     def negation_step(self, k: int, step: LiteralStep) -> None:
         atom = step.literal.atom
@@ -601,12 +501,12 @@ class _Codegen:
             in_names = tuple(sorted(atom.variables() & step.bound_before))
             ins = self.ins_expr(in_names)
             hname = f"_nb{k}"
-            self.env[hname] = _neg_builtin(step, in_names)
+            self.env[hname] = neg_builtin(step, in_names)
             emit(f"if not {hname}({ins}):")
             emit("    continue")
             emit(f"_c{k} += 1")
             return
-        self.negated_rows(k, step)
+        binary = self.negated_rows(k, step)
         parts = []
         for i, (kindn, payload) in enumerate(step.neg_args):
             if kindn == VAR:
@@ -619,14 +519,17 @@ class _Codegen:
                     sorted(payload.variables() & step.bound_before)
                 )
                 ins = self.ins_expr(in_names)
-                self.env[hname] = _neg_prober(payload, in_names)
+                self.env[hname] = neg_prober(payload, in_names)
                 tloc = f"_q{k}_{i}"
                 emit(f"{tloc} = {hname}({ins})")
                 emit(f"if {tloc} < 0:")
                 emit("    continue")
                 parts.append(tloc)
-        comma = "," if len(parts) == 1 else ""
-        emit(f"if ({', '.join(parts)}{comma}) in _n{k}:")
+        if binary:
+            emit(f"if {parts[1]} in _n{k}.get({parts[0]}, _ES):")
+        else:
+            comma = "," if len(parts) == 1 else ""
+            emit(f"if ({', '.join(parts)}{comma}) in _n{k}:")
         emit("    continue")
         emit(f"_c{k} += 1")
 
@@ -648,7 +551,7 @@ class _Codegen:
             # unknown predicate: generic solve_builtin fallback helper
             ins = self.ins_expr(in_names)
             hname = f"_u{k}"
-            self.env[hname] = _builtin_runner(step, in_names, out_names)
+            self.env[hname] = builtin_runner(step, in_names, out_names)
             emit(f"for _x{k} in {hname}({ins}):")
             self.depth += 1
             if out_names:
@@ -880,7 +783,7 @@ class _Codegen:
             return True
         ins = self.ins_expr(in_names)
         hname = f"_uf{k}"
-        self.env[hname] = _filter_holds(step, in_names)
+        self.env[hname] = filter_holds(step, in_names)
         if numbers:
             guard = " and ".join(f"{num} is not None" for num, _t, _r in variables)
             emit(f"if {guard}:")
@@ -1002,7 +905,7 @@ class _Codegen:
             if arith_ok(other):
                 ins = self.ins_expr(in_names)
                 hname = f"_uq{k}"
-                self.env[hname] = _single_out_rid(step, in_names, payload)
+                self.env[hname] = single_out_rid(step, in_names, payload)
                 lane = self._lane_guard(k, other, f"_y{k} = {{}}")
                 self._emit_fold(k, other)
                 emit(f"if _w{k} is None:")
@@ -1024,7 +927,7 @@ class _Codegen:
             if gthis is not None and arith_ok(other):
                 ins = self.ins_expr(in_names)
                 hname = f"_uf{k}"
-                self.env[hname] = _filter_holds(step, in_names)
+                self.env[hname] = filter_holds(step, in_names)
                 lane = self._lane_guard(
                     k, other, f"if {{}} != {gthis}:\n    continue"
                 )
@@ -1079,11 +982,12 @@ class _Codegen:
         probes ``_i1`` once per distinct key, and emits one comprehension
         per key from the same output template — key variables substitute
         as ``_k0``, carried ones as ``_y0``, step 1's fresh ones as
-        ``_x1[pos]``.  A row still yields one binding per match, so the
-        multiset and the ``(_c0, _c1)`` counts equal the per-row nest's.
+        ``_x1[pos]`` (``_x1`` itself when step 1 reads a key map).  A row
+        still yields one binding per match, so the multiset and the
+        ``(_c0, _c1)`` counts equal the per-row nest's.
 
         The branch runs when the scanned rows number at least 4 with at
-        least 2 per distinct key (:func:`_repeating`); otherwise it falls
+        least 2 per distinct key (:func:`repeating`); otherwise it falls
         through to the per-row nest, which is cheaper when keys are
         mostly distinct (a chain's delta)."""
         steps = self.plan.steps
@@ -1116,7 +1020,7 @@ class _Codegen:
         sub = subscripts(names, "_k0")
         sub.update(subscripts(carried, "_y0"))
         for pos, name in probe.simple_residuals or ():
-            sub[name] = f"_x1[{pos}]"
+            sub[name] = self.column(1, pos)
         # a row with nothing to carry still counts once per match
         value = gather(carried) if carried else "0"
         emission = f"[{self.row_expr(sub)} for _y0 in _gz for _x1 in _b1]"
@@ -1144,12 +1048,16 @@ class _Codegen:
         :func:`key_map_shape`), as loop lines for the top of the
         ``_ONE`` loop.
 
-        It projects each distinct probe key's bucket once onto the
+        It groups the scanned rows' probe keys by carried value,
+        ``_q0``, projects each distinct probe key's bucket once onto the
         probed value, unions those sets per carried value, and returns
         ``(key map, derivations)``: ``{carried: set(probed values)}``,
         and the number of derivations, the sum over the scanned rows of
         their bucket sizes — the rows the per-row nest would emit.  The
-        ``exec_steps`` event reports the per-row nest's counts.
+        ``exec_steps`` event reports the per-row nest's counts.  When
+        the carried value is the scanned relation's first column, a
+        key-form delta (the last round's key-map installs) or the
+        stored key map is ``_q0`` already, and no row is read.
 
         The branch runs when the scanned rows number at least 4 with at
         least 2 per distinct carried value; otherwise the closure falls
@@ -1161,37 +1069,101 @@ class _Codegen:
         carried = where[shape.carried_var]
         key = where[probe.probes[0][2]]
         ((value, _),) = probe.simple_residuals
+        if 1 in self.keyed:
+            project = "_b1"  # a key map's value set is the projection
+        else:
+            project = f"{{_x1[{value}] for _x1 in _b1}}"
         self.env["_kc"] = itemgetter(carried)
-        self.env["_kk"] = itemgetter(key)
         self.env["_CT"] = Counter
-        return [
-            "        _gn = len(_r0)",
-            "        if _gn >= 4 and _rep(_kc, _r0, _gn):",
+        self.env["_DL"] = defaultdict
+        # one set per carried value, filled from the projected sets: no
+        # argument tuple per key (``set().union(*...)`` built one, and
+        # its churn fragmented the heap of a long-lived server)
+        self.env["_chain"] = chain.from_iterable
+        if self.keyed_scan:
+            lines = [
+                "        if _q0 is None:",
+                "            _gn = len(_r0)",
+                "            _gr = _gn >= 4 and _rep(_kc, _r0, _gn)",
+                "        else:",
+                "            _gn = sum(map(len, _q0.values()))",
+                "            _gr = _gn >= 4 and 2 * len(_q0) <= _gn",
+                "        if _gr:",
+            ]
+        else:
+            lines = [
+                "        _q0 = None",
+                "        _gn = len(_r0)",
+                "        if _gn >= 4 and _rep(_kc, _r0, _gn):",
+            ]
+        lines += [
+            "            if _q0 is None:",
+            "                _q0 = _DL(list)",
+            "                for _x0 in _r0:",
+            f"                    _q0[_x0[{carried}]].append(_x0[{key}])",
             "            _km = {}",
             "            if _i1 is not None:",
             "                _pm = {}",
-            "                for _k1, _n1 in _CT(map(_kk, _r0)).items():",
+            "                for _k1, _n1 in _CT(_chain(_q0.values())).items():",
             "                    _b1 = _i1.get(_k1)",
             "                    if _b1:",
-            f"                        _pm[_k1] = {{_x1[{value}] for _x1 in _b1}}",
+            f"                        _pm[_k1] = {project}",
             "                        _c1 += _n1 * len(_b1)",
             "                    else:",
             "                        _pm[_k1] = _ES",
-            "                for _x0 in _r0:",
-            f"                    _u = _km.get(_x0[{carried}])",
-            "                    if _u is None:",
-            f"                        _km[_x0[{carried}]] = set(_pm[_x0[{key}]])",
-            "                    else:",
-            f"                        _u |= _pm[_x0[{key}]]",
+            "                _pg = _pm.__getitem__",
+            "                _km = {_a: set(_chain(map(_pg, _z))) for _a, _z in _q0.items()}",
             "            if steps is not None:",
             "                steps(counts=(_gn, _c1), rows=_c1)",
             "            return _km, _c1",
+        ]
+        if self.keyed_scan:
+            lines += self.scanned_rows()
+        return lines
+
+    def scan_keys(self, tail: LiteralStep | None) -> list[str]:
+        """The key-map branch of a scan-shaped plan (see
+        :func:`key_map_shape`), as loop lines for the top of the
+        ``_ONE`` loop: when step 0's source is grouped on its first
+        column (the stored key map, or a key-form delta), it returns
+        ``(key map, derivations)``, each value set copied or, under an
+        anti-join, minus the negated value set.  A source of rows falls
+        through to the per-row gather."""
+        if tail is None:
+            values, passed = "set(_z)", "_c0"
+        else:
+            self.negated_rows(1, tail)
+            values, passed = "_z - _n1.get(_a, _ES)", "_c1"
+        lines = [
+            "        if _q0 is not None:",
+            f"            _km = {{_a: {values} for _a, _z in _q0.items()}}",
+            "            _c0 = sum(map(len, _q0.values()))",
+        ]
+        if tail is not None:
+            lines.append("            _c1 = sum(map(len, _km.values()))")
+        counts = "(_c0,)" if tail is None else "(_c0, _c1)"
+        return lines + [
+            "            if steps is not None:",
+            f"                steps(counts={counts}, rows={passed})",
+            f"            return _km, {passed}",
+        ] + self.scanned_rows()
+
+    def scanned_rows(self) -> list[str]:
+        """Loop lines giving a key-map branch's fall-through the rows of
+        step 0's grouped source, built only now."""
+        pred = self.plan.steps[0].literal.atom.pred
+        return [
+            "        if _r0 is None:",
+            f"            _r0 = _rows(db, {pred!r}) if _s0 is None else _s0.rows",
         ]
 
     # -- assembly ----------------------------------------------------------
 
     def build(self, shape: "KeyMapShape | None" = None) -> tuple[str, dict]:
         steps = self.plan.steps
+        if shape is not None:
+            scan = steps[0]
+            self.keyed_scan = (0, shape.carried_var) in scan.simple_residuals
         last = len(steps) - 1
         # one pure ID-space filter may follow the last relation step
         tail = steps[last] if last > 0 and filter_fuses(steps[last]) else None
@@ -1221,7 +1193,9 @@ class _Codegen:
         lines.append("    _xt = out.extend" if self.fused else "    _ap = out.append")
         lines.extend("    " + line for line in self.pro)
         lines.append("    for _root in _ONE:")
-        if shape is not None:
+        if shape is not None and shape.probed is None:
+            lines.extend(self.scan_keys(tail))
+        elif shape is not None:
             lines.extend(self.key_map(shape))
         lines.extend(self.grouped_join())
         lines.extend(self.body)
@@ -1263,30 +1237,38 @@ def filter_fuses(step: LiteralStep) -> bool:
 
 
 class KeyMapShape(NamedTuple):
-    """A linear recursive plan's key-map layout (:func:`key_map_shape`)."""
+    """A plan's key-map layout (:func:`key_map_shape`)."""
 
     #: the head position of the value carried over from the scanned row
     carried: int
     #: the variable carrying it
     carried_var: str
-    #: the predicate step 1 probes
-    probed: str
+    #: the predicate step 1 probes; None for a scan shape
+    probed: str | None
 
 
 def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
-    """The key-map layout of a linear recursive plan, or None.
+    """The key-map layout of a plan, or None.
 
-    The shape: a seedless, non-grouping plan with a binary head of two
-    distinct variables and two relation steps.  Step 0 scans the head
-    predicate and binds two plain fresh variables: the carried one, a
-    head variable, and the probe key, which is not.  Step 1 probes
-    another binary predicate on that key alone and binds the other head
-    variable.  Left- and right-linear ``anc`` and the delta plan of
-    ``influences(A, B) <- influences(A, C), follows(B, C)`` qualify;
-    a third literal (the magic-rewritten form's ``m_influences__bf(A)``)
-    or a second occurrence of the head predicate does not.  Whether
-    the probed predicate is defined in the running component is the
-    fixpoint's question, not the plan's."""
+    Both shapes are seedless, non-grouping plans with a binary head of
+    two distinct variables, whose step 0 scans a binary relation into
+    two plain fresh variables.
+
+    * The *scan shape* (``probed`` None): the head is the scanned pair
+      in column order, and the only other step, if any, is an anti-join
+      on that pair: ``recommend(A, B) <- candidate(A, B), ~follows(A,
+      B).``  Per first value, its value set (minus the negated one) is
+      the candidate set.
+    * The *linear recursive shape*: step 0 scans the head predicate and
+      binds the carried variable, a head variable, and the probe key,
+      which is not.  Step 1 probes another binary predicate on that key
+      alone and binds the other head variable.  Left- and right-linear
+      ``anc`` and the delta plan of ``influences(A, B) <- influences(A,
+      C), follows(B, C)`` qualify; a third literal (the magic-rewritten
+      form's ``m_influences__bf(A)``) or a second occurrence of the
+      head predicate does not.  Whether the probed predicate is defined
+      in the running component is the fixpoint's question, not the
+      plan's."""
     head = plan.head
     if (
         head is None
@@ -1294,20 +1276,32 @@ def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
         or plan.initially_bound
         or plan.rule.is_grouping()
         or len(head.parts) != 2
-        or len(plan.steps) != 2
+        or not 1 <= len(plan.steps) <= 2
     ):
         return None
     (kind0, name0), (kind1, name1) = head.parts
     if kind0 != VAR or kind1 != VAR or name0 == name1:
         return None
-    scan, probe = plan.steps
-    pred = head.atom.pred
+    scan, *rest = plan.steps
     if (
         scan.kind != "relation"
-        or scan.literal.atom.pred != pred
         or scan.probes
+        or len(scan.literal.atom.args) != 2
         or scan.simple_residuals is None
         or len(scan.simple_residuals) != 2
+    ):
+        return None
+    if scan.simple_residuals == ((0, name0), (1, name1)) and all(
+        step.kind == "negation" and step.neg_args == ((VAR, name0), (VAR, name1))
+        for step in rest
+    ):
+        return KeyMapShape(0, name0, None)
+    if not rest:
+        return None
+    (probe,) = rest
+    pred = head.atom.pred
+    if (
+        scan.literal.atom.pred != pred
         or probe.kind != "relation"
         or probe.literal.atom.pred == pred
         or len(probe.literal.atom.args) != 2
@@ -1365,13 +1359,15 @@ _CODE_CACHE: dict[tuple[str, str], object] = {}
 
 def _define(source: str, label: str, env: dict, name: str):
     """Execute generated ``source`` in ``env`` (through the code memo)
-    and return the function it defines as ``name``."""
+    and return the function it defines as ``name``.  The function is
+    taken out of ``env``, its own globals, so the two form no reference
+    cycle: a dropped plan is freed by reference counting alone."""
     key = (label, source)
     code = _CODE_CACHE.get(key)
     if code is None:
         code = _CODE_CACHE[key] = compile(source, label, "exec")
     exec(code, env)
-    return env[name]
+    return env.pop(name)
 
 
 def _binding_decoder(seeded: tuple[str, ...], names: tuple[str, ...]):
@@ -1431,15 +1427,18 @@ class SpecializedPlan:
     once, plus the decoders for their rows, each generated once.
     ``templates["head"]`` is None for a plan with no head template
     (:func:`head_template`); :func:`~repro.engine.exec.derive_rows`
-    instantiates such a head per binding instead."""
+    instantiates such a head per binding instead.
+
+    It refers to its plan weakly: the plan holds it (``RulePlan._spec``),
+    and a strong reference back would make every plan cyclic garbage."""
 
     __slots__ = (
-        "plan", "variables", "templates", "_fns", "_decode", "_binder",
+        "_plan", "variables", "templates", "_fns", "_decode", "_binder",
         "_facts", "_shape",
     )
 
     def __init__(self, plan: RulePlan) -> None:
-        self.plan = plan
+        self._plan = weakref.ref(plan)
         self.variables = body_variables(plan)
         self.templates = {
             "head": head_template(plan),
@@ -1450,6 +1449,10 @@ class SpecializedPlan:
         self._binder = None
         self._facts = None
         self._shape = False  # not computed yet; None is a result
+
+    @property
+    def plan(self) -> RulePlan:
+        return self._plan()
 
     def decoder(self):
         """The head rows→args slot decoder, or None when every head

@@ -12,9 +12,14 @@ A semi-naive round installs each rule application's derived *set*.
 A linear recursive rule (one head column carried from its delta, the
 other read from a relation the component does not define) derives a
 key map, ``{carried value: candidate set}``, when its delta repeats
-carried values; :class:`KnownValues` subtracts the values already
-known under each key, and only the fresh pairs become ID rows.  Every
-other application installs its row multiset, deduplicated by
+carried values, and so does a rule copying a binary relation grouped
+on its first column (see
+:func:`~repro.engine.exec.specialize.key_map_shape`).  A binary relation is stored as the same kind of map
+(:class:`~repro.engine.relation.KeyMapRelation`), so the install
+subtracts the stored values from each candidate set in place, and the
+fresh per-key sets are the next round's delta: no row tuple is built
+unless a ``fact_derived`` handler or a per-row plan asks for one.
+Every other application installs its row multiset, deduplicated by
 ``Relation.add_rows``.
 
 Rules are executed as compiled :class:`~repro.engine.plan.RulePlan`s
@@ -27,13 +32,13 @@ cardinality snapshot the context refreshes once per iteration
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from time import perf_counter
 from typing import Sequence
 
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.exec import RowBatch, derive_rows
+from repro.engine.relation import pairs_of
 from repro.names import is_builtin_predicate
 from repro.program.rule import Atom, Rule
 
@@ -76,8 +81,8 @@ def _derive(
 ):
     """One rule application: its head facts as a
     :class:`~repro.engine.exec.DerivedRows` batch, rows or (given the
-    component's ``recursive`` predicates) a key map, reported to
-    ``rule_fired`` with its derivation count."""
+    predicates the rules being run define, ``recursive``) a key map,
+    reported to ``rule_fired`` with its derivation count."""
     on = ctx.on
     fired = on.rule_fired
     start = perf_counter() if fired is not None else 0.0
@@ -89,6 +94,12 @@ def _derive(
     return dr
 
 
+def _defined(rules: Sequence[Rule]) -> frozenset[str]:
+    """The predicates ``rules`` define: what :func:`_derive` needs to
+    choose a key-map closure."""
+    return frozenset(rule.head.pred for rule in rules)
+
+
 def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
     """The semi-naive delta's batch for ``pred``, created on first use."""
     entry = delta.get(pred)
@@ -97,107 +108,50 @@ def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
     return entry
 
 
-class KnownValues:
-    """The values already known per carried key, for the key-map
-    installs of one fixpoint run.
-
-    ``{pred: {position: {key: set(other value)}}}``: for a binary head
-    relation and a head position, each value at that position mapped
-    to the set of values beside it.  A map is built from its relation
-    on first use, updated by every later install into that relation
-    during the run (the per-row path's and other rules' included), and
-    dropped with the run: it is not kept on the
-    :class:`~repro.engine.relation.Relation`, which would hold a second
-    copy of every binary fact for the life of the model."""
-
-    __slots__ = ("db", "maps")
-
-    def __init__(self, db: Database) -> None:
-        self.db = db
-        self.maps: dict[str, dict[int, dict]] = {}
-
-    def _values(self, pred: str, pos: int) -> dict:
-        """The map for ``pred`` at head position ``pos``, built on first
-        use from the relation's stored rows."""
-        by_pos = self.maps.setdefault(pred, {})
-        values = by_pos.get(pos)
-        if values is None:
-            values = by_pos[pos] = {}
-            rel = self.db.get_relation(pred)
-            if rel is not None:
-                _record(values, pos, rel.id_rows())
-        return values
-
-    def record(self, pred: str, rows, skip: int | None = None) -> None:
-        """Add newly installed ``rows`` of ``pred`` to its maps (all but
-        the one at position ``skip``)."""
-        by_pos = self.maps.get(pred)
-        if by_pos:
-            for pos, values in by_pos.items():
-                if pos != skip:
-                    _record(values, pos, rows)
-
-    def install(self, dr) -> list:
-        """Install a key map's fresh pairs into ``dr.pred``; returns the
-        new rows.  Per carried key, the candidate set minus the known
-        values is what is new; only those pairs become rows."""
-        pos = dr.carried
-        values = self._values(dr.pred, pos)
-        fresh: list = []
-        for key, candidates in dr.keys.items():
-            have = values.get(key)
-            if have is None:
-                values[key] = new = candidates
-            else:
-                new = candidates - have
-                if not new:
-                    continue
-                have |= new
-            fresh += zip(repeat(key), new) if pos == 0 else zip(new, repeat(key))
-        if fresh:
-            self.db.relation(dr.pred, dr.arity).add_new_rows(fresh)
-            self.record(dr.pred, fresh, skip=pos)
-        return fresh
-
-
-def _record(values: dict, pos: int, rows) -> None:
-    """Add binary ``rows`` to a known-values map keyed on ``pos``."""
-    other = 1 - pos
-    for row in rows:
-        key = row[pos]
-        have = values.get(key)
-        if have is None:
-            values[key] = {row[other]}
-        else:
-            have.add(row[other])
+def install_keys(db: Database, dr) -> dict:
+    """Install a key map's candidates into ``dr.pred``; returns the
+    fresh pairs as ``{first: set(second)}``.  Per carried key, the
+    candidate set minus the stored values is what is new, applied
+    straight to the stored set
+    (:meth:`~repro.engine.relation.KeyMapRelation.add_keys`)."""
+    return db.add_keys(dr.pred, dr.keys, dr.carried)
 
 
 def install_rows(
-    ctx: EvalContext, db: Database, rule: Rule, dr, delta=None, known=None,
+    ctx: EvalContext, db: Database, rule: Rule, dr, delta=None,
 ) -> int:
-    """Bulk-add one rule application's rows to ``db``; returns how many
-    were new.  New rows go into ``delta`` when given, and reach a
+    """Bulk-add one rule application's facts to ``db``; returns how many
+    were new.  New facts go into ``delta`` when given, and reach a
     ``fact_derived`` handler when there is one — rows decode for that
-    alone.  A key map installs through ``known``, the run's
-    :class:`KnownValues`, which every row install keeps in step."""
+    alone.  A key map installs through :func:`install_keys`, and its
+    fresh per-key sets are the delta as they are: row tuples are built
+    only for a ``fact_derived`` handler."""
     if dr.keys is not None:
-        fresh = known.install(dr)
+        keys = install_keys(db, dr)
+        if not keys:
+            return 0
+        fresh = None
+        count = sum(map(len, keys.values()))
     else:
         fresh = db.add_rows(dr.pred, dr.arity, dr.rows, dr.decode)
-        if fresh and known is not None and known.maps:
-            known.record(dr.pred, fresh)
-    if fresh:
-        if delta is not None:
-            _delta_batch(delta, dr.pred, dr.arity).extend(fresh, dr.decode)
-        derived = ctx.on.fact_derived
-        if derived is not None:
-            args_of = db.get_relation(dr.pred).args_of
-            for row in fresh:
-                fact = Atom(dr.pred, args_of(row))
-                fact._ground = True
-                fact._row = row
-                derived(fact=fact, rule=rule)
-    return len(fresh)
+        count = len(fresh)
+        if not count:
+            return 0
+    derived = ctx.on.fact_derived
+    if derived is not None:
+        args_of = db.get_relation(dr.pred).args_of
+        for row in fresh if fresh is not None else pairs_of(keys):
+            fact = Atom(dr.pred, args_of(row))
+            fact._ground = True
+            fact._row = row
+            derived(fact=fact, rule=rule)
+    if delta is not None:
+        batch = _delta_batch(delta, dr.pred, dr.arity)
+        if fresh is None:
+            batch.extend_keys(keys)
+        else:
+            batch.extend(fresh, dr.decode)
+    return count
 
 
 def single_pass(
@@ -216,8 +170,9 @@ def single_pass(
     ctx = context or EvalContext(db)
     stats = FixpointStats(iterations=1)
     ctx.refresh_sizes()
+    recursive = _defined(rules)
     for rule in rules:
-        dr = _derive(ctx, db, rule, ctx.plan_for(rule))
+        dr = _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive)
         stats.rule_firings += 1
         stats.facts_derived += install_rows(ctx, db, rule, dr)
     if ctx.on.iteration is not None:
@@ -235,6 +190,7 @@ def naive_fixpoint(
     """Run all rules to fixpoint, naive strategy.  Mutates ``db``."""
     ctx = context or EvalContext(db)
     stats = FixpointStats()
+    recursive = _defined(rules)
     while True:
         stats.iterations += 1
         ctx.refresh_sizes()
@@ -243,7 +199,9 @@ def naive_fixpoint(
         # and add afterwards.
         pending = []
         for rule in rules:
-            pending.append((rule, _derive(ctx, db, rule, ctx.plan_for(rule))))
+            pending.append(
+                (rule, _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive))
+            )
             stats.rule_firings += 1
         new = sum(install_rows(ctx, db, rule, dr) for rule, dr in pending)
         stats.facts_derived += new
@@ -271,8 +229,9 @@ def seminaive_fixpoint(
     stats.iterations += 1
     ctx.refresh_sizes()
     delta: dict[str, object] = {}
+    recursive = _defined(rules)
     for rule in rules:
-        dr = _derive(ctx, db, rule, ctx.plan_for(rule))
+        dr = _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive)
         stats.rule_firings += 1
         stats.facts_derived += install_rows(ctx, db, rule, dr, delta)
     if ctx.on.iteration is not None:
@@ -300,14 +259,13 @@ def seminaive_rounds(
     and reads a batch's ID rows directly.
 
     A linear recursive rule's application may come as a key map (see
-    :func:`~repro.engine.exec.derive_rows`); it installs through one
-    :class:`KnownValues` that lives as long as this call.
+    :func:`~repro.engine.exec.derive_rows`); it installs through
+    :func:`install_keys`, and its fresh sets are the next delta.
     """
     ctx = context or EvalContext(db)
     stats = FixpointStats()
     occurrences = occurrence_index(rules)
-    recursive = frozenset(rule.head.pred for rule in rules)
-    known = KnownValues(db)
+    recursive = _defined(rules)
 
     while delta:
         stats.iterations += 1
@@ -324,7 +282,7 @@ def seminaive_rounds(
                 ctx, db, rule, plan, {occurrence: changed}, recursive
             )
             stats.rule_firings += 1
-            round_new += install_rows(ctx, db, rule, dr, next_delta, known)
+            round_new += install_rows(ctx, db, rule, dr, next_delta)
         stats.facts_derived += round_new
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=round_new)

@@ -626,14 +626,14 @@ class DeltaMaintainer:
 
         def condemn(pred: str, rows) -> None:
             nonlocal total
-            live = db.id_rows(pred)
+            live = db.get_relation(pred)
             if live is None:
                 return
             seen = condemned.setdefault(pred, {})
             keep = pinned.get(pred, ())
             new = [
-                row for row in dict.fromkeys(rows)
-                if row not in seen and row not in keep and row in live
+                row for row in live.stored(dict.fromkeys(rows))
+                if row not in seen and row not in keep
             ]
             if not new:
                 return

@@ -319,6 +319,8 @@ class RulePlan:
         "first",
         "initially_bound",
         "_spec",
+        # its specialization refers back to it weakly (no cycle)
+        "__weakref__",
     )
 
     def __init__(

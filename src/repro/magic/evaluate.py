@@ -36,6 +36,7 @@ request over an overlay that *shares* the base database's relations.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -136,7 +137,7 @@ class PreparedQuery:
     """
 
     __slots__ = (
-        "program", "rewrite", "magic_program", "schedule", "deferred",
+        "_program", "rewrite", "magic_program", "schedule", "deferred",
         "private", "plans",
     )
 
@@ -148,7 +149,9 @@ class PreparedQuery:
     ) -> None:
         compiled = compile_program(program)
         mp = rewrite(program, query)
-        self.program = program
+        # weak: the program's compile holds this object, and a strong
+        # reference back would make every prepared query cyclic garbage.
+        self._program = weakref.ref(program)
         self.rewrite = rewrite
         #: the rewritten program; its ``seed`` and ``adorned.query`` are
         #: those of the query it was prepared from.
@@ -175,6 +178,12 @@ class PreparedQuery:
         #: (predicate, arity) of every relation a run writes.
         self.private = tuple(sorted(heads))
         self.plans = compiled.plans
+
+    @property
+    def program(self) -> Program | None:
+        """The program this query form was prepared from, while it is
+        alive."""
+        return self._program()
 
     @property
     def key(self) -> tuple:

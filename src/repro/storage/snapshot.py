@@ -61,6 +61,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from repro.engine.database import Database
@@ -127,20 +128,22 @@ def write_snapshot(
 
     ``edb_facts`` and ``model`` are each a :class:`Database`, written
     from its ID rows as it stands, or an iterable of atoms, bulk-loaded
-    first.
+    first and written in ID-row order: a set of atoms iterates in an
+    order the interpreter's string hashing sets, and the file must not
+    depend on it.
     """
     start = time.perf_counter()
     on = compose_hooks(hooks, metrics)
     path = os.fspath(path)
     relations = [
-        (section, rel)
+        (section, rel, *_flat(rel, isinstance(facts, Database)))
         for section, facts in (("e", edb_facts), ("m", model))
         for rel in _relations(facts)
     ]
-    live = _live_ids(rel for _, rel in relations)
+    live = _live_ids(relations)
     remap = {tid: line for line, tid in enumerate(live)}
     counts = {"e": 0, "m": 0}
-    for section, rel in relations:
+    for section, rel, _, _ in relations:
         counts[section] += len(rel)
     header = {
         "format": FORMAT,
@@ -155,11 +158,11 @@ def write_snapshot(
     lines = [codec.dumps(header)]
     lines.extend(_term_line(_ID_TABLE[tid], remap) for tid in live)
     line_of = remap.__getitem__
-    for section, rel in relations:
-        flat = list(map(line_of, chain.from_iterable(rel.id_rows())))
+    for section, rel, ids, spelled in relations:
+        flat = list(map(line_of, ids))
         spellings = [
             [list(map(line_of, row)), [remap[term_id(arg)] for arg in args]]
-            for row, args in rel.spellings()
+            for row, args in spelled
         ]
         lines.append(codec.dumps([section, rel.pred, rel.arity, flat, spellings]))
     facts = counts["e"] + counts["m"]
@@ -196,13 +199,24 @@ def _relations(facts: Facts) -> list[Relation]:
     return [rel for rel in relations if len(rel)]
 
 
-def _live_ids(relations: Iterable[Relation]) -> list[int]:
-    """Every dense ID the relations' rows and spellings name, closed
-    under subterms, ascending — so each term follows its subterms."""
+def _flat(rel: Relation, ordered: bool) -> tuple[list[int], list]:
+    """A relation's rows as one flat ID list, row after row, and its
+    spellings, in the relation's order, or sorted by row when the
+    relation came from a set of atoms."""
+    if ordered:
+        return rel.flat_ids(), list(rel.spellings())
+    rows = sorted(rel.id_rows())
+    return list(chain.from_iterable(rows)), sorted(rel.spellings(), key=itemgetter(0))
+
+
+def _live_ids(relations: Iterable[tuple]) -> list[int]:
+    """Every dense ID the flattened relations' rows and spellings name,
+    closed under subterms, ascending — so each term follows its
+    subterms."""
     live: set[int] = set()
-    for rel in relations:
-        live.update(chain.from_iterable(rel.id_rows()))
-        for _, args in rel.spellings():
+    for _, _, ids, spelled in relations:
+        live.update(ids)
+        for _, args in spelled:
             live.update(map(term_id, args))
     table = _ID_TABLE
     pending = list(live)

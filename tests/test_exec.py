@@ -172,8 +172,12 @@ WHOLE_ROW_RULES = (
     "r(A, B) <- q(A, B), ~s(A).",
     "r(A, B) <- q(A, B), A != B.",
     "r(A, B) <- q(A, B).",
+)
+#: A binary relation probed on its first column: the gather runs over
+#: the key map's value set, and no row is stored to reuse.
+KEYED_PROBE_RULE = (
     "recommend__bf(A, B) <- m_recommend__bf(A), candidate__bf(A, B), "
-    "~follows(A, B).",
+    "~follows(A, B)."
 )
 BUILT_ROW_RULES = (
     "r(B, A) <- q(A, B), ~s(A).",
@@ -244,9 +248,18 @@ class TestFusedFilter:
         for src in BUILT_ROW_RULES:
             head, _ = self._sources(src)
             assert not WHOLE_ROW.search(head[0]), src
+        (head, _), _ = self._sources(KEYED_PROBE_RULE)
+        assert "_t1 = [(v0, _x1) for _x1 in _b1 if " in head
+        assert not WHOLE_ROW.search(head)
         # the negation key is the row though the output is not
-        (head, _), _ = self._sources("r(B, A) <- q(A, B), ~s(A, B).")
+        (head, _), _ = self._sources("r(C, B, A) <- q(A, B, C), ~s(A, B, C).")
         assert " if _x0 not in _n1]" in head
+        assert not WHOLE_ROW.search(head)
+        # a binary anti-join on the scanned pair: a value-set test per
+        # row, one set difference per key on the stored key map
+        (head, _), _ = self._sources("r(B, A) <- q(A, B), ~s(A, B).")
+        assert " if _x0[1] not in _n1.get(_x0[0], _ES)]" in head
+        assert " for _x0 in _zs0 - _n1.get(_ka0, _ES)]" in head
         assert not WHOLE_ROW.search(head)
 
     @pytest.mark.parametrize("batch", [False, True])

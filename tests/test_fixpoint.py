@@ -8,7 +8,7 @@ from repro.engine import evaluate, fixpoint
 from repro.engine.database import Database
 from repro.engine.exec import specialize
 from repro.engine.fixpoint import naive_fixpoint, seminaive_fixpoint
-from repro.engine.relation import encode_args
+from repro.engine.relation import KeyMapRelation, encode_args
 from repro.observe import TraceRecorder
 from repro.parser import parse_atom, parse_rules
 from repro.program.rule import Atom
@@ -190,7 +190,7 @@ class TestSizedPlanner:
 #: 0 of its delta from a scan keyed on column 1, left-linear ``l`` the
 #: same with the probe on ``e``'s column 0, right-linear ``r`` carries
 #: column 1 into head position 1, and ``b`` has both linear rules, so
-#: its installs keep known values at both head positions.
+#: its key maps install at both head positions into one stored map.
 LINEAR = parse_rules(
     """
     influences(A, B) <- e(B, A).
@@ -252,14 +252,14 @@ def _observed_run(program, edb):
     observed events, plus the predicates key maps were installed into."""
     observed = _Observed()
     installs = []
-    install = fixpoint.KnownValues.install
+    install = fixpoint.install_keys
 
-    def counting(self, dr):
+    def counting(db, dr):
         installs.append(dr.pred)
-        return install(self, dr)
+        return install(db, dr)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fixpoint.KnownValues, "install", counting)
+        mp.setattr(fixpoint, "install_keys", counting)
         result = evaluate(program, edb=edb, hooks=observed)
     model = sorted(format_atom(a) for a in result.database.atoms())
     stats = [
@@ -333,6 +333,40 @@ def test_dense_graph_takes_the_key_map_path():
     assert (model, stats) == _per_row_run(LINEAR, edb)[:2]
 
 
+def test_closure_query_builds_no_row_index_on_its_answers():
+    """A binary relation is its key map and nothing else: the query's
+    first probe reads a stored value set, so after the closure's model
+    and one bound query the answer relation has built no row-form
+    index, and the fixpoint keeps no second copy of its pairs."""
+    from repro.api import LDL
+
+    follows = " ".join(
+        f"follows(u{i}, u{(i * 3 + k) % 12})." for i in range(12) for k in range(3)
+    )
+    session = LDL(
+        "influences(A, B) <- follows(B, A).\n"
+        "influences(A, B) <- influences(A, C), follows(B, C).\n" + follows
+    )
+    installs = []
+    install = fixpoint.install_keys
+
+    def counting(db, dr):
+        installs.append(dr.pred)
+        return install(db, dr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixpoint, "install_keys", counting)
+        session.model()
+    assert installs
+    assert session.query("? influences(u1, X).")
+    rel = session.model().database.relation("influences")
+    assert isinstance(rel, KeyMapRelation)
+    assert rel._id_indexes == {}
+    assert not hasattr(rel, "_rows")
+    assert not hasattr(fixpoint, "KnownValues")
+    assert not hasattr(fixpoint, "_record")
+
+
 #: Two recursive rules with one head, each of the key-map shape.
 MIXED = parse_rules(
     """
@@ -367,7 +401,7 @@ def _diamonds(count: int, width: int = 4) -> list[Atom]:
 def test_rounds_alternating_between_paths_keep_known_values_in_step():
     """The per-row rounds install into the relation the key-map rounds
     subtract from: the model, stats and derived facts equal the
-    per-row-only run's only if the known-values map saw every install,
+    per-row-only run's only if the stored key map saw every install,
     whichever rule and path made it."""
     edb = _diamonds(4)
     paths = []
@@ -375,7 +409,7 @@ def test_rounds_alternating_between_paths_keep_known_values_in_step():
 
     def tracked(*args, **kwargs):
         dr = derive(*args, **kwargs)
-        if kwargs.get("recursive") is not None:
+        if kwargs.get("overrides"):  # a semi-naive round past round 0
             paths.append(dr.keys is not None)
         return dr
 
@@ -394,7 +428,7 @@ def test_rounds_alternating_between_paths_keep_known_values_in_step():
 
 
 #: Left- and right-linear rules with one head: their key maps carry
-#: head positions 0 and 1, so each install updates both known maps.
+#: head positions 0 and 1, and both install into the one stored map.
 BOTH = parse_rules(
     """
     b(X, Y) <- e(X, Y).
@@ -422,14 +456,14 @@ def test_key_map_path_runs_with_a_trace_recorder():
     edb = _diamonds(4)
     recorder = TraceRecorder()
     installs = []
-    install = fixpoint.KnownValues.install
+    install = fixpoint.install_keys
 
-    def counting(self, dr):
+    def counting(db, dr):
         installs.append(dr.pred)
-        return install(self, dr)
+        return install(db, dr)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fixpoint.KnownValues, "install", counting)
+        mp.setattr(fixpoint, "install_keys", counting)
         result = evaluate(MIXED, edb=edb, hooks=recorder)
     assert installs
     derived = [e for e in recorder.events if e.kind == "fact_derived"]
@@ -455,14 +489,14 @@ def test_plain_list_delta_takes_the_key_map_path():
             + [Atom("influences", args) for args in exit_rows]
         )
         installs = []
-        install = fixpoint.KnownValues.install
+        install = fixpoint.install_keys
 
-        def counting(self, dr):
+        def counting(db, dr):
             installs.append(dr.pred)
-            return install(self, dr)
+            return install(db, dr)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fixpoint.KnownValues, "install", counting)
+            mp.setattr(fixpoint, "install_keys", counting)
             if not keyed:
                 mp.setattr(
                     specialize.SpecializedPlan, "key_map_shape", lambda self: None

@@ -280,3 +280,34 @@ def test_compile_leaves_no_cyclic_garbage():
     gc.disable()
     compile_program(parse_rules(SOCIAL_PROGRAM))
     assert gc.collect() == 0
+
+
+def test_evaluate_leaves_no_cyclic_garbage():
+    """A specialized plan's function is not kept in its own ``exec``
+    namespace, and a plan's specialization refers back to the plan
+    weakly: evaluating a freshly parsed program leaves nothing for the
+    collector."""
+    edb = social_network(10, seed=1)
+    evaluate(parse_program(SOCIAL_PROGRAM).program, edb)  # warm caches
+    gc.collect()
+    gc.disable()
+    evaluate(parse_program(SOCIAL_PROGRAM).program, edb)
+    assert gc.collect() == 0
+
+
+def test_magic_query_leaves_no_cyclic_garbage():
+    """A prepared magic query refers to its program weakly: the program's
+    compile holds the prepared form, so a strong reference back would
+    make every session that asks a magic query cyclic garbage."""
+    edb = social_network(10, seed=1)
+
+    def session_query():
+        session = LDL(SOCIAL_PROGRAM)
+        session.add_atoms(edb)
+        assert session.query("? influences(u0, X).", strategy="magic")
+
+    session_query()  # warm caches
+    gc.collect()
+    gc.disable()
+    session_query()
+    assert gc.collect() == 0

@@ -85,11 +85,11 @@ class TestRelation:
 
     def test_copy_preserves_built_indexes(self):
         rel = Relation("p", 2)
-        rel.add_all([t(1, 2), t(1, 3), t(2, 4)])
-        rel.lookup((0,), t(1))  # build the position-0 index
+        rel.add_all([t(1, 2), t(3, 2), t(2, 4)])
+        rel.lookup((1,), t(2))  # build the position-1 index
         clone = rel.copy()
-        assert (0,) in clone._id_indexes
-        assert set(clone.lookup((0,), t(1))) == {t(1, 2), t(1, 3)}
+        assert (1,) in clone._id_indexes
+        assert set(clone.lookup((1,), t(2))) == {t(1, 2), t(3, 2)}
 
     def test_copied_indexes_are_independent(self):
         rel = Relation("p", 2)
@@ -117,13 +117,13 @@ class TestColumnarStorage:
 
     def test_copy_preserves_id_indexes(self):
         rel = Relation("p", 2)
-        rel.add_all([t(1, 2), t(1, 3), t(2, 4)])
-        rel.lookup((0,), t(1))  # builds the position-0 ID index
+        rel.add_all([t(1, 2), t(3, 2), t(2, 4)])
+        rel.lookup((1,), t(2))  # builds the position-1 ID index
         clone = rel.copy()
-        assert (0,) in clone._id_indexes
-        key = self._encoded(1)[0]  # bare int key for 1-position sigs
-        assert clone.id_index((0,))[key] == {
-            self._encoded(1, 2), self._encoded(1, 3)
+        assert (1,) in clone._id_indexes
+        key = self._encoded(2)[0]  # bare int key for 1-position sigs
+        assert clone.id_index((1,))[key] == {
+            self._encoded(1, 2), self._encoded(3, 2)
         }
 
     def test_copied_id_indexes_are_independent(self):
@@ -232,7 +232,7 @@ class TestCopyOnWrite:
         rel.add_all([t(1, 2), t(3, 4)])
         clone = rel.copy()
         # O(1) copy: both sides reference the same containers
-        assert clone._rows is rel._rows
+        assert clone._keys is rel._keys
         assert clone._spellings is rel._spellings
 
     def test_write_to_clone_unshares(self):
@@ -334,11 +334,11 @@ class TestFirstInstall:
 
     def test_built_index_takes_the_general_path(self):
         rel = Relation("p", 2)
-        index = rel.id_index((0,))
+        index = rel.id_index((1,))
         assert index == {}
-        rows = [encode_args(t(1, 2)), encode_args(t(1, 3)), encode_args(t(1, 2))]
+        rows = [encode_args(t(2, 1)), encode_args(t(3, 1)), encode_args(t(2, 1))]
         assert rel.add_rows(rows, None) == rows[:2]
-        assert rel.id_index((0,)) is index
+        assert rel.id_index((1,)) is index
         assert index == {encode_args(t(1))[0]: set(rows[:2])}
 
     def test_later_reads_and_writes(self, tmp_path):
@@ -516,3 +516,133 @@ def test_discard_rows_matches_per_row_discard(stored, doomed, through_db):
     assert _state(bulk) == _state(rebuilt)
     assert _state(clone) == before
     assert Database().discard_rows("p", rows) == []
+
+
+# -- a binary relation against a plain reference ----------------------------
+
+#: ``u1`` beside ``'u1'`` and ``1`` beside ``1.0``: equal classes
+#: spelled two ways, and distinct classes that print alike.
+_pair_terms = st.sampled_from(
+    [
+        Const("u1"),
+        Const("u1", quoted=True),
+        Const("u2"),
+        Const(1),
+        Const(1.0),
+        Func("f", (Const("u1", quoted=True),)),
+    ]
+)
+_pairs = st.lists(st.tuples(_pair_terms, _pair_terms), max_size=6)
+_binary_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _pairs),
+        st.tuples(st.just("add_rows"), _pairs, st.booleans()),
+        st.tuples(st.just("add_keys"), _pairs, st.sampled_from([0, 1])),
+        st.tuples(st.just("discard_rows"), _pairs),
+        st.tuples(st.just("copy"), _pairs, st.sampled_from(["clone", "original"])),
+        st.tuples(st.just("adopt")),
+    ),
+    max_size=12,
+)
+
+
+def _check_binary(rel, ref):
+    """``rel`` holds exactly the reference ``{row: args as first
+    added}``: size, membership, decoded and spelled contents, recorded
+    spellings and position-0/1 lookups."""
+    assert len(rel) == len(ref)
+    rows = list(rel.id_rows())
+    assert len(rows) == len(ref) and set(rows) == set(ref)
+    for row, args in ref.items():
+        assert row in rel.id_rows() and args in rel
+    assert Counter(map(_spelled, rel)) == Counter(map(_spelled, ref.values()))
+    spellings = {
+        row: _spelled(args)
+        for row, args in ref.items()
+        if spelling_of(args) is not None
+    }
+    assert {row: _spelled(args) for row, args in rel.spellings()} == spellings
+    for pos in (0, 1):
+        for probe in ref.values():
+            expected = Counter(
+                _spelled(args)
+                for row, args in ref.items()
+                if row[pos] == encode_args(probe)[pos]
+            )
+            got = Counter(map(_spelled, rel.lookup((pos,), (probe[pos],))))
+            assert got == expected
+
+
+def _write(rel, ref, pairs):
+    """One bulk write of ``pairs`` through ``add_rows``, checked."""
+    rows = [encode_args(args) for args in pairs]
+    fresh = rel.add_rows(rows, None)
+    assert fresh == [row for row in dict.fromkeys(rows) if row not in ref]
+    for row in fresh:
+        ref[row] = decode_row(row)
+
+
+@given(_binary_operations)
+@settings(max_examples=150, deadline=None)
+def test_binary_relation_matches_a_plain_reference(operations):
+    """A binary relation — a key map — behaves as a set of ID rows plus
+    a spellings dict under any interleaving of its writes, copies and
+    adoptions, and every write returns what it changed."""
+    rel, ref = Relation("p", 2), {}
+    sides = []
+    for op, *args in operations:
+        if op == "add":
+            for pair in args[0]:
+                row = encode_args(pair)
+                assert rel.add(pair) == (row not in ref)
+                ref.setdefault(row, pair)
+        elif op == "add_rows":
+            pairs, spelled = args
+            rows = [encode_args(pair) for pair in pairs]
+            first = {}
+            for row, pair in zip(rows, pairs):
+                first.setdefault(row, pair)
+            fresh = rel.add_rows(rows, first.__getitem__ if spelled else None)
+            assert fresh == [row for row in dict.fromkeys(rows) if row not in ref]
+            for row in fresh:
+                ref[row] = first[row] if spelled else decode_row(row)
+        elif op == "add_keys":
+            pairs, carried = args
+            keys = {}
+            for pair in pairs:
+                row = encode_args(pair)
+                keys.setdefault(row[carried], set()).add(row[1 - carried])
+            new = {encode_args(pair) for pair in pairs} - ref.keys()
+            fresh = rel.add_keys(keys, carried)
+            assert {(a, b) for a, values in fresh.items() for b in values} == new
+            assert all(fresh.values())
+            for row in new:
+                ref[row] = decode_row(row)
+        elif op == "discard_rows":
+            rows = [encode_args(pair) for pair in args[0]]
+            gone = rel.discard_rows(rows)
+            assert gone == [row for row in dict.fromkeys(rows) if row in ref]
+            for row in gone:
+                del ref[row]
+        elif op == "copy":
+            # the first write to either side must not reach the other
+            pairs, side = args
+            clone, clone_ref = rel.copy(), dict(ref)
+            if side == "clone":
+                _write(clone, clone_ref, pairs)
+            else:
+                _write(rel, ref, pairs)
+            # set difference between two key maps, key by key
+            assert rel.id_rows() - clone.id_rows() == ref.keys() - clone_ref.keys()
+            assert clone.id_rows() - rel.id_rows() == clone_ref.keys() - ref.keys()
+            sides.append((clone, clone_ref))
+        else:
+            spellings = {
+                row: spelling_of(args)
+                for row, args in ref.items()
+                if spelling_of(args) is not None
+            }
+            rel = Relation.adopt("p", 2, dict.fromkeys(ref), spellings)
+        _check_binary(rel, ref)
+    for clone, clone_ref in sides:
+        _check_binary(clone, clone_ref)

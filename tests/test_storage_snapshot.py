@@ -227,8 +227,12 @@ def corrupt_unheld_spelling(lines):
 
 def corrupt_mismatched_spelling(lines):
     line = relation_line(lines, "m", "p2")
-    _, args = line[4][0]
-    line[4].append([line[3][2:4], args])
+    row, args = line[4][0]
+    flat = line[3]
+    other = next(
+        flat[i:i + 2] for i in range(0, len(flat), 2) if flat[i:i + 2] != row
+    )
+    line[4].append([other, args])
 
 
 def corrupt_version(lines):
