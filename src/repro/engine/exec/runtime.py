@@ -10,34 +10,24 @@ the compiled closures
 (:mod:`repro.engine.exec.specialize`) call them at the term boundary
 for the shapes that are inherently per-binding (negated built-ins,
 general residual matching, non-inlined built-ins).
-
-The last section holds what those closures call by name: override
-sources encoded and indexed in ID space, the stored relations' rows and
-key maps, the key-repetition test of the grouped branches, and the
-term-boundary wrappers over the per-binding steps above.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator
 
-from repro.engine.binding import EMPTY_BINDING, ChainBinding
+from repro.engine.binding import ChainBinding
 from repro.engine.builtins import solve_builtin
 from repro.engine.database import Database
-from repro.engine.exec.kernels import RowBatch
 from repro.engine.match import match_term_chain
 from repro.engine.plan import ARITH, BIND, CONST, MATCH, VAR, LiteralStep
-from repro.engine.relation import encode_args, pairs_of
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.terms.term import (
     Const,
     Term,
-    _ID_TABLE,
     evaluate_ground,
     fold_arithmetic_values,
     intern_const,
-    row_id,
 )
 
 
@@ -269,264 +259,3 @@ def negation_step(
         return
     if not negation_db.contains_tuple(step.literal.atom.pred, args):
         yield binding
-
-
-# -- helpers the compiled closures call --------------------------------------
-
-
-def encode_rows(source) -> list[tuple[int, ...]]:
-    """Materialize an override source once, as ID rows.
-
-    A :class:`~repro.engine.exec.kernels.RowBatch` source (the
-    fixpoint's and maintenance's delta) already carries its ID rows — zero
-    re-encoding on later semi-naive rounds."""
-    rows = getattr(source, "rows", None)
-    if rows is not None:
-        return rows
-    return [encode_args(args) for args in source]
-
-
-def encode_rows_exact(source, arity: int) -> list[tuple[int, ...]]:
-    """Like :func:`encode_rows` but dropping wrong-arity rows — the
-    probe-only override semantics (each binding passes once per row *of
-    the right arity*)."""
-    rows = getattr(source, "rows", None)
-    if rows is not None:
-        return rows if source.arity == arity else []
-    return [encode_args(args) for args in source if len(args) == arity]
-
-
-def encode_rows_whole(source, arity: int) -> list[tuple[int, ...]]:
-    """Like :func:`encode_rows`, for a step that reuses its scanned
-    rows whole: each row exactly ``arity`` wide.  The per-row path reads
-    an override row's first ``arity`` columns and ignores the rest, so a
-    wider row is cut to them (and a shorter one raises there, too)."""
-    rows = encode_rows(source)
-    if getattr(source, "arity", None) == arity:
-        return rows
-    return [
-        row if len(row) == arity else tuple([row[i] for i in range(arity)])
-        for row in rows
-    ]
-
-
-def build_index(rows, positions):
-    """An ID-space hash index over override rows.  Buckets are lists:
-    override sources are multisets and duplicates must keep counting."""
-    index: dict = {}
-    if len(positions) == 1:
-        pos = positions[0]
-        for row in rows:
-            key = row[pos]
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-    else:
-        for row in rows:
-            key = tuple(row[i] for i in positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-    return index
-
-
-def value_index(rows) -> dict:
-    """A position-0 value index over binary override rows, ``{first:
-    [second, ...]}``: the override side of a key-map probe, shaped like
-    a stored key map.  Buckets are lists: override sources are
-    multisets and duplicates must keep counting."""
-    index: dict = {}
-    get = index.get
-    for row in rows:
-        bucket = get(row[0])
-        if bucket is None:
-            index[row[0]] = [row[1]]
-        else:
-            bucket.append(row[1])
-    return index
-
-
-def stored_key_map(db: Database, pred: str):
-    """The database side of a key-map probe: the binary relation's key
-    map, or None for an unknown predicate.  A relation of another arity
-    (a literal whose arity its facts do not share) gets a value index
-    over its rows, read the way a row-form probe reads them."""
-    rel = db.get_relation(pred)
-    if rel is None:
-        return None
-    if rel.arity == 2:
-        return rel.key_map()
-    return value_index(rel.id_rows())
-
-
-def stored_rows(db: Database, pred: str):
-    """The rows a scan of a stored relation iterates: a binary
-    relation's built once from its key map, any other relation's row
-    view, ``()`` for an unknown predicate."""
-    keys = db.key_map(pred)
-    if keys is not None:
-        return pairs_of(keys)
-    rows = db.id_rows(pred)
-    return () if rows is None else rows
-
-
-def batch_keys(source):
-    """A key-form :class:`~repro.engine.exec.kernels.RowBatch`'s
-    ``{first: set(second)}`` (a fixpoint delta of key-map installs), or
-    None for any other override source."""
-    return source.keys if type(source) is RowBatch else None
-
-
-def repeating(key, rows, n: int) -> bool:
-    """Whether ``n`` scanned ``rows`` have at least 2 per distinct
-    ``key`` value: with ``n >= 4``, the input test of the key-grouped
-    and key-map branches, counted at C speed.  When the first ``n // 2
-    + 1`` rows already have as many distinct values, the answer is no
-    without the rest, so a chain's delta (every value distinct) pays
-    half."""
-    half = n // 2 + 1
-    if len(set(map(key, islice(rows, half)))) == half:
-        return False
-    return 2 * len(set(map(key, rows))) <= n
-
-
-def out_rid(value: Term) -> int:
-    rid = value._rid
-    return row_id(value) if rid is None else rid
-
-
-def term_prober(term: Term, in_names: tuple[str, ...]):
-    """Evaluate a residual probe term to its row ID, or -1 to drop the
-    binding.  Failure semantics match :func:`runtime.probe_key`:
-    ``EvaluationError`` always drops; ``NotInUniverseError`` drops only
-    for lenient (override) sources and raises for database probes."""
-
-    def probe(in_rids, lenient):
-        table = _ID_TABLE
-        binding = {n: table[r] for n, r in zip(in_names, in_rids)}
-        try:
-            value = evaluate_ground(term.substitute(binding))
-        except EvaluationError:
-            return -1
-        except NotInUniverseError:
-            if lenient:
-                return -1
-            raise
-        rid = value._rid
-        return row_id(value) if rid is None else rid
-
-    return probe
-
-
-def neg_prober(term: Term, in_names: tuple[str, ...]):
-    """Evaluate a negation argument term to its row ID, or -1 to drop
-    the binding (unbound or outside U: not applicable, as in
-    :func:`runtime.negation_args`)."""
-
-    def probe(in_rids):
-        table = _ID_TABLE
-        binding = {n: table[r] for n, r in zip(in_names, in_rids)}
-        try:
-            value = evaluate_ground(term.substitute(binding))
-        except (NotInUniverseError, EvaluationError):
-            return -1
-        rid = value._rid
-        return row_id(value) if rid is None else rid
-
-    return probe
-
-
-def residual_matcher(
-    step: LiteralStep, in_names: tuple[str, ...], out_names: tuple[str, ...]
-):
-    """General residual matching (repeated variables, nested patterns)
-    over a whole bucket of ID rows: one call per outer binding, the
-    mixed residual terms substituted once, returning the row-ID tuples
-    of the new variables, one per match."""
-
-    residuals = step.residuals
-
-    def matcher(in_rids, rows):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        substituted = substituted_residuals(step, binding)
-        outs = []
-        for row in rows:
-            args = tuple(table[rid] for rid in row)
-            for ext in match_residuals(residuals, args, binding, substituted):
-                outs.append(tuple(out_rid(ext[n]) for n in out_names))
-        return outs
-
-    return matcher
-
-
-def builtin_runner(
-    step: LiteralStep, in_names: tuple[str, ...], out_names: tuple[str, ...]
-):
-    """Generic builtin fallback (unknown predicates route through
-    ``solve_builtin``): materialize the bound arguments, run the step,
-    re-encode the output variables.  One result tuple per yielded
-    extension, so filter multiplicities survive.  Known handlers are
-    inlined by the generator instead."""
-
-    def run(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        outs = []
-        for ext in builtin_step(step, binding):
-            outs.append(tuple(out_rid(ext[n]) for n in out_names))
-        return outs
-
-    return run
-
-
-def single_out_rid(step: LiteralStep, in_names: tuple[str, ...], out_name: str):
-    """Slow path for an inlined assignment builtin whose arithmetic
-    fast-fold declined (unbound/non-numeric operand, fold failure): run
-    the full builtin step — exact error and universe semantics — and
-    return the single extension's output row ID, or -1 when the builtin
-    is false.  Only used for shapes that yield at most one extension
-    (``=`` binding one fresh variable)."""
-
-    def run(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        for ext in builtin_step(step, binding):
-            return out_rid(ext[out_name])
-        return -1
-
-    return run
-
-
-def filter_holds(step: LiteralStep, in_names: tuple[str, ...]):
-    """Slow path for an inlined filter builtin: True iff the step
-    yields (filters yield at most one extension)."""
-
-    def run(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        for _ in builtin_step(step, binding):
-            return True
-        return False
-
-    return run
-
-
-def neg_builtin(step: LiteralStep, in_names: tuple[str, ...]):
-    """Closed negated-builtin test over materialized bound arguments."""
-
-    def holds(in_rids):
-        table = _ID_TABLE
-        root = {n: table[r] for n, r in zip(in_names, in_rids)}
-        binding = ChainBinding(root=root) if root else EMPTY_BINDING
-        return negated_builtin_holds(step, binding)
-
-    return holds

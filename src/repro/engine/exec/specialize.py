@@ -69,9 +69,10 @@ carried value; otherwise the closure continues as the head closure.
 A source already grouped on the carried value — the stored key map, or
 a delta of key-map installs (:class:`~repro.engine.exec.kernels.RowBatch`
 ``keys``) — is read as its groups, row-free.  A scan-shaped plan (a
-binary head copying a scanned pair, at most anti-joined on that pair)
-has a ``"keys"`` closure too (:meth:`_Codegen.scan_keys`): over a
-grouped source it returns each value set, minus the negated one.
+binary head copying a scanned pair, at most anti-joined on that pair
+by its fused tail) has a ``"keys"`` closure too
+(:meth:`_Codegen.scan_keys`): over a grouped source it returns each
+value set, minus the negated one.
 
 This is the only body evaluator the engine runs.  Its semantics match
 the per-binding reference (:mod:`repro.engine.exec.tuplewise`, which
@@ -93,31 +94,19 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter, defaultdict
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from repro.engine.binding import EMPTY_BINDING, ChainBinding
 from repro.engine.database import Database
-from repro.engine.exec.kernels import SET_KERNELS, number_rid
+from repro.engine.exec.kernels import SET_KERNELS, RowBatch, number_rid
 from repro.engine.exec.runtime import (
-    batch_keys,
-    build_index,
-    builtin_runner,
-    encode_rows,
-    encode_rows_exact,
-    encode_rows_whole,
-    filter_holds,
+    builtin_step,
     fold_arith,
-    neg_builtin,
-    neg_prober,
-    repeating,
-    residual_matcher,
-    single_out_rid,
-    stored_key_map,
-    stored_rows,
-    term_prober,
-    value_index,
+    match_residuals,
+    negated_builtin_holds,
+    substituted_residuals,
 )
 from repro.engine.plan import (
     ARITH,
@@ -128,6 +117,7 @@ from repro.engine.plan import (
     RulePlan,
     SourceOverrides,
 )
+from repro.engine.relation import encode_args, pairs_of
 from repro.errors import EvaluationError, NotInUniverseError
 from repro.program.rule import Atom
 from repro.terms.pretty import format_rule
@@ -136,11 +126,256 @@ from repro.terms.term import (
     Term,
     _ID_TABLE,
     _NUM_TABLE,
+    evaluate_ground,
     row_id,
 )
 
 class _Unsupported(Exception):
     """The generator cannot prove it handles this plan shape."""
+
+
+# -- runtime helpers shared by every generated closure ----------------------
+
+
+def _encode_rows(source) -> list[tuple[int, ...]]:
+    """Materialize an override source once, as ID rows.
+
+    A :class:`~repro.engine.exec.kernels.RowBatch` source (the
+    fixpoint's and maintenance's delta) already carries its ID rows — zero
+    re-encoding on later semi-naive rounds."""
+    rows = getattr(source, "rows", None)
+    if rows is not None:
+        return rows
+    return [encode_args(args) for args in source]
+
+
+def _encode_rows_exact(source, arity: int) -> list[tuple[int, ...]]:
+    """Like :func:`_encode_rows` but dropping wrong-arity rows — the
+    probe-only override semantics (each binding passes once per row *of
+    the right arity*)."""
+    rows = getattr(source, "rows", None)
+    if rows is not None:
+        return rows if source.arity == arity else []
+    return [encode_args(args) for args in source if len(args) == arity]
+
+
+def _encode_rows_whole(source, arity: int) -> list[tuple[int, ...]]:
+    """Like :func:`_encode_rows`, for a step that reuses its scanned
+    rows whole: each row exactly ``arity`` wide.  The per-row path reads
+    an override row's first ``arity`` columns and ignores the rest, so a
+    wider row is cut to them (and a shorter one raises there, too)."""
+    rows = _encode_rows(source)
+    if getattr(source, "arity", None) == arity:
+        return rows
+    return [
+        row if len(row) == arity else tuple([row[i] for i in range(arity)])
+        for row in rows
+    ]
+
+
+def _build_index(rows, positions):
+    """An ID-space hash index over override rows.  Buckets are lists:
+    override sources are multisets and duplicates must keep counting."""
+    index: dict = {}
+    if len(positions) == 1:
+        pos = positions[0]
+        for row in rows:
+            key = row[pos]
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+    else:
+        for row in rows:
+            key = tuple(row[i] for i in positions)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+    return index
+
+
+def _value_index(rows) -> dict:
+    """A position-0 value index over binary override rows, ``{first:
+    [second, ...]}``: the override side of a key-map probe, shaped like
+    a stored key map.  Buckets are lists: override sources are
+    multisets and duplicates must keep counting."""
+    index: dict = {}
+    get = index.get
+    for row in rows:
+        bucket = get(row[0])
+        if bucket is None:
+            index[row[0]] = [row[1]]
+        else:
+            bucket.append(row[1])
+    return index
+
+
+def _stored_rows(db: Database, pred: str):
+    """The rows a scan of a stored binary relation iterates, built once
+    from its key map; ``()`` for an unknown predicate."""
+    keys = db.key_map(pred)
+    return () if keys is None else pairs_of(keys)
+
+
+def _batch_keys(source):
+    """A key-form :class:`~repro.engine.exec.kernels.RowBatch`'s
+    ``{first: set(second)}`` (a fixpoint delta of key-map installs), or
+    None for any other override source."""
+    return source.keys if type(source) is RowBatch else None
+
+
+def _repeating(key, rows, n: int) -> bool:
+    """Whether ``n`` scanned ``rows`` have at least 2 per distinct
+    ``key`` value: with ``n >= 4``, the input test of the key-grouped
+    and key-map branches, counted at C speed.  When the first ``n // 2
+    + 1`` rows already have as many distinct values, the answer is no
+    without the rest, so a chain's delta (every value distinct) pays
+    half."""
+    half = n // 2 + 1
+    if len(set(map(key, islice(rows, half)))) == half:
+        return False
+    return 2 * len(set(map(key, rows))) <= n
+
+
+def _out_rid(value: Term) -> int:
+    rid = value._rid
+    return row_id(value) if rid is None else rid
+
+
+def _term_prober(term: Term, in_names: tuple[str, ...]):
+    """Evaluate a residual probe term to its row ID, or -1 to drop the
+    binding.  Failure semantics match :func:`runtime.probe_key`:
+    ``EvaluationError`` always drops; ``NotInUniverseError`` drops only
+    for lenient (override) sources and raises for database probes."""
+
+    def probe(in_rids, lenient):
+        table = _ID_TABLE
+        binding = {n: table[r] for n, r in zip(in_names, in_rids)}
+        try:
+            value = evaluate_ground(term.substitute(binding))
+        except EvaluationError:
+            return -1
+        except NotInUniverseError:
+            if lenient:
+                return -1
+            raise
+        rid = value._rid
+        return row_id(value) if rid is None else rid
+
+    return probe
+
+
+def _neg_prober(term: Term, in_names: tuple[str, ...]):
+    """Evaluate a negation argument term to its row ID, or -1 to drop
+    the binding (unbound or outside U: not applicable, as in
+    :func:`runtime.negation_args`)."""
+
+    def probe(in_rids):
+        table = _ID_TABLE
+        binding = {n: table[r] for n, r in zip(in_names, in_rids)}
+        try:
+            value = evaluate_ground(term.substitute(binding))
+        except (NotInUniverseError, EvaluationError):
+            return -1
+        rid = value._rid
+        return row_id(value) if rid is None else rid
+
+    return probe
+
+
+def _residual_matcher(
+    step: LiteralStep, in_names: tuple[str, ...], out_names: tuple[str, ...]
+):
+    """General residual matching (repeated variables, nested patterns)
+    over a whole bucket of ID rows: one call per outer binding, the
+    mixed residual terms substituted once, returning the row-ID tuples
+    of the new variables, one per match."""
+
+    residuals = step.residuals
+
+    def matcher(in_rids, rows):
+        table = _ID_TABLE
+        root = {n: table[r] for n, r in zip(in_names, in_rids)}
+        binding = ChainBinding(root=root) if root else EMPTY_BINDING
+        substituted = substituted_residuals(step, binding)
+        outs = []
+        for row in rows:
+            args = tuple(table[rid] for rid in row)
+            for ext in match_residuals(residuals, args, binding, substituted):
+                outs.append(tuple(_out_rid(ext[n]) for n in out_names))
+        return outs
+
+    return matcher
+
+
+def _builtin_runner(
+    step: LiteralStep, in_names: tuple[str, ...], out_names: tuple[str, ...]
+):
+    """Generic builtin fallback (unknown predicates route through
+    ``solve_builtin``): materialize the bound arguments, run the step,
+    re-encode the output variables.  One result tuple per yielded
+    extension, so filter multiplicities survive.  Known handlers are
+    inlined by the generator instead."""
+
+    def run(in_rids):
+        table = _ID_TABLE
+        root = {n: table[r] for n, r in zip(in_names, in_rids)}
+        binding = ChainBinding(root=root) if root else EMPTY_BINDING
+        outs = []
+        for ext in builtin_step(step, binding):
+            outs.append(tuple(_out_rid(ext[n]) for n in out_names))
+        return outs
+
+    return run
+
+
+def _single_out_rid(step: LiteralStep, in_names: tuple[str, ...], out_name: str):
+    """Slow path for an inlined assignment builtin whose arithmetic
+    fast-fold declined (unbound/non-numeric operand, fold failure): run
+    the full builtin step — exact error and universe semantics — and
+    return the single extension's output row ID, or -1 when the builtin
+    is false.  Only used for shapes that yield at most one extension
+    (``=`` binding one fresh variable)."""
+
+    def run(in_rids):
+        table = _ID_TABLE
+        root = {n: table[r] for n, r in zip(in_names, in_rids)}
+        binding = ChainBinding(root=root) if root else EMPTY_BINDING
+        for ext in builtin_step(step, binding):
+            return _out_rid(ext[out_name])
+        return -1
+
+    return run
+
+
+def _filter_holds(step: LiteralStep, in_names: tuple[str, ...]):
+    """Slow path for an inlined filter builtin: True iff the step
+    yields (filters yield at most one extension)."""
+
+    def run(in_rids):
+        table = _ID_TABLE
+        root = {n: table[r] for n, r in zip(in_names, in_rids)}
+        binding = ChainBinding(root=root) if root else EMPTY_BINDING
+        for _ in builtin_step(step, binding):
+            return True
+        return False
+
+    return run
+
+
+def _neg_builtin(step: LiteralStep, in_names: tuple[str, ...]):
+    """Closed negated-builtin test over materialized bound arguments."""
+
+    def holds(in_rids):
+        table = _ID_TABLE
+        root = {n: table[r] for n, r in zip(in_names, in_rids)}
+        binding = ChainBinding(root=root) if root else EMPTY_BINDING
+        return negated_builtin_holds(step, binding)
+
+    return holds
 
 
 # -- the generator ----------------------------------------------------------
@@ -174,15 +409,14 @@ class _Codegen:
             "_NT": _NUM_TABLE,
             "_C": Const,
             "_CB": ChainBinding,
-            "_enc": encode_rows,
-            "_encf": encode_rows_exact,
-            "_encw": encode_rows_whole,
-            "_bix": build_index,
-            "_vix": value_index,
-            "_skm": stored_key_map,
-            "_bk": batch_keys,
-            "_rows": stored_rows,
-            "_rep": repeating,
+            "_enc": _encode_rows,
+            "_encf": _encode_rows_exact,
+            "_encw": _encode_rows_whole,
+            "_bix": _build_index,
+            "_vix": _value_index,
+            "_bk": _batch_keys,
+            "_rows": _stored_rows,
+            "_rep": _repeating,
             "_fold": fold_arith,
             "_rid": row_id,
             "_nr": number_rid,
@@ -299,7 +533,7 @@ class _Codegen:
             lenient = any(kindp == TERM for _, kindp, _ in step.probes)
             pro.append(f"if _s{k} is None:")
             if keyed:
-                pro.append(f"    _i{k} = _skm(db, {pred!r})")
+                pro.append(f"    _i{k} = db.key_map({pred!r})")
             else:
                 pro.append(
                     f"    _i{k} = db.id_index({pred!r}, {step.probe_positions!r})"
@@ -329,7 +563,7 @@ class _Codegen:
                     hname = f"_t{k}_{pos}"
                     in_names = tuple(sorted(payload.variables()))
                     ins = self.ins_expr(in_names)
-                    self.env[hname] = term_prober(payload, in_names)
+                    self.env[hname] = _term_prober(payload, in_names)
                     tloc = f"_p{k}_{pos}"
                     emit(f"{tloc} = {hname}({ins}, _l{k})")
                     emit(f"if {tloc} < 0:")
@@ -350,7 +584,7 @@ class _Codegen:
                 # the key-map branch reads the stored map: rows only
                 # for the per-row fall-through
                 pro.append(f"    _q0 = db.key_map({pred!r})")
-                pro.append(f"    _r0 = None if _q0 is not None else _rows(db, {pred!r})")
+                pro.append("    _r0 = None if _q0 is not None else ()")
             elif arity == 2 and not fuse:
                 # a loop nest may scan it many times: its rows, built once
                 pro.append(f"    _r{k} = _rows(db, {pred!r})")
@@ -382,7 +616,7 @@ class _Codegen:
             out_names = tuple(sorted(atom.variables() - bound))
             ins = self.ins_expr(in_names)
             hname = f"_m{k}"
-            self.env[hname] = residual_matcher(step, in_names, out_names)
+            self.env[hname] = _residual_matcher(step, in_names, out_names)
             emit(f"for _y{k} in {hname}({ins}, {rows}):")
             self.depth += 1
             if out_names:
@@ -501,7 +735,7 @@ class _Codegen:
             in_names = tuple(sorted(atom.variables() & step.bound_before))
             ins = self.ins_expr(in_names)
             hname = f"_nb{k}"
-            self.env[hname] = neg_builtin(step, in_names)
+            self.env[hname] = _neg_builtin(step, in_names)
             emit(f"if not {hname}({ins}):")
             emit("    continue")
             emit(f"_c{k} += 1")
@@ -519,7 +753,7 @@ class _Codegen:
                     sorted(payload.variables() & step.bound_before)
                 )
                 ins = self.ins_expr(in_names)
-                self.env[hname] = neg_prober(payload, in_names)
+                self.env[hname] = _neg_prober(payload, in_names)
                 tloc = f"_q{k}_{i}"
                 emit(f"{tloc} = {hname}({ins})")
                 emit(f"if {tloc} < 0:")
@@ -551,7 +785,7 @@ class _Codegen:
             # unknown predicate: generic solve_builtin fallback helper
             ins = self.ins_expr(in_names)
             hname = f"_u{k}"
-            self.env[hname] = builtin_runner(step, in_names, out_names)
+            self.env[hname] = _builtin_runner(step, in_names, out_names)
             emit(f"for _x{k} in {hname}({ins}):")
             self.depth += 1
             if out_names:
@@ -783,7 +1017,7 @@ class _Codegen:
             return True
         ins = self.ins_expr(in_names)
         hname = f"_uf{k}"
-        self.env[hname] = filter_holds(step, in_names)
+        self.env[hname] = _filter_holds(step, in_names)
         if numbers:
             guard = " and ".join(f"{num} is not None" for num, _t, _r in variables)
             emit(f"if {guard}:")
@@ -905,7 +1139,7 @@ class _Codegen:
             if arith_ok(other):
                 ins = self.ins_expr(in_names)
                 hname = f"_uq{k}"
-                self.env[hname] = single_out_rid(step, in_names, payload)
+                self.env[hname] = _single_out_rid(step, in_names, payload)
                 lane = self._lane_guard(k, other, f"_y{k} = {{}}")
                 self._emit_fold(k, other)
                 emit(f"if _w{k} is None:")
@@ -927,7 +1161,7 @@ class _Codegen:
             if gthis is not None and arith_ok(other):
                 ins = self.ins_expr(in_names)
                 hname = f"_uf{k}"
-                self.env[hname] = filter_holds(step, in_names)
+                self.env[hname] = _filter_holds(step, in_names)
                 lane = self._lane_guard(
                     k, other, f"if {{}} != {gthis}:\n    continue"
                 )
@@ -987,7 +1221,7 @@ class _Codegen:
         ``(_c0, _c1)`` counts equal the per-row nest's.
 
         The branch runs when the scanned rows number at least 4 with at
-        least 2 per distinct key (:func:`repeating`); otherwise it falls
+        least 2 per distinct key (:func:`_repeating`); otherwise it falls
         through to the per-row nest, which is cheaper when keys are
         mostly distinct (a chain's delta)."""
         steps = self.plan.steps
@@ -1118,7 +1352,13 @@ class _Codegen:
             "            return _km, _c1",
         ]
         if self.keyed_scan:
-            lines += self.scanned_rows()
+            # the fall-through reads rows of the grouped source, built
+            # only now
+            pred = scan.literal.atom.pred
+            lines += [
+                "        if _r0 is None:",
+                f"            _r0 = _rows(db, {pred!r}) if _s0 is None else _s0.rows",
+            ]
         return lines
 
     def scan_keys(self, tail: LiteralStep | None) -> list[str]:
@@ -1126,9 +1366,9 @@ class _Codegen:
         :func:`key_map_shape`), as loop lines for the top of the
         ``_ONE`` loop: when step 0's source is grouped on its first
         column (the stored key map, or a key-form delta), it returns
-        ``(key map, derivations)``, each value set copied or, under an
-        anti-join, minus the negated value set.  A source of rows falls
-        through to the per-row gather."""
+        ``(key map, derivations)``, each value set copied or, minus the
+        negated value set when the plan ends in its fused anti-join,
+        ``tail``.  A source of rows falls through to the gather."""
         if tail is None:
             values, passed = "set(_z)", "_c0"
         else:
@@ -1146,15 +1386,6 @@ class _Codegen:
             "            if steps is not None:",
             f"                steps(counts={counts}, rows={passed})",
             f"            return _km, {passed}",
-        ] + self.scanned_rows()
-
-    def scanned_rows(self) -> list[str]:
-        """Loop lines giving a key-map branch's fall-through the rows of
-        step 0's grouped source, built only now."""
-        pred = self.plan.steps[0].literal.atom.pred
-        return [
-            "        if _r0 is None:",
-            f"            _r0 = _rows(db, {pred!r}) if _s0 is None else _s0.rows",
         ]
 
     # -- assembly ----------------------------------------------------------
@@ -1256,9 +1487,10 @@ def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
 
     * The *scan shape* (``probed`` None): the head is the scanned pair
       in column order, and the only other step, if any, is an anti-join
-      on that pair: ``recommend(A, B) <- candidate(A, B), ~follows(A,
-      B).``  Per first value, its value set (minus the negated one) is
-      the candidate set.
+      on that pair that fuses as the gather's tail
+      (:func:`filter_fuses`): ``recommend(A, B) <- candidate(A, B),
+      ~follows(A, B).``  Per first value, its value set minus the
+      negated one is the candidate set.
     * The *linear recursive shape*: step 0 scans the head predicate and
       binds the carried variable, a head variable, and the probe key,
       which is not.  Step 1 probes another binary predicate on that key
@@ -1291,8 +1523,9 @@ def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
         or len(scan.simple_residuals) != 2
     ):
         return None
+    pair = ((VAR, name0), (VAR, name1))
     if scan.simple_residuals == ((0, name0), (1, name1)) and all(
-        step.kind == "negation" and step.neg_args == ((VAR, name0), (VAR, name1))
+        step.kind == "negation" and step.neg_args == pair and filter_fuses(step)
         for step in rest
     ):
         return KeyMapShape(0, name0, None)

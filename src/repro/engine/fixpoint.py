@@ -12,13 +12,14 @@ A semi-naive round installs each rule application's derived *set*.
 A linear recursive rule (one head column carried from its delta, the
 other read from a relation the component does not define) derives a
 key map, ``{carried value: candidate set}``, when its delta repeats
-carried values, and so does a rule copying a binary relation grouped
-on its first column (see
-:func:`~repro.engine.exec.specialize.key_map_shape`).  A binary relation is stored as the same kind of map
-(:class:`~repro.engine.relation.KeyMapRelation`), so the install
-subtracts the stored values from each candidate set in place, and the
-fresh per-key sets are the next round's delta: no row tuple is built
-unless a ``fact_derived`` handler or a per-row plan asks for one.
+carried values, and so does a non-recursive rule copying a binary
+relation's pairs, at most anti-joined on them (``recommend``; see
+:func:`~repro.engine.exec.specialize.key_map_shape`), which
+:func:`single_pass` applies.  A binary relation is stored as the same
+kind of map (:class:`~repro.engine.relation.KeyMapRelation`), so the
+install subtracts the stored values from each candidate set in place,
+and the fresh per-key sets are the next round's delta: no row tuple is
+built unless a ``fact_derived`` handler or a per-row plan asks for one.
 Every other application installs its row multiset, deduplicated by
 ``Relation.add_rows``.
 
@@ -81,8 +82,8 @@ def _derive(
 ):
     """One rule application: its head facts as a
     :class:`~repro.engine.exec.DerivedRows` batch, rows or (given the
-    predicates the rules being run define, ``recursive``) a key map,
-    reported to ``rule_fired`` with its derivation count."""
+    component's ``recursive`` predicates) a key map, reported to
+    ``rule_fired`` with its derivation count."""
     on = ctx.on
     fired = on.rule_fired
     start = perf_counter() if fired is not None else 0.0
@@ -92,12 +93,6 @@ def _derive(
     if fired is not None:
         fired(rule=rule, derived=dr.count, seconds=perf_counter() - start)
     return dr
-
-
-def _defined(rules: Sequence[Rule]) -> frozenset[str]:
-    """The predicates ``rules`` define: what :func:`_derive` needs to
-    choose a key-map closure."""
-    return frozenset(rule.head.pred for rule in rules)
 
 
 def _delta_batch(delta: dict, pred: str, arity: int) -> RowBatch:
@@ -170,7 +165,7 @@ def single_pass(
     ctx = context or EvalContext(db)
     stats = FixpointStats(iterations=1)
     ctx.refresh_sizes()
-    recursive = _defined(rules)
+    recursive = frozenset(rule.head.pred for rule in rules)
     for rule in rules:
         dr = _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive)
         stats.rule_firings += 1
@@ -190,7 +185,6 @@ def naive_fixpoint(
     """Run all rules to fixpoint, naive strategy.  Mutates ``db``."""
     ctx = context or EvalContext(db)
     stats = FixpointStats()
-    recursive = _defined(rules)
     while True:
         stats.iterations += 1
         ctx.refresh_sizes()
@@ -199,9 +193,7 @@ def naive_fixpoint(
         # and add afterwards.
         pending = []
         for rule in rules:
-            pending.append(
-                (rule, _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive))
-            )
+            pending.append((rule, _derive(ctx, db, rule, ctx.plan_for(rule))))
             stats.rule_firings += 1
         new = sum(install_rows(ctx, db, rule, dr) for rule, dr in pending)
         stats.facts_derived += new
@@ -229,9 +221,8 @@ def seminaive_fixpoint(
     stats.iterations += 1
     ctx.refresh_sizes()
     delta: dict[str, object] = {}
-    recursive = _defined(rules)
     for rule in rules:
-        dr = _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive)
+        dr = _derive(ctx, db, rule, ctx.plan_for(rule))
         stats.rule_firings += 1
         stats.facts_derived += install_rows(ctx, db, rule, dr, delta)
     if ctx.on.iteration is not None:
@@ -265,7 +256,7 @@ def seminaive_rounds(
     ctx = context or EvalContext(db)
     stats = FixpointStats()
     occurrences = occurrence_index(rules)
-    recursive = _defined(rules)
+    recursive = frozenset(rule.head.pred for rule in rules)
 
     while delta:
         stats.iterations += 1

@@ -24,8 +24,9 @@ Both keep, beside their rows:
 * ``_id_indexes`` — per-signature hash indexes in ID space, keyed by a
   bare ``int`` for 1-position signatures and an int tuple otherwise,
   with ID-row-set buckets.  Built on first probe, maintained by every
-  later ``add``/``discard``, and preserved by ``copy``.  A binary
-  relation never keeps one for ``(0,)``: its key map is that index;
+  later ``add``/``discard``, and preserved by ``copy``.  Nothing in
+  the engine asks a binary relation for one at ``(0,)``: its key map
+  is that index, and ``lookup`` and the compiled closures read it;
 * ``_spellings`` — ``{row: args}`` for the few rows whose arguments,
   as added, are not their equality classes' representatives.
 
@@ -551,19 +552,6 @@ class KeyMapRelation(Relation):
             for second in values
             for i in (first, second)
         ]
-
-    def id_index(
-        self, positions: tuple[int, ...]
-    ) -> dict[object, set[IdRow]]:
-        """As :meth:`Relation.id_index`, but position 0 is the key map:
-        its row-form index is built afresh per call and not kept
-        (the engine reads :meth:`key_map` instead)."""
-        if positions == (0,):
-            return {
-                first: set(zip(repeat(first), values))
-                for first, values in self._keys.items()
-            }
-        return super().id_index(positions)
 
     def _bucket(self, positions: tuple[int, ...], probe):
         if positions == (0,):

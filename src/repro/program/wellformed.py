@@ -160,6 +160,7 @@ def check_program(
         check_rule_wellformed(rule, allow_ldl15=allow_ldl15, strict_w3=strict_w3)
         check_rule_safe(rule, strict=strict_safety)
     _check_builtin_heads(program)
+    _check_arities(program)
 
 
 def _check_builtin_heads(program: Program) -> None:
@@ -171,6 +172,24 @@ def _check_builtin_heads(program: Program) -> None:
                 f"cannot define built-in predicate {rule.head.pred!r}: "
                 + format_rule(rule)
             )
+
+
+def _check_arities(program: Program) -> None:
+    """A predicate has one arity: every fact, head and body literal of
+    it has the same number of arguments.  A literal of another arity
+    would read columns its facts do not have."""
+    arities: dict[str, tuple[int, Rule]] = {}
+    for rule in program.rules:
+        for atom in (rule.head, *(lit.atom for lit in rule.body)):
+            pred = atom.pred
+            if is_builtin_predicate(pred):
+                continue
+            seen = arities.setdefault(pred, (atom.arity, rule))
+            if seen[0] != atom.arity:
+                raise WellFormednessError(
+                    f"{pred} has arity {seen[0]} in {format_rule(seen[1])} "
+                    f"but {atom.arity} in {format_rule(rule)}"
+                )
 
 
 def head_group_variable(rule: Rule) -> str | None:

@@ -665,6 +665,63 @@ class TestKeyMap:
         )
         assert mutual.keys is None and mutual.rows == rows.rows
 
+    #: scan-shaped plans, which copy a scanned pair at most minus a
+    #: fused anti-join on it, and near misses that keep the rows
+    SCAN_PLANS = (
+        "recommend(A, B) <- candidate(A, B), ~follows(A, B).",
+        "recommend(A, B) <- candidate(A, B).",
+    )
+    SCAN_MISSES = (
+        "recommend(B, A) <- candidate(A, B), ~follows(A, B).",  # swapped
+        "recommend(A, B) <- candidate(A, B), ~follows(B, A).",  # other pair
+        "recommend(A, B) <- candidate(A, B), A != B.",  # not a negation
+    )
+
+    @pytest.mark.parametrize("src", SCAN_PLANS)
+    @pytest.mark.parametrize("source", ["stored", "keys", "rows"])
+    def test_scan_shape_is_the_row_set(self, src, source):
+        rule = parse_rule(src)
+        plan = compile_rule(rule, first=None if source == "stored" else 0)
+        assert specialize.key_map_shape(plan) == (0, "A", None)
+        pairs = [(Const(f"a{i % 3}"), Const(f"b{i}")) for i in range(8)]
+        db = db_of(*(f"follows(a{i % 3}, b{i})" for i in range(0, 8, 3)))
+        if source == "stored":
+            db = Database([*db.atoms(), *(Atom("candidate", p) for p in pairs)])
+
+        def overrides():
+            """A fresh delta: reading a key-form batch's rows converts it."""
+            if source == "stored":
+                return None
+            delta = RowBatch("candidate", 2)
+            if source == "keys":
+                delta.extend_keys({k: set(v) for k, v in _grouped(pairs).items()})
+            else:
+                for args in pairs:
+                    delta.add(encode_args(args), args)
+            return {0: delta}
+
+        runs = []
+        for recursive in (None, frozenset({"recommend"})):
+            seen = []
+            runs.append((derive_rows(
+                db, plan, overrides=overrides(), recursive=recursive,
+                steps=lambda counts, rows: seen.append((counts, rows)),
+            ), seen))
+        (rows, row_steps), (dr, steps) = runs
+        assert rows.keys is None
+        assert (dr.keys is not None) == (source != "rows")
+        assert steps == row_steps and dr.count == rows.count == len(rows.rows)
+        if dr.keys is not None:
+            assert _as_rows(dr) == set(rows.rows)
+
+    def test_scan_shape_needs_a_fused_tail(self, monkeypatch):
+        for src in self.SCAN_MISSES:
+            plan = compile_rule(parse_rule(src))
+            assert specialize.key_map_shape(plan) is None, src
+        monkeypatch.setattr(specialize, "filter_fuses", lambda step: False)
+        plan = compile_rule(parse_rule(self.SCAN_PLANS[0]))
+        assert specialize.key_map_shape(plan) is None
+
     def test_unknown_probed_predicate(self):
         plan = compile_rule(parse_rule(INFLUENCES), first=0)
         delta = [(Const(f"a{i % 2}"), Const(f"c{i}")) for i in range(6)]
@@ -1057,6 +1114,15 @@ def _binding_multiset(bindings):
         frozenset((name, format_term(value)) for name, value in b.items())
         for b in bindings
     )
+
+
+def _grouped(pairs):
+    """Encoded ``(first, second)`` pairs as ``{first: [second, ...]}``."""
+    groups = defaultdict(list)
+    for args in pairs:
+        first, second = encode_args(args)
+        groups[first].append(second)
+    return groups
 
 
 def _row_batch(atom, tuples):

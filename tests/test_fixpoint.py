@@ -409,7 +409,7 @@ def test_rounds_alternating_between_paths_keep_known_values_in_step():
 
     def tracked(*args, **kwargs):
         dr = derive(*args, **kwargs)
-        if kwargs.get("overrides"):  # a semi-naive round past round 0
+        if kwargs.get("recursive") is not None:
             paths.append(dr.keys is not None)
         return dr
 

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import evaluate, evaluate_component
@@ -215,6 +215,12 @@ def _printed_model(src, edb, fuse):
     st.sampled_from(TAIL_FILTERS),
     filter_facts,
     filter_facts,
+)
+# a binary copy anti-joined on its pair: the unfused rule must keep
+# its negation step whatever closure reads the scan
+@example(
+    "r(A, B)", "q(A, B)", "~s(A, B)",
+    ([("u1", "1"), ("u1", "c")], [("u1", "1")], []), ([], [], []),
 )
 @settings(max_examples=60, deadline=None)
 def test_fused_filter_equals_unfused_and_reference(head, body, tail, facts, other):

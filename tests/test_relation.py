@@ -126,6 +126,18 @@ class TestColumnarStorage:
             self._encoded(1, 2), self._encoded(3, 2)
         }
 
+    def test_binary_position_0_index_only_on_request(self):
+        rel = Relation("p", 2)
+        rel.add_all([t(1, 2), t(1, 3), t(2, 4)])
+        assert set(rel.lookup((0,), t(1))) == {t(1, 2), t(1, 3)}
+        assert rel._id_indexes == {}  # the lookup read the key map
+        index = rel.id_index((0,))
+        assert rel.id_index((0,)) is index  # built once, then kept
+        rel.add(t(1, 5))
+        assert index[self._encoded(1)[0]] == {
+            self._encoded(1, 2), self._encoded(1, 3), self._encoded(1, 5)
+        }
+
     def test_copied_id_indexes_are_independent(self):
         rel = Relation("p", 2)
         rel.add(t(1, 2))

@@ -127,3 +127,17 @@ class TestProgramChecks:
                 """
             )
         )
+
+    @pytest.mark.parametrize("src", [
+        # a unary fact read by a binary literal
+        "p(1). q(X) <- p(X, Y).",
+        # a binary fact read by a ternary literal
+        "p(1, 2). r(1). q(Y) <- r(X), p(X, Y, Z).",
+        # two heads of one predicate
+        "p(X) <- r(X). p(X, X) <- r(X). r(1).",
+        # a negated literal
+        "r(1). q(X) <- r(X), ~r(X, X).",
+    ])
+    def test_one_arity_per_predicate(self, src):
+        with pytest.raises(WellFormednessError, match="arity"):
+            check_program(parse_rules(src))
