@@ -1015,7 +1015,63 @@ def e21_executor() -> list[dict]:
             wide_edb.append(Atom("s", (key, Const(f"y{k}_{i}"))))
     for mode in E21_MODES:
         cases.append(_ablation_case("wide join 40keys 60x60", wide, wide_edb, mode))
+    # the projecting join ``candidate`` on degree-regular graphs: one
+    # application plus its install, as a key map (``keys``, what a
+    # fixpoint asks for) and as rows (``rows``), so the slope of each
+    # over the graph size is on record.  Not in any committed baseline.
+    for users, follows in ((200, 4), (350, 6), (1000, 8)):
+        cases.extend(_candidate_cases(users, follows))
     return cases
+
+
+CANDIDATE_RULE = "candidate(A, B) <- follows(A, M), follows(M, B), A != B."
+
+
+def _candidate_cases(users: int, follows: int) -> list[dict]:
+    """``candidate`` derived and installed once per run, into a
+    copy-on-write copy of one ``follows`` database: the union of
+    ``follows`` seeded random permutations of the users.  The metric
+    asserts that both modes install the same relation."""
+    import random
+
+    from repro.engine.context import EvalContext
+    from repro.engine.database import Database
+    from repro.engine.exec import derive_rows
+    from repro.engine.fixpoint import install_rows
+    from repro.engine.plan import compile_rule
+    from repro.parser import parse_rule
+    from repro.terms.term import Const
+
+    rng = random.Random(users * follows)
+    names = [Const(f"u{i}") for i in range(users)]
+    edb = []
+    for _ in range(follows):
+        targets = names[:]
+        rng.shuffle(targets)
+        edb.extend(Atom("follows", pair) for pair in zip(names, targets))
+    base = Database(edb)
+    rule = parse_rule(CANDIDATE_RULE)
+    plan = compile_rule(rule)
+    installed: dict = {}
+
+    def mode_case(mode: str) -> dict:
+        recursive = frozenset({"candidate"}) if mode == "keys" else None
+
+        def run():
+            db = base.copy()
+            dr = derive_rows(db, plan, recursive=recursive)
+            assert (dr.keys is not None) == (mode == "keys")
+            install_rows(EvalContext(db), db, rule, dr)
+            return db
+
+        def metric(db) -> int:
+            rows = set(db.id_rows("candidate"))
+            assert installed.setdefault("rows", rows) == rows, mode
+            return len(rows)
+
+        return case(f"candidate {users}x{follows}", mode, run, metric)
+
+    return [mode_case("keys"), mode_case("rows")]
 
 
 EXPERIMENTS["E21"] = e21_executor

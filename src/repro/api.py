@@ -58,6 +58,7 @@ from repro.magic.evaluate import MagicResult, PreparedQuery
 from repro.observe import MetricsCollector, Subscriber, TraceRecorder, compose_hooks
 from repro.parser.parser import parse_program, parse_query
 from repro.program.rule import Atom, Program, Query, canonical_atom
+from repro.program.wellformed import check_fact_arities, predicate_arities
 from repro.terms.term import Const, Func, SetVal, Term
 
 Strategy = TypingLiteral["naive", "seminaive", "magic"]
@@ -120,6 +121,7 @@ class LDL:
         self._lock = threading.RLock()
         self._program = Program()
         self._lowered: Program | None = None  # LDL1.5 -> LDL1, per load
+        self._arities: dict | None = None  # predicate_arities, per load
         self._edb: list[Atom] = []
         self._pending_queries: list[Query] = []
         self._ldl15 = ldl15
@@ -222,6 +224,7 @@ class LDL:
         with self._lock:
             self._program = self._program + parsed.program
             self._lowered = None
+            self._arities = None
             self._pending_queries.extend(parsed.queries)
             self._invalidate()
             if self._store is not None and len(parsed.program):
@@ -247,18 +250,22 @@ class LDL:
         """Add pre-built ground atoms (e.g. from a workload generator).
 
         In a durable session the batch is WAL-logged before the model
-        is repaired, so it survives a crash as one atomic unit.
+        is repaired, so it survives a crash as one atomic unit.  A fact
+        of a predicate the rules use with another arity raises
+        :class:`~repro.errors.WellFormednessError` before any of the
+        batch is logged or added.
         """
         atoms = list(atoms)
         with self._lock:
+            if self._arities is None:
+                self._arities = predicate_arities(self._program)
+            preds = check_fact_arities(self._arities, atoms)
             if self._store is not None:
                 self._store.add_facts(atoms)
             else:
                 self._edb.extend(atoms)
                 self._notify_delta(
-                    Invalidation(
-                        preds=frozenset(a.pred for a in atoms), precise=False
-                    )
+                    Invalidation(preds=frozenset(preds), precise=False)
                 )
             self._invalidate()
         return self

@@ -42,8 +42,8 @@ class DerivedRows:
     fixpoint hands both straight to ``Database.add_rows``, which
     decodes nothing unless ``decode`` is set.
 
-    A linear recursive rule's application may instead come as a *key
-    map* (:func:`~repro.engine.exec.specialize.key_map_shape`):
+    A projecting join's application may instead come as a *key map*
+    (:func:`~repro.engine.exec.specialize.key_map_shape`):
     ``rows`` is None and ``keys`` is ``{carried value: set(other
     value)}``, the set of binary head rows with the carried value at
     head position ``carried``; every slot is a variable, so ``decode``
@@ -125,9 +125,9 @@ def derive_rows(
     defines.  Given it, a plan of a key-map shape
     (:func:`~repro.engine.exec.specialize.key_map_shape`) may return a
     key map instead of rows (see :class:`DerivedRows`): a scan shape
-    when its source is grouped on its first column, a linear recursive
-    one, whose probed predicate must not be among ``recursive``, when
-    its scanned rows repeat their carried values.  Without it, the
+    when its source is grouped on its first column, a projecting join,
+    whose probed predicate must not be among ``recursive``, when its
+    scanned rows repeat their carried values.  Without it, the
     result is always rows.
     """
     spec = specialized_plan(plan)

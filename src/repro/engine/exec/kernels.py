@@ -173,7 +173,10 @@ class RowBatch:
     of distinct canonically spelled pairs: the fresh sets of the
     fixpoint's key-map installs (:meth:`extend_keys`).  A key-map closure
     reads them as they are; ``rows`` builds the row tuples the first
-    time something asks for them, and the batch holds rows from then on.
+    time something asks for them, and the batch then holds both forms,
+    so every closure reading it gets its own.  Appending rows
+    (:meth:`add`, :meth:`extend`) drops the keys, which no longer cover
+    the batch.
     """
 
     __slots__ = ("pred", "arity", "_rows", "keys", "spellings")
@@ -183,7 +186,8 @@ class RowBatch:
     ) -> None:
         self.pred = pred
         self.arity = arity
-        self._rows: list[tuple[int, ...]] = [] if rows is None else rows
+        # None while a key-form batch has not built its rows
+        self._rows: list[tuple[int, ...]] | None = [] if rows is None else rows
         self.keys: dict[int, set[int]] | None = None
         self.spellings: dict[tuple[int, ...], tuple] = (
             {} if spellings is None else spellings
@@ -191,15 +195,20 @@ class RowBatch:
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        keys = self.keys
-        if keys is not None:
-            self._rows = pairs_of(keys)
-            self.keys = None
-        return self._rows
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = pairs_of(self.keys)
+        return rows
+
+    def _appendable(self) -> list[tuple[int, ...]]:
+        """The rows, to append to: the keys are dropped."""
+        rows = self.rows
+        self.keys = None
+        return rows
 
     def add(self, row: tuple[int, ...], args: tuple) -> None:
         """Append one fact whose ID row is ``row``."""
-        self.rows.append(row)
+        self._appendable().append(row)
         spelled = spelling_of(args)
         if spelled is not None:
             self.spellings[row] = spelled
@@ -207,14 +216,19 @@ class RowBatch:
     def extend(self, rows, decode) -> None:
         """Append derived rows (see :meth:`Relation.add_rows
         <repro.engine.relation.Relation.add_rows>` for ``decode``)."""
-        self.rows.extend(rows)
+        self._appendable().extend(rows)
         record_spellings(self.spellings, rows, decode)
 
     def extend_keys(self, fresh: dict[int, set[int]]) -> None:
         """Append fresh pairs given as ``{first: set(second)}``, none of
-        them already in the batch.  The sets are copied: a relation's
-        install returns its stored sets, which later installs grow."""
+        them already in the batch, to each form the batch holds.  The
+        sets are copied: a relation's install returns its stored sets,
+        which later installs grow."""
         keys = self.keys
+        if keys is None and not self._rows:
+            self.keys = {first: set(new) for first, new in fresh.items()}
+            self._rows = None
+            return
         if keys is not None:
             for first, new in fresh.items():
                 have = keys.get(first)
@@ -222,16 +236,14 @@ class RowBatch:
                     keys[first] = set(new)
                 else:
                     have |= new
-        elif self._rows:
+        if self._rows is not None:
             self._rows.extend(pairs_of(fresh))
-        else:
-            self.keys = {first: set(new) for first, new in fresh.items()}
 
     def __len__(self) -> int:
-        keys = self.keys
-        if keys is not None:
-            return sum(map(len, keys.values()))
-        return len(self._rows)
+        rows = self._rows
+        if rows is None:
+            return sum(map(len, self.keys.values()))
+        return len(rows)
 
     def __iter__(self):
         spellings = self.spellings

@@ -56,14 +56,16 @@ chooses it from its input, with no knob: when the scanned rows number
 at least 4 with at least 2 per distinct key; otherwise the per-row nest
 runs, which is cheaper when every key is distinct.
 
-A linear recursive plan (:func:`key_map_shape`: step 0 scans the head
-predicate, carrying one head variable, and step 1 probes another
-binary predicate for the other) has a third closure, ``"keys"``, run
+A projecting join (:func:`key_map_shape`: step 0 scans a binary
+relation, carrying one head variable, step 1 probes another binary
+predicate on the join variable for the other, and at most a fused
+``!=`` between the two follows) has a third closure, ``"keys"``, run
 only for a fixpoint (:func:`~repro.engine.exec.derive_rows` with its
 ``recursive`` predicates).  Above the key-grouped branch it has a
 **key-map branch** (:meth:`_Codegen.key_map`): it returns ``{carried
 value: candidate set}`` and the derivation count instead of one row
-per derivation, so duplicate derivations are never built.  It runs
+per derivation, so duplicate derivations are never built, and the
+``!=`` is one discard per key.  It runs
 when the scanned rows number at least 4 with at least 2 per distinct
 carried value; otherwise the closure continues as the head closure.
 A source already grouped on the carried value — the stored key map, or
@@ -95,7 +97,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter, defaultdict
 from itertools import chain, islice
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Mapping, NamedTuple
 
 from repro.engine.binding import EMPTY_BINDING, ChainBinding
@@ -1277,8 +1279,8 @@ class _Codegen:
             "            break",
         ]
 
-    def key_map(self, shape: "KeyMapShape") -> list[str]:
-        """The key-map branch of a linear recursive plan (see
+    def key_map(self, shape: "KeyMapShape", tail: LiteralStep | None) -> list[str]:
+        """The key-map branch of a projecting join (see
         :func:`key_map_shape`), as loop lines for the top of the
         ``_ONE`` loop.
 
@@ -1287,26 +1289,33 @@ class _Codegen:
         probed value, unions those sets per carried value, and returns
         ``(key map, derivations)``: ``{carried: set(probed values)}``,
         and the number of derivations, the sum over the scanned rows of
-        their bucket sizes — the rows the per-row nest would emit.  The
-        ``exec_steps`` event reports the per-row nest's counts.  When
-        the carried value is the scanned relation's first column, a
-        key-form delta (the last round's key-map installs) or the
-        stored key map is ``_q0`` already, and no row is read.
+        their bucket sizes — the rows the per-row nest would emit.  A
+        fused ``!=`` between the head variables, ``tail``, discards the
+        carried value from its own set, and takes from the count the
+        derivations it drops: per scanned ``(carried, key)`` pair, the
+        carried value's occurrences in the key's bucket, counted only
+        for the sets that held it.  The ``exec_steps`` event reports
+        the per-row nest's counts.  When the carried value is the
+        scanned relation's first column, a key-form delta (the last
+        round's key-map installs) or the stored key map is ``_q0``
+        already, and no row is read.
 
         The branch runs when the scanned rows number at least 4 with at
         least 2 per distinct carried value; otherwise the closure falls
         through to its per-row branches, which build one row per
         derivation and are cheaper when every carried value is
         distinct (a chain's delta)."""
-        scan, probe = self.plan.steps
+        scan, probe = self.plan.steps[:2]
         where = {name: pos for pos, name in scan.simple_residuals}
         carried = where[shape.carried_var]
         key = where[probe.probes[0][2]]
         ((value, _),) = probe.simple_residuals
         if 1 in self.keyed:
             project = "_b1"  # a key map's value set is the projection
+            held = "_i1.get(_m, _ES)"
         else:
             project = f"{{_x1[{value}] for _x1 in _b1}}"
+            held = "map(_vg, _i1.get(_m, _ES))"
         self.env["_kc"] = itemgetter(carried)
         self.env["_CT"] = Counter
         self.env["_DL"] = defaultdict
@@ -1347,9 +1356,24 @@ class _Codegen:
             "                        _pm[_k1] = _ES",
             "                _pg = _pm.__getitem__",
             "                _km = {_a: set(_chain(map(_pg, _z))) for _a, _z in _q0.items()}",
+        ]
+        counts, passed = "(_gn, _c1)", "_c1"
+        if tail is not None:
+            self.env["_cf"] = countOf
+            self.env["_vg"] = itemgetter(value)
+            counts, passed = "(_gn, _c1, _c2)", "_c2"
+            lines += [
+                "                _c2 = _c1",
+                "                for _a, _z in _q0.items():",
+                "                    _s = _km[_a]",
+                "                    if _a in _s:",
+                "                        _s.discard(_a)",
+                f"                        _c2 -= sum([_cf({held}, _a) for _m in _z])",
+            ]
+        lines += [
             "            if steps is not None:",
-            "                steps(counts=(_gn, _c1), rows=_c1)",
-            "            return _km, _c1",
+            f"                steps(counts={counts}, rows={passed})",
+            f"            return _km, {passed}",
         ]
         if self.keyed_scan:
             # the fall-through reads rows of the grouped source, built
@@ -1427,7 +1451,7 @@ class _Codegen:
         if shape is not None and shape.probed is None:
             lines.extend(self.scan_keys(tail))
         elif shape is not None:
-            lines.extend(self.key_map(shape))
+            lines.extend(self.key_map(shape, tail))
         lines.extend(self.grouped_join())
         lines.extend(self.body)
         # one exec_steps event per run: each step's binding count, and
@@ -1490,17 +1514,21 @@ def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
       on that pair that fuses as the gather's tail
       (:func:`filter_fuses`): ``recommend(A, B) <- candidate(A, B),
       ~follows(A, B).``  Per first value, its value set minus the
-      negated one is the candidate set.
-    * The *linear recursive shape*: step 0 scans the head predicate and
-      binds the carried variable, a head variable, and the probe key,
-      which is not.  Step 1 probes another binary predicate on that key
-      alone and binds the other head variable.  Left- and right-linear
-      ``anc`` and the delta plan of ``influences(A, B) <- influences(A,
-      C), follows(B, C)`` qualify; a third literal (the magic-rewritten
-      form's ``m_influences__bf(A)``) or a second occurrence of the
-      head predicate does not.  Whether the probed predicate is defined
-      in the running component is the fixpoint's question, not the
-      plan's."""
+      negated one is the candidate set.  A second anti-join does not
+      qualify: only the last filter fuses.
+    * The *projecting join*: step 0 scans any binary relation into the
+      carried variable, a head variable, and the join variable, which
+      is not.  Step 1 probes a binary relation other than the head's on
+      the join variable alone and binds the other head variable.  At
+      most one step follows, a fused ``!=`` between the two head
+      variables.  ``candidate(A, B) <- follows(A, M), follows(M, B), A
+      != B.``, left- and right-linear ``anc`` and the delta plan of
+      ``influences(A, B) <- influences(A, C), follows(B, C)`` qualify;
+      a third literal (the magic-rewritten form's
+      ``m_influences__bf(A)``), an ``=`` or a ``!=`` on the join
+      variable, or a probe of the head predicate does not.  Whether the
+      probed predicate is defined in the running component is the
+      fixpoint's question, not the plan's."""
     head = plan.head
     if (
         head is None
@@ -1508,7 +1536,7 @@ def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
         or plan.initially_bound
         or plan.rule.is_grouping()
         or len(head.parts) != 2
-        or not 1 <= len(plan.steps) <= 2
+        or not 1 <= len(plan.steps) <= 3
     ):
         return None
     (kind0, name0), (kind1, name1) = head.parts
@@ -1524,19 +1552,27 @@ def key_map_shape(plan: RulePlan) -> KeyMapShape | None:
     ):
         return None
     pair = ((VAR, name0), (VAR, name1))
-    if scan.simple_residuals == ((0, name0), (1, name1)) and all(
-        step.kind == "negation" and step.neg_args == pair and filter_fuses(step)
-        for step in rest
+    if (
+        len(rest) <= 1
+        and scan.simple_residuals == ((0, name0), (1, name1))
+        and all(
+            step.kind == "negation" and step.neg_args == pair and filter_fuses(step)
+            for step in rest
+        )
     ):
         return KeyMapShape(0, name0, None)
     if not rest:
         return None
-    (probe,) = rest
-    pred = head.atom.pred
+    probe, *tail = rest
+    if tail and not (
+        tail[0].literal.atom.pred == "!="
+        and filter_fuses(tail[0])
+        and {(kind, name) for kind, name, _ in tail[0].builtin_args} == set(pair)
+    ):
+        return None
     if (
-        scan.literal.atom.pred != pred
-        or probe.kind != "relation"
-        or probe.literal.atom.pred == pred
+        probe.kind != "relation"
+        or probe.literal.atom.pred == head.atom.pred
         or len(probe.literal.atom.args) != 2
         or len(probe.probes) != 1
         or probe.simple_residuals is None

@@ -9,13 +9,15 @@ previous round, avoiding rediscovery.  Both reach the same fixpoint;
 the benchmark suite quantifies the difference (experiment E1).
 
 A semi-naive round installs each rule application's derived *set*.
-A linear recursive rule (one head column carried from its delta, the
-other read from a relation the component does not define) derives a
-key map, ``{carried value: candidate set}``, when its delta repeats
-carried values, and so does a non-recursive rule copying a binary
-relation's pairs, at most anti-joined on them (``recommend``; see
-:func:`~repro.engine.exec.specialize.key_map_shape`), which
-:func:`single_pass` applies.  A binary relation is stored as the same
+A projecting join (one head column carried from its scanned relation,
+the other read from a relation the component does not define, at most
+filtered by a ``!=`` between the two) derives a key map, ``{carried
+value: candidate set}``, when its scan repeats carried values, and so
+does a non-recursive rule copying a binary relation's pairs, at most
+anti-joined on them (``recommend``; see
+:func:`~repro.engine.exec.specialize.key_map_shape`).
+:func:`single_pass` asks for key maps too, so the non-recursive
+``candidate`` and ``recommend`` install per key.  A binary relation is stored as the same
 kind of map (:class:`~repro.engine.relation.KeyMapRelation`), so the
 install subtracts the stored values from each candidate set in place,
 and the fresh per-key sets are the next round's delta: no row tuple is
@@ -249,7 +251,7 @@ def seminaive_rounds(
     every later round builds); the compiled lane encodes a list once
     and reads a batch's ID rows directly.
 
-    A linear recursive rule's application may come as a key map (see
+    A projecting join's application may come as a key map (see
     :func:`~repro.engine.exec.derive_rows`); it installs through
     :func:`install_keys`, and its fresh sets are the next delta.
     """

@@ -15,10 +15,12 @@ variables once their required arguments are bound.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import SafetyError, WellFormednessError
 from repro.names import is_builtin_predicate
 from repro.program.modes import modes_for
-from repro.program.rule import Program, Rule
+from repro.program.rule import Atom, Program, Rule
 from repro.terms.pretty import format_rule
 from repro.terms.term import GroupTerm, contains_group_term
 
@@ -174,22 +176,56 @@ def _check_builtin_heads(program: Program) -> None:
             )
 
 
+def predicate_arities(program: Program) -> dict[str, tuple[int, Rule]]:
+    """The arity of every non-builtin predicate ``program`` uses, with
+    the first rule that uses it."""
+    arities: dict[str, tuple[int, Rule]] = {}
+    for rule in program.rules:
+        for atom in (rule.head, *(lit.atom for lit in rule.body)):
+            if not is_builtin_predicate(atom.pred):
+                arities.setdefault(atom.pred, (atom.arity, rule))
+    return arities
+
+
 def _check_arities(program: Program) -> None:
     """A predicate has one arity: every fact, head and body literal of
     it has the same number of arguments.  A literal of another arity
     would read columns its facts do not have."""
-    arities: dict[str, tuple[int, Rule]] = {}
+    arities = predicate_arities(program)
     for rule in program.rules:
         for atom in (rule.head, *(lit.atom for lit in rule.body)):
-            pred = atom.pred
-            if is_builtin_predicate(pred):
-                continue
-            seen = arities.setdefault(pred, (atom.arity, rule))
-            if seen[0] != atom.arity:
+            seen = arities.get(atom.pred)
+            if seen is not None and seen[0] != atom.arity:
                 raise WellFormednessError(
-                    f"{pred} has arity {seen[0]} in {format_rule(seen[1])} "
+                    f"{atom.pred} has arity {seen[0]} in {format_rule(seen[1])} "
                     f"but {atom.arity} in {format_rule(rule)}"
                 )
+
+
+def check_fact_arities(
+    arities: dict[str, tuple[int, Rule]], atoms: Sequence[Atom]
+) -> set[str]:
+    """Raise :class:`WellFormednessError` for a fact of a predicate
+    that the program (its :func:`predicate_arities`) uses with another
+    arity: no literal of the program could read it.  Returns the
+    predicates of ``atoms``.  When the program uses those it knows with
+    one arity and every fact has that arity, two cheap passes over the
+    facts decide; otherwise each fact's predicate and arity are checked
+    as a pair."""
+    preds = {atom.pred for atom in atoms}
+    wanted = {arities[pred][0] for pred in preds if pred in arities}
+    if not wanted or (
+        len(wanted) == 1 and {len(atom.args) for atom in atoms} == wanted
+    ):
+        return preds
+    for pred, arity in {(atom.pred, len(atom.args)) for atom in atoms}:
+        seen = arities.get(pred)
+        if seen is not None and seen[0] != arity:
+            raise WellFormednessError(
+                f"a fact of {pred} has {arity} arguments, but {pred} has "
+                f"arity {seen[0]} in {format_rule(seen[1])}"
+            )
+    return preds
 
 
 def head_group_variable(rule: Rule) -> str | None:

@@ -5,7 +5,7 @@ from hypothesis import given
 
 from repro import LDL, from_term, to_term
 from repro.engine.incremental import IncrementalModel
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, WellFormednessError
 from repro.program.rule import Atom
 from repro.terms.pretty import format_atom
 from repro.terms.term import Const, Func, mkset
@@ -207,6 +207,32 @@ class TestSession:
                 durable.checkpoint()
             with LDL(src, path=path) as reopened:
                 assert printed(reopened) == expected
+
+    def test_fact_arity_must_match_the_rules(self, tmp_path):
+        """A fact of a predicate the rules use with another arity raises
+        before any fact of its batch is added or WAL-logged; a
+        predicate the rules do not use takes any arity."""
+        src = "q(X) <- p(X, Y)."
+        bad = [Atom("p", (Const(1), Const(2))), Atom("p", (Const(3),))]
+        mem = LDL(src)
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            mem.fact("p", 1)
+        with pytest.raises(WellFormednessError):
+            mem.add_atoms(bad)
+        assert mem.edb_size == 0 and mem.query("? q(X).") == []
+        mem.fact("p", 1, 2).fact("r", 1)
+        assert mem.query("? q(X).") == [{"X": 1}]
+        # two predicates of two arities, each given the other's
+        two = LDL("q(X) <- p(X, Y), u(X).")
+        with pytest.raises(WellFormednessError, match="but . has arity"):
+            two.add_atoms([Atom("p", (Const(1),)), Atom("u", (Const(1), Const(2)))])
+        path = str(tmp_path / "db")
+        with LDL(src, path=path) as durable:
+            with pytest.raises(WellFormednessError):
+                durable.add_atoms(bad)
+            assert durable.edb_size == 0
+        with LDL(src, path=path) as reopened:
+            assert reopened.edb_size == 0 and reopened.query("? q(X).") == []
 
     def test_noncanonical_atoms_canonicalized_everywhere(self, tmp_path):
         # regression: evaluate() used to store EDB atoms verbatim while

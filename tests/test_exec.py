@@ -37,7 +37,7 @@ from repro.engine.exec.specialize import specialized_plan
 from repro.engine.grouping import apply_grouping_rule
 from repro.engine.maintain.maintainer import DeltaMaintainer
 from repro.engine.match import match_atom
-from repro.engine.plan import VAR, compile_rule
+from repro.engine.plan import VAR, LiteralStep, compile_rule
 from repro.engine.relation import decode_row, encode_args
 from repro.names import is_builtin_predicate
 from repro.observe import MetricsCollector
@@ -45,8 +45,9 @@ from repro.parser import parse_atom, parse_program, parse_rule
 from repro.errors import EvaluationError
 from repro.program.rule import Atom, Literal, Program, Rule
 from repro.semantics.wellfounded import wellfounded
-from repro.terms.pretty import format_atom, format_term
+from repro.terms.pretty import format_atom, format_rule, format_term
 from repro.terms.term import Const, Var
+from repro.workloads.social import SOCIAL_PROGRAM, social_network
 
 from tests.helpers import (
     facts_of,
@@ -438,6 +439,8 @@ class TestSetKernels:
 
 #: The recursive closure rule of the social ledger program.
 INFLUENCES = "influences(A, B) <- influences(A, C), follows(B, C)."
+#: Its projecting join.
+CANDIDATE = "candidate(A, B) <- follows(A, M), follows(M, B), A != B."
 
 #: A line only the key-grouped branch emits.
 GROUPED = "for _k0, _gz in _gd.items():"
@@ -551,8 +554,8 @@ class TestKeyGroupedJoin:
         assert grouped and counts == (16, len(dense)) and len(dense) == 4 * len(sparse)
 
 
-#: A line only the key-map branch emits.
-KEYED = "return _km, _c1"
+#: A line only the key-map branches emit.
+KEYED = "return _km, "
 
 #: Delta plans (rule, pinned occurrence) of the key-map shape, with
 #: the head position of the carried value and the probed predicate.
@@ -562,6 +565,11 @@ KEY_MAP_PLANS = [
     ("anc(X, Y) <- par(X, Z), anc(Z, Y).", 1, (1, "Y", "par")),  # right-linear
     # the carried value read from the scanned row's other column
     ("influences(A, B) <- influences(C, A), follows(B, C).", 0, (0, "A", "follows")),
+    # a projecting join: step 0 scans another relation than the head's
+    ("reach(A, B) <- influences(A, C), follows(B, C).", 0, (0, "A", "follows")),
+    # ... with the head variables' ``!=`` fused as one discard per key
+    (CANDIDATE, 0, (0, "A", "follows")),
+    ("candidate(A, B) <- follows(B, M), follows(M, A), B != A.", 0, (1, "B", "follows")),
 ]
 
 #: Delta plans that keep the per-row path, whatever their delta.
@@ -580,7 +588,10 @@ ROW_PLANS = [
     ("influences(A, B) <- influences(A, C), rated(B, C, W).", 0),  # third column
     ("influences(A, C) <- influences(A, C), follows(B, C).", 0),  # key carried
     ("influences(A, <B>) <- influences(A, C), follows(B, C).", 0),  # grouping
-    ("reach(A, B) <- influences(A, C), follows(B, C).", 0),  # scan not the head
+    # a scan with two anti-joins: only the last one fuses
+    ("recommend(A, B) <- candidate(A, B), ~follows(A, B), ~blocked(A, B).", 0),
+    ("candidate(A, B) <- follows(A, M), follows(M, B), B != M.", 0),  # join var
+    ("reach(A, B) <- follows(A, C), reach(C, B).", 0),  # probes the head
 ]
 
 
@@ -616,6 +627,15 @@ class TestKeyMap:
             plan = compile_rule(parse_rule(src), first=first)
             assert specialize.key_map_shape(plan) is None, src
             assert KEYED not in _keys_source(src, first), src
+        # an ``=`` between the head variables as the tail: the planner
+        # binds with an ``=`` where it can, so the step is built here
+        plan = compile_rule(parse_rule(CANDIDATE), first=0)
+        ne = plan.steps[2]
+        eq = Literal(Atom("=", (Var("A"), Var("B"))))
+        eq_step = LiteralStep(ne.index, eq, "builtin", ne.bound_before)
+        plan.steps = (*plan.steps[:2], eq_step)
+        assert specialize.filter_fuses(plan.steps[2])
+        assert specialize.key_map_shape(plan) is None
         # the rows a fixpoint does not ask for are never a key map
         assert KEYED not in _closure_source(INFLUENCES, first=0)
 
@@ -688,23 +708,20 @@ class TestKeyMap:
         if source == "stored":
             db = Database([*db.atoms(), *(Atom("candidate", p) for p in pairs)])
 
-        def overrides():
-            """A fresh delta: reading a key-form batch's rows converts it."""
-            if source == "stored":
-                return None
+        overrides = None
+        if source != "stored":  # one delta, read by both runs
             delta = RowBatch("candidate", 2)
             if source == "keys":
                 delta.extend_keys({k: set(v) for k, v in _grouped(pairs).items()})
             else:
                 for args in pairs:
                     delta.add(encode_args(args), args)
-            return {0: delta}
-
+            overrides = {0: delta}
         runs = []
         for recursive in (None, frozenset({"recommend"})):
             seen = []
             runs.append((derive_rows(
-                db, plan, overrides=overrides(), recursive=recursive,
+                db, plan, overrides=overrides, recursive=recursive,
                 steps=lambda counts, rows: seen.append((counts, rows)),
             ), seen))
         (rows, row_steps), (dr, steps) = runs
@@ -727,6 +744,136 @@ class TestKeyMap:
         delta = [(Const(f"a{i % 2}"), Const(f"c{i}")) for i in range(6)]
         dr, steps = self._derive(plan, Database(), delta, frozenset({"influences"}))
         assert dr.keys == {} and dr.count == 0 and steps == [((6, 0), 0)]
+
+    def test_one_batch_serves_both_forms(self):
+        """A key-form delta keeps its keys once a per-row closure has
+        read its rows, so a key-map closure reading the same batch
+        afterwards still gets the grouped form, and the other way
+        round; appending rows drops the keys."""
+        plan = compile_rule(parse_rule(self.SCAN_PLANS[0]), first=0)
+        pairs = [(Const(f"a{i % 3}"), Const(f"b{i}")) for i in range(8)]
+        db = db_of("follows(a0, b0)")
+        delta = RowBatch("candidate", 2)
+        delta.extend_keys({k: set(v) for k, v in _grouped(pairs).items()})
+        recursive = frozenset({"recommend"})
+        rows = derive_rows(db, plan, overrides={0: delta})
+        keyed = derive_rows(db, plan, overrides={0: delta}, recursive=recursive)
+        again = derive_rows(db, plan, overrides={0: delta})
+        assert rows.keys is None and keyed.keys is not None
+        assert _as_rows(keyed) == set(rows.rows) and again.rows == rows.rows
+        delta.add(encode_args(pairs[0]), pairs[0])
+        assert delta.keys is None and len(delta) == 9
+        assert derive_rows(db, plan, overrides={0: delta}, recursive=recursive).keys is None
+
+    def test_candidate_installs_per_key(self, monkeypatch):
+        """In the social program ``candidate`` derives a key map and
+        installs it through ``add_keys``: no ``add_rows`` call and no
+        row list.  Its ``exec_steps`` counts are the per-row nest's."""
+        calls = []
+        for name in ("add_rows", "add_keys"):
+            original = getattr(Database, name)
+
+            def spy(db, pred, *args, _name=name, _original=original):
+                calls.append((_name, pred))
+                return _original(db, pred, *args)
+
+            monkeypatch.setattr(Database, name, spy)
+        rule = parse_rule(CANDIDATE)
+        facts = social_network(60, 4, seed=3)
+        counts = {}
+
+        class Hooks:
+            def on_exec_steps(self, counts, rows):
+                self.last = counts, rows
+
+            def on_rule_fired(self, rule, derived, seconds):
+                counts[format_rule(rule)] = self.last, derived
+
+        result = evaluate(parse_program(SOCIAL_PROGRAM).program, edb=facts, hooks=Hooks())
+        assert ("add_keys", "candidate") in calls
+        assert ("add_rows", "candidate") not in calls
+        plan = compile_rule(rule)
+        seen = []
+        rows = derive_rows(
+            Database(facts), plan, steps=lambda counts, rows: seen.append((counts, rows))
+        )
+        assert counts[format_rule(rule)] == (seen[0], rows.count)
+        stored = result.database.atoms("candidate")
+        assert {encode_args(fact.args) for fact in stored} == set(rows.rows)
+
+
+
+#: Projecting joins over ``follows``, with the head position of the
+#: carried value: a key-map probe and scan, the carried value at head
+#: position 1, a row-index probe over a scan of rows, and no ``!=``.
+PROJECTING_JOINS = (
+    (CANDIDATE, 0),
+    ("candidate(A, B) <- follows(B, M), follows(M, A), A != B.", 1),
+    ("candidate(A, B) <- follows(M, A), follows(B, M), A != B.", 0),
+    ("reach(A, B) <- follows(A, M), follows(M, B).", 0),
+)
+
+#: Few values, so keys repeat; ``u1`` and ``'u1'`` are one constant
+#: spelled two ways, ``1`` and ``1.0`` two constants.
+join_values = st.sampled_from(
+    [Const("u1"), Const("u1", True), Const("u2"), Const("u3"), Const(1), Const(1.0)]
+)
+
+
+@st.composite
+def join_edges(draw):
+    """Binary rows with self-loops and 2-cycles, so the ``!=`` discard
+    and the derivations it drops are both exercised."""
+    pairs = draw(st.lists(st.tuples(join_values, join_values), min_size=1, max_size=24))
+    loops = draw(st.lists(join_values, max_size=3))
+    back = draw(st.integers(0, len(pairs)))
+    return pairs + [(v, v) for v in loops] + [(b, a) for a, b in pairs[:back]]
+
+
+@given(join_edges(), st.sampled_from(PROJECTING_JOINS),
+       st.sampled_from(["stored", "keys", "rows"]))
+@settings(max_examples=150, deadline=None)
+def test_projecting_join_equals_rows_and_reference(edges, join, source):
+    """The key map of a projecting join is the set of the per-row
+    closure's rows and of the reference's facts, with the per-row
+    derivation count and ``exec_steps`` counts, over the stored map, a
+    key-form delta and a delta of rows; it is taken exactly when the
+    scanned rows repeat their carried values."""
+    src, carried = join
+    rule = parse_rule(src)
+    plan = compile_rule(rule, first=0)
+    shape = specialize.key_map_shape(plan)
+    assert shape is not None and shape.carried == carried
+    db = Database(Atom("follows", args) for args in edges)
+    scanned = list(db.id_rows("follows"))
+    overrides = None
+    if source == "keys":
+        delta = RowBatch("follows", 2)
+        delta.extend_keys(db.key_map("follows"))
+        overrides = {0: delta}
+    elif source == "rows":  # a multiset, spelled as given
+        delta = _row_batch(Atom("follows", (Var("X"), Var("Y"))), edges)
+        scanned = delta.rows
+        overrides = {0: delta}
+    runs = []
+    for recursive in (None, frozenset({rule.head.pred})):
+        seen = []
+        runs.append((derive_rows(
+            db, plan, overrides=overrides, recursive=recursive,
+            steps=lambda counts, rows: seen.append((counts, rows)),
+        ), seen))
+    (rows, row_steps), (dr, steps) = runs
+    assert rows.keys is None
+    assert steps == row_steps and dr.count == rows.count == len(rows.rows)
+    column = dict((name, pos) for pos, name in plan.steps[0].simple_residuals)
+    values = {row[column[shape.carried_var]] for row in scanned}
+    assert (dr.keys is not None) == (len(scanned) >= 4 and 2 * len(values) <= len(scanned))
+    pairs = set(rows.rows) if dr.keys is None else _as_rows(dr)
+    assert pairs == set(rows.rows)
+    given_rows = None if overrides is None else {0: list(overrides[0])}
+    reference = reference_facts(db, plan, overrides=given_rows)
+    assert len(reference) == dr.count
+    assert {encode_args(fact.args) for fact in reference} == pairs
 
 
 set_operands =st.lists(ground_sets | quoted_ground_terms, min_size=1, max_size=4)

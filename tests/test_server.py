@@ -194,6 +194,13 @@ class TestServerRequests:
             assert exc_info.value.etype == "EvaluationError"
             assert client.ping()  # connection still serving
 
+    def test_add_facts_of_another_arity_fails(self):
+        with ServerThread(LDL(TC_PROGRAM)) as st, st.client() as client:
+            with pytest.raises(ServerError) as exc_info:
+                client.add_facts("e", [(1, 2), (3,)])
+            assert exc_info.value.etype == "WellFormednessError"
+            assert client.query("? t(X, Y).") == []
+
     def test_malformed_line_gets_error_response(self):
         with ServerThread(LDL(TC_PROGRAM)) as st:
             with socket.create_connection(("127.0.0.1", st.port), 5) as sock:
