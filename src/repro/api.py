@@ -58,7 +58,11 @@ from repro.magic.evaluate import MagicResult, PreparedQuery
 from repro.observe import MetricsCollector, Subscriber, TraceRecorder, compose_hooks
 from repro.parser.parser import parse_program, parse_query
 from repro.program.rule import Atom, Program, Query, canonical_atom
-from repro.program.wellformed import check_fact_arities, predicate_arities
+from repro.program.wellformed import (
+    check_arity_pairs,
+    check_fact_arities,
+    predicate_arities,
+)
 from repro.terms.term import Const, Func, SetVal, Term
 
 Strategy = TypingLiteral["naive", "seminaive", "magic"]
@@ -219,12 +223,22 @@ class LDL:
 
     def load(self, source: str) -> "LDL":
         """Parse and append rules; queries in the source are stored and
-        available via :meth:`run_pending_queries`."""
+        available via :meth:`run_pending_queries`.  When a base fact
+        already given (buffered, or in the durable store) is of a
+        predicate the new rules use with another arity, raises
+        :class:`~repro.errors.WellFormednessError` and keeps the rules
+        it had."""
         parsed = parse_program(source)
         with self._lock:
-            self._program = self._program + parsed.program
+            program = self._program + parsed.program
+            arities = predicate_arities(program)
+            if self._store is not None:
+                check_arity_pairs(arities, self._store.database.arities())
+            else:
+                check_fact_arities(arities, self._edb)
+            self._program = program
             self._lowered = None
-            self._arities = None
+            self._arities = arities
             self._pending_queries.extend(parsed.queries)
             self._invalidate()
             if self._store is not None and len(parsed.program):

@@ -39,7 +39,11 @@ from repro.program.dependency import (
 )
 from repro.program.rule import Atom, Program, Query, canonical_atom
 from repro.program.stratify import stratify
-from repro.program.wellformed import check_program
+from repro.program.wellformed import (
+    check_arity_pairs,
+    check_program,
+    predicate_arities,
+)
 
 
 def program_facts(program: Program) -> tuple[Atom, ...]:
@@ -65,9 +69,13 @@ def base_database(program: Program, edb: Iterable[Atom] = ()) -> Database:
     vs ``a``), the program's spelling is the one every session prints.
     The EDB is loaded in ID space, one row batch per predicate
     (:func:`~repro.engine.database.fact_batches`), with no atom built
-    per fact.
+    per fact.  A loaded predicate the rules use with another arity
+    raises :class:`~repro.errors.WellFormednessError`: the check reads
+    one arity per relation, not the facts.
     """
-    return Database(chain(program_facts(program), edb))
+    db = Database(chain(program_facts(program), edb))
+    check_arity_pairs(predicate_arities(program), db.arities())
+    return db
 
 
 def load_base(program: Program, edb: Iterable[Atom], on: Dispatcher) -> Database:

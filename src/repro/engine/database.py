@@ -254,6 +254,10 @@ class Database:
     def predicates(self) -> tuple[str, ...]:
         return tuple(sorted(self._relations))
 
+    def arities(self) -> Iterator[tuple[str, int]]:
+        """Each stored predicate with its relation's arity."""
+        return ((pred, rel.arity) for pred, rel in self._relations.items())
+
     def atoms(self, pred: str | None = None) -> Iterator[Atom]:
         """Iterate stored facts as atoms, optionally for one predicate."""
         preds = (pred,) if pred is not None else self.predicates()

@@ -46,28 +46,20 @@ both parts bound, ``union``, ``intersection``, ``difference``,
 ``card``) run as the memoized ID-space set kernels, and the other
 known-handler builtin calls memoize on their input row IDs.
 
-A two-step plan whose first step scans a relation binding only plain
-fresh variables, and whose fused last step probes on a key made only of
-those variables (the semi-naive delta of a recursive join), also gets a
-**key-grouped branch** (:meth:`_Codegen.grouped_join`): it groups the
-scanned rows by the probe key, probes once per distinct key, and emits
-one comprehension per key from the same output template.  The closure
-chooses it from its input, with no knob: when the scanned rows number
-at least 4 with at least 2 per distinct key; otherwise the per-row nest
-runs, which is cheaper when every key is distinct.
-
 A projecting join (:func:`key_map_shape`: step 0 scans a binary
 relation, carrying one head variable, step 1 probes another binary
 predicate on the join variable for the other, and at most a fused
 ``!=`` between the two follows) has a third closure, ``"keys"``, run
 only for a fixpoint (:func:`~repro.engine.exec.derive_rows` with its
-``recursive`` predicates).  Above the key-grouped branch it has a
+``recursive`` predicates).  Above the per-row nest it has a
 **key-map branch** (:meth:`_Codegen.key_map`): it returns ``{carried
 value: candidate set}`` and the derivation count instead of one row
 per derivation, so duplicate derivations are never built, and the
-``!=`` is one discard per key.  It runs
-when the scanned rows number at least 4 with at least 2 per distinct
-carried value; otherwise the closure continues as the head closure.
+``!=`` is one discard per key.  The closure chooses it from its input,
+with no knob: it runs when the scanned rows number at least 4 with at
+least 2 per distinct carried value; otherwise the closure continues as
+the head closure, whose per-row nest is cheaper when every carried
+value is distinct (a chain's delta).
 A source already grouped on the carried value — the stored key map, or
 a delta of key-map installs (:class:`~repro.engine.exec.kernels.RowBatch`
 ``keys``) — is read as its groups, row-free.  A scan-shaped plan (a
@@ -231,11 +223,10 @@ def _batch_keys(source):
 
 def _repeating(key, rows, n: int) -> bool:
     """Whether ``n`` scanned ``rows`` have at least 2 per distinct
-    ``key`` value: with ``n >= 4``, the input test of the key-grouped
-    and key-map branches, counted at C speed.  When the first ``n // 2
-    + 1`` rows already have as many distinct values, the answer is no
-    without the rest, so a chain's delta (every value distinct) pays
-    half."""
+    ``key`` value: with ``n >= 4``, the input test of the key-map
+    branch, counted at C speed.  When the first ``n // 2 + 1`` rows
+    already have as many distinct values, the answer is no without the
+    rest, so a chain's delta (every value distinct) pays half."""
     half = n // 2 + 1
     if len(set(map(key, islice(rows, half)))) == half:
         return False
@@ -392,16 +383,17 @@ class _Codegen:
             out = []
             <per-step source prologue: override vs db, indexes, counters>
             for _root in _ONE:            # single pass; makes every
-                <key-grouped branch>      # drop-binding check a plain
+                <key-map branch>          # drop-binding check a plain
                 <nested per-step loops>   # ``continue``
                     <emission>
             <exec_steps epilogue>
             return out
 
-    The emission appends the ``template`` tuple (or, fused into the
-    last relation step, extends by a whole bucket of them).  ``seed``
-    maps initially-bound variable names to row IDs; ``steps`` is the
-    run's ``exec_steps`` handler or None."""
+    Only a ``"keys"`` closure has the key-map branch (or a scan
+    shape's :meth:`scan_keys`).  The emission appends the ``template``
+    tuple (or, fused into the last relation step, extends by a whole
+    bucket of them).  ``seed`` maps initially-bound variable names to
+    row IDs; ``steps`` is the run's ``exec_steps`` handler or None."""
 
     def __init__(self, plan: RulePlan, template: tuple) -> None:
         self.plan = plan
@@ -1206,79 +1198,6 @@ class _Codegen:
         comma = "," if len(rids) == 1 else ""
         return f"({', '.join(rids)}{comma})"
 
-    def grouped_join(self) -> list[str]:
-        """The key-grouped branch of a scan-then-probe plan, as loop
-        lines for the top of the ``_ONE`` loop, or ``[]`` when the plan
-        has another shape.
-
-        The shape: step 0 scans a relation (no probes) and binds only
-        plain fresh variables; step 1, the last step, fuses, and its
-        probe key is made only of variables step 0 binds.  The branch
-        groups step 0's rows by that key, ``{key: [carried values]}``,
-        probes ``_i1`` once per distinct key, and emits one comprehension
-        per key from the same output template — key variables substitute
-        as ``_k0``, carried ones as ``_y0``, step 1's fresh ones as
-        ``_x1[pos]`` (``_x1`` itself when step 1 reads a key map).  A row
-        still yields one binding per match, so the multiset and the
-        ``(_c0, _c1)`` counts equal the per-row nest's.
-
-        The branch runs when the scanned rows number at least 4 with at
-        least 2 per distinct key (:func:`_repeating`); otherwise it falls
-        through to the per-row nest, which is cheaper when keys are
-        mostly distinct (a chain's delta)."""
-        steps = self.plan.steps
-        if len(steps) != 2 or not self.fused:
-            return []
-        scan, probe = steps
-        if scan.kind != "relation" or scan.probes or scan.simple_residuals is None:
-            return []
-        where = {name: pos for pos, name in scan.simple_residuals}
-        if not probe.probes or any(
-            kindp != VAR or payload not in where for _, kindp, payload in probe.probes
-        ):
-            return []
-        names = [payload for _, _, payload in probe.probes]
-        used = {payload for kind, payload in self.template if kind == VAR}
-        carried = [name for name in where if name not in names and name in used]
-
-        def subscripts(names, loc):
-            if len(names) == 1:
-                return {names[0]: loc}
-            return {name: f"{loc}[{j}]" for j, name in enumerate(names)}
-
-        def gather(names):
-            parts = [f"_x0[{where[name]}]" for name in names]
-            return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
-
-        # the key as the index spells it: one part per probe position
-        self.env["_kf"] = itemgetter(*(where[name] for name in names))
-        self.env["_DL"] = defaultdict
-        sub = subscripts(names, "_k0")
-        sub.update(subscripts(carried, "_y0"))
-        for pos, name in probe.simple_residuals or ():
-            sub[name] = self.column(1, pos)
-        # a row with nothing to carry still counts once per match
-        value = gather(carried) if carried else "0"
-        emission = f"[{self.row_expr(sub)} for _y0 in _gz for _x1 in _b1]"
-        return [
-            "        _gn = len(_r0)",
-            "        if _gn >= 4 and _rep(_kf, _r0, _gn):",
-            "            _c0 = _gn",
-            "            _gd = _DL(list)",
-            "            if _i1 is None:",
-            "                break",
-            "            for _x0 in _r0:",
-            f"                _gd[{gather(names)}].append({value})",
-            "            for _k0, _gz in _gd.items():",
-            "                _b1 = _i1.get(_k0)",
-            "                if not _b1:",
-            "                    continue",
-            f"                _t1 = {emission}",
-            "                _xt(_t1)",
-            "                _c1 += len(_t1)",
-            "            break",
-        ]
-
     def key_map(self, shape: "KeyMapShape", tail: LiteralStep | None) -> list[str]:
         """The key-map branch of a projecting join (see
         :func:`key_map_shape`), as loop lines for the top of the
@@ -1301,10 +1220,10 @@ class _Codegen:
         already, and no row is read.
 
         The branch runs when the scanned rows number at least 4 with at
-        least 2 per distinct carried value; otherwise the closure falls
-        through to its per-row branches, which build one row per
-        derivation and are cheaper when every carried value is
-        distinct (a chain's delta)."""
+        least 2 per distinct carried value (:func:`_repeating`);
+        otherwise the closure falls through to the per-row nest, which
+        builds one row per derivation and is cheaper when every carried
+        value is distinct (a chain's delta)."""
         scan, probe = self.plan.steps[:2]
         where = {name: pos for pos, name in scan.simple_residuals}
         carried = where[shape.carried_var]
@@ -1452,7 +1371,6 @@ class _Codegen:
             lines.extend(self.scan_keys(tail))
         elif shape is not None:
             lines.extend(self.key_map(shape, tail))
-        lines.extend(self.grouped_join())
         lines.extend(self.body)
         # one exec_steps event per run: each step's binding count, and
         # the tuples the closure emitted

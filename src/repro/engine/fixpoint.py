@@ -8,20 +8,24 @@ occurrence per rule application to the facts newly derived in the
 previous round, avoiding rediscovery.  Both reach the same fixpoint;
 the benchmark suite quantifies the difference (experiment E1).
 
-A semi-naive round installs each rule application's derived *set*.
-A projecting join (one head column carried from its scanned relation,
-the other read from a relation the component does not define, at most
-filtered by a ``!=`` between the two) derives a key map, ``{carried
-value: candidate set}``, when its scan repeats carried values, and so
-does a non-recursive rule copying a binary relation's pairs, at most
-anti-joined on them (``recommend``; see
-:func:`~repro.engine.exec.specialize.key_map_shape`).
-:func:`single_pass` asks for key maps too, so the non-recursive
-``candidate`` and ``recommend`` install per key.  A binary relation is stored as the same
-kind of map (:class:`~repro.engine.relation.KeyMapRelation`), so the
-install subtracts the stored values from each candidate set in place,
-and the fresh per-key sets are the next round's delta: no row tuple is
-built unless a ``fact_derived`` handler or a per-row plan asks for one.
+A semi-naive round, round 0 included, installs each rule
+application's derived *set*.  A projecting join (one head column
+carried from its scanned relation, the other read from a relation the
+component does not define, at most filtered by a ``!=`` between the
+two) derives a key map, ``{carried value: candidate set}``, when its
+scan repeats carried values, and so does a non-recursive rule copying
+a binary relation's pairs, at most anti-joined on them (``recommend``;
+see :func:`~repro.engine.exec.specialize.key_map_shape`).
+:func:`single_pass` is round 0 without a delta, so the non-recursive
+``candidate`` and ``recommend`` install per key too.  The naive
+strategy asks for rows, as the literal ``R(M)`` baseline, and so does
+the counting maintainer (:mod:`repro.engine.maintain`), whose support
+counts need each derivation's multiplicity.  A binary relation is
+stored as the same kind of map
+(:class:`~repro.engine.relation.KeyMapRelation`), so the install
+subtracts the stored values from each candidate set in place, and the
+fresh per-key sets are the next round's delta: no row tuple is built
+unless a ``fact_derived`` handler or a per-row plan asks for one.
 Every other application installs its row multiset, deduplicated by
 ``Relation.add_rows``.
 
@@ -151,6 +155,26 @@ def install_rows(
     return count
 
 
+def _round_zero(
+    ctx: EvalContext, db: Database, rules: Sequence[Rule], delta,
+) -> FixpointStats:
+    """Apply each rule once against the full database, asking for key
+    maps (``recursive`` is the rules' heads); new facts go into
+    ``delta`` unless it is None."""
+    stats = FixpointStats(iterations=1)
+    ctx.refresh_sizes()
+    recursive = frozenset(rule.head.pred for rule in rules)
+    for rule in rules:
+        dr = _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive)
+        stats.rule_firings += 1
+        stats.facts_derived += install_rows(ctx, db, rule, dr, delta)
+    if ctx.on.iteration is not None:
+        ctx.on.iteration(
+            iteration=stats.iterations, new_facts=stats.facts_derived
+        )
+    return stats
+
+
 def single_pass(
     db: Database,
     rules: Sequence[Rule],
@@ -162,21 +186,10 @@ def single_pass(
     reads a predicate any rule in ``rules`` defines — i.e. the rules of
     a non-recursive SCC whose lower components are already evaluated.
     The SCC scheduler calls this instead of a fixpoint, saving the
-    second iteration a fixpoint needs just to observe emptiness.
+    second iteration a fixpoint needs just to observe emptiness.  It is
+    the semi-naive fixpoint's round 0, without a delta.
     """
-    ctx = context or EvalContext(db)
-    stats = FixpointStats(iterations=1)
-    ctx.refresh_sizes()
-    recursive = frozenset(rule.head.pred for rule in rules)
-    for rule in rules:
-        dr = _derive(ctx, db, rule, ctx.plan_for(rule), recursive=recursive)
-        stats.rule_firings += 1
-        stats.facts_derived += install_rows(ctx, db, rule, dr)
-    if ctx.on.iteration is not None:
-        ctx.on.iteration(
-            iteration=stats.iterations, new_facts=stats.facts_derived
-        )
-    return stats
+    return _round_zero(context or EvalContext(db), db, rules, None)
 
 
 def naive_fixpoint(
@@ -212,26 +225,15 @@ def seminaive_fixpoint(
 ) -> FixpointStats:
     """Run all rules to fixpoint, semi-naive strategy.  Mutates ``db``.
 
-    Round 0 evaluates every rule against the full database; later
-    rounds re-evaluate a rule once per positive body occurrence of a
-    predicate that changed, with that occurrence restricted to the
-    previous round's delta.
+    Round 0 evaluates every rule against the full database, as
+    :func:`single_pass` does, and its new facts are the first delta;
+    later rounds re-evaluate a rule once per positive body occurrence
+    of a predicate that changed, with that occurrence restricted to
+    the previous round's delta.
     """
     ctx = context or EvalContext(db)
-    stats = FixpointStats()
-
-    stats.iterations += 1
-    ctx.refresh_sizes()
     delta: dict[str, object] = {}
-    for rule in rules:
-        dr = _derive(ctx, db, rule, ctx.plan_for(rule))
-        stats.rule_firings += 1
-        stats.facts_derived += install_rows(ctx, db, rule, dr, delta)
-    if ctx.on.iteration is not None:
-        ctx.on.iteration(
-            iteration=stats.iterations, new_facts=stats.facts_derived
-        )
-
+    stats = _round_zero(ctx, db, rules, delta)
     stats.merge(seminaive_rounds(db, rules, delta, context=ctx))
     return stats
 

@@ -500,7 +500,14 @@ class KeyMapRelation(Relation):
     """A binary relation: ``{first ID: set(second ID)}`` and its size.
 
     No row tuple is stored: :meth:`id_rows` builds them as it is
-    iterated, and a position-0 probe reads the value set itself."""
+    iterated, and a position-0 probe reads the value set itself.
+
+    The rows iterate key by key, each key where it was added while it
+    held no value (a key whose last value goes is dropped), and a key's
+    values in set order.  So the order follows the relation's history
+    of operations, not its contents: two relations holding the same
+    rows, one of them built by discarding from more, may list them in
+    different orders."""
 
     __slots__ = ("_keys", "_len")
 

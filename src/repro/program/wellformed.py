@@ -15,7 +15,7 @@ variables once their required arguments are bound.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import SafetyError, WellFormednessError
 from repro.names import is_builtin_predicate
@@ -218,14 +218,23 @@ def check_fact_arities(
         len(wanted) == 1 and {len(atom.args) for atom in atoms} == wanted
     ):
         return preds
-    for pred, arity in {(atom.pred, len(atom.args)) for atom in atoms}:
+    check_arity_pairs(arities, {(atom.pred, len(atom.args)) for atom in atoms})
+    return preds
+
+
+def check_arity_pairs(
+    arities: dict[str, tuple[int, Rule]], pairs: Iterable[tuple[str, int]]
+) -> None:
+    """Raise :class:`WellFormednessError` for a ``(predicate, arity)``
+    pair of stored facts whose predicate the program (its
+    :func:`predicate_arities`) uses with another arity."""
+    for pred, arity in pairs:
         seen = arities.get(pred)
         if seen is not None and seen[0] != arity:
             raise WellFormednessError(
                 f"a fact of {pred} has {arity} arguments, but {pred} has "
                 f"arity {seen[0]} in {format_rule(seen[1])}"
             )
-    return preds
 
 
 def head_group_variable(rule: Rule) -> str | None:

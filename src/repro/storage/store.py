@@ -36,9 +36,10 @@ from typing import Iterable
 from repro.engine.compiled import compile_program
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalModel, UpdateStats
-from repro.errors import StorageError
+from repro.errors import StorageError, WellFormednessError
 from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom, Program, canonical_atom
+from repro.program.wellformed import check_arity_pairs, predicate_arities
 from repro.storage.snapshot import load_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
 from repro.util import gc_paused
@@ -99,7 +100,11 @@ class DurableStore:
 
     @gc_paused()
     def open(self) -> "DurableStore":
-        """Load snapshot, recover the WAL, replay, and start serving."""
+        """Load snapshot, recover the WAL, replay, and start serving.
+
+        Raises :class:`~repro.errors.WellFormednessError`, and closes
+        again, when a stored predicate is one the program uses with
+        another arity (facts stored under other rules)."""
         if self.model is not None:
             raise StorageError(f"{self.path}: store already open")
         os.makedirs(self.path, exist_ok=True)
@@ -162,6 +167,15 @@ class DurableStore:
                 seconds=time.perf_counter() - start,
             )
         self.stats = stats
+        try:
+            # facts stored under other rules: a predicate these rules
+            # use with another arity has no literal that reads it
+            check_arity_pairs(
+                predicate_arities(self.program), self.model.database.arities()
+            )
+        except WellFormednessError:
+            self.close()
+            raise
         return self
 
     def close(self) -> None:

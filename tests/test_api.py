@@ -234,6 +234,26 @@ class TestSession:
         with LDL(src, path=path) as reopened:
             assert reopened.edb_size == 0 and reopened.query("? q(X).") == []
 
+    def test_facts_given_before_the_rules_are_checked_at_load(self, tmp_path):
+        """A fact already given when rules arrive that use its
+        predicate with another arity fails the load, in memory and in
+        a durable store, and the session keeps the rules it had."""
+        mem = LDL().fact("p", 1)
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            mem.load("q(X) <- p(X, Y).")
+        assert len(mem.program) == 0 and mem.query("? p(X).") == [{"X": 1}]
+        assert mem.load("q(X) <- p(X).").query("? q(X).") == [{"X": 1}]
+        path = str(tmp_path / "db")
+        with LDL(path=path) as durable:
+            durable.fact("p", 1)
+            with pytest.raises(WellFormednessError, match="arity 2"):
+                durable.load("q(X) <- p(X, Y).")
+            assert len(durable.program) == 0 and durable.edb_size == 1
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            LDL("q(X) <- p(X, Y).", path=path)
+        with LDL("q(X) <- p(X).", path=path) as reopened:
+            assert reopened.query("? q(X).") == [{"X": 1}]
+
     def test_noncanonical_atoms_canonicalized_everywhere(self, tmp_path):
         # regression: evaluate() used to store EDB atoms verbatim while
         # the durable path normalized through evaluate_ground, so the

@@ -442,25 +442,17 @@ INFLUENCES = "influences(A, B) <- influences(A, C), follows(B, C)."
 #: Its projecting join.
 CANDIDATE = "candidate(A, B) <- follows(A, M), follows(M, B), A != B."
 
-#: A line only the key-grouped branch emits.
-GROUPED = "for _k0, _gz in _gd.items():"
 
-
-def _grouped_run(monkeypatch, db, plan, overrides=None):
+def _checked_run(db, plan, overrides=None):
     """Run ``plan``'s closures against the reference executor: the
     variable rows decoded to bindings must equal the reference's
-    bindings, and ``derive_facts`` its facts.  Returns the bindings (a
-    printed multiset), the ``exec_steps`` counts and whether the
-    key-grouped branch ran."""
+    bindings, and ``derive_facts`` its facts.  A fixpoint's run
+    (``derive_rows`` with the head's predicate as ``recursive``) must
+    give the per-row run's row set, derivation count and
+    ``exec_steps`` counts, whichever branch ran.  Returns the bindings
+    (a printed multiset), the ``exec_steps`` counts and whether the
+    fixpoint's run returned a key map."""
     spec = specialized_plan(plan)
-    groups = []
-
-    def tracked(factory):
-        groups.append(factory)
-        return defaultdict(factory)
-
-    for kind in ("vars", "head"):
-        monkeypatch.setitem(spec._function(kind).__globals__, "_DL", tracked)
     seen = []
     rows = spec.run(
         "vars", db, {}, overrides, None,
@@ -472,36 +464,49 @@ def _grouped_run(monkeypatch, db, plan, overrides=None):
     )
     facts = derive_facts(db, plan, overrides=overrides)
     assert printed(facts) == printed(reference_facts(db, plan, overrides=overrides))
-    assert len(groups) in (0, 2)  # both closures take the same branch
-    return bindings, seen[0], bool(groups)
+    runs = []
+    for recursive in (None, frozenset({plan.head.atom.pred})):
+        steps = []
+        runs.append((derive_rows(
+            db, plan, overrides=overrides, recursive=recursive,
+            steps=lambda counts, rows: steps.append(counts),
+        ), steps))
+    (per_row, row_steps), (dr, keyed_steps) = runs
+    assert per_row.keys is None and per_row.count == len(rows)
+    assert row_steps == keyed_steps == seen and dr.count == per_row.count
+    if dr.keys is None:
+        assert dr.rows == per_row.rows
+    else:
+        assert _as_rows(dr) == set(per_row.rows)
+    return bindings, seen[0], dr.keys is not None
 
 
 class TestKeyGroupedJoin:
-    """A scan-then-probe plan groups the scanned rows by the probe key
-    when the keys repeat, and runs the per-row nest when they do not;
-    both branches give the reference's bindings, facts and counts."""
+    """A scan-then-probe plan grouped by key: a fixpoint's run takes
+    the key-map branch when the scanned rows repeat their carried
+    values, and the per-row nest when they do not; every other closure
+    runs the per-row nest.  Each gives the reference's bindings, facts
+    and counts."""
 
     FOLLOWS = (
         "follows(b, c1)", "follows(d, c1)", "follows(e, c2)",
         "follows(c3, c3)", "follows(c1, c1)",
     )
-    #: ``influences(A, C)`` delta rows whose keys ``C`` are all distinct
+    #: ``influences(A, C)`` delta rows whose carried values ``A`` and
+    #: keys ``C`` are all distinct
     SPARSE = [
         (Const("a1"), Const("c1")), (Const("a2"), Const("c2")),
         (Const("a3"), Const("c3")), (Const("a4"), Const("c4")),
     ]
 
     def test_codegen_pin(self):
-        assert GROUPED in _closure_source(INFLUENCES, first=0)
-        for src, kwargs in (
-            ("recommend(A, B) <- candidate(A, B), ~follows(A, B).", {}),
-            (
-                "influences__bf(A, B) <- m_influences__bf(A), "
-                "influences__bf(A, C), follows(B, C).",
-                {"first": 1},
-            ),
-        ):
-            assert GROUPED not in _closure_source(src, **kwargs), src
+        """Only a fixpoint's closure groups rows: the row closures of
+        the delta join are the per-row nest alone."""
+        plan = compile_rule(parse_rule(INFLUENCES), first=0)
+        spec = specialized_plan(plan)
+        assert "_DL(" in _keys_source(INFLUENCES, 0)
+        for template in (spec.templates["head"], spec.templates["vars"]):
+            assert "_DL(" not in specialize._generate(plan, template)[0]
 
     @pytest.mark.parametrize("rule_src", [
         INFLUENCES,
@@ -511,7 +516,7 @@ class TestKeyGroupedJoin:
     @pytest.mark.parametrize("probed", [
         "database", "override", "wrong_arity", "unknown",
     ])
-    def test_both_branches_agree(self, monkeypatch, rule_src, probed):
+    def test_both_branches_agree(self, rule_src, probed):
         plan = compile_rule(parse_rule(rule_src), first=0)
         db = Database() if probed == "unknown" else db_of(*self.FOLLOWS)
         follows = [parse_atom(src).args for src in self.FOLLOWS]
@@ -529,10 +534,11 @@ class TestKeyGroupedJoin:
                 overrides = {0: given}
                 if probed in ("override", "wrong_arity"):
                     overrides[1] = source
-                runs.append(_grouped_run(monkeypatch, db, plan, overrides))
-        (sparse, counts, grouped), (dense, dense_counts, dense_grouped) = runs[::2]
+                runs.append(_checked_run(db, plan, overrides))
+        (sparse, counts, keyed), (dense, dense_counts, dense_keyed) = runs[::2]
         assert runs[1] == runs[0] and runs[3] == runs[2]
-        assert not grouped and dense_grouped
+        # only a binary head has a key-map branch
+        assert not keyed and dense_keyed == (rule_src == INFLUENCES)
         assert dense_counts == tuple(2 * count for count in counts)
         assert dense == sparse + sparse
         if probed == "unknown":
@@ -540,18 +546,16 @@ class TestKeyGroupedJoin:
         elif probed != "wrong_arity" or rule_src == INFLUENCES:
             assert sparse
 
-    def test_delta_read_from_the_database(self, monkeypatch):
+    def test_delta_read_from_the_database(self):
         plan = compile_rule(parse_rule(INFLUENCES), first=0)
         chain = [f"influences(a{i}, c{i})" for i in range(1, 5)]
         fan = [f"influences(x{j}, c{i})" for i in range(1, 5) for j in range(3)]
-        sparse, counts, grouped = _grouped_run(
-            monkeypatch, db_of(*self.FOLLOWS, *chain), plan
+        sparse, counts, keyed = _checked_run(db_of(*self.FOLLOWS, *chain), plan)
+        assert not keyed and counts == (4, len(sparse))
+        dense, counts, keyed = _checked_run(
+            db_of(*self.FOLLOWS, *chain, *fan), plan
         )
-        assert not grouped and counts == (4, len(sparse))
-        dense, counts, grouped = _grouped_run(
-            monkeypatch, db_of(*self.FOLLOWS, *chain, *fan), plan
-        )
-        assert grouped and counts == (16, len(dense)) and len(dense) == 4 * len(sparse)
+        assert keyed and counts == (16, len(dense)) and len(dense) == 4 * len(sparse)
 
 
 #: A line only the key-map branches emit.
@@ -770,14 +774,7 @@ class TestKeyMap:
         installs it through ``add_keys``: no ``add_rows`` call and no
         row list.  Its ``exec_steps`` counts are the per-row nest's."""
         calls = []
-        for name in ("add_rows", "add_keys"):
-            original = getattr(Database, name)
-
-            def spy(db, pred, *args, _name=name, _original=original):
-                calls.append((_name, pred))
-                return _original(db, pred, *args)
-
-            monkeypatch.setattr(Database, name, spy)
+        _spy_installs(monkeypatch, lambda name, pred: calls.append((name, pred)))
         rule = parse_rule(CANDIDATE)
         facts = social_network(60, 4, seed=3)
         counts = {}
@@ -800,6 +797,47 @@ class TestKeyMap:
         assert counts[format_rule(rule)] == (seen[0], rows.count)
         stored = result.database.atoms("candidate")
         assert {encode_args(fact.args) for fact in stored} == set(rows.rows)
+
+    def test_social_rules_install_per_key(self, monkeypatch):
+        """Which install each social rule's application takes: the
+        recursive ``influences`` rule's is ``add_keys`` in every
+        semi-naive round, round 0 included, and so are ``candidate``'s
+        and ``recommend``'s; the exit rule, which swaps the pairs it
+        copies, installs rows."""
+        rounds = [[]]  # per fixpoint round: (rule, install) pairs
+
+        class Hooks:
+            def on_rule_fired(self, rule, derived, seconds):
+                self.rule = format_rule(rule)
+
+            def on_iteration(self, iteration, new_facts):
+                rounds.append([])
+
+        hooks = Hooks()
+        _spy_installs(monkeypatch, lambda name, pred: rounds[-1].append((hooks.rule, name)))
+        facts = social_network(60, 4, seed=3)
+        evaluate(parse_program(SOCIAL_PROGRAM).program, edb=facts, hooks=hooks)
+        closure = [r for r in rounds if any(rule == INFLUENCES for rule, _ in r)]
+        assert len(closure) > 3
+        # round 0 is the one the exit rule fires in
+        assert ("influences(A, B) <- follows(B, A).", "add_rows") in closure[0]
+        for installs in closure:
+            assert [name for rule, name in installs if rule == INFLUENCES] == ["add_keys"]
+        for src in (CANDIDATE, "recommend(A, B) <- candidate(A, B), ~follows(A, B)."):
+            assert [name for r in rounds for rule, name in r if rule == src] == ["add_keys"]
+
+
+def _spy_installs(monkeypatch, record):
+    """Call ``record(name, pred)`` on every ``Database.add_rows`` and
+    ``Database.add_keys`` call, before it runs."""
+    for name in ("add_rows", "add_keys"):
+        original = getattr(Database, name)
+
+        def spy(db, pred, *args, _name=name, _original=original):
+            record(_name, pred)
+            return _original(db, pred, *args)
+
+        monkeypatch.setattr(Database, name, spy)
 
 
 

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
@@ -494,14 +494,31 @@ def _state(rel):
     )
 
 
+def _unordered(state):
+    """A :func:`_state` with its rows as a set: a key map's row order
+    follows its history of operations (see ``KeyMapRelation``)."""
+    rows, indexes, spellings = state
+    return set(rows), indexes, spellings
+
+
 @given(_arg_pairs, _arg_pairs, st.booleans())
+@example(
+    stored=[
+        (Func("f", (Const("b"),)), Func("f", (Const("b"),))),
+        (Const("a"), SetVal([])),
+        (Func("f", (Const("b"),)), SetVal([])),
+    ],
+    doomed=[(Func("f", (Const("b"),)), Func("f", (Const("b"),)))],
+    through_db=False,
+)
 @settings(max_examples=100, deadline=None)
 def test_discard_rows_matches_per_row_discard(stored, doomed, through_db):
     """``discard_rows`` (on a relation or through its database) leaves
-    exactly what one ``discard`` per row leaves, and what building the
-    survivors afresh gives — rows, every built index and spellings —
-    returns the rows those calls removed, and never touches a
-    copy-on-write clone taken before it."""
+    exactly what one ``discard`` per row leaves, rows in the same
+    order, and what building the survivors afresh gives, as a set of
+    rows — every built index and spellings included — returns the rows
+    those calls removed, and never touches a copy-on-write clone taken
+    before it."""
 
     def build(kept=lambda args: True):
         db = Database()
@@ -525,7 +542,7 @@ def test_discard_rows_matches_per_row_discard(stored, doomed, through_db):
     assert _state(bulk) == _state(single)
     doomed_rows = set(rows)
     _, rebuilt = build(lambda args: encode_args(args) not in doomed_rows)
-    assert _state(bulk) == _state(rebuilt)
+    assert _unordered(_state(bulk)) == _unordered(_state(rebuilt))
     assert _state(clone) == before
     assert Database().discard_rows("p", rows) == []
 

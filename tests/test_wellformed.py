@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.engine import evaluate
 from repro.errors import SafetyError, WellFormednessError
-from repro.parser import parse_rule, parse_rules
+from repro.parser import parse_atom, parse_program, parse_rule, parse_rules
 from repro.program.wellformed import (
     check_program,
     check_rule_safe,
@@ -141,3 +142,14 @@ class TestProgramChecks:
     def test_one_arity_per_predicate(self, src):
         with pytest.raises(WellFormednessError, match="arity"):
             check_program(parse_rules(src))
+
+    @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
+    def test_edb_arity_must_match_the_rules(self, strategy):
+        """Facts given to ``evaluate`` as its EDB are held to the rules'
+        arities too; a predicate the rules do not use takes any."""
+        program = parse_program("q(X) <- p(X, Y).").program
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            evaluate(program, edb=[parse_atom("p(1)")], strategy=strategy)
+        edb = [parse_atom("p(1, 2)"), parse_atom("r(1, 2, 3)")]
+        result = evaluate(program, edb=edb, strategy=strategy)
+        assert list(result.database.atoms("q")) == [parse_atom("q(1)")]
