@@ -271,12 +271,12 @@ class LDL:
         """
         atoms = list(atoms)
         with self._lock:
-            if self._arities is None:
-                self._arities = predicate_arities(self._program)
-            preds = check_fact_arities(self._arities, atoms)
             if self._store is not None:
                 self._store.add_facts(atoms)
             else:
+                if self._arities is None:
+                    self._arities = predicate_arities(self._program)
+                preds = check_fact_arities(self._arities, atoms)
                 self._edb.extend(atoms)
                 self._notify_delta(
                     Invalidation(preds=frozenset(preds), precise=False)

@@ -229,43 +229,19 @@ def seminaive_fixpoint(
     :func:`single_pass` does, and its new facts are the first delta;
     later rounds re-evaluate a rule once per positive body occurrence
     of a predicate that changed, with that occurrence restricted to
-    the previous round's delta.
+    the previous round's delta: one :class:`RowBatch` per predicate,
+    of fresh rows or of a key map's fresh per-key sets.
     """
     ctx = context or EvalContext(db)
-    delta: dict[str, object] = {}
+    delta: dict[str, RowBatch] = {}
     stats = _round_zero(ctx, db, rules, delta)
-    stats.merge(seminaive_rounds(db, rules, delta, context=ctx))
-    return stats
-
-
-def seminaive_rounds(
-    db: Database,
-    rules: Sequence[Rule],
-    delta: dict[str, object],
-    context: EvalContext | None = None,
-) -> FixpointStats:
-    """Continue a semi-naive fixpoint from an explicit delta.
-
-    ``db`` must already contain the delta's facts; only derivations
-    using at least one delta fact are explored — the entry point for
-    incremental insertion (:mod:`repro.engine.incremental`).  Delta
-    values are plain argument-tuple lists or :class:`RowBatch`es (what
-    every later round builds); the compiled lane encodes a list once
-    and reads a batch's ID rows directly.
-
-    A projecting join's application may come as a key map (see
-    :func:`~repro.engine.exec.derive_rows`); it installs through
-    :func:`install_keys`, and its fresh sets are the next delta.
-    """
-    ctx = context or EvalContext(db)
-    stats = FixpointStats()
     occurrences = occurrence_index(rules)
     recursive = frozenset(rule.head.pred for rule in rules)
 
     while delta:
         stats.iterations += 1
         ctx.refresh_sizes()
-        next_delta: dict[str, object] = {}
+        next_delta: dict[str, RowBatch] = {}
         round_new = 0
         for rule, occurrence in occurrences:
             pred = rule.body[occurrence].atom.pred

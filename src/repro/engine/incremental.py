@@ -14,33 +14,30 @@ updates without full recomputation:
   touched-group regrouping for grouping heads — cost proportional to
   the change, and a net :class:`~repro.engine.maintain.DeltaBatch`
   published per update;
-* under ``"recompute"`` (the differential oracle) the original paths
-  run instead: pure insertions whose cone is internally monotone (no
-  grouping head and no negation *on cone predicates* among the cone's
-  rules) continue the semi-naive fixpoint with the new facts as the
-  delta; anything else clears the cone's derived predicates and
-  re-runs the layered evaluation restricted to cone rules, over the
-  untouched context.
+* under ``"recompute"`` (the differential oracle) every update, insert
+  or delete, clears the cone's derived predicates and re-runs the
+  layered evaluation restricted to cone rules, over the untouched
+  context: by Theorem 1 that layered fixpoint is the model.
 
 The ``maintain=`` constructor argument fixes a model's mode for its
-lifetime.  All paths produce exactly the model a from-scratch
-evaluation would (property-tested against each other).
+lifetime.  Both modes produce exactly the model a from-scratch
+evaluation would (property-tested against each other).  A base fact
+of a predicate the rules use with another arity raises
+:class:`~repro.errors.WellFormednessError`, at construction and in
+:meth:`IncrementalModel.add_facts`, before any fact is added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.engine.compiled import compile_program, program_facts
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.evaluator import evaluate_component
-from repro.engine.fixpoint import (
-    FixpointStats,
-    seminaive_rounds,
-)
+from repro.engine.fixpoint import FixpointStats
 from repro.engine.maintain import (
     DeltaBatch,
     Invalidation,
@@ -52,6 +49,11 @@ from repro.observe import MetricsCollector, Subscriber
 from repro.program.dependency import reachable, reversed_graph
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.program.stratify import Layering
+from repro.program.wellformed import (
+    check_arity_pairs,
+    check_fact_arities,
+    predicate_arities,
+)
 from repro.util import gc_paused
 
 
@@ -60,9 +62,9 @@ class UpdateStats:
     """What one update cost.
 
     ``mode`` is ``"maintain"`` for differentially maintained updates,
-    ``"delta"``/``"recompute"`` for the legacy semi-naive-continuation
-    and cone-recompute paths, ``"restore"`` for snapshot adoption and
-    ``"none"`` for no-ops.  The ``overdeleted``/``rederived``/
+    ``"recompute"`` for the oracle's cone recompute (and the initial
+    build), ``"restore"`` for snapshot adoption and ``"none"`` for
+    no-ops.  The ``overdeleted``/``rederived``/
     ``count_adjusted``/``component_recomputes`` counters are only
     nonzero under ``"maintain"``: ``overdeleted`` counts what DRed
     condemned, up to the cost gate when it fired, and
@@ -103,7 +105,7 @@ class MaintenanceTotals:
         self.updates += 1
         if stats.mode == "maintain":
             self.delta_updates += 1
-        elif stats.mode in ("delta", "recompute"):
+        elif stats.mode == "recompute":
             self.recompute_updates += 1
         self.facts_removed += stats.facts_removed
         self.overdeleted += stats.overdeleted
@@ -144,6 +146,7 @@ class IncrementalModel:
         self.program = program
         self.maintain = validated_mode(maintain)
         self.layering: Layering = compiled.layering
+        self._arities = predicate_arities(program)
         # body -> heads, for the cone of everything a change reaches
         self._dependents = reversed_graph(compiled.graph)
         # every recompute walks the compiled per-layer component order,
@@ -159,12 +162,6 @@ class IncrementalModel:
                 self._idb_facts.add(fact)
             else:
                 self._edb_facts.add(fact)
-        self.database = materialized if materialized is not None else Database()
-        # one context for the model's lifetime; its plans are the
-        # compiled program's, shared with every other run of it.
-        self._context = EvalContext(
-            self.database, compiled.plans, hooks=hooks, metrics=metrics
-        )
         self.last_update = UpdateStats()
         # differential maintenance state, created on the first update
         # of a "delta"-mode model.
@@ -183,11 +180,8 @@ class IncrementalModel:
             # already-computed model without re-running the fixpoint.
             self._edb_facts.update(canonical_atom(a) for a in edb)
             self.last_update = UpdateStats(mode="restore")
+            self.database = materialized
         else:
-            # initial build is always a full layered evaluation: a delta
-            # continuation would miss derivations from program facts,
-            # which are in ``_edb_facts`` / ``_idb_facts`` but not yet in
-            # the database.
             for atom in edb:
                 fact = canonical_atom(atom)
                 if fact.pred in self._idb:
@@ -195,7 +189,18 @@ class IncrementalModel:
                         f"cannot insert into derived predicate {fact.pred!r}"
                     )
                 self._edb_facts.add(fact)
-            self._recompute(set(self.program.predicates()))
+            self.database = Database(chain(self._edb_facts, self._idb_facts))
+        # a relation the rules use with another arity has no literal
+        # that reads it: one check per relation, before any evaluation
+        check_arity_pairs(self._arities, self.database.arities())
+        # one context for the model's lifetime; its plans are the
+        # compiled program's, shared with every other run of it.
+        self._context = EvalContext(
+            self.database, compiled.plans, hooks=hooks, metrics=metrics
+        )
+        if materialized is None:
+            # the initial build: a full layered evaluation
+            self._evaluate(set(self.program.predicates()), facts_removed=0)
 
     # -- public API -------------------------------------------------------
 
@@ -221,58 +226,25 @@ class IncrementalModel:
         for listener in self._delta_listeners:
             listener(invalidation)
 
-    def _publish_cone(self, cone: set[str], lsn: int | None) -> None:
-        """A non-differential update completed: bump the version and
-        publish the conservative invalidation of its cone."""
-        self.maintenance.record(self.last_update)
-        self.version += 1
-        self._notify_delta(
-            Invalidation(
-                lsn=lsn, preds=frozenset(cone), precise=False,
-                version=self.version,
-            )
-        )
-
     @gc_paused()
     def add_facts(
         self, atoms: Iterable[Atom], lsn: int | None = None
     ) -> UpdateStats:
-        """Insert base facts and repair the model."""
+        """Insert base facts and repair the model.  A fact of a derived
+        predicate (:class:`~repro.errors.EvaluationError`) or of a
+        predicate the rules use with another arity
+        (:class:`~repro.errors.WellFormednessError`) raises before any
+        fact of the batch is added."""
         new = [canonical_atom(a) for a in atoms]
         new = [a for a in new if a not in self._edb_facts]
         if not new:
             self.last_update = UpdateStats(mode="none", lsn=lsn)
             return self.last_update
-        for atom in new:
-            if atom.pred in self._idb:
-                raise EvaluationError(
-                    f"cannot insert into derived predicate {atom.pred!r}"
-                )
-            self._edb_facts.add(atom)
+        changed = self.check_facts(new)
+        self._edb_facts.update(new)
         if self.maintain == "delta":
             return self._apply_delta(new, (), lsn)
-        changed = {a.pred for a in new}
-        cone = self._affected_cone(changed)
-        if self._delta_safe(cone):
-            delta: dict[str, list[tuple]] = {}
-            for atom in new:
-                if self.database.add(atom):
-                    delta.setdefault(atom.pred, []).append(atom.args)
-            stats = seminaive_rounds(
-                self.database, self._cone_rules(cone), delta,
-                context=self._context,
-            )
-            self.last_update = UpdateStats(
-                mode="delta",
-                affected_predicates=len(cone),
-                lsn=lsn,
-                fixpoint=stats,
-            )
-        else:
-            self.last_update = self._recompute(cone)
-            self.last_update.lsn = lsn
-        self._publish_cone(cone, lsn)
-        return self.last_update
+        return self._recompute_update(changed, lsn)
 
     @gc_paused()
     def remove_facts(
@@ -284,16 +256,24 @@ class IncrementalModel:
         if not victims:
             self.last_update = UpdateStats(mode="none", lsn=lsn)
             return self.last_update
-        for atom in victims:
-            self._edb_facts.discard(atom)
+        self._edb_facts.difference_update(victims)
         if self.maintain == "delta":
             return self._apply_delta((), victims, lsn)
-        changed = {a.pred for a in victims}
-        cone = self._affected_cone(changed)
-        self.last_update = self._recompute(cone)
-        self.last_update.lsn = lsn
-        self._publish_cone(cone, lsn)
-        return self.last_update
+        return self._recompute_update({a.pred for a in victims}, lsn)
+
+    def check_facts(self, atoms: Sequence[Atom]) -> set[str]:
+        """Raise for a fact :meth:`add_facts` would reject: one of a
+        derived predicate (:class:`~repro.errors.EvaluationError`) or of
+        a predicate the rules use with another arity
+        (:class:`~repro.errors.WellFormednessError`).  Returns the
+        predicates of ``atoms``."""
+        preds = check_fact_arities(self._arities, atoms)
+        derived = preds & self._idb
+        if derived:
+            raise EvaluationError(
+                f"cannot insert into derived predicate {min(derived)!r}"
+            )
+        return preds
 
     def as_set(self) -> frozenset[Atom]:
         return self.database.as_set()
@@ -336,40 +316,50 @@ class IncrementalModel:
         """Changed predicates plus everything depending on them."""
         return reachable(self._dependents, changed)
 
-    def _cone_rules(self, cone: set[str]):
-        return [
-            r
-            for r in self.program.proper_rules()
-            if r.head.pred in cone
-        ]
-
-    def _delta_safe(self, cone: set[str]) -> bool:
-        """Insertion is monotone within the cone: no grouping heads and
-        no negation on cone predicates among the cone's rules."""
-        for rule in self._cone_rules(cone):
-            if rule.is_grouping():
-                return False
-            for lit in rule.negative_body():
-                if lit.atom.pred in cone:
-                    return False
-        return True
+    def _recompute_update(
+        self, changed: set[str], lsn: int | None
+    ) -> UpdateStats:
+        """The oracle's update of base predicates ``changed``: rebuild
+        their cone, then bump the version and publish the cone as a
+        conservative invalidation."""
+        cone = self._affected_cone(changed)
+        stats = self._recompute(cone)
+        stats.lsn = lsn
+        self.maintenance.record(stats)
+        self.version += 1
+        self._notify_delta(
+            Invalidation(
+                lsn=lsn, preds=frozenset(cone), precise=False,
+                version=self.version,
+            )
+        )
+        return stats
 
     def _recompute(self, cone: set[str]) -> UpdateStats:
         """Rebuild the cone's derived predicates over the fixed context."""
-        stats = UpdateStats(mode="recompute", affected_predicates=len(cone))
         # keep everything outside the cone; rebuild the inside, from
         # the base facts (changed EDB facts are reinstated from them).
         kept = []
+        removed = 0
         for pred in self.database.predicates():
             if pred not in cone:
                 kept.append(self.database.atoms(pred))
             elif pred in self._idb:
-                stats.facts_removed += self.database.count(pred)
+                removed += self.database.count(pred)
         fresh = Database(chain(*kept, self._edb_facts, self._idb_facts))
         self.database = fresh
         # cached plans stay valid across swaps: plans hold no database
         # references.
         self._context.db = fresh
+        return self._evaluate(cone, removed)
+
+    def _evaluate(self, cone: set[str], facts_removed: int) -> UpdateStats:
+        """Run the layered evaluation of the cone's rules over the
+        database, whose cone holds only base and program facts."""
+        stats = UpdateStats(
+            mode="recompute", affected_predicates=len(cone),
+            facts_removed=facts_removed,
+        )
         for i, layer_components in enumerate(self._schedule):
             for component in layer_components:
                 rules = tuple(

@@ -9,9 +9,9 @@ Two ways to repair a materialized model after an EDB update sit behind
   recursive ones, and multiset-backed regrouping for grouping heads,
   all on ID rows through the same ``derive_rows`` entry point as
   evaluation itself;
-* ``"recompute"`` — the original cone-clearing paths (semi-naive
-  continuation for monotone insertions, layered re-evaluation for
-  everything else), kept as the differential oracle.
+* ``"recompute"`` — the differential oracle: every update, insert or
+  delete, clears its affected cone's derived predicates and re-runs
+  the layered evaluation restricted to cone rules.
 
 A model's mode is fixed when it is built (``IncrementalModel(maintain=
 ...)``, passed through by ``DurableStore`` and ``LDL``); the test suite

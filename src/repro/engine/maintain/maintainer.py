@@ -220,9 +220,7 @@ class DeltaMaintainer:
     The maintainer is created lazily on the first maintained update and
     initializes each SCC's support state the first time the component
     falls inside an update's affected cone — always over the
-    *pre-update* database, before any EDB mutation lands.  A cone
-    recompute (mode switch) discards the maintainer wholesale; counts
-    are never repaired after a non-differential path touched the model.
+    *pre-update* database, before any EDB mutation lands.
     """
 
     def __init__(self, model: IncrementalModel) -> None:

@@ -8,7 +8,7 @@ a finite set of well-formed rules.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from repro.names import is_builtin_predicate
 from repro.terms.pretty import format_atom, format_literal, format_rule
@@ -271,10 +271,6 @@ class Program:
         return all(
             lit.positive for rule in self.rules for lit in rule.body
         )
-
-    def without_rules(self, drop: Sequence[Rule]) -> "Program":
-        dropped = set(drop)
-        return Program(r for r in self.rules if r not in dropped)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and set(self.rules) == set(other.rules)

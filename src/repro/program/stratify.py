@@ -13,7 +13,7 @@ that.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import NotAdmissibleError
 from repro.names import is_builtin_predicate
@@ -57,9 +57,6 @@ class Layering:
         return tuple(
             r for r in program.rules if self.index(r.head.pred) == i
         )
-
-    def as_mapping(self) -> Mapping[str, int]:
-        return dict(self._index)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Layering) and self.layers == other.layers

@@ -39,7 +39,6 @@ from repro.engine.incremental import IncrementalModel, UpdateStats
 from repro.errors import StorageError, WellFormednessError
 from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom, Program, canonical_atom
-from repro.program.wellformed import check_arity_pairs, predicate_arities
 from repro.storage.snapshot import load_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
 from repro.util import gc_paused
@@ -151,15 +150,23 @@ class DurableStore:
         start = time.perf_counter()
         self.wal = WriteAheadLog(self.wal_path, fsync=self.fsync, hooks=on)
         stats.wal_truncated_bytes = self.wal.truncated_bytes
-        for record in self.wal.replay():
-            # replayed updates carry the same LSN (the log offset one
-            # past the record) the original mutation was stamped with.
-            if record.op == "add":
-                self.model.add_facts(record.facts, lsn=record.end_offset)
-            else:
-                self.model.remove_facts(record.facts, lsn=record.end_offset)
-            stats.wal_records_replayed += 1
-            stats.wal_facts_replayed += len(record.facts)
+        try:
+            for record in self.wal.replay():
+                # replayed updates carry the same LSN (the log offset one
+                # past the record) the original mutation was stamped with.
+                if record.op == "add":
+                    self.model.add_facts(record.facts, lsn=record.end_offset)
+                else:
+                    self.model.remove_facts(
+                        record.facts, lsn=record.end_offset
+                    )
+                stats.wal_records_replayed += 1
+                stats.wal_facts_replayed += len(record.facts)
+        except WellFormednessError:
+            # a logged fact stored under other rules (the model checked
+            # the snapshot's relations when it was built)
+            self.close()
+            raise
         if on.wal_replay is not None:
             on.wal_replay(
                 records=stats.wal_records_replayed,
@@ -167,15 +174,6 @@ class DurableStore:
                 seconds=time.perf_counter() - start,
             )
         self.stats = stats
-        try:
-            # facts stored under other rules: a predicate these rules
-            # use with another arity has no literal that reads it
-            check_arity_pairs(
-                predicate_arities(self.program), self.model.database.arities()
-            )
-        except WellFormednessError:
-            self.close()
-            raise
         return self
 
     def close(self) -> None:
@@ -220,6 +218,9 @@ class DurableStore:
         batch = tuple(canonical_atom(a) for a in atoms)
         if not batch:
             return UpdateStats(mode="none")
+        if op == "add":
+            # a batch the model would reject is never logged
+            self.model.check_facts(batch)
         record = self.wal.append(op, batch)
         # the WAL LSN (offset one past the record) stamps the update and
         # its delta batch, so downstream consumers can order view deltas

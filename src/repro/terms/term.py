@@ -701,11 +701,6 @@ def intern_const(value, quoted: bool = False) -> Const:
     return winner
 
 
-def intern_table_size() -> int:
-    """Number of canonical representatives currently held."""
-    return len(_INTERN_TABLE)
-
-
 def term_id(term: Term) -> int:
     """The faithful dense ID of ``term``, interning it first if needed.
 

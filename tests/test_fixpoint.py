@@ -468,40 +468,3 @@ def test_key_map_path_runs_with_a_trace_recorder():
     assert installs
     derived = [e for e in recorder.events if e.kind == "fact_derived"]
     assert len(derived) == result.database.count("influences")
-
-
-def test_plain_list_delta_takes_the_key_map_path():
-    """``seminaive_rounds`` accepts a delta of plain argument tuples (the
-    incremental entry point); it is encoded once and takes the key-map
-    path like a ``RowBatch``."""
-    from repro.engine.fixpoint import seminaive_rounds
-
-    rules = [r for r in LINEAR.proper_rules() if r.head.pred == "influences"]
-    edges = [
-        (Const(f"u{i}"), Const(f"u{(i * 3 + k) % 12}"))
-        for i in range(12) for k in range(3)
-    ]
-    models = []
-    for keyed in (True, False):
-        exit_rows = [(b, a) for a, b in edges]
-        db = Database(
-            [Atom("e", args) for args in edges]
-            + [Atom("influences", args) for args in exit_rows]
-        )
-        installs = []
-        install = fixpoint.install_keys
-
-        def counting(db, dr):
-            installs.append(dr.pred)
-            return install(db, dr)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fixpoint, "install_keys", counting)
-            if not keyed:
-                mp.setattr(
-                    specialize.SpecializedPlan, "key_map_shape", lambda self: None
-                )
-            stats = seminaive_rounds(db, rules, {"influences": exit_rows})
-        assert bool(installs) == keyed
-        models.append((set(db.tuples("influences")), stats))
-    assert models[0] == models[1]

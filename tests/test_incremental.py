@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.engine import evaluate
 from repro.engine.incremental import IncrementalModel
-from repro.errors import EvaluationError
+from repro.engine.database import Database
+from repro.errors import EvaluationError, WellFormednessError
 from repro.parser import parse_atom, parse_rules
 from repro.terms.pretty import format_atom
 
@@ -54,14 +55,17 @@ class TestInsertions:
         assert parse_atom("anc(a, c)") in model.database
         assert fresh_model_equals(model)
 
-    def test_monotone_insert_uses_delta_under_recompute_mode(self):
+    def test_monotone_insert_recomputes_under_recompute_mode(self):
+        """The oracle has one path: a monotone insert rebuilds its cone
+        like any other update."""
         model = IncrementalModel(
             ANCESTOR, atoms("parent(a, b)"), maintain="recompute"
         )
         stats = model.add_facts(atoms("parent(b, c)"))
-        assert stats.mode == "delta"
+        assert stats.mode == "recompute"
         assert parse_atom("anc(a, c)") in model.database
         assert fresh_model_equals(model)
+        assert model.maintenance.recompute_updates == 1
 
     def test_insert_through_negation(self):
         model = IncrementalModel(
@@ -101,6 +105,29 @@ class TestInsertions:
         model = IncrementalModel(ANCESTOR, atoms("parent(a, b)"))
         with pytest.raises(EvaluationError):
             model.add_facts(atoms("anc(x, y)"))
+
+    @pytest.mark.parametrize("mode", ["delta", "recompute"])
+    def test_fact_arity_must_match_the_rules(self, mode):
+        """A base fact of a predicate the rules use with another arity
+        raises when the model is built, built or restored, and in
+        ``add_facts`` before any fact of its batch is added; a predicate
+        the rules do not use takes any arity."""
+        program = parse_rules("q(X) <- p(X, Y).")
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            IncrementalModel(program, atoms("p(1)"), maintain=mode)
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            IncrementalModel(
+                program, atoms("p(1)"), materialized=Database(atoms("p(1)")),
+                maintain=mode,
+            )
+        model = IncrementalModel(program, maintain=mode)
+        with pytest.raises(WellFormednessError, match="arity 2"):
+            model.add_facts(atoms("p(1, 2)", "p(3)"))
+        assert model.edb_size == 0 and model.version == 0
+        assert model.as_set() == frozenset()
+        model.add_facts(atoms("p(1, 2)", "r(5)"))
+        assert parse_atom("q(1)") in model.database
+        assert fresh_model_equals(model)
 
 
 class TestDeletions:

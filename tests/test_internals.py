@@ -81,16 +81,19 @@ class TestIncrementalBookkeeping:
             anc(X, Y) <- parent(X, Z), anc(Z, Y).
             """
         )
-        # the legacy update paths, pinned via maintain="recompute"
+        # the oracle's cone recompute, insert and delete alike
         model = IncrementalModel(
             program, [parse_atom("parent(a, b)")], maintain="recompute"
         )
-        delta = model.add_facts([parse_atom("parent(b, c)")])
-        assert delta.mode == "delta"
-        assert delta.fixpoint.facts_derived >= 2
+        insert = model.add_facts([parse_atom("parent(b, c)")])
+        assert insert.mode == "recompute"
+        assert insert.fixpoint.facts_derived >= 2
         removal = model.remove_facts([parse_atom("parent(b, c)")])
         assert removal.mode == "recompute"
         assert removal.facts_removed >= 1
+        totals = model.maintenance
+        assert totals.updates == totals.recompute_updates == 2
+        assert totals.delta_updates == 0
 
     def test_maintained_update_stats(self):
         program = parse_rules(

@@ -358,9 +358,9 @@ def _pinned_dense_script():
 
 
 def _pinned_grouping_script():
-    """An insertion whose cone has a grouping head and no negation, so
-    the recompute oracle must regroup rather than continue semi-naive
-    (``IncrementalModel._delta_safe``)."""
+    """An insertion into an existing group (``kids(a, {b})`` becomes
+    ``kids(a, {b, c})``): the maintainer must regroup the touched key,
+    retracting the old set, not add a second one beside it."""
     program = parse_rules("kids(P, <C>) <- parent(P, C).")
     pool = atoms("parent(a, b)", "parent(a, c)")
     return GeneratedProgram(program, pool), pool[:1], [("add", pool[1:])]
@@ -395,13 +395,17 @@ def test_property_delta_recompute_and_scratch_agree(monkeypatch):
             for op, batch in ops:
                 if op == "add":
                     stats = delta.add_facts(batch)
-                    oracle.add_facts(batch)
+                    checked = oracle.add_facts(batch)
                     current.update(dict.fromkeys(batch))
                 else:
                     stats = delta.remove_facts(batch)
-                    oracle.remove_facts(batch)
+                    checked = oracle.remove_facts(batch)
                     for atom in batch:
                         current.pop(atom, None)
+                # the oracle has one path: every update rebuilds its cone
+                assert checked.mode == (
+                    "none" if stats.mode == "none" else "recompute"
+                )
                 if stats.component_recomputes:
                     taken.add("gate")
                 elif stats.overdeleted:

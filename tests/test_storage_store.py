@@ -8,7 +8,7 @@ import pytest
 from repro import LDL, evaluate
 from repro.cli import run as cli_run
 from repro.engine.database import Database
-from repro.errors import EvaluationError, StorageError
+from repro.errors import EvaluationError, StorageError, WellFormednessError
 from repro.observe import MetricsCollector, TraceRecorder, compose_hooks
 from repro.parser import parse_atom, parse_rules
 from repro.storage.store import DurableStore
@@ -106,6 +106,21 @@ class TestOpenModes:
         with pytest.raises(StorageError):
             store.open()
         store.close()
+
+    def test_rejected_batch_is_never_logged(self, tmp_path):
+        """A batch the model rejects (a fact of another arity than the
+        rules', or of a derived predicate) raises before it is
+        WAL-logged, so the store still reopens."""
+        for bad, error in (
+            (atoms("parent(a, b)", "parent(c)"), WellFormednessError),
+            (atoms("parent(a, b)", "anc(x, y)"), EvaluationError),
+        ):
+            with DurableStore(ANCESTOR, tmp_path) as store:
+                with pytest.raises(error):
+                    store.add_facts(bad)
+                assert store.wal.record_count == 0 and store.edb_facts == set()
+        with DurableStore(ANCESTOR, tmp_path) as store:
+            assert store.stats.wal_records_replayed == 0
 
     def test_closed_store_rejects_use(self, tmp_path):
         store = DurableStore(ANCESTOR, tmp_path)
