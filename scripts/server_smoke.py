@@ -189,6 +189,13 @@ def main() -> None:
                     cache_stats["hits"] >= 2
                     and cache_stats["entries_invalidated"] >= 1,
                 )
+                # a durable server reads its misses from the maintained
+                # model: a fill by magic here is a silent fallback
+                check(
+                    "cache fills read the model, never magic",
+                    cache_stats["fills"]["magic"] == 0
+                    and cache_stats["fills"]["model"] >= 1,
+                )
 
                 # variable names out of position order: answers sort by
                 # name, not by row; e(5, 0) makes the two orders differ

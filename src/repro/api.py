@@ -389,9 +389,10 @@ class LDL:
 
     def _on_demand(self, query: Query) -> tuple[PreparedQuery, Database]:
         """The prepared form of ``query`` and the base database to run
-        it over: the durable model's live relations, or the in-memory
-        EDB loaded once per EDB version.  Runs only read the base, so
-        any number may share it (and the prepared form) concurrently."""
+        it over, for :meth:`query_magic` and :meth:`on_demand_rows`:
+        the durable model's live relations, or the in-memory EDB
+        loaded once per EDB version.  Runs only read the base, so any
+        number may share it (and the prepared form) concurrently."""
         with self._lock:
             program = self.program
             prepared = compile_program(program).prepare(query)
@@ -411,11 +412,13 @@ class LDL:
     def on_demand_rows(self, text: str | Query) -> tuple[tuple, ...]:
         """Answer rows for a query, computed on demand via magic sets.
 
-        The population path of the server's
-        :class:`~repro.server.cache.AnswerCache`: the sorted ground
-        argument rows of the matching answer facts rather than variable
-        bindings — rows for a relaxed pattern can answer any more-bound
-        query later by re-matching, which bindings cannot.
+        How the server's :class:`~repro.server.cache.AnswerCache` fills
+        a bound IDB miss of an in-memory session, which has no
+        maintained model to read (a durable session's misses probe its
+        store's model instead): the sorted ground argument rows of the
+        matching answer facts rather than variable bindings — rows for
+        a relaxed pattern can answer any more-bound query later by
+        re-matching, which bindings cannot.
         """
         query = text if isinstance(text, Query) else parse_query(text)
         prepared, base = self._on_demand(query)

@@ -41,18 +41,22 @@ and its session and memoizes query answers across clients:
   per form, however many entries the cache holds.  When several
   entries qualify, the most recently used one answers.
 
-* **Population.**  Misses with at least one bound argument on an IDB
-  predicate are computed *on demand* through the §6 magic-set pipeline
+* **Population.**  A maintained model answers; magic only where there
+  is none.  A durable session's store keeps every relation current,
+  so any miss there is one index probe of its live database
+  (:func:`repro.engine.evaluator.answer_rows`).  An in-memory session
+  computes a miss with at least one bound argument on an IDB
+  predicate *on demand* through the §6 magic-set pipeline
   (:meth:`repro.api.LDL.on_demand_rows`: one
-  :class:`~repro.magic.evaluate.PreparedQuery` per query form, run
-  over the live EDB relations), so a bound query on a large
-  database never materializes the full model.  Free queries and EDB
-  predicates read the session's (already materialized or memoized)
-  model directly.  So does a bound query magic *does not apply to* —
-  the rewrite refuses the program (:class:`MagicRewriteError`) or the
-  constrained evaluation fails its stability check
-  (:class:`UnstableMagicEvaluationError`) — counted by reason as
-  ``magic_fallbacks``; any other failure propagates to the caller.
+  :class:`~repro.magic.evaluate.PreparedQuery` per query form), so a
+  bound query never materializes a model that may be large, or
+  infinite.  Its free queries and EDB predicates read the session's
+  (memoized) model directly.  So does a bound query magic *does not
+  apply to* — the rewrite refuses the program
+  (:class:`MagicRewriteError`) or the constrained evaluation fails its
+  stability check (:class:`UnstableMagicEvaluationError`) — counted by
+  reason as ``magic_fallbacks``; any other failure propagates to the
+  caller.  Fills are counted by lane, ``fills: {"model", "magic"}``.
 
 * **Invalidation.**  Writes invalidate *precisely*: the session's
   delta listeners deliver an :class:`repro.engine.maintain.Invalidation`
@@ -193,6 +197,8 @@ class AnswerCache:
         self.subsumed = 0
         self.invalidation_events = 0
         self.entries_invalidated = 0
+        # fills by lane: read from a model, or computed by magic
+        self.fills = {"model": 0, "magic": 0}
         # bound fills magic did not apply to, by exception class name
         self.magic_fallbacks: dict[str, int] = {}
 
@@ -250,9 +256,10 @@ class AnswerCache:
             # miss: evaluate outside the mutex (possibly slow), then
             # insert unless an invalidation ran meanwhile.
             epoch = self._epoch
-            rows, version = self._load(key, relaxed)
+            rows, version, lane = self._load(key, relaxed)
             with self._mutex:
                 self.misses += 1
+                self.fills[lane] += 1
                 if key not in self._entries and epoch == self._epoch:
                     self._insert(_Entry(key, rows, version))
         if names is None or how == "hit-subsumed":
@@ -395,17 +402,25 @@ class AnswerCache:
 
     def _load(
         self, key: Key, relaxed: Query
-    ) -> tuple[tuple[tuple[Term, ...], ...], int | None]:
-        """Rows for the relaxed pattern plus the version they reflect."""
+    ) -> tuple[tuple[tuple[Term, ...], ...], int | None, str]:
+        """Rows for the relaxed pattern, the version they reflect, and
+        the lane that filled them (``"model"`` or ``"magic"``).
+
+        A maintained model answers (a durable session's live database);
+        magic only where there is none, for a bound IDB miss of an
+        in-memory session, whose model may be large or infinite.
+        """
         session = self._session
         if session is None:
             raise EvaluationError("AnswerCache.answers needs a bound session")
         store = getattr(session, "store", None)
-        version = store.model.version if store is not None else None
+        if store is not None:
+            version = store.model.version
+            return answer_rows(store.database, relaxed), version, "model"
         pred, adornment, _ = key
         if "b" in adornment and pred in session.program.idb_predicates():
             try:
-                return tuple(session.on_demand_rows(relaxed)), version
+                return tuple(session.on_demand_rows(relaxed)), None, "magic"
             except (MagicRewriteError, UnstableMagicEvaluationError) as exc:
                 # magic does not apply here; the model always does
                 reason = type(exc).__name__
@@ -413,7 +428,7 @@ class AnswerCache:
                     self.magic_fallbacks[reason] = (
                         self.magic_fallbacks.get(reason, 0) + 1
                     )
-        return answer_rows(session.model().database, relaxed), version
+        return answer_rows(session.model().database, relaxed), None, "model"
 
     # -- invalidation ------------------------------------------------------
 
@@ -493,6 +508,7 @@ class AnswerCache:
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "invalidation_events": self.invalidation_events,
                 "entries_invalidated": self.entries_invalidated,
+                "fills": dict(self.fills),
                 "magic_fallbacks": dict(self.magic_fallbacks),
             }
 

@@ -35,10 +35,11 @@ error in one query leaves the connection serving the next.
 
 Queries are served through the session's :class:`AnswerCache` when one
 is attached (the default; ``cache=None`` serves without one): hot
-queries hit cached answer rows, misses populate the cache via
-on-demand magic evaluation, and every write invalidates exactly the
-entries whose support intersects the predicates the update's
-:class:`~repro.engine.maintain.DeltaBatch` actually changed.
+queries hit cached answer rows, misses populate the cache from the
+durable store's maintained model (by on-demand magic evaluation in an
+in-memory session, which has none), and every write invalidates
+exactly the entries whose support intersects the predicates the
+update's :class:`~repro.engine.maintain.DeltaBatch` actually changed.
 """
 
 from __future__ import annotations

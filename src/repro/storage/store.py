@@ -36,7 +36,7 @@ from typing import Iterable
 from repro.engine.compiled import compile_program
 from repro.engine.database import Database
 from repro.engine.incremental import IncrementalModel, UpdateStats
-from repro.errors import StorageError, WellFormednessError
+from repro.errors import StorageError
 from repro.observe import MetricsCollector, Subscriber, compose_hooks
 from repro.program.rule import Atom, Program, canonical_atom
 from repro.storage.snapshot import load_snapshot, write_snapshot
@@ -103,9 +103,20 @@ class DurableStore:
 
         Raises :class:`~repro.errors.WellFormednessError`, and closes
         again, when a stored predicate is one the program uses with
-        another arity (facts stored under other rules)."""
+        another arity (facts stored under other rules).  Any failure
+        leaves the store closed, its log released, and re-raises."""
         if self.model is not None:
             raise StorageError(f"{self.path}: store already open")
+        try:
+            return self._recover()
+        except BaseException:
+            self.close()
+            raise
+
+    def _recover(self) -> "DurableStore":
+        """:meth:`open`'s work: restore the model, then replay the log
+        (the model checks the snapshot's relations when it is built,
+        and each replayed batch as it is added)."""
         os.makedirs(self.path, exist_ok=True)
         self._fingerprint = compile_program(self.program).fingerprint
         stats = StoreStats()
@@ -150,23 +161,15 @@ class DurableStore:
         start = time.perf_counter()
         self.wal = WriteAheadLog(self.wal_path, fsync=self.fsync, hooks=on)
         stats.wal_truncated_bytes = self.wal.truncated_bytes
-        try:
-            for record in self.wal.replay():
-                # replayed updates carry the same LSN (the log offset one
-                # past the record) the original mutation was stamped with.
-                if record.op == "add":
-                    self.model.add_facts(record.facts, lsn=record.end_offset)
-                else:
-                    self.model.remove_facts(
-                        record.facts, lsn=record.end_offset
-                    )
-                stats.wal_records_replayed += 1
-                stats.wal_facts_replayed += len(record.facts)
-        except WellFormednessError:
-            # a logged fact stored under other rules (the model checked
-            # the snapshot's relations when it was built)
-            self.close()
-            raise
+        for record in self.wal.replay():
+            # replayed updates carry the same LSN (the log offset one
+            # past the record) the original mutation was stamped with.
+            if record.op == "add":
+                self.model.add_facts(record.facts, lsn=record.end_offset)
+            else:
+                self.model.remove_facts(record.facts, lsn=record.end_offset)
+            stats.wal_records_replayed += 1
+            stats.wal_facts_replayed += len(record.facts)
         if on.wal_replay is not None:
             on.wal_replay(
                 records=stats.wal_records_replayed,

@@ -1,6 +1,11 @@
 """Tests for the server answer cache (repro.server.cache)."""
 
 import asyncio
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +13,14 @@ from hypothesis import strategies as st
 
 from repro import LDL
 from repro.engine.maintain import MAINTAIN_MODES, Invalidation
-from repro.parser.parser import parse_query
+from repro.parser.parser import parse_atom, parse_query
 from repro.program.rule import Atom, Query
 from repro.server import LDLServer, protocol
 from repro.server.cache import AnswerCache, _bindings
 from repro.terms.term import Const, Func, SetPattern, Var
 from repro.terms.pretty import format_program, format_query
 from tests.strategies import update_scripts
-from tests.test_server import ServerThread
+from tests.test_server import ROOT, ServerThread
 
 TWO_FAMILIES = """
     t(X, Y) <- e(X, Y).
@@ -565,3 +570,107 @@ def test_subsumed_hit_promotes_most_recently_used_entry():
     assert cache.answers(by_target)[1] == "hit"
     assert cache.answers(other)[1] == "miss"
     assert cache.answers(by_source)[1] == "miss"
+
+
+#: Users as query text, each in two spellings that name one U-element.
+_USERS = ("u0", "u1", "u2", "u3")
+_SPELLED = st.tuples(st.sampled_from(_USERS), st.booleans()).map(
+    lambda spelled: f"'{spelled[0]}'" if spelled[1] else spelled[0]
+)
+
+
+@st.composite
+def _social_scripts(draw):
+    """A small follows graph, then up to 12 steps: bound and unbound
+    queries on ``influences``, ``recommend`` and ``audience`` (quoted
+    spellings, repeated variables, compound patterns) between batches
+    of inserted and deleted follows facts."""
+    follows = st.tuples(_SPELLED, _SPELLED).map(
+        lambda ab: parse_atom(f"follows({ab[0]}, {ab[1]})")
+    )
+    batches = st.lists(follows, min_size=1, max_size=3)
+
+    @st.composite
+    def queries(draw):
+        pred = draw(st.sampled_from(["influences", "recommend", "audience"]))
+        u = draw(_SPELLED)
+        bound = "2" if pred == "audience" else draw(_SPELLED)
+        shape = draw(st.sampled_from([
+            "{u}, X", "X, {u}", "{u}, {v}", "{u}, f(X)", "X, X", "Y, X",
+        ]))
+        return f"? {pred}({shape.format(u=u, v=bound)})."
+
+    steps = st.one_of(
+        st.tuples(st.just("ask"), queries()),
+        st.tuples(st.sampled_from(["add", "remove"]), batches),
+    )
+    initial = draw(st.lists(follows, max_size=8))
+    return initial, draw(st.lists(steps, min_size=1, max_size=12))
+
+
+@pytest.mark.parametrize("maintain", MAINTAIN_MODES)
+@given(script=_social_scripts())
+@settings(max_examples=25, deadline=None)
+def test_durable_fills_equal_magic_and_in_memory(maintain, script):
+    """A durable session fills every miss from its maintained model.
+    Its cached answers, spellings included, must equal the model's
+    ``LDL.query``, ``LDL.query_magic`` and a fresh in-memory session
+    (whose bound misses fill by magic) after every write."""
+    from repro.workloads.social import SOCIAL_PROGRAM
+
+    def wire(bindings):
+        return [protocol.encode_binding(b) for b in bindings]
+
+    initial, steps = script
+    live = {}  # the live facts, each in the spelling it was first added
+    with tempfile.TemporaryDirectory() as tmp, LDL(
+        SOCIAL_PROGRAM, path=tmp, maintain=maintain
+    ) as durable:
+        cache = AnswerCache().bind_session(durable)
+        for kind, arg in [("add", initial)] + steps:
+            if kind == "add":
+                durable.add_atoms(arg)
+                for atom in arg:
+                    live.setdefault(atom, atom)
+            elif kind == "remove":
+                durable.remove_atoms(arg)
+                for atom in arg:
+                    live.pop(atom, None)
+            else:
+                query = parse_query(arg)
+                got, _ = cache.answers(query, wire=True)
+                assert got == wire(durable.model().answers(query)), arg
+                assert got == wire(durable.query_magic(query).answers()), arg
+                fresh = LDL(SOCIAL_PROGRAM).add_atoms(live.values())
+                fresh_cache = AnswerCache().bind_session(fresh)
+                assert got == fresh_cache.answers(query, wire=True)[0], arg
+                assert durable.query(query) == fresh.query(query), arg
+        assert cache.report()["fills"]["magic"] == 0
+
+
+def test_in_memory_bound_fill_never_builds_an_infinite_model():
+    """``nat`` and ``lt`` are infinite, so an in-memory session must
+    fill a bound miss by magic: the model never finishes.  Run in a
+    child process with a deadline, so a regression fails, not hangs."""
+    child = textwrap.dedent(
+        """
+        from repro import LDL
+        from repro.parser.parser import parse_query
+        from repro.server.cache import AnswerCache
+
+        session = LDL("nat(0). nat(s(X)) <- nat(X). lt(X, s(X)) <- nat(X).")
+        cache = AnswerCache().bind_session(session)
+        answers, how = cache.answers(parse_query("? lt(s(0), Y)."))
+        two = parse_query("? nat(s(s(0))).").atom.args[0]
+        assert answers == [{"Y": two}], answers
+        assert how == "miss"
+        assert cache.report()["fills"] == {"model": 0, "magic": 1}
+        assert session._cached_result is None  # no model was built
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -328,24 +328,26 @@ class TestConcurrency:
 
 
 class TestConcurrentColdReads:
-    """Cold bound queries share one prepared rewrite and the live EDB
-    relations; nothing a read does may be visible to the next one."""
+    """Cold bound queries from concurrent clients: an in-memory session
+    fills them by magic, sharing one prepared rewrite per query form and
+    the base relations; a durable session reads them from its maintained
+    model.  Nothing a read does may be visible to the next one."""
 
     CLIENTS = 8
 
-    def test_cold_bound_queries_share_live_relations(self, tmp_path):
-        from repro.server.cache import AnswerCache
-        from repro.workloads.social import SOCIAL_PROGRAM, social_network
+    @staticmethod
+    def queries(i):
+        for user in (f"u{i}", f"u{i + 8}", f"u{i + 16}"):
+            yield f"? influences({user}, X)."
+            yield f"? recommend({user}, X)."
+            yield f"? audience({user}, N)."
+            yield f"? influences(X, {user})."  # builds an index under readers
 
-        edb = social_network(users=24, follows_per_user=3, interests=3, seed=5)
-        session = LDL(SOCIAL_PROGRAM, path=str(tmp_path / "db"))
-        session.add_atoms(edb)
-        oracle = LDL(SOCIAL_PROGRAM)
-        oracle.add_atoms(edb)
-        follows = session.store.database.get_relation("follows")
-        rows_before = len(follows)
-        indexes_before = set(follows._id_indexes)
-        cow_before = follows._cow
+    def cold_reads(self, session):
+        """Every client's queries, each a cold miss, asked at once;
+        returns the served answers and the server's stats."""
+        from repro.server.cache import AnswerCache
+
         errors, answers = [], {}
         start = threading.Barrier(self.CLIENTS)
 
@@ -353,15 +355,10 @@ class TestConcurrentColdReads:
             try:
                 with st.client() as client:
                     start.wait(10)
-                    for user in (f"u{i}", f"u{i + 8}", f"u{i + 16}"):
-                        for q in (
-                            f"? influences({user}, X).",
-                            f"? recommend({user}, X).",
-                            f"? audience({user}, N).",
-                        ):
-                            response = client.call("query", q=q)
-                            assert response["cache"] == "miss", q
-                            answers[q] = client.query(q)
+                    for q in self.queries(i):
+                        response = client.call("query", q=q)
+                        assert response["cache"] == "miss", q
+                        answers[q] = client.query(q)
             except Exception as exc:  # noqa: BLE001 - reported by main thread
                 errors.append(exc)
 
@@ -382,22 +379,63 @@ class TestConcurrentColdReads:
                     stats = client.stats()
         finally:
             sys.setswitchinterval(interval)
-            session.close()
         assert not errors, errors
-        assert len(answers) == self.CLIENTS * 9
+        assert len(answers) == self.CLIENTS * 12
+        return answers, stats["answer_cache"]
+
+    @staticmethod
+    def social():
+        from repro.workloads.social import SOCIAL_PROGRAM, social_network
+
+        edb = social_network(users=24, follows_per_user=3, interests=3, seed=5)
+        oracle = LDL(SOCIAL_PROGRAM)
+        oracle.add_atoms(edb)
+        return SOCIAL_PROGRAM, edb, oracle
+
+    def test_in_memory_cold_reads_share_one_rewrite_per_form(self):
+        program, edb, oracle = self.social()
+        session = LDL(program)
+        session.add_atoms(edb)
+        answers, cache = self.cold_reads(session)
         for q, served in answers.items():
             assert norm(served) == norm(oracle.query(q)), q
-        # three query forms, however many users asked
+        # four query forms, however many users asked
         forms = compile_program(session.program)._prepared
         assert sorted((pred, adornment) for _, pred, adornment in forms) == [
-            ("audience", "bf"), ("influences", "bf"), ("recommend", "bf"),
+            ("audience", "bf"), ("influences", "bf"), ("influences", "fb"),
+            ("recommend", "bf"),
         ]
-        assert stats["answer_cache"]["magic_fallbacks"] == {}
-        # the live relation: same rows, indexes only ever added, and no
-        # copy-on-write flag left behind by any reader
-        assert len(follows) == rows_before
-        assert set(follows._id_indexes) >= indexes_before
-        assert follows._cow == cow_before
+        assert cache["misses"] >= self.CLIENTS * 12
+        assert cache["fills"] == {"model": 0, "magic": cache["misses"]}
+        assert cache["magic_fallbacks"] == {}
+
+    def test_durable_cold_reads_probe_the_live_model(self, tmp_path):
+        program, edb, oracle = self.social()
+        session = LDL(program, path=str(tmp_path / "db"))
+        session.add_atoms(edb)
+        database = session.store.database
+        before = {
+            pred: (len(rel), set(rel._id_indexes), rel._cow)
+            for pred in database.predicates()
+            for rel in (database.get_relation(pred),)
+        }
+        try:
+            answers, cache = self.cold_reads(session)
+        finally:
+            session.close()
+        for q, served in answers.items():
+            assert norm(served) == norm(oracle.query(q)), q
+        # no rewrite prepared, nothing computed by magic
+        assert compile_program(session.program)._prepared == {}
+        assert cache["misses"] >= self.CLIENTS * 12
+        assert cache["fills"] == {"model": cache["misses"], "magic": 0}
+        # every live relation: same rows, indexes only ever added, and
+        # no copy-on-write flag left behind by any reader
+        for pred, (rows, indexes, cow) in before.items():
+            rel = database.get_relation(pred)
+            assert len(rel) == rows, pred
+            assert set(rel._id_indexes) >= indexes, pred
+            assert rel._cow == cow, pred
 
 
 class CountingExecutor(ThreadPoolExecutor):

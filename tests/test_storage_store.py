@@ -122,6 +122,26 @@ class TestOpenModes:
         with DurableStore(ANCESTOR, tmp_path) as store:
             assert store.stats.wal_records_replayed == 0
 
+    def test_failed_replay_leaves_the_store_closed(self, tmp_path):
+        """A logged record the model rejects on replay (a derived fact,
+        which older stores could log; or a fact of another arity) makes
+        ``open`` raise and leaves the store closed, its log released."""
+        for bad, error in (
+            (atoms("anc(x, y)"), EvaluationError),
+            (atoms("parent(c)"), WellFormednessError),
+        ):
+            store = DurableStore(ANCESTOR, tmp_path / error.__name__)
+            os.makedirs(store.path)
+            log = WriteAheadLog(store.wal_path)
+            log.append("add", atoms("parent(a, b)"))
+            log.append("add", bad)
+            log.close()
+            with pytest.raises(error):
+                store.open()
+            assert store.wal is None and store.model is None
+            with pytest.raises(StorageError):
+                store.database
+
     def test_closed_store_rejects_use(self, tmp_path):
         store = DurableStore(ANCESTOR, tmp_path)
         with pytest.raises(StorageError):
