@@ -28,6 +28,7 @@ from itertools import chain
 from typing import Iterable
 
 from repro.engine.database import Database
+from repro.engine.fixpoint import closure_shape
 from repro.engine.plan import PlanCache
 from repro.errors import EvaluationError
 from repro.observe import Dispatcher
@@ -89,6 +90,22 @@ def load_base(program: Program, edb: Iterable[Atom], on: Dispatcher) -> Database
     return db
 
 
+def mark_closures(
+    schedule: Iterable[Iterable[SCCComponent]],
+) -> tuple[tuple[SCCComponent, ...], ...]:
+    """``schedule`` with every recursive component's ``closure`` set to
+    its :func:`~repro.engine.fixpoint.closure_shape`: the components
+    the semi-naive strategy evaluates by reachability."""
+    return tuple(
+        tuple(
+            component._replace(closure=closure_shape(component))
+            if component.recursive else component
+            for component in layer
+        )
+        for layer in schedule
+    )
+
+
 class CompiledProgram:
     """A checked, layered, scheduled program plus its plan cache.
 
@@ -116,12 +133,10 @@ class CompiledProgram:
         #: the canonical (least-index) layering; raises when the
         #: program is not admissible.
         self.layering = stratify(program, self.graph, self.components)
-        #: per layer, its SCCs in dependency order.
-        self.schedule: tuple[tuple[SCCComponent, ...], ...] = tuple(
-            tuple(layer)
-            for layer in scc_schedule(
-                program, self.layering, self.graph, self.components
-            )
+        #: per layer, its SCCs in dependency order, each linear
+        #: closure marked with its shape.
+        self.schedule = mark_closures(
+            scc_schedule(program, self.layering, self.graph, self.components)
         )
         self.idb = program.idb_predicates()
         #: compiled rule plans, shared by every run of this program.

@@ -12,7 +12,10 @@ fixpoint: the layer's predicates are condensed into strongly connected
 components (:func:`repro.program.dependency.scc_schedule`), evaluated
 in dependency order — non-recursive components in one semi-naive-free
 pass, genuinely recursive components as their own (much smaller)
-fixpoint.  Theorem 2 guarantees the model is the same.
+fixpoint, and a linear closure under the semi-naive strategy by
+reachability over its step graph
+(:func:`~repro.engine.fixpoint.closure_fixpoint`).  Theorem 2
+guarantees the model is the same.
 
 Everything that depends on the rules alone — the check, the layering,
 the schedule and the rule plans — comes from the program's
@@ -30,11 +33,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Literal as TypingLiteral
 
-from repro.engine.compiled import compile_program, load_base
+from repro.engine.compiled import compile_program, load_base, mark_closures
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
 from repro.engine.fixpoint import (
     FixpointStats,
+    closure_fixpoint,
     install_rows,
     naive_fixpoint,
     seminaive_fixpoint,
@@ -55,10 +59,15 @@ Strategy = TypingLiteral["naive", "seminaive"]
 
 @dataclass
 class SCCStats:
-    """Work counters and wall time for one scheduled SCC."""
+    """Work counters and wall time for one scheduled SCC.
+
+    ``path`` names how its non-grouping rules ran: ``"single"`` (one
+    pass, a non-recursive component), ``"seminaive"`` or ``"naive"``
+    (that fixpoint loop) or ``"closure"`` (:func:`closure_fixpoint`)."""
 
     preds: frozenset[str]
     recursive: bool
+    path: str = "single"
     grouping_facts: int = 0
     fixpoint: FixpointStats = field(default_factory=FixpointStats)
     seconds: float = 0.0
@@ -122,15 +131,26 @@ def evaluate_component(
 
     Grouping rules apply once over the facts from below (the R1 step —
     their bodies read strictly lower predicates, so component order
-    cannot starve them), then the remaining rules run as a fixpoint
-    when the component is recursive or as a single pass when it is not.
-    ``rules`` restricts the component's rules (incremental cones);
-    ``layer`` tags the emitted SCC events and timings.
+    cannot starve them), then the remaining rules run as a single pass
+    when the component is not recursive, and as ``run_fixpoint`` when
+    it is — except that a linear closure (``component.closure``) under
+    the semi-naive strategy, all its rules given, runs as
+    :func:`closure_fixpoint`.  ``rules`` restricts the component's rules
+    (incremental cones); ``layer`` tags the emitted SCC events and
+    timings.
     """
-    stats = SCCStats(component.preds, component.recursive)
     effective = component.rules if rules is None else tuple(rules)
     grouping = [r for r in effective if r.is_grouping()]
     other = [r for r in effective if not r.is_grouping()]
+    if not component.recursive:
+        path = "single"
+    elif run_fixpoint is naive_fixpoint:
+        path = "naive"
+    elif component.closure is not None and len(other) == len(component.rules):
+        path = "closure"
+    else:
+        path = "seminaive"
+    stats = SCCStats(component.preds, component.recursive, path)
     on = ctx.on
     if on.scc_start is not None:
         on.scc_start(
@@ -141,16 +161,21 @@ def evaluate_component(
         dr = fire_grouping_rule(rule, db, ctx)
         stats.grouping_facts += install_rows(ctx, db, rule, dr)
     if other:
-        if component.recursive:
-            stats.fixpoint = run_fixpoint(db, other, context=ctx)
-        else:
+        if path == "single":
             stats.fixpoint = single_pass(db, other, context=ctx)
+        elif path == "closure":
+            stats.fixpoint = closure_fixpoint(
+                db, other, component.closure, context=ctx
+            )
+        else:
+            stats.fixpoint = run_fixpoint(db, other, context=ctx)
     stats.seconds = time.perf_counter() - start
     if on.scc_end is not None:
         on.scc_end(
             layer=layer,
             preds=component.preds,
             recursive=component.recursive,
+            path=path,
             new_facts=stats.grouping_facts + stats.fixpoint.facts_derived,
             seconds=stats.seconds,
         )
@@ -196,8 +221,8 @@ def evaluate(
     if layering is None:
         layering, schedule = compiled.layering, compiled.schedule
     elif validate_layering(program, layering):
-        schedule = scc_schedule(
-            program, layering, compiled.graph, compiled.components
+        schedule = mark_closures(
+            scc_schedule(program, layering, compiled.graph, compiled.components)
         )
     else:
         raise EvaluationError("supplied layering violates the layering conditions")

@@ -8,6 +8,17 @@ occurrence per rule application to the facts newly derived in the
 previous round, avoiding rediscovery.  Both reach the same fixpoint;
 the benchmark suite quantifies the difference (experiment E1).
 
+R(M) fixes what a recursive component means, not how to compute it.
+A component that is one left- or right-linear closure over a lower
+binary relation (:func:`closure_shape`, marked once per program by the
+compiled schedule) is graph reachability, and under the semi-naive
+strategy the evaluator runs it as :func:`closure_fixpoint`: the exit
+rules' round 0, then one Tarjan pass over the step graph and one reach
+set per strongly connected component, installed per key.  Its model,
+spellings and ``facts_derived`` are the semi-naive loop's; its
+``iterations`` and ``rule_firings`` count round 0 plus one closure
+step, a single firing of the recursive rule.
+
 A semi-naive round, round 0 included, installs each rule
 application's derived *set*.  A projecting join (one head column
 carried from its scanned relation, the other read from a relation the
@@ -40,14 +51,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.engine.context import EvalContext
 from repro.engine.database import Database
-from repro.engine.exec import RowBatch, derive_rows
+from repro.engine.exec import DerivedRows, RowBatch, derive_rows
 from repro.engine.relation import pairs_of
 from repro.names import is_builtin_predicate
+from repro.program.dependency import SCCComponent, strongly_connected
 from repro.program.rule import Atom, Rule
+from repro.terms.term import Var
 
 
 @dataclass
@@ -56,9 +69,13 @@ class FixpointStats:
 
     ``rule_firings`` counts rule *applications* (one compiled plan
     executed against the database); ``facts_derived`` counts the new
-    facts those applications contributed.  Both mean the same thing
-    under every strategy, so traces and benchmarks compare like with
-    like.
+    facts those applications contributed; ``iterations`` counts rounds.
+    ``facts_derived`` means the same thing on every path.  On the
+    closure path (:func:`closure_fixpoint`) a round and a firing are
+    coarser: round 0 fires each exit rule once, and the one closure
+    step that follows is one round and one firing of the recursive
+    rule, however deep the recursion, so its ``iterations`` is always
+    2.
     """
 
     iterations: int = 0
@@ -258,4 +275,195 @@ def seminaive_fixpoint(
         if ctx.on.iteration is not None:
             ctx.on.iteration(iteration=stats.iterations, new_facts=round_new)
         delta = next_delta
+    return stats
+
+
+# -- linear closures: reachability over the step graph's condensation ------
+
+
+class ClosureShape(NamedTuple):
+    """A recursive component that is one linear closure (see
+    :func:`closure_shape`).  ``rule`` is its recursive rule, whose
+    other body literal reads the lower binary ``edge``; ``left`` is
+    True for the left-linear form ``p(A, B) <- p(A, C), e(..)``, False
+    for the right-linear ``p(A, B) <- e(..), p(C, B)``; ``forward`` is
+    True when one closure step follows ``edge``'s pairs from first to
+    second (``e(C, B)`` left-linear, ``e(A, C)`` right-linear)."""
+
+    rule: Rule
+    edge: str
+    left: bool
+    forward: bool
+
+
+def closure_shape(component: SCCComponent) -> ClosureShape | None:
+    """The component's closure shape, or None.
+
+    The component is one binary predicate ``p`` with no grouping rule,
+    and exactly one of its rules mentions ``p`` in its body: ``p(A, B)
+    <- p(A, C), e(B, C)`` or ``e(C, B)`` (left-linear), or ``p(A, B) <-
+    e(A, C)`` or ``e(C, A), p(C, B)`` (right-linear), in either body
+    order, over a binary ``e`` other than ``p``, with three distinct
+    variables and nothing else: no negation, builtin, constant or
+    repeated variable.  Every other rule is an exit rule.  An exit rule
+    listed after the recursive rule must have a head of variables
+    alone: the semi-naive round 0 runs the recursive rule first, and
+    only a spelled head constant could tell the two orders apart."""
+    if not component.recursive or len(component.preds) != 1:
+        return None
+    (pred,) = component.preds
+    rules = component.rules
+    recursive = [
+        i for i, rule in enumerate(rules)
+        if any(lit.atom.pred == pred for lit in rule.body)
+    ]
+    if len(recursive) != 1 or any(rule.is_grouping() for rule in rules):
+        return None
+    (at,) = recursive
+    rule = rules[at]
+    if any(
+        not all(type(arg) is Var for arg in later.head.args)
+        for later in rules[at + 1:]
+    ):
+        return None
+    body = rule.body
+    if len(rule.head.args) != 2 or len(body) != 2:
+        return None
+    own, step = body if body[0].atom.pred == pred else body[::-1]
+    edge = step.atom.pred
+    atoms = (rule.head, own.atom, step.atom)
+    if (
+        edge == pred
+        or is_builtin_predicate(edge)
+        or not own.positive
+        or not step.positive
+        or any(len(atom.args) != 2 for atom in atoms)
+        or any(type(arg) is not Var for atom in atoms for arg in atom.args)
+    ):
+        return None
+    (a, b), (x, y), (u, v) = (
+        tuple(arg.name for arg in atom.args) for atom in atoms
+    )
+    left = x == a
+    if left:  # p(A, C): a step goes C -> B
+        c, start, end = y, y, b
+    elif y == b:  # p(C, B): a step goes A -> C
+        c, start, end = x, a, x
+    else:
+        return None
+    if a == b or c in (a, b) or {u, v} != {start, end}:
+        return None
+    return ClosureShape(rule, edge, left, u == start)
+
+
+def _step_graph(edges: dict[int, set[int]], forward: bool) -> dict:
+    """The closure's step graph over ``edges`` (a key map): every node
+    a key, its successors ``edges``' pairs read forward or reversed."""
+    if forward:
+        graph: dict = dict(edges)
+        for values in edges.values():
+            for node in values:
+                if node not in graph:
+                    graph[node] = ()
+        return graph
+    graph = {first: [] for first in edges}
+    for first, values in edges.items():
+        for second in values:
+            succ = graph.get(second)
+            if succ is None:
+                graph[second] = [first]
+            else:
+                succ.append(first)
+    return graph
+
+
+def _reach_sets(graph: dict, start) -> dict[int, set[int]]:
+    """Per node of ``graph``, the union of ``start(members)`` over every
+    strongly connected component it reaches, its own included.
+
+    One iterative Tarjan pass (:func:`strongly_connected`) lists the
+    components bottom-up, so each component's set is built once from
+    the sets of the components below it, each of those unioned once,
+    and shared by the component's members (Purdom 1970; Nuutila
+    1995)."""
+    reach: dict[int, set[int]] = {}
+    for members in strongly_connected(graph):
+        below = {}
+        for node in members:
+            for succ in graph[node]:
+                found = reach.get(succ)  # None inside this component
+                if found is not None:
+                    below[id(found)] = found
+        union = start(members)
+        for found in below.values():
+            union |= found
+        for node in members:
+            reach[node] = union
+    return reach
+
+
+def _closure_keys(db: Database, shape: ClosureShape) -> dict[int, set[int]]:
+    """The closure's candidate pairs as ``{first: set(second)}``, one
+    fresh set per key, read off ``S``, the pairs stored in the closed
+    predicate, and the step graph of ``shape.edge``.
+
+    Left-linear, ``p(A)`` is ``S(A)`` and everything reachable from it;
+    right-linear, it is the union of ``S(x)`` over every ``x`` that
+    ``A`` reaches, ``A`` included."""
+    seeds = db.key_map(shape.rule.head.pred) or {}
+    graph = _step_graph(db.key_map(shape.edge) or {}, shape.forward)
+    keys: dict[int, set[int]] = {}
+    if shape.left:
+        reach = _reach_sets(graph, set)
+        get = reach.get
+        for first, values in seeds.items():
+            sets = {id(found): found for found in map(get, values) if found}
+            if sets:
+                keys[first] = set().union(*sets.values())
+        return keys
+    empty: frozenset[int] = frozenset()
+    reach = _reach_sets(
+        graph,
+        lambda members: set().union(*[seeds.get(node, empty) for node in members]),
+    )
+    for node, values in reach.items():
+        if values:
+            keys[node] = set(values)
+    return keys
+
+
+def closure_fixpoint(
+    db: Database,
+    rules: Sequence[Rule],
+    shape: ClosureShape,
+    context: EvalContext | None = None,
+) -> FixpointStats:
+    """Evaluate a closure-shaped component's ``rules`` by reachability.
+    Mutates ``db``.
+
+    Round 0 applies the exit rules once, as :func:`single_pass` does.
+    Then one closure step, one firing of ``shape.rule``, computes every
+    pair the semi-naive rounds would derive from what the predicate
+    then holds (its exit facts, program facts and anything already
+    stored) and installs it per key through ``add_keys``
+    (:func:`install_rows`): two iterations in all.  Derived pairs are
+    spelled canonically, as every semi-naive round after round 0 spells
+    them, and a stored pair keeps its spelling."""
+    ctx = context or EvalContext(db)
+    rule = shape.rule
+    stats = _round_zero(ctx, db, [r for r in rules if r is not rule], None)
+    on = ctx.on
+    fired = on.rule_fired
+    start = perf_counter() if fired is not None else 0.0
+    keys = _closure_keys(db, shape)
+    count = sum(map(len, keys.values()))
+    if fired is not None:
+        fired(rule=rule, derived=count, seconds=perf_counter() - start)
+    dr = DerivedRows(rule.head.pred, 2, None, None, keys, 0, count)
+    new = install_rows(ctx, db, rule, dr)
+    stats.iterations += 1
+    stats.rule_firings += 1
+    stats.facts_derived += new
+    if on.iteration is not None:
+        on.iteration(iteration=stats.iterations, new_facts=new)
     return stats

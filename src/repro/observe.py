@@ -44,7 +44,10 @@ from repro.terms.term import id_table_size
 #:   fixpoint (``rules`` its proper rules, ``new_facts`` what it added,
 #:   ``seconds`` its wall time);
 #: * ``scc_start``/``scc_end`` — one component of a layer's SCC
-#:   schedule; ``layer`` is None outside layered evaluation;
+#:   schedule; ``layer`` is None outside layered evaluation, and
+#:   ``path`` names how the component ran (``"single"``, ``"seminaive"``,
+#:   ``"naive"`` or ``"closure"``; see
+#:   :class:`~repro.engine.evaluator.SCCStats`);
 #: * ``iteration`` — one fixpoint round and the facts it added;
 #: * ``rule_fired`` — one rule application: ``derived`` facts emitted
 #:   (before dedup) in ``seconds``;
@@ -79,7 +82,7 @@ EVENTS: dict[str, tuple[str, ...]] = {
     "layer_start": ("layer", "rules"),
     "layer_end": ("layer", "new_facts", "seconds"),
     "scc_start": ("layer", "preds", "recursive"),
-    "scc_end": ("layer", "preds", "recursive", "new_facts", "seconds"),
+    "scc_end": ("layer", "preds", "recursive", "path", "new_facts", "seconds"),
     "iteration": ("iteration", "new_facts"),
     "rule_fired": ("rule", "derived", "seconds"),
     "fact_derived": ("fact", "rule"),
@@ -275,7 +278,8 @@ class MetricsCollector:
     the storage phases ``wal_append``,
     ``wal_replay``, ``snapshot_write`` and ``snapshot_load``.
     ``layers`` holds ``(layer, seconds)`` pairs in evaluation order and
-    ``sccs`` one entry per scheduled component.  ``counters`` holds
+    ``sccs`` one entry per scheduled component (with the ``path`` it
+    ran).  ``counters`` holds
     integer tallies: ``plans_built`` and ``plan_cache_hits``; the
     compiled closures' per-step binding counts (``batch_steps`` steps
     entered, ``batch_bindings`` bindings they produced, ``batch_peak``
@@ -329,14 +333,15 @@ class MetricsCollector:
             self.counters["id_table_size"] = size
 
     def on_scc_end(
-        self, layer: int | None, preds, recursive: bool, new_facts: int,
-        seconds: float,
+        self, layer: int | None, preds, recursive: bool, path: str,
+        new_facts: int, seconds: float,
     ) -> None:
         self.sccs.append(
             {
                 "layer": layer,
                 "preds": sorted(preds),
                 "recursive": recursive,
+                "path": path,
                 "seconds": seconds,
             }
         )

@@ -165,12 +165,17 @@ class SCCComponent(NamedTuple):
     ``recursive`` is True when the component's rules can feed
     themselves — more than one predicate, or a self-loop.  ``rules``
     holds the program's non-fact rules whose head lies in ``preds``
-    (empty for pure EDB components).
+    (empty for pure EDB components).  ``closure`` is the component's
+    :class:`~repro.engine.fixpoint.ClosureShape` when it is one linear
+    closure; the compiled program's schedule marks it
+    (:func:`~repro.engine.compiled.mark_closures`), and a component
+    built here has None.
     """
 
     preds: frozenset[str]
     recursive: bool
     rules: tuple[Rule, ...]
+    closure: object = None
 
 
 def condense_program(

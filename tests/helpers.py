@@ -216,3 +216,21 @@ def fused_and_unfused(plan, template, db, overrides=None, negation_db=None):
         )
         runs.append((source, Counter(rows), seen))
     return runs
+
+
+def looped(program):
+    """A copy of ``program`` compiled with no component marked as a
+    linear closure (a monkeypatched
+    :func:`~repro.engine.fixpoint.closure_shape` while it compiles), so
+    ``evaluate`` runs every recursive component through the semi-naive
+    loop: for tests of that loop on closure-shaped rules."""
+    import pytest
+
+    from repro.engine import compiled
+    from repro.program.rule import Program
+
+    fresh = Program(program.rules)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled, "closure_shape", lambda component: None)
+        compiled.compile_program(fresh)
+    return fresh

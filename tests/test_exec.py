@@ -54,6 +54,7 @@ from tests.helpers import (
     fused_and_unfused,
     grouping_oracle,
     idb_facts,
+    looped,
     reference_facts,
     run,
     topdown_idb_facts,
@@ -798,13 +799,11 @@ class TestKeyMap:
         stored = result.database.atoms("candidate")
         assert {encode_args(fact.args) for fact in stored} == set(rows.rows)
 
-    def test_social_rules_install_per_key(self, monkeypatch):
-        """Which install each social rule's application takes: the
-        recursive ``influences`` rule's is ``add_keys`` in every
-        semi-naive round, round 0 included, and so are ``candidate``'s
-        and ``recommend``'s; the exit rule, which swaps the pairs it
-        copies, installs rows."""
-        rounds = [[]]  # per fixpoint round: (rule, install) pairs
+    @staticmethod
+    def _social_installs(monkeypatch, program):
+        """Per fixpoint round of ``evaluate(program)`` over a social
+        network: the (rule, install) pairs of its applications."""
+        rounds = [[]]
 
         class Hooks:
             def on_rule_fired(self, rule, derived, seconds):
@@ -815,16 +814,34 @@ class TestKeyMap:
 
         hooks = Hooks()
         _spy_installs(monkeypatch, lambda name, pred: rounds[-1].append((hooks.rule, name)))
-        facts = social_network(60, 4, seed=3)
-        evaluate(parse_program(SOCIAL_PROGRAM).program, edb=facts, hooks=hooks)
+        evaluate(program, edb=social_network(60, 4, seed=3), hooks=hooks)
+        for src in (CANDIDATE, "recommend(A, B) <- candidate(A, B), ~follows(A, B)."):
+            assert [name for r in rounds for rule, name in r if rule == src] == ["add_keys"]
         closure = [r for r in rounds if any(rule == INFLUENCES for rule, _ in r)]
+        for installs in closure:
+            assert [name for rule, name in installs if rule == INFLUENCES] == ["add_keys"]
+        return rounds, closure
+
+    def test_social_rules_install_per_key(self, monkeypatch):
+        """Which install each social rule's application takes: the
+        recursive ``influences`` rule's is ``add_keys`` in every
+        semi-naive round, round 0 included, and so are ``candidate``'s
+        and ``recommend``'s; the exit rule, which swaps the pairs it
+        copies, installs rows."""
+        program = looped(parse_program(SOCIAL_PROGRAM).program)
+        rounds, closure = self._social_installs(monkeypatch, program)
         assert len(closure) > 3
         # round 0 is the one the exit rule fires in
         assert ("influences(A, B) <- follows(B, A).", "add_rows") in closure[0]
-        for installs in closure:
-            assert [name for rule, name in installs if rule == INFLUENCES] == ["add_keys"]
-        for src in (CANDIDATE, "recommend(A, B) <- candidate(A, B), ~follows(A, B)."):
-            assert [name for r in rounds for rule, name in r if rule == src] == ["add_keys"]
+
+    def test_social_closure_installs_per_key(self, monkeypatch):
+        """On the closure path the ``influences`` component's round 0
+        fires the exit rule alone, and its one closure step installs
+        through ``add_keys``."""
+        program = parse_program(SOCIAL_PROGRAM).program
+        rounds, closure = self._social_installs(monkeypatch, program)
+        assert len(closure) == 1
+        assert [("influences(A, B) <- follows(B, A).", "add_rows")] in rounds
 
 
 def _spy_installs(monkeypatch, record):

@@ -28,6 +28,9 @@ parent(a, b). parent(b, c).
 anc(X, Y) <- parent(X, Y).
 anc(X, Y) <- parent(X, Z), anc(Z, Y).
 """
+#: ``anc`` is a right-linear closure: its exit rule is the one rule
+#: planned, and the closure step compiles no plan.
+ANC_PLANS = 1
 
 
 class CatchAll:
@@ -87,7 +90,7 @@ class TestComposeHooks:
         assert nested.subscribers == (a, b, legacy)
         result = run(ANC, hooks=nested)
         assert a.count("rule_fired") == b.count("rule_fired") == len(legacy.fired)
-        assert a.plans_built == b.plans_built == 3
+        assert a.plans_built == b.plans_built == ANC_PLANS
         assert result.total_firings == len(legacy.fired)
 
     def test_legacy_subscriber_gets_only_its_fields(self):
@@ -102,7 +105,7 @@ class TestTraceRecorder:
         run(ANC, hooks=recorder)
         assert recorder.count("layer_start") == recorder.count("layer_end")
         assert recorder.count("layer_start") >= 1
-        assert recorder.plans_built == 3
+        assert recorder.plans_built == ANC_PLANS
 
     def test_fact_events_cover_the_model(self):
         recorder = TraceRecorder()
@@ -139,6 +142,59 @@ class TestTraceRecorder:
         assert summary.startswith("% trace:")
         assert "plans built" in summary
         assert "rule firings" in summary
+
+
+class TestSccPath:
+    """``scc_end``, ``SCCStats`` and ``MetricsCollector.sccs`` name the
+    path each component ran."""
+
+    @staticmethod
+    def _paths(result, metrics):
+        stats = [scc.path for layer in result.layer_stats for scc in layer.sccs]
+        assert stats == [entry["path"] for entry in metrics.sccs]
+        return stats
+
+    def test_closure_with_and_without_a_fact_handler(self):
+        for hooks in (None, TraceRecorder()):
+            metrics = MetricsCollector()
+            result = run(ANC, hooks=hooks, metrics=metrics)
+            assert self._paths(result, metrics) == ["closure"]
+            assert result.total_iterations == 2
+        # the attached handler saw every derived fact
+        assert hooks.count("fact_derived") == 3
+
+    def test_every_path_named(self):
+        src = ANC + """
+        reach(X) <- anc(a, X).
+        tc(X, Y) <- parent(X, Y).
+        tc(X, Y) <- tc(X, Z), tc(Z, Y).
+        """
+        paths = {}
+        for strategy in ("seminaive", "naive"):
+            metrics = MetricsCollector()
+            result = run(src, strategy=strategy, metrics=metrics)
+            paths[strategy] = dict(
+                zip((entry["preds"][0] for entry in metrics.sccs),
+                    self._paths(result, metrics))
+            )
+        assert paths["seminaive"] == {
+            "anc": "closure", "reach": "single", "tc": "seminaive",
+        }
+        assert paths["naive"] == {"anc": "naive", "reach": "single", "tc": "naive"}
+
+    def test_handler_without_path_still_called(self):
+        class OldSccHandler:
+            """An ``scc_end`` subscriber written before ``path``."""
+
+            def __init__(self):
+                self.ended = []
+
+            def on_scc_end(self, layer, preds, recursive, new_facts, seconds):
+                self.ended.append((sorted(preds), new_facts))
+
+        old = OldSccHandler()
+        run(ANC, hooks=old)
+        assert old.ended == [(["anc"], 3)]
 
 
 class TestMetricsCollector:
@@ -225,7 +281,7 @@ class TestMetricsCollector:
     def test_metrics_passed_twice_report_once(self):
         metrics = MetricsCollector()
         run(ANC, hooks=metrics, metrics=metrics)
-        assert metrics.counters["plans_built"] == 3
+        assert metrics.counters["plans_built"] == ANC_PLANS
 
 
 class TestApiTrace:
@@ -233,7 +289,7 @@ class TestApiTrace:
         session = LDL(ANC, trace=True)
         session.model()
         assert session.trace is not None
-        assert session.trace.plans_built == 3
+        assert session.trace.plans_built == ANC_PLANS
 
     def test_trace_off_by_default(self):
         assert LDL(ANC).trace is None
@@ -242,7 +298,7 @@ class TestApiTrace:
         mine = TraceRecorder()
         session = LDL(ANC, hooks=mine, trace=True)
         session.model()
-        assert mine.plans_built == session.trace.plans_built == 3
+        assert mine.plans_built == session.trace.plans_built == ANC_PLANS
 
 
 class TestApiMetrics:
@@ -253,7 +309,7 @@ class TestApiMetrics:
         metrics = MetricsCollector()
         result = LDL(ANC, metrics=metrics).model()
         assert {"plan", "match"} <= set(metrics.phases)
-        assert metrics.counters["plans_built"] == 3
+        assert metrics.counters["plans_built"] == ANC_PLANS
         assert result.metrics is metrics
 
     def test_on_demand_queries_report(self):

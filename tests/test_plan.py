@@ -171,6 +171,13 @@ t(X, Y) <- e(X, Y).
 t(X, Y) <- e(X, Z), t(Z, Y).
 """
 
+#: Non-linear closure: not a closure shape, so it stays on the
+#: semi-naive loop.
+NONLINEAR = """
+a(X, Y) <- e(X, Y).
+a(X, Y) <- a(X, Z), a(Z, Y).
+"""
+
 
 def chain(n):
     return "".join(f"e({i}, {i + 1}). " for i in range(n))
@@ -183,12 +190,22 @@ class TestPlanOnce:
         counts = {}
         for n in (4, 24):
             recorder = TraceRecorder()
-            run(chain(n) + TC, strategy="seminaive", hooks=recorder)
+            run(chain(n) + NONLINEAR, strategy="seminaive", hooks=recorder)
             counts[n] = recorder.plans_built
-        # a 6x longer chain means many more fixpoint rounds but the
-        # same plans: both rules once for round 0, plus the recursive
-        # rule's single delta occurrence of t.
-        assert counts[4] == counts[24] == 3
+        # a 6x longer chain means more fixpoint rounds but the same
+        # plans: both rules once for round 0, plus the recursive rule's
+        # two delta occurrences of a.
+        assert counts[4] == counts[24] == 4
+
+    def test_closure_plans_no_rounds(self):
+        # the right-linear t is a closure: only its exit rule is
+        # planned, and the closure step is one firing of no plan
+        for n in (4, 24):
+            recorder = TraceRecorder()
+            result = run(chain(n) + TC, strategy="seminaive", hooks=recorder)
+            assert recorder.plans_built == 1
+            assert recorder.count("plan_reused") == 0
+            assert result.total_iterations == 2
 
     def test_naive_plan_count_is_rule_count(self):
         recorder = TraceRecorder()
@@ -198,6 +215,6 @@ class TestPlanOnce:
 
     def test_cache_hits_recorded(self):
         metrics = MetricsCollector()
-        run(chain(12) + TC, strategy="seminaive", metrics=metrics)
-        assert metrics.counters["plans_built"] == 3
+        run(chain(12) + NONLINEAR, strategy="seminaive", metrics=metrics)
+        assert metrics.counters["plans_built"] == 4
         assert metrics.counters["plan_cache_hits"] > 0
