@@ -5,9 +5,11 @@ Starts the server as a real subprocess on a temp durable store — line
 protocol plus HTTP gateway (``--http 0``) — runs a scripted client
 session (updates, queries under every strategy, an explain, stats),
 drives the answer cache through a full hit/invalidate/hit cycle over
-both protocols (plus a query whose variable names sort against their
-positions, whose hits must answer like its miss, and bound queries a
-free query's entry serves as subsumed hits), checkpoints and checks
+both protocols (plus a miss, first hit and wire-memo hit over HTTP,
+whose two hit bodies must be byte-identical; a query whose variable
+names sort against their positions, whose hits must answer like its
+miss; and bound queries a free query's entry serves as subsumed
+hits), checkpoints and checks
 the cyclic collector is enabled again, SIGTERMs it, and then
 restarts to assert the graceful
 shutdown checkpointed: the second start must restore from the snapshot
@@ -100,16 +102,22 @@ def check(label: str, condition: bool) -> None:
     print(f"ok: {label}")
 
 
-def http_call(port: int, method: str, path: str, body: dict | None = None):
+def http_raw(port: int, method: str, path: str, body: dict | None = None):
+    """One HTTP exchange: the status and the raw response body."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
         payload = None if body is None else json.dumps(body)
         headers = {"Content-Type": "application/json"} if payload else {}
         conn.request(method, path, payload, headers)
         response = conn.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
     finally:
         conn.close()
+
+
+def http_call(port: int, method: str, path: str, body: dict | None = None):
+    status, raw = http_raw(port, method, path, body)
+    return status, json.loads(raw)
 
 
 def main() -> None:
@@ -182,11 +190,33 @@ def main() -> None:
                     http_call(http_port, "POST", "/v1/query", ask)[1]["cache"]
                     == "hit",
                 )
+
+                # wire memo over http: a miss, the first hit (it builds
+                # the memo) and a memo hit; both hits send the same
+                # bytes, each its own compact re-encoding
+                memo_ask = {"q": "? t(X, 4)."}
+                raws = [
+                    http_raw(http_port, "POST", "/v1/query", memo_ask)
+                    for _ in range(3)
+                ]
+                memo_body = raws[2][1]
+                check(
+                    "memo hit body is the first hit's, compact json",
+                    [status for status, _ in raws] == [200, 200, 200]
+                    and [json.loads(raw)["cache"] for _, raw in raws]
+                    == ["miss", "hit", "hit"]
+                    and memo_body == raws[1][1]
+                    and memo_body
+                    == json.dumps(
+                        json.loads(memo_body), separators=(",", ":")
+                    ).encode("utf-8"),
+                )
                 client.remove_facts("e", [(3, 4)])
                 cache_stats = client.stats()["answer_cache"]
                 check(
                     "cache stats",
                     cache_stats["hits"] >= 2
+                    and cache_stats["memo_hits"] >= 1
                     and cache_stats["entries_invalidated"] >= 1,
                 )
                 # a durable server reads its misses from the maintained

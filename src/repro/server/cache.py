@@ -23,12 +23,18 @@ and its session and memoizes query answers across clients:
 
 * **Wire memo.**  The first exact hit of a plain query in wire form
   (:meth:`AnswerCache.answers` with ``wire=True``) keeps the encoded
-  answers on the entry, keyed by the query's variable names;
-  :meth:`AnswerCache.memoized` then answers the same query with dict
-  lookups only, which is cheap enough for the server's event loop.
-  Fills never build it — most entries of a cold workload are evicted
-  unread, and ~300 B of tagged trees per row would tax every one of
-  them — and it goes wherever its entry goes.
+  answers on the entry, keyed by the query's variable names, as an
+  :class:`~repro.server.protocol.EncodedAnswers`: the list plus its
+  compact JSON text, encoded once, there.  Every reply that carries it
+  — that first hit included — has the text spliced in by
+  :func:`repro.server.protocol.encode_json` on either transport, so a
+  repeat is never re-encoded.  :meth:`AnswerCache.memoized` then
+  answers the same query with dict lookups only, which is cheap enough
+  for the server's event loop.  Fills never build it — most entries of
+  a cold workload are evicted unread, and ~300 B of tagged trees per
+  row (and ~20 B of text) would tax every one of them — and it goes
+  wherever its entry goes.  ``memo_hits`` counts the hits it served
+  and ``memo_bytes`` the text it holds (:meth:`AnswerCache.report`).
 
 * **Subsumption.**  A miss on the exact key looks for a *broader*
   entry — same predicate, bound positions a subset of ours with equal
@@ -95,7 +101,7 @@ from repro.errors import (
 )
 from repro.program.dependency import reachable
 from repro.program.rule import Atom, Query
-from repro.server.protocol import encode_binding
+from repro.server.protocol import EncodedAnswers, encode_binding
 from repro.terms.term import Term, Var, evaluate_ground
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -121,7 +127,7 @@ class _Entry:
         self.key = key
         self.rows = rows
         self.version = version
-        self.wire: dict[tuple[str, ...], list[dict]] = {}
+        self.wire: dict[tuple[str, ...], EncodedAnswers] = {}
         self.used = 0
 
 
@@ -195,6 +201,8 @@ class AnswerCache:
         self.hits = 0
         self.misses = 0
         self.subsumed = 0
+        # hits served by memoized(), on the caller's (event-loop) thread
+        self.memo_hits = 0
         self.invalidation_events = 0
         self.entries_invalidated = 0
         # fills by lane: read from a model, or computed by magic
@@ -229,8 +237,8 @@ class AnswerCache:
         The answers are ``{variable: term}`` bindings or, with ``wire``,
         their protocol encoding ``{variable: tagged tree}``
         (:func:`repro.server.protocol.encode_binding`); an exact hit of
-        a plain query in wire form leaves that encoding on its entry
-        for :meth:`memoized`.
+        a plain query in wire form leaves that encoding, with its JSON
+        text, on its entry for :meth:`memoized` and returns it.
         """
         try:
             key, pattern, relaxed, names = self._analyze(query)
@@ -270,13 +278,16 @@ class AnswerCache:
             return bindings, how
         encoded = [encode_binding(b) for b in bindings]
         if how == "hit" and names is not None:
-            entry.wire[names] = encoded
+            encoded = EncodedAnswers(encoded)
+            with self._mutex:
+                entry.wire[names] = encoded
         return encoded, how
 
-    def memoized(self, query: Query) -> list[dict] | None:
+    def memoized(self, query: Query) -> EncodedAnswers | None:
         """The wire answers an earlier exact hit left for ``query``, or
         None when there are none (nothing is counted then).  The list
-        is the memo itself, shared by every reply: never mutate it.
+        is the memo itself, text and all, shared by every reply: never
+        mutate it.
 
         Dict lookups only — no evaluation, matching or encoding — so
         the server calls it on its event loop; the mutex it takes is
@@ -294,6 +305,7 @@ class AnswerCache:
             if encoded is not None:
                 self._touch(entry)
                 self.hits += 1
+                self.memo_hits += 1
             return encoded
 
     # -- the LRU and its form counts (callers hold the mutex) --------------
@@ -506,6 +518,12 @@ class AnswerCache:
                 "misses": self.misses,
                 "subsumed": self.subsumed,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
+                "memo_hits": self.memo_hits,
+                "memo_bytes": sum(
+                    len(memo.text)
+                    for entry in self._entries.values()
+                    for memo in entry.wire.values()
+                ),
                 "invalidation_events": self.invalidation_events,
                 "entries_invalidated": self.entries_invalidated,
                 "fills": dict(self.fills),

@@ -12,7 +12,9 @@ health check) can talk to a serving session::
 
 Request bodies are exactly the JSON objects of
 :mod:`repro.server.protocol` minus the ``op`` (taken from the path);
-responses are the protocol's response objects as JSON bodies.  Success
+responses are the protocol's response objects as JSON bodies, encoded
+by the line protocol's own :func:`~repro.server.protocol.encode_json`
+(so a memoized answer list is spliced in as its text here too).  Success
 is 200; a failed operation maps its ``etype`` to a status —
 ``ProtocolError`` 400, ``TimeoutError`` 504, anything else 500 — with
 the protocol error object as the body either way.
@@ -84,7 +86,7 @@ def _status_of(response: dict) -> int:
 def _encode_http(
     status: int, payload: dict, extra_headers: tuple[str, ...] = (), close: bool = False
 ) -> bytes:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = protocol.encode_json(payload).encode("utf-8")
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         "Content-Type: application/json",
@@ -284,6 +286,8 @@ class HttpGateway:
             try:
                 nbytes = int(length)
             except ValueError:
+                nbytes = -1
+            if nbytes < 0:
                 return await respond(
                     400, _error_payload("malformed Content-Length")
                 )

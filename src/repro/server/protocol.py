@@ -34,6 +34,17 @@ boolean is a :class:`ProtocolError`); query responses carry a
 ``hit-subsumed``, ``miss``, ``unsatisfiable``, or ``off``).  The same
 requests travel verbatim as JSON bodies of the HTTP gateway
 (:mod:`repro.server.gateway`).
+
+Both transports serialize a reply through one function,
+:func:`encode_json`: compact separators, ASCII escapes, keys in the
+dict's own order — exactly ``json.dumps(reply, separators=(",", ":"))``.
+The answer cache's wire memo hands out :class:`EncodedAnswers`, an
+answer list that carries its own JSON text; :func:`encode_json` splices
+that text into the reply instead of re-encoding the list.  The bytes do
+not change: the text is ``json.dumps`` of the same list with the same
+settings, and the dict a reply travels as still holds the list itself,
+so ``json.dumps`` of it, with ``answers`` copied to a plain list, gives
+the bytes either transport sends.
 """
 
 from __future__ import annotations
@@ -65,9 +76,48 @@ OPS = (
 )
 
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without building an
+#: encoder per call: it is the encoder ``json.dumps`` would build.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class EncodedAnswers(list):
+    """Wire answers ``[{variable: tagged tree}]`` that carry their own
+    compact JSON text, built once, for :func:`encode_json` to splice.
+
+    The text is ``json.dumps`` of the list as it stands when built;
+    the answer cache shares one instance across replies, so never
+    mutate it.  ``json.dumps`` serializes it as the plain list.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, answers) -> None:
+        super().__init__(answers)
+        self.text = _encode(self)
+
+
+def encode_json(payload: dict) -> str:
+    """One message as compact JSON text: ``json.dumps`` of the dict,
+    with an :class:`EncodedAnswers` ``answers`` spliced in as its text.
+
+    Splicing writes each other key and value exactly as ``json.dumps``
+    writes them inside the dict (message keys are strings), in order,
+    so the text is the same either way.
+    """
+    answers = payload.get("answers")
+    if not isinstance(answers, EncodedAnswers):
+        return _encode(payload)
+    items = [
+        _encode(key) + ":" + (answers.text if key == "answers" else _encode(value))
+        for key, value in payload.items()
+    ]
+    return "{" + ",".join(items) + "}"
+
+
 def encode_message(payload: dict) -> bytes:
     """One message as a JSON line (newline included)."""
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    return (encode_json(payload) + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes) -> dict:

@@ -6,9 +6,10 @@ serves the newline-delimited JSON protocol of
 
 * a query whose exact cache entry already holds its wire answers is
   answered on the event loop, under the read lock — a dict lookup and
-  a write; every other request runs its (blocking) session call in the
-  event loop's default executor, so slow evaluations never stall the
-  accept loop;
+  a write of the reply with the memo's JSON text spliced in
+  (:func:`repro.server.protocol.encode_json`); every other request
+  runs its (blocking) session call in the event loop's default
+  executor, so slow evaluations never stall the accept loop;
 * reads (``query``, ``explain``, ``stats``) hold the shared side of a
   :class:`~repro.server.rwlock.ReadWriteLock` and overlap freely;
 * writes (``add_facts``, ``remove_facts``, ``checkpoint``) hold the

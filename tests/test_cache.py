@@ -1,11 +1,13 @@
 """Tests for the server answer cache (repro.server.cache)."""
 
 import asyncio
+import json
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from repro.server.cache import AnswerCache, _bindings
 from repro.terms.term import Const, Func, SetPattern, Var
 from repro.terms.pretty import format_program, format_query
 from tests.strategies import update_scripts
-from tests.test_server import ROOT, ServerThread
+from tests.test_server import ROOT, ServerThread, assert_wire_bytes
 
 TWO_FAMILIES = """
     t(X, Y) <- e(X, Y).
@@ -362,7 +364,8 @@ def test_cached_answers_equal_uncached_oracle(script):
     invalidation or over-broad subsumption shows up as a stale answer.
 
     Server replies must be byte-identical to the oracle's on every way
-    a query can be served.  Each query is asked three times (miss or
+    a query can be served, and over both transports equal to
+    ``json.dumps`` of the reply dict.  Each query is asked three times (miss or
     subsumed hit, first exact hit, memoized hit) and once more with the
     per-request ``"cache": false`` bypass, by one server asking broad
     queries first (bound ones then hit subsumed) and one asking bound
@@ -396,6 +399,9 @@ def test_cached_answers_equal_uncached_oracle(script):
             assert _reply_bytes(wire, how) == _reply_bytes(
                 _oracle_wire(oracle, query), how
             )
+            assert_wire_bytes(
+                protocol.ok_response({}, answers=wire, count=len(wire), cache=how)
+            )
         for server, order in zip(servers, (queries, queries[::-1])):
             for query in order:
                 text = format_query(query)
@@ -405,6 +411,7 @@ def test_cached_answers_equal_uncached_oracle(script):
                     assert protocol.encode_message(reply) == _reply_bytes(
                         expected, reply["cache"]
                     ), text
+                    assert_wire_bytes(reply)
         for query in queries:
             text = format_query(query)
             expected = _oracle_wire(oracle, parse_query(text))
@@ -419,6 +426,7 @@ def test_cached_answers_equal_uncached_oracle(script):
                 assert protocol.encode_message(reply) == _reply_bytes(
                     expected, "off"
                 ), (strategy, text)
+                assert_wire_bytes(reply)
 
     try:
         check()
@@ -674,3 +682,60 @@ def test_in_memory_bound_fill_never_builds_an_infinite_model():
         text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_memo_counters_hold_under_concurrent_hits():
+    """Threads racing to fill, memoize and read wire answers while
+    another thread reads ``report()``: no ``memo_hits`` update is lost,
+    no report trips over a memo being added, and ``memo_bytes`` is the
+    text of the memos the cache holds."""
+    session = tc_session()
+    session.model()
+    cache = AnswerCache().bind_session(session)
+    texts = ("? t(1, X).", "? t(2, X).", "? t(X, Y).", "? s(X).", "? t(Y, X).")
+    queries = [parse_query(text) for text in texts]
+    served = [0] * 4
+    errors = []
+    stop = threading.Event()
+
+    def worker(n):
+        try:
+            for _ in range(100):
+                for query in queries:
+                    cache.answers(query, wire=True)
+                    if cache.memoized(query) is not None:
+                        served[n] += 1
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def reporter():
+        try:
+            while not stop.is_set():
+                cache.report()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher = threading.Thread(target=reporter)
+        workers = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        watcher.start()
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+        stop.set()
+        watcher.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers + [watcher])
+    assert errors == []
+    report = cache.report()
+    assert report["memo_hits"] == sum(served) > 0
+    memos = [cache.memoized(query) for query in queries]
+    assert report["memo_bytes"] == sum(
+        len(json.dumps(memo, separators=(",", ":")))
+        for memo in memos
+        if memo is not None
+    ) > 0

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -172,6 +173,27 @@ class TestRoutesAndOps:
             assert response.getheader("Connection") == "close"
             json.loads(response.read())
 
+    def test_negative_content_length_is_400_and_closes(self):
+        """Regression: a routed request passed a negative Content-Length
+        to ``readexactly``, which raised, so the client got no reply."""
+        with GatewayThread(ancestry_session(), cache=None) as gt:
+            for path in ("/v1/ping", "/v1/query"):
+                with socket.create_connection(
+                    ("127.0.0.1", gt.http_port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        f"POST {path} HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+                        .encode("ascii")
+                    )
+                    raw = sock.makefile("rb").read()  # until the gateway closes
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), raw
+                assert b"Connection: close" in head
+                assert json.loads(body)["error"] == "malformed Content-Length"
+            status, stats, conn = gt.request("GET", "/v1/stats")
+            conn.close()
+            assert status == 200 and stats["stats"]["server"]["errors_total"] == 0
+
 
 class TestLimits:
     def test_connection_limit_rejects_with_503(self):
@@ -232,3 +254,35 @@ class TestSharedCore:
             stats = gt.request("GET", "/v1/stats")[1]["stats"]
             assert stats["answer_cache"]["hits"] >= 2
             assert stats["server"]["cache"]["invalidation_events"] >= 1
+
+
+def test_memo_hit_bodies_are_compact_json_of_the_reply():
+    """Over real HTTP exchanges: a miss, the first hit (which builds the
+    wire memo) and a memo hit.  Both hits send the same bytes, each body
+    is its own compact re-encoding, and the stats count the memo hit."""
+    with GatewayThread(ancestry_session(), cache=AnswerCache()) as gt:
+        bodies = []
+        conn = gt.connection()
+        for _ in range(3):
+            conn.request(
+                "POST", "/v1/query", json.dumps({"q": "? anc(ann, X).", "id": "é"}),
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 200
+            bodies.append(response.read())
+        conn.close()
+        replies = [json.loads(body) for body in bodies]
+        assert [r["cache"] for r in replies] == ["miss", "hit", "hit"]
+        assert bodies[1] == bodies[2]
+        for body in bodies:
+            assert body == json.dumps(
+                json.loads(body), separators=(",", ":")
+            ).encode("ascii")
+        _, stats, conn = gt.request("GET", "/v1/stats")
+        conn.close()
+        cache = stats["stats"]["answer_cache"]
+        assert cache["memo_hits"] == 1
+        assert cache["memo_bytes"] == len(
+            json.dumps(replies[2]["answers"], separators=(",", ":"))
+        )

@@ -21,6 +21,7 @@ from repro.engine.compiled import compile_program
 from repro.errors import ProtocolError, ServerError
 from repro.server import Client, LDLServer, ReadWriteLock
 from repro.server import protocol
+from repro.server.gateway import _encode_http
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +34,18 @@ TC_PROGRAM = """
 def norm(answers):
     """Order-independent form of a query answer list."""
     return sorted(tuple(sorted(b.items())) for b in answers)
+
+
+def assert_wire_bytes(reply):
+    """Both transports send ``reply`` as ``json.dumps`` of the dict,
+    compact, with its ``answers`` copied to a plain list."""
+    plain = dict(reply)
+    if "answers" in plain:
+        plain["answers"] = list(plain["answers"])
+    text = json.dumps(plain, separators=(",", ":"))
+    assert protocol.encode_message(reply) == (text + "\n").encode("utf-8")
+    _, _, body = _encode_http(200, reply).partition(b"\r\n\r\n")
+    assert body == text.encode("utf-8")
 
 
 class ServerThread:
@@ -501,8 +514,14 @@ class TestLoopHits:
                 assert protocol.encode_message(reply) == protocol.encode_message(
                     {**miss, "cache": "hit"}
                 )
+                # the first hit builds the memo, and every hit splices it
+                assert reply["answers"] is first_hit["answers"]
+                assert isinstance(reply["answers"], protocol.EncodedAnswers)
+                assert_wire_bytes(reply)
+            assert_wire_bytes(miss)
             # the metrics count loop hits exactly as executor hits
             assert server.cache.report()["hits"] == 6
+            assert server.cache.report()["memo_hits"] == 5
             stats = server.metrics.report()
             assert stats["cache"]["hit"] == 6
             assert stats["requests"]["query"] == 7
@@ -560,6 +579,59 @@ class TestLoopHits:
         # the write invalidated the entry: post-write rows, refilled
         assert hit["cache"] == "miss"
         assert [b["X"] for b in hit["answers"]] == [["n", 2], ["n", 3], ["n", 4]]
+
+    def test_reply_bytes_equal_plain_json_on_both_transports(self):
+        """Memo hits, first hits, misses, subsumed hits and bypasses:
+        every reply encodes, over the line protocol and as an HTTP
+        body, to ``json.dumps`` of the dict -- with quoted spellings,
+        non-ASCII text and an echoed ``id`` of every JSON type."""
+        session = LDL(TC_PROGRAM + """
+            e(u1, 'u2'). e('u2', 'zoë'). e('zoë', 2.5). e(2.5, '\u2028Ω').
+        """)
+        ids = (7, 2.5, "ïd ☃", None, [1, "ü", None], {"k": [True, 1.5], "é": {}})
+        queries = (
+            "? t(X, Y).",
+            "? t(Y, X).",
+            "? t('u1', X).",
+            "? t(u1, X).",
+            "? t('zoë', X).",
+            "? t(X, 2.5).",
+            "? e(X, Y).",  # base facts keep their spellings
+            "? e('u2', X).",
+            "? e(u2, X).",
+        )
+        served = set()
+        spliced = []
+        # broad queries first: the bound ones then hit subsumed; bound
+        # first: they fill, hit and memoize entries of their own
+        for order in (queries, queries[::-1]):
+            server, _, loop = self.in_process(session)
+            try:
+                for id_ in ids:
+                    for text in order:
+                        for extra in ({}, {}, {}, {"cache": False}):
+                            reply = loop.run_until_complete(server.handle_request(
+                                {"op": "query", "q": text, "id": id_, **extra}
+                            ))
+                            assert reply["ok"] and reply["id"] == id_, reply
+                            assert_wire_bytes(reply)
+                            served.add(reply["cache"])
+                            if isinstance(reply["answers"], protocol.EncodedAnswers):
+                                spliced.append(protocol.encode_json(reply))
+                report = server.cache.report()
+                assert report["memo_hits"] > 0
+                assert report["memo_bytes"] == sum(
+                    len(memo.text)
+                    for entry in server.cache._entries.values()
+                    for memo in entry.wire.values()
+                ) > 0
+            finally:
+                self.close(loop)
+        assert served == {"miss", "hit", "hit-subsumed", "off"}
+        # spliced replies keep json.dumps' \\uXXXX escapes and spellings
+        assert any('["s","\\u2028\\u03a9"]' in text for text in spliced)
+        assert any('["q","zo\\u00eb"]' in text for text in spliced)
+        assert any('"id":"\\u00efd \\u2603"' in text for text in spliced)
 
     def test_wire_memo_is_built_on_first_hit_only(self):
         session = LDL(TC_PROGRAM)
